@@ -69,7 +69,7 @@ from .netverify import (
     verify_net,
     verify_sequence_prefix,
 )
-from .oa import lump_signature, max_strength, net_to_moa, verify_moa
+from .oa import max_strength, net_to_moa, verify_moa
 from .ooa import (
     canonical_beta,
     enumerate_profiles,
@@ -87,7 +87,7 @@ __all__ = [
     "parse_mooa", "serialize_mooa", "parse_function_tuples",
     "enumerate_shapes", "check_shapes", "count_box", "verify_net", "u_star",
     "verify_sequence_prefix", "project", "rebase_compress", "rebase_expand",
-    "net_to_moa", "lump_signature", "verify_moa", "max_strength",
+    "net_to_moa", "verify_moa", "max_strength",
     "canonical_beta", "net_to_mooa", "enumerate_profiles", "verify_mooa",
     "mooa_to_net",
     "Signature", "Condition", "FeasibilityReport", "rao_rhs", "rao_feasible",

@@ -1,28 +1,11 @@
-"""Small internal helpers: ordered parallel maps and mixed-radix ranking."""
+"""Small internal helpers: mixed-radix ranking, digit windows, and the one
+uniformity kernel every verifier shares."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def ordered_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> Iterator[R]:
-    """Apply ``fn`` to ``items``, yielding results in item order.
-
-    ``jobs`` caps the number of worker threads; the result order (and hence
-    any first-failure selection done by the caller) never depends on it.
-    """
-    if jobs is None:
-        jobs = 1
-    if jobs <= 1 or len(items) <= 1:
-        return map(fn, items)
-    with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as ex:
-        return iter(list(ex.map(fn, items)))
 
 
 def block_values(digits: np.ndarray, coord: int, start: int, width: int, base: int) -> np.ndarray:
@@ -62,3 +45,80 @@ def digit_matrix(values: Iterable[int], width: int, base: int) -> np.ndarray:
         out[:, j] = vals % base
         vals = vals // base
     return out
+
+
+def _first_nonuniform(keys: np.ndarray, cells: int, expected: int) -> tuple[int, int] | None:
+    """First cell in [0, cells) whose key count is not ``expected``, with that
+    count; None when every cell holds exactly ``expected`` keys."""
+    counts = np.bincount(keys, minlength=cells)
+    bad = np.flatnonzero(counts != expected)
+    if bad.size == 0:
+        return None
+    return int(bad[0]), int(counts[bad[0]])
+
+
+class PrefixTable:
+    """Prefix values of every coordinate by depth, built once per input.
+
+    Coordinate i reads a sequence of blocks (symbols below ``radices[i]``);
+    its prefix of depth k is P[i][k] = P[i][k-1] * radices[i] + block_k, so
+    the key of a depth profile kappa is the mixed-radix rank of
+    (P[0][kappa_0], ..., P[s-1][kappa_{s-1}]), first coordinate most
+    significant. A net's blocks are its width-e_i digit windows; an ordered
+    array's blocks are its columns.
+
+    ``cells`` bounds every prefix and key the table holds (b**(m-u) for a
+    quality-u check). The table is stored as int32 whenever cells < 2**31,
+    which halves its memory against int64.
+    """
+
+    def __init__(self, blocks: Iterable[Iterable[np.ndarray]], radices: Sequence[int],
+                 n: int, cells: int):
+        self.n = n
+        self.radices = [int(r) for r in radices]
+        self.dtype = np.int32 if cells < 2 ** 31 else np.int64
+        self.levels: list[list[np.ndarray]] = []  # levels[i][k-1] is P[i][k]
+        for coord_blocks, radix in zip(blocks, self.radices):
+            level: list[np.ndarray] = []
+            for block in coord_blocks:
+                value = block.astype(self.dtype)
+                if level:
+                    value += level[-1] * radix
+                level.append(value)
+            self.levels.append(level)
+
+    @classmethod
+    def of_digits(cls, digits: np.ndarray, base: int, e: Sequence[int],
+                  depth: int) -> "PrefixTable":
+        """Table of an (N, s, m) digit tensor: width-e_i windows of coordinate
+        i, as many as fit in the first ``depth`` digits."""
+        blocks = ((block_values(digits, i, k * ei, ei, base) for k in range(depth // ei))
+                  for i, ei in enumerate(e))
+        return cls(blocks, [base ** ei for ei in e], digits.shape[0], base ** depth)
+
+    def keys(self, kappa: Sequence[int]) -> np.ndarray:
+        """Rank of every row's prefix tuple at depth profile ``kappa``."""
+        keys = np.zeros(self.n, dtype=self.dtype)
+        for level, k, radix in zip(self.levels, kappa, self.radices):
+            if k:
+                keys *= radix ** k
+                keys += level[k - 1]
+        return keys
+
+    def first_failure(self, profiles: Iterable[Sequence[int]]
+                      ) -> tuple[Sequence[int], int, int, int] | None:
+        """First profile, in the given order, whose cells are not uniformly
+        filled: (kappa, cell, observed, expected), or None if all are.
+
+        Expected counts assume the row count is a multiple of every profile's
+        cell count, as it is for b**m rows and cells b**depth with depth <= m.
+        """
+        for kappa in profiles:
+            cells = 1
+            for k, radix in zip(kappa, self.radices):
+                cells *= radix ** k
+            expected = self.n // cells
+            hit = _first_nonuniform(self.keys(kappa), cells, expected)
+            if hit is not None:
+                return kappa, hit[0], hit[1], expected
+        return None

@@ -1,15 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 pass/success, 1 verification failed (witness printed),
-2 usage error, 3 file format error, 4 search inconclusive. Identical inputs
-and flags produce byte-identical output regardless of --jobs.
+2 usage error, 3 file format error, 4 search inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bounds, corpus, dualcert, io as formats, netverify, oa, ooa
@@ -77,15 +75,6 @@ def _fmt_witness(witness: dict) -> str:
     return " ".join(f"{k}={_fmt_value(v)}" for k, v in witness.items())
 
 
-def _jobs(args) -> int:
-    n = getattr(args, "jobs", None)
-    if n is None:
-        n = os.cpu_count() or 1
-    if n < 1:
-        raise ParamError(f"--jobs must be >= 1, got {n}")
-    return n
-
-
 # ---------------------------------------------------------------- generators
 
 def cmd_gen(args) -> int:
@@ -136,7 +125,7 @@ def _load_net(args) -> tuple:
 
 def cmd_verify_net(args) -> int:
     points, u, e = _load_net(args)
-    verdict = netverify.verify_net(points, u, e, args.variant, args.mode, _jobs(args))
+    verdict = netverify.verify_net(points, u, e, args.variant, args.mode)
     n_shapes = len(netverify.check_shapes(points.precision, u, e, args.variant,
                                           args.mode))
     if args.json:
@@ -155,8 +144,7 @@ def cmd_verify_net(args) -> int:
 def cmd_verify_seq(args) -> int:
     points, u, e = _load_net(args)
     m_max = args.m_max if args.m_max is not None else points.precision
-    verdict = netverify.verify_sequence_prefix(points, u, e, m_max, args.mode,
-                                               _jobs(args))
+    verdict = netverify.verify_sequence_prefix(points, u, e, m_max, args.mode)
     if args.json:
         _emit_json({"pass": verdict.passed, "u": u, "m_max": m_max,
                     "points": points.count,
@@ -175,7 +163,7 @@ def cmd_to_moa(args) -> int:
     net = formats.parse_net(_read_input(args.file))
     e = EVector.coerce(args.e) if args.e is not None else net.e
     array = oa.net_to_moa(net.points, e)
-    t = 0 if args.no_verify else oa.max_strength(array, _jobs(args))
+    t = 0 if args.no_verify else oa.max_strength(array)
     _write_output(args, formats.serialize_moa(MixedOA(array.alphabets, array.rows,
                                                       strength=t)))
     return EXIT_PASS
@@ -184,7 +172,7 @@ def cmd_to_moa(args) -> int:
 def cmd_verify_moa(args) -> int:
     array = formats.parse_moa(_read_input(args.file))
     t = args.t if args.t is not None else array.strength
-    verdict = oa.verify_moa(array, t, _jobs(args))
+    verdict = oa.verify_moa(array, t)
     if args.json:
         _emit_json({"pass": verdict.passed, "t": t,
                     "witness": dict(verdict.witness) if verdict.witness else None})
@@ -206,7 +194,7 @@ def cmd_to_mooa(args) -> int:
 
 def cmd_verify_mooa(args) -> int:
     array = formats.parse_mooa(_read_input(args.file))
-    verdict = ooa.verify_mooa(array, args.mode, _jobs(args))
+    verdict = ooa.verify_mooa(array, args.mode)
     n_profiles = len(ooa.enumerate_profiles(array.m, array.u, array.e, array.beta,
                                             args.mode))
     if args.json:
@@ -224,7 +212,7 @@ def cmd_verify_mooa(args) -> int:
 
 def cmd_from_mooa(args) -> int:
     array = formats.parse_mooa(_read_input(args.file))
-    points = ooa.mooa_to_net(array, check=not args.no_verify, jobs=_jobs(args))
+    points = ooa.mooa_to_net(array, check=not args.no_verify)
     _write_output(args, formats.serialize_net(points, array.u, array.e))
     return EXIT_PASS
 
@@ -298,18 +286,17 @@ def cmd_dual_cert(args) -> int:
 def cmd_report(args) -> int:
     net = formats.parse_net(_read_input(args.file))
     points, u, e = net.points, net.u, net.e
-    jobs = _jobs(args)
     b, m, s = points.base, points.precision, points.dim
-    verdict = netverify.verify_net(points, u, e, args.variant, "maximal", jobs)
-    star = netverify.u_star(points, e, args.variant, "maximal", "auto", jobs)
+    verdict = netverify.verify_net(points, u, e, args.variant, "maximal")
+    star = netverify.u_star(points, e, args.variant, "maximal", "auto")
     array = oa.net_to_moa(points, e) if m >= max(e) else None
-    strength = oa.max_strength(array, jobs) if array is not None else None
+    strength = oa.max_strength(array) if array is not None else None
     mooa_ok = None
     beta = None
     if m >= star + max(e):
         mooa = ooa.net_to_mooa(points, star, e)
         beta = mooa.beta
-        mooa_ok = bool(ooa.verify_mooa(mooa, "maximal", jobs))
+        mooa_ok = bool(ooa.verify_mooa(mooa, "maximal"))
     feas = bounds.feasibility_report(b, m, e, "net")
     if args.json:
         _emit_json({
@@ -352,10 +339,7 @@ def _add_io_flags(p: argparse.ArgumentParser, output: bool = False) -> None:
                        help="output file ('-' or omitted writes standard output)")
 
 
-def _add_jobs_json(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=None,
-                   help="cap on verification parallelism (default: all cores); "
-                        "never changes results")
+def _add_json(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable report")
 
 
@@ -384,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the file's e-vector (supports 1x3,2x2 shorthand)")
     p.add_argument("--variant", choices=["narrow", "tezuka"], default="narrow")
     p.add_argument("--mode", choices=["maximal", "all"], default="maximal")
-    _add_jobs_json(p)
+    _add_json(p)
     p.set_defaults(func=cmd_verify_net)
 
     p = sub.add_parser("verify-seq", help="check all complete blocks of a prefix")
@@ -393,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=evector_arg, default=None)
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--mode", choices=["maximal", "all"], default="maximal")
-    _add_jobs_json(p)
+    _add_json(p)
     p.set_defaults(func=cmd_verify_seq)
 
     p = sub.add_parser("to-moa", help="leading-digit columns as a MOA file")
@@ -401,13 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=evector_arg, default=None)
     p.add_argument("--no-verify", action="store_true",
                    help="emit t=0 instead of the verified strength")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_to_moa)
 
     p = sub.add_parser("verify-moa", help="check mixed-array strength")
     _add_io_flags(p)
     p.add_argument("--t", type=int, default=None, help="strength (default: file header)")
-    _add_jobs_json(p)
+    _add_json(p)
     p.set_defaults(func=cmd_verify_moa)
 
     p = sub.add_parser("to-mooa", help="digit blocks as a MOOA file")
@@ -421,14 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-mooa", help="check ordered-array strength profiles")
     _add_io_flags(p)
     p.add_argument("--mode", choices=["maximal", "all"], default="maximal")
-    _add_jobs_json(p)
+    _add_json(p)
     p.set_defaults(func=cmd_verify_mooa)
 
     p = sub.add_parser("from-mooa", help="rebuild the NET file of a canonical MOOA")
     _add_io_flags(p, output=True)
     p.add_argument("--no-verify", action="store_true",
                    help="skip the strength check before rebuilding")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_from_mooa)
 
     p = sub.add_parser("rao", help="row-count bound for net parameters")
@@ -461,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full diagnostic for a NET file")
     _add_io_flags(p)
     p.add_argument("--variant", choices=["narrow", "tezuka"], default="narrow")
-    _add_jobs_json(p)
+    _add_json(p)
     p.set_defaults(func=cmd_report)
 
     return parser

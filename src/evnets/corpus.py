@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import digit_matrix
+from ._util import PrefixTable, digit_matrix
 from .core import EVector, PointSet
 from .errors import ParamError
 from .netverify import enumerate_shapes, verify_net
@@ -184,14 +184,11 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
         offsets.append(total_boxes)
         caps.append(b ** (m - sum(d)))
         total_boxes += b ** sum(d)
+    table = PrefixTable.of_digits(cand_digits, b, e, m - u)
     box_key = np.zeros((n_candidates, len(shapes)), dtype=np.int64)
     for j, d in enumerate(shapes):
-        key = np.zeros(n_candidates, dtype=np.int64)
-        for i, di in enumerate(d):
-            if di:
-                powers = b ** np.arange(di - 1, -1, -1, dtype=np.int64)
-                key = key * (b ** di) + cand_digits[:, i, :di] @ powers
-        box_key[:, j] = key + offsets[j]
+        box_key[:, j] = table.keys([di // ei for di, ei in zip(d, e)])
+        box_key[:, j] += offsets[j]  # in int64: offsets can pass the table's int32 range
     caps_arr = np.asarray(caps, dtype=np.int64)
     counts = np.zeros(total_boxes, dtype=np.int64)
 

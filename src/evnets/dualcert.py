@@ -17,6 +17,7 @@ that the family cannot exceed b**m members.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,14 +128,18 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple],
     Precondition (checked): the difference of every pair of tuples must have
     height at most m - u; a violating pair fails with a distinct witness kind
     before any numerics run. The Gram matrix must then equal b**m times the
-    identity entrywise within ``tol`` (default 1e-6 * b**m). A passing
-    verdict certifies the family has at most b**m members; the defensive
-    check at the end cannot fire for a true Gram identity.
+    identity entrywise within ``tol`` (default 1e-6 * b**m). A negative or
+    non-finite ``tol`` raises :class:`ParamError`, because NaN or infinity
+    would pass every Gram matrix. A passing verdict certifies the family has
+    at most b**m members; the defensive check at the end cannot fire for a
+    true Gram identity.
     """
     budget = array.m - array.u
     n_rows = array.base ** array.m
     if tol is None:
         tol = 1e-6 * n_rows
+    if not math.isfinite(tol) or tol < 0:
+        raise ParamError(f"tol must be finite and >= 0, got {tol}")
     family = list(family)
     for d in family:
         _check_array_frame(array, d)

@@ -20,9 +20,10 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from ._util import block_values, digit_matrix, ordered_map, rank_rows, unrank
+from ._util import PrefixTable, block_values, digit_matrix, rank_rows, unrank
 from .core import EVector, PointSet, Verdict
 from .errors import ParamError, PrecisionError
+from .ooa import canonical_beta, enumerate_profiles
 
 __all__ = [
     "Shape",
@@ -52,29 +53,12 @@ def enumerate_shapes(m: int, u: int, e: EVector | Sequence[int],
 
     A shape assigns each coordinate a depth d_i in {0, e_i, 2*e_i, ...} with
     sum d_i <= m - u. With mode='maximal' only shapes to which no coordinate
-    can add another e_i step within the budget are returned.
+    can add another e_i step within the budget are returned. These are the
+    depth profiles of the canonical ordered array, scaled by e.
     """
     e = EVector.coerce(e)
-    if not 0 <= u <= m:
-        raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
-    _check_mode(mode)
-    budget = m - u
-    emin = min(e)
-    out: list[Shape] = []
-    prefix: list[int] = []
-
-    def rec(i: int, remaining: int) -> None:
-        if i == e.s:
-            if mode == "all" or remaining < emin:
-                out.append(tuple(prefix))
-            return
-        for d in range(0, remaining + 1, e[i]):
-            prefix.append(d)
-            rec(i + 1, remaining - d)
-            prefix.pop()
-
-    rec(0, budget)
-    return out
+    profiles = enumerate_profiles(m, u, e, canonical_beta(m, u, e), mode)
+    return [tuple(k * ei for k, ei in zip(kappa, e)) for kappa in profiles]
 
 
 def count_box(points: PointSet, shape: Sequence[int], index: Sequence[int]) -> int:
@@ -89,37 +73,17 @@ def count_box(points: PointSet, shape: Sequence[int], index: Sequence[int]) -> i
         raise PrecisionError(f"shape {shape} needs more digits than the "
                              f"{points.precision} carried")
     b = points.base
-    mask = np.ones(points.count, dtype=bool)
-    for i, (d, a) in enumerate(zip(shape, index)):
-        if not 0 <= a < b ** d:
-            raise ParamError(f"box index {a} outside [0, {b ** d}) for depth {d}")
-        if d:
-            mask &= block_values(points.digits, i, 0, d, b) == a
-    return int(np.count_nonzero(mask))
-
-
-def _shape_witness(points: PointSet, shape: Shape) -> dict | None:
-    """First non-uniform box of one shape, or None if counts are uniform."""
-    b, m = points.base, points.precision
-    total = sum(shape)
-    expected = b ** (m - total)
-    cols = [block_values(points.digits, i, 0, d, b) for i, d in enumerate(shape) if d]
-    if cols:
-        keys = rank_rows(cols, [b ** d for d in shape if d])
-    else:
-        keys = np.zeros(points.count, dtype=np.int64)
-    counts = np.bincount(keys, minlength=b ** total)
-    bad = np.nonzero(counts != expected)[0]
-    if bad.size == 0:
-        return None
-    box = unrank(int(bad[0]), [b ** d for d in shape if d])
-    full_box = []
-    pos = 0
-    for d in shape:
-        full_box.append(box[pos] if d else 0)
-        pos += 1 if d else 0
-    return {"shape": [int(d) for d in shape], "box": full_box,
-            "observed": int(counts[bad[0]]), "expected": int(expected)}
+    if b ** sum(shape) >= 2 ** 63:
+        raise ParamError(f"shape {shape} has more boxes than 64-bit ranks can index")
+    radices = [b ** d for d in shape]
+    rank = 0
+    for d, a, radix in zip(shape, index, radices):
+        if not 0 <= a < radix:
+            raise ParamError(f"box index {a} outside [0, {radix}) for depth {d}")
+        rank = rank * radix + a
+    keys = rank_rows([block_values(points.digits, i, 0, d, b) for i, d in enumerate(shape)],
+                     radices)
+    return int(np.count_nonzero(keys == rank))
 
 
 def check_shapes(m: int, u: int, e: EVector | Sequence[int], variant: Variant = "narrow",
@@ -138,13 +102,12 @@ def check_shapes(m: int, u: int, e: EVector | Sequence[int], variant: Variant = 
 
 
 def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
-               variant: Variant = "narrow", mode: Mode = "maximal",
-               jobs: int = 1) -> Verdict:
+               variant: Variant = "narrow", mode: Mode = "maximal") -> Verdict:
     """Exhaustively check the quality-u equidistribution property.
 
     Requires exactly base**precision points. The verdict's witness (on
     failure) names the first offending shape and box in lexicographic
-    enumeration order, independently of ``jobs``.
+    enumeration order; no later shape is examined.
     """
     e = EVector.coerce(e)
     _check_variant(variant)
@@ -158,15 +121,18 @@ def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
     if not 0 <= u <= m:
         raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
     shapes = check_shapes(m, u, e, variant, mode)
-    for witness in ordered_map(lambda d: _shape_witness(points, d), shapes, jobs):
-        if witness is not None:
-            return Verdict(False, witness)
-    return Verdict(True)
+    table = PrefixTable.of_digits(points.digits, b, e, m - u)
+    failure = table.first_failure([d // ei for d, ei in zip(shape, e)] for shape in shapes)
+    if failure is None:
+        return Verdict(True)
+    kappa, cell, observed, expected = failure
+    shape = [k * ei for k, ei in zip(kappa, e)]
+    return Verdict(False, {"shape": shape, "box": unrank(cell, [b ** d for d in shape]),
+                           "observed": observed, "expected": expected})
 
 
 def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "narrow",
-           mode: Mode = "maximal", scan: Literal["auto", "binary", "linear"] = "auto",
-           jobs: int = 1) -> int:
+           mode: Mode = "maximal", scan: Literal["auto", "binary", "linear"] = "auto") -> int:
     """Smallest u at which the point set verifies; u = m always passes.
 
     Binary search relies on quality degrading monotonically (passing at u
@@ -185,13 +151,13 @@ def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "nar
     m = points.precision
     if scan == "linear":
         for u in range(m + 1):
-            if verify_net(points, u, e, variant, mode, jobs):
+            if verify_net(points, u, e, variant, mode):
                 return u
         raise AssertionError("u = m cannot fail")  # single full-cube box
     lo, hi = 0, m
     while lo < hi:
         mid = (lo + hi) // 2
-        if verify_net(points, mid, e, variant, mode, jobs):
+        if verify_net(points, mid, e, variant, mode):
             hi = mid
         else:
             lo = mid + 1
@@ -199,8 +165,7 @@ def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "nar
 
 
 def verify_sequence_prefix(prefix: PointSet, u: int, e: EVector | Sequence[int],
-                           m_max: int, mode: Mode = "maximal",
-                           jobs: int = 1) -> Verdict:
+                           m_max: int, mode: Mode = "maximal") -> Verdict:
     """Check every complete digit-truncated block of a sequence prefix.
 
     For every m with u < m <= m_max and every g >= 0 such that the block of
@@ -220,7 +185,7 @@ def verify_sequence_prefix(prefix: PointSet, u: int, e: EVector | Sequence[int],
         g = 0
         while (g + 1) * block_len <= prefix.count:
             block = PointSet(b, prefix.digits[g * block_len : (g + 1) * block_len, :, :m])
-            v = verify_net(block, u, e, "narrow", mode, jobs)
+            v = verify_net(block, u, e, "narrow", mode)
             if not v:
                 return Verdict(False, {"g": g, "m": m, "net_witness": dict(v.witness)})
             g += 1

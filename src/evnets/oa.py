@@ -10,16 +10,15 @@ with every t-tuple appearing exactly b**(m - sum of the selected e_i) times.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
-from ._util import block_values, ordered_map, rank_rows, unrank
+from ._util import _first_nonuniform, block_values, rank_rows, unrank
 from .core import EVector, MixedOA, PointSet, Verdict
 from .errors import ParamError, PrecisionError
 
-__all__ = ["net_to_moa", "lump_signature", "verify_moa", "max_strength"]
+__all__ = ["net_to_moa", "verify_moa", "max_strength"]
 
 
 def net_to_moa(points: PointSet, e: EVector | Sequence[int]) -> MixedOA:
@@ -39,12 +38,6 @@ def net_to_moa(points: PointSet, e: EVector | Sequence[int]) -> MixedOA:
     return MixedOA(tuple(b ** ei for ei in e), np.stack(cols, axis=1), strength=0)
 
 
-def lump_signature(alphabets: Sequence[int]) -> list[tuple[int, int]]:
-    """Collapse a list of alphabet sizes to (size, multiplicity) pairs, ascending."""
-    counts = Counter(int(l) for l in alphabets)
-    return [(l, counts[l]) for l in sorted(counts)]
-
-
 def _subset_witness(array: MixedOA, columns: tuple[int, ...]) -> dict | None:
     """First non-uniform tuple on one column subset, or None."""
     n = array.runs
@@ -57,15 +50,14 @@ def _subset_witness(array: MixedOA, columns: tuple[int, ...]) -> dict | None:
                 "alphabet_product": int(prod), "rows": int(n)}
     expected = n // prod
     keys = rank_rows([array.rows[:, j] for j in columns], radices)
-    counts = np.bincount(keys, minlength=prod)
-    bad = np.nonzero(counts != expected)[0]
-    if bad.size == 0:
+    hit = _first_nonuniform(keys, prod, expected)
+    if hit is None:
         return None
-    return {"columns": [int(j) for j in columns], "tuple": unrank(int(bad[0]), radices),
-            "observed": int(counts[bad[0]]), "expected": int(expected)}
+    return {"columns": [int(j) for j in columns], "tuple": unrank(hit[0], radices),
+            "observed": hit[1], "expected": expected}
 
 
-def verify_moa(array: MixedOA, t: int, jobs: int = 1) -> Verdict:
+def verify_moa(array: MixedOA, t: int) -> Verdict:
     """Check strength t: every t-column choice carries every tuple equally often.
 
     Column subsets are visited in lexicographic order; the witness names the
@@ -77,18 +69,18 @@ def verify_moa(array: MixedOA, t: int, jobs: int = 1) -> Verdict:
         raise ParamError(f"strength must lie in [0, {array.k}], got {t}")
     if t == 0:
         return Verdict(True)
-    subsets = list(itertools.combinations(range(array.k), t))
-    for witness in ordered_map(lambda c: _subset_witness(array, c), subsets, jobs):
+    for columns in itertools.combinations(range(array.k), t):
+        witness = _subset_witness(array, columns)
         if witness is not None:
             return Verdict(False, witness)
     return Verdict(True)
 
 
-def max_strength(array: MixedOA, jobs: int = 1) -> int:
+def max_strength(array: MixedOA) -> int:
     """Largest t at which the array verifies (monotone, so a scan from 0 up)."""
     best = 0
     for t in range(1, array.k + 1):
-        if not verify_moa(array, t, jobs):
+        if not verify_moa(array, t):
             break
         best = t
     return best

@@ -25,7 +25,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._util import block_values, digit_matrix, ordered_map, rank_rows, unrank
+from ._util import PrefixTable, block_values, digit_matrix, unrank
 from .core import EVector, MixedOOA, PointSet, Verdict
 from .errors import ParamError, VerificationError
 
@@ -115,46 +115,29 @@ def enumerate_profiles(m: int, u: int, e: EVector | Sequence[int],
     return out
 
 
-def _profile_witness(array: MixedOOA, kappa: Profile) -> dict | None:
-    """First non-uniform tuple on one profile's column prefix, or None."""
-    b = array.base
-    cols: list[np.ndarray] = []
-    radices: list[int] = []
-    depth = 0
-    for i, (ki, ei) in enumerate(zip(kappa, array.e)):
-        start = array.block_start(i)
-        for rho in range(ki):
-            cols.append(array.rows[:, start + rho])
-            radices.append(b ** ei)
-        depth += ki * ei
-    expected = b ** (array.m - depth)
-    if cols:
-        keys = rank_rows(cols, radices)
-    else:
-        keys = np.zeros(array.runs, dtype=np.int64)
-    counts = np.bincount(keys, minlength=b ** depth)
-    bad = np.nonzero(counts != expected)[0]
-    if bad.size == 0:
-        return None
-    return {"profile": [int(k) for k in kappa], "tuple": unrank(int(bad[0]), radices),
-            "observed": int(counts[bad[0]]), "expected": int(expected)}
-
-
-def verify_mooa(array: MixedOOA, mode: Mode = "maximal", jobs: int = 1) -> Verdict:
+def verify_mooa(array: MixedOOA, mode: Mode = "maximal") -> Verdict:
     """Check the strength-(m-u) contract over admissible depth profiles.
 
     Profiles are visited in lexicographic order; the witness names the first
-    profile with a non-uniform tuple count. With u = m only the empty profile
-    exists and the check passes vacuously.
+    profile with a non-uniform tuple count, and no later profile is examined.
+    With u = m only the empty profile exists and the check passes vacuously.
     """
     profiles = enumerate_profiles(array.m, array.u, array.e, array.beta, mode)
-    for witness in ordered_map(lambda k: _profile_witness(array, k), profiles, jobs):
-        if witness is not None:
-            return Verdict(False, witness)
-    return Verdict(True)
+    b, budget = array.base, array.m - array.u
+    blocks = ((array.rows[:, array.block_start(i) + rho] for rho in range(bi))
+              for i, bi in enumerate(array.beta))
+    table = PrefixTable(blocks, [b ** ei for ei in array.e], array.runs, b ** budget)
+    failure = table.first_failure(profiles)
+    if failure is None:
+        return Verdict(True)
+    kappa, cell, observed, expected = failure
+    radices = [b ** ei for ki, ei in zip(kappa, array.e) for _ in range(ki)]
+    return Verdict(False, {"profile": [int(k) for k in kappa],
+                           "tuple": unrank(cell, radices),
+                           "observed": observed, "expected": expected})
 
 
-def mooa_to_net(array: MixedOOA, check: bool = True, jobs: int = 1) -> PointSet:
+def mooa_to_net(array: MixedOOA, check: bool = True) -> PointSet:
     """Reassemble points from a canonical-width ordered array.
 
     Requires beta_i = floor((m - u) / e_i) for every block (the widths at
@@ -167,7 +150,7 @@ def mooa_to_net(array: MixedOOA, check: bool = True, jobs: int = 1) -> PointSet:
     if array.beta != caps:
         raise ParamError(f"canonical beta {caps} required, got {array.beta}")
     if check:
-        verdict = verify_mooa(array, "maximal", jobs)
+        verdict = verify_mooa(array, "maximal")
         if not verdict:
             raise VerificationError("array fails its strength contract", verdict)
     b, m = array.base, array.m

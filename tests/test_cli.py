@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import evnets
 from evnets import EVector, corpus, serialize_net
 from evnets.cli import EXIT_FAIL, EXIT_FORMAT, EXIT_INCONCLUSIVE, EXIT_PASS, \
     EXIT_USAGE, evector_arg, int_list_arg, main
@@ -46,6 +50,19 @@ class TestArgParsing:
         with pytest.raises(SystemExit) as err:
             main(["verify-net", "--e", "nope", "x"])
         assert err.value.code == EXIT_USAGE
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        argv = ["rao", "--base", "2", "--m", "10", "--e", "1x5", "--t", "4"]
+        want_code, want_out, _ = run(capsys, *argv)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(evnets.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "evnets", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == want_code
+        assert proc.stdout == want_out and want_out.startswith("rao: ")
 
 
 class TestGen:
@@ -138,14 +155,10 @@ class TestVerifyNet:
         code, out, _ = run(capsys, "verify-net", "-")
         assert code == EXIT_PASS and "PASS" in out
 
-    def test_jobs_do_not_change_output(self, capsys, bad_net):
-        outs = []
-        for jobs in ("1", "4"):
-            code, out, _ = run(capsys, "verify-net", bad_net, "--json",
-                               "--jobs", jobs)
-            assert code == EXIT_FAIL
-            outs.append(out)
-        assert outs[0] == outs[1]
+    def test_jobs_flag_is_rejected(self, capsys, bad_net):
+        with pytest.raises(SystemExit) as err:
+            main(["verify-net", bad_net, "--jobs", "2"])
+        assert err.value.code == EXIT_USAGE
 
     def test_format_error_exit(self, capsys, tmp_path):
         p = tmp_path / "x.net"
@@ -343,6 +356,17 @@ class TestDualCert:
         code, out, _ = run(capsys, "dual-cert", str(p), "--kappa", "0,3")
         assert code == EXIT_FAIL
         assert out.startswith("dual-cert: FAIL kind=gram")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_unusable_tolerance_is_usage_error(self, capsys, bad_net, tmp_path, tol):
+        # NaN or infinity would otherwise pass this failing certificate
+        _, text, _ = run(capsys, "to-mooa", bad_net)
+        p = tmp_path / "bad.mooa"
+        p.write_text(text)
+        code, out, err = run(capsys, "dual-cert", str(p), "--kappa", "0,3",
+                             f"--tol={tol}")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: tol must be finite and >= 0")
 
     def test_json_report(self, capsys, ham_net, tmp_path):
         mooa = self._mooa(capsys, ham_net, tmp_path)

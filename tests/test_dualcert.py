@@ -149,6 +149,13 @@ class TestGramCertificate:
                           0, (1, 1))
         assert gram_certificate(bad, build_block_family(bad, (0, 3)), tol=1e9)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_unusable_tolerance_is_rejected(self, tol):
+        bad = net_to_mooa(corpus.flip_digit(corpus.hammersley(2, 3), 0, 1, 2),
+                          0, (1, 1))
+        with pytest.raises(ParamError):
+            gram_certificate(bad, build_block_family(bad, (0, 3)), tol=tol)
+
     def test_empty_family_passes(self, arr12):
         assert gram_certificate(arr12, [])
 

@@ -9,10 +9,12 @@ from evnets import (
     check_shapes, count_box, enumerate_shapes, project,
     rebase_compress, rebase_expand, u_star, verify_net, verify_sequence_prefix,
 )
-from evnets import corpus
+from evnets import _util, corpus
 from evnets.errors import ParamError, PrecisionError
 
 import oracles
+
+first_nonuniform = _util._first_nonuniform
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +47,13 @@ class TestShapes:
     @pytest.mark.parametrize("m", range(5))
     @pytest.mark.parametrize("e", [(1,), (2,), (1, 1), (1, 2), (2, 3), (1, 2, 2)])
     def test_matches_brute_enumeration(self, m, e):
+        # the oracle lists shapes sorted, i.e. in the lexicographic order the
+        # verifier must visit them in
         for u in range(m + 1):
             for mode in ("all", "maximal"):
-                assert sorted(enumerate_shapes(m, u, e, mode)) == \
+                assert enumerate_shapes(m, u, e, mode) == \
                     oracles.brute_shapes(m, u, e, "narrow", mode)
-                assert sorted(check_shapes(m, u, e, "tezuka", mode)) == \
+                assert check_shapes(m, u, e, "tezuka", mode) == \
                     oracles.brute_shapes(m, u, e, "tezuka", "all")
 
     def test_maximal_shapes_cannot_be_extended(self):
@@ -102,6 +106,13 @@ class TestCountBox:
             count_box(ham23, (1,), (0,))
         with pytest.raises(ParamError):
             count_box(ham23, (-1, 0), (0, 0))
+
+    def test_rank_overflow_is_rejected(self):
+        # 2**80 boxes: a 64-bit box rank would wrap silently
+        p = PointSet(2, np.zeros((1, 2, 40), dtype=np.int64))
+        assert count_box(p, (31, 31), (0, 0)) == 1
+        with pytest.raises(ParamError):
+            count_box(p, (40, 40), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +206,25 @@ class TestVerifyNet:
         assert verify_net(p, 0, (2,), "tezuka")
         assert not verify_net(p, 1, (2,), "tezuka")
 
-    def test_jobs_do_not_change_the_verdict(self, ham23):
+    def test_stops_at_the_first_failing_shape(self, ham23, monkeypatch):
+        calls = []
+
+        def counting(keys, cells, expected):
+            calls.append(cells)
+            return first_nonuniform(keys, cells, expected)
+
+        monkeypatch.setattr(_util, "_first_nonuniform", counting)
         bad = _flip012(ham23)
-        assert verify_net(bad, 0, (1, 1), jobs=4).witness == \
-            verify_net(bad, 0, (1, 1), jobs=1).witness
-        assert verify_net(ham23, 0, (1, 1), jobs=4)
+        for mode in ("maximal", "all"):
+            calls.clear()
+            v = verify_net(bad, 0, (1, 1), "narrow", mode)
+            shapes = check_shapes(3, 0, (1, 1), "narrow", mode)
+            # one kernel call per shape up to and including the witness
+            assert len(calls) == shapes.index(tuple(v.witness["shape"])) + 1
+            assert len(calls) < len(shapes)
+        calls.clear()
+        assert verify_net(ham23, 0, (1, 1), "narrow", "all")
+        assert len(calls) == len(check_shapes(3, 0, (1, 1), "narrow", "all"))
 
     def test_requires_full_period_count(self, ham23):
         short = PointSet(2, ham23.digits[:7])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evnets import MixedOA, lump_signature, max_strength, net_to_moa, verify_moa
+from evnets import MixedOA, Signature, max_strength, net_to_moa, verify_moa
 from evnets import corpus
 from evnets.errors import ParamError, PrecisionError
 
@@ -36,14 +36,14 @@ class TestNetToMoa:
 
 class TestLumpSignature:
     def test_frozen_example(self):
-        assert lump_signature((4, 2, 2, 4)) == [(2, 2), (4, 2)]
+        assert Signature.from_alphabets((4, 2, 2, 4)).pairs == ((2, 2), (4, 2))
 
     def test_singleton(self):
-        assert lump_signature((5,)) == [(5, 1)]
+        assert Signature.from_alphabets((5,)).pairs == ((5, 1),)
 
     @given(st.lists(st.integers(2, 9), min_size=1, max_size=8))
     def test_partition_property(self, alphabets):
-        sig = lump_signature(alphabets)
+        sig = Signature.from_alphabets(alphabets).pairs
         assert sum(k for _, k in sig) == len(alphabets)
         assert [l for l, _ in sig] == sorted({int(l) for l in alphabets})
         assert all(k >= 1 for _, k in sig)
@@ -99,12 +99,6 @@ class TestVerifyMoa:
             for t in range(0, a.k + 1):
                 assert bool(verify_moa(a, t)) == \
                     oracles.brute_verify_moa(a.rows, a.alphabets, t), (a, t)
-
-    def test_jobs_do_not_change_witness(self, faure333):
-        rows = net_to_moa(faure333, (1, 1, 1)).rows.copy()
-        rows[0, 2] = (rows[0, 2] + 1) % 3
-        a = MixedOA((3, 3, 3), rows)
-        assert verify_moa(a, 2, jobs=4).witness == verify_moa(a, 2, jobs=1).witness
 
     def test_column_permutation_invariance(self, ham23):
         a = net_to_moa(ham23, (1, 2))

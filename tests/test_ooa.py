@@ -9,10 +9,12 @@ from evnets import (
     canonical_beta, enumerate_profiles, mooa_to_net, net_to_mooa, verify_mooa,
     verify_net,
 )
-from evnets import corpus
+from evnets import _util, corpus
 from evnets.errors import ParamError, VerificationError
 
 import oracles
+
+first_nonuniform = _util._first_nonuniform
 
 
 class TestCanonicalBeta:
@@ -144,9 +146,22 @@ class TestVerifyMooa:
         assert not verify_mooa(net_to_mooa(bad, 0, (1, 1)))
         assert verify_mooa(net_to_mooa(bad, 1, (1, 1)))
 
-    def test_jobs_do_not_change_witness(self, ham23):
-        bad = net_to_mooa(corpus.flip_digit(ham23, 0, 1, 0), 0, (1, 2))
-        assert verify_mooa(bad, jobs=4).witness == verify_mooa(bad, jobs=1).witness
+    def test_stops_at_the_first_failing_profile(self, ham23, monkeypatch):
+        calls = []
+
+        def counting(keys, cells, expected):
+            calls.append(cells)
+            return first_nonuniform(keys, cells, expected)
+
+        monkeypatch.setattr(_util, "_first_nonuniform", counting)
+        bad = net_to_mooa(corpus.flip_digit(ham23, 0, 1, 0), 0, (1, 1))
+        for mode in ("maximal", "all"):
+            calls.clear()
+            v = verify_mooa(bad, mode)
+            profiles = enumerate_profiles(3, 0, (1, 1), bad.beta, mode)
+            # one kernel call per profile up to and including the witness
+            assert len(calls) == profiles.index(tuple(v.witness["profile"])) + 1
+            assert len(calls) < len(profiles)
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(2, 3), st.data())
@@ -166,6 +181,62 @@ class TestVerifyMooa:
         mode = data.draw(st.sampled_from(["all", "maximal"]))
         assert bool(verify_mooa(arr, mode)) == \
             oracles.brute_verify_mooa(rows, b, m, u, e, beta, mode)
+
+
+class TestNetAndArrayWitnessesAgree:
+    """A net of quality u and its canonical array are one object, so both
+    verifiers must fail at the same place: shape = kappa * e, and box
+    coordinate i is block i of the tuple read in base b**e_i."""
+
+    @staticmethod
+    def _check(points, u, e):
+        b = points.base
+        net = verify_net(points, u, e)
+        arr = verify_mooa(net_to_mooa(points, u, e))
+        assert bool(net) == bool(arr)
+        if net:
+            return
+        nw, aw = net.witness, arr.witness
+        assert nw["shape"] == [k * ei for k, ei in zip(aw["profile"], e)]
+        assert (nw["observed"], nw["expected"]) == (aw["observed"], aw["expected"])
+        entries = iter(aw["tuple"])
+        for box_i, k, ei in zip(nw["box"], aw["profile"], e):
+            value = 0
+            for _ in range(k):
+                value = value * b ** ei + next(entries)
+            assert box_i == value
+
+    @staticmethod
+    def _evectors(s):
+        return [(1,) * s, (2,) + (1,) * (s - 1), (1,) * (s - 1) + (2,)]
+
+    @pytest.mark.parametrize("points", [
+        pytest.param(corpus.hammersley(2, 3), id="ham-2-3"),
+        pytest.param(corpus.hammersley(3, 2), id="ham-3-2"),
+        pytest.param(corpus.hammersley(2, 5), id="ham-2-5"),
+        pytest.param(corpus.faure(3, 3, 3), id="faure-3-3-3"),
+        pytest.param(corpus.faure(2, 4, 2), id="faure-2-4-2"),
+        pytest.param(corpus.flip_digit(corpus.hammersley(2, 3), 0, 1, 2), id="ham-2-3-flip"),
+        pytest.param(corpus.flip_digit(corpus.faure(3, 3, 3), 5, 2, 1), id="faure-3-3-3-flip"),
+        pytest.param(corpus.random_pointset(2, 4, 3, 0), id="random-2-4-3"),
+        pytest.param(corpus.random_pointset(3, 2, 2, 1), id="random-3-2-2"),
+    ])
+    def test_corpus_and_defective_sets(self, points):
+        for e in self._evectors(points.dim):
+            for u in range(points.precision - max(e) + 1):
+                self._check(points, u, e)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.sampled_from([(2, 4, 2), (3, 3, 3), (2, 3, 3)]), st.data())
+    def test_random_defects(self, params, data):
+        b, m, s = params
+        points = corpus.faure(b, m, s) if s <= b else corpus.random_pointset(b, m, s, 3)
+        for _ in range(data.draw(st.integers(1, 3))):
+            points = corpus.flip_digit(points, data.draw(st.integers(0, points.count - 1)),
+                                       data.draw(st.integers(0, s - 1)),
+                                       data.draw(st.integers(0, m - 1)))
+        e = data.draw(st.sampled_from(self._evectors(s)))
+        self._check(points, data.draw(st.integers(0, m - max(e))), e)
 
 
 class TestMooaToNet:

@@ -1,34 +1,65 @@
-"""Internal helpers: ranking round trips, digit encoding, ordered mapping."""
+"""Internal helpers: ranking round trips, digit encoding, the uniformity kernel."""
 
 import itertools
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from evnets._util import block_values, digit_matrix, ordered_map, rank_rows, unrank
+from evnets._util import (PrefixTable, _first_nonuniform, block_values, digit_matrix,
+                          rank_rows, unrank)
 
 
-class TestOrderedMap:
-    def test_preserves_order_sequentially_and_in_parallel(self):
-        items = list(range(40))
-        fn = lambda x: x * x
-        assert list(ordered_map(fn, items, 1)) == [x * x for x in items]
-        assert list(ordered_map(fn, items, 8)) == [x * x for x in items]
+class TestFirstNonuniform:
+    def test_uniform_counts_pass(self):
+        assert _first_nonuniform(np.array([0, 1, 2, 2, 1, 0]), 3, 2) is None
 
-    def test_sequential_map_is_lazy(self):
-        seen = []
+    def test_first_bad_cell_and_its_count(self):
+        # cell 1 is over-full, cell 2 empty: the lower cell is reported
+        assert _first_nonuniform(np.array([0, 1, 1, 3]), 4, 1) == (1, 2)
 
-        def fn(x):
-            seen.append(x)
-            return x
+    def test_cells_no_key_reaches_are_counted_empty(self):
+        assert _first_nonuniform(np.array([0, 1]), 3, 1) == (2, 0)
 
-        it = ordered_map(fn, list(range(10)), 1)
-        next(it)
-        assert seen == [0]  # early exit skips the rest
 
-    def test_handles_none_jobs_and_single_item(self):
-        assert list(ordered_map(str, [7], None)) == ["7"]
-        assert list(ordered_map(str, [], 4)) == []
+class TestPrefixTable:
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.tuples(st.integers(2, 9), st.integers(0, 3)), min_size=1,
+                    max_size=4), st.integers(1, 12), st.data())
+    def test_keys_rank_the_profile_columns(self, coords, n, data):
+        # blocks[i] holds coordinate i's columns; a profile's key is the
+        # mixed-radix rank of its leading columns, first coordinate first
+        radices = [r for r, _ in coords]
+        blocks = [[np.array(data.draw(st.lists(st.integers(0, r - 1), min_size=n,
+                                               max_size=n))) for _ in range(depth)]
+                  for r, depth in coords]
+        table = PrefixTable(blocks, radices, n, 2 ** 40)
+        kappa = [data.draw(st.integers(0, depth)) for _, depth in coords]
+        cols = [c for cs, k in zip(blocks, kappa) for c in cs[:k]]
+        rads = [r for r, k in zip(radices, kappa) for _ in range(k)]
+        want = rank_rows(cols, rads) if cols else np.zeros(n, dtype=np.int64)
+        assert np.array_equal(table.keys(kappa), want)
+
+    def test_digit_windows_are_width_e_blocks(self):
+        digits = np.array([[[1, 0, 1, 1], [0, 1, 2, 2]],
+                           [[0, 1, 1, 0], [2, 2, 0, 1]]], dtype=np.int64)
+        table = PrefixTable.of_digits(digits, 3, (1, 2), 4)
+        for i, ei in enumerate((1, 2)):
+            for k in range(1, 4 // ei + 1):
+                assert np.array_equal(table.levels[i][k - 1],
+                                      block_values(digits, i, 0, k * ei, 3))
+
+    def test_dtype_follows_the_cell_count(self):
+        blocks = [[np.array([1, 0])]]
+        assert PrefixTable(blocks, [2], 2, 2 ** 31 - 1).dtype == np.int32
+        assert PrefixTable(blocks, [2], 2, 2 ** 31).dtype == np.int64
+
+    def test_first_failure_names_profile_and_cell(self):
+        # four rows of one binary coordinate: depth 1 is uniform, but the
+        # second block repeats the first, so at depth 2 cell 0 holds two rows
+        col = np.array([0, 1, 0, 1])
+        table = PrefixTable([[col, col]], [2], 4, 4)
+        assert table.first_failure([(1,)]) is None
+        assert table.first_failure([(0,), (1,), (2,)]) == ((2,), 0, 2, 1)
 
 
 class TestRanking:
