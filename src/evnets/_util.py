@@ -37,13 +37,18 @@ def unrank(rank: int, radices: Sequence[int]) -> list[int]:
     return out
 
 
-def digit_matrix(values: Iterable[int], width: int, base: int) -> np.ndarray:
+def digit_matrix(values: np.ndarray | range | Sequence[int], width: int,
+                 base: int) -> np.ndarray:
     """Base-``base`` digit rows (most significant first) for each value."""
-    vals = np.asarray(list(values), dtype=np.int64)
+    if isinstance(values, range):
+        vals = np.arange(values.start, values.stop, values.step, dtype=np.int64)
+    else:  # a strided column divides several times slower than a copy of it
+        vals = np.ascontiguousarray(values, dtype=np.int64)
     out = np.empty((vals.shape[0], width), dtype=np.int64)
     for j in range(width - 1, -1, -1):
-        out[:, j] = vals % base
-        vals = vals // base
+        quotient = vals // base  # much faster than % on int64
+        out[:, j] = vals - quotient * base
+        vals = quotient
     return out
 
 

@@ -20,13 +20,26 @@ __all__ = [
 
 # Keep exhaustive searches at desk scale: candidate points per placement.
 _SEARCH_CANDIDATE_CAP = 1 << 16
+# Largest (b**m, s, m) int64 digit tensor a generator will allocate.
+_DIGIT_BYTES_CAP = 1 << 30
 
 
-def _check_bm(b: int, m: int) -> None:
+def _check_bm(b: int, m: int, s: int) -> None:
+    """Reject a bad base or precision, and b**m points of s coordinates whose
+    digit tensor would pass the byte cap, before anything is allocated."""
     if b < 2:
         raise ParamError(f"base must be >= 2, got {b}")
     if m < 0:
         raise ParamError(f"m must be >= 0, got {m}")
+    b, m, s = int(b), int(m), int(s)
+    if m * (b.bit_length() - 1) > 64:  # b**m >= 2**64: skip the huge power
+        size = f"over 2**{m * (b.bit_length() - 1)}"
+    elif b ** m * s * m * 8 > _DIGIT_BYTES_CAP:
+        size = str(b ** m * s * m * 8)
+    else:
+        return
+    raise ParamError(f"{b}**{m} points with s={s}, m={m} need {size} bytes of digits, "
+                     f"above the cap of {_DIGIT_BYTES_CAP} bytes")
 
 
 def _is_prime(n: int) -> bool:
@@ -42,13 +55,13 @@ def _is_prime(n: int) -> bool:
 
 def grid_1d(b: int, m: int) -> PointSet:
     """The one-dimensional grid n / b**m for n = 0, ..., b**m - 1."""
-    _check_bm(b, m)
+    _check_bm(b, m, 1)
     return PointSet(b, digit_matrix(range(b ** m), m, b)[:, None, :])
 
 
 def hammersley(b: int, m: int) -> PointSet:
     """Two dimensions: digit-reversed n paired with n / b**m."""
-    _check_bm(b, m)
+    _check_bm(b, m, 2)
     forward = digit_matrix(range(b ** m), m, b)
     return PointSet(b, np.stack([forward[:, ::-1], forward], axis=1))
 
@@ -72,6 +85,7 @@ def digital_net(b: int, matrices: Sequence[np.ndarray]) -> PointSet:
             raise ParamError(f"matrix {i} has shape {c.shape}, expected {(m, m)}")
         if c.size and (c.min() < 0 or c.max() >= b):
             raise ParamError(f"matrix {i} entries must lie in [0, {b})")
+    _check_bm(b, m, len(mats))
     nd = digit_matrix(range(b ** m), m, b)
     coords = [(nd @ c.T) % b for c in mats]
     return PointSet(b, np.stack(coords, axis=1))
@@ -83,7 +97,7 @@ def faure(b: int, m: int, s: int) -> PointSet:
     Needs a prime base with s <= b. One dimension reduces to a reordered
     grid; the full construction has quality u = 0 at unit resolution.
     """
-    _check_bm(b, m)
+    _check_bm(b, m, s)
     if not _is_prime(b):
         raise ParamError(f"Pascal construction needs a prime base, got {b}")
     if not 1 <= s <= b:
@@ -102,7 +116,7 @@ def faure(b: int, m: int, s: int) -> PointSet:
 
 def random_pointset(b: int, m: int, s: int, seed: int) -> PointSet:
     """b**m points with independently uniform digits (seeded, reproducible)."""
-    _check_bm(b, m)
+    _check_bm(b, m, s)
     if s < 1:
         raise ParamError(f"need at least one coordinate, got s={s}")
     rng = np.random.default_rng(seed)
@@ -158,7 +172,7 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
         raise ParamError(f"e-vector has {e.s} entries, expected s={s}")
     if not 0 <= u <= m:
         raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
-    _check_bm(b, m)
+    _check_bm(b, m, s)
     if node_limit is not None and node_limit < 0:
         raise ParamError(f"node limit must be >= 0, got {node_limit}")
     if u == m:

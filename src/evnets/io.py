@@ -26,12 +26,26 @@ MOOA v1 ::
     <b**m rows of sum(beta) integers>
 
 Digit characters are 0-9 then A-Z, so NET files support bases up to 36.
-MOA/MOOA entries are decimal integers and have no such cap.
+
+Body grammar (every line after the header, and residue-tuple files): a line
+ends at LF; its tokens are separated by runs of the ASCII whitespace
+characters TAB, LF, VT, FF, CR, 0x1C-0x1F and space. A NET token is exactly
+m characters from 0-9A-Z, each below the base. A MOA/MOOA entry is 1 to 19
+ASCII digits 0-9 (leading zeros allowed) below its column's alphabet, and
+MOA alphabets are below 2**63. Signs, underscores, non-ASCII digits and
+non-ASCII whitespace are errors in a body. Header lines are split on any
+whitespace and their integers read by ``int``.
+
+Bodies are parsed as whole numpy arrays, in chunks of whole lines of about
+``_CHUNK_BYTES``; the first rejected line is then explained by its number
+and the same message a line-by-line reading would give.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,7 +61,19 @@ __all__ = [
 ]
 
 DIGIT_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_DIGIT_VALUE = {c: v for v, c in enumerate(DIGIT_CHARS)}
+_DIGIT_CODES = np.frombuffer(DIGIT_CHARS.encode(), dtype=np.uint8)
+_DIGIT_OF_BYTE = np.full(256, 255, dtype=np.uint8)
+_DIGIT_OF_BYTE[_DIGIT_CODES] = np.arange(len(DIGIT_CHARS))
+
+# Whitespace is the ASCII characters str.split() treats as whitespace.
+_IN_TOKEN = np.ones(256, dtype=bool)
+_IN_TOKEN[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = False
+_IS_OTHER = _IN_TOKEN.copy()  # neither whitespace nor a decimal digit
+_IS_OTHER[48:58] = False
+_TOKEN = re.compile(r"[^\t\n\v\f\r\x1c-\x1f ]+")
+_ENTRY_DIGITS = 19  # any 19-digit value fits in uint64
+_ENTRY = re.compile(f"[0-9]{{1,{_ENTRY_DIGITS}}}")
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -59,11 +85,19 @@ class NetFile:
     e: EVector
 
 
-def _lines(text: str) -> list[str]:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
+def _split(text: str, header_lines: int) -> tuple[list[str], bytes, int]:
+    """The first ``header_lines`` lines of ``text`` (fewer if it has fewer),
+    the text as LF-terminated UTF-8 bytes and the offset of the body in them."""
+    raw = text.encode("utf-8", "surrogatepass")
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"
+    lines: list[str] = []
+    pos = 0
+    while len(lines) < header_lines and pos < len(raw):
+        end = raw.find(b"\n", pos)
+        lines.append(raw[pos:end].decode("utf-8", "surrogatepass"))
+        pos = end + 1
+    return lines, raw, pos
 
 
 def _need_line(lines: list[str], idx: int, what: str) -> str:
@@ -98,22 +132,145 @@ def _vector_line(line: str, key: str, count: int, lineno: int) -> list[int]:
     return [_int_token(t, key, lineno) for t in toks[1:]]
 
 
-def _parse_digit_string(tok: str, base: int, m: int, lineno: int) -> list[int]:
-    if len(tok) != m:
-        raise FormatError(f"digit string {tok!r} has length {len(tok)}, expected {m}",
-                          line=lineno)
-    out = []
-    for c in tok:
-        v = _DIGIT_VALUE.get(c)
-        if v is None or v >= base:
-            raise FormatError(f"character {c!r} is not a base-{base} digit", line=lineno)
-        out.append(v)
-    return out
+@dataclass(frozen=True)
+class _Chunk:
+    """Whole body lines, tokenised: byte offsets are relative to ``buf``."""
+
+    line: int             # body index of the first line
+    buf: np.ndarray       # uint8 bytes, ending in LF
+    in_token: np.ndarray  # bool per byte
+    starts: np.ndarray    # token start offsets
+    ends: np.ndarray      # token end offsets (exclusive)
+    newlines: np.ndarray  # LF offsets, one per line
+    counts: np.ndarray    # tokens per line
+
+    def first_bad_line(self, lines: np.ndarray, tokens: np.ndarray,
+                       bytes_: np.ndarray) -> int | None:
+        """Smallest line index flagged by a bool mask per line, token or byte."""
+        if not (lines.any() or tokens.any() or bytes_.any()):
+            return None
+        offsets = np.concatenate([self.starts[tokens][:1], np.flatnonzero(bytes_)[:1]])
+        return min(np.flatnonzero(lines)[:1].tolist()
+                   + np.searchsorted(self.newlines, offsets).tolist())
+
+    def text(self, i: int) -> str:
+        lo = int(self.newlines[i - 1]) + 1 if i else 0
+        return self.buf[lo : self.newlines[i]].tobytes().decode("utf-8", "surrogatepass")
+
+
+def _chunks(raw: bytes, start: int):
+    """Tokenised runs of whole lines of ``raw[start:]``, about ``_CHUNK_BYTES``
+    each."""
+    line = 0
+    while start < len(raw):
+        stop = raw.find(b"\n", min(start + _CHUNK_BYTES, len(raw)) - 1) + 1
+        buf = np.frombuffer(raw, np.uint8, stop - start, start)
+        in_token = _IN_TOKEN[buf]
+        edges = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
+        starts, ends = edges[0::2], edges[1::2]
+        newlines = np.flatnonzero(buf == 10)
+        counts = np.diff(np.searchsorted(starts, newlines), prepend=0)
+        yield _Chunk(line, buf, in_token, starts, ends, newlines, counts)
+        start, line = stop, line + newlines.size
+
+
+def _net_line_error(line: str, b: int, m: int, s: int) -> str:
+    """Why a NET body line is rejected (the line must be bad)."""
+    if m == 0:
+        return f"expected blank point line for m=0, got {line!r}"
+    toks = _TOKEN.findall(line)
+    if len(toks) != s:
+        return f"expected {s} digit strings, got {len(toks)}"
+    for tok in toks:
+        if len(tok) != m:
+            return f"digit string {tok!r} has length {len(tok)}, expected {m}"
+        for c in tok:
+            if not 0 <= DIGIT_CHARS.find(c) < b:
+                return f"character {c!r} is not a base-{b} digit"
+    raise AssertionError(f"NET line {line!r} has no error")
+
+
+def _parse_digit_body(raw: bytes, start: int, b: int, m: int, s: int) -> np.ndarray:
+    """(N, s, m) digits of the NET body ``raw[start:]``, one point per line."""
+    n = raw.count(b"\n", start)
+    k = s if m else 0  # points of m = 0 are blank lines
+    # A good line has k tokens of m digits, k - 1 separators and an LF; a
+    # shorter body holds a bad line, so it is only checked, and nothing of
+    # size n*s*m is allocated.
+    fits = len(raw) - start >= n * (k * (m + 1) or 1)
+    digits = np.empty((n, s, m), dtype=np.int64) if fits else None
+    for c in _chunks(raw, start):
+        values = _DIGIT_OF_BYTE[c.buf]
+        bad = c.first_bad_line(c.counts != k, c.ends - c.starts != m,
+                               c.in_token & (values >= b))
+        if bad is not None:
+            raise FormatError(_net_line_error(c.text(bad), b, m, s), line=4 + c.line + bad)
+        if digits is not None:
+            rows = c.newlines.size
+            digits[c.line : c.line + rows] = values[c.in_token].reshape(rows, s, m)
+    return digits
+
+
+def _decimal_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """uint64 value of each run of 1 to 19 ASCII digits ending before ``ends``."""
+    values = (np.take(buf, ends - 1) - ord("0")).astype(np.uint64)
+    for p in range(1, int(lengths.max(initial=0))):
+        longer = np.flatnonzero(lengths > p)
+        digit = buf[ends[longer] - 1 - p] - ord("0")
+        values[longer] += digit.astype(np.uint64) * np.uint64(10 ** p)
+    return values
+
+
+def _int_line_error(line: str, widths: list[int], noun: str, nouns: str) -> str:
+    """Why an integer body line is rejected (the line must be bad)."""
+    toks = _TOKEN.findall(line)
+    if len(toks) != len(widths):
+        if not widths:
+            return f"expected blank row for zero columns, got {line!r}"
+        return f"expected {len(widths)} {nouns}, got {len(toks)}"
+    for j, (tok, width) in enumerate(zip(toks, widths)):
+        if not _ENTRY.fullmatch(tok):
+            return f"{noun} must be 1 to {_ENTRY_DIGITS} digits 0-9, got {tok!r}"
+        if int(tok) >= width:
+            return f"{noun} {int(tok)} outside [0, {width}) in column {j}"
+    raise AssertionError(f"integer line {line!r} has no error")
+
+
+def _parse_int_body(raw: bytes, start: int, widths: list[int], first_lineno: int,
+                    n_rows: int | None = None, noun: str = "entry",
+                    nouns: str = "entries") -> np.ndarray:
+    """(rows, len(widths)) entries of the integer body ``raw[start:]``, exactly
+    ``n_rows`` rows unless None; column j lies in [0, widths[j]), each width
+    below 2**63."""
+    n, k = raw.count(b"\n", start), len(widths)
+    if n_rows is not None and n != n_rows:
+        raise FormatError(f"expected {n_rows} array rows, got {n}",
+                          line=first_lineno + min(n, n_rows))
+    # A good line has k tokens of at least one digit, k - 1 separators and an
+    # LF; a shorter body holds a bad line, so it is only checked.
+    fits = len(raw) - start >= n * (2 * k or 1)
+    rows = np.empty((n, k), dtype=np.int64) if fits else None
+    limits = np.array(widths, dtype=np.uint64)
+    for c in _chunks(raw, start):
+        lengths = c.ends - c.starts
+        bad = c.first_bad_line(c.counts != k, lengths > _ENTRY_DIGITS, _IS_OTHER[c.buf])
+        good = c.newlines.size if bad is None else bad  # lines of k well-formed tokens
+        values = _decimal_values(c.buf, c.ends[: good * k], lengths[: good * k])
+        values = values.reshape(good, k)
+        over = values >= limits
+        if over.any():
+            bad = int(np.flatnonzero(over.any(axis=1))[0])
+        if bad is not None:
+            raise FormatError(_int_line_error(c.text(bad), widths, noun, nouns),
+                              line=first_lineno + c.line + bad)
+        if rows is not None:
+            rows[c.line : c.line + good] = values
+    return rows
 
 
 def parse_net(text: str) -> NetFile:
     """Parse a NET v1 file. The number of points is the number of body lines."""
-    lines = _lines(text)
+    lines, raw, start = _split(text, 3)
     if _need_line(lines, 0, "NET v1 magic line") != "NET v1":
         raise FormatError(f"expected 'NET v1', got {lines[0]!r}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
@@ -128,21 +285,8 @@ def parse_net(text: str) -> NetFile:
     evals = _vector_line(_need_line(lines, 2, "e-vector line"), "e", s, 3)
     if any(v < 1 for v in evals):
         raise FormatError(f"e-vector entries must be >= 1, got {evals}", line=3)
-    body = lines[3:]
-    pts = np.zeros((len(body), s, m), dtype=np.int64)
-    for r, raw in enumerate(body):
-        lineno = 4 + r
-        toks = raw.split()
-        if m == 0:
-            if toks:
-                raise FormatError(f"expected blank point line for m=0, got {raw!r}",
-                                  line=lineno)
-            continue
-        if len(toks) != s:
-            raise FormatError(f"expected {s} digit strings, got {len(toks)}", line=lineno)
-        for i, tok in enumerate(toks):
-            pts[r, i, :] = _parse_digit_string(tok, b, m, lineno)
-    return NetFile(PointSet(b, pts), u, EVector(tuple(evals)))
+    digits = _parse_digit_body(raw, start, b, m, s)
+    return NetFile(PointSet(b, digits), u, EVector(tuple(evals)))
 
 
 def serialize_net(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> str:
@@ -155,37 +299,42 @@ def serialize_net(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> str
         raise FormatError(f"e-vector has {e.s} entries, point set has {s} coordinates")
     if not 0 <= u <= m:
         raise FormatError(f"claimed u={u} outside [0, {m}]")
-    out = ["NET v1", f"base {b} m {m} s {s} u {u}", "e " + " ".join(str(v) for v in e)]
-    for n in range(points.count):
-        out.append(" ".join(
-            "".join(DIGIT_CHARS[d] for d in points.digits[n, i, :]) for i in range(s)))
-    return "\n".join(out) + "\n"
+    header = f"NET v1\nbase {b} m {m} s {s} u {u}\ne {' '.join(str(v) for v in e)}\n"
+    # Each coordinate's m digit characters plus its separator: a space, or
+    # the LF ending the point.
+    text = np.full((points.count, s, m + 1), ord(" "), dtype=np.uint8)
+    text[:, :, :m] = _DIGIT_CODES[points.digits]
+    text[:, -1, m] = ord("\n")
+    return header + text.tobytes().decode("ascii")
 
 
-def _parse_int_rows(body: list[str], widths: list[int], n_rows: int, first_lineno: int,
-                    what: str) -> np.ndarray:
-    if len(body) != n_rows:
-        raise FormatError(f"expected {n_rows} {what} rows, got {len(body)}",
-                          line=first_lineno + min(len(body), n_rows))
-    rows = np.zeros((n_rows, len(widths)), dtype=np.int64)
-    for r, raw in enumerate(body):
-        lineno = first_lineno + r
-        toks = raw.split()
-        if len(toks) != len(widths):
-            raise FormatError(f"expected {len(widths)} entries, got {len(toks)}",
-                              line=lineno)
-        for j, tok in enumerate(toks):
-            v = _int_token(tok, "entry", lineno)
-            if not 0 <= v < widths[j]:
-                raise FormatError(f"entry {v} outside [0, {widths[j]}) in column {j}",
-                                  line=lineno)
-            rows[r, j] = v
-    return rows
+def _format_rows(rows: np.ndarray) -> str:
+    """Canonical body of an integer array: decimal entries, single spaces, LF.
+
+    Every entry gets a slot as wide as the largest entry, then the leading
+    zeros are dropped, a chunk of rows at a time.
+    """
+    n, k = rows.shape
+    if k == 0:
+        return "\n" * n
+    width = len(str(int(rows.max())))
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (k * (width + 1)))
+    parts = []
+    for r in range(0, n, step):
+        block = rows[r : r + step, :, None]
+        slots = np.empty(block.shape[:2] + (width + 1,), dtype=np.uint8)
+        slots[:, :, :width] = block // powers % 10 + ord("0")
+        slots[:, :, :width][(block < powers) & (powers > 1)] = 0  # leading zeros
+        slots[:, :, width] = ord(" ")
+        slots[:, -1, width] = ord("\n")
+        parts.append(slots[slots != 0].tobytes())
+    return b"".join(parts).decode("ascii")
 
 
 def parse_moa(text: str) -> MixedOA:
     """Parse a MOA v1 file; the header's t becomes the claimed strength."""
-    lines = _lines(text)
+    lines, raw, start = _split(text, 3)
     if _need_line(lines, 0, "MOA v1 magic line") != "MOA v1":
         raise FormatError(f"expected 'MOA v1', got {lines[0]!r}", line=1)
     n, k, t = _keyword_header(_need_line(lines, 1, "parameter header"), ("N", "k", "t"), 2)
@@ -194,25 +343,21 @@ def parse_moa(text: str) -> MixedOA:
     alphabets = _vector_line(_need_line(lines, 2, "alphabet line"), "l", k, 3)
     if any(l < 2 for l in alphabets):
         raise FormatError(f"alphabet sizes must be >= 2, got {alphabets}", line=3)
-    rows = _parse_int_rows(lines[3:], alphabets, n, 4, "array")
+    if any(l >= 2 ** 63 for l in alphabets):
+        raise FormatError(f"alphabet sizes must be below 2**63, got {alphabets}", line=3)
+    rows = _parse_int_body(raw, start, alphabets, 4, n)
     return MixedOA(tuple(alphabets), rows, strength=t)
 
 
 def serialize_moa(array: MixedOA) -> str:
     """Serialize a mixed array to canonical MOA v1 text."""
-    out = [
-        "MOA v1",
-        f"N {array.runs} k {array.k} t {array.strength}",
-        "l " + " ".join(str(l) for l in array.alphabets),
-    ]
-    for r in range(array.runs):
-        out.append(" ".join(str(v) for v in array.rows[r]))
-    return "\n".join(out) + "\n"
+    return (f"MOA v1\nN {array.runs} k {array.k} t {array.strength}\n"
+            f"l {' '.join(str(l) for l in array.alphabets)}\n" + _format_rows(array.rows))
 
 
 def parse_mooa(text: str) -> MixedOOA:
     """Parse a MOOA v1 file (exactly base**m body rows)."""
-    lines = _lines(text)
+    lines, raw, start = _split(text, 4)
     if _need_line(lines, 0, "MOOA v1 magic line") != "MOOA v1":
         raise FormatError(f"expected 'MOOA v1', got {lines[0]!r}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
@@ -228,35 +373,20 @@ def parse_mooa(text: str) -> MixedOOA:
         if not 0 <= bi <= cap:
             raise FormatError(f"beta[{i}]={bi} outside [0, {cap}] allowed by (m-u)/e_i",
                               line=4)
+    if m * (b.bit_length() - 1) >= 64:  # b**m >= 2**64: no body holds that many rows
+        n = raw.count(b"\n", start)
+        raise FormatError(f"expected {b}**{m} array rows, got {n}", line=5 + n)
+    # Matching b**m rows bounds every width b**e_i (e_i <= m) below 2**63.
     widths = [b ** ei for bi, ei in zip(beta, evals) for _ in range(bi)]
-    if not widths:
-        # Zero columns: rows parse as blank lines.
-        body = lines[4:]
-        n_rows = b ** m
-        if len(body) != n_rows:
-            raise FormatError(f"expected {n_rows} array rows, got {len(body)}",
-                              line=5 + min(len(body), n_rows))
-        for r, raw in enumerate(body):
-            if raw.split():
-                raise FormatError(f"expected blank row for zero columns, got {raw!r}",
-                                  line=5 + r)
-        rows = np.zeros((n_rows, 0), dtype=np.int64)
-    else:
-        rows = _parse_int_rows(lines[4:], widths, b ** m, 5, "array")
+    rows = _parse_int_body(raw, start, widths, 5, b ** m)
     return MixedOOA(b, m, u, EVector(tuple(evals)), tuple(beta), rows)
 
 
 def serialize_mooa(array: MixedOOA) -> str:
     """Serialize an ordered mixed array to canonical MOOA v1 text."""
-    out = [
-        "MOOA v1",
-        f"base {array.base} m {array.m} s {array.dim} u {array.u}",
-        "e " + " ".join(str(v) for v in array.e),
-        "beta " + " ".join(str(v) for v in array.beta),
-    ]
-    for r in range(array.runs):
-        out.append(" ".join(str(v) for v in array.rows[r]))
-    return "\n".join(out) + "\n"
+    return (f"MOOA v1\nbase {array.base} m {array.m} s {array.dim} u {array.u}\n"
+            f"e {' '.join(str(v) for v in array.e)}\n"
+            f"beta {' '.join(str(v) for v in array.beta)}\n" + _format_rows(array.rows))
 
 
 def parse_function_tuples(text: str, array: MixedOOA) -> list:
@@ -269,24 +399,9 @@ def parse_function_tuples(text: str, array: MixedOOA) -> list:
     from .dualcert import FunctionTuple
 
     widths = [array.base ** ei for bi, ei in zip(array.beta, array.e) for _ in range(bi)]
-    out = []
-    for r, raw in enumerate(_lines(text)):
-        lineno = r + 1
-        toks = raw.split()
-        if len(toks) != len(widths):
-            raise FormatError(f"expected {len(widths)} residues, got {len(toks)}",
-                              line=lineno)
-        vals = []
-        for j, tok in enumerate(toks):
-            v = _int_token(tok, "residue", lineno)
-            if not 0 <= v < widths[j]:
-                raise FormatError(f"residue {v} outside [0, {widths[j]}) in column {j}",
-                                  line=lineno)
-            vals.append(v)
-        blocks = []
-        pos = 0
-        for bi in array.beta:
-            blocks.append(tuple(vals[pos : pos + bi]))
-            pos += bi
-        out.append(FunctionTuple(array.base, array.e, tuple(blocks)))
-    return out
+    raw = _split(text, 0)[1]
+    rows = _parse_int_body(raw, 0, widths, 1, None, "residue", "residues").tolist()
+    bounds = list(accumulate(array.beta, initial=0))
+    return [FunctionTuple(array.base, array.e,
+                          tuple(tuple(row[lo:hi]) for lo, hi in zip(bounds, bounds[1:])))
+            for row in rows]

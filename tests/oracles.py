@@ -9,7 +9,9 @@ deliberately different route:
   of vectorized bincounts;
 * row-count bounds via generating-polynomial coefficients instead of
   composition recursion;
-* character sums via scalar cmath loops instead of numpy root tables.
+* character sums via scalar cmath loops instead of numpy root tables;
+* text formats read and written line by line with str methods instead of
+  whole-body numpy arrays.
 
 Oracles accept plain data (digit arrays, row lists) so they never call back
 into package logic beyond raw attribute access.
@@ -262,3 +264,212 @@ def brute_gram(vectors):
          for c in range(f)]
         for a in range(f)
     ]
+
+
+# ---------------------------------------------------------------------------
+# text formats (line-by-line str parsing and joining)
+
+class OracleFormatError(Exception):
+    """A text rejected at a 1-based line, with the message explaining why."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+        self.message = message
+
+
+NET_DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_BODY_SPACE = "\t\n\v\f\r\x1c\x1d\x1e\x1f "
+_ENTRY_MAX_DIGITS = 19
+
+
+def _text_lines(text: str) -> list:
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _body_tokens(line: str) -> list:
+    """Tokens of a body line: only ASCII whitespace separates them."""
+    for ch in _BODY_SPACE:
+        line = line.replace(ch, " ")
+    return [tok for tok in line.split(" ") if tok]
+
+
+def _need_line(lines, idx: int, what: str) -> str:
+    if idx >= len(lines):
+        raise OracleFormatError(f"missing {what}", idx + 1)
+    return lines[idx]
+
+
+def _header_int(tok: str, what: str, line: int) -> int:
+    try:
+        return int(tok, 10)
+    except ValueError:
+        raise OracleFormatError(f"{what} must be an integer, got {tok!r}", line) from None
+
+
+def _keyword_header(line: str, keys, lineno: int) -> list:
+    toks = line.split()
+    if len(toks) != 2 * len(keys) or tuple(toks[0::2]) != keys:
+        raise OracleFormatError(
+            f"expected header '{' '.join(k + ' <' + k + '>' for k in keys)}', got {line!r}",
+            lineno)
+    return [_header_int(toks[2 * j + 1], keys[j], lineno) for j in range(len(keys))]
+
+
+def _vector_line(line: str, key: str, count: int, lineno: int) -> list:
+    toks = line.split()
+    if not toks or toks[0] != key:
+        raise OracleFormatError(f"expected '{key} ...' line, got {line!r}", lineno)
+    if len(toks) != count + 1:
+        raise OracleFormatError(f"expected {count} values after '{key}', got {len(toks) - 1}",
+                                lineno)
+    return [_header_int(t, key, lineno) for t in toks[1:]]
+
+
+def _int_rows(body, widths, first_lineno: int, n_rows=None, noun="entry", nouns="entries"):
+    if n_rows is not None and len(body) != n_rows:
+        raise OracleFormatError(f"expected {n_rows} array rows, got {len(body)}",
+                                first_lineno + min(len(body), n_rows))
+    rows = []
+    for r, raw in enumerate(body):
+        lineno = first_lineno + r
+        toks = _body_tokens(raw)
+        if len(toks) != len(widths):
+            if not widths:
+                raise OracleFormatError(f"expected blank row for zero columns, got {raw!r}",
+                                        lineno)
+            raise OracleFormatError(f"expected {len(widths)} {nouns}, got {len(toks)}", lineno)
+        row = []
+        for j, tok in enumerate(toks):
+            if len(tok) > _ENTRY_MAX_DIGITS or any(c not in "0123456789" for c in tok):
+                raise OracleFormatError(
+                    f"{noun} must be 1 to {_ENTRY_MAX_DIGITS} digits 0-9, got {tok!r}", lineno)
+            v = int(tok)
+            if v >= widths[j]:
+                raise OracleFormatError(f"{noun} {v} outside [0, {widths[j]}) in column {j}",
+                                        lineno)
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+def oracle_parse_net(text: str) -> dict:
+    """NET v1 read line by line: header fields and digits[n][i][l]."""
+    lines = _text_lines(text)
+    if _need_line(lines, 0, "NET v1 magic line") != "NET v1":
+        raise OracleFormatError(f"expected 'NET v1', got {lines[0]!r}", 1)
+    b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
+                                 ("base", "m", "s", "u"), 2)
+    if b < 2:
+        raise OracleFormatError(f"base must be >= 2, got {b}", 2)
+    if b > 36:
+        raise OracleFormatError(f"base {b} exceeds 36, not representable with digit characters",
+                                2)
+    if m < 0 or s < 1 or not 0 <= u <= m:
+        raise OracleFormatError(f"invalid parameters base={b} m={m} s={s} u={u}", 2)
+    evals = _vector_line(_need_line(lines, 2, "e-vector line"), "e", s, 3)
+    if any(v < 1 for v in evals):
+        raise OracleFormatError(f"e-vector entries must be >= 1, got {evals}", 3)
+    digits = []
+    for r, raw in enumerate(lines[3:]):
+        lineno = 4 + r
+        toks = _body_tokens(raw)
+        if m == 0:
+            if toks:
+                raise OracleFormatError(f"expected blank point line for m=0, got {raw!r}",
+                                        lineno)
+            digits.append([[] for _ in range(s)])
+            continue
+        if len(toks) != s:
+            raise OracleFormatError(f"expected {s} digit strings, got {len(toks)}", lineno)
+        point = []
+        for tok in toks:
+            if len(tok) != m:
+                raise OracleFormatError(
+                    f"digit string {tok!r} has length {len(tok)}, expected {m}", lineno)
+            coord = []
+            for c in tok:
+                if c not in NET_DIGITS[:b]:
+                    raise OracleFormatError(f"character {c!r} is not a base-{b} digit", lineno)
+                coord.append(NET_DIGITS.index(c))
+            point.append(coord)
+        digits.append(point)
+    return {"base": b, "m": m, "s": s, "u": u, "e": tuple(evals), "digits": digits}
+
+
+def oracle_parse_moa(text: str) -> dict:
+    """MOA v1 read line by line: alphabets, claimed strength and rows."""
+    lines = _text_lines(text)
+    if _need_line(lines, 0, "MOA v1 magic line") != "MOA v1":
+        raise OracleFormatError(f"expected 'MOA v1', got {lines[0]!r}", 1)
+    n, k, t = _keyword_header(_need_line(lines, 1, "parameter header"), ("N", "k", "t"), 2)
+    if n < 1 or k < 1 or not 0 <= t <= k:
+        raise OracleFormatError(f"invalid parameters N={n} k={k} t={t}", 2)
+    alphabets = _vector_line(_need_line(lines, 2, "alphabet line"), "l", k, 3)
+    if any(l < 2 for l in alphabets):
+        raise OracleFormatError(f"alphabet sizes must be >= 2, got {alphabets}", 3)
+    if any(l >= 2 ** 63 for l in alphabets):
+        raise OracleFormatError(f"alphabet sizes must be below 2**63, got {alphabets}", 3)
+    rows = _int_rows(lines[3:], alphabets, 4, n)
+    return {"alphabets": tuple(alphabets), "t": t, "rows": rows}
+
+
+def oracle_parse_mooa(text: str) -> dict:
+    """MOOA v1 read line by line: header fields and rows."""
+    lines = _text_lines(text)
+    if _need_line(lines, 0, "MOOA v1 magic line") != "MOOA v1":
+        raise OracleFormatError(f"expected 'MOOA v1', got {lines[0]!r}", 1)
+    b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
+                                 ("base", "m", "s", "u"), 2)
+    if b < 2 or m < 0 or s < 1 or not 0 <= u <= m:
+        raise OracleFormatError(f"invalid parameters base={b} m={m} s={s} u={u}", 2)
+    evals = _vector_line(_need_line(lines, 2, "e-vector line"), "e", s, 3)
+    if any(v < 1 for v in evals):
+        raise OracleFormatError(f"e-vector entries must be >= 1, got {evals}", 3)
+    beta = _vector_line(_need_line(lines, 3, "beta line"), "beta", s, 4)
+    for i, (bi, ei) in enumerate(zip(beta, evals)):
+        cap = (m - u) // ei
+        if not 0 <= bi <= cap:
+            raise OracleFormatError(f"beta[{i}]={bi} outside [0, {cap}] allowed by (m-u)/e_i",
+                                    4)
+    floor_log2 = 0
+    while 2 ** (floor_log2 + 1) <= b:
+        floor_log2 += 1
+    if m * floor_log2 >= 64:  # a row count this large is spelled as a power
+        rows = len(lines) - 4
+        raise OracleFormatError(f"expected {b}**{m} array rows, got {rows}", 5 + rows)
+    widths = [b ** ei for bi, ei in zip(beta, evals) for _ in range(bi)]
+    rows = _int_rows(lines[4:], widths, 5, b ** m)
+    return {"base": b, "m": m, "u": u, "e": tuple(evals), "beta": tuple(beta), "rows": rows}
+
+
+def oracle_parse_function_tuples(text: str, base: int, e, beta) -> list:
+    """Residue rows read line by line, split into per-block tuples."""
+    widths = [base ** ei for bi, ei in zip(beta, e) for _ in range(bi)]
+    out = []
+    for row in _int_rows(_text_lines(text), widths, 1, None, "residue", "residues"):
+        blocks, pos = [], 0
+        for bi in beta:
+            blocks.append(tuple(row[pos : pos + bi]))
+            pos += bi
+        out.append(tuple(blocks))
+    return out
+
+
+def oracle_net_text(base: int, u: int, e, digits) -> str:
+    """Canonical NET v1 text joined string by string."""
+    n_pts, s, m = digits.shape
+    out = ["NET v1", f"base {base} m {m} s {s} u {u}", "e " + " ".join(str(v) for v in e)]
+    for n in range(n_pts):
+        out.append(" ".join("".join(NET_DIGITS[int(d)] for d in digits[n, i, :])
+                            for i in range(s)))
+    return "\n".join(out) + "\n"
+
+
+def oracle_rows_text(header, rows) -> str:
+    """Header lines then one line of space-joined decimal entries per row."""
+    out = list(header) + [" ".join(str(int(v)) for v in row) for row in rows]
+    return "\n".join(out) + "\n"

@@ -111,6 +111,12 @@ class TestGen:
         assert code == EXIT_FAIL and out == ""
         assert "NONEXISTENT" in err
 
+    def test_oversized_digit_tensor_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "gen", "faure", "--base", "3", "--m", "30", "--s", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: 3**30 points with s=2, m=30 need 98827743405431520 bytes "
+                       "of digits, above the cap of 1073741824 bytes\n")
+
     def test_search_inconclusive(self, capsys):
         code, _, err = run(capsys, "gen", "search", "--base", "2", "--m", "2",
                            "--s", "4", "--e", "1x4", "--u", "0",
@@ -222,6 +228,30 @@ class TestMoaCommands:
         assert out.startswith("verify-moa: FAIL columns=(0, 1)")
         code, _, _ = run(capsys, "verify-moa", str(moa), "--t", "1")
         assert code == EXIT_PASS
+
+
+class TestFormatErrorsExitThree:
+    def _stdin(self, capsys, monkeypatch, text, *argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        return run(capsys, *argv, "-")
+
+    def test_entry_and_alphabet_beyond_int64(self, capsys, monkeypatch):
+        text = "MOA v1\nN 1 k 1 t 0\nl 100000000000000000000000\n99999999999999999999\n"
+        code, out, err = self._stdin(capsys, monkeypatch, text, "verify-moa")
+        assert code == EXIT_FORMAT and out == ""
+        assert err.startswith("error: line 3: alphabet sizes must be below 2**63")
+        text = "MOA v1\nN 1 k 1 t 0\nl 4\n99999999999999999999\n"
+        code, _, err = self._stdin(capsys, monkeypatch, text, "verify-moa")
+        assert code == EXIT_FORMAT
+        assert err == ("error: line 4: entry must be 1 to 19 digits 0-9, "
+                       "got '99999999999999999999'\n")
+
+    @pytest.mark.parametrize("spelling", ["+0", "0_1", "\u0663", "0\xa01"])
+    def test_entry_spellings_int_accepted(self, capsys, monkeypatch, spelling):
+        text = f"MOA v1\nN 2 k 2 t 0\nl 2 2\n0 0\n1 {spelling}\n"
+        code, out, err = self._stdin(capsys, monkeypatch, text, "verify-moa")
+        assert code == EXIT_FORMAT and out == ""
+        assert err.startswith("error: line 5: ")
 
 
 class TestMooaCommands:

@@ -75,6 +75,32 @@ class TestGenerators:
         with pytest.raises(ParamError):
             faure(3, 2, 0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: faure(3, 30, 2),
+        lambda: hammersley(2, 40),
+        lambda: grid_1d(7, 10 ** 6),
+        lambda: random_pointset(2, 20, 10 ** 4, 0),
+        lambda: digital_net(2, [np.zeros((40, 40), dtype=np.int64)]),
+        lambda: search_net(2, 200, (1,), 1, 200),
+    ])
+    def test_oversized_digit_tensor_is_refused_before_allocation(self, make):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParamError, match="bytes of digits, above the cap"):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_digit_tensor_at_the_cap_is_built(self, monkeypatch):
+        import evnets.corpus as corpus
+        monkeypatch.setattr(corpus, "_DIGIT_BYTES_CAP", 2 ** 4 * 2 * 4 * 8)
+        assert hammersley(2, 4).count == 16
+        with pytest.raises(ParamError):
+            hammersley(2, 5)
+
     def test_random_pointset_reproducible(self):
         a = random_pointset(2, 3, 2, 42)
         b = random_pointset(2, 3, 2, 42)

@@ -1,8 +1,12 @@
 """Text-format contracts: round trips, canonicalization, line-numbered errors."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from evnets import (
     EVector, MixedOA, MixedOOA, PointSet,
@@ -12,7 +16,7 @@ from evnets import (
 from evnets.dualcert import FunctionTuple
 from evnets.errors import FormatError
 from evnets.io import DIGIT_CHARS, parse_function_tuples
-from evnets import corpus, net_to_mooa
+from evnets import corpus, io, net_to_mooa
 
 
 HAM_23_TEXT = (
@@ -215,3 +219,288 @@ class TestFunctionTupleParsing:
         with pytest.raises(FormatError) as err:
             parse_function_tuples("1 0 1 3\n0 0 2 0\n", arr)
         assert err.value.line == 2
+
+
+# ---------------------------------------------------------------------------
+# body grammar, overflow, chunking and the line-by-line oracle
+
+MOA_ROW = 6  # line of MOA_TEXT's "0 2" row
+
+
+class TestBodyGrammar:
+    @pytest.mark.parametrize("spelling", ["+0", "0_1", "-1", "\u0663", "1\u00b2", "0x1"])
+    def test_entry_spelling_is_rejected(self, spelling):
+        with pytest.raises(FormatError) as err:
+            parse_moa(MOA_TEXT.replace("0 2", f"0 {spelling}"))
+        assert err.value.line == MOA_ROW
+        assert str(err.value) == (f"line {MOA_ROW}: entry must be 1 to 19 digits 0-9, "
+                                  f"got {spelling!r}")
+
+    @pytest.mark.parametrize("space", ["\xa0", "\u2003", "\u3000", "\x85"])
+    def test_non_ascii_whitespace_does_not_separate_entries(self, space):
+        with pytest.raises(FormatError) as err:
+            parse_moa(MOA_TEXT.replace("0 2", f"0{space}2"))
+        assert err.value.line == MOA_ROW
+        assert "expected 2 entries, got 1" in str(err.value)
+
+    @pytest.mark.parametrize("space", ["\xa0", "\u2003"])
+    def test_non_ascii_whitespace_does_not_separate_digit_strings(self, space):
+        with pytest.raises(FormatError) as err:
+            parse_net(HAM_23_TEXT.replace("100 001", f"100{space}001"))
+        assert err.value.line == 5
+        assert "expected 2 digit strings, got 1" in str(err.value)
+
+    @pytest.mark.parametrize("space", ["\t", "\v", "\f", "\r", "\x1c", "\x1f", "  "])
+    def test_ascii_whitespace_separates(self, space):
+        assert parse_moa(MOA_TEXT.replace("0 2", f"0{space}2")) == parse_moa(MOA_TEXT)
+        assert parse_net(HAM_23_TEXT.replace("100 001", f"100{space}001")).points == \
+            parse_net(HAM_23_TEXT).points
+
+    def test_leading_zeros_are_accepted(self):
+        assert parse_moa(MOA_TEXT.replace("0 2", "000 0002")) == parse_moa(MOA_TEXT)
+
+    def test_entry_of_twenty_digits_is_rejected_even_when_small(self):
+        with pytest.raises(FormatError) as err:
+            parse_moa(MOA_TEXT.replace("0 2", "0 " + "0" * 19 + "2"))
+        assert err.value.line == MOA_ROW
+
+    def test_residue_spelling_is_rejected(self, ham23):
+        arr = net_to_mooa(ham23, 0, EVector((1, 2)))
+        with pytest.raises(FormatError) as err:
+            parse_function_tuples("1 0 1 3\n0 0 +0 0\n", arr)
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: residue must be 1 to 19 digits 0-9, got '+0'"
+
+
+class TestFirstBadLine:
+    @pytest.mark.parametrize("rows, lineno", [
+        (["0 0", "1 7", "0 2", "1 9"], 5),    # two range errors
+        (["0 0", "1 7", "0 +2", "1 3"], 5),   # range error before a spelling error
+        (["0 0", "1 +1", "0 9", "1 3"], 5),   # spelling error before a range error
+        (["0 0", "1 1", "0 9", "1"], 6),      # range error before a short row
+        (["0 0", "1 1 1", "0 9", "1 3"], 5),  # long row before a range error
+    ])
+    def test_moa(self, rows, lineno):
+        text = "MOA v1\nN 4 k 2 t 1\nl 2 4\n" + "\n".join(rows) + "\n"
+        with pytest.raises(FormatError) as err:
+            parse_moa(text)
+        assert err.value.line == lineno
+        with pytest.raises(oracles.OracleFormatError) as oracle_err:
+            oracles.oracle_parse_moa(text)
+        assert str(err.value) == str(oracle_err.value)
+
+    @pytest.mark.parametrize("old, new, lineno", [
+        (("100 001", "110 011"), ("100 002", "11 011"), 5),
+        (("100 001", "110 011"), ("10 001", "110 012"), 5),
+        (("010 010", "110 011"), ("010 01A", "110 0110"), 6),
+    ])
+    def test_net(self, old, new, lineno):
+        text = HAM_23_TEXT.replace(old[0], new[0]).replace(old[1], new[1])
+        with pytest.raises(FormatError) as err:
+            parse_net(text)
+        assert err.value.line == lineno
+
+
+class TestIntegerRange:
+    def test_alphabet_beyond_int64_is_a_format_error(self):
+        text = "MOA v1\nN 1 k 1 t 0\nl 100000000000000000000000\n99999999999999999999\n"
+        with pytest.raises(FormatError) as err:
+            parse_moa(text)
+        assert err.value.line == 3
+
+    def test_largest_alphabet_round_trips(self):
+        top = 2 ** 63 - 1
+        text = f"MOA v1\nN 2 k 2 t 0\nl 2 {top}\n0 {top - 1}\n1 9999999999999999999\n"
+        with pytest.raises(FormatError) as err:  # 19 digits, above the alphabet
+            parse_moa(text)
+        assert err.value.line == 5
+        assert "entry 9999999999999999999 outside" in str(err.value)
+        good = text.replace("9999999999999999999", "0")
+        arr = parse_moa(good)
+        assert int(arr.rows[0, 1]) == top - 1
+        assert serialize_moa(arr) == good
+
+    @pytest.mark.parametrize("b, m, want", [
+        (3, 100000, "3**100000"), (10 ** 30, 3, f"{10 ** 30}**3"), (2, 63, str(2 ** 63))])
+    def test_huge_mooa_row_count_is_named_not_computed(self, b, m, want):
+        text = f"MOOA v1\nbase {b} m {m} s 1 u {m}\ne 1\nbeta 0\n\n"
+        with pytest.raises(FormatError) as err:
+            parse_mooa(text)
+        assert str(err.value) == f"line 6: expected {want} array rows, got 1"
+
+    def test_header_claiming_huge_m_allocates_nothing(self):
+        import tracemalloc
+        text = "NET v1\nbase 2 m 1000000000 s 2 u 0\ne 1 1\n0 0\n1 1\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as err:
+                parse_net(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.line == 4
+        assert "has length 1, expected 1000000000" in str(err.value)
+        assert peak < 1 << 20
+
+
+def _mutate(text: str, data) -> str:
+    """Insert, delete or replace characters, or respell a whitespace run."""
+    alphabet = "0123456789AZaz+-_x \t\n\r\v\f\x1c\x1f\x00\xa0\u2003\u0663\xe9"
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["insert", "delete", "replace", "space"]))
+        pos = data.draw(st.integers(0, len(text)))
+        ch = data.draw(st.sampled_from(alphabet))
+        if kind == "insert":
+            text = text[:pos] + ch + text[pos:]
+        elif kind == "delete":
+            text = text[:pos] + text[pos + 1:]
+        elif kind == "replace":
+            text = text[:pos] + ch + text[pos + 1:]
+        else:
+            spaces = data.draw(st.sampled_from(["  ", "\t", " \r", "\x1c", "\xa0", ""]))
+            text = text.replace(" ", spaces, data.draw(st.integers(1, 3)))
+    return text
+
+
+def _outcome(parse, text):
+    """(True, result) for a parse, (False, (line, str(error))) for a rejection."""
+    try:
+        return True, parse(text)
+    except (FormatError, oracles.OracleFormatError) as err:
+        return False, (err.line, str(err))
+
+
+def _valid_net(data) -> str:
+    b, m, s = data.draw(st.integers(2, 36)), data.draw(st.integers(0, 3)), data.draw(
+        st.integers(1, 3))
+    n = data.draw(st.integers(0, 5))
+    digits = np.array(data.draw(st.lists(st.integers(0, b - 1), min_size=n * s * m,
+                                         max_size=n * s * m)), dtype=np.int64)
+    return serialize_net(PointSet(b, digits.reshape(n, s, m)), data.draw(st.integers(0, m)),
+                         EVector(tuple(data.draw(st.integers(1, 3)) for _ in range(s))))
+
+
+def _valid_moa(data) -> str:
+    k, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    alphabets = [data.draw(st.sampled_from([2, 3, 10, 11, 1000, 2 ** 63 - 1]))
+                 for _ in range(k)]
+    rows = [[data.draw(st.integers(0, l - 1)) for l in alphabets] for _ in range(n)]
+    return serialize_moa(MixedOA(tuple(alphabets), np.array(rows, dtype=np.int64),
+                                 data.draw(st.integers(0, k))))
+
+
+def _valid_mooa(data):
+    b, m = data.draw(st.integers(2, 4)), data.draw(st.integers(0, 3))
+    s = data.draw(st.integers(1, 2))
+    u = data.draw(st.integers(0, m))
+    e = tuple(data.draw(st.integers(1, 2)) for _ in range(s))
+    beta = tuple(data.draw(st.integers(0, (m - u) // ei)) for ei in e)
+    widths = [b ** ei for bi, ei in zip(beta, e) for _ in range(bi)]
+    rows = np.array([[data.draw(st.integers(0, w - 1)) for w in widths]
+                     for _ in range(b ** m)], dtype=np.int64).reshape(b ** m, len(widths))
+    return serialize_mooa(MixedOOA(b, m, u, EVector(e), beta, rows))
+
+
+def _agree(parse, oracle, same, text):
+    ok, got = _outcome(parse, text)
+    oracle_ok, want = _outcome(oracle, text)
+    assert ok == oracle_ok, (text, got, want)
+    if ok:
+        assert same(got, want), text
+    else:
+        assert got == want
+
+
+class TestParsersAgreeWithLineOracle:
+    """Mutated valid texts parse as the line-by-line oracle parses them, or
+    fail at the oracle's line with its message, at any chunk size."""
+
+    chunk = st.sampled_from([1, 3, 16, 64, 1 << 18])
+
+    @settings(deadline=None, max_examples=150)
+    @given(chunk, st.data())
+    def test_net(self, chunk, data):
+        def same(nf, want):
+            return (nf.points.base == want["base"] and nf.u == want["u"]
+                    and nf.e.e == want["e"] and nf.points.digits.shape[1:] ==
+                    (want["s"], want["m"]) and nf.points.digits.tolist() == want["digits"])
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk):
+            _agree(parse_net, oracles.oracle_parse_net, same, _mutate(_valid_net(data), data))
+
+    @settings(deadline=None, max_examples=150)
+    @given(chunk, st.data())
+    def test_moa(self, chunk, data):
+        def same(arr, want):
+            return (arr.alphabets == want["alphabets"] and arr.strength == want["t"]
+                    and arr.rows.tolist() == want["rows"])
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk):
+            _agree(parse_moa, oracles.oracle_parse_moa, same, _mutate(_valid_moa(data), data))
+
+    @settings(deadline=None, max_examples=150)
+    @given(chunk, st.data())
+    def test_mooa(self, chunk, data):
+        def same(arr, want):
+            return ((arr.base, arr.m, arr.u, arr.e.e, arr.beta) == (
+                want["base"], want["m"], want["u"], want["e"], want["beta"])
+                and arr.rows.tolist() == [list(r) for r in want["rows"]]
+                and arr.rows.shape[0] == len(want["rows"]))
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk):
+            _agree(parse_mooa, oracles.oracle_parse_mooa, same,
+                   _mutate(_valid_mooa(data), data))
+
+    @settings(deadline=None, max_examples=80)
+    @given(chunk, st.data())
+    def test_function_tuples(self, ham23, chunk, data):
+        arr = net_to_mooa(ham23, 0, EVector((1, 2)))  # widths 2, 2, 2, 4
+        rows = data.draw(st.lists(st.tuples(*(st.integers(0, w - 1) for w in (2, 2, 2, 4))),
+                                  max_size=4))
+        text = _mutate("".join(" ".join(map(str, r)) + "\n" for r in rows), data)
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk):
+            _agree(lambda t: [f.values for f in parse_function_tuples(t, arr)],
+                   lambda t: oracles.oracle_parse_function_tuples(t, 2, (1, 2), (3, 1)),
+                   lambda got, want: got == want, text)
+
+
+class TestSerializersMatchLineOracle:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 36), st.integers(0, 4), st.integers(1, 3), st.integers(0, 6),
+           st.sampled_from([1, 5, 1 << 18]), st.data())
+    def test_net(self, b, m, s, n, chunk, data):
+        flat = data.draw(st.lists(st.integers(0, b - 1), min_size=n * s * m,
+                                  max_size=n * s * m))
+        digits = np.array(flat, dtype=np.int64).reshape(n, s, m)
+        e = (1,) * s
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk):
+            text = serialize_net(PointSet(b, digits), 0, e)
+        assert text == oracles.oracle_net_text(b, 0, e, digits)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.sampled_from([2, 9, 10, 11, 101, 10 ** 6, 2 ** 63 - 1]),
+                    min_size=1, max_size=5),
+           st.integers(1, 12), st.sampled_from([1, 7, 1 << 18]), st.data())
+    def test_moa(self, alphabets, n, chunk, data):
+        rows = np.array([[data.draw(st.integers(0, l - 1)) for l in alphabets]
+                         for _ in range(n)], dtype=np.int64)
+        arr = MixedOA(tuple(alphabets), rows, 0)
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk):
+            text = serialize_moa(arr)
+        header = ["MOA v1", f"N {n} k {len(alphabets)} t 0",
+                  "l " + " ".join(map(str, alphabets))]
+        assert text == oracles.oracle_rows_text(header, rows)
+
+    @pytest.mark.parametrize("chunk", [1, 64, 1 << 18])
+    def test_mooa_corpus(self, faure333, chunk):
+        arr = net_to_mooa(faure333, 0, EVector((1, 2, 1)))
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk):
+            text = serialize_mooa(arr)
+        header = ["MOOA v1", "base 3 m 3 s 3 u 0", "e 1 2 1", "beta 3 1 3"]
+        assert text == oracles.oracle_rows_text(header, arr.rows)
+
+    def test_error_line_in_a_later_chunk(self):
+        text = serialize_net(corpus.hammersley(2, 8), 0, EVector((1, 1)))
+        lines = text.split("\n")
+        lines[200] = lines[200][:-1] + "2"
+        with mock.patch.object(io, "_CHUNK_BYTES", 100):
+            with pytest.raises(FormatError) as err:
+                parse_net("\n".join(lines))
+        assert err.value.line == 201

@@ -92,6 +92,14 @@ class TestDigits:
         assert list(mat @ powers) == values
         assert mat.min() >= 0 and mat.max() < base
 
+    def test_digit_matrix_takes_ranges_and_array_columns(self):
+        want = digit_matrix(list(range(3, 50, 4)), 4, 3)
+        assert np.array_equal(digit_matrix(range(3, 50, 4), 4, 3), want)
+        table = np.array(list(range(3, 50, 4)) * 2, dtype=np.int64).reshape(2, -1).T
+        column = table[:, 1]  # a strided view
+        assert np.array_equal(digit_matrix(column, 4, 3), want)
+        assert np.array_equal(table[:, 1], list(range(3, 50, 4)))  # input untouched
+
     def test_block_values_reads_digit_windows(self):
         digits = np.array([[[1, 0, 1, 1]], [[0, 1, 1, 0]]], dtype=np.int64)
         assert list(block_values(digits, 0, 0, 2, 2)) == [2, 1]
