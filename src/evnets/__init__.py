@@ -9,7 +9,7 @@ The package materializes one combinatorial dictionary in three languages:
   including the inverse reconstruction (:mod:`evnets.ooa`);
 * exact necessary conditions (Rao-type row bounds, per-resolution coordinate
   budgets) in :mod:`evnets.bounds`, plus constructive character-sum
-  certificates in :mod:`evnets.dualcert`.
+  certificates, decided exactly, in :mod:`evnets.dualcert`.
 
 Deterministic generators and a desk-scale existence search live in
 :mod:`evnets.corpus`; canonical text formats in :mod:`evnets.io`; the
@@ -41,7 +41,7 @@ from .corpus import (
 from .dualcert import (
     FunctionTuple,
     build_block_family,
-    char_vector,
+    char_exponents,
     diff,
     gram_certificate,
     height,
@@ -92,7 +92,7 @@ __all__ = [
     "mooa_to_net",
     "Signature", "Condition", "FeasibilityReport", "rao_rhs", "rao_feasible",
     "net_rao_check", "seq_kr_check", "seq_lcm_check", "feasibility_report",
-    "FunctionTuple", "profile", "height", "diff", "char_vector",
+    "FunctionTuple", "profile", "height", "diff", "char_exponents",
     "gram_certificate", "build_block_family",
     "grid_1d", "hammersley", "faure", "digital_net", "random_pointset",
     "flip_digit", "SearchResult", "search_net",

@@ -267,15 +267,14 @@ def cmd_dual_cert(args) -> int:
         with open(args.tuples, "r", encoding="utf-8") as fh:
             family = formats.parse_function_tuples(fh.read(), array)
         source = f"tuples={len(family)}"
-    tol = args.tol if args.tol is not None else 1e-6 * array.base ** array.m
-    verdict = dualcert.gram_certificate(array, family, tol)
+    verdict = dualcert.gram_certificate(array, family)
     if args.json:
         _emit_json({"pass": verdict.passed, "family_size": len(family),
-                    "row_bound": array.base ** array.m, "tol": tol,
+                    "row_bound": array.base ** array.m,
                     "witness": dict(verdict.witness) if verdict.witness else None})
     elif verdict:
         print(f"dual-cert: PASS ({source}, family={len(family)} <= "
-              f"b^m={array.base ** array.m}, tol={tol})")
+              f"b^m={array.base ** array.m})")
     else:
         print(f"dual-cert: FAIL {_fmt_witness(dict(verdict.witness))} ({source})")
     return EXIT_PASS if verdict else EXIT_FAIL
@@ -435,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="depth profile generating the block family")
     p.add_argument("--tuples", default=None,
                    help="file of residue tuples, one per line")
-    p.add_argument("--tol", type=float, default=None,
-                   help="entrywise tolerance (default 1e-6 * b**m)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dual_cert)
 

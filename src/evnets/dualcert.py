@@ -1,23 +1,33 @@
-"""Character-sum certificates for ordered mixed arrays.
+"""Character-sum certificates for ordered mixed arrays, decided exactly.
 
 A residue-function tuple D assigns to every stored column (i, rho) a residue
-D_i(rho) modulo the block alphabet b**e_i. Its character vector has one entry
-per array row:
+D_i(rho) modulo the block alphabet b**e_i. Its character on array row n is
 
-    v_D[n] = prod_{i, rho} omega_i ** (z_{i,rho}(n) * D_i(rho)),
+    chi_D(n) = prod_{i, rho} omega_i ** (z_{i,rho}(n) * D_i(rho)),
 
-with omega_i = exp(2*pi*1j / b**e_i). Rows of a strength-(m-u) array make
-character vectors of two tuples orthogonal whenever the depth profile of
-their difference fits the strength budget, because the inner product then
-factors into full geometric sums of roots of unity, each of which vanishes.
-A verified Gram identity over a family therefore certifies, constructively,
-that the family cannot exceed b**m members.
+with omega_i a primitive (b**e_i)-th root of unity. Each omega_i is a power of
+one primitive q-th root zeta, q = b**max(e_i) over the blocks that carry
+columns, so chi_D(n) = zeta ** E_D(n) for an integer exponent E_D(n) mod q
+(:func:`char_exponents`). Rows of a strength-(m-u) array make the characters
+of two tuples orthogonal whenever the depth profile of their difference fits
+the strength budget, because the inner product then factors into full
+geometric sums of roots of unity, each of which vanishes. A verified Gram
+identity over a family therefore certifies, constructively, that the family
+cannot exceed b**m members.
+
+A Gram entry sum_n zeta ** (E_k(n) - E_j(n)) equals c(zeta) for the integer
+polynomial c(x) = sum_t c_t x**t, where c_t counts the rows whose exponent
+difference is t mod q. It is zero exactly when the cyclotomic polynomial
+Phi_q divides c(x), so the identity is decided over the integers, with no
+tolerance. With r = rad(q) (the product of its distinct primes) and
+s = q // r, Phi_q(x) = Phi_r(x**s); hence c(zeta) = 0 exactly when, for every
+t < s, Phi_r(y) divides sum_j c_{t + j*s} y**j.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +38,7 @@ from .errors import ParamError
 
 __all__ = [
     "FunctionTuple", "profile", "height", "diff",
-    "char_vector", "gram_certificate", "build_block_family",
+    "char_exponents", "gram_certificate", "build_block_family",
 ]
 
 
@@ -98,74 +108,156 @@ def _check_array_frame(array: MixedOOA, d: FunctionTuple) -> None:
                          f"array has beta {array.beta}")
 
 
-def char_vector(array: MixedOOA, d: FunctionTuple) -> np.ndarray:
-    """Complex character vector of a function tuple over the array rows.
+def _order(array: MixedOOA) -> int:
+    """q = b**max(e_i) over the blocks that carry columns (1 if none do)."""
+    return array.base ** max((ei for ei, bi in zip(array.e, array.beta) if bi), default=0)
 
-    Exponents are reduced modulo each block alphabet before indexing a
-    precomputed table of roots of unity, so magnitude-1 entries are exact up
-    to one complex exponential evaluation each.
+
+def _stack(array: MixedOOA, family: Sequence[FunctionTuple]) -> np.ndarray:
+    """A family's residues as an (F, sum(beta)) matrix in column order."""
+    return np.array([[v for block in d.values for v in block] for d in family],
+                    dtype=np.int64).reshape(len(family), sum(array.beta))
+
+
+def _exponents(array: MixedOOA, residues: np.ndarray, q: int) -> np.ndarray:
+    """(F, N) exponents of zeta_q for the stacked residues (F, sum(beta))."""
+    scale = np.repeat([q // array.base ** ei for ei in array.e], array.beta)
+    return (residues * scale) @ array.rows.T % q
+
+
+def char_exponents(array: MixedOOA, d: FunctionTuple) -> np.ndarray:
+    """Exponent of zeta_q in the character of ``d`` on each array row.
+
+    Block i adds z_{i,rho} * D_i(rho) * (q // b**e_i); the sum is reduced
+    mod q = b**max(e_i) over the blocks that carry columns, so the result is
+    an int64 vector with entries in [0, q).
     """
     _check_array_frame(array, d)
-    b = array.base
-    out = np.ones(array.runs, dtype=np.complex128)
-    for i, (ei, block) in enumerate(zip(array.e, d.values)):
-        if not any(block):
-            continue
-        alph = b ** ei
-        start = array.block_start(i)
-        width = len(block)
-        expo = (array.rows[:, start : start + width] @ np.asarray(block, dtype=np.int64)
-                ) % alph
-        roots = np.exp((2j * np.pi / alph) * np.arange(alph))
-        out *= roots[expo]
-    return out
+    return _exponents(array, _stack(array, [d]), _order(array))[0]
 
 
-def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple],
-                     tol: float | None = None) -> Verdict:
-    """Verify pairwise orthogonality of a family's character vectors.
+def _radical(n: int) -> int:
+    """Product of the distinct primes dividing n (1 for n = 1); the search
+    stops at the largest prime factor, at most b for n = b**k."""
+    rad, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            rad *= p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return rad
+
+
+def _divide_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """Quotient of integer polynomials (lowest coefficient first) by a monic
+    divisor that divides exactly."""
+    num = list(num)
+    k = len(den) - 1
+    quot = [0] * (len(num) - k)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = c = num[i + k]
+        for j, dj in enumerate(den):
+            num[i + j] -= c * dj
+    return quot
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n, lowest coefficient first: y**n - 1 divided exactly by Phi_d for
+    every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _divide_exact(poly, _cyclotomic(d))
+    return tuple(poly)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_table(r: int) -> np.ndarray:
+    """Read-only r x phi(r) int64 table whose row j is y**j mod Phi_r(y)."""
+    phi = _cyclotomic(r)
+    deg = len(phi) - 1
+    table = np.zeros((r, deg), dtype=np.int64)
+    power = [1] + [0] * (deg - 1)
+    for j in range(r):
+        table[j] = power
+        top = power[-1]  # y * power, with y**deg replaced by y**deg - Phi_r
+        power = [c - top * p for c, p in zip([0] + power[:-1], phi)]
+    table.setflags(write=False)
+    return table
+
+
+def _vanishes(counts: np.ndarray, q: int) -> np.ndarray:
+    """Whether sum_t c_t zeta_q**t == 0 for each count vector c (rows of an
+    (n, q) int array), decided exactly.
+
+    With r = rad(q) and s = q // r, folding the counts to (n, s, r) and
+    multiplying by :func:`_power_table` reduces every polynomial
+    sum_j c_{t + j*s} y**j mod Phi_r at once; the table has at most b rows
+    whatever q is.
+    """
+    r = _radical(q)
+    folded = np.asarray(counts, dtype=np.int64).reshape(-1, r, q // r)
+    return ~(folded.transpose(0, 2, 1) @ _power_table(r)).any(axis=(1, 2))
+
+
+def _first_tall_pair(array: MixedOOA, residues: np.ndarray) -> tuple[int, int, int] | None:
+    """First pair j < k (combinations order) whose difference has height above
+    m - u, with that height; None if every pair fits."""
+    starts = [array.block_start(i) for i, bi in enumerate(array.beta) if bi]
+    if not starts:  # no columns: every difference has height 0
+        return None
+    weight = np.concatenate([np.arange(1, bi + 1) * ei for ei, bi in zip(array.e, array.beta)])
+    for j in range(len(residues) - 1):
+        moved = (residues[j + 1:] != residues[j]) * weight
+        heights = np.maximum.reduceat(moved, starts, axis=1).sum(axis=1)
+        tall = np.flatnonzero(heights > array.m - array.u)
+        if tall.size:
+            return j, j + 1 + int(tall[0]), int(heights[tall[0]])
+    return None
+
+
+def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdict:
+    """Decide pairwise orthogonality of a family's characters exactly.
 
     Precondition (checked): the difference of every pair of tuples must have
-    height at most m - u; a violating pair fails with a distinct witness kind
-    before any numerics run. The Gram matrix must then equal b**m times the
-    identity entrywise within ``tol`` (default 1e-6 * b**m). A negative or
-    non-finite ``tol`` raises :class:`ParamError`, because NaN or infinity
-    would pass every Gram matrix. A passing verdict certifies the family has
+    height at most m - u; the first violating pair, in
+    ``itertools.combinations`` order, fails with a distinct witness kind
+    before any character sum is formed. Then every off-diagonal Gram entry
+    must vanish (the diagonal is exactly b**m). The first pair j < k whose
+    sum does not fails with witness ``{"kind": "gram", "pair": [j, k],
+    "order": q, "counts": c}``: c[t] rows have E_k - E_j = t mod q, and
+    sum_t c[t] zeta_q**t != 0. A passing verdict certifies the family has
     at most b**m members; the defensive check at the end cannot fire for a
     true Gram identity.
     """
-    budget = array.m - array.u
-    n_rows = array.base ** array.m
-    if tol is None:
-        tol = 1e-6 * n_rows
-    if not math.isfinite(tol) or tol < 0:
-        raise ParamError(f"tol must be finite and >= 0, got {tol}")
     family = list(family)
     for d in family:
         _check_array_frame(array, d)
-    for j, k in itertools.combinations(range(len(family)), 2):
-        h = height(diff(family[j], family[k]))
-        if h > budget:
-            return Verdict(False, {
-                "kind": "height-precondition", "pair": [j, k],
-                "height": int(h), "budget": int(budget)})
-    if not family:
-        return Verdict(True)
-    vectors = np.stack([char_vector(array, d) for d in family], axis=1)
-    gram = vectors.conj().T @ vectors
-    target = n_rows * np.eye(len(family))
-    deviation = np.abs(gram - target)
-    flat = int(np.argmax(deviation))
-    j, k = divmod(flat, len(family))
-    if deviation[j, k] > tol:
-        value = gram[j, k]
+    residues = _stack(array, family)
+    tall = _first_tall_pair(array, residues)
+    if tall is not None:
         return Verdict(False, {
-            "kind": "gram", "pair": [int(j), int(k)],
-            "value": [float(value.real), float(value.imag)],
-            "expected": float(target[j, k]),
-            "deviation": float(deviation[j, k]),
-            "tol": float(tol)})
-    if len(family) > n_rows:
+            "kind": "height-precondition", "pair": [tall[0], tall[1]],
+            "height": tall[2], "budget": array.m - array.u})
+    q = _order(array)
+    exps = _exponents(array, residues, q)
+    # pair (j, k) tallies E_k - E_j + q, in (0, 2q), into its own 2q bins;
+    # folding the two halves of each run of bins reduces the tally mod q
+    offsets = (np.arange(len(family), dtype=np.int64) * 2 * q + q)[:, None]
+    for j in range(len(family) - 1):
+        rest = len(family) - 1 - j
+        cells = exps[j + 1:] - exps[j]
+        cells += offsets[:rest]
+        counts = np.bincount(cells.ravel(), minlength=rest * 2 * q)
+        counts = counts.reshape(rest, 2, q).sum(axis=1)
+        bad = np.flatnonzero(~_vanishes(counts, q))
+        if bad.size:
+            return Verdict(False, {
+                "kind": "gram", "pair": [j, j + 1 + int(bad[0])], "order": q,
+                "counts": counts[bad[0]].tolist()})
+    if len(family) > array.base ** array.m:
         raise AssertionError("orthogonal family larger than the row count")
     return Verdict(True)
 

@@ -16,6 +16,7 @@ one. The exhaustive mode remains available as a cross-check.
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -225,11 +226,15 @@ def rebase_expand(points: PointSet, r: int) -> PointSet:
         raise ParamError(f"group size must be >= 1, got {r}")
     if r == 1:
         return points
-    root = round(points.base ** (1.0 / r))
-    base = next((c for c in (root - 1, root, root + 1) if c >= 2 and c ** r == points.base),
-                None)
-    if base is None:
+    # once r reaches the bit length of base, 2**r > base and no c >= 2 is a
+    # root; checking that first keeps every power c**r tried below small
+    if r >= points.base.bit_length():
         raise ParamError(f"base {points.base} is not a perfect {r}-th power")
+    roots = range(2, points.base + 1)
+    i = bisect.bisect_left(roots, points.base, key=lambda c: c ** r)
+    if roots[i] ** r != points.base:
+        raise ParamError(f"base {points.base} is not a perfect {r}-th power")
+    base = roots[i]
     n, s, m = points.digits.shape
     flat = points.digits.reshape(n * s * m) if m else points.digits.reshape(0)
     expanded = digit_matrix(flat, r, base).reshape(n, s, m * r)

@@ -72,9 +72,12 @@ def net_to_mooa(points: PointSet, u: int, e: EVector | Sequence[int],
     for i, (bi, cap) in enumerate(zip(beta, caps)):
         if not 1 <= bi <= cap:
             raise ParamError(f"beta[{i}]={bi} outside [1, {cap}]")
-    cols = [block_values(points.digits, i, rho * ei, ei, b)
-            for i, (ei, bi) in enumerate(zip(e, beta)) for rho in range(bi)]
-    rows = np.stack(cols, axis=1)
+    rows = np.empty((points.count, sum(beta)), dtype=np.int64)
+    col = 0
+    for i, (ei, bi) in enumerate(zip(e, beta)):
+        for rho in range(bi):
+            rows[:, col] = block_values(points.digits, i, rho * ei, ei, b)
+            col += 1
     return MixedOOA(b, m, u, e, beta, rows)
 
 

@@ -9,7 +9,9 @@ deliberately different route:
   of vectorized bincounts;
 * row-count bounds via generating-polynomial coefficients instead of
   composition recursion;
-* character sums via scalar cmath loops instead of numpy root tables;
+* character sums via scalar cmath loops, and their exact vanishing via
+  cyclotomic polynomials built from the Moebius product formula and plain long
+  division, instead of integer exponent matrices folded by rad(q);
 * text formats read and written line by line with str methods instead of
   whole-body numpy arrays.
 
@@ -264,6 +266,89 @@ def brute_gram(vectors):
          for c in range(f)]
         for a in range(f)
     ]
+
+
+def _poly_divmod(num, den):
+    """Long division of integer polynomials (lowest coefficient first) by a
+    monic divisor: (quotient, remainder)."""
+    num = list(num)
+    k = len(den) - 1
+    quot = [0] * max(len(num) - k, 1)
+    for i in range(len(num) - k - 1, -1, -1):
+        quot[i] = c = num[i + k]
+        for j, dj in enumerate(den):
+            num[i + j] -= c * dj
+    return quot, num[:k]
+
+
+def _moebius(n: int) -> int:
+    """The Moebius function mu(n), by trial division."""
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def oracle_cyclotomic(q: int):
+    """Phi_q = prod_{d | q} (x**d - 1) ** mu(q / d), lowest coefficient first."""
+    top, bottom = [1], [1]
+    for d in range(1, q + 1):
+        if q % d == 0 and _moebius(q // d):
+            factor = [-1] + [0] * (d - 1) + [1]
+            if _moebius(q // d) > 0:
+                top = _poly_mul(top, factor)
+            else:
+                bottom = _poly_mul(bottom, factor)
+    quot, rem = _poly_divmod(top, bottom)
+    assert not any(rem)
+    return quot
+
+
+def oracle_vanishes(counts, q: int) -> bool:
+    """Whether sum_t counts[t] * exp(2*pi*i*t/q) is exactly 0: Phi_q divides
+    the count polynomial."""
+    assert len(counts) == q
+    _, rem = _poly_divmod([int(c) for c in counts], oracle_cyclotomic(q))
+    return not any(rem)
+
+
+def brute_char_exponents(rows, base: int, e, beta, d_values):
+    """Characters as exponents of exp(2*pi*i/L), L = lcm of every b**e_i,
+    accumulated one digit at a time."""
+    big = math.lcm(*(base ** ei for ei in e))
+    out = []
+    for row in rows:
+        expo, col = 0, 0
+        for i, (ei, bi) in enumerate(zip(e, beta)):
+            for rho in range(bi):
+                expo += int(row[col + rho]) * int(d_values[i][rho]) * (big // base ** ei)
+            col += bi
+        out.append(expo % big)
+    return out, big
+
+
+def brute_first_gram_failure(rows, base: int, e, beta, family_values):
+    """First pair j < k (combinations order) whose Gram entry is not exactly 0,
+    or None: rows are tallied by exponent difference mod L and the tally
+    tested with :func:`oracle_vanishes`."""
+    exps = [brute_char_exponents(rows, base, e, beta, d) for d in family_values]
+    seen = {}
+    for j, k in itertools.combinations(range(len(exps)), 2):
+        (ej, big), (ek, _) = exps[j], exps[k]
+        counts = [0] * big
+        for a, c in zip(ej, ek):
+            counts[(c - a) % big] += 1
+        key = tuple(counts)
+        if key not in seen:
+            seen[key] = oracle_vanishes(counts, big)
+        if not seen[key]:
+            return j, k
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -360,7 +360,7 @@ class TestDualCert:
         mooa = self._mooa(capsys, ham_net, tmp_path)
         code, out, _ = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
         assert code == EXIT_PASS
-        assert out.startswith("dual-cert: PASS (kappa=(3, 0), family=8 <= b^m=8")
+        assert out == "dual-cert: PASS (kappa=(3, 0), family=8 <= b^m=8)\n"
 
     def test_tuples_file(self, capsys, ham_net, tmp_path):
         mooa = self._mooa(capsys, ham_net, tmp_path)
@@ -385,18 +385,20 @@ class TestDualCert:
         p.write_text(text)
         code, out, _ = run(capsys, "dual-cert", str(p), "--kappa", "0,3")
         assert code == EXIT_FAIL
-        assert out.startswith("dual-cert: FAIL kind=gram")
+        assert out == ("dual-cert: FAIL kind=gram pair=(0, 1) order=2 counts=(3, 5) "
+                       "(kappa=(0, 3))\n")
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1"])
     def test_unusable_tolerance_is_usage_error(self, capsys, bad_net, tmp_path, tol):
-        # NaN or infinity would otherwise pass this failing certificate
+        # the certificate is exact: --tol is no longer an option at all
         _, text, _ = run(capsys, "to-mooa", bad_net)
         p = tmp_path / "bad.mooa"
         p.write_text(text)
-        code, out, err = run(capsys, "dual-cert", str(p), "--kappa", "0,3",
-                             f"--tol={tol}")
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: tol must be finite and >= 0")
+        with pytest.raises(SystemExit) as err:
+            main(["dual-cert", str(p), "--kappa", "0,3", f"--tol={tol}"])
+        assert err.value.code == EXIT_USAGE
+        out, err_text = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --tol" in err_text
 
     def test_json_report(self, capsys, ham_net, tmp_path):
         mooa = self._mooa(capsys, ham_net, tmp_path)
@@ -405,6 +407,18 @@ class TestDualCert:
         assert code == EXIT_PASS
         assert data["pass"] is True and data["family_size"] == 8
         assert data["row_bound"] == 8 and data["witness"] is None
+        assert set(data) == {"pass", "family_size", "row_bound", "witness"}
+
+    def test_json_failure_witness(self, capsys, bad_net, tmp_path):
+        _, text, _ = run(capsys, "to-mooa", bad_net)
+        p = tmp_path / "bad.mooa"
+        p.write_text(text)
+        code, out, _ = run(capsys, "dual-cert", str(p), "--kappa", "0,3", "--json")
+        data = json.loads(out)
+        assert code == EXIT_FAIL and data["pass"] is False
+        assert set(data) == {"pass", "family_size", "row_bound", "witness"}
+        assert data["witness"] == {"kind": "gram", "pair": [0, 1], "order": 2,
+                                   "counts": [3, 5]}
 
 
 class TestReport:

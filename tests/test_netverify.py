@@ -363,3 +363,21 @@ class TestProjectAndRebase:
             rebase_expand(ham23, 2)    # base 2 is not a square
         assert rebase_compress(ham23, 1) is ham23
         assert rebase_expand(ham23, 1) is ham23
+
+    def test_rebase_expand_refuses_huge_group_at_once(self):
+        import time
+        p4 = rebase_compress(corpus.hammersley(2, 4), 2)
+        start = time.perf_counter()
+        with pytest.raises(ParamError, match="not a perfect 1000000000000-th power"):
+            rebase_expand(p4, 10 ** 12)
+        assert time.perf_counter() - start < 1.0
+        for r in (3, 4):  # 2**r > 4: refused before any root is tried
+            with pytest.raises(ParamError):
+                rebase_expand(p4, r)
+        with pytest.raises(ParamError, match="base 8 is not a perfect 2-th power"):
+            rebase_expand(rebase_compress(corpus.hammersley(2, 3), 3), 2)
+
+    @pytest.mark.parametrize("base,r", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (6, 2), (7, 3)])
+    def test_rebase_expand_finds_integer_root(self, base, r):
+        p = corpus.hammersley(base, r)
+        assert rebase_expand(rebase_compress(p, r), r) == p

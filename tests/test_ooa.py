@@ -93,6 +93,18 @@ class TestNetToMooa:
         with pytest.raises(ParamError):
             net_to_mooa(PointSet(2, ham23.digits[:4]), 0, (1, 1))
 
+    def test_peak_memory_is_about_the_rows(self):
+        import tracemalloc
+        points = corpus.hammersley(2, 14)
+        tracemalloc.start()
+        try:
+            arr = net_to_mooa(points, 0, (1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.rows.shape == (2 ** 14, 28)
+        assert peak <= 1.25 * arr.rows.nbytes
+
 
 class TestVerifyMooa:
     def test_reference_array_passes(self, ham23):
