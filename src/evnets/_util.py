@@ -7,6 +7,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# Largest array of order b**m (a digit tensor, an exponent matrix) the
+# package will allocate, in bytes.
+_BYTES_CAP = 1 << 30
+
 
 def block_values(digits: np.ndarray, coord: int, start: int, width: int, base: int) -> np.ndarray:
     """Integer encoded by digit positions [start, start+width) of one coordinate.

@@ -67,24 +67,15 @@ def _as_pairs(sig: "Signature | Pairs") -> list[tuple[int, int]]:
     return pairs
 
 
-def _weighted_sum(ks: Sequence[int], ys: Sequence[int], j: int) -> int:
-    """Sum over (r_1, ..., r_v) with sum r_h = j of prod C(k_h, r_h) * y_h**r_h."""
-    total = 0
-    v = len(ks)
-
-    def rec(h: int, remaining: int, acc: int) -> None:
-        nonlocal total
-        if h == v:
-            if remaining == 0:
-                total += acc
-            return
-        for r in range(remaining + 1):
-            c = comb(ks[h], r) if r <= ks[h] else 0
-            if c:
-                rec(h + 1, remaining - r, acc * c * ys[h] ** r)
-
-    rec(0, j, 1)
-    return total
+def _esym(pairs: Pairs, g: int) -> list[int]:
+    """Elementary symmetric sums e_0, ..., e_g of the multiset holding k copies
+    of l - 1 for each (l, k): the coefficients of prod (1 + (l-1)X)**k up to
+    X**g."""
+    coeffs = [1] + [0] * g
+    for l, k in pairs:
+        factor = [comb(k, r) * (l - 1) ** r for r in range(g + 1)]
+        coeffs = [sum(coeffs[i] * factor[j - i] for i in range(j + 1)) for j in range(g + 1)]
+    return coeffs
 
 
 def rao_rhs(sig: "Signature | Pairs", t: int) -> int:
@@ -100,15 +91,12 @@ def rao_rhs(sig: "Signature | Pairs", t: int) -> int:
     if t < 0:
         raise ParamError(f"strength must be >= 0, got {t}")
     g, odd = divmod(t, 2)
-    ls = [l for l, _ in pairs]
-    ks = [k for _, k in pairs]
-    ys = [l - 1 for l in ls]
-    total = sum(_weighted_sum(ks, ys, j) for j in range(g + 1))
+    total = sum(_esym(pairs, g))
     if odd:
         if not pairs:
             raise ParamError("odd strength needs at least one column")
-        ks_reduced = ks[:-1] + [ks[-1] - 1]
-        total += ys[-1] * _weighted_sum(ks_reduced, ys, g)
+        l, k = pairs[-1]
+        total += (l - 1) * _esym(pairs[:-1] + [(l, k - 1)], g)[g]
     return total
 
 
@@ -117,18 +105,6 @@ def rao_feasible(n_rows: int, sig: "Signature | Pairs", t: int) -> bool:
     if n_rows < 1:
         raise ParamError(f"row count must be >= 1, got {n_rows}")
     return n_rows >= rao_rhs(sig, t)
-
-
-def _esym_prefix(ys: Sequence[int], gmax: int) -> list[int]:
-    """Elementary symmetric sums e_0, ..., e_gmax of ys (coefficients of
-    prod (1 + y*X) up to degree gmax)."""
-    coeffs = [1] + [0] * gmax
-    count = 0
-    for y in ys:
-        count += 1
-        for j in range(min(count, gmax), 0, -1):
-            coeffs[j] += y * coeffs[j - 1]
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -181,22 +157,15 @@ def net_rao_check(b: int, m: int, e: EVector | Sequence[int], g: int,
         raise ParamError(f"m must be >= 0, got {m}")
     if not e.is_sorted:
         raise ParamError(f"e-vector must be sorted ascending, got {e.e}")
-    s = e.s
-    ys = [b ** ei - 1 for ei in e]
-    if parity == "even":
-        if not 1 <= g <= s // 2:
-            raise ParamError(f"even check needs 1 <= g <= s/2, got g={g}, s={s}")
-        threshold = sum(e.e[s - 2 * g :])
-        esym = _esym_prefix(ys, g)
-        lhs = sum(esym[1 : g + 1])
-    elif parity == "odd":
-        if not 1 <= g <= (s - 1) // 2:
-            raise ParamError(f"odd check needs 1 <= g <= (s-1)/2, got g={g}, s={s}")
-        threshold = sum(e.e[s - (2 * g + 1) :])
-        esym = _esym_prefix(ys, g)
-        lhs = sum(esym[1 : g + 1]) + ys[-1] * _esym_prefix(ys[:-1], g)[g]
-    else:
+    if parity not in ("even", "odd"):
         raise ParamError(f"parity must be 'even' or 'odd', got {parity!r}")
+    s = e.s
+    t = 2 * g + (parity == "odd")
+    if not 1 <= g <= (s - t % 2) // 2:
+        span = "s/2" if parity == "even" else "(s-1)/2"
+        raise ParamError(f"{parity} check needs 1 <= g <= {span}, got g={g}, s={s}")
+    threshold = sum(e.e[s - t :])
+    lhs = rao_rhs(Signature.from_alphabets([b ** ei for ei in e]), t) - 1
     rhs = b ** m - 1
     applicable = m >= threshold
     return Condition(
@@ -230,15 +199,12 @@ def seq_kr_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
     return out
 
 
-def seq_lcm_check(b: int, e: EVector | Sequence[int],
-                  dominance_filter: bool = False) -> list[Condition]:
+def seq_lcm_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
     """Joint coordinate budget over value subsets.
 
     For every nonempty subset {r_1, ..., r_w} of distinct e-values with
     L = lcm(r_1, ..., r_w), the coordinates carrying those values must number
-    at most b**L. Singleton subsets reproduce :func:`seq_kr_check`. With
-    ``dominance_filter`` subsets implied by a superset with the same lcm are
-    dropped (off by default so every subset stays auditable).
+    at most b**L. Singleton subsets reproduce :func:`seq_kr_check`.
     """
     e = EVector.coerce(e)
     if b < 2:
@@ -247,15 +213,6 @@ def seq_lcm_check(b: int, e: EVector | Sequence[int],
     values = sorted(counts)
     subsets = [sub for w in range(1, len(values) + 1)
                for sub in itertools.combinations(values, w)]
-    if dominance_filter:
-        kept = []
-        for sub in subsets:
-            lsub = lcm(*sub)
-            implied = any(set(sub) < set(other) and lcm(*other) == lsub
-                          for other in subsets)
-            if not implied:
-                kept.append(sub)
-        subsets = kept
     out = []
     for sub in subsets:
         big_l = lcm(*sub)
@@ -314,6 +271,10 @@ def feasibility_report(b: int, m: int, e: EVector | Sequence[int],
     e = EVector.coerce(e)
     if target not in ("net", "sequence"):
         raise ParamError(f"target must be 'net' or 'sequence', got {target!r}")
+    if b < 2:
+        raise ParamError(f"base must be >= 2, got {b}")
+    if m < 0:
+        raise ParamError(f"m must be >= 0, got {m}")
     e_sorted, _ = e.sorted()
     s = e_sorted.s
     conditions: list[Condition] = []

@@ -75,6 +75,22 @@ def _fmt_witness(witness: dict) -> str:
     return " ".join(f"{k}={_fmt_value(v)}" for k, v in witness.items())
 
 
+def _verdict(args, name: str, verdict, fields: dict, context: str, extra: str) -> int:
+    """Print a verdict and return its exit code.
+
+    With --json: ``{"pass", **fields, "witness"}``. Otherwise one line,
+    ``NAME: PASS (context, extra)`` or ``NAME: FAIL <witness> (context)``.
+    """
+    witness = dict(verdict.witness) if verdict.witness else None
+    if args.json:
+        _emit_json({"pass": verdict.passed, **fields, "witness": witness})
+    elif verdict:
+        print(f"{name}: PASS ({context}, {extra})")
+    else:
+        print(f"{name}: FAIL {_fmt_witness(witness)} ({context})")
+    return EXIT_PASS if verdict else EXIT_FAIL
+
+
 # ---------------------------------------------------------------- generators
 
 def cmd_gen(args) -> int:
@@ -128,33 +144,18 @@ def cmd_verify_net(args) -> int:
     verdict = netverify.verify_net(points, u, e, args.variant, args.mode)
     n_shapes = len(netverify.check_shapes(points.precision, u, e, args.variant,
                                           args.mode))
-    if args.json:
-        _emit_json({"pass": verdict.passed, "variant": args.variant,
-                    "checked_shapes": n_shapes,
-                    "witness": dict(verdict.witness) if verdict.witness else None})
-    elif verdict:
-        print(f"verify-net: PASS (variant={args.variant}, mode={args.mode}, "
-              f"u={u}, shapes={n_shapes})")
-    else:
-        print(f"verify-net: FAIL {_fmt_witness(dict(verdict.witness))} "
-              f"(variant={args.variant}, mode={args.mode}, u={u})")
-    return EXIT_PASS if verdict else EXIT_FAIL
+    return _verdict(args, "verify-net", verdict,
+                    {"variant": args.variant, "checked_shapes": n_shapes},
+                    f"variant={args.variant}, mode={args.mode}, u={u}", f"shapes={n_shapes}")
 
 
 def cmd_verify_seq(args) -> int:
     points, u, e = _load_net(args)
     m_max = args.m_max if args.m_max is not None else points.precision
     verdict = netverify.verify_sequence_prefix(points, u, e, m_max, args.mode)
-    if args.json:
-        _emit_json({"pass": verdict.passed, "u": u, "m_max": m_max,
-                    "points": points.count,
-                    "witness": dict(verdict.witness) if verdict.witness else None})
-    elif verdict:
-        print(f"verify-seq: PASS (u={u}, m_max={m_max}, points={points.count})")
-    else:
-        print(f"verify-seq: FAIL {_fmt_witness(dict(verdict.witness))} "
-              f"(u={u}, m_max={m_max})")
-    return EXIT_PASS if verdict else EXIT_FAIL
+    return _verdict(args, "verify-seq", verdict,
+                    {"u": u, "m_max": m_max, "points": points.count},
+                    f"u={u}, m_max={m_max}", f"points={points.count}")
 
 
 # --------------------------------------------------------------- array views
@@ -173,21 +174,13 @@ def cmd_verify_moa(args) -> int:
     array = formats.parse_moa(_read_input(args.file))
     t = args.t if args.t is not None else array.strength
     verdict = oa.verify_moa(array, t)
-    if args.json:
-        _emit_json({"pass": verdict.passed, "t": t,
-                    "witness": dict(verdict.witness) if verdict.witness else None})
-    elif verdict:
-        print(f"verify-moa: PASS (t={t}, runs={array.runs}, k={array.k})")
-    else:
-        print(f"verify-moa: FAIL {_fmt_witness(dict(verdict.witness))} (t={t})")
-    return EXIT_PASS if verdict else EXIT_FAIL
+    return _verdict(args, "verify-moa", verdict, {"t": t},
+                    f"t={t}", f"runs={array.runs}, k={array.k}")
 
 
 def cmd_to_mooa(args) -> int:
-    net = formats.parse_net(_read_input(args.file))
-    u = args.u if args.u is not None else net.u
-    e = EVector.coerce(args.e) if args.e is not None else net.e
-    array = ooa.net_to_mooa(net.points, u, e, args.beta)
+    points, u, e = _load_net(args)
+    array = ooa.net_to_mooa(points, u, e, args.beta)
     _write_output(args, formats.serialize_mooa(array))
     return EXIT_PASS
 
@@ -197,17 +190,9 @@ def cmd_verify_mooa(args) -> int:
     verdict = ooa.verify_mooa(array, args.mode)
     n_profiles = len(ooa.enumerate_profiles(array.m, array.u, array.e, array.beta,
                                             args.mode))
-    if args.json:
-        _emit_json({"pass": verdict.passed, "mode": args.mode,
-                    "checked_profiles": n_profiles,
-                    "witness": dict(verdict.witness) if verdict.witness else None})
-    elif verdict:
-        print(f"verify-mooa: PASS (mode={args.mode}, profiles={n_profiles}, "
-              f"strength={array.m - array.u})")
-    else:
-        print(f"verify-mooa: FAIL {_fmt_witness(dict(verdict.witness))} "
-              f"(mode={args.mode})")
-    return EXIT_PASS if verdict else EXIT_FAIL
+    return _verdict(args, "verify-mooa", verdict,
+                    {"mode": args.mode, "checked_profiles": n_profiles},
+                    f"mode={args.mode}", f"profiles={n_profiles}, strength={array.m - array.u}")
 
 
 def cmd_from_mooa(args) -> int:
@@ -268,16 +253,9 @@ def cmd_dual_cert(args) -> int:
             family = formats.parse_function_tuples(fh.read(), array)
         source = f"tuples={len(family)}"
     verdict = dualcert.gram_certificate(array, family)
-    if args.json:
-        _emit_json({"pass": verdict.passed, "family_size": len(family),
-                    "row_bound": array.base ** array.m,
-                    "witness": dict(verdict.witness) if verdict.witness else None})
-    elif verdict:
-        print(f"dual-cert: PASS ({source}, family={len(family)} <= "
-              f"b^m={array.base ** array.m})")
-    else:
-        print(f"dual-cert: FAIL {_fmt_witness(dict(verdict.witness))} ({source})")
-    return EXIT_PASS if verdict else EXIT_FAIL
+    bound = array.base ** array.m
+    return _verdict(args, "dual-cert", verdict, {"family_size": len(family), "row_bound": bound},
+                    source, f"family={len(family)} <= b^m={bound}")
 
 
 # -------------------------------------------------------------------- report
@@ -287,7 +265,7 @@ def cmd_report(args) -> int:
     points, u, e = net.points, net.u, net.e
     b, m, s = points.base, points.precision, points.dim
     verdict = netverify.verify_net(points, u, e, args.variant, "maximal")
-    star = netverify.u_star(points, e, args.variant, "maximal", "auto")
+    star = netverify.u_star(points, e, args.variant, "maximal")
     array = oa.net_to_moa(points, e) if m >= max(e) else None
     strength = oa.max_strength(array) if array is not None else None
     mooa_ok = None

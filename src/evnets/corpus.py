@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import PrefixTable, digit_matrix
+from ._util import _BYTES_CAP, PrefixTable, digit_matrix
 from .core import EVector, PointSet
 from .errors import ParamError
 from .netverify import enumerate_shapes, verify_net
@@ -20,8 +20,6 @@ __all__ = [
 
 # Keep exhaustive searches at desk scale: candidate points per placement.
 _SEARCH_CANDIDATE_CAP = 1 << 16
-# Largest (b**m, s, m) int64 digit tensor a generator will allocate.
-_DIGIT_BYTES_CAP = 1 << 30
 
 
 def _check_bm(b: int, m: int, s: int) -> None:
@@ -34,12 +32,12 @@ def _check_bm(b: int, m: int, s: int) -> None:
     b, m, s = int(b), int(m), int(s)
     if m * (b.bit_length() - 1) > 64:  # b**m >= 2**64: skip the huge power
         size = f"over 2**{m * (b.bit_length() - 1)}"
-    elif b ** m * s * m * 8 > _DIGIT_BYTES_CAP:
+    elif b ** m * s * m * 8 > _BYTES_CAP:
         size = str(b ** m * s * m * 8)
     else:
         return
     raise ParamError(f"{b}**{m} points with s={s}, m={m} need {size} bytes of digits, "
-                     f"above the cap of {_DIGIT_BYTES_CAP} bytes")
+                     f"above the cap of {_BYTES_CAP} bytes")
 
 
 def _is_prime(n: int) -> bool:

@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._util import _BYTES_CAP
 from .core import EVector, MixedOOA, Verdict
 from .errors import ParamError
 
@@ -230,11 +231,17 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     "order": q, "counts": c}``: c[t] rows have E_k - E_j = t mod q, and
     sum_t c[t] zeta_q**t != 0. A passing verdict certifies the family has
     at most b**m members; the defensive check at the end cannot fire for a
-    true Gram identity.
+    true Gram identity. A family whose int64 exponent matrix (one row per
+    member, one column per array row) would pass the package's byte cap is
+    refused with ``ParamError`` before either pass.
     """
     family = list(family)
     for d in family:
         _check_array_frame(array, d)
+    size = len(family) * array.runs * 8
+    if size > _BYTES_CAP:
+        raise ParamError(f"a family of {len(family)} tuples on {array.runs} rows needs "
+                         f"{size} bytes of exponents, above the cap of {_BYTES_CAP} bytes")
     residues = _stack(array, family)
     tall = _first_tall_pair(array, residues)
     if tall is not None:

@@ -50,7 +50,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import EVector, MixedOA, MixedOOA, PointSet
-from .errors import FormatError
+from .errors import FormatError, ParamError
 
 __all__ = [
     "DIGIT_CHARS", "NetFile",
@@ -294,11 +294,11 @@ def serialize_net(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> str
     e = EVector.coerce(e)
     b, m, s = points.base, points.precision, points.dim
     if b > 36:
-        raise FormatError(f"base {b} exceeds 36, not representable with digit characters")
+        raise ParamError(f"base {b} exceeds 36, not representable with digit characters")
     if e.s != s:
-        raise FormatError(f"e-vector has {e.s} entries, point set has {s} coordinates")
+        raise ParamError(f"e-vector has {e.s} entries, point set has {s} coordinates")
     if not 0 <= u <= m:
-        raise FormatError(f"claimed u={u} outside [0, {m}]")
+        raise ParamError(f"claimed u={u} outside [0, {m}]")
     header = f"NET v1\nbase {b} m {m} s {s} u {u}\ne {' '.join(str(v) for v in e)}\n"
     # Each coordinate's m digit characters plus its separator: a space, or
     # the LF ending the point.

@@ -102,6 +102,20 @@ def check_shapes(m: int, u: int, e: EVector | Sequence[int], variant: Variant = 
     return [d for d in enumerate_shapes(m, u, e, "all") if sum(d) == m - u]
 
 
+def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str,
+               mode: str) -> EVector:
+    """Check the arguments every quality check shares; return e coerced."""
+    e = EVector.coerce(e)
+    _check_variant(variant)
+    _check_mode(mode)
+    if e.s != points.dim:
+        raise ParamError(f"e-vector has {e.s} entries, point set has {points.dim}")
+    if points.count != points.base ** points.precision:
+        raise ParamError(f"net candidates need base**m = {points.base ** points.precision} "
+                         f"points, got {points.count}")
+    return e
+
+
 def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
                variant: Variant = "narrow", mode: Mode = "maximal") -> Verdict:
     """Exhaustively check the quality-u equidistribution property.
@@ -110,15 +124,8 @@ def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
     failure) names the first offending shape and box in lexicographic
     enumeration order; no later shape is examined.
     """
-    e = EVector.coerce(e)
-    _check_variant(variant)
-    _check_mode(mode)
-    if e.s != points.dim:
-        raise ParamError(f"e-vector has {e.s} entries, point set has {points.dim}")
+    e = _check_net(points, e, variant, mode)
     b, m = points.base, points.precision
-    if points.count != b ** m:
-        raise ParamError(f"net candidates need base**m = {b ** m} points, "
-                         f"got {points.count}")
     if not 0 <= u <= m:
         raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
     shapes = check_shapes(m, u, e, variant, mode)
@@ -133,31 +140,18 @@ def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
 
 
 def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "narrow",
-           mode: Mode = "maximal", scan: Literal["auto", "binary", "linear"] = "auto") -> int:
+           mode: Mode = "maximal") -> int:
     """Smallest u at which the point set verifies; u = m always passes.
 
-    Binary search relies on quality degrading monotonically (passing at u
-    implies passing at every v >= u), which holds for the narrow reading
-    because raising u only shrinks the set of checked shapes. The tezuka
-    reading replaces the shape set rather than shrinking it, so only the
-    linear scan is sound there.
+    The narrow reading is bisected: raising u only shrinks the set of checked
+    shapes, so passing at u implies passing at every v >= u. The tezuka
+    reading replaces the shape set rather than shrinking it, so it tries
+    u = 0, 1, ... in turn and stops at the first pass.
     """
-    _check_variant(variant)
-    if scan == "auto":
-        scan = "binary" if variant == "narrow" else "linear"
-    if scan == "binary" and variant != "narrow":
-        raise ParamError("binary search requires the narrow variant")
-    if scan not in ("binary", "linear"):
-        raise ParamError(f"scan must be 'auto', 'binary' or 'linear', got {scan!r}")
-    m = points.precision
-    if scan == "linear":
-        for u in range(m + 1):
-            if verify_net(points, u, e, variant, mode):
-                return u
-        raise AssertionError("u = m cannot fail")  # single full-cube box
-    lo, hi = 0, m
+    _check_net(points, e, variant, mode)
+    lo, hi = 0, points.precision
     while lo < hi:
-        mid = (lo + hi) // 2
+        mid = (lo + hi) // 2 if variant == "narrow" else lo
         if verify_net(points, mid, e, variant, mode):
             hi = mid
         else:
@@ -178,6 +172,8 @@ def verify_sequence_prefix(prefix: PointSet, u: int, e: EVector | Sequence[int],
     e = EVector.coerce(e)
     if u < 0:
         raise ParamError(f"u must be >= 0, got {u}")
+    if m_max < 0:
+        raise ParamError(f"m_max must be >= 0, got {m_max}")
     if m_max > prefix.precision:
         raise PrecisionError(f"m_max={m_max} exceeds the {prefix.precision} digits carried")
     b = prefix.base

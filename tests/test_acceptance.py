@@ -21,6 +21,8 @@ from evnets import (
 from evnets import corpus
 from evnets.cli import main as cli_main
 
+import oracles
+
 
 @contextmanager
 def criterion(n, label, budget_s=60.0):
@@ -111,8 +113,9 @@ def test_criterion_3_mode_agreement_and_u_star():
             for u in range(points.precision + 1):
                 assert bool(verify_net(points, u, e, "narrow", "maximal")) == \
                     bool(verify_net(points, u, e, "narrow", "all"))
-            assert u_star(points, e, scan="binary") == \
-                u_star(points, e, scan="linear")
+            for variant in ("narrow", "tezuka"):
+                assert u_star(points, e, variant) == \
+                    oracles.brute_u_star(points, e, variant)
 
 
 def test_criterion_4_lumping_invariance():

@@ -196,13 +196,6 @@ class TestSequenceConditions:
         joint = next(c for c in conds if c.name == "lcm-{2,3}")
         assert joint.rhs == 64 and joint.lhs == 3 and joint.satisfied
 
-    def test_dominance_filter_drops_implied_subsets(self):
-        full = {c.name for c in seq_lcm_check(2, (1, 2))}
-        kept = {c.name for c in seq_lcm_check(2, (1, 2), dominance_filter=True)}
-        # {2} is implied by {1,2} (same lcm, superset), {1} is not
-        assert full == {"lcm-{1}", "lcm-{2}", "lcm-{1,2}"}
-        assert kept == {"lcm-{1}", "lcm-{1,2}"}
-
     def test_singleton_subsets_match_kr(self):
         e = (1, 1, 3, 3, 3)
         kr = {c.detail["value"]: (c.lhs, c.rhs, c.satisfied) for c in seq_kr_check(2, e)}
@@ -263,3 +256,12 @@ class TestFeasibilityReport:
     def test_target_validation(self):
         with pytest.raises(ParamError):
             feasibility_report(2, 3, (1, 1), "lattice")
+
+    @pytest.mark.parametrize("target", ["net", "sequence"])
+    @pytest.mark.parametrize("e", [(1,), (1, 1, 2)])
+    def test_base_and_m_validated_for_every_s(self, target, e):
+        # with s = 1 no row-count check runs, so these are checked up front
+        with pytest.raises(ParamError, match="base must be >= 2, got 1"):
+            feasibility_report(1, 3, e, target)
+        with pytest.raises(ParamError, match="m must be >= 0, got -5"):
+            feasibility_report(2, -5, e, target)

@@ -3,15 +3,17 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import evnets
-from evnets import EVector, corpus, serialize_net
+from evnets import EVector, corpus, dualcert, serialize_net
 from evnets.cli import EXIT_FAIL, EXIT_FORMAT, EXIT_INCONCLUSIVE, EXIT_PASS, \
-    EXIT_USAGE, evector_arg, int_list_arg, main
+    EXIT_USAGE, build_parser, evector_arg, int_list_arg, main
 
 
 def run(capsys, *argv):
@@ -117,6 +119,11 @@ class TestGen:
         assert err == ("error: 3**30 points with s=2, m=30 need 98827743405431520 bytes "
                        "of digits, above the cap of 1073741824 bytes\n")
 
+    def test_base_above_36_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "gen", "grid", "--base", "37", "--m", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: base 37 exceeds 36, not representable with digit characters\n"
+
     def test_search_inconclusive(self, capsys):
         code, _, err = run(capsys, "gen", "search", "--base", "2", "--m", "2",
                            "--s", "4", "--e", "1x4", "--u", "0",
@@ -193,7 +200,25 @@ class TestVerifySeq:
         badp.write_text(serialize_net(PointSet(2, digits), 0, EVector((1,))))
         code, out, _ = run(capsys, "verify-seq", str(badp), "--m-max", "4")
         assert code == EXIT_FAIL
-        assert "g=0" in out and "m=3" in out
+        assert out == ("verify-seq: FAIL g=0 m=3 net_witness={shape=(3) box=(0) "
+                       "observed=2 expected=1} (u=0, m_max=4)\n")
+        code, out, _ = run(capsys, "verify-seq", str(badp), "--m-max", "4", "--json")
+        assert code == EXIT_FAIL
+        assert list(json.loads(out)) == ["pass", "u", "m_max", "points", "witness"]
+        assert json.loads(out) == {
+            "pass": False, "u": 0, "m_max": 4, "points": 16,
+            "witness": {"g": 0, "m": 3, "net_witness": {
+                "shape": [3], "box": [0], "observed": 2, "expected": 1}}}
+        code, out, _ = run(capsys, "verify-seq", str(good), "--m-max", "4", "--json")
+        assert code == EXIT_PASS
+        assert out == json.dumps({"pass": True, "u": 0, "m_max": 4, "points": 16,
+                                  "witness": None}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("m_max", ["-1", "-3"])
+    def test_negative_m_max_is_usage_error(self, capsys, ham_net, m_max):
+        code, out, err = run(capsys, "verify-seq", ham_net, "--m-max", m_max)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: m_max must be >= 0, got {m_max}\n"
 
 
 class TestMoaCommands:
@@ -225,9 +250,18 @@ class TestMoaCommands:
         moa.write_text(text)
         code, out, _ = run(capsys, "verify-moa", str(moa))
         assert code == EXIT_FAIL
-        assert out.startswith("verify-moa: FAIL columns=(0, 1)")
-        code, _, _ = run(capsys, "verify-moa", str(moa), "--t", "1")
+        assert out == ("verify-moa: FAIL columns=(0, 1) tuple=(0, 0) observed=2 "
+                       "expected=1 (t=2)\n")
+        code, out, _ = run(capsys, "verify-moa", str(moa), "--json")
+        assert code == EXIT_FAIL
+        assert list(json.loads(out)) == ["pass", "t", "witness"]
+        assert json.loads(out) == {"pass": False, "t": 2, "witness": {
+            "columns": [0, 1], "tuple": [0, 0], "observed": 2, "expected": 1}}
+        code, out, _ = run(capsys, "verify-moa", str(moa), "--t", "1")
         assert code == EXIT_PASS
+        assert out == "verify-moa: PASS (t=1, runs=4, k=2)\n"
+        code, out, _ = run(capsys, "verify-moa", str(moa), "--t", "1", "--json")
+        assert out == json.dumps({"pass": True, "t": 1, "witness": None}, indent=2) + "\n"
 
 
 class TestFormatErrorsExitThree:
@@ -274,6 +308,30 @@ class TestMooaCommands:
         assert code == EXIT_PASS
         # maximal profiles at budget 3 with beta=(3,3): all splits of 3
         assert out == "verify-mooa: PASS (mode=maximal, profiles=4, strength=3)\n"
+
+    def test_verify_mooa_failure_forms(self, capsys, bad_net, tmp_path):
+        _, mooa_text, _ = run(capsys, "to-mooa", bad_net)
+        mooa = tmp_path / "bad.mooa"
+        mooa.write_text(mooa_text)
+        code, out, _ = run(capsys, "verify-mooa", str(mooa))
+        assert code == EXIT_FAIL
+        assert out == ("verify-mooa: FAIL profile=(0, 3) tuple=(0, 0, 0) observed=0 "
+                       "expected=1 (mode=maximal)\n")
+        code, out, _ = run(capsys, "verify-mooa", str(mooa), "--json")
+        assert code == EXIT_FAIL
+        assert list(json.loads(out)) == ["pass", "mode", "checked_profiles", "witness"]
+        assert json.loads(out) == {
+            "pass": False, "mode": "maximal", "checked_profiles": 4,
+            "witness": {"profile": [0, 3], "tuple": [0, 0, 0], "observed": 0,
+                        "expected": 1}}
+
+    def test_from_mooa_base_above_36_is_usage_error(self, capsys, tmp_path):
+        mooa = tmp_path / "b37.mooa"
+        mooa.write_text("MOOA v1\nbase 37 m 1 s 1 u 0\ne 1\nbeta 1\n"
+                        + "".join(f"{i}\n" for i in range(37)))
+        code, out, err = run(capsys, "from-mooa", str(mooa))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: base 37 exceeds 36, not representable with digit characters\n"
 
     def test_from_mooa_refuses_failing_array(self, capsys, bad_net, tmp_path):
         _, mooa_text, _ = run(capsys, "to-mooa", bad_net)
@@ -337,6 +395,17 @@ class TestBoundsCommands:
         assert code == EXIT_PASS
         assert out.splitlines()[-1].startswith("feasible: FEASIBLE")
         assert any("lcm-{1,2}" in line for line in out.splitlines())
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--base", "1", "--m", "3", "--e", "1"), "base must be >= 2, got 1"),
+        (("--base", "2", "--m", "-5", "--e", "1"), "m must be >= 0, got -5"),
+        (("--base", "1", "--m", "3", "--e", "1", "--target", "sequence"),
+         "base must be >= 2, got 1"),
+    ])
+    def test_feasible_nonsense_parameters_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "feasible", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
 
     def test_feasible_json(self, capsys):
         code, out, _ = run(capsys, "feasible", "--base", "2", "--m", "2",
@@ -409,6 +478,17 @@ class TestDualCert:
         assert data["row_bound"] == 8 and data["witness"] is None
         assert set(data) == {"pass", "family_size", "row_bound", "witness"}
 
+    def test_exponent_matrix_above_the_cap_is_usage_error(self, capsys, ham_net, tmp_path,
+                                                           monkeypatch):
+        # the real cap is 1 GiB (hammersley(2,14) at kappa (7,7) needs 2 GiB);
+        # a lowered cap keeps a broken check from allocating that much here
+        mooa = self._mooa(capsys, ham_net, tmp_path)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 8 * 8 * 8 - 1)
+        code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: a family of 8 tuples on 8 rows needs 512 bytes of exponents, "
+                       "above the cap of 511 bytes\n")
+
     def test_json_failure_witness(self, capsys, bad_net, tmp_path):
         _, text, _ = run(capsys, "to-mooa", bad_net)
         p = tmp_path / "bad.mooa"
@@ -446,3 +526,37 @@ class TestReport:
         assert data["moa"] == {"alphabets": [2, 2], "max_strength": 2}
         assert data["mooa_at_u_star"] == {"pass": True, "beta": [3, 3]}
         assert data["feasibility"]["feasible"] is True
+
+
+class TestReadmeSynopsis:
+    @staticmethod
+    def _synopsis():
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        return [line.split() for line in block.splitlines() if line.startswith("evnets ")]
+
+    @staticmethod
+    def _subparsers():
+        parser = build_parser()
+        return next(a for a in parser._actions if hasattr(a, "choices") and a.choices).choices
+
+    def test_every_subcommand_is_listed(self):
+        assert sorted(words[1] for words in self._synopsis()) == sorted(self._subparsers())
+
+    def test_every_synopsis_flag_is_accepted(self):
+        subparsers = self._subparsers()
+        for words in self._synopsis():
+            options = subparsers[words[1]]._option_string_actions
+            for flag in re.findall(r"--[a-z][a-z-]*", " ".join(words[2:])):
+                assert flag in options, (words[1], flag)
+
+    def test_every_flag_is_in_the_synopsis(self):
+        # gen's line elides its generator-specific flags with "..."
+        subparsers = self._subparsers()
+        for words in self._synopsis():
+            if words[1] == "gen":
+                continue
+            shown = set(re.findall(r"--[a-z][a-z-]*", " ".join(words[2:])))
+            flags = {f for f in subparsers[words[1]]._option_string_actions
+                     if f.startswith("--") and f != "--help"}
+            assert flags <= shown, (words[1], flags - shown)

@@ -96,7 +96,7 @@ class TestGenerators:
 
     def test_digit_tensor_at_the_cap_is_built(self, monkeypatch):
         import evnets.corpus as corpus
-        monkeypatch.setattr(corpus, "_DIGIT_BYTES_CAP", 2 ** 4 * 2 * 4 * 8)
+        monkeypatch.setattr(corpus, "_BYTES_CAP", 2 ** 4 * 2 * 4 * 8)
         assert hammersley(2, 4).count == 16
         with pytest.raises(ParamError):
             hammersley(2, 5)

@@ -11,7 +11,7 @@ from evnets import (
     build_block_family, char_exponents, diff, enumerate_profiles,
     gram_certificate, height, net_to_mooa, profile,
 )
-from evnets import corpus
+from evnets import corpus, dualcert
 from evnets.dualcert import _vanishes
 from evnets.errors import ParamError
 
@@ -212,6 +212,21 @@ class TestGramCertificate:
 
     def test_empty_family_passes(self, arr12):
         assert gram_certificate(arr12, [])
+
+    def test_exponent_matrix_above_the_cap_is_refused(self, arr12, monkeypatch):
+        fam = build_block_family(arr12, (3, 0))  # F = 8 tuples on N = 8 rows
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 8 * 8 * 8)
+        assert gram_certificate(arr12, fam)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 8 * 8 * 8 - 1)
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 512 "
+                                             "bytes of exponents, above the cap of 511"):
+            gram_certificate(arr12, fam)
+        # refused before the height precondition could fail the family
+        tall = [FunctionTuple(2, EVector((1, 2)), ((1, 1, 1), (0,))),
+                FunctionTuple(2, EVector((1, 2)), ((0, 0, 0), (1,)))]
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 - 1)
+        with pytest.raises(ParamError, match="above the cap"):
+            gram_certificate(arr12, tall)
 
     def test_family_members_must_match_frame(self, arr12):
         with pytest.raises(ParamError):

@@ -14,7 +14,7 @@ from evnets import (
     serialize_moa, serialize_mooa, serialize_net,
 )
 from evnets.dualcert import FunctionTuple
-from evnets.errors import FormatError
+from evnets.errors import FormatError, ParamError
 from evnets.io import DIGIT_CHARS, parse_function_tuples
 from evnets import corpus, io, net_to_mooa
 
@@ -75,7 +75,7 @@ class TestNetFormat:
         assert DIGIT_CHARS[35] == "Z"
         assert parse_net(serialize_net(p36, 0, EVector((1,)))).points == p36
         p37 = PointSet(37, np.array([[[36]]], dtype=np.int64))
-        with pytest.raises(FormatError):
+        with pytest.raises(ParamError, match="base 37 exceeds 36"):
             serialize_net(p37, 0, EVector((1,)))
 
     @pytest.mark.parametrize("mutate, lineno", [
@@ -100,9 +100,9 @@ class TestNetFormat:
         assert err.value.line == 2
 
     def test_serialize_validates_claims(self, ham23):
-        with pytest.raises(FormatError):
+        with pytest.raises(ParamError, match="claimed u=4 outside"):
             serialize_net(ham23, 4, EVector((1, 1)))
-        with pytest.raises(FormatError):
+        with pytest.raises(ParamError, match="e-vector has 3 entries"):
             serialize_net(ham23, 0, EVector((1, 1, 1)))
 
     @given(st.integers(2, 5), st.integers(0, 3), st.integers(1, 3),

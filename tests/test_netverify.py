@@ -1,5 +1,7 @@
 """Equidistribution checks against exact-rational brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from evnets import (
     check_shapes, count_box, enumerate_shapes, project,
     rebase_compress, rebase_expand, u_star, verify_net, verify_sequence_prefix,
 )
-from evnets import _util, corpus
+from evnets import _util, corpus, netverify
 from evnets.errors import ParamError, PrecisionError
 
 import oracles
@@ -254,21 +256,55 @@ class TestVerifyNet:
 
 class TestUStar:
     def test_matches_linear_oracle(self, ham23, ham32):
-        for p in (ham23, ham32, _flip012(ham23), corpus.random_pointset(2, 3, 2, 3)):
-            for e in [(1,) * p.dim, (1, 2)]:
-                assert u_star(p, e) == oracles.brute_u_star(p, e)
+        sets = [ham23, ham32, _flip012(ham23), corpus.hammersley(2, 4),
+                PointSet(2, np.zeros((8, 1, 3), dtype=np.int64))]
+        sets += [corpus.random_pointset(2, 3, 2, seed) for seed in range(6)]
+        for p in sets:
+            for e in {(1,) * p.dim, (2,) * p.dim, (1, 2)[:p.dim]}:
+                for variant in ("narrow", "tezuka"):
+                    assert u_star(p, e, variant) == oracles.brute_u_star(p, e, variant)
 
-    def test_binary_and_linear_agree_for_narrow(self, ham23):
-        for p in (ham23, _flip012(ham23), corpus.random_pointset(2, 3, 2, 5)):
-            assert u_star(p, (1, 1), scan="binary") == u_star(p, (1, 1), scan="linear")
+    @pytest.mark.parametrize("variant", ["narrow", "tezuka"])
+    def test_arguments_checked_without_any_search(self, variant):
+        one_point = PointSet(2, np.zeros((1, 2, 0), dtype=np.int64))  # m = 0
+        assert u_star(one_point, (1, 1), variant) == 0
+        with pytest.raises(ParamError, match="e-vector has 3 entries"):
+            u_star(one_point, (1, 1, 1), variant)
+        with pytest.raises(ParamError, match="mode must be"):
+            u_star(one_point, (1, 1), variant, "bogus")
+        with pytest.raises(ParamError, match="net candidates need"):
+            u_star(PointSet(2, np.zeros((3, 2, 1), dtype=np.int64)), (1, 1), variant)
 
-    def test_binary_refused_for_tezuka(self, ham23):
-        with pytest.raises(ParamError):
-            u_star(ham23, (1, 1), variant="tezuka", scan="binary")
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        real = netverify.verify_net
 
-    def test_tezuka_linear_returns_first_pass(self):
+        def counting(points, u, *args):
+            calls.append(u)
+            return real(points, u, *args)
+
+        monkeypatch.setattr(netverify, "verify_net", counting)
+        return calls
+
+    @pytest.mark.parametrize("m", range(0, 9))
+    def test_narrow_bisects(self, monkeypatch, m):
+        calls = self._count_calls(monkeypatch)
+        for p in (corpus.random_pointset(2, m, 2, m), corpus.hammersley(2, m)):
+            calls.clear()
+            star = u_star(p, (1, 1))
+            assert len(calls) <= math.ceil(math.log2(m + 1))
+            assert verify_net(p, star, (1, 1))
+            assert star == 0 or not verify_net(p, star - 1, (1, 1))
+
+    def test_tezuka_linear_returns_first_pass(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
         p = PointSet(2, np.zeros((8, 1, 3), dtype=np.int64))
         assert u_star(p, (2,), variant="tezuka") == 0  # despite failing at u=1
+        assert calls == [0]
+        calls.clear()
+        assert u_star(_flip012(corpus.hammersley(2, 3)), (1, 1), variant="tezuka") == 1
+        assert calls == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +350,11 @@ class TestSequencePrefix:
         p = _vdc_prefix(3, 8)
         with pytest.raises(PrecisionError):
             verify_sequence_prefix(p, 0, (1,), 4)
+
+    @pytest.mark.parametrize("m_max", [-1, -3])
+    def test_negative_m_max_is_rejected(self, m_max):
+        with pytest.raises(ParamError, match=f"m_max must be >= 0, got {m_max}"):
+            verify_sequence_prefix(_vdc_prefix(3, 8), 0, (1,), m_max)
 
 
 # ---------------------------------------------------------------------------
