@@ -20,7 +20,7 @@ print("base", arr.base, "m", arr.m, "u", arr.u,
 # most m - u, and demand uniform counts.  Checking only the maximal
 # profiles is enough; every smaller profile is a refinement union.
 print("ordered-array check:",
-      "PASS" if verify_mooa(arr, "maximal") else "FAIL")
+      "PASS" if verify_mooa(arr) else "FAIL")
 
 # Round trip: rebuild the net and compare digits.
 back = mooa_to_net(arr)

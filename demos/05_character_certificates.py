@@ -23,7 +23,7 @@ print("base", arr.base, "m", arr.m, "beta", arr.beta)
 
 # Families are indexed by depth profiles kappa (blocks used per
 # coordinate).  The maximal profiles exhaust the budget.
-profiles = enumerate_profiles(arr.m, arr.u, arr.e, arr.beta, "maximal")
+profiles = enumerate_profiles(arr.m, arr.u, arr.e, arr.beta)
 print("maximal profiles:", profiles)
 
 for kappa in profiles:

@@ -61,7 +61,6 @@ from .io import (
 from .netverify import (
     check_shapes,
     count_box,
-    enumerate_shapes,
     project,
     rebase_compress,
     rebase_expand,
@@ -85,7 +84,7 @@ __all__ = [
     "ParamError", "PrecisionError", "FormatError", "VerificationError",
     "NetFile", "parse_net", "serialize_net", "parse_moa", "serialize_moa",
     "parse_mooa", "serialize_mooa", "parse_function_tuples",
-    "enumerate_shapes", "check_shapes", "count_box", "verify_net", "u_star",
+    "check_shapes", "count_box", "verify_net", "u_star",
     "verify_sequence_prefix", "project", "rebase_compress", "rebase_expand",
     "net_to_moa", "verify_moa", "max_strength",
     "canonical_beta", "net_to_mooa", "enumerate_profiles", "verify_mooa",

@@ -31,6 +31,8 @@ def evector_arg(text: str) -> tuple[int, ...]:
         part = part.strip()
         if "x" in part:
             value, _, repeat = part.partition("x")
+            if int(repeat) < 1:
+                raise ValueError(f"repeat count must be >= 1, got {repeat!r}")
             out.extend([int(value)] * int(repeat))
         else:
             out.append(int(part))
@@ -44,10 +46,15 @@ def int_list_arg(text: str) -> tuple[int, ...]:
 
 
 def _read_input(path: str) -> str:
+    """The bytes of a file ('-': standard input) decoded as UTF-8 whatever the
+    locale, line ends untranslated; an undecodable byte becomes a lone
+    surrogate, which every parser rejects as a format error."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        raw = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    return raw.decode("utf-8", "surrogateescape")
 
 
 def _write_output(args, text: str) -> None:
@@ -141,18 +148,18 @@ def _load_net(args) -> tuple:
 
 def cmd_verify_net(args) -> int:
     points, u, e = _load_net(args)
-    verdict = netverify.verify_net(points, u, e, args.variant, args.mode)
-    n_shapes = len(netverify.check_shapes(points.precision, u, e, args.variant,
-                                          args.mode))
+    verdict = netverify.verify_net(points, u, e, args.variant)
+    n_shapes = len(netverify.check_shapes(points.precision, u, e, args.variant))
+    # "mode=maximal" states which shapes were checked; the output format keeps it
     return _verdict(args, "verify-net", verdict,
                     {"variant": args.variant, "checked_shapes": n_shapes},
-                    f"variant={args.variant}, mode={args.mode}, u={u}", f"shapes={n_shapes}")
+                    f"variant={args.variant}, mode=maximal, u={u}", f"shapes={n_shapes}")
 
 
 def cmd_verify_seq(args) -> int:
     points, u, e = _load_net(args)
     m_max = args.m_max if args.m_max is not None else points.precision
-    verdict = netverify.verify_sequence_prefix(points, u, e, m_max, args.mode)
+    verdict = netverify.verify_sequence_prefix(points, u, e, m_max)
     return _verdict(args, "verify-seq", verdict,
                     {"u": u, "m_max": m_max, "points": points.count},
                     f"u={u}, m_max={m_max}", f"points={points.count}")
@@ -187,12 +194,11 @@ def cmd_to_mooa(args) -> int:
 
 def cmd_verify_mooa(args) -> int:
     array = formats.parse_mooa(_read_input(args.file))
-    verdict = ooa.verify_mooa(array, args.mode)
-    n_profiles = len(ooa.enumerate_profiles(array.m, array.u, array.e, array.beta,
-                                            args.mode))
+    verdict = ooa.verify_mooa(array)
+    n_profiles = len(ooa.enumerate_profiles(array.m, array.u, array.e, array.beta))
     return _verdict(args, "verify-mooa", verdict,
-                    {"mode": args.mode, "checked_profiles": n_profiles},
-                    f"mode={args.mode}", f"profiles={n_profiles}, strength={array.m - array.u}")
+                    {"mode": "maximal", "checked_profiles": n_profiles},
+                    "mode=maximal", f"profiles={n_profiles}, strength={array.m - array.u}")
 
 
 def cmd_from_mooa(args) -> int:
@@ -249,8 +255,10 @@ def cmd_dual_cert(args) -> int:
         family = dualcert.build_block_family(array, args.kappa)
         source = f"kappa={_fmt_value(args.kappa)}"
     else:
-        with open(args.tuples, "r", encoding="utf-8") as fh:
-            family = formats.parse_function_tuples(fh.read(), array)
+        if args.tuples == "-" == args.file:
+            raise ParamError("dual-cert cannot read both the array and --tuples "
+                             "from standard input")
+        family = formats.parse_function_tuples(_read_input(args.tuples), array)
         source = f"tuples={len(family)}"
     verdict = dualcert.gram_certificate(array, family)
     bound = array.base ** array.m
@@ -264,8 +272,8 @@ def cmd_report(args) -> int:
     net = formats.parse_net(_read_input(args.file))
     points, u, e = net.points, net.u, net.e
     b, m, s = points.base, points.precision, points.dim
-    verdict = netverify.verify_net(points, u, e, args.variant, "maximal")
-    star = netverify.u_star(points, e, args.variant, "maximal")
+    verdict = netverify.verify_net(points, u, e, args.variant)
+    star = netverify.u_star(points, e, args.variant)
     array = oa.net_to_moa(points, e) if m >= max(e) else None
     strength = oa.max_strength(array) if array is not None else None
     mooa_ok = None
@@ -273,7 +281,7 @@ def cmd_report(args) -> int:
     if m >= star + max(e):
         mooa = ooa.net_to_mooa(points, star, e)
         beta = mooa.beta
-        mooa_ok = bool(ooa.verify_mooa(mooa, "maximal"))
+        mooa_ok = bool(ooa.verify_mooa(mooa))
     feas = bounds.feasibility_report(b, m, e, "net")
     if args.json:
         _emit_json({
@@ -344,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=evector_arg, default=None,
                    help="override the file's e-vector (supports 1x3,2x2 shorthand)")
     p.add_argument("--variant", choices=["narrow", "tezuka"], default="narrow")
-    p.add_argument("--mode", choices=["maximal", "all"], default="maximal")
     _add_json(p)
     p.set_defaults(func=cmd_verify_net)
 
@@ -353,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, default=None)
     p.add_argument("--e", type=evector_arg, default=None)
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--mode", choices=["maximal", "all"], default="maximal")
     _add_json(p)
     p.set_defaults(func=cmd_verify_seq)
 
@@ -380,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-mooa", help="check ordered-array strength profiles")
     _add_io_flags(p)
-    p.add_argument("--mode", choices=["maximal", "all"], default="maximal")
     _add_json(p)
     p.set_defaults(func=cmd_verify_mooa)
 

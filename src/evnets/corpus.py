@@ -11,7 +11,7 @@ import numpy as np
 from ._util import _BYTES_CAP, PrefixTable, digit_matrix
 from .core import EVector, PointSet
 from .errors import ParamError
-from .netverify import enumerate_shapes, verify_net
+from .netverify import check_shapes, verify_net
 
 __all__ = [
     "grid_1d", "hammersley", "faure", "digital_net",
@@ -183,7 +183,7 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
         raise ParamError(f"search space of {n_candidates} candidate points exceeds "
                          f"the desk-scale cap of {_SEARCH_CANDIDATE_CAP}")
     n_points = b ** m
-    shapes = enumerate_shapes(m, u, e, "maximal")
+    shapes = check_shapes(m, u, e)
     cand_digits = digit_matrix(range(n_candidates), m * s, b).reshape(
         n_candidates, s, m)
 

@@ -232,16 +232,18 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     sum_t c[t] zeta_q**t != 0. A passing verdict certifies the family has
     at most b**m members; the defensive check at the end cannot fire for a
     true Gram identity. A family whose int64 exponent matrix (one row per
-    member, one column per array row) would pass the package's byte cap is
-    refused with ``ParamError`` before either pass.
+    member, one column per array row) and same-sized difference buffer
+    would together pass the package's byte cap is refused with
+    ``ParamError`` before either pass.
     """
     family = list(family)
     for d in family:
         _check_array_frame(array, d)
-    size = len(family) * array.runs * 8
+    size = 2 * len(family) * array.runs * 8
     if size > _BYTES_CAP:
         raise ParamError(f"a family of {len(family)} tuples on {array.runs} rows needs "
-                         f"{size} bytes of exponents, above the cap of {_BYTES_CAP} bytes")
+                         f"{size} bytes of exponents and differences, above the cap of "
+                         f"{_BYTES_CAP} bytes")
     residues = _stack(array, family)
     tall = _first_tall_pair(array, residues)
     if tall is not None:
@@ -251,11 +253,14 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     q = _order(array)
     exps = _exponents(array, residues, q)
     # pair (j, k) tallies E_k - E_j + q, in (0, 2q), into its own 2q bins;
-    # folding the two halves of each run of bins reduces the tally mod q
+    # folding the two halves of each run of bins reduces the tally mod q.
+    # Every row's differences go into one buffer, so the peak is the two
+    # (F, N) arrays the cap counts.
     offsets = (np.arange(len(family), dtype=np.int64) * 2 * q + q)[:, None]
+    buf = np.empty_like(exps)
     for j in range(len(family) - 1):
         rest = len(family) - 1 - j
-        cells = exps[j + 1:] - exps[j]
+        cells = np.subtract(exps[j + 1:], exps[j], out=buf[:rest])
         cells += offsets[:rest]
         counts = np.bincount(cells.ravel(), minlength=rest * 2 * q)
         counts = counts.reshape(rest, 2, q).sum(axis=1)

@@ -11,7 +11,8 @@ Checking only budget-maximal shapes suffices for the narrow reading: a box of
 a refinable shape is the disjoint union of the b**e_i boxes obtained by
 deepening coordinate i, so uniform counts at the refined shape force uniform
 counts at the coarser one, and every admissible shape refines to a maximal
-one. The exhaustive mode remains available as a cross-check.
+one, so maximal shapes are the only ones checked. The exhaustive check over
+every admissible shape lives in ``tests/oracles.py`` as the reference.
 """
 
 from __future__ import annotations
@@ -28,38 +29,18 @@ from .ooa import canonical_beta, enumerate_profiles
 
 __all__ = [
     "Shape",
-    "enumerate_shapes", "check_shapes", "count_box", "verify_net", "u_star",
+    "check_shapes", "count_box", "verify_net", "u_star",
     "verify_sequence_prefix", "project", "rebase_compress", "rebase_expand",
 ]
 
 Shape = tuple[int, ...]
 
 Variant = Literal["narrow", "tezuka"]
-Mode = Literal["all", "maximal"]
 
 
 def _check_variant(variant: str) -> None:
     if variant not in ("narrow", "tezuka"):
         raise ParamError(f"variant must be 'narrow' or 'tezuka', got {variant!r}")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("all", "maximal"):
-        raise ParamError(f"mode must be 'all' or 'maximal', got {mode!r}")
-
-
-def enumerate_shapes(m: int, u: int, e: EVector | Sequence[int],
-                     mode: Mode = "all") -> list[Shape]:
-    """Admissible digit-depth shapes in lexicographic order.
-
-    A shape assigns each coordinate a depth d_i in {0, e_i, 2*e_i, ...} with
-    sum d_i <= m - u. With mode='maximal' only shapes to which no coordinate
-    can add another e_i step within the budget are returned. These are the
-    depth profiles of the canonical ordered array, scaled by e.
-    """
-    e = EVector.coerce(e)
-    profiles = enumerate_profiles(m, u, e, canonical_beta(m, u, e), mode)
-    return [tuple(k * ei for k, ei in zip(kappa, e)) for kappa in profiles]
 
 
 def count_box(points: PointSet, shape: Sequence[int], index: Sequence[int]) -> int:
@@ -87,27 +68,29 @@ def count_box(points: PointSet, shape: Sequence[int], index: Sequence[int]) -> i
     return int(np.count_nonzero(keys == rank))
 
 
-def check_shapes(m: int, u: int, e: EVector | Sequence[int], variant: Variant = "narrow",
-                 mode: Mode = "maximal") -> list[Shape]:
-    """The shape set a verification run examines, in enumeration order.
+def check_shapes(m: int, u: int, e: EVector | Sequence[int],
+                 variant: Variant = "narrow") -> list[Shape]:
+    """The shapes a verification run examines, in lexicographic order.
 
-    The narrow reading checks admissible shapes (all of them, or only the
-    budget-maximal ones); the tezuka reading checks exactly the shapes whose
-    depths sum to m - u, regardless of mode.
+    A shape assigns each coordinate a depth d_i in {0, e_i, 2*e_i, ...}. The
+    narrow reading checks the budget-maximal shapes: sum d_i <= m - u and no
+    coordinate can take another e_i step within the budget. These are the
+    depth profiles of the canonical ordered array, scaled by e. The tezuka
+    reading checks the maximal shapes whose depths sum to exactly m - u.
     """
     _check_variant(variant)
-    _check_mode(mode)
+    e = EVector.coerce(e)
+    shapes = [tuple(k * ei for k, ei in zip(kappa, e))
+              for kappa in enumerate_profiles(m, u, e, canonical_beta(m, u, e))]
     if variant == "narrow":
-        return enumerate_shapes(m, u, e, mode)
-    return [d for d in enumerate_shapes(m, u, e, "all") if sum(d) == m - u]
+        return shapes
+    return [d for d in shapes if sum(d) == m - u]
 
 
-def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str,
-               mode: str) -> EVector:
+def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str) -> EVector:
     """Check the arguments every quality check shares; return e coerced."""
     e = EVector.coerce(e)
     _check_variant(variant)
-    _check_mode(mode)
     if e.s != points.dim:
         raise ParamError(f"e-vector has {e.s} entries, point set has {points.dim}")
     if points.count != points.base ** points.precision:
@@ -117,18 +100,18 @@ def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str,
 
 
 def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
-               variant: Variant = "narrow", mode: Mode = "maximal") -> Verdict:
-    """Exhaustively check the quality-u equidistribution property.
+               variant: Variant = "narrow") -> Verdict:
+    """Check the quality-u equidistribution property on the checked shapes.
 
     Requires exactly base**precision points. The verdict's witness (on
     failure) names the first offending shape and box in lexicographic
     enumeration order; no later shape is examined.
     """
-    e = _check_net(points, e, variant, mode)
+    e = _check_net(points, e, variant)
     b, m = points.base, points.precision
     if not 0 <= u <= m:
         raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
-    shapes = check_shapes(m, u, e, variant, mode)
+    shapes = check_shapes(m, u, e, variant)
     table = PrefixTable.of_digits(points.digits, b, e, m - u)
     failure = table.first_failure([d // ei for d, ei in zip(shape, e)] for shape in shapes)
     if failure is None:
@@ -139,8 +122,7 @@ def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
                            "observed": observed, "expected": expected})
 
 
-def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "narrow",
-           mode: Mode = "maximal") -> int:
+def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "narrow") -> int:
     """Smallest u at which the point set verifies; u = m always passes.
 
     The narrow reading is bisected: raising u only shrinks the set of checked
@@ -148,11 +130,11 @@ def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "nar
     reading replaces the shape set rather than shrinking it, so it tries
     u = 0, 1, ... in turn and stops at the first pass.
     """
-    _check_net(points, e, variant, mode)
+    _check_net(points, e, variant)
     lo, hi = 0, points.precision
     while lo < hi:
         mid = (lo + hi) // 2 if variant == "narrow" else lo
-        if verify_net(points, mid, e, variant, mode):
+        if verify_net(points, mid, e, variant):
             hi = mid
         else:
             lo = mid + 1
@@ -160,7 +142,7 @@ def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "nar
 
 
 def verify_sequence_prefix(prefix: PointSet, u: int, e: EVector | Sequence[int],
-                           m_max: int, mode: Mode = "maximal") -> Verdict:
+                           m_max: int) -> Verdict:
     """Check every complete digit-truncated block of a sequence prefix.
 
     For every m with u < m <= m_max and every g >= 0 such that the block of
@@ -182,7 +164,7 @@ def verify_sequence_prefix(prefix: PointSet, u: int, e: EVector | Sequence[int],
         g = 0
         while (g + 1) * block_len <= prefix.count:
             block = PointSet(b, prefix.digits[g * block_len : (g + 1) * block_len, :, :m])
-            v = verify_net(block, u, e, "narrow", mode)
+            v = verify_net(block, u, e, "narrow")
             if not v:
                 return Verdict(False, {"g": g, "m": m, "net_witness": dict(v.witness)})
             g += 1

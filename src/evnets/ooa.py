@@ -10,8 +10,9 @@ The strength contract is expressed through depth profiles: a profile kappa
 with kappa_i <= beta_i and sum kappa_i * e_i <= m - u selects the left-most
 kappa_i columns of every block, and each tuple on those columns must appear
 exactly b**(m - sum kappa_i e_i) times. As with box shapes, uniformity at
-budget-maximal profiles forces uniformity at every admissible one, so
-mode='maximal' is sufficient and mode='all' is the audit path.
+budget-maximal profiles forces uniformity at every admissible one, so only
+those are checked; the exhaustive check over every admissible profile lives
+in ``tests/oracles.py`` as the reference.
 
 With the canonical column counts beta_i = floor((m - u) / e_i) the two views
 carry the same information: the array rows reproduce the point digits up to
@@ -21,7 +22,7 @@ set with the same quality parameter.
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +36,6 @@ __all__ = [
 ]
 
 Profile = tuple[int, ...]
-
-Mode = Literal["all", "maximal"]
 
 
 def canonical_beta(m: int, u: int, e: EVector | Sequence[int]) -> tuple[int, ...]:
@@ -82,18 +81,16 @@ def net_to_mooa(points: PointSet, u: int, e: EVector | Sequence[int],
 
 
 def enumerate_profiles(m: int, u: int, e: EVector | Sequence[int],
-                       beta: Sequence[int], mode: Mode = "all") -> list[Profile]:
-    """Admissible depth profiles in lexicographic order.
+                       beta: Sequence[int]) -> list[Profile]:
+    """Budget-maximal depth profiles in lexicographic order.
 
-    A profile kappa satisfies 0 <= kappa_i <= beta_i and
-    sum kappa_i * e_i <= m - u. With mode='maximal' only profiles where no
-    block can take another column within the budget are returned.
+    A profile kappa is admissible if 0 <= kappa_i <= beta_i and
+    sum kappa_i * e_i <= m - u, and maximal if no block can take another
+    column within the budget. Only maximal profiles are returned.
     """
     e = EVector.coerce(e)
     if not 0 <= u <= m:
         raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
-    if mode not in ("all", "maximal"):
-        raise ParamError(f"mode must be 'all' or 'maximal', got {mode!r}")
     beta = tuple(int(v) for v in beta)
     if len(beta) != e.s:
         raise ParamError(f"beta has {len(beta)} entries, e-vector has {e.s}")
@@ -105,8 +102,7 @@ def enumerate_profiles(m: int, u: int, e: EVector | Sequence[int],
 
     def rec(i: int, remaining: int) -> None:
         if i == e.s:
-            if mode == "all" or all(
-                    prefix[j] == beta[j] or e[j] > remaining for j in range(e.s)):
+            if all(prefix[j] == beta[j] or e[j] > remaining for j in range(e.s)):
                 out.append(tuple(prefix))
             return
         for k in range(0, min(beta[i], remaining // e[i]) + 1):
@@ -118,14 +114,14 @@ def enumerate_profiles(m: int, u: int, e: EVector | Sequence[int],
     return out
 
 
-def verify_mooa(array: MixedOOA, mode: Mode = "maximal") -> Verdict:
-    """Check the strength-(m-u) contract over admissible depth profiles.
+def verify_mooa(array: MixedOOA) -> Verdict:
+    """Check the strength-(m-u) contract over the maximal depth profiles.
 
     Profiles are visited in lexicographic order; the witness names the first
     profile with a non-uniform tuple count, and no later profile is examined.
     With u = m only the empty profile exists and the check passes vacuously.
     """
-    profiles = enumerate_profiles(array.m, array.u, array.e, array.beta, mode)
+    profiles = enumerate_profiles(array.m, array.u, array.e, array.beta)
     b, budget = array.base, array.m - array.u
     blocks = ((array.rows[:, array.block_start(i) + rho] for rho in range(bi))
               for i, bi in enumerate(array.beta))
@@ -153,7 +149,7 @@ def mooa_to_net(array: MixedOOA, check: bool = True) -> PointSet:
     if array.beta != caps:
         raise ParamError(f"canonical beta {caps} required, got {array.beta}")
     if check:
-        verdict = verify_mooa(array, "maximal")
+        verdict = verify_mooa(array)
         if not verdict:
             raise VerificationError("array fails its strength contract", verdict)
     b, m = array.base, array.m

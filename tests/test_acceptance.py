@@ -61,7 +61,7 @@ def test_criterion_1_ordered_array_round_trip():
                 if points.precision < u + max(e):
                     continue
                 arr = net_to_mooa(points, u, e)
-                assert verify_mooa(arr, "maximal"), (points, u, e)
+                assert verify_mooa(arr), (points, u, e)
                 back = mooa_to_net(arr)
                 for i, (ei, bi) in enumerate(zip(e, arr.beta)):
                     keep = bi * ei
@@ -110,12 +110,14 @@ def test_criterion_3_mode_agreement_and_u_star():
         pool.append(corpus.flip_digit(corpus.hammersley(2, 4), 3, 0, 1))
         for points in pool:
             e = (1,) * points.dim
-            for u in range(points.precision + 1):
-                assert bool(verify_net(points, u, e, "narrow", "maximal")) == \
-                    bool(verify_net(points, u, e, "narrow", "all"))
             for variant in ("narrow", "tezuka"):
-                assert u_star(points, e, variant) == \
-                    oracles.brute_u_star(points, e, variant)
+                exhaustive = [oracles.brute_verify_net(points, u, e, variant, "all")
+                              for u in range(points.precision + 1)]
+                for u, want in enumerate(exhaustive):
+                    assert bool(verify_net(points, u, e, variant)) == want, \
+                        (points, u, variant)
+                # the oracle's u_star is the first passing u of this scan
+                assert u_star(points, e, variant) == exhaustive.index(True)
 
 
 def test_criterion_4_lumping_invariance():
@@ -167,8 +169,7 @@ def test_criterion_7_character_certificates():
         for points, e in cases:
             assert points.count <= 256
             arr = net_to_mooa(points, 0, e)
-            for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta,
-                                            "maximal"):
+            for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
                 family = build_block_family(arr, kappa)
                 assert len(family) == arr.base ** sum(
                     k * ei for k, ei in zip(kappa, arr.e))

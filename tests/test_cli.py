@@ -22,6 +22,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def feed_stdin(monkeypatch, data):
+    """Make ``data`` (bytes, or text taken as UTF-8) the process's stdin."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
 @pytest.fixture()
 def ham_net(tmp_path):
     path = tmp_path / "h.net"
@@ -44,6 +51,25 @@ class TestArgParsing:
         assert evector_arg("2") == (2,)
         with pytest.raises(ValueError):
             evector_arg("a")
+
+    @pytest.mark.parametrize("text", ["3x0", "3x-5", "1x2,3x0", "1x2,3x-5"])
+    def test_evector_repeat_below_one_is_rejected(self, capsys, text):
+        with pytest.raises(ValueError, match="repeat count must be >= 1"):
+            evector_arg(text)
+        with pytest.raises(SystemExit) as err:
+            main(["feasible", "--base", "2", "--m", "4", "--e", text])
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["verify-net", "verify-seq", "verify-mooa"])
+    @pytest.mark.parametrize("mode", ["all", "maximal"])
+    def test_mode_flag_is_rejected(self, capsys, ham_net, command, mode):
+        # every verifier checks the maximal shapes or profiles only
+        with pytest.raises(SystemExit) as err:
+            main([command, ham_net, "--mode", mode])
+        assert err.value.code == EXIT_USAGE
+        out, err_text = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --mode" in err_text
 
     def test_int_list(self):
         assert int_list_arg("3,1") == (3, 1)
@@ -164,7 +190,7 @@ class TestVerifyNet:
 
     def test_stdin_input(self, capsys, monkeypatch):
         text = serialize_net(corpus.hammersley(2, 2), 0, EVector((1, 1)))
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         code, out, _ = run(capsys, "verify-net", "-")
         assert code == EXIT_PASS and "PASS" in out
 
@@ -182,6 +208,81 @@ class TestVerifyNet:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-net", "/nonexistent/path.net")
         assert code == EXIT_USAGE and err.startswith("error:")
+
+
+class TestInputReader:
+    """A FILE argument and '-' read the same bytes the same way: UTF-8
+    whatever the locale, line ends untranslated, and a byte that is not
+    UTF-8 a format error on its line."""
+
+    @staticmethod
+    def _verify(capsys, monkeypatch, tmp_path, source, data):
+        if source == "stdin":
+            feed_stdin(monkeypatch, data)
+            return run(capsys, "verify-net", "-")
+        path = tmp_path / "in.net"
+        path.write_bytes(data)
+        return run(capsys, "verify-net", str(path))
+
+    @staticmethod
+    def _net_lines():
+        return serialize_net(corpus.hammersley(2, 3), 0, EVector((1, 1))).encode().split(b"\n")
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_lone_cr_is_body_whitespace(self, capsys, monkeypatch, tmp_path, source):
+        lines = self._net_lines()
+        assert lines[4] == b"100 001"
+        lines[4] = b"100\r001"
+        code, out, err = self._verify(capsys, monkeypatch, tmp_path, source,
+                                      b"\n".join(lines))
+        assert (code, err) == (EXIT_PASS, "")
+        assert out == "verify-net: PASS (variant=narrow, mode=maximal, u=0, shapes=4)\n"
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_crlf_line_ends_are_a_format_error(self, capsys, monkeypatch, tmp_path, source):
+        data = b"\r\n".join(self._net_lines())
+        code, out, err = self._verify(capsys, monkeypatch, tmp_path, source, data)
+        assert (code, out) == (EXIT_FORMAT, "")
+        assert err == "error: line 1: expected 'NET v1', got 'NET v1\\r'\n"
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_non_utf8_byte_is_a_format_error(self, capsys, monkeypatch, tmp_path, source):
+        lines = self._net_lines()
+        lines[4] += b"\xff"
+        code, out, err = self._verify(capsys, monkeypatch, tmp_path, source,
+                                      b"\n".join(lines))
+        assert (code, out) == (EXIT_FORMAT, "")
+        assert err.startswith("error: line 5: digit string '001")
+
+    @pytest.fixture()
+    def mooa(self, capsys, ham_net, tmp_path):
+        _, text, _ = run(capsys, "to-mooa", ham_net)
+        path = tmp_path / "a.mooa"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_tuples_are_read_the_same_way(self, capsys, monkeypatch, tmp_path, mooa, source):
+        if source == "stdin":
+            feed_stdin(monkeypatch, b"1 0 0 0 0 0\n\xff\n")
+            tuples = "-"
+        else:
+            tuples = tmp_path / "fam.txt"
+            tuples.write_bytes(b"1 0 0 0 0 0\n\xff\n")
+        code, out, err = run(capsys, "dual-cert", mooa, "--tuples", str(tuples))
+        assert (code, out) == (EXIT_FORMAT, "")
+        assert err.startswith("error: line 2: ")
+
+    def test_tuples_on_stdin_pass(self, capsys, monkeypatch, mooa):
+        feed_stdin(monkeypatch, "0 0 0 0 0 0\n1 0 0 0 0 0\n")
+        code, out, _ = run(capsys, "dual-cert", mooa, "--tuples", "-")
+        assert code == EXIT_PASS and "tuples=2" in out
+
+    def test_stdin_is_read_once(self, capsys, monkeypatch, mooa):
+        feed_stdin(monkeypatch, open(mooa, "rb").read())
+        code, out, err = run(capsys, "dual-cert", "-", "--tuples", "-")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "standard input" in err
 
 
 class TestVerifySeq:
@@ -266,7 +367,7 @@ class TestMoaCommands:
 
 class TestFormatErrorsExitThree:
     def _stdin(self, capsys, monkeypatch, text, *argv):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         return run(capsys, *argv, "-")
 
     def test_entry_and_alphabet_beyond_int64(self, capsys, monkeypatch):
@@ -480,14 +581,14 @@ class TestDualCert:
 
     def test_exponent_matrix_above_the_cap_is_usage_error(self, capsys, ham_net, tmp_path,
                                                            monkeypatch):
-        # the real cap is 1 GiB (hammersley(2,14) at kappa (7,7) needs 2 GiB);
+        # the real cap is 1 GiB (hammersley(2,14) at kappa (7,7) needs 4 GiB);
         # a lowered cap keeps a broken check from allocating that much here
         mooa = self._mooa(capsys, ham_net, tmp_path)
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 8 * 8 * 8 - 1)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8 - 1)
         code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
         assert code == EXIT_USAGE and out == ""
-        assert err == ("error: a family of 8 tuples on 8 rows needs 512 bytes of exponents, "
-                       "above the cap of 511 bytes\n")
+        assert err == ("error: a family of 8 tuples on 8 rows needs 1024 bytes of exponents "
+                       "and differences, above the cap of 1023 bytes\n")
 
     def test_json_failure_witness(self, capsys, bad_net, tmp_path):
         _, text, _ = run(capsys, "to-mooa", bad_net)

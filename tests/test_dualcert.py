@@ -178,8 +178,7 @@ class TestGramCertificate:
 
     def test_every_maximal_profile_certifies(self, arr12, arr11):
         for arr in (arr12, arr11):
-            for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta,
-                                            "maximal"):
+            for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
                 fam = build_block_family(arr, kappa)
                 assert len(fam) == arr.base ** sum(
                     k * ei for k, ei in zip(kappa, arr.e))
@@ -214,19 +213,36 @@ class TestGramCertificate:
         assert gram_certificate(arr12, [])
 
     def test_exponent_matrix_above_the_cap_is_refused(self, arr12, monkeypatch):
-        fam = build_block_family(arr12, (3, 0))  # F = 8 tuples on N = 8 rows
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 8 * 8 * 8)
+        # F = 8 tuples on N = 8 rows: the (F, N) int64 exponents plus the
+        # difference buffer are counted as 2 * F * N * 8 bytes
+        fam = build_block_family(arr12, (3, 0))
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8)
         assert gram_certificate(arr12, fam)
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 8 * 8 * 8 - 1)
-        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 512 "
-                                             "bytes of exponents, above the cap of 511"):
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8 - 1)
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 1024 "
+                                             "bytes of exponents and differences, above "
+                                             "the cap of 1023"):
             gram_certificate(arr12, fam)
         # refused before the height precondition could fail the family
         tall = [FunctionTuple(2, EVector((1, 2)), ((1, 1, 1), (0,))),
                 FunctionTuple(2, EVector((1, 2)), ((0, 0, 0), (1,)))]
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 - 1)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 2 * 8 * 8 - 1)
         with pytest.raises(ParamError, match="above the cap"):
             gram_certificate(arr12, tall)
+
+    def test_peak_memory_is_about_two_exponent_matrices(self):
+        # the (F, N) exponents and one (F, N) buffer that every pair row is
+        # subtracted into: what the cap counts
+        import tracemalloc
+        arr = net_to_mooa(corpus.hammersley(2, 10), 0, (1, 1))
+        fam = build_block_family(arr, (5, 5))  # F = N = 1024, an 8 MB matrix
+        tracemalloc.start()
+        try:
+            assert gram_certificate(arr, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * len(fam) * arr.runs * 8
 
     def test_family_members_must_match_frame(self, arr12):
         with pytest.raises(ParamError):
@@ -267,7 +283,7 @@ class TestExactCertificateCrossCheck:
     @pytest.mark.parametrize("label,arr", CROSS_CHECK, ids=[c[0] for c in CROSS_CHECK])
     def test_matches_oracle(self, label, arr):
         rng = np.random.default_rng(len(label))
-        for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta, "maximal"):
+        for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
             fam = build_block_family(arr, kappa)
             if len(fam) > 16:  # a random ordered subfamily keeps the oracle fast
                 fam = [fam[k] for k in rng.choice(len(fam), size=16, replace=False)]
@@ -285,7 +301,7 @@ class TestExactCertificateCrossCheck:
 
     @pytest.mark.parametrize("label,arr", CROSS_CHECK[::4], ids=[c[0] for c in CROSS_CHECK[::4]])
     def test_height_witness_matches_scalar_route(self, label, arr):
-        maximal = enumerate_profiles(arr.m, arr.u, arr.e, arr.beta, "maximal")
+        maximal = enumerate_profiles(arr.m, arr.u, arr.e, arr.beta)
         budget = arr.m - arr.u
         for a, b in zip(maximal, maximal[1:]):
             fam = build_block_family(arr, a)[:6] + build_block_family(arr, b)[:6]

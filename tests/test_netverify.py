@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from evnets import (
     EVector, PointSet,
-    check_shapes, count_box, enumerate_shapes, project,
-    rebase_compress, rebase_expand, u_star, verify_net, verify_sequence_prefix,
+    check_shapes, count_box, enumerate_profiles, net_to_mooa, project,
+    rebase_compress, rebase_expand, u_star, verify_mooa, verify_net,
+    verify_sequence_prefix,
 )
-from evnets import _util, corpus, netverify
+from evnets import _util, corpus, netverify, ooa
 from evnets.errors import ParamError, PrecisionError
 
 import oracles
@@ -23,28 +24,25 @@ first_nonuniform = _util._first_nonuniform
 # shape enumeration
 
 class TestShapes:
-    def test_frozen_example_all(self):
-        # m=3, u=0, e=(1,2): depth menus {0,1,2,3} x {0,2}, total <= 3
-        assert enumerate_shapes(3, 0, (1, 2), "all") == [
-            (0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (3, 0)]
-
     def test_frozen_example_maximal(self):
-        assert enumerate_shapes(3, 0, (1, 2), "maximal") == [(1, 2), (3, 0)]
+        # m=3, u=0, e=(1,2): depth menus {0,1,2,3} x {0,2}, total <= 3; of
+        # (0,0) (0,2) (1,0) (1,2) (2,0) (3,0) only two take no further step
+        assert check_shapes(3, 0, (1, 2)) == [(1, 2), (3, 0)]
 
     def test_budget_zero_has_only_zero_shape(self):
-        assert enumerate_shapes(2, 2, (1, 1), "all") == [(0, 0)]
-        assert enumerate_shapes(2, 2, (1, 1), "maximal") == [(0, 0)]
+        assert check_shapes(2, 2, (1, 1)) == [(0, 0)]
+        assert check_shapes(2, 2, (1, 1), "tezuka") == [(0, 0)]
 
     def test_tezuka_set_is_exact_budget_slice(self):
-        narrow = check_shapes(4, 1, (1, 2), "narrow", "all")
-        tez = check_shapes(4, 1, (1, 2), "tezuka", "all")
-        assert tez == [d for d in narrow if sum(d) == 3]
-        # mode is irrelevant for the exact-budget reading
-        assert tez == check_shapes(4, 1, (1, 2), "tezuka", "maximal")
+        tez = check_shapes(4, 1, (1, 2), "tezuka")
+        every = oracles.brute_shapes(4, 1, (1, 2), "narrow", "all")
+        assert tez == [d for d in every if sum(d) == 3]
+        # every exact-budget shape is maximal, so it is also a slice of those
+        assert tez == [d for d in check_shapes(4, 1, (1, 2)) if sum(d) == 3]
 
     def test_tezuka_can_be_empty(self):
         # no multiple of 2 sums to 3
-        assert check_shapes(3, 0, (2,), "tezuka", "all") == []
+        assert check_shapes(3, 0, (2,), "tezuka") == []
 
     @pytest.mark.parametrize("m", range(5))
     @pytest.mark.parametrize("e", [(1,), (2,), (1, 1), (1, 2), (2, 3), (1, 2, 2)])
@@ -52,32 +50,59 @@ class TestShapes:
         # the oracle lists shapes sorted, i.e. in the lexicographic order the
         # verifier must visit them in
         for u in range(m + 1):
-            for mode in ("all", "maximal"):
-                assert enumerate_shapes(m, u, e, mode) == \
-                    oracles.brute_shapes(m, u, e, "narrow", mode)
-                assert check_shapes(m, u, e, "tezuka", mode) == \
-                    oracles.brute_shapes(m, u, e, "tezuka", "all")
+            assert check_shapes(m, u, e) == \
+                oracles.brute_shapes(m, u, e, "narrow", "maximal")
+            assert check_shapes(m, u, e, "tezuka") == \
+                oracles.brute_shapes(m, u, e, "tezuka", "all")
 
     def test_maximal_shapes_cannot_be_extended(self):
-        for shape in enumerate_shapes(5, 1, (1, 2, 3), "maximal"):
+        for shape in check_shapes(5, 1, (1, 2, 3)):
             rem = 4 - sum(shape)
             assert all(rem < ei for ei in (1, 2, 3))
 
     def test_every_shape_refines_to_a_maximal_one(self):
         m, u, e = 5, 1, (1, 2, 3)
-        maximal = enumerate_shapes(m, u, e, "maximal")
-        for shape in enumerate_shapes(m, u, e, "all"):
+        maximal = check_shapes(m, u, e)
+        for shape in oracles.brute_shapes(m, u, e, "narrow", "all"):
             assert any(all(dm >= d and (dm - d) % ei == 0
                            for d, dm, ei in zip(shape, mx, e))
                        for mx in maximal)
 
     def test_parameter_validation(self):
         with pytest.raises(ParamError):
-            enumerate_shapes(2, 3, (1,))
+            check_shapes(2, 3, (1,))
         with pytest.raises(ParamError):
-            enumerate_shapes(2, -1, (1,))
-        with pytest.raises(ParamError):
-            enumerate_shapes(2, 0, (1,), mode="most")
+            check_shapes(2, -1, (1,))
+        with pytest.raises(ParamError, match="variant must be"):
+            check_shapes(2, 0, (1,), "most")
+
+
+_HAM23 = corpus.hammersley(2, 3)
+
+
+class TestNoModeKnob:
+    """Every verifier checks the maximal shapes or profiles and nothing else;
+    the exhaustive reading lives only in the oracles."""
+
+    @pytest.mark.parametrize("fn, args", [
+        pytest.param(verify_net, (_HAM23, 0, (1, 1)), id="verify_net"),
+        pytest.param(u_star, (_HAM23, (1, 1)), id="u_star"),
+        pytest.param(check_shapes, (3, 0, (1, 1)), id="check_shapes"),
+        pytest.param(verify_sequence_prefix, (_HAM23, 0, (1, 1), 3),
+                     id="verify_sequence_prefix"),
+        pytest.param(verify_mooa, (net_to_mooa(_HAM23, 0, (1, 1)),), id="verify_mooa"),
+        pytest.param(enumerate_profiles, (3, 0, (1, 1), (3, 3)), id="enumerate_profiles"),
+    ])
+    @pytest.mark.parametrize("mode", ["all", "maximal"])
+    def test_mode_keyword_is_a_type_error(self, fn, args, mode):
+        fn(*args)  # the same call without mode= is valid
+        with pytest.raises(TypeError):
+            fn(*args, mode=mode)
+
+    def test_second_enumerator_and_mode_names_are_gone(self):
+        for module in (netverify, ooa):
+            for name in ("enumerate_shapes", "_check_mode", "Mode"):
+                assert not hasattr(module, name), (module.__name__, name)
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +154,18 @@ def _flip012(ham):
 class TestVerifyNet:
     def test_reference_set_passes_every_reading(self, ham23):
         for variant in ("narrow", "tezuka"):
-            for mode in ("all", "maximal"):
-                assert verify_net(ham23, 0, (1, 1), variant, mode)
+            assert verify_net(ham23, 0, (1, 1), variant)
 
     def test_frozen_failure_witness(self, ham23):
         bad = _flip012(ham23)
-        v = verify_net(bad, 0, (1, 1), "narrow", "maximal")
+        v = verify_net(bad, 0, (1, 1))
         assert not v
         assert v.witness == {"shape": [0, 3], "box": [0, 0],
                              "observed": 0, "expected": 1}
 
     def test_witness_is_lexicographically_first(self, ham23):
         bad = _flip012(ham23)
-        shapes = check_shapes(3, 0, (1, 1), "narrow", "maximal")
+        shapes = check_shapes(3, 0, (1, 1))
         first_failing = next(
             d for d in shapes
             if not all(count_box(bad, d, ix) == 8 // 2 ** sum(d)
@@ -162,7 +186,7 @@ class TestVerifyNet:
             for e in evecs:
                 for u in range(p.precision + 1):
                     for variant in ("narrow", "tezuka"):
-                        got = bool(verify_net(p, u, e, variant, "all"))
+                        got = bool(verify_net(p, u, e, variant))
                         want = oracles.brute_verify_net(p, u, e, variant, "all")
                         assert got == want, (p, e, u, variant)
 
@@ -172,7 +196,7 @@ class TestVerifyNet:
         for p in rng_sets:
             e = (1,) * p.dim
             for u in range(p.precision + 1):
-                got = bool(verify_net(p, u, e, "narrow", "all"))
+                got = bool(verify_net(p, u, e))
                 assert got == oracles.brute_verify_net(p, u, e, "narrow", "all")
 
     def test_maximal_equals_all_for_narrow(self, ham23, ham32):
@@ -182,15 +206,15 @@ class TestVerifyNet:
         for p in sets:
             for e in [(1,) * p.dim, (1, 2)[: p.dim]]:
                 for u in range(p.precision + 1):
-                    assert bool(verify_net(p, u, e, "narrow", "maximal")) == \
-                        bool(verify_net(p, u, e, "narrow", "all"))
+                    assert bool(verify_net(p, u, e)) == \
+                        oracles.brute_verify_net(p, u, e, "narrow", "all")
 
     def test_narrow_pass_implies_tezuka_pass(self, ham23, ham32, faure333):
         for p in (ham23, ham32, faure333):
             for u in range(p.precision + 1):
                 e = (1,) * p.dim
-                if verify_net(p, u, e, "narrow", "all"):
-                    assert verify_net(p, u, e, "tezuka", "all")
+                if verify_net(p, u, e, "narrow"):
+                    assert verify_net(p, u, e, "tezuka")
 
     def test_tezuka_pass_without_narrow_pass(self):
         # all-zero 1D set, e=(2,), m=3: the exact-budget reading checks no
@@ -217,16 +241,14 @@ class TestVerifyNet:
 
         monkeypatch.setattr(_util, "_first_nonuniform", counting)
         bad = _flip012(ham23)
-        for mode in ("maximal", "all"):
-            calls.clear()
-            v = verify_net(bad, 0, (1, 1), "narrow", mode)
-            shapes = check_shapes(3, 0, (1, 1), "narrow", mode)
-            # one kernel call per shape up to and including the witness
-            assert len(calls) == shapes.index(tuple(v.witness["shape"])) + 1
-            assert len(calls) < len(shapes)
+        v = verify_net(bad, 0, (1, 1))
+        shapes = check_shapes(3, 0, (1, 1))
+        # one kernel call per shape up to and including the witness
+        assert len(calls) == shapes.index(tuple(v.witness["shape"])) + 1
+        assert len(calls) < len(shapes)
         calls.clear()
-        assert verify_net(ham23, 0, (1, 1), "narrow", "all")
-        assert len(calls) == len(check_shapes(3, 0, (1, 1), "narrow", "all"))
+        assert verify_net(ham23, 0, (1, 1))
+        assert len(calls) == len(shapes)
 
     def test_requires_full_period_count(self, ham23):
         short = PointSet(2, ham23.digits[:7])
@@ -247,7 +269,7 @@ class TestVerifyNet:
         u = data.draw(st.integers(0, m))
         e = tuple(data.draw(st.integers(1, 2)) for _ in range(s))
         variant = data.draw(st.sampled_from(["narrow", "tezuka"]))
-        assert bool(verify_net(p, u, e, variant, "all")) == \
+        assert bool(verify_net(p, u, e, variant)) == \
             oracles.brute_verify_net(p, u, e, variant, "all")
 
 
@@ -270,8 +292,6 @@ class TestUStar:
         assert u_star(one_point, (1, 1), variant) == 0
         with pytest.raises(ParamError, match="e-vector has 3 entries"):
             u_star(one_point, (1, 1, 1), variant)
-        with pytest.raises(ParamError, match="mode must be"):
-            u_star(one_point, (1, 1), variant, "bogus")
         with pytest.raises(ParamError, match="net candidates need"):
             u_star(PointSet(2, np.zeros((3, 2, 1), dtype=np.int64)), (1, 1), variant)
 
@@ -336,7 +356,7 @@ class TestSequencePrefix:
         # the swap is invisible at 2 digits and as a whole 16-point multiset
         assert verify_sequence_prefix(swapped, 0, (1,), 2)
         block = PointSet(2, swapped.digits)
-        assert verify_net(block, 0, (1,), "narrow", "all")
+        assert verify_net(block, 0, (1,))
 
     def test_second_block_failures_are_located(self):
         digits = _vdc_prefix(4, 16).truncate(3).digits.copy()

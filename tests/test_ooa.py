@@ -30,21 +30,15 @@ class TestCanonicalBeta:
 
 
 class TestEnumerateProfiles:
-    def test_frozen_example_all(self):
-        # m=3, u=0, e=(1,2), beta=(3,1)
-        assert enumerate_profiles(3, 0, (1, 2), (3, 1), "all") == [
-            (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 0)]
-
     def test_frozen_example_maximal(self):
-        assert enumerate_profiles(3, 0, (1, 2), (3, 1), "maximal") == [(1, 1), (3, 0)]
+        # m=3, u=0, e=(1,2), beta=(3,1): of (0,0) (0,1) (1,0) (1,1) (2,0)
+        # (3,0) only two take no further column
+        assert enumerate_profiles(3, 0, (1, 2), (3, 1)) == [(1, 1), (3, 0)]
 
     def test_block_caps_bind(self):
-        # beta caps block 0 at 1 column even though the budget allows 3
-        assert enumerate_profiles(3, 0, (1, 2), (1, 1), "all") == [
-            (0, 0), (0, 1), (1, 0), (1, 1)]
-        # (1, 0) is maximal here: block 0 is saturated, block 1 cannot fit...
-        # budget 3 - 1 = 2 >= e_1 = 2, so only (1, 1) is maximal
-        assert enumerate_profiles(3, 0, (1, 2), (1, 1), "maximal") == [(1, 1)]
+        # beta caps block 0 at 1 column even though the budget allows 3;
+        # (1, 0) is not maximal: budget 3 - 1 = 2 >= e_1 = 2, so only (1, 1) is
+        assert enumerate_profiles(3, 0, (1, 2), (1, 1)) == [(1, 1)]
 
     def test_zero_budget_only_zero_profile(self):
         assert enumerate_profiles(2, 2, (1, 1), (0, 0)) == [(0, 0)]
@@ -56,14 +50,13 @@ class TestEnumerateProfiles:
         (5, 2, (2, 3), (1, 1)),
     ])
     def test_matches_brute_enumeration(self, m, u, e, beta):
-        for mode in ("all", "maximal"):
-            assert sorted(enumerate_profiles(m, u, e, beta, mode)) == \
-                oracles.brute_profiles(m, u, e, beta, mode)
+        assert enumerate_profiles(m, u, e, beta) == \
+            oracles.brute_profiles(m, u, e, beta, "maximal")
 
     def test_every_profile_refines_to_a_maximal_one(self):
         m, u, e, beta = 5, 1, (1, 2), (3, 2)
-        maximal = enumerate_profiles(m, u, e, beta, "maximal")
-        for kappa in enumerate_profiles(m, u, e, beta, "all"):
+        maximal = enumerate_profiles(m, u, e, beta)
+        for kappa in oracles.brute_profiles(m, u, e, beta, "all"):
             assert any(all(km >= k for k, km in zip(kappa, mx)) for mx in maximal)
 
 
@@ -109,8 +102,7 @@ class TestNetToMooa:
 class TestVerifyMooa:
     def test_reference_array_passes(self, ham23):
         arr = net_to_mooa(ham23, 0, (1, 2))
-        assert verify_mooa(arr, "maximal")
-        assert verify_mooa(arr, "all")
+        assert verify_mooa(arr)
 
     def test_vacuous_at_zero_strength(self):
         arr = MixedOOA(2, 1, 1, EVector((1,)), (0,),
@@ -133,7 +125,8 @@ class TestVerifyMooa:
                 if p.precision < u + max(e):
                     continue
                 arr = net_to_mooa(p, u, e)
-                assert bool(verify_mooa(arr, "maximal")) == bool(verify_mooa(arr, "all"))
+                assert bool(verify_mooa(arr)) == oracles.brute_verify_mooa(
+                    arr.rows, arr.base, arr.m, arr.u, tuple(arr.e), arr.beta, "all")
 
     def test_agrees_with_oracle(self, ham23, ham32):
         arrays = [
@@ -144,11 +137,8 @@ class TestVerifyMooa:
             net_to_mooa(corpus.random_pointset(2, 3, 2, 17), 0, (1, 1)),
         ]
         for arr in arrays:
-            for mode in ("all", "maximal"):
-                got = bool(verify_mooa(arr, mode))
-                want = oracles.brute_verify_mooa(
-                    arr.rows, arr.base, arr.m, arr.u, tuple(arr.e), arr.beta, mode)
-                assert got == want
+            assert bool(verify_mooa(arr)) == oracles.brute_verify_mooa(
+                arr.rows, arr.base, arr.m, arr.u, tuple(arr.e), arr.beta, "all")
 
     def test_net_property_transfers(self, ham23):
         # a passing quality-0 point set yields a passing strength-m array and
@@ -167,13 +157,11 @@ class TestVerifyMooa:
 
         monkeypatch.setattr(_util, "_first_nonuniform", counting)
         bad = net_to_mooa(corpus.flip_digit(ham23, 0, 1, 0), 0, (1, 1))
-        for mode in ("maximal", "all"):
-            calls.clear()
-            v = verify_mooa(bad, mode)
-            profiles = enumerate_profiles(3, 0, (1, 1), bad.beta, mode)
-            # one kernel call per profile up to and including the witness
-            assert len(calls) == profiles.index(tuple(v.witness["profile"])) + 1
-            assert len(calls) < len(profiles)
+        v = verify_mooa(bad)
+        profiles = enumerate_profiles(3, 0, (1, 1), bad.beta)
+        # one kernel call per profile up to and including the witness
+        assert len(calls) == profiles.index(tuple(v.witness["profile"])) + 1
+        assert len(calls) < len(profiles)
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(2, 3), st.data())
@@ -190,9 +178,8 @@ class TestVerifyMooa:
               for ei, bi in zip(e, beta) for _ in range(bi)]
              for _ in range(n)], dtype=np.int64).reshape(n, sum(beta))
         arr = MixedOOA(b, m, u, EVector(e), beta, rows)
-        mode = data.draw(st.sampled_from(["all", "maximal"]))
-        assert bool(verify_mooa(arr, mode)) == \
-            oracles.brute_verify_mooa(rows, b, m, u, e, beta, mode)
+        assert bool(verify_mooa(arr)) == \
+            oracles.brute_verify_mooa(rows, b, m, u, e, beta, "all")
 
 
 class TestNetAndArrayWitnessesAgree:
