@@ -19,10 +19,8 @@ command-line interface in :mod:`evnets.cli`.
 from .bounds import (
     Condition,
     FeasibilityReport,
-    Signature,
     feasibility_report,
     net_rao_check,
-    rao_feasible,
     rao_rhs,
     seq_kr_check,
     seq_lcm_check,
@@ -89,8 +87,8 @@ __all__ = [
     "net_to_moa", "verify_moa", "max_strength",
     "canonical_beta", "net_to_mooa", "enumerate_profiles", "verify_mooa",
     "mooa_to_net",
-    "Signature", "Condition", "FeasibilityReport", "rao_rhs", "rao_feasible",
-    "net_rao_check", "seq_kr_check", "seq_lcm_check", "feasibility_report",
+    "Condition", "FeasibilityReport", "rao_rhs", "net_rao_check",
+    "seq_kr_check", "seq_lcm_check", "feasibility_report",
     "FunctionTuple", "profile", "height", "diff", "char_exponents",
     "gram_certificate", "build_block_family",
     "grid_1d", "hammersley", "faure", "digital_net", "random_pointset",

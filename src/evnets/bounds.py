@@ -18,48 +18,16 @@ from .core import EVector
 from .errors import ParamError
 
 __all__ = [
-    "Signature", "Condition", "FeasibilityReport",
-    "rao_rhs", "rao_feasible", "net_rao_check",
+    "Condition", "FeasibilityReport",
+    "rao_rhs", "net_rao_check",
     "seq_kr_check", "seq_lcm_check", "feasibility_report",
 ]
 
 Pairs = Sequence[tuple[int, int]]
 
-Parity = Literal["even", "odd"]
 
-
-@dataclass(frozen=True)
-class Signature:
-    """Canonical alphabet signature: (size, multiplicity) pairs, sizes strictly
-    increasing."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        pairs = tuple((int(l), int(k)) for l, k in self.pairs)
-        if any(l < 2 for l, _ in pairs):
-            raise ParamError(f"alphabet sizes must be >= 2, got {pairs}")
-        if any(k < 1 for _, k in pairs):
-            raise ParamError(f"multiplicities must be >= 1, got {pairs}")
-        if any(a >= b for (a, _), (b, _) in zip(pairs, pairs[1:])):
-            raise ParamError(f"sizes must be strictly increasing, got {pairs}")
-        object.__setattr__(self, "pairs", pairs)
-
-    @classmethod
-    def from_alphabets(cls, alphabets: Sequence[int]) -> "Signature":
-        counts = Counter(int(l) for l in alphabets)
-        return cls(tuple((l, counts[l]) for l in sorted(counts)))
-
-    @property
-    def columns(self) -> int:
-        return sum(k for _, k in self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
-def _as_pairs(sig: "Signature | Pairs") -> list[tuple[int, int]]:
-    pairs = [(int(l), int(k)) for l, k in (sig.pairs if isinstance(sig, Signature) else sig)]
+def _as_pairs(pairs: Pairs) -> list[tuple[int, int]]:
+    pairs = [(int(l), int(k)) for l, k in pairs]
     if any(l < 2 for l, _ in pairs) or any(k < 1 for _, k in pairs):
         raise ParamError(f"need sizes >= 2 and multiplicities >= 1, got {pairs}")
     if any(a > b for (a, _), (b, _) in zip(pairs, pairs[1:])):
@@ -78,16 +46,19 @@ def _esym(pairs: Pairs, g: int) -> list[int]:
     return coeffs
 
 
-def rao_rhs(sig: "Signature | Pairs", t: int) -> int:
-    """Minimum admissible row count for strength t over the given signature.
+def rao_rhs(pairs: Pairs, t: int) -> int:
+    """Minimum admissible row count for strength t over (size, multiplicity)
+    pairs.
 
     For t = 2g the bound is the number of column tuples of weight at most g
     counted with alphabet weights (l - 1); for t = 2g + 1 an extra term runs
     over weight-g tuples avoiding one column of the largest alphabet, scaled
     by (l_v - 1). Sizes must be supplied in nondecreasing order so that the
-    odd-case correction attaches to the largest alphabet. Exact integers.
+    odd-case correction attaches to the largest alphabet; repeated sizes may
+    be lumped into one pair or listed one column at a time, with the same
+    result. Exact integers.
     """
-    pairs = _as_pairs(sig)
+    pairs = _as_pairs(pairs)
     if t < 0:
         raise ParamError(f"strength must be >= 0, got {t}")
     g, odd = divmod(t, 2)
@@ -98,13 +69,6 @@ def rao_rhs(sig: "Signature | Pairs", t: int) -> int:
         l, k = pairs[-1]
         total += (l - 1) * _esym(pairs[:-1] + [(l, k - 1)], g)[g]
     return total
-
-
-def rao_feasible(n_rows: int, sig: "Signature | Pairs", t: int) -> bool:
-    """True when the row count clears the strength-t lower bound."""
-    if n_rows < 1:
-        raise ParamError(f"row count must be >= 1, got {n_rows}")
-    return n_rows >= rao_rhs(sig, t)
 
 
 @dataclass(frozen=True)
@@ -137,18 +101,18 @@ class Condition:
         return out
 
 
-def net_rao_check(b: int, m: int, e: EVector | Sequence[int], g: int,
-                  parity: Parity = "even") -> Condition:
-    """Row-count bound specialized to net parameters with alphabet sizes b**e_i.
+def net_rao_check(b: int, m: int, e: EVector | Sequence[int], t: int) -> Condition:
+    """Strength-t row-count bound specialized to net parameters, with alphabet
+    sizes b**e_i; 2 <= t <= s.
 
-    The even check (strength 2g) applies when m covers the 2g largest entries
-    of e; it requires
+    It applies when m covers the t largest entries of e. For t = 2g it
+    requires
 
-        sum_{j=1..g} sum_{i_1<...<i_j} prod (b**e_i - 1)  <=  b**m - 1.
+        sum_{j=1..g} sum_{i_1<...<i_j} prod (b**e_i - 1)  <=  b**m - 1;
 
-    The odd check (strength 2g + 1) applies when m covers the 2g + 1 largest
-    entries and adds (b**e_s - 1) times the weight-g sum over the first s - 1
-    coordinates to the left-hand side. Requires e sorted ascending.
+    for t = 2g + 1 the left-hand side adds (b**e_s - 1) times the weight-g sum
+    over the first s - 1 coordinates. Requires e sorted ascending. The
+    condition is named ``rao-even-g{g}`` or ``rao-odd-g{g}``.
     """
     e = EVector.coerce(e)
     if b < 2:
@@ -157,19 +121,16 @@ def net_rao_check(b: int, m: int, e: EVector | Sequence[int], g: int,
         raise ParamError(f"m must be >= 0, got {m}")
     if not e.is_sorted:
         raise ParamError(f"e-vector must be sorted ascending, got {e.e}")
-    if parity not in ("even", "odd"):
-        raise ParamError(f"parity must be 'even' or 'odd', got {parity!r}")
     s = e.s
-    t = 2 * g + (parity == "odd")
-    if not 1 <= g <= (s - t % 2) // 2:
-        span = "s/2" if parity == "even" else "(s-1)/2"
-        raise ParamError(f"{parity} check needs 1 <= g <= {span}, got g={g}, s={s}")
+    if not 2 <= t <= s:
+        raise ParamError(f"strength must satisfy 2 <= t <= s, got t={t}, s={s}")
     threshold = sum(e.e[s - t :])
-    lhs = rao_rhs(Signature.from_alphabets([b ** ei for ei in e]), t) - 1
+    # lumped equal sizes, so _esym runs once per distinct size, not per coordinate
+    lhs = rao_rhs(sorted(Counter(b ** ei for ei in e).items()), t) - 1
     rhs = b ** m - 1
     applicable = m >= threshold
     return Condition(
-        name=f"rao-{parity}-g{g}",
+        name=f"rao-{'odd' if t % 2 else 'even'}-g{t // 2}",
         applicable=applicable,
         satisfied=(not applicable) or lhs <= rhs,
         lhs=lhs,
@@ -202,16 +163,16 @@ def seq_kr_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
 def seq_lcm_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
     """Joint coordinate budget over value subsets.
 
-    For every nonempty subset {r_1, ..., r_w} of distinct e-values with
+    For every subset {r_1, ..., r_w} of two or more distinct e-values with
     L = lcm(r_1, ..., r_w), the coordinates carrying those values must number
-    at most b**L. Singleton subsets reproduce :func:`seq_kr_check`.
+    at most b**L. Single values are :func:`seq_kr_check`'s budgets.
     """
     e = EVector.coerce(e)
     if b < 2:
         raise ParamError(f"base must be >= 2, got {b}")
     counts = Counter(e.e)
     values = sorted(counts)
-    subsets = [sub for w in range(1, len(values) + 1)
+    subsets = [sub for w in range(2, len(values) + 1)
                for sub in itertools.combinations(values, w)]
     out = []
     for sub in subsets:
@@ -262,8 +223,9 @@ def feasibility_report(b: int, m: int, e: EVector | Sequence[int],
                        target: Literal["net", "sequence"] = "net") -> FeasibilityReport:
     """Evaluate every applicable necessary condition for quality-0 parameters.
 
-    target='net' runs the row-count checks for all valid g and both parities
-    (none exist for s = 1, so the report is vacuously feasible there).
+    target='net' runs the row-count checks for every strength 2 <= t <= s,
+    even strengths first (none exist for s = 1, so the report is vacuously
+    feasible there).
     target='sequence' adds the per-resolution and lcm coordinate budgets; the
     net checks still run at the given m because every sequence yields nets of
     that order.
@@ -277,15 +239,9 @@ def feasibility_report(b: int, m: int, e: EVector | Sequence[int],
         raise ParamError(f"m must be >= 0, got {m}")
     e_sorted, _ = e.sorted()
     s = e_sorted.s
-    conditions: list[Condition] = []
-    for g in range(1, s // 2 + 1):
-        conditions.append(net_rao_check(b, m, e_sorted, g, "even"))
-    for g in range(1, (s - 1) // 2 + 1):
-        conditions.append(net_rao_check(b, m, e_sorted, g, "odd"))
+    conditions = [net_rao_check(b, m, e_sorted, t)
+                  for t in [*range(2, s + 1, 2), *range(3, s + 1, 2)]]
     if target == "sequence":
         conditions.extend(seq_kr_check(b, e_sorted))
-        # Singletons are re-reported inside the lcm family by design: the
-        # kr-* entries give the per-value view, the lcm-* entries the joint one.
-        conditions.extend(c for c in seq_lcm_check(b, e_sorted)
-                          if len(c.detail["values"]) > 1)
+        conditions.extend(seq_lcm_check(b, e_sorted))
     return FeasibilityReport(b, m, tuple(e_sorted.e), target, tuple(conditions))

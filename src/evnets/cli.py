@@ -48,7 +48,7 @@ def int_list_arg(text: str) -> tuple[int, ...]:
 def _read_input(path: str) -> str:
     """The bytes of a file ('-': standard input) decoded as UTF-8 whatever the
     locale, line ends untranslated; an undecodable byte becomes a lone
-    surrogate, which every parser rejects as a format error."""
+    surrogate, which every parser rejects as a format error naming the byte."""
     if path == "-":
         raw = sys.stdin.buffer.read()
     else:
@@ -211,9 +211,7 @@ def cmd_from_mooa(args) -> int:
 # ------------------------------------------------------------------- bounds
 
 def cmd_rao(args) -> int:
-    g, odd = divmod(args.t, 2)
-    condition = bounds.net_rao_check(args.base, args.m, args.e, g,
-                                     "odd" if odd else "even")
+    condition = bounds.net_rao_check(args.base, args.m, args.e, args.t)
     violated = condition.applicable and not condition.satisfied
     if args.json:
         out = condition.to_json()
@@ -248,16 +246,16 @@ def cmd_feasible(args) -> int:
 # ------------------------------------------------------------- dual witness
 
 def cmd_dual_cert(args) -> int:
-    array = formats.parse_mooa(_read_input(args.file))
     if (args.kappa is None) == (args.tuples is None):
         raise ParamError("dual-cert needs exactly one of --kappa or --tuples")
+    if args.tuples == "-" == args.file:
+        raise ParamError("dual-cert cannot read both the array and --tuples "
+                         "from standard input")
+    array = formats.parse_mooa(_read_input(args.file))
     if args.kappa is not None:
         family = dualcert.build_block_family(array, args.kappa)
         source = f"kappa={_fmt_value(args.kappa)}"
     else:
-        if args.tuples == "-" == args.file:
-            raise ParamError("dual-cert cannot read both the array and --tuples "
-                             "from standard input")
         family = formats.parse_function_tuples(_read_input(args.tuples), array)
         source = f"tuples={len(family)}"
     verdict = dualcert.gram_certificate(array, family)
@@ -399,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--e", type=evector_arg, required=True)
-    p.add_argument("--t", type=int, required=True, help="strength (2g or 2g+1, g >= 1)")
+    p.add_argument("--t", type=int, required=True, help="strength, 2 <= T <= s")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rao)
 

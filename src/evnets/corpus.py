@@ -113,10 +113,13 @@ def faure(b: int, m: int, s: int) -> PointSet:
 
 
 def random_pointset(b: int, m: int, s: int, seed: int) -> PointSet:
-    """b**m points with independently uniform digits (seeded, reproducible)."""
+    """b**m points with independently uniform digits, reproducible from a seed
+    >= 0."""
     _check_bm(b, m, s)
     if s < 1:
         raise ParamError(f"need at least one coordinate, got s={s}")
+    if seed < 0:
+        raise ParamError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return PointSet(b, rng.integers(0, b, size=(b ** m, s, m), dtype=np.int64))
 

@@ -219,6 +219,17 @@ def _first_tall_pair(array: MixedOOA, residues: np.ndarray) -> tuple[int, int, i
     return None
 
 
+def _check_family_size(array: MixedOOA, members: int) -> None:
+    """Refuse a family whose int64 exponent matrix (one row per member, one
+    column per array row) and same-sized difference buffer would together
+    pass the package's byte cap."""
+    size = 2 * members * array.runs * 8
+    if size > _BYTES_CAP:
+        raise ParamError(f"a family of {members} tuples on {array.runs} rows needs "
+                         f"{size} bytes of exponents and differences, above the cap of "
+                         f"{_BYTES_CAP} bytes")
+
+
 def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdict:
     """Decide pairwise orthogonality of a family's characters exactly.
 
@@ -239,11 +250,7 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     family = list(family)
     for d in family:
         _check_array_frame(array, d)
-    size = 2 * len(family) * array.runs * 8
-    if size > _BYTES_CAP:
-        raise ParamError(f"a family of {len(family)} tuples on {array.runs} rows needs "
-                         f"{size} bytes of exponents and differences, above the cap of "
-                         f"{_BYTES_CAP} bytes")
+    _check_family_size(array, len(family))
     residues = _stack(array, family)
     tall = _first_tall_pair(array, residues)
     if tall is not None:
@@ -280,7 +287,8 @@ def build_block_family(array: MixedOOA, kappa: Sequence[int]) -> list[FunctionTu
     ``kappa`` must be an admissible depth profile (kappa_i <= beta_i and
     sum kappa_i * e_i <= m - u). The family has exactly
     b**(sum kappa_i * e_i) members and is enumerated with the last selected
-    column varying fastest.
+    column varying fastest. A family :func:`gram_certificate` would refuse
+    for its size is refused with ``ParamError`` before it is built.
     """
     kappa = tuple(int(v) for v in kappa)
     if len(kappa) != array.dim:
@@ -292,6 +300,7 @@ def build_block_family(array: MixedOOA, kappa: Sequence[int]) -> list[FunctionTu
         depth += ki * ei
     if depth > array.m - array.u:
         raise ParamError(f"profile depth {depth} exceeds the budget {array.m - array.u}")
+    _check_family_size(array, array.base ** depth)
     ranges = [range(array.base ** ei) for ki, ei in zip(kappa, array.e)
               for _ in range(ki)]
     out = []

@@ -74,6 +74,9 @@ _TOKEN = re.compile(r"[^\t\n\v\f\r\x1c-\x1f ]+")
 _ENTRY_DIGITS = 19  # any 19-digit value fits in uint64
 _ENTRY = re.compile(f"[0-9]{{1,{_ENTRY_DIGITS}}}")
 _CHUNK_BYTES = 1 << 18
+# repr() writes a backslash as two and U+DCxx as \udcxx, so matching its
+# escapes left to right never starts inside another escape.
+_SURROGATE_ESCAPE = re.compile(r"\\(?:\\|udc([89a-f][0-9a-f]))")
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,13 @@ class NetFile:
     points: PointSet
     u: int
     e: EVector
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, except that a byte that was not UTF-8, which
+    ``surrogateescape`` decoding holds as U+DC80-U+DCFF, is shown as the byte
+    ``\\xNN`` the input held."""
+    return _SURROGATE_ESCAPE.sub(lambda mt: "\\x" + mt[1] if mt[1] else mt[0], repr(text))
 
 
 def _split(text: str, header_lines: int) -> tuple[list[str], bytes, int]:
@@ -110,14 +120,15 @@ def _int_token(tok: str, what: str, line: int) -> int:
     try:
         return int(tok, 10)
     except ValueError:
-        raise FormatError(f"{what} must be an integer, got {tok!r}", line=line) from None
+        raise FormatError(f"{what} must be an integer, got {_quote(tok)}", line=line) from None
 
 
 def _keyword_header(line: str, keys: tuple[str, ...], lineno: int) -> list[int]:
     toks = line.split()
     if len(toks) != 2 * len(keys) or tuple(toks[0::2]) != keys:
         raise FormatError(
-            f"expected header '{' '.join(k + ' <' + k + '>' for k in keys)}', got {line!r}",
+            f"expected header '{' '.join(k + ' <' + k + '>' for k in keys)}', "
+            f"got {_quote(line)}",
             line=lineno)
     return [_int_token(toks[2 * j + 1], keys[j], lineno) for j in range(len(keys))]
 
@@ -125,7 +136,7 @@ def _keyword_header(line: str, keys: tuple[str, ...], lineno: int) -> list[int]:
 def _vector_line(line: str, key: str, count: int, lineno: int) -> list[int]:
     toks = line.split()
     if not toks or toks[0] != key:
-        raise FormatError(f"expected '{key} ...' line, got {line!r}", line=lineno)
+        raise FormatError(f"expected '{key} ...' line, got {_quote(line)}", line=lineno)
     if len(toks) != count + 1:
         raise FormatError(f"expected {count} values after '{key}', got {len(toks) - 1}",
                           line=lineno)
@@ -177,16 +188,16 @@ def _chunks(raw: bytes, start: int):
 def _net_line_error(line: str, b: int, m: int, s: int) -> str:
     """Why a NET body line is rejected (the line must be bad)."""
     if m == 0:
-        return f"expected blank point line for m=0, got {line!r}"
+        return f"expected blank point line for m=0, got {_quote(line)}"
     toks = _TOKEN.findall(line)
     if len(toks) != s:
         return f"expected {s} digit strings, got {len(toks)}"
     for tok in toks:
         if len(tok) != m:
-            return f"digit string {tok!r} has length {len(tok)}, expected {m}"
+            return f"digit string {_quote(tok)} has length {len(tok)}, expected {m}"
         for c in tok:
             if not 0 <= DIGIT_CHARS.find(c) < b:
-                return f"character {c!r} is not a base-{b} digit"
+                return f"character {_quote(c)} is not a base-{b} digit"
     raise AssertionError(f"NET line {line!r} has no error")
 
 
@@ -226,11 +237,11 @@ def _int_line_error(line: str, widths: list[int], noun: str, nouns: str) -> str:
     toks = _TOKEN.findall(line)
     if len(toks) != len(widths):
         if not widths:
-            return f"expected blank row for zero columns, got {line!r}"
+            return f"expected blank row for zero columns, got {_quote(line)}"
         return f"expected {len(widths)} {nouns}, got {len(toks)}"
     for j, (tok, width) in enumerate(zip(toks, widths)):
         if not _ENTRY.fullmatch(tok):
-            return f"{noun} must be 1 to {_ENTRY_DIGITS} digits 0-9, got {tok!r}"
+            return f"{noun} must be 1 to {_ENTRY_DIGITS} digits 0-9, got {_quote(tok)}"
         if int(tok) >= width:
             return f"{noun} {int(tok)} outside [0, {width}) in column {j}"
     raise AssertionError(f"integer line {line!r} has no error")
@@ -272,7 +283,7 @@ def parse_net(text: str) -> NetFile:
     """Parse a NET v1 file. The number of points is the number of body lines."""
     lines, raw, start = _split(text, 3)
     if _need_line(lines, 0, "NET v1 magic line") != "NET v1":
-        raise FormatError(f"expected 'NET v1', got {lines[0]!r}", line=1)
+        raise FormatError(f"expected 'NET v1', got {_quote(lines[0])}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
                                  ("base", "m", "s", "u"), 2)
     if b < 2:
@@ -336,7 +347,7 @@ def parse_moa(text: str) -> MixedOA:
     """Parse a MOA v1 file; the header's t becomes the claimed strength."""
     lines, raw, start = _split(text, 3)
     if _need_line(lines, 0, "MOA v1 magic line") != "MOA v1":
-        raise FormatError(f"expected 'MOA v1', got {lines[0]!r}", line=1)
+        raise FormatError(f"expected 'MOA v1', got {_quote(lines[0])}", line=1)
     n, k, t = _keyword_header(_need_line(lines, 1, "parameter header"), ("N", "k", "t"), 2)
     if n < 1 or k < 1 or not 0 <= t <= k:
         raise FormatError(f"invalid parameters N={n} k={k} t={t}", line=2)
@@ -359,7 +370,7 @@ def parse_mooa(text: str) -> MixedOOA:
     """Parse a MOOA v1 file (exactly base**m body rows)."""
     lines, raw, start = _split(text, 4)
     if _need_line(lines, 0, "MOOA v1 magic line") != "MOOA v1":
-        raise FormatError(f"expected 'MOOA v1', got {lines[0]!r}", line=1)
+        raise FormatError(f"expected 'MOOA v1', got {_quote(lines[0])}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
                                  ("base", "m", "s", "u"), 2)
     if b < 2 or m < 0 or s < 1 or not 0 <= u <= m:

@@ -1,35 +1,20 @@
 """Row-count bounds and coordinate-budget conditions, exact-integer oracles."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import evnets
 from evnets import (
-    Condition, FeasibilityReport, Signature,
-    feasibility_report, net_rao_check, rao_feasible, rao_rhs,
+    Condition, FeasibilityReport,
+    feasibility_report, net_rao_check, rao_rhs,
     seq_kr_check, seq_lcm_check,
 )
+from evnets import bounds
 from evnets.errors import ParamError
 
 import oracles
-
-
-class TestSignature:
-    def test_from_alphabets_sorts_and_lumps(self):
-        assert Signature.from_alphabets((4, 2, 2, 4)).pairs == ((2, 2), (4, 2))
-        assert Signature.from_alphabets((3,)).pairs == ((3, 1),)
-
-    def test_columns(self):
-        assert Signature(((2, 2), (4, 2))).columns == 4
-
-    def test_validation(self):
-        with pytest.raises(ParamError):
-            Signature(((4, 1), (2, 1)))      # not increasing
-        with pytest.raises(ParamError):
-            Signature(((2, 1), (2, 1)))      # not strictly increasing
-        with pytest.raises(ParamError):
-            Signature(((1, 1),))
-        with pytest.raises(ParamError):
-            Signature(((2, 0),))
 
 
 class TestRaoRhs:
@@ -57,9 +42,6 @@ class TestRaoRhs:
         assert rao_rhs([(2, 1)], 1) == 2
         assert rao_rhs([(5, 1)], 1) == 5
 
-    def test_accepts_signature_objects(self):
-        assert rao_rhs(Signature(((2, 4),)), 3) == 8
-
     def test_monotone_in_strength(self):
         pairs = [(2, 2), (3, 2)]
         values = [rao_rhs(pairs, t) for t in range(0, 6)]
@@ -72,6 +54,8 @@ class TestRaoRhs:
             rao_rhs([(2, 1)], -1)
         with pytest.raises(ParamError):
             rao_rhs([(1, 2)], 2)
+        with pytest.raises(ParamError):
+            rao_rhs([(2, 0)], 2)
 
     def test_nondecreasing_duplicates_allowed(self):
         # unlumped input with repeated sizes is legal and equals the lumped form
@@ -88,39 +72,45 @@ class TestRaoRhs:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.integers(2, 6), min_size=1, max_size=6), st.integers(0, 5))
     def test_lumping_invariance_both_parities(self, alphabets, t):
-        # exact equality between the lumped signature and one-pair-per-column
-        # input, for even and odd strengths alike (sizes sorted ascending)
-        lumped = Signature.from_alphabets(alphabets)
+        # exact equality between Counter-lumped pairs and one pair per
+        # column, for even and odd strengths alike (sizes sorted ascending)
+        lumped = sorted(Counter(alphabets).items())
         unlumped = [(l, 1) for l in sorted(alphabets)]
         assert rao_rhs(lumped, t) == rao_rhs(unlumped, t)
 
-    def test_rao_feasible(self):
-        assert rao_feasible(8, [(2, 4)], 3)
-        assert not rao_feasible(7, [(2, 4)], 3)
-        with pytest.raises(ParamError):
-            rao_feasible(0, [(2, 4)], 3)
+    def test_removed_names_are_absent(self):
+        for name in ("Signature", "rao_feasible", "Parity"):
+            assert not hasattr(bounds, name) and not hasattr(evnets, name)
+            assert name not in bounds.__all__ and name not in evnets.__all__
 
 
 class TestNetRaoCheck:
     def test_frozen_violation(self):
         # four binary coordinates, 4 rows: 4 > 3, so no strength-2 array
-        c = net_rao_check(2, 2, (1, 1, 1, 1), 1, "even")
+        c = net_rao_check(2, 2, (1, 1, 1, 1), 2)
         assert c.name == "rao-even-g1"
         assert c.applicable and not c.satisfied
         assert (c.lhs, c.rhs) == (4, 3)
         assert c.detail == {"m_threshold": 2}
 
     def test_inapplicable_is_vacuously_satisfied(self):
-        c = net_rao_check(2, 1, (1, 1, 1, 1), 1, "even")
+        c = net_rao_check(2, 1, (1, 1, 1, 1), 2)
         assert not c.applicable and c.satisfied
         assert c.detail == {"m_threshold": 2}
 
-    def test_odd_parity(self):
-        c = net_rao_check(2, 3, (1, 1, 1), 1, "odd")
+    def test_odd_strength(self):
+        c = net_rao_check(2, 3, (1, 1, 1), 3)
         assert c.name == "rao-odd-g1"
         assert c.applicable
         assert c.lhs == oracles.brute_net_rao_lhs(2, (1, 1, 1), 1, "odd") == 5
         assert c.rhs == 7
+
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_every_strength_names_its_condition(self, s):
+        for t in range(2, s + 1):
+            c = net_rao_check(2, 40, (1,) * s, t)
+            assert c.name == ("rao-odd-g" if t % 2 else "rao-even-g") + str(t // 2)
+            assert c.detail == {"m_threshold": t}
 
     def test_lhs_matches_subset_oracle(self):
         cases = [
@@ -132,37 +122,37 @@ class TestNetRaoCheck:
             (2, 8, (1, 1, 1, 2, 3), 2, "odd"),
         ]
         for b, m, e, g, parity in cases:
-            c = net_rao_check(b, m, e, g, parity)
+            c = net_rao_check(b, m, e, 2 * g + (parity == "odd"))
             assert c.lhs == oracles.brute_net_rao_lhs(b, e, g, parity)
             assert c.rhs == b ** m - 1
 
     def test_specializes_the_general_bound(self):
         # satisfied (when applicable) iff b**m rows clear the unlumped bound
-        for b, m, e, g, parity in [
-            (2, 2, (1, 1, 1, 1), 1, "even"),
-            (2, 6, (1, 1, 2, 2), 2, "even"),
-            (2, 4, (1, 1, 1), 1, "odd"),
-            (3, 4, (1, 2, 2), 1, "even"),
+        for b, m, e, t in [
+            (2, 2, (1, 1, 1, 1), 2),
+            (2, 6, (1, 1, 2, 2), 4),
+            (2, 4, (1, 1, 1), 3),
+            (3, 4, (1, 2, 2), 2),
         ]:
-            c = net_rao_check(b, m, e, g, parity)
+            c = net_rao_check(b, m, e, t)
             if not c.applicable:
                 continue
-            t = 2 * g + (parity == "odd")
             pairs = [(b ** ei, 1) for ei in sorted(e)]
-            assert c.satisfied == rao_feasible(b ** m, pairs, t)
+            assert c.satisfied == (b ** m >= rao_rhs(pairs, t))
             assert rao_rhs(pairs, t) == c.lhs + 1
 
     def test_requires_sorted_e(self):
         with pytest.raises(ParamError):
-            net_rao_check(2, 3, (2, 1), 1, "even")
+            net_rao_check(2, 3, (2, 1), 2)
 
-    def test_g_range_validation(self):
-        with pytest.raises(ParamError):
-            net_rao_check(2, 3, (1, 1), 2, "even")   # g > s/2
-        with pytest.raises(ParamError):
-            net_rao_check(2, 3, (1, 1), 1, "odd")    # g > (s-1)/2
-        with pytest.raises(ParamError):
-            net_rao_check(2, 3, (1, 1), 1, "both")
+    @pytest.mark.parametrize("t", [-1, 0, 1, 4, 5])
+    def test_strength_outside_two_to_s_is_rejected(self, t):
+        with pytest.raises(ParamError, match=f"2 <= t <= s, got t={t}, s=3"):
+            net_rao_check(2, 3, (1, 1, 1), t)
+
+    def test_strength_is_one_integer_argument(self):
+        with pytest.raises(TypeError):
+            net_rao_check(2, 3, (1, 1), 1, "even")
 
 
 class TestSequenceConditions:
@@ -178,7 +168,7 @@ class TestSequenceConditions:
     def test_lcm_subsets(self):
         conds = seq_lcm_check(2, (1, 1, 2, 2))
         by_name = {c.name: c for c in conds}
-        assert set(by_name) == {"lcm-{1}", "lcm-{2}", "lcm-{1,2}"}
+        assert set(by_name) == {"lcm-{1,2}"}
         joint = by_name["lcm-{1,2}"]
         assert (joint.lhs, joint.rhs) == (4, 4)
         assert joint.satisfied
@@ -196,13 +186,12 @@ class TestSequenceConditions:
         joint = next(c for c in conds if c.name == "lcm-{2,3}")
         assert joint.rhs == 64 and joint.lhs == 3 and joint.satisfied
 
-    def test_singleton_subsets_match_kr(self):
-        e = (1, 1, 3, 3, 3)
-        kr = {c.detail["value"]: (c.lhs, c.rhs, c.satisfied) for c in seq_kr_check(2, e)}
-        for c in seq_lcm_check(2, e):
-            vals = c.detail["values"]
-            if len(vals) == 1:
-                assert kr[vals[0]] == (c.lhs, c.rhs, c.satisfied)
+    def test_no_singleton_subsets(self):
+        # a single value's budget is seq_kr_check's kr-r{r}, reported once
+        assert [c.name for c in seq_lcm_check(2, (1, 1, 3, 3, 3))] == ["lcm-{1,3}"]
+        assert seq_lcm_check(2, (2, 2, 2)) == []
+        names = [c.name for c in seq_lcm_check(3, (1, 2, 3, 3))]
+        assert names == ["lcm-{1,2}", "lcm-{1,3}", "lcm-{2,3}", "lcm-{1,2,3}"]
 
 
 class TestFeasibilityReport:
@@ -211,6 +200,17 @@ class TestFeasibilityReport:
         names = [c.name for c in rep.conditions]
         assert names == ["rao-even-g1", "rao-even-g2", "rao-odd-g1"]
         assert rep.feasible
+
+    def test_frozen_condition_order(self):
+        # even strengths first, then odd, then the sequence budgets
+        rep = feasibility_report(2, 30, (1, 1, 1, 2, 2, 3, 3), "sequence")
+        assert [c.name for c in rep.conditions] == [
+            "rao-even-g1", "rao-even-g2", "rao-even-g3",
+            "rao-odd-g1", "rao-odd-g2", "rao-odd-g3",
+            "kr-r1", "kr-r2", "kr-r3",
+            "lcm-{1,2}", "lcm-{1,3}", "lcm-{2,3}", "lcm-{1,2,3}"]
+        assert [c.detail["m_threshold"] for c in rep.conditions[:6]] == [
+            6, 10, 12, 8, 11, 13]
 
     def test_single_coordinate_is_vacuous(self):
         rep = feasibility_report(2, 3, (2,), "net")

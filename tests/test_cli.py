@@ -120,6 +120,12 @@ class TestGen:
                              "--s", "2", "--seed", "5")
         assert out2 == out  # seeded determinism
 
+    def test_random_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "--base", "2", "--m", "2",
+                             "--s", "2", "--seed", "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: seed must be >= 0, got -1\n"
+
     def test_gen_to_file(self, capsys, tmp_path):
         target = tmp_path / "g.net"
         code, out, _ = run(capsys, "gen", "grid", "--base", "2", "--m", "2",
@@ -252,7 +258,8 @@ class TestInputReader:
         code, out, err = self._verify(capsys, monkeypatch, tmp_path, source,
                                       b"\n".join(lines))
         assert (code, out) == (EXIT_FORMAT, "")
-        assert err.startswith("error: line 5: digit string '001")
+        # the message names the byte the file holds, not its surrogate escape
+        assert err == "error: line 5: digit string '001\\xff' has length 4, expected 3\n"
 
     @pytest.fixture()
     def mooa(self, capsys, ham_net, tmp_path):
@@ -263,15 +270,16 @@ class TestInputReader:
 
     @pytest.mark.parametrize("source", ["path", "stdin"])
     def test_tuples_are_read_the_same_way(self, capsys, monkeypatch, tmp_path, mooa, source):
+        data = b"1 0 0 0 0 0\n0 0 0 0 0 \xff\n"
         if source == "stdin":
-            feed_stdin(monkeypatch, b"1 0 0 0 0 0\n\xff\n")
+            feed_stdin(monkeypatch, data)
             tuples = "-"
         else:
             tuples = tmp_path / "fam.txt"
-            tuples.write_bytes(b"1 0 0 0 0 0\n\xff\n")
+            tuples.write_bytes(data)
         code, out, err = run(capsys, "dual-cert", mooa, "--tuples", str(tuples))
         assert (code, out) == (EXIT_FORMAT, "")
-        assert err.startswith("error: line 2: ")
+        assert err == "error: line 2: residue must be 1 to 19 digits 0-9, got '\\xff'\n"
 
     def test_tuples_on_stdin_pass(self, capsys, monkeypatch, mooa):
         feed_stdin(monkeypatch, "0 0 0 0 0 0\n1 0 0 0 0 0\n")
@@ -482,6 +490,13 @@ class TestBoundsCommands:
         assert code == EXIT_PASS
         assert "rao-odd-g1 LHS 5 <= RHS 7" in out
 
+    @pytest.mark.parametrize("t", ["-1", "0", "1", "4"])
+    def test_rao_strength_outside_two_to_s_is_usage_error(self, capsys, t):
+        code, out, err = run(capsys, "rao", "--base", "2", "--m", "3",
+                             "--e", "1,1,1", "--t", t)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: strength must satisfy 2 <= t <= s, got t={t}, s=3\n"
+
     def test_feasible_infeasible_text(self, capsys):
         code, out, _ = run(capsys, "feasible", "--base", "2", "--m", "2",
                            "--e", "1x4")
@@ -548,6 +563,41 @@ class TestDualCert:
         code, _, err = run(capsys, "dual-cert", mooa, "--kappa", "1,0",
                            "--tuples", str(tuples))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags", [(), ("--kappa", "1,1", "--tuples", "fam.txt")])
+    def test_source_flags_checked_before_any_read(self, capsys, monkeypatch, ham_net, flags):
+        # a NET file is not a MOOA file, but the usage error comes first
+        code, out, err = run(capsys, "dual-cert", ham_net, *flags)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: dual-cert needs exactly one of --kappa or --tuples\n"
+
+        class Unread:
+            @property
+            def buffer(self):
+                raise AssertionError("stdin was read")
+
+        monkeypatch.setattr(sys, "stdin", Unread())
+        code, _, err = run(capsys, "dual-cert", "-", *flags)
+        assert code == EXIT_USAGE and "exactly one" in err
+        code, _, err = run(capsys, "dual-cert", "-", "--tuples", "-")
+        assert code == EXIT_USAGE and "standard input" in err
+
+    def test_oversized_kappa_family_is_refused_before_it_is_built(self, capsys, ham_net,
+                                                                   tmp_path, monkeypatch):
+        mooa = self._mooa(capsys, ham_net, tmp_path)
+
+        def no_tuples(*args):
+            raise AssertionError("family member built")
+
+        monkeypatch.setattr(dualcert, "FunctionTuple", no_tuples)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8 - 1)
+        code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: a family of 8 tuples on 8 rows needs 1024 bytes of exponents "
+                       "and differences, above the cap of 1023 bytes\n")
+        # a bad profile is still named first
+        code, _, err = run(capsys, "dual-cert", mooa, "--kappa", "4,0")
+        assert code == EXIT_USAGE and err == "error: kappa[0]=4 outside [0, 3]\n"
 
     def test_failing_certificate(self, capsys, bad_net, tmp_path):
         _, text, _ = run(capsys, "to-mooa", bad_net)

@@ -108,6 +108,10 @@ class TestGenerators:
         assert a == b and a != c
         assert a.count == 8 and a.digits.max() <= 1
 
+    def test_random_pointset_negative_seed_is_param_error(self):
+        with pytest.raises(ParamError, match="seed must be >= 0, got -1"):
+            random_pointset(2, 3, 2, -1)
+
 
 class TestFlipDigit:
     def test_exact_single_digit_change(self, ham23):

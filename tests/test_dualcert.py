@@ -333,6 +333,22 @@ class TestBuildBlockFamily:
         with pytest.raises(ParamError):
             build_block_family(arr12, (1,))     # wrong block count
 
+    def test_oversized_family_is_refused_before_it_is_built(self, arr12, monkeypatch):
+        # the cap gram_certificate applies, checked from b**depth members
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8)
+        assert len(build_block_family(arr12, (1, 1))) == 8
+
+        def no_tuples(*args):
+            raise AssertionError("family member built")
+
+        monkeypatch.setattr(dualcert, "FunctionTuple", no_tuples)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8 - 1)
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 1024 "
+                                             "bytes of exponents and differences"):
+            build_block_family(arr12, (1, 1))
+        with pytest.raises(ParamError, match="profile depth 5 exceeds the budget 3"):
+            build_block_family(arr12, (3, 1))
+
     def test_zero_profile_gives_singleton(self, arr12):
         fam = build_block_family(arr12, (0, 0))
         assert fam == [FunctionTuple(2, EVector((1, 2)), ((0, 0, 0), (0,)))]

@@ -504,3 +504,61 @@ class TestSerializersMatchLineOracle:
             with pytest.raises(FormatError) as err:
                 parse_net("\n".join(lines))
         assert err.value.line == 201
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 reaches the parsers as the lone surrogate
+    that ``surrogateescape`` decoding makes of it; messages name the byte."""
+
+    @staticmethod
+    def _message(parse, text):
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        return str(err.value)
+
+    def test_net_body_and_header(self):
+        text = HAM_23_TEXT.replace("100 001\n", "100 001\udcff\n")
+        assert self._message(parse_net, text) == (
+            "line 5: digit string '001\\xff' has length 4, expected 3")
+        text = HAM_23_TEXT.replace("100 001\n", "100 0\udc8f1\n")
+        assert self._message(parse_net, text) == (
+            "line 5: character '\\x8f' is not a base-2 digit")
+        assert self._message(parse_net, "NET v1\udcff\n") == (
+            "line 1: expected 'NET v1', got 'NET v1\\xff'")
+        assert self._message(parse_net, "NET v1\nbase 2 m \udcc3 s 1 u 0\n") == (
+            "line 2: m must be an integer, got '\\xc3'")
+
+    def test_integer_bodies(self, ham23):
+        text = serialize_moa(MixedOA((2, 2), np.array([[0, 1], [1, 0]]), 1))
+        assert self._message(parse_moa, text.replace("1 0\n", "1 0\udcff\n")) == (
+            "line 5: entry must be 1 to 19 digits 0-9, got '0\\xff'")
+        arr = net_to_mooa(ham23, 0, EVector((1, 2)))
+        assert self._message(lambda t: parse_function_tuples(t, arr), "1 0 1 \udcff\n") == (
+            "line 1: residue must be 1 to 19 digits 0-9, got '\\xff'")
+
+    @pytest.mark.parametrize("token, shown", [
+        ("0\u00e9", "'0\u00e9'"),              # valid UTF-8: repr, unchanged
+        ("0\\udcff", "'0\\\\udcff'"),          # a backslash the file holds
+        ("0\\\udcff0", "'0\\\\\\xff0'"),       # a backslash, then the byte
+        ("0\ud800", "'0\\ud800'"),             # a surrogate no byte decodes to
+        ("'\udcff", "\"'\\xff\""),             # repr's choice of quotes is kept
+    ])
+    def test_only_escaped_bytes_are_respelled(self, token, shown):
+        text = HAM_23_TEXT.replace("100 001\n", f"100 {token}\n")
+        assert self._message(parse_net, text).startswith(f"line 5: digit string {shown} ")
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from(["net", "moa", "mooa", "tuples"]), st.integers(0, 200),
+           st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1,
+                   max_size=3))
+    def test_no_unicode_error_for_any_lone_surrogate(self, ham23, kind, pos, junk):
+        arr = net_to_mooa(ham23, 0, EVector((1, 2)))
+        text, parse = {
+            "net": (HAM_23_TEXT, parse_net),
+            "moa": (serialize_moa(MixedOA((2, 2), np.array([[0, 1], [1, 0]]), 1)), parse_moa),
+            "mooa": (serialize_mooa(arr), parse_mooa),
+            "tuples": ("1 0 1 3\n0 0 0 0\n", lambda t: parse_function_tuples(t, arr)),
+        }[kind]
+        pos %= len(text) + 1
+        with pytest.raises(FormatError):
+            parse(text[:pos] + junk + text[pos:])

@@ -1,10 +1,10 @@
-"""Mixed-array bridge: digit extraction, strength checks, alphabet lumping."""
+"""Mixed-array bridge: digit extraction and strength checks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evnets import MixedOA, Signature, max_strength, net_to_moa, verify_moa
+from evnets import MixedOA, max_strength, net_to_moa, verify_moa
 from evnets import corpus
 from evnets.errors import ParamError, PrecisionError
 
@@ -32,21 +32,6 @@ class TestNetToMoa:
             net_to_moa(ham23, (1, 4))
         with pytest.raises(ParamError):
             net_to_moa(ham23, (1, 1, 1))
-
-
-class TestLumpSignature:
-    def test_frozen_example(self):
-        assert Signature.from_alphabets((4, 2, 2, 4)).pairs == ((2, 2), (4, 2))
-
-    def test_singleton(self):
-        assert Signature.from_alphabets((5,)).pairs == ((5, 1),)
-
-    @given(st.lists(st.integers(2, 9), min_size=1, max_size=8))
-    def test_partition_property(self, alphabets):
-        sig = Signature.from_alphabets(alphabets).pairs
-        assert sum(k for _, k in sig) == len(alphabets)
-        assert [l for l, _ in sig] == sorted({int(l) for l in alphabets})
-        assert all(k >= 1 for _, k in sig)
 
 
 class TestVerifyMoa:
