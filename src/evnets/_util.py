@@ -8,20 +8,51 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Largest array of order b**m (a digit tensor, an exponent matrix) the
-# package will allocate, in bytes.
+# package will allocate, in bytes; a digit tensor of a base <= 256 takes one
+# byte per digit, so its cap admits 8 times the points of an int64 one.
 _BYTES_CAP = 1 << 30
 
+# int64 work one chunk of rows may take, in bytes: kernels that widen compact
+# digits do it a chunk at a time, so no int64 copy of a whole tensor exists.
+_CHUNK_BYTES = 1 << 20
 
-def block_values(digits: np.ndarray, coord: int, start: int, width: int, base: int) -> np.ndarray:
-    """Integer encoded by digit positions [start, start+width) of one coordinate.
 
-    ``digits`` has shape (N, s, m) with the most significant digit first, so the
-    result for width w lies in {0, ..., base**w - 1}.
+def digit_dtype(limit: int) -> type:
+    """Storage dtype for values in [0, limit): uint8 when limit <= 256, else int64.
+
+    Never uint64, which numpy promotes with int64 to float64. uint8 arithmetic
+    with a Python int wraps silently, so kernels widen before they compute.
+    """
+    return np.uint8 if limit <= 256 else np.int64
+
+
+def row_chunks(n: int, row_items: int) -> list[slice]:
+    """Slices covering range(n) whose rows of ``row_items`` int64 values take
+    about ``_CHUNK_BYTES`` each."""
+    step = max(1, _CHUNK_BYTES // (8 * max(row_items, 1)))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def digit_window(digits: np.ndarray, coord: int, start: int, width: int, base: int,
+                 out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the integer that digit positions [start, start+width)
+    of one coordinate encode, by Horner's rule in ``out``'s dtype; return ``out``.
+
+    ``digits`` has shape (N, s, m) with the most significant digit first, so
+    the value for width w lies in {0, ..., base**w - 1}, and ``out`` (N
+    entries, any strides) must hold it.
     """
     if width == 0:
-        return np.zeros(digits.shape[0], dtype=np.int64)
-    powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return digits[:, coord, start : start + width] @ powers
+        out[...] = 0
+        return out
+    out[...] = digits[:, coord, start]
+    if width > 1:
+        radix = out.dtype.type(base)  # base**width fits, so base does
+        for l in range(start + 1, start + width):
+            out *= radix
+            # unsafe casting admits int64 digits into a narrower out; the sum fits
+            np.add(out, digits[:, coord, l], out=out, casting="unsafe")
+    return out
 
 
 def rank_rows(columns: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
@@ -43,16 +74,20 @@ def unrank(rank: int, radices: Sequence[int]) -> list[int]:
 
 def digit_matrix(values: np.ndarray | range | Sequence[int], width: int,
                  base: int) -> np.ndarray:
-    """Base-``base`` digit rows (most significant first) for each value."""
-    if isinstance(values, range):
-        vals = np.arange(values.start, values.stop, values.step, dtype=np.int64)
-    else:  # a strided column divides several times slower than a copy of it
-        vals = np.ascontiguousarray(values, dtype=np.int64)
-    out = np.empty((vals.shape[0], width), dtype=np.int64)
-    for j in range(width - 1, -1, -1):
-        quotient = vals // base  # much faster than % on int64
-        out[:, j] = vals - quotient * base
-        vals = quotient
+    """Base-``base`` digit rows (most significant first) for each value, in
+    ``digit_dtype(base)``; the values are widened to int64 a chunk at a time."""
+    n = len(values)
+    out = np.empty((n, width), dtype=digit_dtype(base))
+    for rows in row_chunks(n, width):
+        chunk = values[rows]
+        if isinstance(chunk, range):
+            vals = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
+        else:  # a copy: a strided column divides several times slower
+            vals = np.array(chunk, dtype=np.int64)
+        for j in range(width - 1, -1, -1):
+            quotient = vals // base  # much faster than % on int64
+            out[rows, j] = vals - quotient * base
+            vals = quotient
     return out
 
 
@@ -85,25 +120,33 @@ class PrefixTable:
                  n: int, cells: int):
         self.n = n
         self.radices = [int(r) for r in radices]
-        self.dtype = np.int32 if cells < 2 ** 31 else np.int64
+        self.dtype = self.dtype_for(cells)
         self.levels: list[list[np.ndarray]] = []  # levels[i][k-1] is P[i][k]
         for coord_blocks, radix in zip(blocks, self.radices):
             level: list[np.ndarray] = []
             for block in coord_blocks:
-                value = block.astype(self.dtype)
                 if level:
-                    value += level[-1] * radix
+                    value = level[-1] * radix
+                    value += block
+                else:  # levels are never written, so this may be the block itself
+                    value = block.astype(self.dtype, copy=False)
                 level.append(value)
             self.levels.append(level)
+
+    @staticmethod
+    def dtype_for(cells: int) -> type:
+        return np.int32 if cells < 2 ** 31 else np.int64
 
     @classmethod
     def of_digits(cls, digits: np.ndarray, base: int, e: Sequence[int],
                   depth: int) -> "PrefixTable":
         """Table of an (N, s, m) digit tensor: width-e_i windows of coordinate
         i, as many as fit in the first ``depth`` digits."""
-        blocks = ((block_values(digits, i, k * ei, ei, base) for k in range(depth // ei))
+        n, dtype = digits.shape[0], cls.dtype_for(base ** depth)
+        blocks = ((digit_window(digits, i, k * ei, ei, base, np.empty(n, dtype))
+                   for k in range(depth // ei))
                   for i, ei in enumerate(e))
-        return cls(blocks, [base ** ei for ei in e], digits.shape[0], base ** depth)
+        return cls(blocks, [base ** ei for ei in e], n, base ** depth)
 
     def keys(self, kappa: Sequence[int]) -> np.ndarray:
         """Rank of every row's prefix tuple at depth profile ``kappa``."""

@@ -9,6 +9,7 @@ only, never a construction.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, lcm
@@ -87,16 +88,29 @@ class Condition:
     rhs: int
     detail: dict | None = None
 
+    def _decimal(self, what: str, n: int) -> str:
+        # Python writes no int of more than this many digits (0: no limit).
+        # Below 2**(3 * limit) an int has at most `limit` digits, so the bit
+        # length settles all but the longest without computing 10**limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+            raise ParamError(f"{self.name}: {what} has more than {limit} decimal digits, "
+                             f"too many to write")
+        return str(n)
+
     def to_json(self) -> dict:
+        """The condition with its integers as decimal strings; ParamError when
+        one is too long for Python to write. Text output reads these strings
+        too."""
         out = {
             "condition": self.name,
             "applicable": self.applicable,
             "satisfied": self.satisfied,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "lhs": self._decimal("LHS", self.lhs),
+            "rhs": self._decimal("RHS", self.rhs),
         }
         if self.detail is not None:
-            out["detail"] = {key: str(v) if isinstance(v, int) else v
+            out["detail"] = {key: self._decimal(key, v) if isinstance(v, int) else v
                              for key, v in self.detail.items()}
         return out
 

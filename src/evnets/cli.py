@@ -213,29 +213,30 @@ def cmd_from_mooa(args) -> int:
 def cmd_rao(args) -> int:
     condition = bounds.net_rao_check(args.base, args.m, args.e, args.t)
     violated = condition.applicable and not condition.satisfied
+    out = condition.to_json()
     if args.json:
-        out = condition.to_json()
         out["pass"] = not violated
         _emit_json(out)
     else:
         status = ("VIOLATED" if violated
                   else ("SATISFIED" if condition.applicable else "NOT APPLICABLE"))
         rel = ">" if condition.lhs > condition.rhs else "<="
-        print(f"rao: {status} {condition.name} LHS {condition.lhs} {rel} "
-              f"RHS {condition.rhs} (base={args.base}, m={args.m}, "
-              f"e={_fmt_value(args.e)}, threshold m>={condition.detail['m_threshold']})")
+        print(f"rao: {status} {condition.name} LHS {out['lhs']} {rel} "
+              f"RHS {out['rhs']} (base={args.base}, m={args.m}, "
+              f"e={_fmt_value(args.e)}, threshold m>={out['detail']['m_threshold']})")
     return EXIT_FAIL if violated else EXIT_PASS
 
 
 def cmd_feasible(args) -> int:
     report = bounds.feasibility_report(args.base, args.m, args.e, args.target)
+    out = report.to_json()  # before any output: it refuses integers too long to write
     if args.json:
-        _emit_json(report.to_json())
+        _emit_json(out)
     else:
-        for c in report.conditions:
+        for c, written in zip(report.conditions, out["conditions"]):
             status = ("satisfied" if c.satisfied else "VIOLATED") if c.applicable \
                 else "not applicable"
-            print(f"  {c.name}: {status} (LHS {c.lhs}, RHS {c.rhs})")
+            print(f"  {c.name}: {status} (LHS {written['lhs']}, RHS {written['rhs']})")
         verdict = "FEASIBLE" if report.feasible else "INFEASIBLE"
         print(f"feasible: {verdict} (base={args.base}, m={args.m}, "
               f"e={_fmt_value(report.e)}, target={args.target}, "

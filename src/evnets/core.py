@@ -4,6 +4,13 @@ Points are stored as base-b digit tensors, never as floats, so every
 verification below is exact integer counting. ``digits[n, i, l]`` is the
 coefficient of b**-(l+1) in coordinate i of point n (most significant digit
 first).
+
+Storage: ``PointSet.digits``, ``MixedOA.rows`` and ``MixedOOA.rows`` are
+read-only C-contiguous arrays, uint8 when the base (for rows, the largest
+column alphabet) is at most 256 and int64 otherwise. Each constructor checks
+the range of what it is given, then narrows or widens it to that dtype.
+Code that computes with stored entries widens them first, since uint8
+arithmetic with a Python int wraps silently.
 """
 
 from __future__ import annotations
@@ -14,17 +21,32 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._util import digit_dtype
 from .errors import ParamError, PrecisionError
 
 __all__ = ["EVector", "PointSet", "MixedOA", "MixedOOA", "Verdict"]
 
 
-def _readonly_int_array(a, shape_name: str, ndim: int) -> np.ndarray:
-    arr = np.ascontiguousarray(a, dtype=np.int64)
+def _int_array(a, shape_name: str, ndim: int) -> np.ndarray:
+    """``a`` as an array of ``ndim`` dimensions, uint8 if it is, else int64."""
+    arr = np.asarray(a)
+    if arr.dtype != np.uint8:
+        arr = arr.astype(np.int64, copy=False)
     if arr.ndim != ndim:
         raise ParamError(f"{shape_name} must be {ndim}-dimensional, got shape {arr.shape}")
+    return arr
+
+
+def _stored(arr: np.ndarray, limit: int) -> np.ndarray:
+    """Read-only C-contiguous ``arr`` in ``digit_dtype(limit)``; its entries
+    must already be checked to lie in [0, limit)."""
+    arr = np.ascontiguousarray(arr, dtype=digit_dtype(limit))
     arr.setflags(write=False)
     return arr
+
+
+def _out_of_range(col: np.ndarray, limit: int) -> bool:
+    return bool(col.size) and (int(col.min()) < 0 or int(col.max()) >= limit)
 
 
 @dataclass(frozen=True)
@@ -75,7 +97,8 @@ class EVector:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """N points of [0,1)^s held as an (N, s, m) tensor of base-b digits."""
+    """N points of [0,1)^s held as an (N, s, m) tensor of base-b digits,
+    uint8 for b <= 256 and int64 otherwise."""
 
     base: int
     digits: np.ndarray
@@ -84,13 +107,13 @@ class PointSet:
         if int(self.base) < 2:
             raise ParamError(f"base must be >= 2, got {self.base}")
         object.__setattr__(self, "base", int(self.base))
-        arr = _readonly_int_array(self.digits, "digits", 3)
+        arr = _int_array(self.digits, "digits", 3)
         if arr.shape[1] < 1:
             raise ParamError("point sets need at least one coordinate")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.base):
+        if _out_of_range(arr, self.base):
             raise ParamError(f"digits must lie in [0, {self.base}), got range "
                              f"[{arr.min()}, {arr.max()}]")
-        object.__setattr__(self, "digits", arr)
+        object.__setattr__(self, "digits", _stored(arr, self.base))
 
     @property
     def count(self) -> int:
@@ -144,6 +167,8 @@ class PointSet:
 class MixedOA:
     """N x k integer array; column j takes values in {0, ..., alphabets[j]-1}.
 
+    The rows are uint8 when every alphabet is at most 256, else int64.
+
     ``strength`` is the claimed strength carried alongside the data (0 when
     nothing has been verified); checking it is a separate operation.
     """
@@ -159,16 +184,15 @@ class MixedOA:
         if any(l < 2 for l in alph):
             raise ParamError(f"alphabet sizes must be >= 2, got {alph}")
         object.__setattr__(self, "alphabets", alph)
-        arr = _readonly_int_array(self.rows, "rows", 2)
+        arr = _int_array(self.rows, "rows", 2)
         if arr.shape[0] < 1:
             raise ParamError("mixed arrays need at least one row")
         if arr.shape[1] != len(alph):
             raise ParamError(f"rows have {arr.shape[1]} columns, expected {len(alph)}")
         for j, l in enumerate(alph):
-            col = arr[:, j]
-            if col.min() < 0 or col.max() >= l:
+            if _out_of_range(arr[:, j], l):
                 raise ParamError(f"column {j} must lie in [0, {l})")
-        object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "rows", _stored(arr, max(alph)))
         st = int(self.strength)
         if not 0 <= st <= len(alph):
             raise ParamError(f"claimed strength must lie in [0, {len(alph)}], got {st}")
@@ -201,7 +225,8 @@ class MixedOOA:
     Column (i, rho) takes values in {0, ..., b**e_i - 1} and is stored in
     coordinate-major order (all columns of block 0 first). The claimed
     strength is m - u. ``beta_i = 0`` blocks carry no columns, which keeps
-    strength-0 arrays (u = m) representable.
+    strength-0 arrays (u = m) representable. The rows are uint8 when every
+    column's alphabet is at most 256, else int64.
     """
 
     base: int
@@ -230,7 +255,7 @@ class MixedOOA:
                 raise ParamError(
                     f"beta[{i}]={bi} outside [0, {cap}] allowed by (m-u)/e_i")
         object.__setattr__(self, "beta", beta)
-        arr = _readonly_int_array(self.rows, "rows", 2)
+        arr = _int_array(self.rows, "rows", 2)
         if arr.shape[0] != self.base ** self.m:
             raise ParamError(f"expected base**m = {self.base ** self.m} rows, "
                              f"got {arr.shape[0]}")
@@ -240,11 +265,11 @@ class MixedOOA:
         for i, (bi, ei) in enumerate(zip(beta, e)):
             alph = self.base ** ei
             for _ in range(bi):
-                c = arr[:, col]
-                if c.size and (c.min() < 0 or c.max() >= alph):
+                if _out_of_range(arr[:, col], alph):
                     raise ParamError(f"column {col} (block {i}) must lie in [0, {alph})")
                 col += 1
-        object.__setattr__(self, "rows", arr)
+        widest = max((ei for bi, ei in zip(beta, e) if bi), default=0)
+        object.__setattr__(self, "rows", _stored(arr, self.base ** widest))
 
     @property
     def runs(self) -> int:

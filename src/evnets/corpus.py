@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import _BYTES_CAP, PrefixTable, digit_matrix
+from ._util import _BYTES_CAP, PrefixTable, digit_dtype, digit_matrix, row_chunks
 from .core import EVector, PointSet
 from .errors import ParamError
 from .netverify import check_shapes, verify_net
@@ -32,10 +32,10 @@ def _check_bm(b: int, m: int, s: int) -> None:
     b, m, s = int(b), int(m), int(s)
     if m * (b.bit_length() - 1) > 64:  # b**m >= 2**64: skip the huge power
         size = f"over 2**{m * (b.bit_length() - 1)}"
-    elif b ** m * s * m * 8 > _BYTES_CAP:
-        size = str(b ** m * s * m * 8)
     else:
-        return
+        size = b ** m * s * m * np.dtype(digit_dtype(b)).itemsize
+        if size <= _BYTES_CAP:
+            return
     raise ParamError(f"{b}**{m} points with s={s}, m={m} need {size} bytes of digits, "
                      f"above the cap of {_BYTES_CAP} bytes")
 
@@ -51,17 +51,37 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _points(b: int, m: int, s: int, fill) -> PointSet:
+    """b**m points of s coordinates. ``fill(n, out)`` writes the digits of the
+    points in the range n into ``out``, a (len(n), s, m) slice of the compact
+    tensor; it is called a chunk of points at a time, so that its int64 work
+    (at most two values per digit) stays near ``_CHUNK_BYTES``."""
+    n = b ** m
+    digits = np.empty((n, s, m), dtype=digit_dtype(b))
+    for rows in row_chunks(n, 2 * s * m):
+        fill(range(rows.start, rows.stop), digits[rows])
+    return PointSet(b, digits)
+
+
 def grid_1d(b: int, m: int) -> PointSet:
     """The one-dimensional grid n / b**m for n = 0, ..., b**m - 1."""
     _check_bm(b, m, 1)
-    return PointSet(b, digit_matrix(range(b ** m), m, b)[:, None, :])
+
+    def fill(n, out):
+        out[:, 0] = digit_matrix(n, m, b)
+
+    return _points(b, m, 1, fill)
 
 
 def hammersley(b: int, m: int) -> PointSet:
     """Two dimensions: digit-reversed n paired with n / b**m."""
     _check_bm(b, m, 2)
-    forward = digit_matrix(range(b ** m), m, b)
-    return PointSet(b, np.stack([forward[:, ::-1], forward], axis=1))
+
+    def fill(n, out):
+        out[:, 1] = digit_matrix(n, m, b)
+        out[:, 0] = out[:, 1, ::-1]
+
+    return _points(b, m, 2, fill)
 
 
 def digital_net(b: int, matrices: Sequence[np.ndarray]) -> PointSet:
@@ -84,9 +104,15 @@ def digital_net(b: int, matrices: Sequence[np.ndarray]) -> PointSet:
         if c.size and (c.min() < 0 or c.max() >= b):
             raise ParamError(f"matrix {i} entries must lie in [0, {b})")
     _check_bm(b, m, len(mats))
-    nd = digit_matrix(range(b ** m), m, b)
-    coords = [(nd @ c.T) % b for c in mats]
-    return PointSet(b, np.stack(coords, axis=1))
+
+    def fill(n, out):
+        nd = digit_matrix(n, m, b).astype(np.int64)
+        for i, c in enumerate(mats):
+            coord = nd @ c.T
+            coord %= b
+            out[:, i] = coord
+
+    return _points(b, m, len(mats), fill)
 
 
 def faure(b: int, m: int, s: int) -> PointSet:
@@ -121,7 +147,13 @@ def random_pointset(b: int, m: int, s: int, seed: int) -> PointSet:
     if seed < 0:
         raise ParamError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    return PointSet(b, rng.integers(0, b, size=(b ** m, s, m), dtype=np.int64))
+
+    def fill(n, out):
+        # int64 draws, chunk after chunk, continue one stream: every seed
+        # gives the digits one (b**m, s, m) draw gave
+        out[...] = rng.integers(0, b, size=out.shape, dtype=np.int64)
+
+    return _points(b, m, s, fill)
 
 
 def flip_digit(points: PointSet, n: int, i: int, l: int) -> PointSet:
@@ -130,7 +162,7 @@ def flip_digit(points: PointSet, n: int, i: int, l: int) -> PointSet:
             and 0 <= l < points.precision):
         raise IndexError(f"digit ({n}, {i}, {l}) out of range")
     digits = points.digits.copy()
-    digits[n, i, l] = (digits[n, i, l] + 1) % points.base
+    digits[n, i, l] = (int(digits[n, i, l]) + 1) % points.base
     return PointSet(points.base, digits)
 
 

@@ -49,6 +49,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from ._util import digit_dtype, row_chunks
 from .core import EVector, MixedOA, MixedOOA, PointSet
 from .errors import FormatError, ParamError
 
@@ -209,7 +210,7 @@ def _parse_digit_body(raw: bytes, start: int, b: int, m: int, s: int) -> np.ndar
     # shorter body holds a bad line, so it is only checked, and nothing of
     # size n*s*m is allocated.
     fits = len(raw) - start >= n * (k * (m + 1) or 1)
-    digits = np.empty((n, s, m), dtype=np.int64) if fits else None
+    digits = np.empty((n, s, m), dtype=np.uint8) if fits else None  # base <= 36
     for c in _chunks(raw, start):
         values = _DIGIT_OF_BYTE[c.buf]
         bad = c.first_bad_line(c.counts != k, c.ends - c.starts != m,
@@ -260,7 +261,7 @@ def _parse_int_body(raw: bytes, start: int, widths: list[int], first_lineno: int
     # A good line has k tokens of at least one digit, k - 1 separators and an
     # LF; a shorter body holds a bad line, so it is only checked.
     fits = len(raw) - start >= n * (2 * k or 1)
-    rows = np.empty((n, k), dtype=np.int64) if fits else None
+    rows = np.empty((n, k), dtype=digit_dtype(max(widths, default=0))) if fits else None
     limits = np.array(widths, dtype=np.uint64)
     for c in _chunks(raw, start):
         lengths = c.ends - c.starts
@@ -311,12 +312,17 @@ def serialize_net(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> str
     if not 0 <= u <= m:
         raise ParamError(f"claimed u={u} outside [0, {m}]")
     header = f"NET v1\nbase {b} m {m} s {s} u {u}\ne {' '.join(str(v) for v in e)}\n"
+    out = np.empty(len(header) + points.count * s * (m + 1), dtype=np.uint8)
+    out[: len(header)] = np.frombuffer(header.encode("ascii"), dtype=np.uint8)
     # Each coordinate's m digit characters plus its separator: a space, or
-    # the LF ending the point.
-    text = np.full((points.count, s, m + 1), ord(" "), dtype=np.uint8)
-    text[:, :, :m] = _DIGIT_CODES[points.digits]
+    # the LF ending the point. Characters are looked up a chunk of points at
+    # a time, since the lookup widens its indices to intp.
+    text = out[len(header):].reshape(points.count, s, m + 1)
+    text[:, :, m] = ord(" ")
     text[:, -1, m] = ord("\n")
-    return header + text.tobytes().decode("ascii")
+    for rows in row_chunks(points.count, s * m):
+        text[rows, :, :m] = _DIGIT_CODES[points.digits[rows]]
+    return str(out, "ascii")
 
 
 def _format_rows(rows: np.ndarray) -> str:

@@ -22,7 +22,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from ._util import PrefixTable, block_values, digit_matrix, rank_rows, unrank
+from ._util import PrefixTable, digit_matrix, digit_window, rank_rows, unrank
 from .core import EVector, PointSet, Verdict
 from .errors import ParamError, PrecisionError
 from .ooa import canonical_beta, enumerate_profiles
@@ -63,8 +63,9 @@ def count_box(points: PointSet, shape: Sequence[int], index: Sequence[int]) -> i
         if not 0 <= a < radix:
             raise ParamError(f"box index {a} outside [0, {radix}) for depth {d}")
         rank = rank * radix + a
-    keys = rank_rows([block_values(points.digits, i, 0, d, b) for i, d in enumerate(shape)],
-                     radices)
+    windows = [digit_window(points.digits, i, 0, d, b, np.empty(points.count, np.int64))
+               for i, d in enumerate(shape)]
+    keys = rank_rows(windows, radices)
     return int(np.count_nonzero(keys == rank))
 
 

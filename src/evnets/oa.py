@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import _first_nonuniform, block_values, rank_rows, unrank
+from ._util import _first_nonuniform, digit_dtype, digit_window, rank_rows, unrank
 from .core import EVector, MixedOA, PointSet, Verdict
 from .errors import ParamError, PrecisionError
 
@@ -34,8 +34,11 @@ def net_to_moa(points: PointSet, e: EVector | Sequence[int]) -> MixedOA:
         raise PrecisionError(f"need at least {max(e)} digits, point set carries "
                              f"{points.precision}")
     b = points.base
-    cols = [block_values(points.digits, i, 0, ei, b) for i, ei in enumerate(e)]
-    return MixedOA(tuple(b ** ei for ei in e), np.stack(cols, axis=1), strength=0)
+    alphabets = tuple(b ** ei for ei in e)
+    rows = np.empty((points.count, e.s), dtype=digit_dtype(max(alphabets)))
+    for i, ei in enumerate(e):
+        digit_window(points.digits, i, 0, ei, b, rows[:, i])
+    return MixedOA(alphabets, rows, strength=0)
 
 
 def _subset_witness(array: MixedOA, columns: tuple[int, ...]) -> dict | None:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import PrefixTable, block_values, digit_matrix, unrank
+from ._util import PrefixTable, digit_dtype, digit_matrix, digit_window, unrank
 from .core import EVector, MixedOOA, PointSet, Verdict
 from .errors import ParamError, VerificationError
 
@@ -71,11 +71,11 @@ def net_to_mooa(points: PointSet, u: int, e: EVector | Sequence[int],
     for i, (bi, cap) in enumerate(zip(beta, caps)):
         if not 1 <= bi <= cap:
             raise ParamError(f"beta[{i}]={bi} outside [1, {cap}]")
-    rows = np.empty((points.count, sum(beta)), dtype=np.int64)
+    rows = np.empty((points.count, sum(beta)), dtype=digit_dtype(b ** max(e)))
     col = 0
     for i, (ei, bi) in enumerate(zip(e, beta)):
         for rho in range(bi):
-            rows[:, col] = block_values(points.digits, i, rho * ei, ei, b)
+            digit_window(points.digits, i, rho * ei, ei, b, rows[:, col])
             col += 1
     return MixedOOA(b, m, u, e, beta, rows)
 
@@ -153,7 +153,7 @@ def mooa_to_net(array: MixedOOA, check: bool = True) -> PointSet:
         if not verdict:
             raise VerificationError("array fails its strength contract", verdict)
     b, m = array.base, array.m
-    digits = np.zeros((array.runs, array.dim, m), dtype=np.int64)
+    digits = np.zeros((array.runs, array.dim, m), dtype=digit_dtype(b))
     for i, (ei, bi) in enumerate(zip(array.e, array.beta)):
         start = array.block_start(i)
         for rho in range(bi):

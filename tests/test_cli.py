@@ -148,7 +148,7 @@ class TestGen:
     def test_oversized_digit_tensor_is_usage_error(self, capsys):
         code, out, err = run(capsys, "gen", "faure", "--base", "3", "--m", "30", "--s", "2")
         assert code == EXIT_USAGE and out == ""
-        assert err == ("error: 3**30 points with s=2, m=30 need 98827743405431520 bytes "
+        assert err == ("error: 3**30 points with s=2, m=30 need 12353467925678940 bytes "
                        "of digits, above the cap of 1073741824 bytes\n")
 
     def test_base_above_36_is_usage_error(self, capsys):
@@ -532,6 +532,27 @@ class TestBoundsCommands:
             "rao-even-g1", "rao-even-g2", "rao-odd-g1"]
         # only g1 has enough digit budget to apply at m=2
         assert [c["applicable"] for c in data["conditions"]] == [True, False, False]
+
+    @pytest.mark.parametrize("argv", [
+        ("feasible", "--base", "2", "--m", "20000", "--e", "1,1"),
+        ("feasible", "--base", "2", "--m", "20000", "--e", "1,1", "--json"),
+        ("feasible", "--base", "10", "--m", "4301", "--e", "1,1", "--target", "sequence"),
+        ("rao", "--base", "2", "--m", "20000", "--e", "1,1", "--t", "2"),
+        ("rao", "--base", "2", "--m", "20000", "--e", "1,1", "--t", "2", "--json"),
+    ])
+    def test_integer_too_long_to_write_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: rao-even-g1: RHS has more than 4300 decimal digits, "
+                       "too many to write\n")
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_longest_writable_integer_is_written(self, capsys, json_flag):
+        # 10**4300 - 1 has 4300 digits, the most Python writes by default
+        code, out, _ = run(capsys, "rao", "--base", "10", "--m", "4300", "--e", "1,1",
+                           "--t", "2", *json_flag)
+        assert code == EXIT_PASS
+        assert "9" * 4300 in out and "9" * 4301 not in out
 
 
 class TestDualCert:

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from evnets import EVector, MixedOA, MixedOOA, PointSet, Verdict
 from evnets.errors import ParamError, PrecisionError
 
+from storage import storage
+
 
 # ---------------------------------------------------------------------------
 # EVector
@@ -110,16 +112,17 @@ class TestPointSet:
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=4),
            st.integers(min_value=1, max_value=3), st.data())
     def test_values_lie_in_unit_interval(self, base, m, s, data):
-        digits = data.draw(st.lists(
-            st.lists(st.lists(st.integers(0, base - 1), min_size=m, max_size=m),
-                     min_size=s, max_size=s),
-            min_size=1, max_size=4))
-        p = PointSet(base, np.array(digits, dtype=np.int64).reshape(len(digits), s, m))
-        for n in range(p.count):
-            for i in range(p.dim):
-                v = p.coordinate_value(n, i)
-                assert 0 <= v < 1
-                assert (base ** m) % v.denominator == 0
+        with storage(data.draw(st.booleans(), label="int64 storage")):
+            digits = data.draw(st.lists(
+                st.lists(st.lists(st.integers(0, base - 1), min_size=m, max_size=m),
+                         min_size=s, max_size=s),
+                min_size=1, max_size=4))
+            p = PointSet(base, np.array(digits, dtype=np.int64).reshape(len(digits), s, m))
+            for n in range(p.count):
+                for i in range(p.dim):
+                    v = p.coordinate_value(n, i)
+                    assert 0 <= v < 1
+                    assert (base ** m) % v.denominator == 0
 
 
 # ---------------------------------------------------------------------------

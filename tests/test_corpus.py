@@ -96,10 +96,16 @@ class TestGenerators:
 
     def test_digit_tensor_at_the_cap_is_built(self, monkeypatch):
         import evnets.corpus as corpus
-        monkeypatch.setattr(corpus, "_BYTES_CAP", 2 ** 4 * 2 * 4 * 8)
+        # one byte per digit for a base <= 256, eight above it
+        monkeypatch.setattr(corpus, "_BYTES_CAP", 2 ** 4 * 2 * 4)
         assert hammersley(2, 4).count == 16
         with pytest.raises(ParamError):
             hammersley(2, 5)
+        monkeypatch.setattr(corpus, "_BYTES_CAP", 257 * 8)
+        assert grid_1d(257, 1).count == 257
+        monkeypatch.setattr(corpus, "_BYTES_CAP", 257 * 8 - 1)
+        with pytest.raises(ParamError, match="need 2056 bytes"):
+            grid_1d(257, 1)
 
     def test_random_pointset_reproducible(self):
         a = random_pointset(2, 3, 2, 42)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from storage import storage
 
 from evnets import (
     EVector, MixedOA, MixedOOA, PointSet,
@@ -108,15 +109,16 @@ class TestNetFormat:
     @given(st.integers(2, 5), st.integers(0, 3), st.integers(1, 3),
            st.integers(1, 6), st.data())
     def test_round_trip_random_point_sets(self, b, m, s, n, data):
-        flat = data.draw(st.lists(st.integers(0, b - 1), min_size=n * s * m,
-                                  max_size=n * s * m))
-        p = PointSet(b, np.array(flat, dtype=np.int64).reshape(n, s, m))
-        u = data.draw(st.integers(0, m))
-        e = EVector(tuple(data.draw(st.integers(1, 3)) for _ in range(s)))
-        text = serialize_net(p, u, e)
-        nf = parse_net(text)
-        assert nf.points == p and nf.u == u and nf.e == e
-        assert serialize_net(nf.points, nf.u, nf.e) == text
+        with storage(data.draw(st.booleans(), label="int64 storage")):
+            flat = data.draw(st.lists(st.integers(0, b - 1), min_size=n * s * m,
+                                      max_size=n * s * m))
+            p = PointSet(b, np.array(flat, dtype=np.int64).reshape(n, s, m))
+            u = data.draw(st.integers(0, m))
+            e = EVector(tuple(data.draw(st.integers(1, 3)) for _ in range(s)))
+            text = serialize_net(p, u, e)
+            nf = parse_net(text)
+            assert nf.points == p and nf.u == u and nf.e == e
+            assert serialize_net(nf.points, nf.u, nf.e) == text
 
 
 def _unpack(nf):

@@ -16,6 +16,7 @@ from evnets import _util, corpus, netverify, ooa
 from evnets.errors import ParamError, PrecisionError
 
 import oracles
+from storage import storage
 
 first_nonuniform = _util._first_nonuniform
 
@@ -262,15 +263,16 @@ class TestVerifyNet:
     @settings(deadline=None, max_examples=40)
     @given(st.integers(2, 3), st.integers(1, 2), st.integers(1, 2), st.data())
     def test_oracle_agreement_property(self, b, m, s, data):
-        n = b ** m
-        flat = data.draw(st.lists(st.integers(0, b - 1), min_size=n * s * m,
-                                  max_size=n * s * m))
-        p = PointSet(b, np.array(flat, dtype=np.int64).reshape(n, s, m))
-        u = data.draw(st.integers(0, m))
-        e = tuple(data.draw(st.integers(1, 2)) for _ in range(s))
-        variant = data.draw(st.sampled_from(["narrow", "tezuka"]))
-        assert bool(verify_net(p, u, e, variant)) == \
-            oracles.brute_verify_net(p, u, e, variant, "all")
+        with storage(data.draw(st.booleans(), label="int64 storage")):
+            n = b ** m
+            flat = data.draw(st.lists(st.integers(0, b - 1), min_size=n * s * m,
+                                      max_size=n * s * m))
+            p = PointSet(b, np.array(flat, dtype=np.int64).reshape(n, s, m))
+            u = data.draw(st.integers(0, m))
+            e = tuple(data.draw(st.integers(1, 2)) for _ in range(s))
+            variant = data.draw(st.sampled_from(["narrow", "tezuka"]))
+            assert bool(verify_net(p, u, e, variant)) == \
+                oracles.brute_verify_net(p, u, e, variant, "all")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from evnets import corpus
 from evnets.errors import ParamError, PrecisionError
 
 import oracles
+from storage import storage
 
 
 class TestNetToMoa:
@@ -94,14 +95,15 @@ class TestVerifyMoa:
     @settings(deadline=None, max_examples=30)
     @given(st.integers(2, 3), st.integers(1, 3), st.data())
     def test_oracle_agreement_property(self, base, k, data):
-        alphabets = tuple(data.draw(st.sampled_from([2, 3, 4])) for _ in range(k))
-        n = data.draw(st.sampled_from([2, 4, 6, 8, 12]))
-        rows = np.array(
-            [[data.draw(st.integers(0, l - 1)) for l in alphabets] for _ in range(n)],
-            dtype=np.int64)
-        a = MixedOA(alphabets, rows)
-        t = data.draw(st.integers(0, k))
-        assert bool(verify_moa(a, t)) == oracles.brute_verify_moa(rows, alphabets, t)
+        with storage(data.draw(st.booleans(), label="int64 storage")):
+            alphabets = tuple(data.draw(st.sampled_from([2, 3, 4])) for _ in range(k))
+            n = data.draw(st.sampled_from([2, 4, 6, 8, 12]))
+            rows = np.array(
+                [[data.draw(st.integers(0, l - 1)) for l in alphabets] for _ in range(n)],
+                dtype=np.int64)
+            a = MixedOA(alphabets, rows)
+            t = data.draw(st.integers(0, k))
+            assert bool(verify_moa(a, t)) == oracles.brute_verify_moa(rows, alphabets, t)
 
 
 class TestMaxStrength:

@@ -13,6 +13,7 @@ from evnets import _util, corpus
 from evnets.errors import ParamError, VerificationError
 
 import oracles
+from storage import storage
 
 first_nonuniform = _util._first_nonuniform
 
@@ -166,20 +167,21 @@ class TestVerifyMooa:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(2, 3), st.data())
     def test_oracle_agreement_property(self, b, data):
-        m = data.draw(st.integers(1, 3))
-        u = data.draw(st.integers(0, m))
-        s = data.draw(st.integers(1, 2))
-        e = tuple(data.draw(st.integers(1, 2)) for _ in range(s))
-        caps = tuple((m - u) // ei for ei in e)
-        beta = tuple(data.draw(st.integers(0, c)) for c in caps)
-        n = b ** m
-        rows = np.array(
-            [[data.draw(st.integers(0, b ** ei - 1))
-              for ei, bi in zip(e, beta) for _ in range(bi)]
-             for _ in range(n)], dtype=np.int64).reshape(n, sum(beta))
-        arr = MixedOOA(b, m, u, EVector(e), beta, rows)
-        assert bool(verify_mooa(arr)) == \
-            oracles.brute_verify_mooa(rows, b, m, u, e, beta, "all")
+        with storage(data.draw(st.booleans(), label="int64 storage")):
+            m = data.draw(st.integers(1, 3))
+            u = data.draw(st.integers(0, m))
+            s = data.draw(st.integers(1, 2))
+            e = tuple(data.draw(st.integers(1, 2)) for _ in range(s))
+            caps = tuple((m - u) // ei for ei in e)
+            beta = tuple(data.draw(st.integers(0, c)) for c in caps)
+            n = b ** m
+            rows = np.array(
+                [[data.draw(st.integers(0, b ** ei - 1))
+                  for ei, bi in zip(e, beta) for _ in range(bi)]
+                 for _ in range(n)], dtype=np.int64).reshape(n, sum(beta))
+            arr = MixedOOA(b, m, u, EVector(e), beta, rows)
+            assert bool(verify_mooa(arr)) == \
+                oracles.brute_verify_mooa(rows, b, m, u, e, beta, "all")
 
 
 class TestNetAndArrayWitnessesAgree:
@@ -228,14 +230,15 @@ class TestNetAndArrayWitnessesAgree:
     @settings(deadline=None, max_examples=30)
     @given(st.sampled_from([(2, 4, 2), (3, 3, 3), (2, 3, 3)]), st.data())
     def test_random_defects(self, params, data):
-        b, m, s = params
-        points = corpus.faure(b, m, s) if s <= b else corpus.random_pointset(b, m, s, 3)
-        for _ in range(data.draw(st.integers(1, 3))):
-            points = corpus.flip_digit(points, data.draw(st.integers(0, points.count - 1)),
-                                       data.draw(st.integers(0, s - 1)),
-                                       data.draw(st.integers(0, m - 1)))
-        e = data.draw(st.sampled_from(self._evectors(s)))
-        self._check(points, data.draw(st.integers(0, m - max(e))), e)
+        with storage(data.draw(st.booleans(), label="int64 storage")):
+            b, m, s = params
+            points = corpus.faure(b, m, s) if s <= b else corpus.random_pointset(b, m, s, 3)
+            for _ in range(data.draw(st.integers(1, 3))):
+                points = corpus.flip_digit(
+                    points, data.draw(st.integers(0, points.count - 1)),
+                    data.draw(st.integers(0, s - 1)), data.draw(st.integers(0, m - 1)))
+            e = data.draw(st.sampled_from(self._evectors(s)))
+            self._check(points, data.draw(st.integers(0, m - max(e))), e)
 
 
 class TestMooaToNet:

@@ -5,8 +5,14 @@ import itertools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from evnets._util import (PrefixTable, _first_nonuniform, block_values, digit_matrix,
+from evnets import _util
+from evnets._util import (PrefixTable, _first_nonuniform, digit_matrix, digit_window,
                           rank_rows, unrank)
+
+
+def window(digits, coord, start, width, base):
+    return digit_window(digits, coord, start, width, base,
+                        np.empty(digits.shape[0], dtype=np.int64))
 
 
 class TestFirstNonuniform:
@@ -46,7 +52,7 @@ class TestPrefixTable:
         for i, ei in enumerate((1, 2)):
             for k in range(1, 4 // ei + 1):
                 assert np.array_equal(table.levels[i][k - 1],
-                                      block_values(digits, i, 0, k * ei, 3))
+                                      window(digits, i, 0, k * ei, 3))
 
     def test_dtype_follows_the_cell_count(self):
         blocks = [[np.array([1, 0])]]
@@ -100,8 +106,16 @@ class TestDigits:
         assert np.array_equal(digit_matrix(column, 4, 3), want)
         assert np.array_equal(table[:, 1], list(range(3, 50, 4)))  # input untouched
 
-    def test_block_values_reads_digit_windows(self):
+    def test_digit_matrix_chunks_join_seamlessly(self, monkeypatch):
+        values = range(5, 2000, 3)
+        want = [[v // 7 ** (3 - j) % 7 for j in range(4)] for v in values]
+        monkeypatch.setattr(_util, "_CHUNK_BYTES", 8 * 4 * 5)  # five rows per chunk
+        got = digit_matrix(values, 4, 7)
+        assert got.dtype == np.uint8 and got.tolist() == want
+        assert digit_matrix(np.array(values), 4, 7).tolist() == want
+
+    def test_digit_window_reads_digit_windows(self):
         digits = np.array([[[1, 0, 1, 1]], [[0, 1, 1, 0]]], dtype=np.int64)
-        assert list(block_values(digits, 0, 0, 2, 2)) == [2, 1]
-        assert list(block_values(digits, 0, 2, 2, 2)) == [3, 2]
-        assert list(block_values(digits, 0, 0, 0, 2)) == [0, 0]
+        assert list(window(digits, 0, 0, 2, 2)) == [2, 1]
+        assert list(window(digits, 0, 2, 2, 2)) == [3, 2]
+        assert list(window(digits, 0, 0, 0, 2)) == [0, 0]
