@@ -45,16 +45,14 @@ def int_list_arg(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _read_input(path: str) -> str:
-    """The bytes of a file ('-': standard input) decoded as UTF-8 whatever the
-    locale, line ends untranslated; an undecodable byte becomes a lone
-    surrogate, which every parser rejects as a format error naming the byte."""
+def _read_input(path: str) -> bytes:
+    """The bytes of a file ('-': standard input), line ends untranslated.
+    The parsers read them as UTF-8 whatever the locale, and reject a byte that
+    is not UTF-8 as a format error naming the byte."""
     if path == "-":
-        raw = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    return raw.decode("utf-8", "surrogateescape")
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _write_output(args, text: str) -> None:

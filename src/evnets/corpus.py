@@ -195,10 +195,20 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
     soundness-preserving symmetry reductions shrink the space: the box
     structure is invariant under digit-wise translation, so the first point
     can be fixed to the origin, and the property only concerns the point
-    multiset, so placements are forced nondecreasing. Each placement bumps
-    per-box counters for every budget-maximal shape and prunes on overflow;
-    exhausting the reduced space therefore proves nonexistence. Any returned
-    net is re-verified before being reported.
+    multiset, so placements are forced nondecreasing. Exhausting the reduced
+    space therefore proves nonexistence. Any returned net is re-verified
+    before being reported.
+
+    Each placement takes one unit of room from its box of every
+    budget-maximal shape. A box left without room blocks its members: a
+    bitset holds the free candidates (those in no full box), and the members
+    a placement blocks are logged with it, so that removing the point
+    restores the bitset exactly. Since placements are nondecreasing, a
+    placement blocks only the members from its own rank on. A frame of the
+    depth-first search is one cursor, and its next placement is the lowest
+    free candidate at or past the cursor. Every box fills at most once along
+    a path, so the log never holds more than one member set per box, and the
+    memory does not grow with the depth of the search.
     """
     e = EVector.coerce(e)
     if e.s != s:
@@ -223,67 +233,64 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
         n_candidates, s, m)
 
     # box_key[c, j]: flattened box index of candidate c under shape j, with
-    # per-shape offsets so one counter array serves all shapes.
+    # per-shape offsets so one room list serves all shapes.
     offsets = []
-    caps = []
-    total_boxes = 0
+    room: list[int] = []  # per box, how many more points it takes
     for d in shapes:
-        offsets.append(total_boxes)
-        caps.append(b ** (m - sum(d)))
-        total_boxes += b ** sum(d)
+        offsets.append(len(room))
+        room += [b ** (m - sum(d))] * b ** sum(d)
     table = PrefixTable.of_digits(cand_digits, b, e, m - u)
     box_key = np.zeros((n_candidates, len(shapes)), dtype=np.int64)
     for j, d in enumerate(shapes):
         box_key[:, j] = table.keys([di // ei for di, ei in zip(d, e)])
         box_key[:, j] += offsets[j]  # in int64: offsets can pass the table's int32 range
-    caps_arr = np.asarray(caps, dtype=np.int64)
-    counts = np.zeros(total_boxes, dtype=np.int64)
-
+    # A box of shape j fixes the same leading digits as the origin's box,
+    # which holds the candidates with those digits zero; adding a box's
+    # fixed digits carries nowhere, so every box is the origin's box shifted
+    # by its lowest member. members[j] is the origin's box as a bitset and
+    # lowest[k] the shift of box k.
+    members = [int.from_bytes(np.packbits(box_key[:, j] == offsets[j],
+                                          bitorder="little").tobytes(), "little")
+               for j in range(len(shapes))]
+    lowest = np.concatenate([np.unique(box_key[:, j], return_index=True)[1]
+                             for j in range(len(shapes))]).tolist()
+    free = (1 << n_candidates) - 1
+    # Per placed point c, the candidates from c on that its full boxes took
+    # from free, shifted down by c.
+    cleared: list[int] = []
     chosen: list[int] = []
+    # One cursor per frame, in a list so deep searches cannot hit the
+    # interpreter recursion limit. Removing a child restores its frame's state
+    # exactly, so a frame visits, in order, the candidates free when it opened.
+    cursors: list[int] = []
     nodes = 0
-    limit_hit = False
-    complete = False
-
-    def place(c: int) -> None:
-        counts[box_key[c]] += 1
-        chosen.append(c)
-
-    def unplace() -> None:
-        counts[box_key[chosen.pop()]] -= 1
-
-    def viable_from(start: int):
-        mask = (counts[box_key[start:]] < caps_arr).all(axis=1)
-        return iter(np.nonzero(mask)[0] + start)
-
-    place(0)  # canonical origin; fits every cap since caps >= 1
-    nodes += 1
-    if node_limit is not None and nodes > node_limit:
-        return SearchResult("inconclusive", None, nodes)
-    # Explicit stack of candidate iterators (one frame per point past the
-    # origin) so deep searches cannot hit the interpreter recursion limit.
-    stack = [viable_from(0)]
-    while stack:
-        nxt = next(stack[-1], None)
-        if nxt is None:
-            stack.pop()
-            if len(chosen) > len(stack):
-                unplace()
-            continue
-        if node_limit is not None and nodes >= node_limit:
-            limit_hit = True
-            break
-        c = int(nxt)
+    c = 0  # canonical origin; every box has room for at least one point
+    while True:
         nodes += 1
-        place(c)
+        rest = high = free >> c  # the candidates from c on
+        for k, bits in zip(box_key[c].tolist(), members):
+            room[k] -= 1
+            if not room[k]:  # box k holds c, so lowest[k] <= c
+                rest &= ~(bits >> (c - lowest[k]))
+        taken = high ^ rest
+        free ^= taken << c
+        cleared.append(taken)
+        chosen.append(c)
         if len(chosen) == n_points:
-            complete = True
-            break
-        stack.append(viable_from(c))
-    if complete:
-        digits = cand_digits[np.asarray(chosen, dtype=np.int64)]
-        found = PointSet(b, digits)
-        assert verify_net(found, u, e)
-        return SearchResult("found", found, nodes)
-    if limit_hit:
-        return SearchResult("inconclusive", None, nodes)
-    return SearchResult("nonexistent", None, nodes)
+            found = PointSet(b, cand_digits[np.asarray(chosen, dtype=np.int64)])
+            assert verify_net(found, u, e)
+            return SearchResult("found", found, nodes)
+        cursors.append(c)
+        while not rest:
+            cursors.pop()
+            c = chosen.pop()
+            free |= cleared.pop() << c
+            for k in box_key[c].tolist():
+                room[k] += 1
+            if not cursors:
+                return SearchResult("nonexistent", None, nodes)
+            rest = free >> cursors[-1]
+        if node_limit is not None and nodes >= node_limit:
+            return SearchResult("inconclusive", None, nodes)
+        c = cursors[-1] + (rest & -rest).bit_length() - 1
+        cursors[-1] = c + 1

@@ -96,19 +96,28 @@ def _quote(text: str) -> str:
     return _SURROGATE_ESCAPE.sub(lambda mt: "\\x" + mt[1] if mt[1] else mt[0], repr(text))
 
 
-def _split(text: str, header_lines: int) -> tuple[list[str], bytes, int]:
-    """The first ``header_lines`` lines of ``text`` (fewer if it has fewer),
-    the text as LF-terminated UTF-8 bytes and the offset of the body in them."""
-    raw = text.encode("utf-8", "surrogatepass")
+def _split(data: str | bytes, header_lines: int) -> tuple[list[str], bytes, int, str]:
+    """The first ``header_lines`` lines of ``data`` (fewer if it has fewer),
+    the input as LF-terminated UTF-8 bytes, the offset of the body in them,
+    and the error handler that decodes a line of those bytes back to text.
+
+    Bytes are used as they are, and a byte that is not UTF-8 decodes to the
+    lone surrogate ``surrogateescape`` makes of it. Text is encoded with its
+    lone surrogates, so that they decode to themselves.
+    """
+    if isinstance(data, str):
+        raw, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
+    else:
+        raw, errors = data, "surrogateescape"
     if raw and not raw.endswith(b"\n"):
         raw += b"\n"
     lines: list[str] = []
     pos = 0
     while len(lines) < header_lines and pos < len(raw):
         end = raw.find(b"\n", pos)
-        lines.append(raw[pos:end].decode("utf-8", "surrogatepass"))
+        lines.append(raw[pos:end].decode("utf-8", errors))
         pos = end + 1
-    return lines, raw, pos
+    return lines, raw, pos, errors
 
 
 def _need_line(lines: list[str], idx: int, what: str) -> str:
@@ -155,6 +164,7 @@ class _Chunk:
     ends: np.ndarray      # token end offsets (exclusive)
     newlines: np.ndarray  # LF offsets, one per line
     counts: np.ndarray    # tokens per line
+    errors: str           # decoding error handler of the input's bytes
 
     def first_bad_line(self, lines: np.ndarray, tokens: np.ndarray,
                        bytes_: np.ndarray) -> int | None:
@@ -167,10 +177,10 @@ class _Chunk:
 
     def text(self, i: int) -> str:
         lo = int(self.newlines[i - 1]) + 1 if i else 0
-        return self.buf[lo : self.newlines[i]].tobytes().decode("utf-8", "surrogatepass")
+        return self.buf[lo : self.newlines[i]].tobytes().decode("utf-8", self.errors)
 
 
-def _chunks(raw: bytes, start: int):
+def _chunks(raw: bytes, start: int, errors: str):
     """Tokenised runs of whole lines of ``raw[start:]``, about ``_CHUNK_BYTES``
     each."""
     line = 0
@@ -182,7 +192,7 @@ def _chunks(raw: bytes, start: int):
         starts, ends = edges[0::2], edges[1::2]
         newlines = np.flatnonzero(buf == 10)
         counts = np.diff(np.searchsorted(starts, newlines), prepend=0)
-        yield _Chunk(line, buf, in_token, starts, ends, newlines, counts)
+        yield _Chunk(line, buf, in_token, starts, ends, newlines, counts, errors)
         start, line = stop, line + newlines.size
 
 
@@ -202,7 +212,8 @@ def _net_line_error(line: str, b: int, m: int, s: int) -> str:
     raise AssertionError(f"NET line {line!r} has no error")
 
 
-def _parse_digit_body(raw: bytes, start: int, b: int, m: int, s: int) -> np.ndarray:
+def _parse_digit_body(raw: bytes, start: int, errors: str, b: int, m: int,
+                      s: int) -> np.ndarray:
     """(N, s, m) digits of the NET body ``raw[start:]``, one point per line."""
     n = raw.count(b"\n", start)
     k = s if m else 0  # points of m = 0 are blank lines
@@ -211,7 +222,7 @@ def _parse_digit_body(raw: bytes, start: int, b: int, m: int, s: int) -> np.ndar
     # size n*s*m is allocated.
     fits = len(raw) - start >= n * (k * (m + 1) or 1)
     digits = np.empty((n, s, m), dtype=np.uint8) if fits else None  # base <= 36
-    for c in _chunks(raw, start):
+    for c in _chunks(raw, start, errors):
         values = _DIGIT_OF_BYTE[c.buf]
         bad = c.first_bad_line(c.counts != k, c.ends - c.starts != m,
                                c.in_token & (values >= b))
@@ -248,7 +259,7 @@ def _int_line_error(line: str, widths: list[int], noun: str, nouns: str) -> str:
     raise AssertionError(f"integer line {line!r} has no error")
 
 
-def _parse_int_body(raw: bytes, start: int, widths: list[int], first_lineno: int,
+def _parse_int_body(raw: bytes, start: int, errors: str, widths: list[int], first_lineno: int,
                     n_rows: int | None = None, noun: str = "entry",
                     nouns: str = "entries") -> np.ndarray:
     """(rows, len(widths)) entries of the integer body ``raw[start:]``, exactly
@@ -263,7 +274,7 @@ def _parse_int_body(raw: bytes, start: int, widths: list[int], first_lineno: int
     fits = len(raw) - start >= n * (2 * k or 1)
     rows = np.empty((n, k), dtype=digit_dtype(max(widths, default=0))) if fits else None
     limits = np.array(widths, dtype=np.uint64)
-    for c in _chunks(raw, start):
+    for c in _chunks(raw, start, errors):
         lengths = c.ends - c.starts
         bad = c.first_bad_line(c.counts != k, lengths > _ENTRY_DIGITS, _IS_OTHER[c.buf])
         good = c.newlines.size if bad is None else bad  # lines of k well-formed tokens
@@ -280,9 +291,10 @@ def _parse_int_body(raw: bytes, start: int, widths: list[int], first_lineno: int
     return rows
 
 
-def parse_net(text: str) -> NetFile:
-    """Parse a NET v1 file. The number of points is the number of body lines."""
-    lines, raw, start = _split(text, 3)
+def parse_net(data: str | bytes) -> NetFile:
+    """Parse a NET v1 file, given as text or as its bytes. The number of
+    points is the number of body lines."""
+    lines, raw, start, errors = _split(data, 3)
     if _need_line(lines, 0, "NET v1 magic line") != "NET v1":
         raise FormatError(f"expected 'NET v1', got {_quote(lines[0])}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
@@ -297,7 +309,7 @@ def parse_net(text: str) -> NetFile:
     evals = _vector_line(_need_line(lines, 2, "e-vector line"), "e", s, 3)
     if any(v < 1 for v in evals):
         raise FormatError(f"e-vector entries must be >= 1, got {evals}", line=3)
-    digits = _parse_digit_body(raw, start, b, m, s)
+    digits = _parse_digit_body(raw, start, errors, b, m, s)
     return NetFile(PointSet(b, digits), u, EVector(tuple(evals)))
 
 
@@ -349,9 +361,10 @@ def _format_rows(rows: np.ndarray) -> str:
     return b"".join(parts).decode("ascii")
 
 
-def parse_moa(text: str) -> MixedOA:
-    """Parse a MOA v1 file; the header's t becomes the claimed strength."""
-    lines, raw, start = _split(text, 3)
+def parse_moa(data: str | bytes) -> MixedOA:
+    """Parse a MOA v1 file, given as text or as its bytes; the header's t
+    becomes the claimed strength."""
+    lines, raw, start, errors = _split(data, 3)
     if _need_line(lines, 0, "MOA v1 magic line") != "MOA v1":
         raise FormatError(f"expected 'MOA v1', got {_quote(lines[0])}", line=1)
     n, k, t = _keyword_header(_need_line(lines, 1, "parameter header"), ("N", "k", "t"), 2)
@@ -362,7 +375,7 @@ def parse_moa(text: str) -> MixedOA:
         raise FormatError(f"alphabet sizes must be >= 2, got {alphabets}", line=3)
     if any(l >= 2 ** 63 for l in alphabets):
         raise FormatError(f"alphabet sizes must be below 2**63, got {alphabets}", line=3)
-    rows = _parse_int_body(raw, start, alphabets, 4, n)
+    rows = _parse_int_body(raw, start, errors, alphabets, 4, n)
     return MixedOA(tuple(alphabets), rows, strength=t)
 
 
@@ -372,9 +385,10 @@ def serialize_moa(array: MixedOA) -> str:
             f"l {' '.join(str(l) for l in array.alphabets)}\n" + _format_rows(array.rows))
 
 
-def parse_mooa(text: str) -> MixedOOA:
-    """Parse a MOOA v1 file (exactly base**m body rows)."""
-    lines, raw, start = _split(text, 4)
+def parse_mooa(data: str | bytes) -> MixedOOA:
+    """Parse a MOOA v1 file, given as text or as its bytes (exactly base**m
+    body rows)."""
+    lines, raw, start, errors = _split(data, 4)
     if _need_line(lines, 0, "MOOA v1 magic line") != "MOOA v1":
         raise FormatError(f"expected 'MOOA v1', got {_quote(lines[0])}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
@@ -395,7 +409,7 @@ def parse_mooa(text: str) -> MixedOOA:
         raise FormatError(f"expected {b}**{m} array rows, got {n}", line=5 + n)
     # Matching b**m rows bounds every width b**e_i (e_i <= m) below 2**63.
     widths = [b ** ei for bi, ei in zip(beta, evals) for _ in range(bi)]
-    rows = _parse_int_body(raw, start, widths, 5, b ** m)
+    rows = _parse_int_body(raw, start, errors, widths, 5, b ** m)
     return MixedOOA(b, m, u, EVector(tuple(evals)), tuple(beta), rows)
 
 
@@ -406,8 +420,9 @@ def serialize_mooa(array: MixedOOA) -> str:
             f"beta {' '.join(str(v) for v in array.beta)}\n" + _format_rows(array.rows))
 
 
-def parse_function_tuples(text: str, array: MixedOOA) -> list:
-    """Parse residue-function tuples, one per line, in stored column order.
+def parse_function_tuples(data: str | bytes, array: MixedOOA) -> list:
+    """Parse residue-function tuples, one per line, in stored column order,
+    given as text or as its bytes.
 
     Each line holds sum(beta) integers; entry (i, rho) must lie in
     [0, base**e_i). Returns :class:`~evnets.dualcert.FunctionTuple` objects
@@ -416,8 +431,8 @@ def parse_function_tuples(text: str, array: MixedOOA) -> list:
     from .dualcert import FunctionTuple
 
     widths = [array.base ** ei for bi, ei in zip(array.beta, array.e) for _ in range(bi)]
-    raw = _split(text, 0)[1]
-    rows = _parse_int_body(raw, 0, widths, 1, None, "residue", "residues").tolist()
+    _, raw, _, errors = _split(data, 0)
+    rows = _parse_int_body(raw, 0, errors, widths, 1, None, "residue", "residues").tolist()
     bounds = list(accumulate(array.beta, initial=0))
     return [FunctionTuple(array.base, array.e,
                           tuple(tuple(row[lo:hi]) for lo, hi in zip(bounds, bounds[1:])))

@@ -13,7 +13,9 @@ deliberately different route:
   cyclotomic polynomials built from the Moebius product formula and plain long
   division, instead of integer exponent matrices folded by rad(q);
 * text formats read and written line by line with str methods instead of
-  whole-body numpy arrays.
+  whole-body numpy arrays;
+* the existence search by a rescan of every candidate's box counts at every
+  node instead of a bitset of free candidates updated as boxes fill.
 
 Oracles accept plain data (digit arrays, row lists) so they never call back
 into package logic beyond raw attribute access.
@@ -25,6 +27,8 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,71 @@ def brute_verify_mooa(rows, base: int, m: int, u: int, e, beta,
             if tally.get(combo, 0) != expected:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# existence search (per-node rescan of every candidate under every shape)
+
+def brute_search_net(b: int, m: int, e, s: int, u: int, node_limit=None):
+    """The canonical existence search by the rescan route: (status, nodes,
+    digits), digits None unless status is 'found'.
+
+    Candidates are the digit grid ranked by their concatenated digit string;
+    the origin is placed first and placements are nondecreasing. Every frame
+    keeps a snapshot of the candidates whose boxes all had room when it
+    opened, gathered over every remaining candidate and every budget-maximal
+    shape; the node count includes the origin and the node limit is checked
+    before each later placement.
+    """
+    n_points = b ** m
+    if u == m:
+        grid = itertools.product(range(b), repeat=m * s)
+        return "found", 0, np.array(list(itertools.islice(grid, n_points)),
+                                    dtype=np.int64).reshape(n_points, s, m)
+    digits = np.array(list(itertools.product(range(b), repeat=m * s)),
+                      dtype=np.int64).reshape(-1, s, m)
+    shapes = brute_shapes(m, u, e, "narrow", "maximal")
+    box_key = np.zeros((digits.shape[0], len(shapes)), dtype=np.int64)
+    caps = []
+    offset = 0
+    for j, d in enumerate(shapes):
+        for i, di in enumerate(d):
+            for l in range(di):
+                box_key[:, j] = box_key[:, j] * b + digits[:, i, l]
+        box_key[:, j] += offset
+        offset += b ** sum(d)
+        caps.append(b ** (m - sum(d)))
+    caps = np.array(caps, dtype=np.int64)
+    counts = np.zeros(offset, dtype=np.int64)
+    chosen = []
+
+    def place(c):
+        counts[box_key[c]] += 1
+        chosen.append(c)
+
+    def viable_from(start):
+        mask = (counts[box_key[start:]] < caps).all(axis=1)
+        return iter((np.nonzero(mask)[0] + start).tolist())
+
+    place(0)
+    nodes = 1
+    if node_limit is not None and nodes > node_limit:
+        return "inconclusive", nodes, None
+    stack = [viable_from(0)]
+    while stack:
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            counts[box_key[chosen.pop()]] -= 1
+            continue
+        if node_limit is not None and nodes >= node_limit:
+            return "inconclusive", nodes, None
+        nodes += 1
+        place(c)
+        if len(chosen) == n_points:
+            return "found", nodes, digits[chosen]
+        stack.append(viable_from(c))
+    return "nonexistent", nodes, None
 
 
 # ---------------------------------------------------------------------------

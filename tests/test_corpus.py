@@ -1,9 +1,13 @@
 """Reference constructions, perturbations, and the existence search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from evnets import PointSet, project, u_star, verify_net
+from evnets.cli import EXIT_INCONCLUSIVE, EXIT_PASS, main
 from evnets.corpus import (
     digital_net, faure, flip_digit, grid_1d, hammersley, random_pointset,
     search_net,
@@ -11,6 +15,7 @@ from evnets.corpus import (
 from evnets.errors import ParamError
 
 import oracles
+from storage import storage
 
 
 class TestGenerators:
@@ -141,6 +146,18 @@ class TestFlipDigit:
                 flip_digit(ham23, *args)
 
 
+@st.composite
+def _search_params(draw):
+    """(b, m, s, e, u, node limit) with at most 4096 candidate points."""
+    b = draw(st.sampled_from([2, 3]))
+    s = draw(st.integers(1, 6))
+    m = draw(st.integers(0, {2: 12, 3: 7}[b] // s))
+    e = tuple(draw(st.lists(st.integers(1, m + 1), min_size=s, max_size=s)))
+    u = draw(st.integers(0, m))
+    limit = draw(st.sampled_from([0, 1, None]) | st.integers(2, 3000))
+    return b, m, s, e, u, limit
+
+
 class TestSearchNet:
     def test_finds_a_two_dim_net(self):
         res = search_net(2, 2, (1, 1), 2, 0)
@@ -166,6 +183,62 @@ class TestSearchNet:
         res = search_net(2, 2, (1, 1, 1, 1), 4, 0)
         assert res.status == "nonexistent" and res.net is None
         assert res.nodes == 49  # deterministic canonical tree, regression pin
+
+    @pytest.mark.parametrize("b, m, s, u, limit, status, nodes", [
+        (2, 2, 8, 0, None, "nonexistent", 1281),
+        (3, 2, 3, 0, None, "found", 251),
+        (2, 4, 4, 0, 20000, "inconclusive", 20000),
+    ])
+    def test_node_counts_are_pinned(self, b, m, s, u, limit, status, nodes):
+        res = search_net(b, m, (1,) * s, s, u, limit)
+        assert (res.status, res.nodes) == (status, nodes)
+
+    def test_cli_search_at_its_node_limit(self, capsys):
+        code = main(["gen", "search", "--base", "2", "--m", "3", "--s", "4",
+                     "--e", "1x4", "--u", "1", "--node-limit", "40000"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (EXIT_INCONCLUSIVE, "",
+                                    "search: INCONCLUSIVE after 40000 nodes\n")
+
+    def test_deep_search_memory_does_not_grow_with_depth(self):
+        # 8192 placements deep; a snapshot of the free candidates per frame
+        # would take hundreds of MB
+        tracemalloc.start()
+        try:
+            res = search_net(2, 13, (1,), 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "found" and res.nodes == 8192
+        assert peak < 16 << 20
+
+    def test_cli_writes_a_deep_search(self, capsys):
+        code = main(["gen", "search", "--base", "2", "--m", "16", "--s", "1",
+                     "--e", "1", "--u", "0"])
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert (code, err) == (EXIT_PASS, "")
+        assert lines[:3] == ["NET v1", "base 2 m 16 s 1 u 0", "e 1"]
+        assert len(set(lines[3:])) == len(lines) - 3 == 1 << 16
+
+    @settings(deadline=None, max_examples=60)
+    @given(params=_search_params(), int64=st.booleans())
+    @example(params=(2, 2, 4, (1, 1, 1, 1), 0, None), int64=False)   # nonexistent
+    @example(params=(3, 2, 2, (1, 1), 0, 1), int64=True)             # inconclusive
+    @example(params=(2, 3, 2, (1, 2), 0, None), int64=True)          # found
+    def test_matches_the_rescan_search(self, params, int64):
+        b, m, s, e, u, limit = params
+        if limit is None:  # keep the reference search to a few thousand nodes
+            bounded = search_net(b, m, e, s, u, 5000)
+            assume(bounded.status != "inconclusive")
+        with storage(int64):
+            res = search_net(b, m, e, s, u, limit)
+            status, nodes, digits = oracles.brute_search_net(b, m, e, s, u, limit)
+            assert (res.status, res.nodes) == (status, nodes)
+            if digits is None:
+                assert res.net is None
+            else:
+                assert np.array_equal(res.net.digits, digits)
 
     def test_node_limit_gives_inconclusive(self):
         res = search_net(2, 2, (1, 1, 1, 1), 4, 0, node_limit=1)

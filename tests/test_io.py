@@ -549,18 +549,44 @@ class TestUndecodableBytes:
         text = HAM_23_TEXT.replace("100 001\n", f"100 {token}\n")
         assert self._message(parse_net, text).startswith(f"line 5: digit string {shown} ")
 
+    @staticmethod
+    def _case(ham23, kind):
+        """A good input of one format, its parser, and a serializer of what it
+        parses to."""
+        arr = net_to_mooa(ham23, 0, EVector((1, 2)))
+        return {
+            "net": (HAM_23_TEXT, parse_net, lambda nf: serialize_net(nf.points, nf.u, nf.e)),
+            "moa": (serialize_moa(MixedOA((2, 2), np.array([[0, 1], [1, 0]]), 1)), parse_moa,
+                    serialize_moa),
+            "mooa": (serialize_mooa(arr), parse_mooa, serialize_mooa),
+            "tuples": ("1 0 1 3\n0 0 0 0\n", lambda t: parse_function_tuples(t, arr), repr),
+        }[kind]
+
     @settings(deadline=None, max_examples=100)
     @given(st.sampled_from(["net", "moa", "mooa", "tuples"]), st.integers(0, 200),
            st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1,
                    max_size=3))
     def test_no_unicode_error_for_any_lone_surrogate(self, ham23, kind, pos, junk):
-        arr = net_to_mooa(ham23, 0, EVector((1, 2)))
-        text, parse = {
-            "net": (HAM_23_TEXT, parse_net),
-            "moa": (serialize_moa(MixedOA((2, 2), np.array([[0, 1], [1, 0]]), 1)), parse_moa),
-            "mooa": (serialize_mooa(arr), parse_mooa),
-            "tuples": ("1 0 1 3\n0 0 0 0\n", lambda t: parse_function_tuples(t, arr)),
-        }[kind]
+        text, parse, _ = self._case(ham23, kind)
         pos %= len(text) + 1
         with pytest.raises(FormatError):
             parse(text[:pos] + junk + text[pos:])
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(["net", "moa", "mooa", "tuples"]), st.integers(0, 200),
+           st.binary(max_size=4), st.booleans())
+    def test_bytes_parse_as_their_surrogateescape_text(self, ham23, kind, pos, junk, cut):
+        text, parse, write = self._case(ham23, kind)
+        raw = text.encode()
+        pos %= len(raw) + 1
+        raw = raw[:pos] + junk + raw[pos:]
+        if cut:  # no LF at the end
+            raw = raw.rstrip(b"\n")
+
+        def outcome(data):
+            try:
+                return "ok", write(parse(data))
+            except FormatError as exc:
+                return "error", str(exc)
+
+        assert outcome(raw) == outcome(raw.decode("utf-8", "surrogateescape"))

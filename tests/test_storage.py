@@ -178,6 +178,11 @@ class TestPeakMemory:
         net, peak = _peak(lambda: parse_net(text))
         assert net.points == points and net.points.digits.dtype == np.uint8
         assert peak <= 2 * points.digits.nbytes + chunk
+        # the bytes of a file are parsed as they are, with no copy
+        data = text.encode()
+        net, peak = _peak(lambda: parse_net(data))
+        assert net.points == points
+        assert peak <= points.digits.nbytes + chunk
 
 
 def test_generators_do_not_depend_on_the_chunk_size(monkeypatch):
