@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._util import _BYTES_CAP
+from ._util import _BYTES_CAP, _CHUNK_BYTES
 from .core import EVector, MixedOOA, Verdict
 from .errors import ParamError
 
@@ -41,6 +42,13 @@ __all__ = [
     "FunctionTuple", "profile", "height", "diff",
     "char_exponents", "gram_certificate", "build_block_family",
 ]
+
+# Bytes the byte cap charges per member beyond its residues (its rank, and its
+# entry in one row's list of ranks), and per distinct difference beyond its
+# residues (its first pair, and its entry in the set of differences seen: a
+# hash-table slot and a Python int, about 74 bytes).
+_MEMBER_BYTES = 64
+_DIFFERENCE_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -120,10 +128,10 @@ def _stack(array: MixedOOA, family: Sequence[FunctionTuple]) -> np.ndarray:
                     dtype=np.int64).reshape(len(family), sum(array.beta))
 
 
-def _exponents(array: MixedOOA, residues: np.ndarray, q: int) -> np.ndarray:
-    """(F, N) exponents of zeta_q for the stacked residues (F, sum(beta))."""
-    scale = np.repeat([q // array.base ** ei for ei in array.e], array.beta)
-    return (residues * scale) @ array.rows.T % q
+def _scale(array: MixedOOA, q: int) -> np.ndarray:
+    """Per stored column (i, rho), q // b**e_i: the power of zeta_q that is
+    omega_i."""
+    return np.repeat([q // array.base ** ei for ei in array.e], array.beta)
 
 
 def char_exponents(array: MixedOOA, d: FunctionTuple) -> np.ndarray:
@@ -134,7 +142,8 @@ def char_exponents(array: MixedOOA, d: FunctionTuple) -> np.ndarray:
     an int64 vector with entries in [0, q).
     """
     _check_array_frame(array, d)
-    return _exponents(array, _stack(array, [d]), _order(array))[0]
+    q = _order(array)
+    return (_stack(array, [d])[0] * _scale(array, q)) @ array.rows.T % q
 
 
 def _radical(n: int) -> int:
@@ -203,31 +212,61 @@ def _vanishes(counts: np.ndarray, q: int) -> np.ndarray:
     return ~(folded.transpose(0, 2, 1) @ _power_table(r)).any(axis=(1, 2))
 
 
-def _first_tall_pair(array: MixedOOA, residues: np.ndarray) -> tuple[int, int, int] | None:
-    """First pair j < k (combinations order) whose difference has height above
-    m - u, with that height; None if every pair fits."""
-    starts = [array.block_start(i) for i, bi in enumerate(array.beta) if bi]
-    if not starts:  # no columns: every difference has height 0
+def _heights(delta: np.ndarray, weight: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Height of each difference row: per block, the weight (depth times
+    e_i) of its last nonzero column, summed over the blocks."""
+    return np.maximum.reduceat((delta != 0) * weight, starts, axis=1).sum(axis=1)
+
+
+def _rank(residues: np.ndarray, radices: Sequence[int], dtype) -> np.ndarray:
+    """Mixed-radix rank of each residue row, first column most significant,
+    in ``dtype``: int64, or object (Python ints) once the radices' product
+    passes 2**63."""
+    keys = np.zeros(len(residues), dtype=dtype)
+    for col, radix in zip(residues.T.astype(dtype, copy=False), radices):
+        keys *= radix
+        keys += col
+    return keys
+
+
+def _first_duplicate(keys: np.ndarray) -> tuple[int, int] | None:
+    """First pair j < k (combinations order) of equal keys, or None."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    earlier = first[inverse.ravel()]  # each member's first equal member
+    dup = np.flatnonzero(earlier != np.arange(len(keys)))
+    if not dup.size:
         return None
-    weight = np.concatenate([np.arange(1, bi + 1) * ei for ei, bi in zip(array.e, array.beta)])
-    for j in range(len(residues) - 1):
-        moved = (residues[j + 1:] != residues[j]) * weight
-        heights = np.maximum.reduceat(moved, starts, axis=1).sum(axis=1)
-        tall = np.flatnonzero(heights > array.m - array.u)
-        if tall.size:
-            return j, j + 1 + int(tall[0]), int(heights[tall[0]])
-    return None
+    j = earlier[dup].min()
+    return int(j), int(dup[earlier[dup] == j][0])
 
 
-def _check_family_size(array: MixedOOA, members: int) -> None:
-    """Refuse a family whose int64 exponent matrix (one row per member, one
-    column per array row) and same-sized difference buffer would together
-    pass the package's byte cap."""
-    size = 2 * members * array.runs * 8
+def _block_rows(runs: int, differences: int) -> int:
+    """Differences per block of exponent rows: about ``_CHUNK_BYTES`` of int64."""
+    return min(differences, max(1, _CHUNK_BYTES // (8 * runs)))
+
+
+def _route_bytes(members: int, columns: int, touched: int, runs: int,
+                 differences: int) -> int:
+    """Bytes the distinct-difference route allocates, at most, for a family
+    of ``members`` tuples whose ``differences`` distinct nonzero differences
+    live on ``touched`` of the array's ``columns``: the stacked residues,
+    their touched columns and one row's differences, with a rank per member;
+    the touched columns of the rows in int64, one block of exponent rows and
+    its tally; and each difference seen, with its first pair and its entry
+    in the set of differences."""
+    block = _block_rows(runs, differences)
+    return (8 * members * (columns + 2 * touched) + members * _MEMBER_BYTES
+            + 8 * runs * (touched + 2 * block)
+            + differences * (16 * touched + _DIFFERENCE_BYTES))
+
+
+def _check_route_size(array: MixedOOA, members: int, touched: int, differences: int) -> None:
+    """Refuse a family whose route would pass the package's byte cap."""
+    size = _route_bytes(members, sum(array.beta), touched, array.runs, differences)
     if size > _BYTES_CAP:
         raise ParamError(f"a family of {members} tuples on {array.runs} rows needs "
-                         f"{size} bytes of exponents and differences, above the cap of "
-                         f"{_BYTES_CAP} bytes")
+                         f"{size} bytes of residues, exponent rows and differences, "
+                         f"above the cap of {_BYTES_CAP} bytes")
 
 
 def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdict:
@@ -242,41 +281,88 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     "order": q, "counts": c}``: c[t] rows have E_k - E_j = t mod q, and
     sum_t c[t] zeta_q**t != 0. A passing verdict certifies the family has
     at most b**m members; the defensive check at the end cannot fire for a
-    true Gram identity. A family whose int64 exponent matrix (one row per
-    member, one column per array row) and same-sized difference buffer
-    would together pass the package's byte cap is refused with
-    ``ParamError`` before either pass.
+    true Gram identity.
+
+    E_D is additive mod q, so entry (j, k) depends only on the difference
+    d_k - d_j. Pairs are walked in combinations order, each difference keyed
+    by its mixed-radix rank over the columns some member touches, and the
+    height is taken only of a difference not seen before. The walk stops
+    once every nonzero element of the group those columns span has been
+    seen: a family closed under subtraction (any ``build_block_family``,
+    in any order) stops after its first member, with F - 1 differences.
+    Then one character sum is tallied per distinct difference, in the order
+    first seen, so the first failing difference names the first failing
+    pair. Equal members fail at their first pair, through the zero
+    difference (all b**m rows at exponent 0). A family whose route would
+    pass the package's byte cap (see :func:`_route_bytes`) is refused with
+    ``ParamError`` before the walk; its residues take less memory than the
+    tuples already hold.
     """
     family = list(family)
     for d in family:
         _check_array_frame(array, d)
-    _check_family_size(array, len(family))
+    members = len(family)
     residues = _stack(array, family)
-    tall = _first_tall_pair(array, residues)
-    if tall is not None:
-        return Verdict(False, {
-            "kind": "height-precondition", "pair": [tall[0], tall[1]],
-            "height": tall[2], "budget": array.m - array.u})
-    q = _order(array)
-    exps = _exponents(array, residues, q)
-    # pair (j, k) tallies E_k - E_j + q, in (0, 2q), into its own 2q bins;
-    # folding the two halves of each run of bins reduces the tally mod q.
-    # Every row's differences go into one buffer, so the peak is the two
-    # (F, N) arrays the cap counts.
-    offsets = (np.arange(len(family), dtype=np.int64) * 2 * q + q)[:, None]
-    buf = np.empty_like(exps)
-    for j in range(len(family) - 1):
-        rest = len(family) - 1 - j
-        cells = np.subtract(exps[j + 1:], exps[j], out=buf[:rest])
-        cells += offsets[:rest]
-        counts = np.bincount(cells.ravel(), minlength=rest * 2 * q)
-        counts = counts.reshape(rest, 2, q).sum(axis=1)
-        bad = np.flatnonzero(~_vanishes(counts, q))
-        if bad.size:
+    cols = np.flatnonzero(residues.any(axis=0))
+    widths = np.repeat([array.base ** ei for ei in array.e], array.beta)[cols]
+    radices = widths.tolist()
+    group = math.prod(radices)
+    differences = min(group - 1, members * (members - 1) // 2)
+    _check_route_size(array, members, len(cols), differences)
+    residues = residues[:, cols]
+    dtype = np.int64 if group <= 2 ** 63 else object
+    weight = np.concatenate([np.arange(1, bi + 1) * ei
+                             for ei, bi in zip(array.e, array.beta)])[cols]
+    starts = np.flatnonzero(np.diff(np.repeat(np.arange(array.dim), array.beta)[cols],
+                                    prepend=-1))
+    budget = array.m - array.u
+    seen: set = set()
+    firsts = []  # per walked row with new differences: their pairs, ranked j*F + k
+    deltas = []  # and their residues
+    for j in range(members - 1):
+        if len(seen) == group - 1:
+            break
+        delta = (residues[j + 1:] - residues[j]) % widths
+        fresh = []
+        for k, key in enumerate(_rank(delta, radices, dtype).tolist()):
+            if key and key not in seen:
+                seen.add(key)
+                fresh.append(k)
+        if not fresh:
+            continue
+        delta = delta[fresh]
+        heights = _heights(delta, weight, starts)
+        tall = np.flatnonzero(heights > budget)
+        if tall.size:
             return Verdict(False, {
-                "kind": "gram", "pair": [j, j + 1 + int(bad[0])], "order": q,
-                "counts": counts[bad[0]].tolist()})
-    if len(family) > array.base ** array.m:
+                "kind": "height-precondition", "pair": [j, j + 1 + fresh[tall[0]]],
+                "height": int(heights[tall[0]]), "budget": budget})
+        firsts.append(np.asarray(fresh, dtype=np.int64) + (j * members + j + 1))
+        deltas.append(delta)
+    del seen
+    q = _order(array)
+    dup = _first_duplicate(_rank(residues, radices, dtype))
+    firsts = np.concatenate(firsts) if firsts else np.zeros(0, dtype=np.int64)
+    if dup is not None:  # only differences first seen before the equal pair matter
+        firsts = firsts[:np.searchsorted(firsts, dup[0] * members + dup[1])]
+    if len(firsts):
+        deltas = np.concatenate(deltas)[:len(firsts)] * _scale(array, q)[cols]
+        rows = np.ascontiguousarray(array.rows[:, cols].T, dtype=np.int64)
+        step = _block_rows(array.runs, len(firsts))
+        for lo in range(0, len(firsts), step):
+            exps = deltas[lo:lo + step] @ rows
+            exps %= q
+            exps += np.arange(0, len(exps) * q, q)[:, None]
+            counts = np.bincount(exps.ravel(), minlength=len(exps) * q).reshape(-1, q)
+            bad = np.flatnonzero(~_vanishes(counts, q))
+            if bad.size:
+                return Verdict(False, {
+                    "kind": "gram", "pair": list(divmod(int(firsts[lo + bad[0]]), members)),
+                    "order": q, "counts": counts[bad[0]].tolist()})
+    if dup is not None:
+        return Verdict(False, {"kind": "gram", "pair": list(dup), "order": q,
+                               "counts": [array.runs] + [0] * (q - 1)})
+    if members > array.base ** array.m:
         raise AssertionError("orthogonal family larger than the row count")
     return Verdict(True)
 
@@ -300,7 +386,7 @@ def build_block_family(array: MixedOOA, kappa: Sequence[int]) -> list[FunctionTu
         depth += ki * ei
     if depth > array.m - array.u:
         raise ParamError(f"profile depth {depth} exceeds the budget {array.m - array.u}")
-    _check_family_size(array, array.base ** depth)
+    _check_route_size(array, array.base ** depth, sum(kappa), array.base ** depth - 1)
     ranges = [range(array.base ** ei) for ki, ei in zip(kappa, array.e)
               for _ in range(ki)]
     out = []

@@ -611,11 +611,13 @@ class TestDualCert:
             raise AssertionError("family member built")
 
         monkeypatch.setattr(dualcert, "FunctionTuple", no_tuples)
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8 - 1)
+        need = dualcert._route_bytes(8, 4, 3, 8, 7)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
         assert code == EXIT_USAGE and out == ""
-        assert err == ("error: a family of 8 tuples on 8 rows needs 1024 bytes of exponents "
-                       "and differences, above the cap of 1023 bytes\n")
+        assert err == (f"error: a family of 8 tuples on 8 rows needs {need} bytes of "
+                       f"residues, exponent rows and differences, above the cap of "
+                       f"{need - 1} bytes\n")
         # a bad profile is still named first
         code, _, err = run(capsys, "dual-cert", mooa, "--kappa", "4,0")
         assert code == EXIT_USAGE and err == "error: kappa[0]=4 outside [0, 3]\n"
@@ -650,16 +652,32 @@ class TestDualCert:
         assert data["row_bound"] == 8 and data["witness"] is None
         assert set(data) == {"pass", "family_size", "row_bound", "witness"}
 
-    def test_exponent_matrix_above_the_cap_is_usage_error(self, capsys, ham_net, tmp_path,
-                                                           monkeypatch):
-        # the real cap is 1 GiB (hammersley(2,14) at kappa (7,7) needs 4 GiB);
-        # a lowered cap keeps a broken check from allocating that much here
+    def test_route_above_the_cap_is_usage_error(self, capsys, ham_net, tmp_path,
+                                                 monkeypatch):
+        # the real cap is 1 GiB, which hammersley(2,14) at kappa (7,7) fits
+        # in about 14 MB; a lowered cap refuses this family of 8
         mooa = self._mooa(capsys, ham_net, tmp_path)
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8 - 1)
+        need = dualcert._route_bytes(8, 4, 3, 8, 7)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
         assert code == EXIT_USAGE and out == ""
-        assert err == ("error: a family of 8 tuples on 8 rows needs 1024 bytes of exponents "
-                       "and differences, above the cap of 1023 bytes\n")
+        assert err == (f"error: a family of 8 tuples on 8 rows needs {need} bytes of "
+                       f"residues, exponent rows and differences, above the cap of "
+                       f"{need - 1} bytes\n")
+
+    @pytest.mark.parametrize("net", ["ham_net", "bad_net"])
+    def test_tuples_and_kappa_give_one_verdict(self, capsys, request, tmp_path, net):
+        # the block family written out as --tuples takes the same route
+        mooa = self._mooa(capsys, request.getfixturevalue(net), tmp_path, e="1,1")
+        array = evnets.parse_mooa(Path(mooa).read_bytes())
+        tuples = tmp_path / "fam.txt"
+        tuples.write_text("".join(
+            " ".join(str(v) for block in d.values for v in block) + "\n"
+            for d in dualcert.build_block_family(array, (0, 3))))
+        by_kappa = run(capsys, "dual-cert", mooa, "--kappa", "0,3", "--json")
+        by_tuples = run(capsys, "dual-cert", mooa, "--tuples", str(tuples), "--json")
+        assert by_kappa == by_tuples
+        assert by_kappa[0] == (EXIT_PASS if net == "ham_net" else EXIT_FAIL)
 
     def test_json_failure_witness(self, capsys, bad_net, tmp_path):
         _, text, _ = run(capsys, "to-mooa", bad_net)

@@ -212,37 +212,61 @@ class TestGramCertificate:
     def test_empty_family_passes(self, arr12):
         assert gram_certificate(arr12, [])
 
-    def test_exponent_matrix_above_the_cap_is_refused(self, arr12, monkeypatch):
-        # F = 8 tuples on N = 8 rows: the (F, N) int64 exponents plus the
-        # difference buffer are counted as 2 * F * N * 8 bytes
+    def test_route_above_the_cap_is_refused(self, arr12, monkeypatch):
+        # F = 8 tuples touching 3 of the 4 columns, N = 8 rows, 7 distinct
+        # differences: residues, their touched columns and one row's
+        # differences 8*8*(4 + 2*3), member ranks 8*64, the touched rows and
+        # one block of 7 exponent rows with its tally 8*8*(3 + 2*7), and per
+        # difference its residues twice, its pair and its set entry 16*3 + 128
+        need = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 8 * 8 * (3 + 2 * 7) + 7 * (16 * 3 + 128)
+        assert dualcert._route_bytes(8, 4, 3, 8, 7) == need == 3472
         fam = build_block_family(arr12, (3, 0))
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert gram_certificate(arr12, fam)
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8 - 1)
-        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 1024 "
-                                             "bytes of exponents and differences, above "
-                                             "the cap of 1023"):
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3472 "
+                                             "bytes of residues, exponent rows and "
+                                             "differences, above the cap of 3471"):
             gram_certificate(arr12, fam)
-        # refused before the height precondition could fail the family
+        # two tuples touching all 4 columns have one difference; refused
+        # before the height precondition could fail the family
         tall = [FunctionTuple(2, EVector((1, 2)), ((1, 1, 1), (0,))),
                 FunctionTuple(2, EVector((1, 2)), ((0, 0, 0), (1,)))]
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 2 * 8 * 8 - 1)
+        need = dualcert._route_bytes(2, 4, 4, 8, 1)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
+        assert gram_certificate(arr12, tall).witness["kind"] == "height-precondition"
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         with pytest.raises(ParamError, match="above the cap"):
             gram_certificate(arr12, tall)
 
-    def test_peak_memory_is_about_two_exponent_matrices(self):
-        # the (F, N) exponents and one (F, N) buffer that every pair row is
-        # subtracted into: what the cap counts
+    def test_differences_counted_are_bounded_by_pairs_and_group(self, arr12, monkeypatch):
+        # a family of 3 tuples has at most 3 differences however many columns
+        # it touches; a block family of 8 has exactly its 7 nonzero members
+        calls = []
+        monkeypatch.setattr(dualcert, "_route_bytes",
+                            lambda *args: calls.append(args) or 0)
+        e = EVector((1, 2))
+        gram_certificate(arr12, [FunctionTuple(2, e, ((1, 0, 0), (0,))),
+                                 FunctionTuple(2, e, ((0, 1, 0), (0,))),
+                                 FunctionTuple(2, e, ((0, 0, 0), (3,)))])
+        gram_certificate(arr12, build_block_family(arr12, (1, 1)))
+        assert calls == [(3, 4, 3, 8, 3), (8, 4, 2, 8, 7), (8, 4, 2, 8, 7)]
+
+    def test_peak_memory_is_within_what_the_cap_counts(self):
+        # no (F, N) array is formed: the peak stays within the route's count,
+        # a third of one (F, N) int64 exponent matrix here
         import tracemalloc
         arr = net_to_mooa(corpus.hammersley(2, 10), 0, (1, 1))
         fam = build_block_family(arr, (5, 5))  # F = N = 1024, an 8 MB matrix
+        counted = dualcert._route_bytes(len(fam), 20, 10, arr.runs, len(fam) - 1)
+        assert counted <= len(fam) * arr.runs * 8 / 2.9
         tracemalloc.start()
         try:
             assert gram_certificate(arr, fam)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * len(fam) * arr.runs * 8
+        assert peak <= counted
 
     def test_family_members_must_match_frame(self, arr12):
         with pytest.raises(ParamError):
@@ -315,6 +339,137 @@ class TestExactCertificateCrossCheck:
                     "budget": budget}, (label, a, b)
 
 
+def _oracle_verdict(arr, family):
+    """The witness :func:`gram_certificate` must give, from the scalar
+    oracles: None for a pass, else the first failing pair with its tally of
+    exponent differences mod q (the oracle's exponents live mod the largest
+    b**e_i, a multiple of q)."""
+    values = [d.values for d in family]
+    want = oracles.brute_first_gram_failure(arr.rows, arr.base, arr.e, arr.beta, values)
+    if want is None:
+        return None
+    j, k = want
+    (ej, big), (ek, _) = (oracles.brute_char_exponents(arr.rows, arr.base, arr.e, arr.beta,
+                                                       values[i]) for i in want)
+    q = arr.base ** max((ei for ei, bi in zip(arr.e, arr.beta) if bi), default=0)
+    counts = [0] * q
+    for a, c in zip(ej, ek):
+        counts[(c - a) % big // (big // q)] += 1
+    return {"kind": "gram", "pair": [j, k], "order": q, "counts": counts}
+
+
+def _assert_matches_oracle(arr, family, label):
+    v = gram_certificate(arr, family)
+    want = _oracle_verdict(arr, family)
+    assert bool(v) == (want is None), label
+    assert v.witness == want, label
+
+
+class TestDistinctDifferenceRoute:
+    """The route keys pairs by difference and stops once the touched group is
+    seen; these families exercise each way that could go wrong."""
+
+    @pytest.mark.parametrize("label,arr", CROSS_CHECK, ids=[c[0] for c in CROSS_CHECK])
+    def test_shuffled_block_families(self, label, arr):
+        # a group in any order: row 0 is not the zero tuple, yet it still
+        # sees every nonzero difference
+        rng = np.random.default_rng(len(label) + 1)
+        for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
+            fam = build_block_family(arr, kappa)
+            if len(fam) > 64:  # keeps the pairwise oracle fast
+                continue
+            _assert_matches_oracle(arr, [fam[k] for k in rng.permutation(len(fam))],
+                                   (label, kappa))
+
+    @pytest.mark.parametrize("label,arr", CROSS_CHECK[::3], ids=[c[0] for c in CROSS_CHECK[::3]])
+    def test_families_with_repeated_members(self, label, arr):
+        rng = np.random.default_rng(len(label) + 2)
+        for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
+            fam = build_block_family(arr, kappa)
+            picked = [fam[k] for k in rng.choice(len(fam), size=10, replace=True)]
+            _assert_matches_oracle(arr, picked, (label, kappa))
+            # the whole group, then a repeat: the walk has stopped by then
+            _assert_matches_oracle(arr, fam + [fam[len(fam) // 2]], (label, kappa, "tail"))
+
+    def test_duplicate_is_the_zero_difference(self, arr12):
+        fam = build_block_family(arr12, (1, 1))
+        for family, pair in (([fam[3], fam[3]], [0, 1]), (fam + [fam[5]], [5, 8])):
+            v = gram_certificate(arr12, family)
+            assert v.witness == {"kind": "gram", "pair": pair, "order": 4,
+                                 "counts": [8, 0, 0, 0]}
+            assert v.witness == _oracle_verdict(arr12, family)
+
+    def test_failing_difference_first_seen_after_row_zero(self):
+        # both members pass against the zero tuple, but not against each
+        # other: their difference is new in row 1
+        arr = dict(CROSS_CHECK)["random b=2 e=(1, 1)"]
+        e = EVector((1, 1))
+        zero = FunctionTuple(2, e, ((0, 0), (0, 0)))
+        a = FunctionTuple(2, e, ((0, 0), (1, 0)))
+        b = FunctionTuple(2, e, ((1, 0), (0, 0)))
+        assert gram_certificate(arr, [zero, a]) and gram_certificate(arr, [zero, b])
+        v = gram_certificate(arr, [zero, a, b])
+        assert v.witness["pair"] == [1, 2]
+        assert v.witness == _oracle_verdict(arr, [zero, a, b])
+
+    def test_tall_pair_after_a_gram_failure_still_wins(self):
+        bad = net_to_mooa(corpus.flip_digit(corpus.hammersley(2, 3), 0, 1, 2),
+                          0, (1, 1))
+        fam = build_block_family(bad, (0, 3))
+        assert not gram_certificate(bad, fam[:2])  # pair (0, 1) fails
+        tall = FunctionTuple(2, EVector((1, 1)), ((1, 1, 1), (1, 0, 0)))
+        for family in (fam[:2] + [tall], fam[:1] * 2 + [tall]):
+            v = gram_certificate(bad, family)
+            assert v.witness == {"kind": "height-precondition", "pair": [0, 2],
+                                 "height": 4, "budget": 3}
+        # row 0 meets the zero difference and both short elements of the
+        # group spanned, but the tall one, (1, 1), only in row 2
+        e = EVector((1, 1))
+        zero = FunctionTuple(2, e, ((0, 0, 0), (0, 0, 0)))
+        a = FunctionTuple(2, e, ((0, 0, 1), (0, 0, 0)))
+        b = FunctionTuple(2, e, ((0, 0, 0), (1, 0, 0)))
+        assert gram_certificate(bad, [zero, zero, a, b]).witness == {
+            "kind": "height-precondition", "pair": [2, 3], "height": 4, "budget": 3}
+
+    def test_group_family_takes_one_sum_per_nonzero_member(self, monkeypatch):
+        # F - 1 character sums however the group is ordered
+        arr = net_to_mooa(corpus.hammersley(2, 8), 0, (1, 1))
+        fam = build_block_family(arr, (4, 4))
+        rng = np.random.default_rng(5)
+        sums = []
+        vanishes = dualcert._vanishes
+        monkeypatch.setattr(dualcert, "_vanishes",
+                            lambda counts, q: sums.append(len(counts)) or vanishes(counts, q))
+        walked = []
+        rank = dualcert._rank
+        monkeypatch.setattr(dualcert, "_rank",
+                            lambda *args: walked.append(len(args[0])) or rank(*args))
+        for family in (fam, [fam[k] for k in rng.permutation(len(fam))]):
+            sums.clear()
+            walked.clear()
+            assert gram_certificate(arr, family)
+            assert sum(sums) == len(fam) - 1
+            # row 0's differences, then the members for the duplicate check
+            assert walked == [len(fam) - 1, len(fam)]
+
+    def test_keys_past_int64_match_oracle(self):
+        # 40 blocks of one base-4 column span a group of 4**40 = 2**80
+        # elements, so differences are ranked as Python ints; in int64 the
+        # first block's residues would rank as multiples of 2**64, as 0
+        rng = np.random.default_rng(9)
+        s = 40
+        e = EVector((2,) * s)
+        arr = MixedOOA(2, 4, 0, e, (1,) * s, rng.integers(0, 4, size=(16, s)))
+        family = [FunctionTuple(2, e, ((0,),) * s)]
+        for i in range(s):
+            values = [(0,)] * s
+            values[i] = (int(rng.integers(1, 4)),)
+            family.append(FunctionTuple(2, e, tuple(values)))
+        for order in (family, family[::-1], family + [family[7]], family[1:2] + family[:1]):
+            _assert_matches_oracle(arr, order, "object keys")
+        assert dualcert._rank(np.array([[3] * s]), [4] * s, object)[0] == 4 ** s - 1
+
+
 class TestBuildBlockFamily:
     def test_enumeration_order_and_padding(self, arr12):
         fam = build_block_family(arr12, (1, 1))
@@ -334,17 +489,20 @@ class TestBuildBlockFamily:
             build_block_family(arr12, (1,))     # wrong block count
 
     def test_oversized_family_is_refused_before_it_is_built(self, arr12, monkeypatch):
-        # the cap gram_certificate applies, checked from b**depth members
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8)
+        # the cap gram_certificate applies, counted from b**depth members on
+        # sum(kappa) touched columns with b**depth - 1 differences
+        need = dualcert._route_bytes(8, 4, 2, 8, 7)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert len(build_block_family(arr12, (1, 1))) == 8
 
         def no_tuples(*args):
             raise AssertionError("family member built")
 
         monkeypatch.setattr(dualcert, "FunctionTuple", no_tuples)
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", 2 * 8 * 8 * 8 - 1)
-        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 1024 "
-                                             "bytes of exponents and differences"):
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
+        with pytest.raises(ParamError, match=f"a family of 8 tuples on 8 rows needs {need} "
+                                             "bytes of residues, exponent rows and "
+                                             "differences"):
             build_block_family(arr12, (1, 1))
         with pytest.raises(ParamError, match="profile depth 5 exceeds the budget 3"):
             build_block_family(arr12, (3, 1))
