@@ -16,64 +16,48 @@ Deterministic generators and a desk-scale existence search live in
 command-line interface in :mod:`evnets.cli`.
 """
 
-from .bounds import (
-    Condition,
-    FeasibilityReport,
-    feasibility_report,
-    net_rao_check,
-    rao_rhs,
-    seq_kr_check,
-    seq_lcm_check,
-)
-from .core import EVector, MixedOA, MixedOOA, PointSet, Verdict
-from .corpus import (
-    SearchResult,
-    digital_net,
-    faure,
-    flip_digit,
-    grid_1d,
-    hammersley,
-    random_pointset,
-    search_net,
-)
-from .dualcert import (
-    FunctionTuple,
-    build_block_family,
-    char_exponents,
-    diff,
-    gram_certificate,
-    height,
-    profile,
-)
-from .errors import FormatError, ParamError, PrecisionError, VerificationError
-from .io import (
-    NetFile,
-    parse_function_tuples,
-    parse_moa,
-    parse_mooa,
-    parse_net,
-    serialize_moa,
-    serialize_mooa,
-    serialize_net,
-)
-from .netverify import (
-    check_shapes,
-    count_box,
-    project,
-    rebase_compress,
-    rebase_expand,
-    u_star,
-    verify_net,
-    verify_sequence_prefix,
-)
-from .oa import max_strength, net_to_moa, verify_moa
-from .ooa import (
-    canonical_beta,
-    enumerate_profiles,
-    mooa_to_net,
-    net_to_mooa,
-    verify_mooa,
-)
+import importlib
+
+# The module behind each public name. A name is imported on first use
+# (PEP 562), so a process loads only the modules it touches: the bound
+# calculators and the command line's parser never load numpy.
+_SOURCES = {
+    "bounds": ("Condition", "FeasibilityReport", "feasibility_report", "net_rao_check",
+               "rao_rhs", "seq_kr_check", "seq_lcm_check"),
+    "core": ("MixedOA", "MixedOOA", "PointSet", "Verdict"),
+    "corpus": ("SearchResult", "digital_net", "faure", "flip_digit", "grid_1d",
+               "hammersley", "random_pointset", "search_net"),
+    "dualcert": ("FunctionTuple", "build_block_family", "char_exponents", "diff",
+                 "gram_certificate", "height", "profile"),
+    "errors": ("FormatError", "ParamError", "PrecisionError", "VerificationError"),
+    "evector": ("EVector",),
+    "io": ("NetFile", "parse_function_tuples", "parse_moa", "parse_mooa", "parse_net",
+           "serialize_moa", "serialize_mooa", "serialize_net"),
+    "netverify": ("check_shapes", "count_box", "project", "rebase_compress",
+                  "rebase_expand", "u_star", "verify_net", "verify_sequence_prefix"),
+    "oa": ("max_strength", "net_to_moa", "verify_moa"),
+    "ooa": ("canonical_beta", "enumerate_profiles", "mooa_to_net", "net_to_mooa",
+            "verify_mooa"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+# Submodules an eager import used to load, still reachable as attributes.
+_SUBMODULES = {*_SOURCES, "_util"}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF, *_SUBMODULES})
+
 
 __version__ = "0.1.0"
 

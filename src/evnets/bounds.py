@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb, lcm
 from typing import Literal, Sequence
 
-from .core import EVector
+from .evector import EVector
 from .errors import ParamError
 
 __all__ = [

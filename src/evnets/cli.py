@@ -2,6 +2,9 @@
 
 Exit codes: 0 pass/success, 1 verification failed (witness printed),
 2 usage error, 3 file format error, 4 search inconclusive.
+
+Each subcommand imports the modules it uses when it runs, so a process loads
+only those: ``rao``, ``feasible`` and ``--help`` never load numpy.
 """
 
 from __future__ import annotations
@@ -10,9 +13,8 @@ import argparse
 import json
 import sys
 
-from . import bounds, corpus, dualcert, io as formats, netverify, oa, ooa
-from .core import EVector, MixedOA
 from .errors import FormatError, ParamError, VerificationError
+from .evector import EVector
 
 __all__ = ["main", "entry"]
 
@@ -99,6 +101,8 @@ def _verdict(args, name: str, verdict, fields: dict, context: str, extra: str) -
 # ---------------------------------------------------------------- generators
 
 def cmd_gen(args) -> int:
+    from . import corpus, io as formats
+
     kind = args.kind
     if kind == "grid":
         points = corpus.grid_1d(args.base, args.m)
@@ -138,6 +142,8 @@ def cmd_gen(args) -> int:
 # -------------------------------------------------------------- net checking
 
 def _load_net(args) -> tuple:
+    from . import io as formats
+
     net = formats.parse_net(_read_input(args.file))
     u = args.u if args.u is not None else net.u
     e = EVector.coerce(args.e) if args.e is not None else net.e
@@ -145,6 +151,8 @@ def _load_net(args) -> tuple:
 
 
 def cmd_verify_net(args) -> int:
+    from . import netverify
+
     points, u, e = _load_net(args)
     verdict = netverify.verify_net(points, u, e, args.variant)
     n_shapes = len(netverify.check_shapes(points.precision, u, e, args.variant))
@@ -155,6 +163,8 @@ def cmd_verify_net(args) -> int:
 
 
 def cmd_verify_seq(args) -> int:
+    from . import netverify
+
     points, u, e = _load_net(args)
     m_max = args.m_max if args.m_max is not None else points.precision
     verdict = netverify.verify_sequence_prefix(points, u, e, m_max)
@@ -166,6 +176,9 @@ def cmd_verify_seq(args) -> int:
 # --------------------------------------------------------------- array views
 
 def cmd_to_moa(args) -> int:
+    from . import io as formats, oa
+    from .core import MixedOA
+
     net = formats.parse_net(_read_input(args.file))
     e = EVector.coerce(args.e) if args.e is not None else net.e
     array = oa.net_to_moa(net.points, e)
@@ -176,6 +189,8 @@ def cmd_to_moa(args) -> int:
 
 
 def cmd_verify_moa(args) -> int:
+    from . import io as formats, oa
+
     array = formats.parse_moa(_read_input(args.file))
     t = args.t if args.t is not None else array.strength
     verdict = oa.verify_moa(array, t)
@@ -184,6 +199,8 @@ def cmd_verify_moa(args) -> int:
 
 
 def cmd_to_mooa(args) -> int:
+    from . import io as formats, ooa
+
     points, u, e = _load_net(args)
     array = ooa.net_to_mooa(points, u, e, args.beta)
     _write_output(args, formats.serialize_mooa(array))
@@ -191,6 +208,8 @@ def cmd_to_mooa(args) -> int:
 
 
 def cmd_verify_mooa(args) -> int:
+    from . import io as formats, ooa
+
     array = formats.parse_mooa(_read_input(args.file))
     verdict = ooa.verify_mooa(array)
     n_profiles = len(ooa.enumerate_profiles(array.m, array.u, array.e, array.beta))
@@ -200,6 +219,8 @@ def cmd_verify_mooa(args) -> int:
 
 
 def cmd_from_mooa(args) -> int:
+    from . import io as formats, ooa
+
     array = formats.parse_mooa(_read_input(args.file))
     points = ooa.mooa_to_net(array, check=not args.no_verify)
     _write_output(args, formats.serialize_net(points, array.u, array.e))
@@ -209,6 +230,8 @@ def cmd_from_mooa(args) -> int:
 # ------------------------------------------------------------------- bounds
 
 def cmd_rao(args) -> int:
+    from . import bounds
+
     condition = bounds.net_rao_check(args.base, args.m, args.e, args.t)
     violated = condition.applicable and not condition.satisfied
     out = condition.to_json()
@@ -226,6 +249,8 @@ def cmd_rao(args) -> int:
 
 
 def cmd_feasible(args) -> int:
+    from . import bounds
+
     report = bounds.feasibility_report(args.base, args.m, args.e, args.target)
     out = report.to_json()  # before any output: it refuses integers too long to write
     if args.json:
@@ -250,6 +275,8 @@ def cmd_dual_cert(args) -> int:
     if args.tuples == "-" == args.file:
         raise ParamError("dual-cert cannot read both the array and --tuples "
                          "from standard input")
+    from . import dualcert, io as formats
+
     array = formats.parse_mooa(_read_input(args.file))
     if args.kappa is not None:
         family = dualcert.build_block_family(array, args.kappa)
@@ -266,6 +293,8 @@ def cmd_dual_cert(args) -> int:
 # -------------------------------------------------------------------- report
 
 def cmd_report(args) -> int:
+    from . import bounds, io as formats, netverify, oa, ooa
+
     net = formats.parse_net(_read_input(args.file))
     points, u, e = net.points, net.u, net.e
     b, m, s = points.base, points.precision, points.dim

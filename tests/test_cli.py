@@ -718,6 +718,20 @@ class TestReport:
         assert data["feasibility"]["feasible"] is True
 
 
+# Runs main on the arguments, then writes the loaded evnets and numpy
+# modules as the last line of stderr.
+_FRESH_MAIN = """import sys
+from evnets.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    sys.stdout.flush()
+    sys.stderr.write("\\n" + " ".join(m for m in sys.modules
+                                     if m == "numpy" or m.startswith("evnets")))
+sys.exit(code)
+"""
+
+
 class TestReadmeSynopsis:
     @staticmethod
     def _synopsis():
@@ -739,6 +753,55 @@ class TestReadmeSynopsis:
             options = subparsers[words[1]]._option_string_actions
             for flag in re.findall(r"--[a-z][a-z-]*", " ".join(words[2:])):
                 assert flag in options, (words[1], flag)
+
+    @staticmethod
+    def _fresh(argv, cwd):
+        """Exit code, stdout bytes and loaded modules of ``main(argv)`` in a
+        new interpreter, which imports only what the subcommand uses."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(evnets.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=env, cwd=cwd,
+                              capture_output=True, timeout=60)
+        return proc.returncode, proc.stdout, set(proc.stderr.decode().split("\n")[-1].split())
+
+    def test_every_subcommand_prints_the_same_in_a_fresh_process(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # here the whole package is loaded; there only what each handler imports
+        net = corpus.hammersley(2, 3)
+        (tmp_path / "h.net").write_text(serialize_net(net, 0, EVector((1, 1))))
+        (tmp_path / "h.moa").write_text(evnets.serialize_moa(evnets.net_to_moa(net, (1, 1))))
+        (tmp_path / "h.mooa").write_text(evnets.serialize_mooa(evnets.net_to_mooa(net, 0, (1, 1))))
+        examples = {
+            "gen": ["hammersley", "--base", "2", "--m", "3"],
+            "verify-net": ["h.net"], "verify-seq": ["h.net", "--json"],
+            "to-moa": ["h.net"], "verify-moa": ["h.moa", "--t", "2"],
+            "to-mooa": ["h.net"], "from-mooa": ["h.mooa"], "verify-mooa": ["h.mooa"],
+            "rao": ["--base", "2", "--m", "10", "--e", "1x5", "--t", "4"],
+            "feasible": ["--base", "2", "--m", "20", "--e", "1x8", "--target", "sequence"],
+            "dual-cert": ["h.mooa", "--kappa", "1,2"], "report": ["h.net"],
+        }
+        assert sorted(examples) == sorted(words[1] for words in self._synopsis())
+        monkeypatch.chdir(tmp_path)
+        for command, args in examples.items():
+            code, out, _ = run(capsys, command, *args)
+            fresh = self._fresh([command, *args], tmp_path)
+            assert fresh[:2] == (code, out.encode()), command
+        assert run(capsys, "feasible", *examples["feasible"])[0] == EXIT_FAIL
+
+    @pytest.mark.parametrize("argv", [
+        ["rao", "--base", "2", "--m", "10", "--e", "1x5", "--t", "4"],
+        ["feasible", "--base", "3", "--m", "12", "--e", "1x10,2x5"],
+        ["feasible", "--base", "2", "--m", "20", "--e", "1x8", "--target", "sequence"],
+        ["--help"], ["dual-cert", "--help"]])
+    def test_bounds_and_help_run_without_numpy(self, capsys, tmp_path, argv):
+        code, out, modules = self._fresh(argv, tmp_path)
+        assert "evnets.cli" in modules and "numpy" not in modules
+        if argv[-1] == "--help":
+            assert code == EXIT_PASS and out.startswith(b"usage: evnets")
+        else:
+            want_code, want_out, _ = run(capsys, *argv)
+            assert (code, out) == (want_code, want_out.encode())
 
     def test_every_flag_is_in_the_synopsis(self):
         # gen's line elides its generator-specific flags with "..."
