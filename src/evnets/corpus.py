@@ -240,10 +240,11 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
         offsets.append(len(room))
         room += [b ** (m - sum(d))] * b ** sum(d)
     table = PrefixTable.of_digits(cand_digits, b, e, m - u)
-    box_key = np.zeros((n_candidates, len(shapes)), dtype=np.int64)
+    # the narrowest unsigned dtype that holds every box index
+    box_key = np.zeros((n_candidates, len(shapes)), dtype=np.min_scalar_type(len(room) - 1))
     for j, d in enumerate(shapes):
         box_key[:, j] = table.keys([di // ei for di, ei in zip(d, e)])
-        box_key[:, j] += offsets[j]  # in int64: offsets can pass the table's int32 range
+        box_key[:, j] += offsets[j]  # below len(room), so it fits
     # A box of shape j fixes the same leading digits as the origin's box,
     # which holds the candidates with those digits zero; adding a box's
     # fixed digits carries nowhere, so every box is the origin's box shifted
