@@ -340,21 +340,31 @@ def serialize_net(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> str
 def _format_rows(rows: np.ndarray) -> str:
     """Canonical body of an integer array: decimal entries, single spaces, LF.
 
-    Every entry gets a slot as wide as the largest entry, then the leading
-    zeros are dropped, a chunk of rows at a time.
+    When every entry is one character, each takes two bytes: its digit and
+    a space (an LF ending its row). Otherwise every entry gets a slot as
+    wide as the largest entry, and the leading zeros are dropped, a chunk of
+    rows at a time; uint8 rows are split into digits in uint8.
     """
     n, k = rows.shape
     if k == 0:
         return "\n" * n
     width = len(str(int(rows.max())))
-    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    if width == 1:
+        out = np.empty((n, k, 2), dtype=np.uint8)
+        out[:, :, 0] = rows
+        out[:, :, 0] += ord("0")
+        out[:, :, 1] = ord(" ")
+        out[:, -1, 1] = ord("\n")
+        return str(out, "ascii")
+    powers = (10 ** np.arange(width - 1, -1, -1, dtype=np.int64)).astype(rows.dtype)
     step = max(1, _CHUNK_BYTES // (k * (width + 1)))
     parts = []
     for r in range(0, n, step):
         block = rows[r : r + step, :, None]
         slots = np.empty(block.shape[:2] + (width + 1,), dtype=np.uint8)
-        slots[:, :, :width] = block // powers % 10 + ord("0")
-        slots[:, :, :width][(block < powers) & (powers > 1)] = 0  # leading zeros
+        slots[:, :, :width] = block // powers % 10
+        slots[:, :, :width] += ord("0")
+        slots[:, :, :width - 1][block < powers[:-1]] = 0  # leading zeros
         slots[:, :, width] = ord(" ")
         slots[:, -1, width] = ord("\n")
         parts.append(slots[slots != 0].tobytes())
