@@ -229,6 +229,28 @@ def _rank(residues: np.ndarray, radices: Sequence[int], dtype) -> np.ndarray:
     return keys
 
 
+def _new_differences(residues: np.ndarray, widths: np.ndarray, group: int, dtype):
+    """Walk the pairs j < k of the residue rows in combinations order and
+    yield, per row j that has any, ``(j, ks, delta)``: the members k whose
+    difference d_k - d_j is nonzero and new to the walk, in order, and
+    those differences (mod ``widths``). Each difference is keyed by its
+    mixed-radix rank in ``dtype``; the walk stops once all ``group - 1``
+    nonzero elements of the group the columns span have been seen."""
+    radices = widths.tolist()
+    seen: set = set()
+    for j in range(len(residues) - 1):
+        if len(seen) == group - 1:
+            return
+        delta = (residues[j + 1:] - residues[j]) % widths
+        fresh = []
+        for k, key in enumerate(_rank(delta, radices, dtype).tolist()):
+            if key and key not in seen:
+                seen.add(key)
+                fresh.append(k)
+        if fresh:
+            yield j, [j + 1 + k for k in fresh], delta[fresh]
+
+
 def _first_duplicate(keys: np.ndarray) -> tuple[int, int] | None:
     """First pair j < k (combinations order) of equal keys, or None."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -238,6 +260,25 @@ def _first_duplicate(keys: np.ndarray) -> tuple[int, int] | None:
         return None
     j = earlier[dup].min()
     return int(j), int(dup[earlier[dup] == j][0])
+
+
+def _first_nonvanishing(steps: np.ndarray, rows: np.ndarray, q: int
+                        ) -> tuple[int, list[int]] | None:
+    """First difference whose character sum does not vanish, with its tally
+    of exponents mod q, or None. ``steps`` holds each difference's residues
+    times the column scales (D, C) and ``rows`` the array's columns (C, N)
+    in int64; one block of exponent rows, about ``_CHUNK_BYTES``, is formed
+    and tallied by one ``bincount`` at a time."""
+    step = _block_rows(rows.shape[1], len(steps))
+    for lo in range(0, len(steps), step):
+        exps = steps[lo:lo + step] @ rows
+        exps %= q
+        exps += np.arange(0, len(exps) * q, q)[:, None]
+        counts = np.bincount(exps.ravel(), minlength=len(exps) * q).reshape(-1, q)
+        bad = np.flatnonzero(~_vanishes(counts, q))
+        if bad.size:
+            return lo + int(bad[0]), counts[bad[0]].tolist()
+    return None
 
 
 def _block_rows(runs: int, differences: int) -> int:
@@ -305,8 +346,7 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     residues = _stack(array, family)
     cols = np.flatnonzero(residues.any(axis=0))
     widths = np.repeat([array.base ** ei for ei in array.e], array.beta)[cols]
-    radices = widths.tolist()
-    group = math.prod(radices)
+    group = math.prod(widths.tolist())
     differences = min(group - 1, members * (members - 1) // 2)
     _check_route_size(array, members, len(cols), differences)
     residues = residues[:, cols]
@@ -316,49 +356,31 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     starts = np.flatnonzero(np.diff(np.repeat(np.arange(array.dim), array.beta)[cols],
                                     prepend=-1))
     budget = array.m - array.u
-    seen: set = set()
-    firsts = []  # per walked row with new differences: their pairs, ranked j*F + k
-    deltas = []  # and their residues
-    for j in range(members - 1):
-        if len(seen) == group - 1:
-            break
-        delta = (residues[j + 1:] - residues[j]) % widths
-        fresh = []
-        for k, key in enumerate(_rank(delta, radices, dtype).tolist()):
-            if key and key not in seen:
-                seen.add(key)
-                fresh.append(k)
-        if not fresh:
-            continue
-        delta = delta[fresh]
+    firsts = []  # each new difference's first pair (j, k), ranked j * F + k
+    deltas = []
+    for j, ks, delta in _new_differences(residues, widths, group, dtype):
         heights = _heights(delta, weight, starts)
         tall = np.flatnonzero(heights > budget)
         if tall.size:
             return Verdict(False, {
-                "kind": "height-precondition", "pair": [j, j + 1 + fresh[tall[0]]],
+                "kind": "height-precondition", "pair": [j, ks[tall[0]]],
                 "height": int(heights[tall[0]]), "budget": budget})
-        firsts.append(np.asarray(fresh, dtype=np.int64) + (j * members + j + 1))
+        firsts.append(j * members + np.asarray(ks, dtype=np.int64))
         deltas.append(delta)
-    del seen
     q = _order(array)
-    dup = _first_duplicate(_rank(residues, radices, dtype))
+    dup = _first_duplicate(_rank(residues, widths.tolist(), dtype))
     firsts = np.concatenate(firsts) if firsts else np.zeros(0, dtype=np.int64)
     if dup is not None:  # only differences first seen before the equal pair matter
         firsts = firsts[:np.searchsorted(firsts, dup[0] * members + dup[1])]
     if len(firsts):
-        deltas = np.concatenate(deltas)[:len(firsts)] * _scale(array, q)[cols]
-        rows = np.ascontiguousarray(array.rows[:, cols].T, dtype=np.int64)
-        step = _block_rows(array.runs, len(firsts))
-        for lo in range(0, len(firsts), step):
-            exps = deltas[lo:lo + step] @ rows
-            exps %= q
-            exps += np.arange(0, len(exps) * q, q)[:, None]
-            counts = np.bincount(exps.ravel(), minlength=len(exps) * q).reshape(-1, q)
-            bad = np.flatnonzero(~_vanishes(counts, q))
-            if bad.size:
-                return Verdict(False, {
-                    "kind": "gram", "pair": list(divmod(int(firsts[lo + bad[0]]), members)),
-                    "order": q, "counts": counts[bad[0]].tolist()})
+        steps = np.concatenate(deltas)[:len(firsts)]
+        steps *= _scale(array, q)[cols]
+        bad = _first_nonvanishing(
+            steps, np.ascontiguousarray(array.rows[:, cols].T, dtype=np.int64), q)
+        if bad is not None:
+            pair = divmod(int(firsts[bad[0]]), members)
+            return Verdict(False, {"kind": "gram", "pair": list(pair), "order": q,
+                                   "counts": bad[1]})
     if dup is not None:
         return Verdict(False, {"kind": "gram", "pair": list(dup), "order": q,
                                "counts": [array.runs] + [0] * (q - 1)})
