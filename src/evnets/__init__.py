@@ -23,7 +23,7 @@ import importlib
 # calculators and the command line's parser never load numpy.
 _SOURCES = {
     "bounds": ("Condition", "FeasibilityReport", "feasibility_report", "net_rao_check",
-               "rao_rhs", "seq_kr_check", "seq_lcm_check"),
+               "rao_rhs", "seq_budget_check"),
     "core": ("MixedOA", "MixedOOA", "PointSet", "Verdict"),
     "corpus": ("SearchResult", "digital_net", "faure", "flip_digit", "grid_1d",
                "hammersley", "random_pointset", "search_net"),
@@ -40,6 +40,7 @@ _SOURCES = {
             "verify_mooa"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+__all__ = list(_MODULE_OF)
 # Submodules an eager import used to load, still reachable as attributes.
 _SUBMODULES = {*_SOURCES, "_util"}
 
@@ -60,21 +61,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EVector", "PointSet", "MixedOA", "MixedOOA", "Verdict",
-    "ParamError", "PrecisionError", "FormatError", "VerificationError",
-    "NetFile", "parse_net", "serialize_net", "parse_moa", "serialize_moa",
-    "parse_mooa", "serialize_mooa", "parse_function_tuples",
-    "check_shapes", "count_box", "verify_net", "u_star",
-    "verify_sequence_prefix", "project", "rebase_compress", "rebase_expand",
-    "net_to_moa", "verify_moa", "max_strength",
-    "canonical_beta", "net_to_mooa", "enumerate_profiles", "verify_mooa",
-    "mooa_to_net",
-    "Condition", "FeasibilityReport", "rao_rhs", "net_rao_check",
-    "seq_kr_check", "seq_lcm_check", "feasibility_report",
-    "FunctionTuple", "profile", "height", "diff", "char_exponents",
-    "gram_certificate", "build_block_family",
-    "grid_1d", "hammersley", "faure", "digital_net", "random_pointset",
-    "flip_digit", "SearchResult", "search_net",
-]

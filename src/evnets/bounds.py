@@ -1,7 +1,7 @@
 """Necessary-condition calculators: Rao-type bounds and sequence conditions.
 
-Everything here is exact integer arithmetic (Python integers, no floats), so
-the verdicts are decisions, not estimates. A violated condition proves the
+Every verdict here is exact integer arithmetic (Python integers, no floats),
+so the verdicts are decisions, not estimates. A violated condition proves the
 corresponding design cannot exist; a satisfied report is necessary evidence
 only, never a construction.
 """
@@ -12,7 +12,8 @@ import itertools
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, lcm
+from functools import cache
+from math import comb, lcm, log10
 from typing import Literal, Sequence
 
 from .evector import EVector
@@ -21,7 +22,7 @@ from .errors import ParamError
 __all__ = [
     "Condition", "FeasibilityReport",
     "rao_rhs", "net_rao_check",
-    "seq_kr_check", "seq_lcm_check", "feasibility_report",
+    "seq_budget_check", "feasibility_report",
 ]
 
 Pairs = Sequence[tuple[int, int]]
@@ -72,30 +73,58 @@ def rao_rhs(pairs: Pairs, t: int) -> int:
     return total
 
 
+def _digit_limit() -> int:
+    """The most decimal digits Python writes for an int (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _unwritable(n: int, limit: int) -> bool:
+    """Whether n has more than ``limit`` decimal digits (never, for limit 0).
+
+    Below 2**(3 * limit) an int has at most ``limit`` digits, so the bit
+    length settles all but the longest without computing 10**limit.
+    """
+    return bool(limit) and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
+
+
+@cache
+def _first_unwritable_exponent(b: int, limit: int) -> int:
+    """The least k for which b**k has more than ``limit`` > 0 digits, found
+    by applying the rule to powers of about ``limit`` digits only."""
+    k = int(limit / log10(b))  # within one or two of the answer
+    while k and _unwritable(b ** (k - 1), limit):
+        k -= 1
+    while not _unwritable(b ** k, limit):
+        k += 1
+    return k
+
+
+def _too_long(name: str, what: str, limit: int) -> ParamError:
+    return ParamError(f"{name}: {what} has more than {limit} decimal digits, "
+                      f"too many to write")
+
+
 @dataclass(frozen=True)
 class Condition:
-    """One evaluated necessary condition.
-
-    ``satisfied`` is true whenever the condition is inapplicable (its
-    hypothesis fails, so it constrains nothing); lhs/rhs are reported either
-    way for inspection.
-    """
+    """One evaluated necessary condition; lhs/rhs are reported whether or not
+    it applies."""
 
     name: str
     applicable: bool
-    satisfied: bool
     lhs: int
     rhs: int
     detail: dict | None = None
 
+    @property
+    def satisfied(self) -> bool:
+        """True unless the condition applies and lhs exceeds rhs: an
+        inapplicable condition (its hypothesis fails) constrains nothing."""
+        return not self.applicable or self.lhs <= self.rhs
+
     def _decimal(self, what: str, n: int) -> str:
-        # Python writes no int of more than this many digits (0: no limit).
-        # Below 2**(3 * limit) an int has at most `limit` digits, so the bit
-        # length settles all but the longest without computing 10**limit.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-            raise ParamError(f"{self.name}: {what} has more than {limit} decimal digits, "
-                             f"too many to write")
+        limit = _digit_limit()
+        if _unwritable(n, limit):
+            raise _too_long(self.name, what, limit)
         return str(n)
 
     def to_json(self) -> dict:
@@ -142,64 +171,44 @@ def net_rao_check(b: int, m: int, e: EVector | Sequence[int], t: int) -> Conditi
     # lumped equal sizes, so _esym runs once per distinct size, not per coordinate
     lhs = rao_rhs(sorted(Counter(b ** ei for ei in e).items()), t) - 1
     rhs = b ** m - 1
-    applicable = m >= threshold
     return Condition(
         name=f"rao-{'odd' if t % 2 else 'even'}-g{t // 2}",
-        applicable=applicable,
-        satisfied=(not applicable) or lhs <= rhs,
+        applicable=m >= threshold,
         lhs=lhs,
         rhs=rhs,
         detail={"m_threshold": threshold},
     )
 
 
-def seq_kr_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
-    """Per-resolution coordinate budget: at most b**r coordinates may share
-    the entry value r."""
-    e = EVector.coerce(e)
-    if b < 2:
-        raise ParamError(f"base must be >= 2, got {b}")
-    counts = Counter(e.e)
-    out = []
-    for r in sorted(counts):
-        k = counts[r]
-        out.append(Condition(
-            name=f"kr-r{r}",
-            applicable=True,
-            satisfied=k <= b ** r,
-            lhs=k,
-            rhs=b ** r,
-            detail={"value": r, "multiplicity": k},
-        ))
-    return out
+def seq_budget_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
+    """Coordinate budgets of a sequence: for every nonempty set of distinct
+    e-values with L = lcm of the set, the coordinates carrying those values
+    must number at most b**L.
 
-
-def seq_lcm_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
-    """Joint coordinate budget over value subsets.
-
-    For every subset {r_1, ..., r_w} of two or more distinct e-values with
-    L = lcm(r_1, ..., r_w), the coordinates carrying those values must number
-    at most b**L. Single values are :func:`seq_kr_check`'s budgets.
+    Sets are listed by size, then lexicographically. A single value r is
+    ``kr-r{r}``, a set of two or more is ``lcm-{r_1,...,r_w}``. A budget too
+    long for Python to write is refused (ParamError) before b**L is built.
     """
     e = EVector.coerce(e)
     if b < 2:
         raise ParamError(f"base must be >= 2, got {b}")
     counts = Counter(e.e)
     values = sorted(counts)
-    subsets = [sub for w in range(2, len(values) + 1)
-               for sub in itertools.combinations(values, w)]
+    limit = _digit_limit()
     out = []
-    for sub in subsets:
-        big_l = lcm(*sub)
-        k = sum(counts[r] for r in sub)
-        out.append(Condition(
-            name="lcm-{" + ",".join(str(r) for r in sub) + "}",
-            applicable=True,
-            satisfied=k <= b ** big_l,
-            lhs=k,
-            rhs=b ** big_l,
-            detail={"values": list(sub), "lcm": big_l},
-        ))
+    for w in range(1, len(values) + 1):
+        for sub in itertools.combinations(values, w):
+            big_l = lcm(*sub)
+            if w == 1:
+                name, detail = f"kr-r{big_l}", {"value": big_l, "multiplicity": counts[big_l]}
+            else:
+                name = "lcm-{" + ",".join(str(r) for r in sub) + "}"
+                detail = {"values": list(sub), "lcm": big_l}
+            # b**L < 2**(L * bit_length(b)): only a long power needs the exact test
+            if (limit and big_l * b.bit_length() > 3 * limit
+                    and big_l >= _first_unwritable_exponent(b, limit)):
+                raise _too_long(name, "RHS", limit)
+            out.append(Condition(name, True, sum(counts[r] for r in sub), b ** big_l, detail))
     return out
 
 
@@ -240,7 +249,7 @@ def feasibility_report(b: int, m: int, e: EVector | Sequence[int],
     target='net' runs the row-count checks for every strength 2 <= t <= s,
     even strengths first (none exist for s = 1, so the report is vacuously
     feasible there).
-    target='sequence' adds the per-resolution and lcm coordinate budgets; the
+    target='sequence' adds the coordinate budgets of :func:`seq_budget_check`; the
     net checks still run at the given m because every sequence yields nets of
     that order.
     """
@@ -256,6 +265,10 @@ def feasibility_report(b: int, m: int, e: EVector | Sequence[int],
     conditions = [net_rao_check(b, m, e_sorted, t)
                   for t in [*range(2, s + 1, 2), *range(3, s + 1, 2)]]
     if target == "sequence":
-        conditions.extend(seq_kr_check(b, e_sorted))
-        conditions.extend(seq_lcm_check(b, e_sorted))
+        try:
+            conditions.extend(seq_budget_check(b, e_sorted))
+        except ParamError:
+            for c in conditions:  # a row-count number too long to write is named first
+                c.to_json()
+            raise
     return FeasibilityReport(b, m, tuple(e_sorted.e), target, tuple(conditions))

@@ -233,19 +233,18 @@ def cmd_rao(args) -> int:
     from . import bounds
 
     condition = bounds.net_rao_check(args.base, args.m, args.e, args.t)
-    violated = condition.applicable and not condition.satisfied
     out = condition.to_json()
     if args.json:
-        out["pass"] = not violated
+        out["pass"] = condition.satisfied
         _emit_json(out)
     else:
-        status = ("VIOLATED" if violated
+        status = ("VIOLATED" if not condition.satisfied
                   else ("SATISFIED" if condition.applicable else "NOT APPLICABLE"))
         rel = ">" if condition.lhs > condition.rhs else "<="
         print(f"rao: {status} {condition.name} LHS {out['lhs']} {rel} "
               f"RHS {out['rhs']} (base={args.base}, m={args.m}, "
               f"e={_fmt_value(args.e)}, threshold m>={out['detail']['m_threshold']})")
-    return EXIT_FAIL if violated else EXIT_PASS
+    return EXIT_PASS if condition.satisfied else EXIT_FAIL
 
 
 def cmd_feasible(args) -> int:

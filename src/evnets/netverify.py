@@ -22,7 +22,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from ._util import PrefixTable, digit_matrix, digit_window, rank_rows, unrank
+from ._util import PrefixTable, digit_matrix, digit_window, unrank
 from .core import EVector, PointSet, Verdict
 from .errors import ParamError, PrecisionError
 from .ooa import canonical_beta, enumerate_profiles
@@ -51,22 +51,21 @@ def count_box(points: PointSet, shape: Sequence[int], index: Sequence[int]) -> i
         raise ParamError(f"shape and index must have {points.dim} entries")
     if any(d < 0 for d in shape):
         raise ParamError(f"shape depths must be >= 0, got {shape}")
-    if max(shape, default=0) > points.precision:
+    depth = max(shape, default=0)
+    if depth > points.precision:
         raise PrecisionError(f"shape {shape} needs more digits than the "
                              f"{points.precision} carried")
     b = points.base
-    if b ** sum(shape) >= 2 ** 63:
-        raise ParamError(f"shape {shape} has more boxes than 64-bit ranks can index")
-    radices = [b ** d for d in shape]
-    rank = 0
-    for d, a, radix in zip(shape, index, radices):
-        if not 0 <= a < radix:
-            raise ParamError(f"box index {a} outside [0, {radix}) for depth {d}")
-        rank = rank * radix + a
-    windows = [digit_window(points.digits, i, 0, d, b, np.empty(points.count, np.int64))
-               for i, d in enumerate(shape)]
-    keys = rank_rows(windows, radices)
-    return int(np.count_nonzero(keys == rank))
+    if b ** depth >= 2 ** 63:
+        raise ParamError(f"shape {shape} needs digit windows wider than 64-bit integers hold")
+    for d, a in zip(shape, index):
+        if not 0 <= a < b ** d:
+            raise ParamError(f"box index {a} outside [0, {b ** d}) for depth {d}")
+    inside = np.ones(points.count, dtype=bool)
+    window = np.empty(points.count, np.int64)
+    for i, (d, a) in enumerate(zip(shape, index)):
+        inside &= digit_window(points.digits, i, 0, d, b, window) == a
+    return int(np.count_nonzero(inside))
 
 
 def check_shapes(m: int, u: int, e: EVector | Sequence[int],

@@ -8,7 +8,8 @@ deliberately different route:
 * array uniformity via dictionary tallies over itertools enumeration instead
   of vectorized bincounts;
 * row-count bounds via generating-polynomial coefficients instead of
-  composition recursion;
+  composition recursion, and sequence budgets via bitmask subsets instead of
+  combinations by size;
 * character sums via scalar cmath loops, and their exact vanishing via
   cyclotomic polynomials built from the Moebius product formula and plain long
   division, instead of integer exponent matrices folded by rad(q);
@@ -304,6 +305,18 @@ def brute_net_rao_lhs(b: int, e, g: int, parity: str) -> int:
     if parity == "odd":
         lhs += ys[-1] * brute_esym(ys[:-1], g)
     return lhs
+
+
+def brute_budgets(b: int, e):
+    """Every sequence coordinate budget as (values, count, b**lcm), by bitmask
+    enumeration of the distinct values and a scan of e per set, listed by set
+    size and then lexicographically."""
+    values = sorted(set(e))
+    out = []
+    for mask in range(1, 2 ** len(values)):
+        sub = tuple(v for i, v in enumerate(values) if mask >> i & 1)
+        out.append((sub, sum(1 for ei in e if ei in sub), b ** math.lcm(*sub)))
+    return sorted(out, key=lambda row: (len(row[0]), row[0]))
 
 
 # ---------------------------------------------------------------------------

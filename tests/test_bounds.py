@@ -1,5 +1,7 @@
 """Row-count bounds and coordinate-budget conditions, exact-integer oracles."""
 
+import math
+import sys
 from collections import Counter
 
 import pytest
@@ -8,13 +10,23 @@ from hypothesis import given, settings, strategies as st
 import evnets
 from evnets import (
     Condition, FeasibilityReport,
-    feasibility_report, net_rao_check, rao_rhs,
-    seq_kr_check, seq_lcm_check,
+    feasibility_report, net_rao_check, rao_rhs, seq_budget_check,
 )
 from evnets import bounds
 from evnets.errors import ParamError
 
 import oracles
+
+
+@pytest.fixture
+def digit_limit():
+    """Pin Python's decimal-digit limit for writing ints at its default, 4300."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python writes ints of any length")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
 
 
 class TestRaoRhs:
@@ -79,7 +91,7 @@ class TestRaoRhs:
         assert rao_rhs(lumped, t) == rao_rhs(unlumped, t)
 
     def test_removed_names_are_absent(self):
-        for name in ("Signature", "rao_feasible", "Parity"):
+        for name in ("Signature", "rao_feasible", "Parity", "seq_kr_check", "seq_lcm_check"):
             assert not hasattr(bounds, name) and not hasattr(evnets, name)
             assert name not in bounds.__all__ and name not in evnets.__all__
 
@@ -157,41 +169,78 @@ class TestNetRaoCheck:
 
 class TestSequenceConditions:
     def test_kr_names_and_values(self):
-        conds = seq_kr_check(2, (1, 1, 1, 2))
+        conds = seq_budget_check(2, (1, 1, 1, 2))
         by_name = {c.name: c for c in conds}
-        assert set(by_name) == {"kr-r1", "kr-r2"}
+        assert set(by_name) == {"kr-r1", "kr-r2", "lcm-{1,2}"}
         assert (by_name["kr-r1"].lhs, by_name["kr-r1"].rhs) == (3, 2)
         assert not by_name["kr-r1"].satisfied
         assert (by_name["kr-r2"].lhs, by_name["kr-r2"].rhs) == (1, 4)
         assert by_name["kr-r2"].satisfied
+        assert by_name["kr-r2"].detail == {"value": 2, "multiplicity": 1}
 
     def test_lcm_subsets(self):
-        conds = seq_lcm_check(2, (1, 1, 2, 2))
+        conds = seq_budget_check(2, (1, 1, 2, 2))
         by_name = {c.name: c for c in conds}
-        assert set(by_name) == {"lcm-{1,2}"}
+        assert set(by_name) == {"kr-r1", "kr-r2", "lcm-{1,2}"}
         joint = by_name["lcm-{1,2}"]
         assert (joint.lhs, joint.rhs) == (4, 4)
         assert joint.satisfied
         assert joint.detail == {"values": [1, 2], "lcm": 2}
 
     def test_lcm_violation(self):
-        conds = seq_lcm_check(2, (1, 1, 2, 2, 2))
+        conds = seq_budget_check(2, (1, 1, 2, 2, 2))
         joint = next(c for c in conds if c.name == "lcm-{1,2}")
         assert (joint.lhs, joint.rhs) == (5, 4)
         assert not joint.satisfied
 
     def test_lcm_matches_manual_computation(self):
         # distinct values {2, 3}: lcm 6, so up to 2**6 coordinates jointly
-        conds = seq_lcm_check(2, (2, 2, 3))
+        conds = seq_budget_check(2, (2, 2, 3))
         joint = next(c for c in conds if c.name == "lcm-{2,3}")
         assert joint.rhs == 64 and joint.lhs == 3 and joint.satisfied
 
-    def test_no_singleton_subsets(self):
-        # a single value's budget is seq_kr_check's kr-r{r}, reported once
-        assert [c.name for c in seq_lcm_check(2, (1, 1, 3, 3, 3))] == ["lcm-{1,3}"]
-        assert seq_lcm_check(2, (2, 2, 2)) == []
-        names = [c.name for c in seq_lcm_check(3, (1, 2, 3, 3))]
-        assert names == ["lcm-{1,2}", "lcm-{1,3}", "lcm-{2,3}", "lcm-{1,2,3}"]
+    def test_each_single_value_reported_once(self):
+        # a single value's budget is kr-r{r}, never also an lcm-{r}
+        assert [c.name for c in seq_budget_check(2, (1, 1, 3, 3, 3))] == [
+            "kr-r1", "kr-r3", "lcm-{1,3}"]
+        assert [c.name for c in seq_budget_check(2, (2, 2, 2))] == ["kr-r2"]
+        names = [c.name for c in seq_budget_check(3, (1, 2, 3, 3))]
+        assert names == ["kr-r1", "kr-r2", "kr-r3",
+                         "lcm-{1,2}", "lcm-{1,3}", "lcm-{2,3}", "lcm-{1,2,3}"]
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.sampled_from([2, 3, 5]),
+           st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=7))
+    def test_matches_subset_oracle(self, b, e):
+        # e is drawn unsorted as often as sorted
+        conds = seq_budget_check(b, e)
+        want = oracles.brute_budgets(b, e)
+        assert [(c.lhs, c.rhs) for c in conds] == [(k, rhs) for _, k, rhs in want]
+        for c, (sub, k, _) in zip(conds, want):
+            assert c.applicable
+            if len(sub) == 1:
+                assert c.name == f"kr-r{sub[0]}"
+                assert c.detail == {"value": sub[0], "multiplicity": k}
+            else:
+                assert c.name == "lcm-{" + ",".join(map(str, sub)) + "}"
+                assert c.detail == {"values": list(sub), "lcm": math.lcm(*sub)}
+
+    def test_unwritable_budget_is_refused_unbuilt(self, digit_limit):
+        # 2**24 - 1 budgets; no set of three has an lcm of 14285 or more, the
+        # least exponent at which 2**L has 4301 digits. Building all would not finish
+        with pytest.raises(ParamError, match=r"^lcm-\{2,17,19,23\}: RHS has more than "
+                                             r"4300 decimal digits, too many to write$"):
+            seq_budget_check(2, range(1, 25))
+
+    def test_writability_follows_the_interpreter_limit(self, digit_limit):
+        with pytest.raises(ParamError, match=r"^kr-r15015: RHS has more"):
+            seq_budget_check(2, (15015,))
+        # 10**4299 has 4300 digits, the most Python writes; 10**4300 has one more
+        assert seq_budget_check(10, (4299,))[0].to_json()["rhs"] == "1" + "0" * 4299
+        with pytest.raises(ParamError, match=r"^kr-r4300: RHS has more"):
+            seq_budget_check(10, (4300,))
+        sys.set_int_max_str_digits(0)  # no limit: the budget is built
+        assert seq_budget_check(2, (15015,))[0].rhs == 2 ** 15015
 
 
 class TestFeasibilityReport:
@@ -256,6 +305,24 @@ class TestFeasibilityReport:
     def test_target_validation(self):
         with pytest.raises(ParamError):
             feasibility_report(2, 3, (1, 1), "lattice")
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.sampled_from([2, 3, 5]), st.integers(0, 12),
+           st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=6),
+           st.sampled_from(["net", "sequence"]))
+    def test_satisfied_is_derived(self, b, m, e, target):
+        rep = feasibility_report(b, m, e, target)
+        for c in rep.conditions:
+            assert c.satisfied == (not c.applicable or c.lhs <= c.rhs)
+        assert rep.feasible == all(c.satisfied for c in rep.conditions)
+
+    def test_first_unwritable_number_in_report_order_is_named(self, digit_limit):
+        # both rao-even-g1's RHS 2**20000 - 1 and several lcm budgets are too
+        # long to write; the row-count condition comes first in the report
+        with pytest.raises(ParamError, match=r"^rao-even-g1: RHS has more than 4300"):
+            feasibility_report(2, 20000, range(1, 13), "sequence")
+        with pytest.raises(ParamError, match=r"^lcm-\{7,11,13,15\}: RHS"):
+            feasibility_report(2, 3, range(1, 17), "sequence")
 
     @pytest.mark.parametrize("target", ["net", "sequence"])
     @pytest.mark.parametrize("e", [(1,), (1, 1, 2)])

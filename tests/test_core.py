@@ -198,3 +198,19 @@ class TestVerdict:
             Verdict(True, {"impossible": 1})
         with pytest.raises(ParamError):
             Verdict(False)
+
+
+# ---------------------------------------------------------------------------
+# package namespace
+
+class TestPublicNames:
+    def test_every_public_name_is_its_module_attribute(self):
+        import importlib
+
+        import evnets
+
+        assert len(set(evnets.__all__)) == len(evnets.__all__)
+        for name in evnets.__all__:
+            module = importlib.import_module(f"evnets.{evnets._MODULE_OF[name]}")
+            assert name in module.__all__, name
+            assert getattr(evnets, name) is getattr(module, name), name

@@ -135,12 +135,15 @@ class TestCountBox:
         with pytest.raises(ParamError):
             count_box(ham23, (-1, 0), (0, 0))
 
-    def test_rank_overflow_is_rejected(self):
-        # 2**80 boxes: a 64-bit box rank would wrap silently
+    def test_only_a_window_beyond_int64_is_rejected(self):
+        # 2**80 boxes need no 80-bit rank: each 40-digit window fits int64
         p = PointSet(2, np.zeros((1, 2, 40), dtype=np.int64))
-        assert count_box(p, (31, 31), (0, 0)) == 1
-        with pytest.raises(ParamError):
-            count_box(p, (40, 40), (0, 0))
+        assert count_box(p, (40, 40), (0, 0)) == 1
+        assert count_box(p, (40, 40), (0, 1)) == 0
+        deep = PointSet(2, np.zeros((1, 1, 63), dtype=np.int64))
+        assert count_box(deep, (62,), (0,)) == 1
+        with pytest.raises(ParamError, match="wider than 64-bit integers"):
+            count_box(deep, (63,), (0,))
 
 
 # ---------------------------------------------------------------------------
