@@ -26,6 +26,17 @@ def digit_dtype(limit: int) -> type:
     return np.uint8 if limit <= 256 else np.int64
 
 
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def row_chunks(n: int, row_items: int) -> list[slice]:
     """Slices covering range(n) whose rows of ``row_items`` int64 values take
     about ``_CHUNK_BYTES`` each."""

@@ -27,6 +27,10 @@ __all__ = [
 
 Pairs = Sequence[tuple[int, int]]
 
+# The most coordinate budgets one report lists: every e-vector with at most
+# 16 distinct values fits, since w values give 2**w - 1 budgets.
+_BUDGET_CAP = 1 << 16
+
 
 def _as_pairs(pairs: Pairs) -> list[tuple[int, int]]:
     pairs = [(int(l), int(k)) for l, k in pairs]
@@ -187,7 +191,8 @@ def seq_budget_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
 
     Sets are listed by size, then lexicographically. A single value r is
     ``kr-r{r}``, a set of two or more is ``lcm-{r_1,...,r_w}``. A budget too
-    long for Python to write is refused (ParamError) before b**L is built.
+    long for Python to write is refused (ParamError) before b**L is built, and
+    so is the budget that would pass ``_BUDGET_CAP`` in number.
     """
     e = EVector.coerce(e)
     if b < 2:
@@ -208,6 +213,10 @@ def seq_budget_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
             if (limit and big_l * b.bit_length() > 3 * limit
                     and big_l >= _first_unwritable_exponent(b, limit)):
                 raise _too_long(name, "RHS", limit)
+            if len(out) == _BUDGET_CAP:
+                raise ParamError(f"{len(values)} distinct e-values give {2 ** len(values) - 1} "
+                                 f"coordinate budgets, more than the {_BUDGET_CAP} "
+                                 f"a report lists")
             out.append(Condition(name, True, sum(counts[r] for r in sub), b ** big_l, detail))
     return out
 

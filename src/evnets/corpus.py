@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import _BYTES_CAP, PrefixTable, digit_dtype, digit_matrix, row_chunks
+from ._util import _BYTES_CAP, PrefixTable, digit_dtype, digit_matrix, is_prime, row_chunks
 from .core import EVector, PointSet
 from .errors import ParamError
 from .netverify import check_shapes, verify_net
@@ -38,17 +38,6 @@ def _check_bm(b: int, m: int, s: int) -> None:
             return
     raise ParamError(f"{b}**{m} points with s={s}, m={m} need {size} bytes of digits, "
                      f"above the cap of {_BYTES_CAP} bytes")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _points(b: int, m: int, s: int, fill) -> PointSet:
@@ -92,7 +81,7 @@ def digital_net(b: int, matrices: Sequence[np.ndarray]) -> PointSet:
     plain grid; the anti-diagonal matrix yields the digit-reversed (radical
     inverse) ordering.
     """
-    if not _is_prime(b):
+    if not is_prime(b):
         raise ParamError(f"digital construction needs a prime base, got {b}")
     mats = [np.asarray(c, dtype=np.int64) for c in matrices]
     if not mats:
@@ -122,7 +111,7 @@ def faure(b: int, m: int, s: int) -> PointSet:
     grid; the full construction has quality u = 0 at unit resolution.
     """
     _check_bm(b, m, s)
-    if not _is_prime(b):
+    if not is_prime(b):
         raise ParamError(f"Pascal construction needs a prime base, got {b}")
     if not 1 <= s <= b:
         raise ParamError(f"need 1 <= s <= base, got s={s}, base={b}")

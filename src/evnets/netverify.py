@@ -13,16 +13,28 @@ deepening coordinate i, so uniform counts at the refined shape force uniform
 counts at the coarser one, and every admissible shape refines to a maximal
 one, so maximal shapes are the only ones checked. The exhaustive check over
 every admissible shape lives in ``tests/oracles.py`` as the reference.
+
+Two routes decide the same shapes with the same verdict and witness. Counting
+bincounts every point's box for each shape through ``_util.PrefixTable``. A
+point set whose digit vectors form an F_b-subspace (a digital net over a prime
+base, in any order) is decided by ranks instead: shape d is uniform exactly
+when the basis columns of the first d_i digits of every coordinate i are
+independent, and when their rank r falls short of sum d, the zero box holds
+the b**(m - r) points of the kernel and is the first cell counting would
+report. The rank route is taken only where counting would touch more digits
+than recovering the basis from the points does.
 """
 
 from __future__ import annotations
 
 import bisect
+import random
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from ._util import PrefixTable, digit_matrix, digit_window, unrank
+from ._util import (PrefixTable, digit_matrix, digit_window, is_prime, rank_rows,
+                    row_chunks, unrank)
 from .core import EVector, PointSet, Verdict
 from .errors import ParamError, PrecisionError
 from .ooa import canonical_beta, enumerate_profiles
@@ -99,19 +111,157 @@ def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str) -> EV
     return e
 
 
-def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
-               variant: Variant = "narrow") -> Verdict:
-    """Check the quality-u equidistribution property on the checked shapes.
+# Rows drawn beyond m for the sample whose rank must be m: a subspace spans
+# from the sample except with probability about b**-_SAMPLE_EXTRA, and then
+# counting decides it.
+_SAMPLE_EXTRA = 32
 
-    Requires exactly base**precision points. The verdict's witness (on
-    failure) names the first offending shape and box in lexicographic
-    enumeration order; no later shape is examined.
+# Fixed cost of recovering a basis, in digits counting could scan meanwhile.
+_RANK_OVERHEAD = 1 << 17
+
+
+def _rank_pays(points: PointSet, shapes: int) -> bool:
+    """Whether counting ``shapes`` shapes over every point touches more digits
+    than recovering a basis: one pass over the digits, plus a fixed cost."""
+    n, s, m = points.digits.shape
+    return n * shapes > n * s * m + _RANK_OVERHEAD
+
+
+def _row_space(points: PointSet) -> np.ndarray | None:
+    """A reduced m x (s*m) basis over F_b whose row space is the point set's
+    digit vectors, or None when there is none.
+
+    None when b is not prime, when a fixed sample of rows has rank other than
+    m, when a point fails ``V == (V[:, pivots] @ B) % b`` (checked a chunk of
+    points at a time, stopping at the first mismatch), or when two points
+    share their pivot digits. Otherwise the b**m points are distinct members
+    of a space of b**m vectors, so they are all of it.
     """
-    e = _check_net(points, e, variant)
+    b = points.base
+    n, s, m = points.digits.shape
+    if not is_prime(b):
+        return None
+    flat = points.digits.reshape(n, s * m)
+    sample = random.Random(0).sample(range(n), min(n, m + _SAMPLE_EXTRA))
+    basis, pivots = _reduce(flat[sample].astype(np.int64), b, m)
+    if basis is None:
+        return None
+    # a point's pivot digits are its coefficients in the basis, so their
+    # base-b rank names its combination; the high and low parts of the rank
+    # index two tables, the spans of the first h basis rows and of the rest,
+    # whose entries sum to the combination
+    h = m // 2
+    dtype = np.min_scalar_type(2 * b - 1)  # unsigned; a sum of two entries fits
+    high, low = _span(basis[:h], b, dtype), _span(basis[h:], b, dtype)
+    low_cells = b ** (m - h)
+    seen = np.zeros(n, dtype=bool)
+    for rows in row_chunks(n, s * m):
+        v = flat[rows]
+        key = rank_rows([v[:, p] for p in pivots], [b] * m)
+        total = high[key // low_cells]
+        total += low[key % low_cells]
+        # a sum below b wraps above it when b is subtracted, so the smaller is the sum mod b
+        np.minimum(total, total - dtype.type(b), out=total)
+        if not np.array_equal(total, v):
+            return None
+        seen[key] = True
+    return basis if seen.all() else None
+
+
+def _reduce(rows: np.ndarray, b: int, m: int) -> tuple[np.ndarray | None, list[int]]:
+    """Reduced row echelon form over F_b of ``rows`` (entries in [0, b)),
+    stopping once m pivots are found: (the m pivot rows, their pivot columns),
+    or (None, []) when the rank is not m."""
+    r, pivots = 0, []
+    for c in range(rows.shape[1]):
+        if r == m:
+            break
+        below = np.flatnonzero(rows[r:, c])
+        if below.size == 0:
+            continue
+        p = r + int(below[0])
+        rows[[r, p]] = rows[[p, r]]
+        rows[r] = rows[r] * pow(int(rows[r, c]), -1, b) % b
+        factors = rows[:, c].copy()
+        factors[r] = 0
+        rows -= np.outer(factors, rows[r])
+        rows %= b
+        pivots.append(c)
+        r += 1
+    if r < m or rows[m:].any():
+        return None, []
+    return rows[:m], pivots
+
+
+def _span(rows: np.ndarray, b: int, dtype: type) -> np.ndarray:
+    """Every combination of ``rows`` over F_b, the first row's coefficient
+    most significant: entry k holds the combination whose coefficients are
+    the base-b digits of k."""
+    span = np.zeros((1, rows.shape[1]), dtype=np.int64)
+    for row in rows:
+        span = (span[:, None, :] + np.arange(b)[None, :, None] * row) % b
+        span = span.reshape(-1, rows.shape[1])
+    return span.astype(dtype)
+
+
+def _first_dependent(basis: np.ndarray, b: int, shapes: Sequence[Shape]
+                     ) -> tuple[int, int] | None:
+    """Index of the first shape whose basis columns are dependent, with their
+    rank; None when every shape's columns are independent.
+
+    Shape d takes columns i*m + l, l < d_i, of the m x (s*m) basis. Each
+    chunk of shapes packs its columns as the rows of a (shapes, sum d, m)
+    stack and eliminates over F_b all at once: each step takes, per shape, a
+    row not yet used with a nonzero entry in the step's position, scales it
+    to 1 there and clears that position in every row. The rank is the count
+    of steps that found a row.
+    """
+    m = basis.shape[0]
+    s = basis.shape[1] // m
+    vectors = basis.T.astype(np.int64)  # row i*m + l: basis column i*m + l
+    inverse = np.array([0] + [pow(x, -1, b) for x in range(1, b)], dtype=np.int64)
+    depth_of = np.arange(m)
+    for chunk in row_chunks(len(shapes), m * max(m, s)):
+        depths = np.array(shapes[chunk], dtype=np.int64).reshape(-1, s)
+        sums = depths.sum(axis=1)
+        width = int(sums.max())
+        if width == 0:  # the empty shape is uniform
+            continue
+        taken = (depth_of < depths[:, :, None]).reshape(len(depths), s * m)
+        # the taken columns first, in order; rows past sum d zeroed
+        order = np.argsort(~taken, axis=1, kind="stable")[:, :width]
+        stack = vectors[order]
+        stack[np.arange(width) >= sums[:, None]] = 0
+        used = np.zeros(stack.shape[:2], dtype=bool)
+        every = np.arange(len(depths))
+        for c in range(m):
+            live = (stack[:, :, c] != 0) & ~used
+            row = live.argmax(axis=1)
+            pivot = stack[every, row]
+            pivot = pivot * inverse[pivot[:, c]][:, None] % b  # zero where none is live
+            stack -= stack[:, :, c, None] * pivot[:, None, :]
+            stack %= b
+            used[every, row] |= live[every, row]
+        ranks = used.sum(axis=1)
+        short = np.flatnonzero(ranks < sums)
+        if short.size:
+            return chunk.start + int(short[0]), int(ranks[short[0]])
+    return None
+
+
+def _decide(points: PointSet, u: int, e: EVector, shapes: list[Shape],
+            basis: np.ndarray | None) -> Verdict:
+    """The verdict on the quality-u ``shapes``: by ranks of ``basis`` when one
+    is given, else by counting every point's box."""
     b, m = points.base, points.precision
-    if not 0 <= u <= m:
-        raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
-    shapes = check_shapes(m, u, e, variant)
+    if basis is not None:
+        hit = _first_dependent(basis, b, shapes)
+        if hit is None:
+            return Verdict(True)
+        shape = list(shapes[hit[0]])
+        return Verdict(False, {"shape": shape, "box": [0] * len(shape),
+                               "observed": b ** (m - hit[1]),
+                               "expected": b ** (m - sum(shape))})
     table = PrefixTable.of_digits(points.digits, b, e, m - u)
     failure = table.first_failure([d // ei for d, ei in zip(shape, e)] for shape in shapes)
     if failure is None:
@@ -122,19 +272,40 @@ def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
                            "observed": observed, "expected": expected})
 
 
+def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
+               variant: Variant = "narrow") -> Verdict:
+    """Check the quality-u equidistribution property on the checked shapes.
+
+    Requires exactly base**precision points. The verdict's witness (on
+    failure) names the first offending shape and box in lexicographic
+    enumeration order; no later shape is examined.
+    """
+    e = _check_net(points, e, variant)
+    m = points.precision
+    if not 0 <= u <= m:
+        raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
+    shapes = check_shapes(m, u, e, variant)
+    basis = _row_space(points) if _rank_pays(points, len(shapes)) else None
+    return _decide(points, u, e, shapes, basis)
+
+
 def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "narrow") -> int:
     """Smallest u at which the point set verifies; u = m always passes.
 
     The narrow reading is bisected: raising u only shrinks the set of checked
     shapes, so passing at u implies passing at every v >= u. The tezuka
     reading replaces the shape set rather than shrinking it, so it tries
-    u = 0, 1, ... in turn and stops at the first pass.
+    u = 0, 1, ... in turn and stops at the first pass. A basis for the rank
+    route is recovered once, when counting the u = 0 shapes would pay for it.
     """
-    _check_net(points, e, variant)
-    lo, hi = 0, points.precision
+    e = _check_net(points, e, variant)
+    m = points.precision
+    pays = m > 0 and _rank_pays(points, len(check_shapes(m, 0, e)))
+    basis = _row_space(points) if pays else None
+    lo, hi = 0, m
     while lo < hi:
         mid = (lo + hi) // 2 if variant == "narrow" else lo
-        if verify_net(points, mid, e, variant):
+        if _decide(points, mid, e, check_shapes(m, mid, e, variant), basis):
             hi = mid
         else:
             lo = mid + 1

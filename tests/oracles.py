@@ -5,6 +5,9 @@ deliberately different route:
 
 * box counts via exact-rational interval membership instead of digit-prefix
   ranking;
+* digital-net witnesses via per-shape Gaussian elimination on the generating
+  matrices a net was built from, instead of a basis recovered from its points
+  and eliminated for many shapes at once;
 * array uniformity via dictionary tallies over itertools enumeration instead
   of vectorized bincounts;
 * row-count bounds via generating-polynomial coefficients instead of
@@ -111,6 +114,46 @@ def brute_u_star(points, e, variant: str = "narrow") -> int:
         if brute_verify_net(points, u, e, variant, mode="all"):
             return u
     raise AssertionError("u = m must always pass")
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of a list of integer rows, by plain Gaussian elimination."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def digital_witness(b: int, matrices, u: int, e, variant: str = "narrow"):
+    """The verify_net witness of the digital net with these generating
+    matrices, from their ranks alone: None on a pass.
+
+    The points are the images C a of every digit vector a, so the box counts
+    of shape d are b**(m - r) on the image of the stacked first d_i rows of
+    each C_i (rank r) and 0 off it; the zero box is the first cell, and it is
+    non-uniform exactly when r < sum d.
+    """
+    mats = [[[int(x) for x in row] for row in c] for c in matrices]
+    m = len(mats[0])
+    mode = "maximal" if variant == "narrow" else "all"
+    for shape in brute_shapes(m, u, e, variant, mode):
+        rows = [row for c, d in zip(mats, shape) for row in c[:d]]
+        r = rank_mod_p(rows, b)
+        if r < sum(shape):
+            return {"shape": list(shape), "box": [0] * len(shape),
+                    "observed": b ** (m - r), "expected": b ** (m - sum(shape))}
+    return None
 
 
 # ---------------------------------------------------------------------------

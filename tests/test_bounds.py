@@ -232,6 +232,18 @@ class TestSequenceConditions:
                                              r"4300 decimal digits, too many to write$"):
             seq_budget_check(2, range(1, 25))
 
+    def test_budget_count_is_capped_as_the_walk_goes(self, monkeypatch):
+        # the 48 divisors of 2520 give 2**48 - 1 budgets, every one writable
+        divisors = [d for d in range(1, 2521) if 2520 % d == 0]
+        with pytest.raises(ParamError, match=r"^48 distinct e-values give 281474976710655 "
+                                             r"coordinate budgets, more than the 65536 "
+                                             r"a report lists$"):
+            seq_budget_check(10, divisors)
+        monkeypatch.setattr(bounds, "_BUDGET_CAP", 7)
+        assert len(seq_budget_check(2, (1, 2, 3))) == 7  # exactly at the cap
+        with pytest.raises(ParamError, match=r"^4 distinct e-values give 15 "):
+            seq_budget_check(2, (1, 2, 3, 4))
+
     def test_writability_follows_the_interpreter_limit(self, digit_limit):
         with pytest.raises(ParamError, match=r"^kr-r15015: RHS has more"):
             seq_budget_check(2, (15015,))

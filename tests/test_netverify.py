@@ -155,6 +155,15 @@ def _flip012(ham):
     return corpus.flip_digit(ham, 0, 1, 2)
 
 
+def _shifted(points):
+    """Every point with the leading digit of its first coordinate bumped by 1
+    mod b: a digital shift, so a net stays a net with the same quality, but
+    the zero vector leaves the set and an F_b-subspace becomes a coset."""
+    digits = points.digits.astype(np.int64)
+    digits[:, 0, 0] = (digits[:, 0, 0] + 1) % points.base
+    return PointSet(points.base, digits)
+
+
 class TestVerifyNet:
     def test_reference_set_passes_every_reading(self, ham23):
         for variant in ("narrow", "tezuka"):
@@ -237,13 +246,7 @@ class TestVerifyNet:
         assert not verify_net(p, 1, (2,), "tezuka")
 
     def test_stops_at_the_first_failing_shape(self, ham23, monkeypatch):
-        calls = []
-
-        def counting(keys, cells, expected):
-            calls.append(cells)
-            return first_nonuniform(keys, cells, expected)
-
-        monkeypatch.setattr(_util, "_first_nonuniform", counting)
+        calls = _count_kernel_calls(monkeypatch)
         bad = _flip012(ham23)
         v = verify_net(bad, 0, (1, 1))
         shapes = check_shapes(3, 0, (1, 1))
@@ -251,7 +254,8 @@ class TestVerifyNet:
         assert len(calls) == shapes.index(tuple(v.witness["shape"])) + 1
         assert len(calls) < len(shapes)
         calls.clear()
-        assert verify_net(ham23, 0, (1, 1))
+        # a shifted net passes without being a subspace: counting, every shape
+        assert verify_net(_shifted(ham23), 0, (1, 1))
         assert len(calls) == len(shapes)
 
     def test_requires_full_period_count(self, ham23):
@@ -278,6 +282,195 @@ class TestVerifyNet:
                 oracles.brute_verify_net(p, u, e, variant, "all")
 
 
+def _count_kernel_calls(monkeypatch):
+    """The cell count of every counting-kernel call, in order."""
+    calls = []
+
+    def counting(keys, cells, expected):
+        calls.append(cells)
+        return first_nonuniform(keys, cells, expected)
+
+    monkeypatch.setattr(_util, "_first_nonuniform", counting)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# the rank route for F_b-subspaces
+
+def _both_routes(p, u, e, variant):
+    """(counting verdict, rank verdict or None when no basis is recovered),
+    each forced whatever the size gate says."""
+    e = EVector.coerce(e)
+    shapes = check_shapes(p.precision, u, e, variant)
+    basis = netverify._row_space(p)
+    counted = netverify._decide(p, u, e, shapes, None)
+    ranked = None if basis is None else netverify._decide(p, u, e, shapes, basis)
+    return counted, ranked
+
+
+def _as_tuple(v):
+    return bool(v), None if v.witness is None else dict(v.witness)
+
+
+def _module_set(b, m, s, seed):
+    """b**m points whose coordinate i carries C_i a mod b for the digit
+    vector a of every n < b**m, C_0 the identity and the others random: a
+    Z_b-module for any b, and an F_b-subspace only for a prime b."""
+    rng = np.random.default_rng(seed)
+    a = _util.digit_matrix(range(b ** m), m, b).astype(np.int64)
+    mats = [np.eye(m, dtype=np.int64)] + [rng.integers(0, b, (m, m)) for _ in range(s - 1)]
+    return PointSet(b, np.stack([a @ c.T % b for c in mats], axis=1))
+
+
+class TestRankRoute:
+    @pytest.mark.parametrize("p", [
+        corpus.faure(2, 6, 2), corpus.faure(3, 4, 3), corpus.faure(5, 3, 5),
+        corpus.faure(7, 3, 7), corpus.hammersley(2, 6), corpus.hammersley(3, 4),
+        corpus.hammersley(5, 3), corpus.hammersley(7, 2), corpus.grid_1d(5, 3),
+    ], ids=lambda p: f"b{p.base}m{p.precision}s{p.dim}")
+    def test_corpus_nets_agree_with_counting(self, p):
+        for e in {(1,) * p.dim, (1, 2, 2, 1, 3, 1, 2)[:p.dim], (2,) * p.dim}:
+            for variant in ("narrow", "tezuka"):
+                for u in range(p.precision + 1):
+                    counted, ranked = _both_routes(p, u, e, variant)
+                    assert ranked is not None
+                    assert _as_tuple(ranked) == _as_tuple(counted), (e, variant, u)
+                star = u_star(p, e, variant)
+                assert star == next(u for u in range(p.precision + 1)
+                                    if _both_routes(p, u, e, variant)[0])
+
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    def test_random_matrices_agree_with_counting_and_oracle(self, b):
+        rng = np.random.default_rng(b)
+        recovered = failed = 0
+        for m in range(1, 5):
+            for s in range(1, 4):
+                if b ** m > 150:
+                    continue
+                for _ in range(3):
+                    mats = [rng.integers(0, b, (m, m)) for _ in range(s)]
+                    net = corpus.digital_net(b, mats)
+                    # the points in a random order: a subspace whatever the order
+                    p = PointSet(b, net.digits[rng.permutation(net.count)])
+                    for e in {(1,) * s, tuple(int(x) for x in rng.integers(1, 3, s))}:
+                        for variant in ("narrow", "tezuka"):
+                            for u in range(m + 1):
+                                want = oracles.digital_witness(b, mats, u, e, variant)
+                                counted, ranked = _both_routes(p, u, e, variant)
+                                assert _as_tuple(counted) == (want is None, want)
+                                if ranked is not None:
+                                    recovered += 1
+                                    assert _as_tuple(ranked) == (want is None, want)
+                                failed += want is not None
+                            assert u_star(p, e, variant) == next(
+                                u for u in range(m + 1)
+                                if oracles.digital_witness(b, mats, u, e, variant) is None)
+        # invertible and singular maps both occur, and so do failing witnesses
+        assert recovered and failed
+
+    @pytest.mark.parametrize("b", [131, 257])  # span tables of uint16; int64 digits at 257
+    def test_bases_whose_sums_pass_a_byte_agree(self, b):
+        rng = np.random.default_rng(b)
+        mats = [np.eye(2, dtype=np.int64)] + [rng.integers(0, b, (2, 2)) for _ in range(2)]
+        for repeat in (False, True):
+            if repeat:  # the last two coordinates equal: shape (0, 1, 1) has rank 1
+                mats[2] = mats[1]
+            counted, ranked = _both_routes(corpus.digital_net(b, mats), 0, (1, 1, 1), "narrow")
+            assert _as_tuple(ranked) == _as_tuple(counted)
+            assert _as_tuple(counted) == (not repeat, oracles.digital_witness(b, mats, 0, (1, 1, 1)))
+
+    def test_frozen_rank_witness(self):
+        # both coordinates carry a: shape (1, 2) reads digit 0 twice, so its
+        # three columns have rank 2 and the zero box holds 2**(3-2) points
+        net = corpus.digital_net(2, [np.eye(3, dtype=np.int64)] * 2)
+        counted, ranked = _both_routes(net, 0, (1, 1), "narrow")
+        want = {"shape": [1, 2], "box": [0, 0], "observed": 2, "expected": 1}
+        assert _as_tuple(ranked) == _as_tuple(counted) == (False, want)
+
+    @pytest.mark.parametrize("int64", [False, True])
+    def test_large_linear_input_takes_ranks(self, monkeypatch, int64):
+        with storage(int64):
+            p = corpus.faure(5, 5, 5)
+            bad = corpus.digital_net(3, [np.random.default_rng(0).integers(0, 3, (8, 8))
+                                         for _ in range(4)])
+        e = (1,) * 5
+        tezuka_star = next(u for u in range(6) if _both_routes(p, u, e, "tezuka")[0])
+        counted, _ = _both_routes(bad, 0, (1,) * 4, "narrow")
+        assert netverify._rank_pays(p, len(check_shapes(5, 0, e)))
+        assert netverify._rank_pays(bad, len(check_shapes(8, 0, (1,) * 4)))
+        calls = _count_kernel_calls(monkeypatch)
+        assert verify_net(p, 0, e)
+        assert u_star(p, e) == 0
+        assert u_star(p, e, "tezuka") == tezuka_star
+        v = verify_net(bad, 0, (1,) * 4)
+        assert calls == []  # no point was counted
+        assert not v
+        assert _as_tuple(v) == _as_tuple(counted)
+
+    def test_u_star_recovers_the_basis_once(self, monkeypatch):
+        recoveries = []
+        real = netverify._row_space
+        monkeypatch.setattr(netverify, "_row_space",
+                            lambda p: recoveries.append(p) or real(p))
+        steps = TestUStar._count_calls(monkeypatch)
+        p = corpus.faure(5, 5, 5)
+        for variant in ("narrow", "tezuka"):
+            recoveries.clear()
+            u_star(p, (1,) * 5, variant)
+            assert len(recoveries) == 1
+        assert len(steps) > 2
+
+    @pytest.mark.parametrize("p", [
+        pytest.param(corpus.flip_digit(corpus.faure(5, 5, 5), 1234, 2, 3), id="flip_digit"),
+        pytest.param(_shifted(corpus.faure(5, 5, 5)), id="shifted"),
+        pytest.param(corpus.random_pointset(5, 5, 5, 0), id="random"),
+        pytest.param(corpus.random_pointset(2, 12, 4, 1), id="random-b2"),
+        pytest.param(_module_set(4, 7, 4, 0), id="base4"),
+        pytest.param(_module_set(9, 5, 4, 0), id="base9"),
+        pytest.param(_module_set(6, 6, 4, 0), id="base6"),
+    ])
+    def test_non_linear_inputs_take_counting(self, monkeypatch, p):
+        e = (1,) * p.dim
+        shapes = check_shapes(p.precision, 0, e)
+        # large enough for ranks, so only the input's structure keeps it off them
+        assert netverify._rank_pays(p, len(shapes))
+        assert netverify._row_space(p) is None
+        calls = _count_kernel_calls(monkeypatch)
+        v = verify_net(p, 0, e)
+        stop = len(shapes) if v else shapes.index(tuple(v.witness["shape"])) + 1
+        assert len(calls) == stop
+
+    def test_shifted_net_keeps_its_verdicts(self):
+        p = corpus.faure(5, 5, 5)
+        assert verify_net(_shifted(p), 0, (1,) * 5)
+        assert u_star(_shifted(p), (1,) * 5) == u_star(p, (1,) * 5) == 0
+
+    @pytest.mark.parametrize("p", [corpus.faure(3, 3, 3), corpus.hammersley(2, 12),
+                                   corpus.faure(7, 3, 7)],
+                             ids=["faure333", "ham2-12", "faure737"])
+    def test_small_inputs_take_counting(self, monkeypatch, p):
+        e = (1,) * p.dim
+        shapes = check_shapes(p.precision, 0, e)
+        assert netverify._row_space(p) is not None
+        assert not netverify._rank_pays(p, len(shapes))
+        calls = _count_kernel_calls(monkeypatch)
+        assert verify_net(p, 0, e)
+        assert len(calls) == len(shapes)
+
+    def test_recovered_basis_spans_the_points(self):
+        p = corpus.faure(3, 4, 3)
+        basis = netverify._row_space(p)
+        assert basis.shape == (4, 12)
+        n, s, m = p.digits.shape
+        coeffs = _util.digit_matrix(range(3 ** 4), 4, 3).astype(np.int64)
+        span = {tuple(row) for row in coeffs @ basis % 3}
+        assert span == {tuple(row) for row in p.digits.reshape(n, s * m).tolist()}
+
+    @pytest.mark.parametrize("b", [4, 6, 9])
+    def test_composite_bases_have_no_basis(self, b):
+        assert netverify._row_space(_module_set(b, 2, 2, 0)) is None
+
+
 # ---------------------------------------------------------------------------
 # minimal quality search
 
@@ -302,14 +495,15 @@ class TestUStar:
 
     @staticmethod
     def _count_calls(monkeypatch):
+        """The u of every decision u_star takes, one per bisection step."""
         calls = []
-        real = netverify.verify_net
+        real = netverify._decide
 
         def counting(points, u, *args):
             calls.append(u)
             return real(points, u, *args)
 
-        monkeypatch.setattr(netverify, "verify_net", counting)
+        monkeypatch.setattr(netverify, "_decide", counting)
         return calls
 
     @pytest.mark.parametrize("m", range(0, 9))
