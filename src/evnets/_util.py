@@ -3,6 +3,7 @@ uniformity kernel every verifier shares."""
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,12 +67,16 @@ def digit_window(digits: np.ndarray, coord: int, start: int, width: int, base: i
     return out
 
 
-def rank_rows(columns: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
-    """Mixed-radix rank of each row, first column most significant."""
-    n = columns[0].shape[0] if columns else 0
-    keys = np.zeros(n, dtype=np.int64)
-    for col, radix in zip(columns, radices):
-        keys = keys * int(radix) + col
+def rank_rows(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """Mixed-radix rank of each row of a 2-D array, first column most
+    significant: int64 while the radices' product is at most 2**63, else
+    Python ints in an object array. An (n, 0) array ranks as n zeros."""
+    radices = [int(r) for r in radices]
+    dtype = np.int64 if math.prod(radices) <= 2 ** 63 else object
+    keys = np.zeros(rows.shape[0], dtype=dtype)
+    for col, radix in zip(rows.T, radices):
+        keys *= radix
+        keys += col
     return keys
 
 

@@ -52,6 +52,20 @@ def _esym(pairs: Pairs, g: int) -> list[int]:
     return coeffs
 
 
+def _rao_sums(pairs: Pairs, t_max: int) -> list[int]:
+    """:func:`rao_rhs` at strengths 0, ..., t_max, from one product. The odd
+    term of 2g + 1 is coefficient g of the product divided exactly by
+    1 + (l-1)X for the largest size l: rest_j = e_j - (l-1) * rest_{j-1}."""
+    coeffs = _esym(pairs, t_max // 2)
+    l = pairs[-1][0] if pairs else 1
+    out, even, rest = [], 0, 0
+    for c in coeffs:
+        even += c
+        rest = c - (l - 1) * rest
+        out += [even, even + (l - 1) * rest]
+    return out[:t_max + 1]
+
+
 def rao_rhs(pairs: Pairs, t: int) -> int:
     """Minimum admissible row count for strength t over (size, multiplicity)
     pairs.
@@ -67,14 +81,9 @@ def rao_rhs(pairs: Pairs, t: int) -> int:
     pairs = _as_pairs(pairs)
     if t < 0:
         raise ParamError(f"strength must be >= 0, got {t}")
-    g, odd = divmod(t, 2)
-    total = sum(_esym(pairs, g))
-    if odd:
-        if not pairs:
-            raise ParamError("odd strength needs at least one column")
-        l, k = pairs[-1]
-        total += (l - 1) * _esym(pairs[:-1] + [(l, k - 1)], g)[g]
-    return total
+    if t % 2 and not pairs:
+        raise ParamError("odd strength needs at least one column")
+    return _rao_sums(pairs, t)[t]
 
 
 def _digit_limit() -> int:
@@ -168,20 +177,24 @@ def net_rao_check(b: int, m: int, e: EVector | Sequence[int], t: int) -> Conditi
         raise ParamError(f"m must be >= 0, got {m}")
     if not e.is_sorted:
         raise ParamError(f"e-vector must be sorted ascending, got {e.e}")
-    s = e.s
-    if not 2 <= t <= s:
-        raise ParamError(f"strength must satisfy 2 <= t <= s, got t={t}, s={s}")
-    threshold = sum(e.e[s - t :])
+    if not 2 <= t <= e.s:
+        raise ParamError(f"strength must satisfy 2 <= t <= s, got t={t}, s={e.s}")
+    return _net_rao_conditions(b, m, e, [t])[0]
+
+
+def _net_rao_conditions(b: int, m: int, e: EVector, strengths: Sequence[int]
+                        ) -> list[Condition]:
+    """:func:`net_rao_check` at each strength in turn, from one product
+    (``e`` sorted ascending)."""
+    if not strengths:
+        return []
     # lumped equal sizes, so _esym runs once per distinct size, not per coordinate
-    lhs = rao_rhs(sorted(Counter(b ** ei for ei in e).items()), t) - 1
+    sums = _rao_sums(sorted(Counter(b ** ei for ei in e).items()), max(strengths))
     rhs = b ** m - 1
-    return Condition(
-        name=f"rao-{'odd' if t % 2 else 'even'}-g{t // 2}",
-        applicable=m >= threshold,
-        lhs=lhs,
-        rhs=rhs,
-        detail={"m_threshold": threshold},
-    )
+    thresholds = [sum(e.e[e.s - t :]) for t in strengths]
+    return [Condition(f"rao-{'odd' if t % 2 else 'even'}-g{t // 2}", m >= threshold,
+                      sums[t] - 1, rhs, {"m_threshold": threshold})
+            for t, threshold in zip(strengths, thresholds)]
 
 
 def seq_budget_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
@@ -271,8 +284,8 @@ def feasibility_report(b: int, m: int, e: EVector | Sequence[int],
         raise ParamError(f"m must be >= 0, got {m}")
     e_sorted, _ = e.sorted()
     s = e_sorted.s
-    conditions = [net_rao_check(b, m, e_sorted, t)
-                  for t in [*range(2, s + 1, 2), *range(3, s + 1, 2)]]
+    conditions = _net_rao_conditions(b, m, e_sorted,
+                                     [*range(2, s + 1, 2), *range(3, s + 1, 2)])
     if target == "sequence":
         try:
             conditions.extend(seq_budget_check(b, e_sorted))

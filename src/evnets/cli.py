@@ -182,9 +182,8 @@ def cmd_to_moa(args) -> int:
     net = formats.parse_net(_read_input(args.file))
     e = EVector.coerce(args.e) if args.e is not None else net.e
     array = oa.net_to_moa(net.points, e)
-    t = 0 if args.no_verify else oa.max_strength(array)
     _write_output(args, formats.serialize_moa(MixedOA(array.alphabets, array.rows,
-                                                      strength=t)))
+                                                      strength=oa.max_strength(array))))
     return EXIT_PASS
 
 
@@ -222,7 +221,7 @@ def cmd_from_mooa(args) -> int:
     from . import io as formats, ooa
 
     array = formats.parse_mooa(_read_input(args.file))
-    points = ooa.mooa_to_net(array, check=not args.no_verify)
+    points = ooa.mooa_to_net(array)
     _write_output(args, formats.serialize_net(points, array.u, array.e))
     return EXIT_PASS
 
@@ -301,12 +300,12 @@ def cmd_report(args) -> int:
     star = netverify.u_star(points, e, args.variant)
     array = oa.net_to_moa(points, e) if m >= max(e) else None
     strength = oa.max_strength(array) if array is not None else None
-    mooa_ok = None
-    beta = None
+    mooa_ok = beta = None
     if m >= star + max(e):
-        mooa = ooa.net_to_mooa(points, star, e)
-        beta = mooa.beta
-        mooa_ok = bool(ooa.verify_mooa(mooa))
+        # the canonical array's columns are the digit windows the narrow check
+        # counts, and its maximal profiles are the checked shapes divided by e
+        beta = ooa.canonical_beta(m, star, e)
+        mooa_ok = bool(netverify.verify_net(points, star, e))
     feas = bounds.feasibility_report(b, m, e, "net")
     if args.json:
         _emit_json({
@@ -391,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("to-moa", help="leading-digit columns as a MOA file")
     _add_io_flags(p, output=True)
     p.add_argument("--e", type=evector_arg, default=None)
-    p.add_argument("--no-verify", action="store_true",
-                   help="emit t=0 instead of the verified strength")
     p.set_defaults(func=cmd_to_moa)
 
     p = sub.add_parser("verify-moa", help="check mixed-array strength")
@@ -416,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("from-mooa", help="rebuild the NET file of a canonical MOOA")
     _add_io_flags(p, output=True)
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip the strength check before rebuilding")
     p.set_defaults(func=cmd_from_mooa)
 
     p = sub.add_parser("rao", help="row-count bound for net parameters")

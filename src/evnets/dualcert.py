@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import _BYTES_CAP, _CHUNK_BYTES
+from ._util import _BYTES_CAP, _CHUNK_BYTES, rank_rows
 from .core import EVector, MixedOOA, Verdict
 from .errors import ParamError
 
@@ -218,32 +218,20 @@ def _heights(delta: np.ndarray, weight: np.ndarray, starts: np.ndarray) -> np.nd
     return np.maximum.reduceat((delta != 0) * weight, starts, axis=1).sum(axis=1)
 
 
-def _rank(residues: np.ndarray, radices: Sequence[int], dtype) -> np.ndarray:
-    """Mixed-radix rank of each residue row, first column most significant,
-    in ``dtype``: int64, or object (Python ints) once the radices' product
-    passes 2**63."""
-    keys = np.zeros(len(residues), dtype=dtype)
-    for col, radix in zip(residues.T.astype(dtype, copy=False), radices):
-        keys *= radix
-        keys += col
-    return keys
-
-
-def _new_differences(residues: np.ndarray, widths: np.ndarray, group: int, dtype):
+def _new_differences(residues: np.ndarray, widths: np.ndarray, group: int):
     """Walk the pairs j < k of the residue rows in combinations order and
     yield, per row j that has any, ``(j, ks, delta)``: the members k whose
     difference d_k - d_j is nonzero and new to the walk, in order, and
     those differences (mod ``widths``). Each difference is keyed by its
-    mixed-radix rank in ``dtype``; the walk stops once all ``group - 1``
-    nonzero elements of the group the columns span have been seen."""
-    radices = widths.tolist()
+    mixed-radix rank; the walk stops once all ``group - 1`` nonzero elements
+    of the group the columns span have been seen."""
     seen: set = set()
     for j in range(len(residues) - 1):
         if len(seen) == group - 1:
             return
         delta = (residues[j + 1:] - residues[j]) % widths
         fresh = []
-        for k, key in enumerate(_rank(delta, radices, dtype).tolist()):
+        for k, key in enumerate(rank_rows(delta, widths).tolist()):
             if key and key not in seen:
                 seen.add(key)
                 fresh.append(k)
@@ -350,7 +338,6 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     differences = min(group - 1, members * (members - 1) // 2)
     _check_route_size(array, members, len(cols), differences)
     residues = residues[:, cols]
-    dtype = np.int64 if group <= 2 ** 63 else object
     weight = np.concatenate([np.arange(1, bi + 1) * ei
                              for ei, bi in zip(array.e, array.beta)])[cols]
     starts = np.flatnonzero(np.diff(np.repeat(np.arange(array.dim), array.beta)[cols],
@@ -358,7 +345,7 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     budget = array.m - array.u
     firsts = []  # each new difference's first pair (j, k), ranked j * F + k
     deltas = []
-    for j, ks, delta in _new_differences(residues, widths, group, dtype):
+    for j, ks, delta in _new_differences(residues, widths, group):
         heights = _heights(delta, weight, starts)
         tall = np.flatnonzero(heights > budget)
         if tall.size:
@@ -368,7 +355,7 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
         firsts.append(j * members + np.asarray(ks, dtype=np.int64))
         deltas.append(delta)
     q = _order(array)
-    dup = _first_duplicate(_rank(residues, widths.tolist(), dtype))
+    dup = _first_duplicate(rank_rows(residues, widths))
     firsts = np.concatenate(firsts) if firsts else np.zeros(0, dtype=np.int64)
     if dup is not None:  # only differences first seen before the equal pair matter
         firsts = firsts[:np.searchsorted(firsts, dup[0] * members + dup[1])]

@@ -157,7 +157,7 @@ def _row_space(points: PointSet) -> np.ndarray | None:
     seen = np.zeros(n, dtype=bool)
     for rows in row_chunks(n, s * m):
         v = flat[rows]
-        key = rank_rows([v[:, p] for p in pivots], [b] * m)
+        key = rank_rows(v[:, pivots], [b] * m)
         total = high[key // low_cells]
         total += low[key % low_cells]
         # a sum below b wraps above it when b is subtracted, so the smaller is the sum mod b

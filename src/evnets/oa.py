@@ -10,6 +10,7 @@ with every t-tuple appearing exactly b**(m - sum of the selected e_i) times.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -45,14 +46,12 @@ def _subset_witness(array: MixedOA, columns: tuple[int, ...]) -> dict | None:
     """First non-uniform tuple on one column subset, or None."""
     n = array.runs
     radices = [array.alphabets[j] for j in columns]
-    prod = 1
-    for l in radices:
-        prod *= l
+    prod = math.prod(radices)
     if n % prod:
         return {"kind": "NonIntegerIndex", "columns": [int(j) for j in columns],
                 "alphabet_product": int(prod), "rows": int(n)}
     expected = n // prod
-    keys = rank_rows([array.rows[:, j] for j in columns], radices)
+    keys = rank_rows(array.rows[:, list(columns)], radices)
     hit = _first_nonuniform(keys, prod, expected)
     if hit is None:
         return None

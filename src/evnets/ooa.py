@@ -136,22 +136,20 @@ def verify_mooa(array: MixedOOA) -> Verdict:
                            "observed": observed, "expected": expected})
 
 
-def mooa_to_net(array: MixedOOA, check: bool = True) -> PointSet:
+def mooa_to_net(array: MixedOOA) -> PointSet:
     """Reassemble points from a canonical-width ordered array.
 
     Requires beta_i = floor((m - u) / e_i) for every block (the widths at
     which array rows determine the leading digits completely). Digit
-    positions beyond beta_i * e_i are zero-filled. Unless ``check`` is
-    false, the array is verified first and a failing verdict is raised as
-    :class:`VerificationError`.
+    positions beyond beta_i * e_i are zero-filled. The array is verified
+    first and a failing verdict is raised as :class:`VerificationError`.
     """
     caps = canonical_beta(array.m, array.u, array.e)
     if array.beta != caps:
         raise ParamError(f"canonical beta {caps} required, got {array.beta}")
-    if check:
-        verdict = verify_mooa(array)
-        if not verdict:
-            raise VerificationError("array fails its strength contract", verdict)
+    verdict = verify_mooa(array)
+    if not verdict:
+        raise VerificationError("array fails its strength contract", verdict)
     b, m = array.base, array.m
     digits = np.zeros((array.runs, array.dim, m), dtype=digit_dtype(b))
     for i, (ei, bi) in enumerate(zip(array.e, array.beta)):

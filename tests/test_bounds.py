@@ -273,6 +273,21 @@ class TestFeasibilityReport:
         assert [c.detail["m_threshold"] for c in rep.conditions[:6]] == [
             6, 10, 12, 8, 11, 13]
 
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    @pytest.mark.parametrize("m", [2, 5, 9])
+    @pytest.mark.parametrize("e", [(1, 1), (1, 1, 1), (1, 2, 2), (1, 1, 1, 2, 3),
+                                   (2, 2, 2, 2, 2, 2), (1, 1, 2, 2, 3, 3, 4)])
+    def test_each_strength_matches_its_own_check(self, b, m, e):
+        # one product serves every strength: each condition is the one
+        # net_rao_check builds alone, and its LHS the polynomial oracle's
+        rep = feasibility_report(b, m, e, "net")
+        pairs = sorted(Counter(b ** ei for ei in e).items())
+        strengths = [*range(2, len(e) + 1, 2), *range(3, len(e) + 1, 2)]
+        assert len(rep.conditions) == len(strengths)
+        for c, t in zip(rep.conditions, strengths):
+            assert c == net_rao_check(b, m, e, t)
+            assert c.lhs == oracles.poly_rao_rhs(pairs, t) - 1
+
     def test_single_coordinate_is_vacuous(self):
         rep = feasibility_report(2, 3, (2,), "net")
         assert rep.conditions == () and rep.feasible

@@ -337,9 +337,11 @@ class TestMoaCommands:
         assert out.splitlines()[1] == "N 8 k 2 t 2"
         assert out.splitlines()[2] == "l 2 2"
 
-    def test_to_moa_no_verify(self, capsys, ham_net):
-        code, out, _ = run(capsys, "to-moa", ham_net, "--no-verify")
-        assert out.splitlines()[1] == "N 8 k 2 t 0"
+    def test_to_moa_no_verify_is_usage_error(self, capsys, ham_net):
+        with pytest.raises(SystemExit) as err:
+            main(["to-moa", ham_net, "--no-verify"])
+        assert err.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --no-verify" in capsys.readouterr().err
 
     def test_to_moa_e_override(self, capsys, ham_net):
         code, out, _ = run(capsys, "to-moa", ham_net, "--e", "1,2")
@@ -447,9 +449,13 @@ class TestMooaCommands:
         mooa = tmp_path / "bad.mooa"
         mooa.write_text(mooa_text)
         code, out, err = run(capsys, "from-mooa", str(mooa))
-        assert code == EXIT_FAIL and out == "" and err.startswith("error:")
-        code, out, _ = run(capsys, "from-mooa", str(mooa), "--no-verify")
-        assert code == EXIT_PASS and out.startswith("NET v1\n")
+        assert code == EXIT_FAIL and out == ""
+        assert err == ("error: array fails its strength contract: {'profile': [0, 3], "
+                       "'tuple': [0, 0, 0], 'observed': 0, 'expected': 1}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["from-mooa", str(mooa), "--no-verify"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --no-verify" in capsys.readouterr().err
 
     def test_custom_beta(self, capsys, ham_net):
         code, out, _ = run(capsys, "to-mooa", ham_net, "--e", "1,2",
@@ -716,6 +722,38 @@ class TestReport:
         assert data["moa"] == {"alphabets": [2, 2], "max_strength": 2}
         assert data["mooa_at_u_star"] == {"pass": True, "beta": [3, 3]}
         assert data["feasibility"]["feasible"] is True
+
+    @pytest.mark.parametrize("variant", ["narrow", "tezuka"])
+    @pytest.mark.parametrize("name, points, e", [
+        ("ham23", corpus.hammersley(2, 3), (1, 1)),
+        ("faure333", corpus.faure(3, 3, 3), (1, 1, 1)),
+        ("faure333-flipped", corpus.flip_digit(corpus.faure(3, 3, 3), 5, 1, 0), (1, 1, 1)),
+        ("random", corpus.random_pointset(3, 3, 2, 7), (1, 1)),
+        ("ham25-mixed-e", corpus.hammersley(2, 5), (1, 2)),
+        # tezuka: no shape sums to m - u = 3, so u_star = 1, where the line fails
+        ("random-e22", corpus.random_pointset(2, 4, 2, 0), (2, 2)),
+    ])
+    def test_mooa_line_matches_the_array_route(self, capsys, tmp_path, variant, name,
+                                               points, e):
+        # the line is decided on the net; the canonical array's own check
+        # at u_star is the reference
+        path = tmp_path / f"{name}.net"
+        path.write_text(serialize_net(points, 0, EVector(e)))
+        code, out, _ = run(capsys, "report", str(path), "--variant", variant, "--json")
+        data = json.loads(out)
+        star = data["u_star"]
+        assert star == evnets.u_star(points, e, variant)
+        if points.precision < star + max(e):
+            want = None
+        else:
+            array = evnets.net_to_mooa(points, star, e)
+            want = {"pass": bool(evnets.verify_mooa(array)), "beta": list(array.beta)}
+        assert data["mooa_at_u_star"] == want
+        _, text, _ = run(capsys, "report", str(path), "--variant", variant)
+        lines = [line for line in text.splitlines() if line.startswith("  mooa at")]
+        assert lines == ([] if want is None else [
+            f"  mooa at u={star}: beta=({', '.join(map(str, want['beta']))}) "
+            f"{'PASS' if want['pass'] else 'FAIL'}"])
 
 
 # Runs main on the arguments, then writes the loaded evnets and numpy

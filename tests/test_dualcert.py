@@ -441,8 +441,8 @@ class TestDistinctDifferenceRoute:
         monkeypatch.setattr(dualcert, "_vanishes",
                             lambda counts, q: sums.append(len(counts)) or vanishes(counts, q))
         walked = []
-        rank = dualcert._rank
-        monkeypatch.setattr(dualcert, "_rank",
+        rank = dualcert.rank_rows
+        monkeypatch.setattr(dualcert, "rank_rows",
                             lambda *args: walked.append(len(args[0])) or rank(*args))
         for family in (fam, [fam[k] for k in rng.permutation(len(fam))]):
             sums.clear()
@@ -467,7 +467,7 @@ class TestDistinctDifferenceRoute:
             family.append(FunctionTuple(2, e, tuple(values)))
         for order in (family, family[::-1], family + [family[7]], family[1:2] + family[:1]):
             _assert_matches_oracle(arr, order, "object keys")
-        assert dualcert._rank(np.array([[3] * s]), [4] * s, object)[0] == 4 ** s - 1
+        assert dualcert.rank_rows(np.array([[3] * s]), [4] * s)[0] == 4 ** s - 1
 
 
 class TestBuildBlockFamily:

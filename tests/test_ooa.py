@@ -270,10 +270,10 @@ class TestMooaToNet:
         bad = net_to_mooa(corpus.flip_digit(ham23, 0, 1, 0), 0, (1, 1))
         with pytest.raises(VerificationError) as err:
             mooa_to_net(bad)
-        assert err.value.verdict.witness is not None
-        # the unchecked path still reconstructs the digits
-        p = mooa_to_net(bad, check=False)
-        assert p.count == 8
+        assert err.value.verdict == verify_mooa(bad)
+        assert not err.value.verdict
+        with pytest.raises(TypeError):  # no unchecked path
+            mooa_to_net(bad, check=False)
 
     def test_base3_round_trip(self, ham32):
         arr = net_to_mooa(ham32, 0, (1, 1))

@@ -42,7 +42,7 @@ class TestPrefixTable:
         kappa = [data.draw(st.integers(0, depth)) for _, depth in coords]
         cols = [c for cs, k in zip(blocks, kappa) for c in cs[:k]]
         rads = [r for r, k in zip(radices, kappa) for _ in range(k)]
-        want = rank_rows(cols, rads) if cols else np.zeros(n, dtype=np.int64)
+        want = rank_rows(np.array(cols, dtype=np.int64).reshape(len(cols), n).T, rads)
         assert np.array_equal(table.keys(kappa), want)
 
     def test_digit_windows_are_width_e_blocks(self):
@@ -68,24 +68,55 @@ class TestPrefixTable:
         assert table.first_failure([(0,), (1,), (2,)]) == ((2,), 0, 2, 1)
 
 
+def horner(row, radices):
+    key = 0
+    for v, r in zip(row, radices):
+        key = key * r + int(v)
+    return key
+
+
 class TestRanking:
     @given(st.lists(st.integers(2, 5), min_size=1, max_size=4), st.data())
     def test_unrank_inverts_rank(self, radices, data):
         row = [data.draw(st.integers(0, r - 1)) for r in radices]
-        cols = [np.array([v]) for v in row]
-        rank = int(rank_rows(cols, radices)[0])
+        rank = int(rank_rows(np.array([row]), radices)[0])
         assert unrank(rank, radices) == row
 
     def test_rank_covers_the_full_product(self):
         radices = [2, 3, 2]
-        rows = list(itertools.product(*(range(r) for r in radices)))
-        cols = [np.array([r[j] for r in rows]) for j in range(3)]
-        keys = rank_rows(cols, radices)
+        rows = np.array(list(itertools.product(*(range(r) for r in radices))))
+        keys = rank_rows(rows, radices)
         assert sorted(keys) == list(range(12))  # bijective and dense
 
     def test_first_column_most_significant(self):
-        keys = rank_rows([np.array([0, 1]), np.array([0, 0])], [2, 3])
+        keys = rank_rows(np.array([[0, 0], [1, 0]]), [2, 3])
         assert list(keys) == [0, 3]
+
+    def test_no_columns_rank_every_row_as_zero(self):
+        keys = rank_rows(np.zeros((5, 0), dtype=np.uint8), [])
+        assert keys.dtype == np.int64 and keys.tolist() == [0] * 5
+
+    def test_product_of_two_to_the_63_stays_int64(self):
+        rows = np.array([[1] * 63, [0] * 62 + [1]], dtype=np.uint8)
+        keys = rank_rows(rows, [2] * 63)
+        assert keys.dtype == np.int64 and keys.tolist() == [2 ** 63 - 1, 1]
+
+    def test_keys_past_int64_are_python_ints(self):
+        # the radices multiply to 2**63 + 1, so the largest key is 2**63
+        radices = [27, 19, 43, 5419, 77158673929]
+        rng = np.random.default_rng(3)
+        rows = np.array([[r - 1 for r in radices], [0] * 5]
+                        + [[int(rng.integers(r)) for r in radices] for _ in range(6)],
+                        dtype=np.int64)
+        keys = rank_rows(rows, radices)
+        assert keys.dtype == object and all(type(k) is int for k in keys)
+        assert keys.tolist() == [horner(row, radices) for row in rows.tolist()]
+        assert keys[0] == 2 ** 63
+
+    def test_compact_digits_rank_as_int64(self):
+        rows = np.array([[255, 255], [1, 2]], dtype=np.uint8)
+        keys = rank_rows(rows, [256, 256])
+        assert keys.dtype == np.int64 and keys.tolist() == [65535, 258]
 
 
 class TestDigits:
