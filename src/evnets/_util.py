@@ -90,19 +90,29 @@ def unrank(rank: int, radices: Sequence[int]) -> list[int]:
 
 def digit_matrix(values: np.ndarray | range | Sequence[int], width: int,
                  base: int) -> np.ndarray:
-    """Base-``base`` digit rows (most significant first) for each value, in
-    ``digit_dtype(base)``; the values are widened to int64 a chunk at a time."""
-    n = len(values)
-    out = np.empty((n, width), dtype=digit_dtype(base))
-    for rows in row_chunks(n, width):
+    """Base-``base`` digits (most significant first) of each value, of shape
+    ``values.shape + (width,)``, in ``digit_dtype(base)``.
+
+    uint8 values are divided in uint8 when the base fits in uint8; other
+    values are widened to int64, a chunk of rows at a time.
+    """
+    if not isinstance(values, (range, np.ndarray)):
+        values = np.array(values, dtype=np.int64)
+    shape = (len(values),) if isinstance(values, range) else values.shape
+    out = np.empty(shape + (width,), dtype=digit_dtype(base))
+    # uint8 arithmetic takes the base as a uint8, so at most 255; quotient * base
+    # never exceeds the value, so nothing wraps under either promotion rule
+    narrow = isinstance(values, np.ndarray) and values.dtype == np.uint8 and base <= 255
+    dtype, radix = (np.uint8, np.uint8(base)) if narrow else (np.int64, base)
+    for rows in row_chunks(shape[0], math.prod(shape[1:]) * width):
         chunk = values[rows]
         if isinstance(chunk, range):
             vals = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
         else:  # a copy: a strided column divides several times slower
-            vals = np.array(chunk, dtype=np.int64)
+            vals = np.array(chunk, dtype=dtype)
         for j in range(width - 1, -1, -1):
-            quotient = vals // base  # much faster than % on int64
-            out[rows, j] = vals - quotient * base
+            quotient = vals // radix  # much faster than %
+            out[rows, ..., j] = vals - quotient * radix
             vals = quotient
     return out
 

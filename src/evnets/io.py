@@ -37,8 +37,12 @@ non-ASCII whitespace are errors in a body. Header lines are split on any
 whitespace and their integers read by ``int``.
 
 Bodies are parsed as whole numpy arrays, in chunks of whole lines of about
-``_CHUNK_BYTES``; the first rejected line is then explained by its number
-and the same message a line-by-line reading would give.
+``_CHUNK_BYTES``. A chunk in the layout the serialisers write is read by
+reshaping its bytes: NET lines of s*(m+1) bytes (m-digit strings, single
+spaces, a final LF), and integer lines of 2k bytes, every entry one digit.
+Any other chunk is tokenised by the grammar above, with the same values.
+The first rejected line is explained by its number and the same message a
+line-by-line reading would give.
 """
 
 from __future__ import annotations
@@ -157,7 +161,6 @@ def _vector_line(line: str, key: str, count: int, lineno: int) -> list[int]:
 class _Chunk:
     """Whole body lines, tokenised: byte offsets are relative to ``buf``."""
 
-    line: int             # body index of the first line
     buf: np.ndarray       # uint8 bytes, ending in LF
     in_token: np.ndarray  # bool per byte
     starts: np.ndarray    # token start offsets
@@ -180,20 +183,36 @@ class _Chunk:
         return self.buf[lo : self.newlines[i]].tobytes().decode("utf-8", self.errors)
 
 
-def _chunks(raw: bytes, start: int, errors: str):
-    """Tokenised runs of whole lines of ``raw[start:]``, about ``_CHUNK_BYTES``
-    each."""
-    line = 0
+def _chunks(raw: bytes, start: int):
+    """Runs of whole lines of ``raw[start:]`` as uint8 arrays, about
+    ``_CHUNK_BYTES`` each."""
     while start < len(raw):
         stop = raw.find(b"\n", min(start + _CHUNK_BYTES, len(raw)) - 1) + 1
-        buf = np.frombuffer(raw, np.uint8, stop - start, start)
-        in_token = _IN_TOKEN[buf]
-        edges = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
-        starts, ends = edges[0::2], edges[1::2]
-        newlines = np.flatnonzero(buf == 10)
-        counts = np.diff(np.searchsorted(starts, newlines), prepend=0)
-        yield _Chunk(line, buf, in_token, starts, ends, newlines, counts, errors)
-        start, line = stop, line + newlines.size
+        yield np.frombuffer(raw, np.uint8, stop - start, start)
+        start = stop
+
+
+def _tokenise(buf: np.ndarray, errors: str) -> _Chunk:
+    """The tokens and lines of a run of whole lines."""
+    in_token = _IN_TOKEN[buf]
+    edges = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    newlines = np.flatnonzero(buf == 10)
+    counts = np.diff(np.searchsorted(starts, newlines), prepend=0)
+    return _Chunk(buf, in_token, starts, ends, newlines, counts, errors)
+
+
+def _fixed_fields(buf: np.ndarray, count: int, width: int) -> np.ndarray | None:
+    """The (lines, count, width) fields of a run of whole lines in the fixed
+    layout the serialisers write, or None if it is not in it: every line is
+    ``count`` fields of ``width`` bytes, each followed by one space, the last
+    by the LF. The field bytes are not checked."""
+    if not count or not width or buf.size % (count * (width + 1)):
+        return None
+    lines = buf.reshape(-1, count, width + 1)
+    separators = np.full(count, ord(" "), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    return lines[:, :, :width] if (lines[:, :, width] == separators).all() else None
 
 
 def _net_line_error(line: str, b: int, m: int, s: int) -> str:
@@ -212,6 +231,17 @@ def _net_line_error(line: str, b: int, m: int, s: int) -> str:
     raise AssertionError(f"NET line {line!r} has no error")
 
 
+def _canonical_digits(buf: np.ndarray, b: int, m: int, s: int) -> np.ndarray | None:
+    """(lines, s, m) digits of a run of NET lines in the canonical layout, or
+    None if any line is not in it."""
+    fields = _fixed_fields(buf, s, m)
+    if fields is None:
+        return None
+    # a byte below '0' wraps high, so it is no digit below b <= 10 either
+    values = fields - np.uint8(ord("0")) if b <= 10 else _DIGIT_OF_BYTE[fields]
+    return values if (values < b).all() else None
+
+
 def _parse_digit_body(raw: bytes, start: int, errors: str, b: int, m: int,
                       s: int) -> np.ndarray:
     """(N, s, m) digits of the NET body ``raw[start:]``, one point per line."""
@@ -222,15 +252,20 @@ def _parse_digit_body(raw: bytes, start: int, errors: str, b: int, m: int,
     # size n*s*m is allocated.
     fits = len(raw) - start >= n * (k * (m + 1) or 1)
     digits = np.empty((n, s, m), dtype=np.uint8) if fits else None  # base <= 36
-    for c in _chunks(raw, start, errors):
-        values = _DIGIT_OF_BYTE[c.buf]
-        bad = c.first_bad_line(c.counts != k, c.ends - c.starts != m,
-                               c.in_token & (values >= b))
-        if bad is not None:
-            raise FormatError(_net_line_error(c.text(bad), b, m, s), line=4 + c.line + bad)
+    line = 0
+    for buf in _chunks(raw, start):
+        points = _canonical_digits(buf, b, m, s)
+        if points is None:
+            c = _tokenise(buf, errors)
+            values = _DIGIT_OF_BYTE[c.buf]
+            bad = c.first_bad_line(c.counts != k, c.ends - c.starts != m,
+                                   c.in_token & (values >= b))
+            if bad is not None:
+                raise FormatError(_net_line_error(c.text(bad), b, m, s), line=4 + line + bad)
+            points = values[c.in_token].reshape(c.newlines.size, s, m)
         if digits is not None:
-            rows = c.newlines.size
-            digits[c.line : c.line + rows] = values[c.in_token].reshape(rows, s, m)
+            digits[line : line + len(points)] = points
+        line += len(points)
     return digits
 
 
@@ -259,6 +294,18 @@ def _int_line_error(line: str, widths: list[int], noun: str, nouns: str) -> str:
     raise AssertionError(f"integer line {line!r} has no error")
 
 
+def _canonical_entries(buf: np.ndarray, limits: np.ndarray) -> np.ndarray | None:
+    """(lines, k) entries of a run of integer lines in the canonical layout,
+    or None if any line is not in it; column j's one-digit entries lie below
+    ``limits[j]`` <= 10."""
+    fields = _fixed_fields(buf, limits.size, 1)
+    if fields is None:
+        return None
+    # a byte below '0' wraps high, so it is no digit below a limit <= 10 either
+    values = fields[:, :, 0] - np.uint8(ord("0"))
+    return values if (values < limits).all() else None
+
+
 def _parse_int_body(raw: bytes, start: int, errors: str, widths: list[int], first_lineno: int,
                     n_rows: int | None = None, noun: str = "entry",
                     nouns: str = "entries") -> np.ndarray:
@@ -274,20 +321,26 @@ def _parse_int_body(raw: bytes, start: int, errors: str, widths: list[int], firs
     fits = len(raw) - start >= n * (2 * k or 1)
     rows = np.empty((n, k), dtype=digit_dtype(max(widths, default=0))) if fits else None
     limits = np.array(widths, dtype=np.uint64)
-    for c in _chunks(raw, start, errors):
-        lengths = c.ends - c.starts
-        bad = c.first_bad_line(c.counts != k, lengths > _ENTRY_DIGITS, _IS_OTHER[c.buf])
-        good = c.newlines.size if bad is None else bad  # lines of k well-formed tokens
-        values = _decimal_values(c.buf, c.ends[: good * k], lengths[: good * k])
-        values = values.reshape(good, k)
-        over = values >= limits
-        if over.any():
-            bad = int(np.flatnonzero(over.any(axis=1))[0])
-        if bad is not None:
-            raise FormatError(_int_line_error(c.text(bad), widths, noun, nouns),
-                              line=first_lineno + c.line + bad)
+    digit_limits = np.array([min(w, 10) for w in widths], dtype=np.uint8)
+    line = 0
+    for buf in _chunks(raw, start):
+        values = _canonical_entries(buf, digit_limits)
+        if values is None:
+            c = _tokenise(buf, errors)
+            lengths = c.ends - c.starts
+            bad = c.first_bad_line(c.counts != k, lengths > _ENTRY_DIGITS, _IS_OTHER[c.buf])
+            good = c.newlines.size if bad is None else bad  # lines of k well-formed tokens
+            values = _decimal_values(c.buf, c.ends[: good * k], lengths[: good * k])
+            values = values.reshape(good, k)
+            over = values >= limits
+            if over.any():
+                bad = int(np.flatnonzero(over.any(axis=1))[0])
+            if bad is not None:
+                raise FormatError(_int_line_error(c.text(bad), widths, noun, nouns),
+                                  line=first_lineno + line + bad)
         if rows is not None:
-            rows[c.line : c.line + good] = values
+            rows[line : line + len(values)] = values
+        line += len(values)
     return rows
 
 

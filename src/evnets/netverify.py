@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -91,12 +92,18 @@ def check_shapes(m: int, u: int, e: EVector | Sequence[int],
     reading checks the maximal shapes whose depths sum to exactly m - u.
     """
     _check_variant(variant)
-    e = EVector.coerce(e)
+    return list(_shapes(m, u, EVector.coerce(e).e, variant))
+
+
+@lru_cache(maxsize=32)
+def _shapes(m: int, u: int, e: tuple[int, ...], variant: Variant) -> tuple[Shape, ...]:
+    """The checked shapes, computed once per parameter set: a verification
+    and its report both ask for them."""
     shapes = [tuple(k * ei for k, ei in zip(kappa, e))
               for kappa in enumerate_profiles(m, u, e, canonical_beta(m, u, e))]
     if variant == "narrow":
-        return shapes
-    return [d for d in shapes if sum(d) == m - u]
+        return tuple(shapes)
+    return tuple(d for d in shapes if sum(d) == m - u)
 
 
 def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str) -> EVector:

@@ -22,6 +22,7 @@ set with the same quality parameter.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -96,13 +97,20 @@ def enumerate_profiles(m: int, u: int, e: EVector | Sequence[int],
         raise ParamError(f"beta has {len(beta)} entries, e-vector has {e.s}")
     if any(v < 0 for v in beta):
         raise ParamError(f"beta entries must be >= 0, got {beta}")
-    budget = m - u
+    return list(_maximal_profiles(m - u, e.e, beta))
+
+
+@lru_cache(maxsize=32)
+def _maximal_profiles(budget: int, e: tuple[int, ...],
+                      beta: tuple[int, ...]) -> tuple[Profile, ...]:
+    """The maximal profiles within ``budget``, enumerated once per parameter
+    set: a verification and its report both ask for them."""
     out: list[Profile] = []
     prefix: list[int] = []
 
     def rec(i: int, remaining: int) -> None:
-        if i == e.s:
-            if all(prefix[j] == beta[j] or e[j] > remaining for j in range(e.s)):
+        if i == len(e):
+            if all(prefix[j] == beta[j] or e[j] > remaining for j in range(len(e))):
                 out.append(tuple(prefix))
             return
         for k in range(0, min(beta[i], remaining // e[i]) + 1):
@@ -111,7 +119,7 @@ def enumerate_profiles(m: int, u: int, e: EVector | Sequence[int],
             prefix.pop()
 
     rec(0, budget)
-    return out
+    return tuple(out)
 
 
 def verify_mooa(array: MixedOOA) -> Verdict:
@@ -154,7 +162,6 @@ def mooa_to_net(array: MixedOOA) -> PointSet:
     digits = np.zeros((array.runs, array.dim, m), dtype=digit_dtype(b))
     for i, (ei, bi) in enumerate(zip(array.e, array.beta)):
         start = array.block_start(i)
-        for rho in range(bi):
-            digits[:, i, rho * ei : (rho + 1) * ei] = digit_matrix(
-                array.rows[:, start + rho], ei, b)
+        block = digit_matrix(array.rows[:, start : start + bi], ei, b)
+        digits[:, i, : bi * ei] = block.reshape(array.runs, bi * ei)
     return PointSet(b, digits)

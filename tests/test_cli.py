@@ -170,6 +170,13 @@ class TestVerifyNet:
         assert code == EXIT_PASS
         assert out == "verify-net: PASS (variant=narrow, mode=maximal, u=0, shapes=4)\n"
 
+    def test_shapes_are_enumerated_once(self, capsys, ham_net):
+        from evnets import netverify
+        netverify._shapes.cache_clear()
+        run(capsys, "verify-net", ham_net)
+        info = netverify._shapes.cache_info()
+        assert (info.misses, info.hits) == (1, 1)  # the verdict, then shapes=4
+
     def test_pass_json(self, capsys, ham_net):
         code, out, _ = run(capsys, "verify-net", ham_net, "--json")
         assert code == EXIT_PASS
@@ -419,6 +426,16 @@ class TestMooaCommands:
         assert code == EXIT_PASS
         # maximal profiles at budget 3 with beta=(3,3): all splits of 3
         assert out == "verify-mooa: PASS (mode=maximal, profiles=4, strength=3)\n"
+
+    def test_verify_mooa_enumerates_profiles_once(self, capsys, ham_net, tmp_path):
+        from evnets import ooa
+        _, mooa_text, _ = run(capsys, "to-mooa", ham_net)
+        mooa = tmp_path / "a.mooa"
+        mooa.write_text(mooa_text)
+        ooa._maximal_profiles.cache_clear()
+        run(capsys, "verify-mooa", str(mooa))
+        info = ooa._maximal_profiles.cache_info()
+        assert (info.misses, info.hits) == (1, 1)  # the verdict, then profiles=4
 
     def test_verify_mooa_failure_forms(self, capsys, bad_net, tmp_path):
         _, mooa_text, _ = run(capsys, "to-mooa", bad_net)

@@ -413,6 +413,24 @@ def _agree(parse, oracle, same, text):
         assert got == want
 
 
+def _same_net(nf, want):
+    return (nf.points.base == want["base"] and nf.u == want["u"] and nf.e.e == want["e"]
+            and nf.points.digits.shape[1:] == (want["s"], want["m"])
+            and nf.points.digits.tolist() == want["digits"])
+
+
+def _same_moa(arr, want):
+    return (arr.alphabets == want["alphabets"] and arr.strength == want["t"]
+            and arr.rows.tolist() == want["rows"])
+
+
+def _same_mooa(arr, want):
+    return ((arr.base, arr.m, arr.u, arr.e.e, arr.beta) == (
+        want["base"], want["m"], want["u"], want["e"], want["beta"])
+        and arr.rows.tolist() == [list(r) for r in want["rows"]]
+        and arr.rows.shape[0] == len(want["rows"]))
+
+
 class TestParsersAgreeWithLineOracle:
     """Mutated valid texts parse as the line-by-line oracle parses them, or
     fail at the oracle's line with its message, at any chunk size."""
@@ -422,32 +440,22 @@ class TestParsersAgreeWithLineOracle:
     @settings(deadline=None, max_examples=150)
     @given(chunk, st.data())
     def test_net(self, chunk, data):
-        def same(nf, want):
-            return (nf.points.base == want["base"] and nf.u == want["u"]
-                    and nf.e.e == want["e"] and nf.points.digits.shape[1:] ==
-                    (want["s"], want["m"]) and nf.points.digits.tolist() == want["digits"])
         with mock.patch.object(io, "_CHUNK_BYTES", chunk):
-            _agree(parse_net, oracles.oracle_parse_net, same, _mutate(_valid_net(data), data))
+            _agree(parse_net, oracles.oracle_parse_net, _same_net,
+                   _mutate(_valid_net(data), data))
 
     @settings(deadline=None, max_examples=150)
     @given(chunk, st.data())
     def test_moa(self, chunk, data):
-        def same(arr, want):
-            return (arr.alphabets == want["alphabets"] and arr.strength == want["t"]
-                    and arr.rows.tolist() == want["rows"])
         with mock.patch.object(io, "_CHUNK_BYTES", chunk):
-            _agree(parse_moa, oracles.oracle_parse_moa, same, _mutate(_valid_moa(data), data))
+            _agree(parse_moa, oracles.oracle_parse_moa, _same_moa,
+                   _mutate(_valid_moa(data), data))
 
     @settings(deadline=None, max_examples=150)
     @given(chunk, st.data())
     def test_mooa(self, chunk, data):
-        def same(arr, want):
-            return ((arr.base, arr.m, arr.u, arr.e.e, arr.beta) == (
-                want["base"], want["m"], want["u"], want["e"], want["beta"])
-                and arr.rows.tolist() == [list(r) for r in want["rows"]]
-                and arr.rows.shape[0] == len(want["rows"]))
         with mock.patch.object(io, "_CHUNK_BYTES", chunk):
-            _agree(parse_mooa, oracles.oracle_parse_mooa, same,
+            _agree(parse_mooa, oracles.oracle_parse_mooa, _same_mooa,
                    _mutate(_valid_mooa(data), data))
 
     @settings(deadline=None, max_examples=80)
@@ -461,6 +469,111 @@ class TestParsersAgreeWithLineOracle:
             _agree(lambda t: [f.values for f in parse_function_tuples(t, arr)],
                    lambda t: oracles.oracle_parse_function_tuples(t, 2, (1, 2), (3, 1)),
                    lambda got, want: got == want, text)
+
+
+def _canonical_cases():
+    """(name, canonical text, header lines, parse, oracle, same) per case."""
+    rng = np.random.default_rng(14)
+    tuples_frame = net_to_mooa(corpus.hammersley(2, 3), 0, EVector((1, 2)))  # widths 2, 2, 2, 4
+    cases = []
+    for b in (2, 10, 11, 36):
+        points = PointSet(b, rng.integers(0, b, size=(9, 2, 3)))
+        cases.append((f"net-b{b}", serialize_net(points, 0, (1, 1)), 3, parse_net,
+                      oracles.oracle_parse_net, _same_net))
+    # single-digit entries in columns of alphabets 2, 11, 256 and 1000
+    rows = rng.integers(0, [2, 10, 10, 10], size=(9, 4))
+    cases.append(("moa", serialize_moa(MixedOA((2, 11, 256, 1000), rows, 1)), 3, parse_moa,
+                  oracles.oracle_parse_moa, _same_moa))
+    for b, m, e in ((2, 4, (1, 2)), (3, 2, (1, 1))):
+        arr = net_to_mooa(corpus.hammersley(b, m), 0, EVector(e))
+        cases.append((f"mooa-b{b}", serialize_mooa(arr), 4, parse_mooa,
+                      oracles.oracle_parse_mooa, _same_mooa))
+    cases.append(("tuples", "1 0 1 3\n0 0 0 0\n1 1 0 2\n", 0,
+                  lambda t: [f.values for f in parse_function_tuples(t, tuples_frame)],
+                  lambda t: oracles.oracle_parse_function_tuples(t, 2, (1, 2), (3, 1)),
+                  lambda got, want: got == want))
+    return cases
+
+
+CANONICAL_CASES = _canonical_cases()
+
+
+def _oracle_error(oracle, text):
+    with pytest.raises(oracles.OracleFormatError) as err:
+        oracle(text)
+    return err.value.line, str(err.value)
+
+
+class TestCanonicalLayout:
+    """Bodies in the layout the serialisers write are read by reshaping their
+    bytes. One replaced byte at an entry or separator sends its chunk to the
+    tokeniser: the parse is the line oracle's, or fails at the oracle's line
+    with its message."""
+
+    @pytest.mark.parametrize("case", CANONICAL_CASES, ids=[c[0] for c in CANONICAL_CASES])
+    def test_canonical_bodies_are_never_tokenised(self, case):
+        _, text, _, parse, oracle, same = case
+        with mock.patch.object(io, "_tokenise", wraps=io._tokenise) as tokenise:
+            assert same(parse(text.encode()), oracle(text))
+        assert tokenise.call_count == 0
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.sampled_from(CANONICAL_CASES), st.integers(0, 1 << 20),
+           st.sampled_from([b"\t", b" ", b"\r", b"\x00", b"\n", b"x", b"A", b"a", b"9",
+                            b"/", b":", b"\xff"]),
+           st.sampled_from([1, 5, 16, 1 << 18]))
+    def test_one_replaced_byte(self, case, pos, byte, chunk):
+        _, text, header, parse, oracle, same = case
+        raw = text.encode()
+        body = len(b"".join(raw.splitlines(keepends=True)[:header]))
+        pos = body + pos % (len(raw) - body)
+        raw = raw[:pos] + byte + raw[pos + 1:]
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk):
+            ok, got = _outcome(parse, raw)
+        oracle_ok, want = _outcome(oracle, raw.decode("utf-8", "surrogateescape"))
+        assert ok == oracle_ok, (raw, got, want)
+        if ok:
+            assert same(got, want), raw
+        else:  # the parser names a byte that is not UTF-8 as the byte
+            assert got == (want[0], want[1].replace("\\udcff", "\\xff"))
+
+    @pytest.mark.parametrize("alphabet, byte", [
+        (256, "\t"), (256, "/"), (256, "\x00"), (11, ":"), (1000, ":"), (1000, "\r"),
+    ])
+    def test_a_byte_that_wraps_into_the_alphabet_is_no_entry(self, alphabet, byte):
+        # the byte less '0' wraps to 217, 255, 208, 10, 10 and 221 in uint8
+        text = serialize_moa(MixedOA((2, alphabet), np.array([[0, 1], [1, 5]]), 1))
+        bad = text.replace("1 5\n", f"1 {byte}\n")
+        with pytest.raises(FormatError) as err:
+            parse_moa(bad)
+        assert (err.value.line, str(err.value)) == _oracle_error(oracles.oracle_parse_moa, bad)
+
+    def test_only_the_respaced_chunk_is_tokenised(self):
+        arr = net_to_mooa(corpus.hammersley(2, 8), 0, EVector((1, 1)))  # 32-byte lines
+        lines = serialize_mooa(arr).split("\n")
+        lines[203] = lines[203].replace(" ", "\t", 1)  # body line 200
+        with mock.patch.object(io, "_CHUNK_BYTES", 100), \
+                mock.patch.object(io, "_tokenise", wraps=io._tokenise) as tokenise:
+            assert parse_mooa("\n".join(lines)) == arr
+            assert tokenise.call_count == 1  # of 64 chunks of 4 lines
+            lines[203] = lines[203][:-1] + "2"
+            with pytest.raises(FormatError) as err:
+                parse_mooa("\n".join(lines))
+        assert err.value.line == 204
+        assert str(err.value) == "line 204: entry 2 outside [0, 2) in column 15"
+
+    def test_canonical_and_respaced_files_read_the_same(self):
+        points = corpus.hammersley(2, 6)
+        net = serialize_net(points, 0, (1, 1))
+        mooa = serialize_mooa(net_to_mooa(points, 0, EVector((1, 1))))
+        for text, header, parse in ((net, 3, parse_net), (mooa, 4, parse_mooa)):
+            head, body = text.split("\n", header)[:header], text.split("\n", header)[header]
+            respaced = "\n".join(head) + "\n" + body.replace(" ", "\t")
+            with mock.patch.object(io, "_tokenise", wraps=io._tokenise) as tokenise:
+                canonical = parse(text)
+                assert tokenise.call_count == 0
+                assert parse(respaced) == canonical
+                assert tokenise.call_count == 1
 
 
 class TestSerializersMatchLineOracle:

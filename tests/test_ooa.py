@@ -60,6 +60,15 @@ class TestEnumerateProfiles:
         for kappa in oracles.brute_profiles(m, u, e, beta, "all"):
             assert any(all(km >= k for k, km in zip(kappa, mx)) for mx in maximal)
 
+    def test_each_call_gets_its_own_list_of_one_enumeration(self):
+        from evnets import ooa
+        ooa._maximal_profiles.cache_clear()
+        first = enumerate_profiles(5, 1, (1, 2), (3, 2))
+        first.clear()
+        again = enumerate_profiles(6, 2, EVector((1, 2)), [3, 2])  # the same budget
+        assert again == oracles.brute_profiles(5, 1, (1, 2), (3, 2), "maximal")
+        assert ooa._maximal_profiles.cache_info().misses == 1
+
 
 class TestNetToMooa:
     def test_reference_layout(self, ham23):
@@ -274,6 +283,16 @@ class TestMooaToNet:
         assert not err.value.verdict
         with pytest.raises(TypeError):  # no unchecked path
             mooa_to_net(bad, check=False)
+
+    @pytest.mark.parametrize("points, e", [
+        (corpus.hammersley(16, 2), (2, 2)),  # alphabet 256 in uint8, base 16
+        (corpus.hammersley(2, 4), (2, 1)),
+        (corpus.grid_1d(300, 1), (1,)),      # int64 rows and digits
+    ], ids=["b16-e22", "b2-e21", "b300"])
+    def test_blocks_split_back_into_digits(self, points, e):
+        arr = net_to_mooa(points, 0, e)
+        back = mooa_to_net(arr)
+        assert back == points and back.digits.dtype == points.digits.dtype
 
     def test_base3_round_trip(self, ham32):
         arr = net_to_mooa(ham32, 0, (1, 1))

@@ -145,6 +145,26 @@ class TestDigits:
         assert got.dtype == np.uint8 and got.tolist() == want
         assert digit_matrix(np.array(values), 4, 7).tolist() == want
 
+    def test_uint8_values_split_as_int64_values(self):
+        # uint8 values divide in uint8 for bases up to 255: the same digits
+        # as the int64 route, under value-based promotion as under NEP 50
+        values = np.arange(256, dtype=np.uint8)
+        for base in range(2, 257):
+            for width in (1, 2, 3):
+                got = digit_matrix(values, width, base)
+                want = digit_matrix(values.astype(np.int64), width, base)
+                assert got.dtype == want.dtype == np.uint8
+                assert np.array_equal(got, want), (base, width)
+        assert digit_matrix(values, 2, 16).tolist() == [[v // 16, v % 16] for v in range(256)]
+
+    def test_digit_matrix_splits_a_block_of_columns(self, monkeypatch):
+        monkeypatch.setattr(_util, "_CHUNK_BYTES", 8 * 3 * 2 * 2)  # two rows per chunk
+        rows = np.arange(48, dtype=np.uint8).reshape(8, 6)  # below 7**2
+        block = rows[:, 1:4]  # a strided view
+        got = digit_matrix(block, 2, 7)
+        assert got.shape == (8, 3, 2)
+        assert got.tolist() == [[[v // 7, v % 7] for v in row] for row in block.tolist()]
+
     def test_digit_window_reads_digit_windows(self):
         digits = np.array([[[1, 0, 1, 1]], [[0, 1, 1, 0]]], dtype=np.int64)
         assert list(window(digits, 0, 0, 2, 2)) == [2, 1]
