@@ -46,8 +46,11 @@ def _stored(arr: np.ndarray, limit: int) -> np.ndarray:
     return arr
 
 
-def _out_of_range(col: np.ndarray, limit: int) -> bool:
-    return bool(col.size) and (int(col.min()) < 0 or int(col.max()) >= limit)
+def _out_of_range(a: np.ndarray, limit: int) -> bool:
+    """Whether an entry of ``a`` lies outside [0, limit); uint8 is never negative."""
+    if not a.size:
+        return False
+    return (a.dtype != np.uint8 and int(a.min()) < 0) or int(a.max()) >= limit
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,13 +219,15 @@ class MixedOOA:
                              f"got {arr.shape[0]}")
         if arr.shape[1] != sum(beta):
             raise ParamError(f"expected sum(beta) = {sum(beta)} columns, got {arr.shape[1]}")
-        col = 0
+        # one reduction a block; a failed block is searched for its first column
+        start = 0
         for i, (bi, ei) in enumerate(zip(beta, e)):
             alph = self.base ** ei
-            for _ in range(bi):
-                if _out_of_range(arr[:, col], alph):
-                    raise ParamError(f"column {col} (block {i}) must lie in [0, {alph})")
-                col += 1
+            block = arr[:, start:start + bi]
+            if _out_of_range(block, alph):
+                col = start + next(j for j in range(bi) if _out_of_range(block[:, j], alph))
+                raise ParamError(f"column {col} (block {i}) must lie in [0, {alph})")
+            start += bi
         widest = max((ei for bi, ei in zip(beta, e) if bi), default=0)
         object.__setattr__(self, "rows", _stored(arr, self.base ** widest))
 

@@ -16,13 +16,18 @@ every admissible shape lives in ``tests/oracles.py`` as the reference.
 
 Two routes decide the same shapes with the same verdict and witness. Counting
 bincounts every point's box for each shape through ``_util.PrefixTable``. A
-point set whose digit vectors form an F_b-subspace (a digital net over a prime
-base, in any order) is decided by ranks instead: shape d is uniform exactly
-when the basis columns of the first d_i digits of every coordinate i are
-independent, and when their rank r falls short of sum d, the zero box holds
-the b**(m - r) points of the kernel and is the first cell counting would
-report. The rank route is taken only where counting would touch more digits
-than recovering the basis from the points does.
+point set P that equals an F_b-subspace S up to a sparse correction P - S (a
+digital net over a prime base, in any order, perhaps with a few wrong,
+missing or repeated points) is decided by ranks instead. Where the basis
+columns of the first d_i digits of every coordinate i are independent, S
+fills every cell of shape d evenly, so the failing cells are those where the
+correction's weights do not cancel. Where their rank r falls short of sum d,
+the zero cell holds the b**(m - r) points of the kernel plus the correction
+there, and is the first cell counting would report; only when that sum is
+the expected count after all is the shape counted. The rank route is taken
+only where counting would touch more digits than recovering the basis from
+the points does, and only while placing the correction costs less than
+counting.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import bisect
 import random
 from functools import lru_cache
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -118,9 +123,10 @@ def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str) -> EV
     return e
 
 
-# Rows drawn beyond m for the sample whose rank must be m: a subspace spans
-# from the sample except with probability about b**-_SAMPLE_EXTRA, and then
-# counting decides it.
+# Rows drawn beyond m for the sample whose rank must be m: the members of a
+# subspace among them span it except with probability about
+# b**-_SAMPLE_EXTRA, and a sampled point off the subspace lifts the rank above
+# m; either way counting decides the input.
 _SAMPLE_EXTRA = 32
 
 # Fixed cost of recovering a basis, in digits counting could scan meanwhile.
@@ -134,23 +140,44 @@ def _rank_pays(points: PointSet, shapes: int) -> bool:
     return n * shapes > n * s * m + _RANK_OVERHEAD
 
 
-def _row_space(points: PointSet) -> np.ndarray | None:
-    """A reduced m x (s*m) basis over F_b whose row space is the point set's
-    digit vectors, or None when there is none.
+def _correction_pays(points: PointSet, size: int) -> bool:
+    """Whether placing ``size`` correction entries in a shape's cells touches
+    fewer digits than counting the shape: s*m digits an entry, one a point."""
+    n, s, m = points.digits.shape
+    return size * s * m < n
 
-    None when b is not prime, when a fixed sample of rows has rank other than
-    m, when a point fails ``V == (V[:, pivots] @ B) % b`` (checked a chunk of
-    points at a time, stopping at the first mismatch), or when two points
-    share their pivot digits. Otherwise the b**m points are distinct members
-    of a space of b**m vectors, so they are all of it.
+
+def _sample_rows(n: int, m: int) -> list[int]:
+    """The fixed rows whose reduction gives the basis."""
+    return random.Random(0).sample(range(n), min(n, m + _SAMPLE_EXTRA))
+
+
+# (basis, correction vectors, their weights), as ``_row_space`` recovers them
+Space = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# (shape, cell, observed, expected): the first non-uniform cell of a shape
+Failure = tuple[Shape, int, int, int]
+
+
+def _row_space(points: PointSet) -> Space | None:
+    """An F_b-subspace S that the point set P equals up to a sparse
+    correction: (basis, vectors, weights), or None when there is none.
+
+    The basis is a reduced m x (s*m) one whose row space is S. The correction
+    P - S lists distinct digit vectors with nonzero weights: its multiplicity
+    in P for a vector off S, and multiplicity - 1 for each member of S that P
+    misses or repeats; it is empty exactly when P is S. None when b is not
+    prime, when a fixed sample of rows has rank other than m, or when the
+    correction grows too large to pay (``_correction_pays``). A point is a
+    member when ``V == (V[:, pivots] @ B) % b``, checked a chunk of points
+    at a time.
     """
     b = points.base
     n, s, m = points.digits.shape
     if not is_prime(b):
         return None
     flat = points.digits.reshape(n, s * m)
-    sample = random.Random(0).sample(range(n), min(n, m + _SAMPLE_EXTRA))
-    basis, pivots = _reduce(flat[sample].astype(np.int64), b, m)
+    basis, pivots = _reduce(flat[_sample_rows(n, m)].astype(np.int64), b, m)
     if basis is None:
         return None
     # a point's pivot digits are its coefficients in the basis, so their
@@ -162,6 +189,11 @@ def _row_space(points: PointSet) -> np.ndarray | None:
     high, low = _span(basis[:h], b, dtype), _span(basis[h:], b, dtype)
     low_cells = b ** (m - h)
     seen = np.zeros(n, dtype=bool)
+    outside = [flat[:0]]  # points off the span
+    again: list[np.ndarray] = []  # keys of members met before, once per repeat
+    # each point off the span or repeated leaves one member missing, so the
+    # correction holds at least as many entries as there are such points
+    leaving = 0
     for rows in row_chunks(n, s * m):
         v = flat[rows]
         key = rank_rows(v[:, pivots], [b] * m)
@@ -170,9 +202,26 @@ def _row_space(points: PointSet) -> np.ndarray | None:
         # a sum below b wraps above it when b is subtracted, so the smaller is the sum mod b
         np.minimum(total, total - dtype.type(b), out=total)
         if not np.array_equal(total, v):
-            return None
+            member = (total == v).all(axis=1)
+            outside.append(v[~member])
+            key = key[member]
+        key.sort()
+        repeat = seen[key]
+        repeat[1:] |= key[1:] == key[:-1]
         seen[key] = True
-    return basis if seen.all() else None
+        again.append(key[repeat])
+        leaving += rows.stop - rows.start - len(key) + len(again[-1])
+        if not _correction_pays(points, leaving):
+            return None
+    missing = np.flatnonzero(~seen)
+    repeated, extra = np.unique(np.concatenate(again), return_counts=True)
+    strays, copies = np.unique(np.concatenate(outside), axis=0, return_counts=True)
+    if not _correction_pays(points, len(missing) + len(repeated) + len(strays)):
+        return None
+    members = digit_matrix(np.concatenate([missing, repeated]), m, b).astype(np.int64) @ basis % b
+    vectors = np.concatenate([members, strays.astype(np.int64)])
+    weights = np.concatenate([np.full(len(missing), -1), extra, copies])
+    return basis, vectors, weights
 
 
 def _reduce(rows: np.ndarray, b: int, m: int) -> tuple[np.ndarray | None, list[int]]:
@@ -211,71 +260,134 @@ def _span(rows: np.ndarray, b: int, dtype: type) -> np.ndarray:
     return span.astype(dtype)
 
 
-def _first_dependent(basis: np.ndarray, b: int, shapes: Sequence[Shape]
-                     ) -> tuple[int, int] | None:
-    """Index of the first shape whose basis columns are dependent, with their
-    rank; None when every shape's columns are independent.
+def _ranks(columns: np.ndarray, b: int, depths: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Rank over F_b of each shape's basis columns, for a chunk of shapes
+    given as a (shapes, s) array of depths and their sums.
 
-    Shape d takes columns i*m + l, l < d_i, of the m x (s*m) basis. Each
-    chunk of shapes packs its columns as the rows of a (shapes, sum d, m)
-    stack and eliminates over F_b all at once: each step takes, per shape, a
-    row not yet used with a nonzero entry in the step's position, scales it
-    to 1 there and clears that position in every row. The rank is the count
-    of steps that found a row.
+    Shape d takes columns i*m + l, l < d_i, of the m x (s*m) basis, which
+    are the rows of ``columns``. The chunk packs them as the rows of a
+    (shapes, sum d, m) stack and eliminates over F_b all at once: each step
+    takes, per shape, a row not yet used with a nonzero entry in the step's
+    position, scales it to 1 there and clears that position in every row.
+    The rank is the count of steps that found a row.
     """
-    m = basis.shape[0]
-    s = basis.shape[1] // m
-    vectors = basis.T.astype(np.int64)  # row i*m + l: basis column i*m + l
+    k, s = depths.shape
+    m = columns.shape[1]
+    width = int(sums.max())
+    if width == 0:  # only the empty shape, which takes no column
+        return np.zeros(k, dtype=np.int64)
+    taken = (np.arange(m) < depths[:, :, None]).reshape(k, s * m)
+    # the taken columns first, in order; rows past sum d zeroed
+    order = np.argsort(~taken, axis=1, kind="stable")[:, :width]
+    stack = columns[order]
+    stack[np.arange(width) >= sums[:, None]] = 0
     inverse = np.array([0] + [pow(x, -1, b) for x in range(1, b)], dtype=np.int64)
-    depth_of = np.arange(m)
-    for chunk in row_chunks(len(shapes), m * max(m, s)):
+    used = np.zeros(stack.shape[:2], dtype=bool)
+    every = np.arange(k)
+    for c in range(m):
+        live = (stack[:, :, c] != 0) & ~used
+        row = live.argmax(axis=1)
+        pivot = stack[every, row]
+        pivot = pivot * inverse[pivot[:, c]][:, None] % b  # zero where none is live
+        stack -= stack[:, :, c, None] * pivot[:, None, :]
+        stack %= b
+        used[every, row] |= live[every, row]
+    return used.sum(axis=1)
+
+
+def _cells(vectors: np.ndarray, b: int, depths: np.ndarray) -> np.ndarray:
+    """The cell of every digit vector in every shape of a chunk, as the
+    (shapes, vectors) array of the mixed-radix ranks counting uses: digit l
+    of coordinate i, l < d_i, weighs b**(d_i - 1 - l + the sum of d_j, j > i)."""
+    k, s = depths.shape
+    m = vectors.shape[1] // s
+    later = depths[:, ::-1].cumsum(axis=1)[:, ::-1] - depths
+    power = (depths + later - 1)[:, :, None] - np.arange(m)
+    place = np.where(power >= later[:, :, None], b ** np.maximum(power, 0), 0)
+    return place.reshape(k, s * m) @ vectors.T
+
+
+def _net_weights(cells: np.ndarray, weights: np.ndarray, bound: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``cells`` (each entry's cell under one shape, all below
+    ``bound``), summing ``weights`` by cell: the lowest cell whose sum is
+    nonzero, or -1; that sum, or 0; and the sum at cell 0."""
+    k = cells.shape[0]
+    lowest, excess, at_zero = np.full(k, -1), np.zeros(k, np.int64), np.zeros(k, np.int64)
+    if not weights.size:
+        return lowest, excess, at_zero
+    # one key per (shape, cell), so one sort groups every shape's cells in order
+    keys = (cells + bound * np.arange(k)[:, None]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(np.tile(weights, k)[order], starts)
+    row, cell = np.divmod(keys[starts], bound)
+    zero = cell == 0
+    at_zero[row[zero]] = sums[zero]
+    bad = np.flatnonzero(sums)
+    rows, first = np.unique(row[bad], return_index=True)
+    lowest[rows], excess[rows] = cell[bad[first]], sums[bad[first]]
+    return lowest, excess, at_zero
+
+
+def _ranked_failure(points: PointSet, shapes: Sequence[Shape], space: Space,
+                    count: Callable[[Sequence[Shape]], Failure | None]) -> Failure | None:
+    """The first failing shape, decided by ranks of the recovered subspace S
+    and its correction; None on a pass.
+
+    Where shape d's columns have full rank, S puts ``expected`` points in
+    every cell, so the failing cells are those where the correction's net
+    weight is nonzero. Where the rank r falls short of sum d, S puts b**(m -
+    r) points in cell 0, the first cell; when the correction there makes
+    that ``expected`` after all, ``count`` decides the shape.
+    """
+    basis, vectors, weights = space
+    b = points.base
+    n, s, m = points.digits.shape
+    columns = basis.T.astype(np.int64)  # row i*m + l: basis column i*m + l
+    # the rank stack and a few int64 arrays of the correction's cells per shape
+    for chunk in row_chunks(len(shapes), m * max(m, s) + 4 * len(weights)):
         depths = np.array(shapes[chunk], dtype=np.int64).reshape(-1, s)
         sums = depths.sum(axis=1)
-        width = int(sums.max())
-        if width == 0:  # the empty shape is uniform
-            continue
-        taken = (depth_of < depths[:, :, None]).reshape(len(depths), s * m)
-        # the taken columns first, in order; rows past sum d zeroed
-        order = np.argsort(~taken, axis=1, kind="stable")[:, :width]
-        stack = vectors[order]
-        stack[np.arange(width) >= sums[:, None]] = 0
-        used = np.zeros(stack.shape[:2], dtype=bool)
-        every = np.arange(len(depths))
-        for c in range(m):
-            live = (stack[:, :, c] != 0) & ~used
-            row = live.argmax(axis=1)
-            pivot = stack[every, row]
-            pivot = pivot * inverse[pivot[:, c]][:, None] % b  # zero where none is live
-            stack -= stack[:, :, c, None] * pivot[:, None, :]
-            stack %= b
-            used[every, row] |= live[every, row]
-        ranks = used.sum(axis=1)
-        short = np.flatnonzero(ranks < sums)
-        if short.size:
-            return chunk.start + int(short[0]), int(ranks[short[0]])
+        ranks = _ranks(columns, b, depths, sums)
+        lowest, excess, at_zero = _net_weights(_cells(vectors, b, depths), weights, n)
+        for k in np.flatnonzero((ranks < sums) | (lowest >= 0)):
+            shape, expected = shapes[chunk.start + k], b ** (m - int(sums[k]))
+            if ranks[k] == sums[k]:
+                return shape, int(lowest[k]), expected + int(excess[k]), expected
+            observed = b ** (m - int(ranks[k])) + int(at_zero[k])
+            if observed != expected:
+                return shape, 0, observed, expected
+            failure = count([shape])
+            if failure is not None:
+                return failure
     return None
 
 
 def _decide(points: PointSet, u: int, e: EVector, shapes: list[Shape],
-            basis: np.ndarray | None) -> Verdict:
-    """The verdict on the quality-u ``shapes``: by ranks of ``basis`` when one
-    is given, else by counting every point's box."""
+            space: Space | None) -> Verdict:
+    """The verdict on the quality-u ``shapes``: by ranks of a subspace and
+    its correction when ``space`` gives them, else by counting every
+    point's box."""
     b, m = points.base, points.precision
-    if basis is not None:
-        hit = _first_dependent(basis, b, shapes)
-        if hit is None:
-            return Verdict(True)
-        shape = list(shapes[hit[0]])
-        return Verdict(False, {"shape": shape, "box": [0] * len(shape),
-                               "observed": b ** (m - hit[1]),
-                               "expected": b ** (m - sum(shape))})
-    table = PrefixTable.of_digits(points.digits, b, e, m - u)
-    failure = table.first_failure([d // ei for d, ei in zip(shape, e)] for shape in shapes)
+    table = None
+
+    def count(some: Sequence[Shape]) -> Failure | None:
+        nonlocal table
+        if table is None:
+            table = PrefixTable.of_digits(points.digits, b, e, m - u)
+        failure = table.first_failure([d // ei for d, ei in zip(shape, e)] for shape in some)
+        if failure is None:
+            return None
+        kappa, cell, observed, expected = failure
+        return tuple(k * ei for k, ei in zip(kappa, e)), cell, observed, expected
+
+    failure = count(shapes) if space is None else _ranked_failure(points, shapes, space, count)
     if failure is None:
         return Verdict(True)
-    kappa, cell, observed, expected = failure
-    shape = [k * ei for k, ei in zip(kappa, e)]
-    return Verdict(False, {"shape": shape, "box": unrank(cell, [b ** d for d in shape]),
+    shape, cell, observed, expected = failure
+    return Verdict(False, {"shape": list(shape), "box": unrank(cell, [b ** d for d in shape]),
                            "observed": observed, "expected": expected})
 
 
@@ -292,8 +404,8 @@ def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
     if not 0 <= u <= m:
         raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
     shapes = check_shapes(m, u, e, variant)
-    basis = _row_space(points) if _rank_pays(points, len(shapes)) else None
-    return _decide(points, u, e, shapes, basis)
+    space = _row_space(points) if _rank_pays(points, len(shapes)) else None
+    return _decide(points, u, e, shapes, space)
 
 
 def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "narrow") -> int:
@@ -302,17 +414,18 @@ def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "nar
     The narrow reading is bisected: raising u only shrinks the set of checked
     shapes, so passing at u implies passing at every v >= u. The tezuka
     reading replaces the shape set rather than shrinking it, so it tries
-    u = 0, 1, ... in turn and stops at the first pass. A basis for the rank
-    route is recovered once, when counting the u = 0 shapes would pay for it.
+    u = 0, 1, ... in turn and stops at the first pass. A subspace and its
+    correction are recovered once for the rank route, when counting the
+    u = 0 shapes would pay for it.
     """
     e = _check_net(points, e, variant)
     m = points.precision
     pays = m > 0 and _rank_pays(points, len(check_shapes(m, 0, e)))
-    basis = _row_space(points) if pays else None
+    space = _row_space(points) if pays else None
     lo, hi = 0, m
     while lo < hi:
         mid = (lo + hi) // 2 if variant == "narrow" else lo
-        if _decide(points, mid, e, check_shapes(m, mid, e, variant), basis):
+        if _decide(points, mid, e, check_shapes(m, mid, e, variant), space):
             hi = mid
         else:
             lo = mid + 1

@@ -8,6 +8,8 @@ deliberately different route:
 * digital-net witnesses via per-shape Gaussian elimination on the generating
   matrices a net was built from, instead of a basis recovered from its points
   and eliminated for many shapes at once;
+* the witness of any point set via dictionary tallies of box index vectors
+  read digit by digit, instead of prefix tables, or ranks plus a correction;
 * array uniformity via dictionary tallies over itertools enumeration instead
   of vectorized bincounts;
 * row-count bounds via generating-polynomial coefficients instead of
@@ -153,6 +155,33 @@ def digital_witness(b: int, matrices, u: int, e, variant: str = "narrow"):
         if r < sum(shape):
             return {"shape": list(shape), "box": [0] * len(shape),
                     "observed": b ** (m - r), "expected": b ** (m - sum(shape))}
+    return None
+
+
+def brute_net_witness(points, u: int, e, variant: str = "narrow"):
+    """The verify_net witness of any point set, None on a pass: shape by
+    shape in lexicographic order, a dictionary tally of every point's box
+    index vector (each index read digit by digit), then box by box in
+    lexicographic order."""
+    b = points.base
+    m = points.precision
+    rows = points.digits.tolist()
+    mode = "maximal" if variant == "narrow" else "all"
+    for shape in brute_shapes(m, u, e, variant, mode):
+        expected = len(rows) // b ** sum(shape)
+        tally: dict[tuple, int] = {}
+        for point in rows:
+            index = []
+            for coord, d in zip(point, shape):
+                a = 0
+                for digit in coord[:d]:
+                    a = a * b + digit
+                index.append(a)
+            tally[tuple(index)] = tally.get(tuple(index), 0) + 1
+        for index in itertools.product(*(range(b ** d) for d in shape)):
+            if tally.get(index, 0) != expected:
+                return {"shape": list(shape), "box": list(index),
+                        "observed": tally.get(index, 0), "expected": expected}
     return None
 
 

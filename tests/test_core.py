@@ -184,6 +184,28 @@ class TestMixedOOA:
         with pytest.raises(ParamError):
             MixedOOA(2, 2, 0, EVector((1, 2)), (1, 1), bad)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    @pytest.mark.parametrize("where", [(0,), (1,), (2,), (1, 2), (2, 0)],
+                             ids=["first", "middle", "last", "middle+last", "last+first"])
+    def test_out_of_range_names_the_first_bad_column(self, dtype, block, where):
+        # blocks of three columns with alphabets 2, 4, 2: columns 0-2, 3-5, 6-8
+        e, beta = EVector((1, 2, 1)), (3, 3, 3)
+        alphabets = [2] * 3 + [4] * 3 + [2] * 3
+        rows = np.random.default_rng(block).integers(0, 2, (64, 9)).astype(dtype)
+        for k, j in enumerate(where):
+            col = 3 * block + j
+            rows[5 + k, col] = -1 if dtype == np.int64 and k else alphabets[col] + k
+        rows[60, 8] = 7  # the last column is bad too, and never the first bad one
+        # the reference: columns in order, each checked on its own
+        first = next(j for j in range(9) if not 0 <= rows[:, j].astype(int).min()
+                     or rows[:, j].max() >= alphabets[j])
+        want = f"column {first} (block {first // 3}) must lie in [0, {alphabets[first]})"
+        assert first == 3 * block + min(where)
+        with pytest.raises(ParamError) as err:
+            MixedOOA(2, 6, 0, e, beta, rows)
+        assert str(err.value) == want
+
 
 # ---------------------------------------------------------------------------
 # Verdict

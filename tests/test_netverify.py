@@ -421,7 +421,6 @@ class TestRankRoute:
         assert len(steps) > 2
 
     @pytest.mark.parametrize("p", [
-        pytest.param(corpus.flip_digit(corpus.faure(5, 5, 5), 1234, 2, 3), id="flip_digit"),
         pytest.param(_shifted(corpus.faure(5, 5, 5)), id="shifted"),
         pytest.param(corpus.random_pointset(5, 5, 5, 0), id="random"),
         pytest.param(corpus.random_pointset(2, 12, 4, 1), id="random-b2"),
@@ -459,8 +458,9 @@ class TestRankRoute:
 
     def test_recovered_basis_spans_the_points(self):
         p = corpus.faure(3, 4, 3)
-        basis = netverify._row_space(p)
+        basis, vectors, weights = netverify._row_space(p)
         assert basis.shape == (4, 12)
+        assert vectors.shape == (0, 12) and weights.shape == (0,)  # no correction
         n, s, m = p.digits.shape
         coeffs = _util.digit_matrix(range(3 ** 4), 4, 3).astype(np.int64)
         span = {tuple(row) for row in coeffs @ basis % 3}
@@ -469,6 +469,172 @@ class TestRankRoute:
     @pytest.mark.parametrize("b", [4, 6, 9])
     def test_composite_bases_have_no_basis(self, b):
         assert netverify._row_space(_module_set(b, 2, 2, 0)) is None
+
+
+# ---------------------------------------------------------------------------
+# the rank route for a subspace with a few wrong points
+
+def _correction(points, net):
+    """P - S by plain multiset difference: {digit vector: weight} over the
+    vectors whose multiplicities differ between ``points`` and ``net``."""
+    counts = {}
+    for sign, q in ((1, points), (-1, net)):
+        for row in q.digits.reshape(q.count, -1).tolist():
+            counts[tuple(row)] = counts.get(tuple(row), 0) + sign
+    return {row: w for row, w in counts.items() if w}
+
+
+def _recovered(space):
+    """The correction ``_row_space`` found, as {digit vector: weight}; each
+    vector listed once."""
+    _, vectors, weights = space
+    recovered = {tuple(row): w for row, w in zip(vectors.tolist(), weights.tolist())}
+    assert len(recovered) == len(weights)
+    return recovered
+
+
+# one or two sizes per base, each with rows outside the recovery's sample
+_ALTERED_SIZES = {2: (6, 7), 3: (4,), 5: (3,), 7: (2, 3)}
+
+
+@st.composite
+def _altered_nets(draw):
+    """(altered point set, the digital net it came from): a net over F_b
+    with an identity first matrix, in a random order, then 1-3 changes to
+    rows outside the sample: a digit bumped, a point copied over another,
+    or one coordinate swapped between two points."""
+    b = draw(st.sampled_from(sorted(_ALTERED_SIZES)), label="b")
+    m = draw(st.sampled_from(_ALTERED_SIZES[b]), label="m")
+    s = draw(st.integers(1, 3), label="s")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    mats = [np.eye(m, dtype=np.int64)] + [rng.integers(0, b, (m, m)) for _ in range(s - 1)]
+    net = corpus.digital_net(b, mats)
+    n = net.count
+    digits = net.digits[rng.permutation(n)].astype(np.int64)
+    free = st.sampled_from(sorted(set(range(n)) - set(netverify._sample_rows(n, m))))
+    for _ in range(draw(st.integers(1, 3), label="changes")):
+        kind = draw(st.sampled_from(["flip", "duplicate", "swap"]))
+        i, c = draw(free), draw(st.integers(0, s - 1))
+        if kind == "flip":
+            l, step = draw(st.integers(0, m - 1)), draw(st.integers(1, b - 1))
+            digits[i, c, l] = (digits[i, c, l] + step) % b
+        elif kind == "duplicate":
+            digits[i] = digits[draw(st.integers(0, n - 1))]
+        else:
+            j = draw(free)
+            digits[[i, j], c] = digits[[j, i], c]
+    return PointSet(b, digits), net
+
+
+class TestCorrectedRankRoute:
+    def test_flipped_digit_is_one_point_off_and_one_missing(self, monkeypatch):
+        # faure(5,5,5) with one flipped digit: formerly counted in full
+        net = corpus.faure(5, 5, 5)
+        p = corpus.flip_digit(net, 1234, 2, 3)
+        e = EVector.coerce((1,) * 5)
+        shapes = check_shapes(5, 0, e)
+        assert netverify._rank_pays(p, len(shapes))
+        space = netverify._row_space(p)
+        assert _recovered(space) == {tuple(p.digits[1234].reshape(-1).tolist()): 1,
+                                     tuple(net.digits[1234].reshape(-1).tolist()): -1}
+        counted = netverify._decide(p, 0, e, shapes, None)
+        star = next(u for u in range(6) if netverify._decide(p, u, e, check_shapes(5, u, e), None))
+        calls = _count_kernel_calls(monkeypatch)
+        # a (0,5,5)-net: every shape has full rank, so no fallback counts anything
+        assert _as_tuple(verify_net(p, 0, e)) == _as_tuple(counted)
+        assert not counted
+        assert u_star(p, e) == star
+        assert calls == []
+
+    def test_cancelling_cell_zero_counts_that_shape(self, monkeypatch):
+        # C_1 = anti-identity with rows 2 and 3 swapped: shapes (0,6), (1,5)
+        # and (2,4) have full rank, (3,3) reads a_2 twice and has rank 5, so
+        # S puts the kernel {0, x = e_3} in its cell 0
+        b, m = 2, 6
+        c1 = np.eye(m, dtype=np.int64)[[5, 4, 2, 3, 1, 0]]
+        net = corpus.digital_net(b, [np.eye(m, dtype=np.int64), c1])
+        digits = net.digits.astype(np.int64)
+        flat = digits.reshape(net.count, -1)
+        x = next(n for n in range(net.count)
+                 if not flat[n, :3].any() and not flat[n, 6:9].any() and flat[n].any())
+        free = sorted(set(range(net.count)) - set(netverify._sample_rows(net.count, m)))
+        digits[[x, free[0]]] = digits[[free[0], x]]  # x onto a row outside the sample
+        # x leaves cell 0 of (3,3) by a digit no earlier shape reads, so that
+        # cell holds the expected single point and the shape must be counted
+        digits[free[0], 0, 2] ^= 1
+        p = PointSet(b, digits)
+        e = EVector.coerce((1, 1))
+        shapes = check_shapes(m, 0, e)
+        space = netverify._row_space(p)
+        assert _recovered(space) == _correction(p, net) and len(_recovered(space)) == 2
+        want = {"shape": [3, 3], "box": [0, 1], "observed": 0, "expected": 1}
+        assert oracles.brute_net_witness(p, 0, e) == want
+        assert _as_tuple(netverify._decide(p, 0, e, shapes, None)) == (False, want)
+        calls = _count_kernel_calls(monkeypatch)
+        assert _as_tuple(netverify._decide(p, 0, e, shapes, space)) == (False, want)
+        assert calls == [b ** 6]  # that one shape, and nothing else
+
+    def test_a_sampled_point_off_the_subspace_takes_counting(self, monkeypatch):
+        net = corpus.faure(5, 5, 5)
+        row = netverify._sample_rows(net.count, 5)[0]
+        p = corpus.flip_digit(net, row, 2, 3)
+        e = (1,) * 5
+        shapes = check_shapes(5, 0, e)
+        assert netverify._rank_pays(p, len(shapes))
+        assert netverify._row_space(p) is None
+        calls = _count_kernel_calls(monkeypatch)
+        v = verify_net(p, 0, e)
+        assert len(calls) == shapes.index(tuple(v.witness["shape"])) + 1
+
+    def test_a_correction_past_the_limit_takes_counting(self, monkeypatch):
+        net = corpus.faure(5, 5, 5)
+        free = sorted(set(range(net.count)) - set(netverify._sample_rows(net.count, 5)))
+        # each flip of a distinct point adds one point off S and one missing member
+        flips = max(k for k in range(net.count) if netverify._correction_pays(net, 2 * k))
+        e = (1,) * 5
+        shapes = check_shapes(5, 0, e)
+        for k in (flips, flips + 1):
+            p = net
+            for row in free[:k]:
+                p = corpus.flip_digit(p, row, row % 5, row % 3)
+            assert netverify._rank_pays(p, len(shapes))
+            space = netverify._row_space(p)
+            calls = _count_kernel_calls(monkeypatch)
+            v = verify_net(p, 0, e)
+            if k == flips:
+                assert len(_recovered(space)) == 2 * k
+                assert _recovered(space) == _correction(p, net)
+                assert calls == []
+            else:
+                assert space is None
+                assert len(calls) == shapes.index(tuple(v.witness["shape"])) + 1
+            monkeypatch.undo()
+
+    @settings(deadline=None, max_examples=60)
+    @given(_altered_nets(), st.data())
+    def test_agrees_with_counting_and_oracle(self, altered, data):
+        p, net = altered
+        m, s = p.precision, p.dim
+        e = EVector.coerce(tuple(data.draw(st.integers(1, 2), label="e_i") for _ in range(s)))
+        u = data.draw(st.integers(0, m), label="u")
+        variant = data.draw(st.sampled_from(["narrow", "tezuka"]), label="variant")
+        want = oracles.brute_net_witness(p, u, e, variant)
+        shapes = check_shapes(m, u, e, variant)
+        assert _as_tuple(netverify._decide(p, u, e, shapes, None)) == (want is None, want)
+        correction = _correction(p, net)
+        space = netverify._row_space(p)
+        # the sample holds no altered row, so only the size limit refuses
+        assert (space is None) == (not netverify._correction_pays(p, len(correction)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netverify, "_correction_pays", lambda points, size: True)
+            space = netverify._row_space(p)
+            assert _recovered(space) == correction
+            assert _as_tuple(netverify._decide(p, u, e, shapes, space)) == (want is None, want)
+            # and through the public entries, with the rank route forced
+            mp.setattr(netverify, "_rank_pays", lambda points, shapes: True)
+            assert _as_tuple(verify_net(p, u, e, variant)) == (want is None, want)
+            assert u_star(p, e, variant) == next(
+                v for v in range(m + 1) if oracles.brute_net_witness(p, v, e, variant) is None)
 
 
 # ---------------------------------------------------------------------------
