@@ -4,6 +4,7 @@ uniformity kernel every verifier shares."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -127,76 +128,62 @@ def _first_nonuniform(keys: np.ndarray, cells: int, expected: int) -> tuple[int,
     return int(bad[0]), int(counts[bad[0]])
 
 
+@dataclass(eq=False)
 class PrefixTable:
-    """Prefix values of every coordinate by depth, built once per input.
+    """Prefix values of every coordinate of a digit tensor by depth, built
+    once per input by :meth:`of_digits`.
 
-    Coordinate i reads a sequence of blocks (symbols below ``radices[i]``);
-    its prefix of depth k is P[i][k] = P[i][k-1] * radices[i] + block_k, so
-    the key of a depth profile kappa is the mixed-radix rank of
-    (P[0][kappa_0], ..., P[s-1][kappa_{s-1}]), first coordinate most
-    significant. A net's blocks are its width-e_i digit windows; an ordered
-    array's blocks are its columns.
-
-    ``cells`` bounds every prefix and key the table holds (b**(m-u) for a
-    quality-u check). The table is stored as int32 whenever cells < 2**31,
-    which halves its memory against int64.
+    Coordinate i's prefix of depth d = k*e_i is P[i][k] = P[i][k-1] * b**e_i
+    + (its k-th width-e_i digit window), so a row's box of shape d is the
+    mixed-radix rank of (P[i][d_i / e_i])_i, first coordinate most
+    significant. Stored as int32 while b**depth < 2**31, which halves its
+    memory against int64.
     """
 
-    def __init__(self, blocks: Iterable[Iterable[np.ndarray]], radices: Sequence[int],
-                 n: int, cells: int):
-        self.n = n
-        self.radices = [int(r) for r in radices]
-        self.dtype = self.dtype_for(cells)
-        self.levels: list[list[np.ndarray]] = []  # levels[i][k-1] is P[i][k]
-        for coord_blocks, radix in zip(blocks, self.radices):
-            level: list[np.ndarray] = []
-            for block in coord_blocks:
-                if level:
-                    value = level[-1] * radix
-                    value += block
-                else:  # levels are never written, so this may be the block itself
-                    value = block.astype(self.dtype, copy=False)
-                level.append(value)
-            self.levels.append(level)
-
-    @staticmethod
-    def dtype_for(cells: int) -> type:
-        return np.int32 if cells < 2 ** 31 else np.int64
+    n: int
+    base: int
+    e: Sequence[int]
+    dtype: type
+    levels: list[list[np.ndarray]]  # levels[i][k-1] is P[i][k]
 
     @classmethod
     def of_digits(cls, digits: np.ndarray, base: int, e: Sequence[int],
                   depth: int) -> "PrefixTable":
         """Table of an (N, s, m) digit tensor: width-e_i windows of coordinate
         i, as many as fit in the first ``depth`` digits."""
-        n, dtype = digits.shape[0], cls.dtype_for(base ** depth)
-        blocks = ((digit_window(digits, i, k * ei, ei, base, np.empty(n, dtype))
-                   for k in range(depth // ei))
-                  for i, ei in enumerate(e))
-        return cls(blocks, [base ** ei for ei in e], n, base ** depth)
+        n, dtype = digits.shape[0], np.int32 if base ** depth < 2 ** 31 else np.int64
+        levels: list[list[np.ndarray]] = []
+        for i, ei in enumerate(e):
+            level: list[np.ndarray] = []
+            for k in range(depth // ei):
+                value = digit_window(digits, i, k * ei, ei, base, np.empty(n, dtype))
+                if level:
+                    value += level[-1] * base ** ei
+                level.append(value)
+            levels.append(level)
+        return cls(n, base, e, dtype, levels)
 
-    def keys(self, kappa: Sequence[int]) -> np.ndarray:
-        """Rank of every row's prefix tuple at depth profile ``kappa``."""
+    def keys(self, shape: Sequence[int]) -> np.ndarray:
+        """Box index of every row at ``shape`` (each d_i a multiple of e_i)."""
         keys = np.zeros(self.n, dtype=self.dtype)
-        for level, k, radix in zip(self.levels, kappa, self.radices):
-            if k:
-                keys *= radix ** k
-                keys += level[k - 1]
+        for level, d, ei in zip(self.levels, shape, self.e):
+            if d:
+                keys *= self.base ** d
+                keys += level[d // ei - 1]
         return keys
 
-    def first_failure(self, profiles: Iterable[Sequence[int]]
+    def first_failure(self, shapes: Iterable[Sequence[int]]
                       ) -> tuple[Sequence[int], int, int, int] | None:
-        """First profile, in the given order, whose cells are not uniformly
-        filled: (kappa, cell, observed, expected), or None if all are.
+        """First shape, in the given order, whose boxes are not uniformly
+        filled: (shape, box index, observed, expected), or None if all are.
 
-        Expected counts assume the row count is a multiple of every profile's
+        Expected counts assume the row count is a multiple of every shape's
         cell count, as it is for b**m rows and cells b**depth with depth <= m.
         """
-        for kappa in profiles:
-            cells = 1
-            for k, radix in zip(kappa, self.radices):
-                cells *= radix ** k
+        for shape in shapes:
+            cells = self.base ** sum(shape)
             expected = self.n // cells
-            hit = _first_nonuniform(self.keys(kappa), cells, expected)
+            hit = _first_nonuniform(self.keys(shape), cells, expected)
             if hit is not None:
-                return kappa, hit[0], hit[1], expected
+                return shape, hit[0], hit[1], expected
         return None

@@ -302,8 +302,7 @@ def cmd_report(args) -> int:
     strength = oa.max_strength(array) if array is not None else None
     mooa_ok = beta = None
     if m >= star + max(e):
-        # the canonical array's columns are the digit windows the narrow check
-        # counts, and its maximal profiles are the checked shapes divided by e
+        # verify-mooa's verdict on the canonical array: the narrow check at u_star
         beta = ooa.canonical_beta(m, star, e)
         mooa_ok = bool(netverify.verify_net(points, star, e))
     feas = bounds.feasibility_report(b, m, e, "net")

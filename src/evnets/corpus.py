@@ -232,7 +232,7 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
     # the narrowest unsigned dtype that holds every box index
     box_key = np.zeros((n_candidates, len(shapes)), dtype=np.min_scalar_type(len(room) - 1))
     for j, d in enumerate(shapes):
-        box_key[:, j] = table.keys([di // ei for di, ei in zip(d, e)])
+        box_key[:, j] = table.keys(d)
         box_key[:, j] += offsets[j]  # below len(room), so it fits
     # A box of shape j fixes the same leading digits as the origin's box,
     # which holds the candidates with those digits zero; adding a box's

@@ -14,20 +14,21 @@ counts at the coarser one, and every admissible shape refines to a maximal
 one, so maximal shapes are the only ones checked. The exhaustive check over
 every admissible shape lives in ``tests/oracles.py`` as the reference.
 
-Two routes decide the same shapes with the same verdict and witness. Counting
-bincounts every point's box for each shape through ``_util.PrefixTable``. A
-point set P that equals an F_b-subspace S up to a sparse correction P - S (a
-digital net over a prime base, in any order, perhaps with a few wrong,
-missing or repeated points) is decided by ranks instead. Where the basis
-columns of the first d_i digits of every coordinate i are independent, S
-fills every cell of shape d evenly, so the failing cells are those where the
-correction's weights do not cancel. Where their rank r falls short of sum d,
-the zero cell holds the b**(m - r) points of the kernel plus the correction
-there, and is the first cell counting would report; only when that sum is
-the expected count after all is the shape counted. The rank route is taken
-only where counting would touch more digits than recovering the basis from
-the points does, and only while placing the correction costs less than
-counting.
+Two routes decide the same shapes with the same verdict and witness, for a
+point set and, through ``first_failure``, for the ordered array that encodes
+one (``ooa``). Counting bincounts every point's box for each shape through
+``_util.PrefixTable``. A point set P that equals an F_b-subspace S up to a
+sparse correction P - S (a digital net over a prime base, in any order,
+perhaps with a few wrong, missing or repeated points) is decided by ranks
+instead. Where the basis columns of the first d_i digits of every coordinate
+i are independent, S fills every cell of shape d evenly, so the failing cells
+are those where the correction's weights do not cancel. Where their rank r
+falls short of sum d, the zero cell holds the b**(m - r) points of the kernel
+plus the correction there, and is the first cell counting would report; only
+when that sum is the expected count after all is the shape counted. The rank
+route is taken only where counting would touch more digits than recovering
+the basis from the points does, and only while placing the correction costs
+less than counting.
 """
 
 from __future__ import annotations
@@ -365,30 +366,29 @@ def _ranked_failure(points: PointSet, shapes: Sequence[Shape], space: Space,
     return None
 
 
-def _decide(points: PointSet, u: int, e: EVector, shapes: list[Shape],
-            space: Space | None) -> Verdict:
-    """The verdict on the quality-u ``shapes``: by ranks of a subspace and
-    its correction when ``space`` gives them, else by counting every
-    point's box."""
-    b, m = points.base, points.precision
+def _decide(points: PointSet, u: int, e: EVector, shapes: Sequence[Shape],
+            space: Space | None) -> Failure | None:
+    """The first failure among the quality-u ``shapes``: by ranks of a
+    subspace and its correction when ``space`` gives them, else by counting
+    every point's box."""
     table = None
 
     def count(some: Sequence[Shape]) -> Failure | None:
         nonlocal table
         if table is None:
-            table = PrefixTable.of_digits(points.digits, b, e, m - u)
-        failure = table.first_failure([d // ei for d, ei in zip(shape, e)] for shape in some)
-        if failure is None:
-            return None
-        kappa, cell, observed, expected = failure
-        return tuple(k * ei for k, ei in zip(kappa, e)), cell, observed, expected
+            table = PrefixTable.of_digits(points.digits, points.base, e, points.precision - u)
+        return table.first_failure(some)
 
-    failure = count(shapes) if space is None else _ranked_failure(points, shapes, space, count)
-    if failure is None:
-        return Verdict(True)
-    shape, cell, observed, expected = failure
-    return Verdict(False, {"shape": list(shape), "box": unrank(cell, [b ** d for d in shape]),
-                           "observed": observed, "expected": expected})
+    return count(shapes) if space is None else _ranked_failure(points, shapes, space, count)
+
+
+def first_failure(points: PointSet, u: int, e: EVector,
+                  shapes: Sequence[Shape]) -> Failure | None:
+    """The first of the quality-u ``shapes`` with a box not holding b**(m - sum d)
+    points, as (shape, box index rank, observed, expected), or None: by ranks
+    when counting would pay for the recovery, else by counting."""
+    space = _row_space(points) if _rank_pays(points, len(shapes)) else None
+    return _decide(points, u, e, shapes, space)
 
 
 def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
@@ -403,9 +403,13 @@ def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
     m = points.precision
     if not 0 <= u <= m:
         raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
-    shapes = check_shapes(m, u, e, variant)
-    space = _row_space(points) if _rank_pays(points, len(shapes)) else None
-    return _decide(points, u, e, shapes, space)
+    failure = first_failure(points, u, e, check_shapes(m, u, e, variant))
+    if failure is None:
+        return Verdict(True)
+    shape, cell, observed, expected = failure
+    box = unrank(cell, [points.base ** d for d in shape])
+    return Verdict(False, {"shape": list(shape), "box": box,
+                           "observed": observed, "expected": expected})
 
 
 def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "narrow") -> int:
@@ -425,7 +429,7 @@ def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "nar
     lo, hi = 0, m
     while lo < hi:
         mid = (lo + hi) // 2 if variant == "narrow" else lo
-        if _decide(points, mid, e, check_shapes(m, mid, e, variant), space):
+        if _decide(points, mid, e, check_shapes(m, mid, e, variant), space) is None:
             hi = mid
         else:
             lo = mid + 1
@@ -443,6 +447,8 @@ def verify_sequence_prefix(prefix: PointSet, u: int, e: EVector | Sequence[int],
     the first failing (g, m) and embeds the net witness.
     """
     e = EVector.coerce(e)
+    if e.s != prefix.dim:
+        raise ParamError(f"e-vector has {e.s} entries, point set has {prefix.dim}")
     if u < 0:
         raise ParamError(f"u must be >= 0, got {u}")
     if m_max < 0:
@@ -452,13 +458,11 @@ def verify_sequence_prefix(prefix: PointSet, u: int, e: EVector | Sequence[int],
     b = prefix.base
     for m in range(u + 1, m_max + 1):
         block_len = b ** m
-        g = 0
-        while (g + 1) * block_len <= prefix.count:
+        for g in range(prefix.count // block_len):
             block = PointSet(b, prefix.digits[g * block_len : (g + 1) * block_len, :, :m])
             v = verify_net(block, u, e, "narrow")
             if not v:
                 return Verdict(False, {"g": g, "m": m, "net_witness": dict(v.witness)})
-            g += 1
     return Verdict(True)
 
 

@@ -14,10 +14,11 @@ budget-maximal profiles forces uniformity at every admissible one, so only
 those are checked; the exhaustive check over every admissible profile lives
 in ``tests/oracles.py`` as the reference.
 
-With the canonical column counts beta_i = floor((m - u) / e_i) the two views
-carry the same information: the array rows reproduce the point digits up to
-position beta_i * e_i, and zero-filling the remaining digits recovers a point
-set with the same quality parameter.
+With the canonical column counts beta_i = floor((m - u) / e_i) the rows
+reproduce the point digits up to position beta_i * e_i, and zero-filling the
+rest gives a point set of the same quality. Any array is decided on the points
+it encodes so, by ``netverify.first_failure``: profile kappa's tuples are the
+boxes of shape kappa * e, ranked alike; only the witness reads differently.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import PrefixTable, digit_dtype, digit_matrix, digit_window, unrank
+from ._util import digit_dtype, digit_matrix, digit_window, unrank
 from .core import EVector, MixedOOA, PointSet, Verdict
 from .errors import ParamError, VerificationError
 
@@ -61,11 +62,9 @@ def net_to_mooa(points: PointSet, u: int, e: EVector | Sequence[int],
     b, m = points.base, points.precision
     if points.count != b ** m:
         raise ParamError(f"need base**m = {b ** m} points, got {points.count}")
-    if not 0 <= u <= m:
-        raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
+    caps = canonical_beta(m, u, e)  # checks 0 <= u <= m
     if m < u + max(e):
         raise ParamError(f"need m >= u + max(e) = {u + max(e)}, got m={m}")
-    caps = canonical_beta(m, u, e)
     beta = caps if beta is None else tuple(int(v) for v in beta)
     if len(beta) != e.s:
         raise ParamError(f"beta has {len(beta)} entries, e-vector has {e.s}")
@@ -73,11 +72,9 @@ def net_to_mooa(points: PointSet, u: int, e: EVector | Sequence[int],
         if not 1 <= bi <= cap:
             raise ParamError(f"beta[{i}]={bi} outside [1, {cap}]")
     rows = np.empty((points.count, sum(beta)), dtype=digit_dtype(b ** max(e)))
-    col = 0
-    for i, (ei, bi) in enumerate(zip(e, beta)):
-        for rho in range(bi):
-            digit_window(points.digits, i, rho * ei, ei, b, rows[:, col])
-            col += 1
+    windows = [(i, rho * ei, ei) for i, (ei, bi) in enumerate(zip(e, beta)) for rho in range(bi)]
+    for col, (i, start, ei) in enumerate(windows):
+        digit_window(points.digits, i, start, ei, b, rows[:, col])
     return MixedOOA(b, m, u, e, beta, rows)
 
 
@@ -106,20 +103,50 @@ def _maximal_profiles(budget: int, e: tuple[int, ...],
     """The maximal profiles within ``budget``, enumerated once per parameter
     set: a verification and its report both ask for them."""
     out: list[Profile] = []
-    prefix: list[int] = []
 
-    def rec(i: int, remaining: int) -> None:
+    def rec(i: int, remaining: int, prefix: Profile) -> None:
         if i == len(e):
             if all(prefix[j] == beta[j] or e[j] > remaining for j in range(len(e))):
-                out.append(tuple(prefix))
+                out.append(prefix)
             return
         for k in range(0, min(beta[i], remaining // e[i]) + 1):
-            prefix.append(k)
-            rec(i + 1, remaining - k * e[i])
-            prefix.pop()
+            rec(i + 1, remaining - k * e[i], prefix + (k,))
 
-    rec(0, budget)
+    rec(0, budget, ())
     return tuple(out)
+
+
+def _points(array: MixedOOA) -> PointSet:
+    """The b**m points the array encodes: block i's columns split into the
+    first beta_i * e_i digits of coordinate i, the rest zero. When every
+    beta_i = m (so e_i = 1 and u = 0) the rows are those digits, viewed."""
+    b, n, s = array.base, array.runs, array.dim
+    if array.rows.shape[1] == s * array.m:
+        return PointSet(b, array.rows.reshape(n, s, array.m))
+    digits = np.zeros((n, s, array.m), dtype=digit_dtype(b))
+    for i, (ei, bi) in enumerate(zip(array.e, array.beta)):
+        start = array.block_start(i)
+        block = digit_matrix(array.rows[:, start : start + bi], ei, b)
+        digits[:, i, : bi * ei] = block.reshape(n, bi * ei)
+    return PointSet(b, digits)
+
+
+def _decide(array: MixedOOA) -> tuple[PointSet, Verdict]:
+    """The points the array encodes, and the strength verdict on its maximal
+    profiles decided on them; the witness's cell is read column by column."""
+    from .netverify import first_failure  # here, so to-mooa never loads netverify
+
+    points, e = _points(array), array.e
+    profiles = enumerate_profiles(array.m, array.u, e, array.beta)
+    failure = first_failure(points, array.u, e,
+                            [tuple(k * ei for k, ei in zip(kappa, e)) for kappa in profiles])
+    if failure is None:
+        return points, Verdict(True)
+    shape, cell, observed, expected = failure
+    kappa = [d // ei for d, ei in zip(shape, e)]
+    radices = [array.base ** ei for k, ei in zip(kappa, e) for _ in range(k)]
+    return points, Verdict(False, {"profile": kappa, "tuple": unrank(cell, radices),
+                                   "observed": observed, "expected": expected})
 
 
 def verify_mooa(array: MixedOOA) -> Verdict:
@@ -129,19 +156,7 @@ def verify_mooa(array: MixedOOA) -> Verdict:
     profile with a non-uniform tuple count, and no later profile is examined.
     With u = m only the empty profile exists and the check passes vacuously.
     """
-    profiles = enumerate_profiles(array.m, array.u, array.e, array.beta)
-    b, budget = array.base, array.m - array.u
-    blocks = ((array.rows[:, array.block_start(i) + rho] for rho in range(bi))
-              for i, bi in enumerate(array.beta))
-    table = PrefixTable(blocks, [b ** ei for ei in array.e], array.runs, b ** budget)
-    failure = table.first_failure(profiles)
-    if failure is None:
-        return Verdict(True)
-    kappa, cell, observed, expected = failure
-    radices = [b ** ei for ki, ei in zip(kappa, array.e) for _ in range(ki)]
-    return Verdict(False, {"profile": [int(k) for k in kappa],
-                           "tuple": unrank(cell, radices),
-                           "observed": observed, "expected": expected})
+    return _decide(array)[1]
 
 
 def mooa_to_net(array: MixedOOA) -> PointSet:
@@ -149,19 +164,14 @@ def mooa_to_net(array: MixedOOA) -> PointSet:
 
     Requires beta_i = floor((m - u) / e_i) for every block (the widths at
     which array rows determine the leading digits completely). Digit
-    positions beyond beta_i * e_i are zero-filled. The array is verified
-    first and a failing verdict is raised as :class:`VerificationError`.
+    positions beyond beta_i * e_i are zero-filled. Those points are the ones
+    the array is verified on, and are returned when it passes; a failing
+    verdict is raised as :class:`VerificationError`.
     """
     caps = canonical_beta(array.m, array.u, array.e)
     if array.beta != caps:
         raise ParamError(f"canonical beta {caps} required, got {array.beta}")
-    verdict = verify_mooa(array)
+    points, verdict = _decide(array)
     if not verdict:
         raise VerificationError("array fails its strength contract", verdict)
-    b, m = array.base, array.m
-    digits = np.zeros((array.runs, array.dim, m), dtype=digit_dtype(b))
-    for i, (ei, bi) in enumerate(zip(array.e, array.beta)):
-        start = array.block_start(i)
-        block = digit_matrix(array.rows[:, start : start + bi], ei, b)
-        digits[:, i, : bi * ei] = block.reshape(array.runs, bi * ei)
-    return PointSet(b, digits)
+    return points

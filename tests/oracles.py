@@ -236,9 +236,10 @@ def brute_profiles(m: int, u: int, e, beta, mode: str = "all"):
     return sorted(out)
 
 
-def brute_verify_mooa(rows, base: int, m: int, u: int, e, beta,
-                      mode: str = "all") -> bool:
-    """Left-prefix uniformity for every admissible profile, via dict tallies."""
+def brute_mooa_witness(rows, base: int, m: int, u: int, e, beta, mode: str = "maximal"):
+    """The verify_mooa witness of any array, None on a pass: profile by
+    profile in lexicographic order, a dictionary tally of every row's tuple
+    on the profile's columns, then tuple by tuple in lexicographic order."""
     rows = [tuple(int(x) for x in r) for r in rows]
     starts = [sum(beta[:i]) for i in range(len(beta))]
     for kappa in brute_profiles(m, u, e, beta, mode):
@@ -256,8 +257,15 @@ def brute_verify_mooa(rows, base: int, m: int, u: int, e, beta,
             tally[key] = tally.get(key, 0) + 1
         for combo in itertools.product(*(range(rad) for rad in radii)):
             if tally.get(combo, 0) != expected:
-                return False
-    return True
+                return {"profile": list(kappa), "tuple": list(combo),
+                        "observed": tally.get(combo, 0), "expected": expected}
+    return None
+
+
+def brute_verify_mooa(rows, base: int, m: int, u: int, e, beta,
+                      mode: str = "all") -> bool:
+    """Left-prefix uniformity for every admissible profile, via dict tallies."""
+    return brute_mooa_witness(rows, base, m, u, e, beta, mode) is None
 
 
 # ---------------------------------------------------------------------------

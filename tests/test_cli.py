@@ -336,6 +336,13 @@ class TestVerifySeq:
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: m_max must be >= 0, got {m_max}\n"
 
+    @pytest.mark.parametrize("flags", [("--u", "3"), ("--m-max", "0"), ("--u", "2")])
+    def test_e_vector_of_the_wrong_length_is_usage_error(self, capsys, ham_net, flags):
+        # whether or not any block is checked: m_max <= u leaves none
+        code, out, err = run(capsys, "verify-seq", ham_net, "--e", "1,1,1", *flags)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: e-vector has 3 entries, point set has 2\n"
+
 
 class TestMoaCommands:
     def test_to_moa_records_verified_strength(self, capsys, ham_net):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evnets import (
-    EVector, PointSet,
+    EVector, PointSet, Verdict,
     check_shapes, count_box, enumerate_profiles, net_to_mooa, project,
     rebase_compress, rebase_expand, u_star, verify_mooa, verify_net,
     verify_sequence_prefix,
@@ -297,14 +297,26 @@ def _count_kernel_calls(monkeypatch):
 # ---------------------------------------------------------------------------
 # the rank route for F_b-subspaces
 
+def _decided(p, u, e, shapes, space):
+    """``netverify._decide``'s first failure as the verdict ``verify_net``
+    reports: the box unranked one coordinate at a time."""
+    failure = netverify._decide(p, u, e, shapes, space)
+    if failure is None:
+        return Verdict(True)
+    shape, cell, observed, expected = failure
+    return Verdict(False, {"shape": list(shape),
+                           "box": _util.unrank(cell, [p.base ** d for d in shape]),
+                           "observed": observed, "expected": expected})
+
+
 def _both_routes(p, u, e, variant):
     """(counting verdict, rank verdict or None when no basis is recovered),
     each forced whatever the size gate says."""
     e = EVector.coerce(e)
     shapes = check_shapes(p.precision, u, e, variant)
     basis = netverify._row_space(p)
-    counted = netverify._decide(p, u, e, shapes, None)
-    ranked = None if basis is None else netverify._decide(p, u, e, shapes, basis)
+    counted = _decided(p, u, e, shapes, None)
+    ranked = None if basis is None else _decided(p, u, e, shapes, basis)
     return counted, ranked
 
 
@@ -466,6 +478,25 @@ class TestRankRoute:
         span = {tuple(row) for row in coeffs @ basis % 3}
         assert span == {tuple(row) for row in p.digits.reshape(n, s * m).tolist()}
 
+    def test_scan_stops_once_the_correction_cannot_pay(self, monkeypatch):
+        # faure(5,5,5) with every row outside the sample altered: the sample
+        # has rank m, and the first chunk already holds more points off S
+        # than a correction may, so no later chunk is scanned
+        net = corpus.faure(5, 5, 5)
+        digits = net.digits.astype(np.int64)
+        sample = netverify._sample_rows(net.count, 5)
+        free = sorted(set(range(net.count)) - set(sample))
+        digits[free, 0, 4] = (digits[free, 0, 4] + 1) % 5
+        p = PointSet(5, digits)
+        monkeypatch.setattr(_util, "_CHUNK_BYTES", 8 * 25 * 200)  # 200 rows a chunk
+        chunks = len(_util.row_chunks(p.count, 25))
+        assert chunks == 16 and not netverify._correction_pays(p, 200 - len(sample))
+        scanned = []
+        monkeypatch.setattr(netverify, "rank_rows",
+                            lambda *args: scanned.append(1) or _util.rank_rows(*args))
+        assert netverify._row_space(p) is None
+        assert len(scanned) == 1
+
     @pytest.mark.parametrize("b", [4, 6, 9])
     def test_composite_bases_have_no_basis(self, b):
         assert netverify._row_space(_module_set(b, 2, 2, 0)) is None
@@ -537,8 +568,8 @@ class TestCorrectedRankRoute:
         space = netverify._row_space(p)
         assert _recovered(space) == {tuple(p.digits[1234].reshape(-1).tolist()): 1,
                                      tuple(net.digits[1234].reshape(-1).tolist()): -1}
-        counted = netverify._decide(p, 0, e, shapes, None)
-        star = next(u for u in range(6) if netverify._decide(p, u, e, check_shapes(5, u, e), None))
+        counted = _decided(p, 0, e, shapes, None)
+        star = next(u for u in range(6) if _decided(p, u, e, check_shapes(5, u, e), None))
         calls = _count_kernel_calls(monkeypatch)
         # a (0,5,5)-net: every shape has full rank, so no fallback counts anything
         assert _as_tuple(verify_net(p, 0, e)) == _as_tuple(counted)
@@ -569,9 +600,9 @@ class TestCorrectedRankRoute:
         assert _recovered(space) == _correction(p, net) and len(_recovered(space)) == 2
         want = {"shape": [3, 3], "box": [0, 1], "observed": 0, "expected": 1}
         assert oracles.brute_net_witness(p, 0, e) == want
-        assert _as_tuple(netverify._decide(p, 0, e, shapes, None)) == (False, want)
+        assert _as_tuple(_decided(p, 0, e, shapes, None)) == (False, want)
         calls = _count_kernel_calls(monkeypatch)
-        assert _as_tuple(netverify._decide(p, 0, e, shapes, space)) == (False, want)
+        assert _as_tuple(_decided(p, 0, e, shapes, space)) == (False, want)
         assert calls == [b ** 6]  # that one shape, and nothing else
 
     def test_a_sampled_point_off_the_subspace_takes_counting(self, monkeypatch):
@@ -620,7 +651,7 @@ class TestCorrectedRankRoute:
         variant = data.draw(st.sampled_from(["narrow", "tezuka"]), label="variant")
         want = oracles.brute_net_witness(p, u, e, variant)
         shapes = check_shapes(m, u, e, variant)
-        assert _as_tuple(netverify._decide(p, u, e, shapes, None)) == (want is None, want)
+        assert _as_tuple(_decided(p, u, e, shapes, None)) == (want is None, want)
         correction = _correction(p, net)
         space = netverify._row_space(p)
         # the sample holds no altered row, so only the size limit refuses
@@ -629,7 +660,7 @@ class TestCorrectedRankRoute:
             mp.setattr(netverify, "_correction_pays", lambda points, size: True)
             space = netverify._row_space(p)
             assert _recovered(space) == correction
-            assert _as_tuple(netverify._decide(p, u, e, shapes, space)) == (want is None, want)
+            assert _as_tuple(_decided(p, u, e, shapes, space)) == (want is None, want)
             # and through the public entries, with the rank route forced
             mp.setattr(netverify, "_rank_pays", lambda points, shapes: True)
             assert _as_tuple(verify_net(p, u, e, variant)) == (want is None, want)
@@ -736,6 +767,11 @@ class TestSequencePrefix:
         with pytest.raises(PrecisionError):
             verify_sequence_prefix(p, 0, (1,), 4)
 
+    @pytest.mark.parametrize("u,m_max", [(0, 0), (3, 3), (0, 3)])
+    def test_e_vector_length_is_checked_before_any_block(self, u, m_max):
+        with pytest.raises(ParamError, match="e-vector has 2 entries, point set has 1"):
+            verify_sequence_prefix(_vdc_prefix(3, 8), u, (1, 1), m_max)
+
     @pytest.mark.parametrize("m_max", [-1, -3])
     def test_negative_m_max_is_rejected(self, m_max):
         with pytest.raises(ParamError, match=f"m_max must be >= 0, got {m_max}"):
@@ -802,6 +838,43 @@ class TestProjectAndRebase:
                 rebase_expand(p4, r)
         with pytest.raises(ParamError, match="base 8 is not a perfect 2-th power"):
             rebase_expand(rebase_compress(corpus.hammersley(2, 3), 3), 2)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.data())
+    def test_base_change_rule(self, br, data):
+        # P in base b**r at quality t and e = 1 is, digit for digit, the
+        # expanded set in base b at quality r*t and e = r: the same boxes,
+        # each shape's depths multiplied by r
+        b, r = br
+        m = data.draw(st.integers(1, 3), label="m")
+        s = data.draw(st.integers(1, 3), label="s")
+        kind = data.draw(st.sampled_from(["compressed", "random", "hammersley"]), label="kind")
+        if kind == "compressed":  # a base-b net, its digits grouped r at a time
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+            mats = [np.eye(r * m, dtype=np.int64)] + [rng.integers(0, b, (r * m, r * m))
+                                                      for _ in range(s - 1)]
+            q = corpus.digital_net(b, mats)
+            p = rebase_compress(q, r)
+            assert rebase_expand(p, r) == q
+        elif kind == "random":
+            p = corpus.random_pointset(b ** r, m, s, data.draw(st.integers(0, 99), label="seed"))
+        else:
+            p = PointSet(b ** r, corpus.hammersley(b ** r, m).digits[:, [0, 1, 0][:s]])
+        for _ in range(data.draw(st.integers(0, 2), label="flips")):
+            p = corpus.flip_digit(p, data.draw(st.integers(0, p.count - 1)),
+                                  data.draw(st.integers(0, s - 1)),
+                                  data.draw(st.integers(0, m - 1)))
+        q = rebase_expand(p, r)
+        for variant in ("narrow", "tezuka"):
+            for t in range(m + 1):
+                coarse, fine = verify_net(p, t, (1,) * s, variant), \
+                    verify_net(q, r * t, (r,) * s, variant)
+                assert bool(coarse) == bool(fine)
+                if not coarse:
+                    want = dict(coarse.witness, shape=[r * d for d in coarse.witness["shape"]])
+                    assert fine.witness == want
+        star = u_star(p, (1,) * s)
+        assert u_star(q, (r,) * s) == max(0, r * (star - 1) + 1)
 
     @pytest.mark.parametrize("base,r", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (6, 2), (7, 3)])
     def test_rebase_expand_finds_integer_root(self, base, r):

@@ -9,7 +9,7 @@ from evnets import (
     canonical_beta, enumerate_profiles, mooa_to_net, net_to_mooa, verify_mooa,
     verify_net,
 )
-from evnets import _util, corpus
+from evnets import _util, corpus, netverify
 from evnets.errors import ParamError, VerificationError
 
 import oracles
@@ -248,6 +248,127 @@ class TestNetAndArrayWitnessesAgree:
                     data.draw(st.integers(0, s - 1)), data.draw(st.integers(0, m - 1)))
             e = data.draw(st.sampled_from(self._evectors(s)))
             self._check(points, data.draw(st.integers(0, m - max(e))), e)
+
+
+def _as_tuple(v):
+    return bool(v), None if v.witness is None else dict(v.witness)
+
+
+# net sizes b**m per base, small enough for the dictionary oracle
+_ROUTE_SIZES = {2: (4, 6), 3: (3, 4), 5: (2, 3), 7: (2, 3)}
+
+
+@st.composite
+def _arrays(draw):
+    """An ordered array of a digital net over F_b (identity first matrix,
+    points in a random order) at any u, e_i in {1, 2} and any beta, with 0-3
+    entries altered."""
+    b = draw(st.sampled_from(sorted(_ROUTE_SIZES)), label="b")
+    m = draw(st.sampled_from(_ROUTE_SIZES[b]), label="m")
+    s = draw(st.integers(1, 3), label="s")
+    e = tuple(draw(st.integers(1, 2), label="e_i") for _ in range(s))
+    u = draw(st.integers(0, m - max(e)), label="u")
+    beta = tuple(draw(st.integers(1, (m - u) // ei), label="beta_i") for ei in e)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    mats = [np.eye(m, dtype=np.int64)] + [rng.integers(0, b, (m, m)) for _ in range(s - 1)]
+    net = corpus.digital_net(b, mats)
+    arr = net_to_mooa(PointSet(b, net.digits[rng.permutation(net.count)]), u, e, beta)
+    rows = arr.rows.astype(np.int64)
+    alphabets = [b ** ei for ei, bi in zip(e, beta) for _ in range(bi)]
+    for _ in range(draw(st.integers(0, 3), label="altered")):
+        r = draw(st.integers(0, arr.runs - 1))
+        c = draw(st.integers(0, rows.shape[1] - 1))
+        rows[r, c] = (rows[r, c] + draw(st.integers(1, alphabets[c] - 1))) % alphabets[c]
+    return MixedOOA(b, m, u, EVector(e), beta, rows)
+
+
+class TestDecidedOnItsPoints:
+    """verify_mooa decides on the zero-filled points the array encodes, by
+    the one decider verify_net uses, whichever route it takes."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_both_routes_agree_with_the_oracle(self, data):
+        int64 = data.draw(st.booleans(), label="int64 storage")
+        with storage(int64), pytest.MonkeyPatch.context() as mp:
+            arr = data.draw(_arrays())
+            assert arr.rows.dtype == (np.int64 if int64 else np.uint8)
+            want = oracles.brute_mooa_witness(arr.rows, arr.base, arr.m, arr.u,
+                                              tuple(arr.e), arr.beta)
+            assert (want is None) == oracles.brute_verify_mooa(
+                arr.rows, arr.base, arr.m, arr.u, tuple(arr.e), arr.beta, "all")
+            mp.setattr(netverify, "_rank_pays", lambda points, shapes: False)
+            assert _as_tuple(verify_mooa(arr)) == (want is None, want)
+            mp.setattr(netverify, "_rank_pays", lambda points, shapes: True)
+            mp.setattr(netverify, "_correction_pays", lambda points, size: True)
+            assert _as_tuple(verify_mooa(arr)) == (want is None, want)
+            if arr.beta == canonical_beta(arr.m, arr.u, arr.e):
+                if want is None:
+                    # the points it decided, which encode the array again
+                    back = mooa_to_net(arr)
+                    assert back.digits.dtype == arr.rows.dtype
+                    assert net_to_mooa(back, arr.u, arr.e) == arr
+                else:
+                    with pytest.raises(VerificationError):
+                        mooa_to_net(arr)
+
+    @pytest.mark.parametrize("e", [(1,) * 5, (2, 1, 1, 1, 1)], ids=["e1", "e21111"])
+    def test_canonical_faure_array_is_decided_by_ranks(self, monkeypatch, e):
+        net = corpus.faure(5, 5, 5)
+        arr = net_to_mooa(net, 0, e)
+        free = sorted(set(range(net.count)) - set(netverify._sample_rows(net.count, 5)))
+        bad = net_to_mooa(corpus.flip_digit(net, free[0], 3, 1), 0, e)
+        monkeypatch.setattr(netverify, "_rank_pays", lambda points, shapes: False)
+        counted = _as_tuple(verify_mooa(bad))
+        monkeypatch.undo()
+        calls = []
+        monkeypatch.setattr(_util, "_first_nonuniform",
+                            lambda *args: calls.append(args) or first_nonuniform(*args))
+        assert verify_mooa(arr)
+        back = mooa_to_net(arr)
+        assert _as_tuple(verify_mooa(bad)) == counted and not counted[0]
+        assert calls == []  # no tuple was counted
+        if e == (1,) * 5:  # the rows are the digit tensor, decided in place
+            assert back == net and np.shares_memory(back.digits, arr.rows)
+
+    def test_slicing_an_array_loads_no_decider(self):
+        # netverify imports ooa's profiles as it loads; ooa imports the
+        # decider only when it decides, so to-mooa never loads netverify
+        import os
+        import subprocess
+        import sys
+
+        import evnets
+        src = os.path.dirname(os.path.dirname(os.path.abspath(evnets.__file__)))
+        script = """import sys
+import numpy as np
+from evnets import core, ooa
+loaded = lambda: ' '.join(sorted(m for m in sys.modules if m.startswith('evnets.')))
+grid = np.array([[[n >> 2 & 1, n >> 1 & 1, n & 1]] for n in range(8)])
+arr = ooa.net_to_mooa(core.PointSet(2, grid), 0, (1,))
+print(loaded())
+print(bool(ooa.verify_mooa(arr)), loaded())
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        sliced, decided = proc.stdout.splitlines()
+        assert "evnets.netverify" not in sliced.split()
+        assert decided.split()[0] == "True" and "evnets.netverify" in decided.split()
+
+    def test_the_witness_cell_is_read_per_column(self, monkeypatch):
+        # profile (1, 2) is shape (1, 4); its cell 5 is box (0, 5) read per
+        # coordinate, and tuple (0, 1, 1) read per column in radices (2, 4, 4)
+        p = corpus.flip_digit(corpus.hammersley(2, 5), 10, 0, 0)
+        arr = net_to_mooa(p, 0, (1, 2))
+        want = {"profile": [1, 2], "tuple": [0, 1, 1], "observed": 0, "expected": 1}
+        assert oracles.brute_mooa_witness(arr.rows, 2, 5, 0, (1, 2), arr.beta) == want
+        assert _as_tuple(verify_mooa(arr)) == (False, want)
+        assert verify_net(p, 0, (1, 2)).witness == {"shape": [1, 4], "box": [0, 5],
+                                                    "observed": 0, "expected": 1}
+        monkeypatch.setattr(netverify, "_rank_pays", lambda points, shapes: True)
+        monkeypatch.setattr(netverify, "_correction_pays", lambda points, size: True)
+        assert _as_tuple(verify_mooa(arr)) == (False, want)
 
 
 class TestMooaToNet:

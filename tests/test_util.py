@@ -29,21 +29,22 @@ class TestFirstNonuniform:
 
 class TestPrefixTable:
     @settings(deadline=None, max_examples=40)
-    @given(st.lists(st.tuples(st.integers(2, 9), st.integers(0, 3)), min_size=1,
-                    max_size=4), st.integers(1, 12), st.data())
-    def test_keys_rank_the_profile_columns(self, coords, n, data):
-        # blocks[i] holds coordinate i's columns; a profile's key is the
-        # mixed-radix rank of its leading columns, first coordinate first
-        radices = [r for r, _ in coords]
-        blocks = [[np.array(data.draw(st.lists(st.integers(0, r - 1), min_size=n,
-                                               max_size=n))) for _ in range(depth)]
-                  for r, depth in coords]
-        table = PrefixTable(blocks, radices, n, 2 ** 40)
-        kappa = [data.draw(st.integers(0, depth)) for _, depth in coords]
-        cols = [c for cs, k in zip(blocks, kappa) for c in cs[:k]]
-        rads = [r for r, k in zip(radices, kappa) for _ in range(k)]
+    @given(st.integers(2, 9), st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           st.integers(0, 4), st.integers(1, 12), st.data())
+    def test_keys_rank_the_shape_windows(self, base, e, depth, n, data):
+        # a shape's key is the mixed-radix rank of coordinate i's leading
+        # d_i / e_i width-e_i windows, first coordinate first
+        m = depth + data.draw(st.integers(0, 2))
+        digits = np.array(data.draw(st.lists(st.integers(0, base - 1), min_size=n * len(e) * m,
+                                             max_size=n * len(e) * m)),
+                          dtype=np.int64).reshape(n, len(e), m)
+        table = PrefixTable.of_digits(digits, base, e, depth)
+        shape = [ei * data.draw(st.integers(0, depth // ei)) for ei in e]
+        cols = [window(digits, i, l, ei, base)
+                for i, (d, ei) in enumerate(zip(shape, e)) for l in range(0, d, ei)]
+        rads = [base ** ei for d, ei in zip(shape, e) for _ in range(d // ei)]
         want = rank_rows(np.array(cols, dtype=np.int64).reshape(len(cols), n).T, rads)
-        assert np.array_equal(table.keys(kappa), want)
+        assert np.array_equal(table.keys(shape), want)
 
     def test_digit_windows_are_width_e_blocks(self):
         digits = np.array([[[1, 0, 1, 1], [0, 1, 2, 2]],
@@ -55,15 +56,22 @@ class TestPrefixTable:
                                       window(digits, i, 0, k * ei, 3))
 
     def test_dtype_follows_the_cell_count(self):
-        blocks = [[np.array([1, 0])]]
-        assert PrefixTable(blocks, [2], 2, 2 ** 31 - 1).dtype == np.int32
-        assert PrefixTable(blocks, [2], 2, 2 ** 31).dtype == np.int64
+        # fewer than 2**31 cells fit int32, 2**31 do not; keys and levels
+        # share the dtype, and the largest key survives it
+        cases = [(2 ** 31 - 1, 1, np.int32), (2 ** 31, 1, np.int64),
+                 (2, 30, np.int32), (2, 31, np.int64)]
+        for base, depth, dtype in cases:
+            digits = np.full((2, 1, depth), base - 1, dtype=np.int64)
+            table = PrefixTable.of_digits(digits, base, (1,), depth)
+            assert table.dtype == dtype and table.levels[0][-1].dtype == dtype
+            keys = table.keys((depth,))
+            assert keys.dtype == dtype and int(keys[0]) == base ** depth - 1
 
-    def test_first_failure_names_profile_and_cell(self):
-        # four rows of one binary coordinate: depth 1 is uniform, but the
-        # second block repeats the first, so at depth 2 cell 0 holds two rows
-        col = np.array([0, 1, 0, 1])
-        table = PrefixTable([[col, col]], [2], 4, 4)
+    def test_first_failure_names_shape_and_box(self):
+        # four points of one binary coordinate: depth 1 is uniform, but the
+        # second digit repeats the first, so at depth 2 box 0 holds two points
+        digits = np.array([[[0, 0]], [[1, 1]], [[0, 0]], [[1, 1]]], dtype=np.uint8)
+        table = PrefixTable.of_digits(digits, 2, (1,), 2)
         assert table.first_failure([(1,)]) is None
         assert table.first_failure([(0,), (1,), (2,)]) == ((2,), 0, 2, 1)
 
