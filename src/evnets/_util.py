@@ -164,8 +164,13 @@ class PrefixTable:
         return cls(n, base, e, dtype, levels)
 
     def keys(self, shape: Sequence[int]) -> np.ndarray:
-        """Box index of every row at ``shape`` (each d_i a multiple of e_i)."""
-        keys = np.zeros(self.n, dtype=self.dtype)
+        """Box index of every row at ``shape`` (each d_i a multiple of e_i).
+
+        Keys share the table's dtype unless the shape has more cells than the
+        table's depth bounds; then they widen to int64 rather than wrap.
+        """
+        dtype = self.dtype if self.base ** sum(shape) < 2 ** 31 else np.int64
+        keys = np.zeros(self.n, dtype=dtype)
         for level, d, ei in zip(self.levels, shape, self.e):
             if d:
                 keys *= self.base ** d

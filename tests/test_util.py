@@ -67,6 +67,15 @@ class TestPrefixTable:
             keys = table.keys((depth,))
             assert keys.dtype == dtype and int(keys[0]) == base ** depth - 1
 
+    def test_keys_past_the_depth_widen(self):
+        # an int32 table (9**4 cells) asked for a 9**13-cell shape ranks it in
+        # int64 instead of wrapping
+        digits = np.full((1, 4, 4), 8, dtype=np.int64)
+        table = PrefixTable.of_digits(digits, 9, (1, 3, 3, 3), 4)
+        assert table.dtype == np.int32
+        keys = table.keys((4, 3, 3, 3))
+        assert keys.dtype == np.int64 and int(keys[0]) == 9 ** 13 - 1
+
     def test_first_failure_names_shape_and_box(self):
         # four points of one binary coordinate: depth 1 is uniform, but the
         # second digit repeats the first, so at depth 2 box 0 holds two points
