@@ -176,6 +176,15 @@ def _lex_grid_points(b: int, m: int, s: int) -> PointSet:
     return PointSet(b, digit_matrix(range(b ** m), m * s, b).reshape(b ** m, s, m))
 
 
+def _verified(found: PointSet, u: int, e: EVector) -> PointSet:
+    """``found``, re-verified as a quality-u net; raised rather than asserted,
+    so that ``python -O`` keeps the check."""
+    verdict = verify_net(found, u, e)
+    if not verdict:
+        raise AssertionError(f"search found a set that is not a net: {verdict.witness}")
+    return found
+
+
 def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
                node_limit: int | None = None) -> SearchResult:
     """Backtracking existence search for a quality-u net, desk scale only.
@@ -208,9 +217,7 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
     if node_limit is not None and node_limit < 0:
         raise ParamError(f"node limit must be >= 0, got {node_limit}")
     if u == m:
-        found = _lex_grid_points(b, m, s)
-        assert verify_net(found, u, e)
-        return SearchResult("found", found, 0)
+        return SearchResult("found", _verified(_lex_grid_points(b, m, s), u, e), 0)
 
     n_candidates = b ** (m * s)
     if n_candidates > _SEARCH_CANDIDATE_CAP:
@@ -268,8 +275,7 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
         chosen.append(c)
         if len(chosen) == n_points:
             found = PointSet(b, cand_digits[np.asarray(chosen, dtype=np.int64)])
-            assert verify_net(found, u, e)
-            return SearchResult("found", found, nodes)
+            return SearchResult("found", _verified(found, u, e), nodes)
         cursors.append(c)
         while not rest:
             cursors.pop()

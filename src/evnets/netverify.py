@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 import random
 from functools import lru_cache
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .ooa import canonical_beta, enumerate_profiles
 __all__ = [
     "Shape",
     "check_shapes", "count_box", "verify_net", "u_star",
-    "verify_sequence_prefix", "project", "rebase_compress", "rebase_expand",
+    "verify_sequence_prefix", "rebase_compress", "rebase_expand",
 ]
 
 Shape = tuple[int, ...]
@@ -178,9 +178,12 @@ def _row_space(points: PointSet) -> Space | None:
     if not is_prime(b):
         return None
     flat = points.digits.reshape(n, s * m)
-    basis, pivots = _reduce(flat[_sample_rows(n, m)].astype(np.int64), b, m)
-    if basis is None:
+    sample = flat[_sample_rows(n, m)][None].astype(np.int64)
+    where = _eliminate(sample, b)[0]
+    pivots = np.flatnonzero(where >= 0)
+    if len(pivots) != m:
         return None
+    basis = sample[0, where[pivots]]
     # a point's pivot digits are its coefficients in the basis, so their
     # base-b rank names its combination; the high and low parts of the rank
     # index two tables, the spans of the first h basis rows and of the rest,
@@ -189,6 +192,13 @@ def _row_space(points: PointSet) -> Space | None:
     dtype = np.min_scalar_type(2 * b - 1)  # unsigned; a sum of two entries fits
     high, low = _span(basis[:h], b, dtype), _span(basis[h:], b, dtype)
     low_cells = b ** (m - h)
+
+    def combination(key: np.ndarray) -> np.ndarray:
+        total = high[key // low_cells]
+        total += low[key % low_cells]
+        # a sum below b wraps above it when b is subtracted, so the smaller is the sum mod b
+        return np.minimum(total, total - dtype.type(b), out=total)
+
     seen = np.zeros(n, dtype=bool)
     outside = [flat[:0]]  # points off the span
     again: list[np.ndarray] = []  # keys of members met before, once per repeat
@@ -198,10 +208,7 @@ def _row_space(points: PointSet) -> Space | None:
     for rows in row_chunks(n, s * m):
         v = flat[rows]
         key = rank_rows(v[:, pivots], [b] * m)
-        total = high[key // low_cells]
-        total += low[key % low_cells]
-        # a sum below b wraps above it when b is subtracted, so the smaller is the sum mod b
-        np.minimum(total, total - dtype.type(b), out=total)
+        total = combination(key)
         if not np.array_equal(total, v):
             member = (total == v).all(axis=1)
             outside.append(v[~member])
@@ -219,35 +226,41 @@ def _row_space(points: PointSet) -> Space | None:
     strays, copies = np.unique(np.concatenate(outside), axis=0, return_counts=True)
     if not _correction_pays(points, len(missing) + len(repeated) + len(strays)):
         return None
-    members = digit_matrix(np.concatenate([missing, repeated]), m, b).astype(np.int64) @ basis % b
-    vectors = np.concatenate([members, strays.astype(np.int64)])
+    vectors = np.concatenate([combination(np.concatenate([missing, repeated])),
+                              strays]).astype(np.int64)
     weights = np.concatenate([np.full(len(missing), -1), extra, copies])
     return basis, vectors, weights
 
 
-def _reduce(rows: np.ndarray, b: int, m: int) -> tuple[np.ndarray | None, list[int]]:
-    """Reduced row echelon form over F_b of ``rows`` (entries in [0, b)),
-    stopping once m pivots are found: (the m pivot rows, their pivot columns),
-    or (None, []) when the rank is not m."""
-    r, pivots = 0, []
-    for c in range(rows.shape[1]):
-        if r == m:
-            break
-        below = np.flatnonzero(rows[r:, c])
-        if below.size == 0:
+def _eliminate(stack: np.ndarray, b: int) -> np.ndarray:
+    """Gauss-Jordan elimination over F_b, in place, of each matrix of a
+    (k, rows, cols) stack with entries in [0, b): column by column, the first
+    unused row with a nonzero entry there is scaled to 1 there and clears the
+    column in every other row, until no unused row is nonzero. Returns each
+    column's pivot row, -1 where none, as a (k, cols) array: a matrix's rank
+    is its count of pivots, and its pivot rows in column order are its
+    reduced row echelon form."""
+    k, r, cols = stack.shape
+    inverse = np.array([0] + [pow(x, -1, b) for x in range(1, b)], dtype=np.int64)
+    used = np.zeros((k, r), dtype=bool)
+    where = np.full((k, cols), -1)
+    every = np.arange(k)
+    for c in range(cols):
+        live = (stack[:, :, c] != 0) & ~used
+        row = live.argmax(axis=1)
+        found = live[every, row]
+        if not found.any():
+            if not stack[~used].any():
+                break
             continue
-        p = r + int(below[0])
-        rows[[r, p]] = rows[[p, r]]
-        rows[r] = rows[r] * pow(int(rows[r, c]), -1, b) % b
-        factors = rows[:, c].copy()
-        factors[r] = 0
-        rows -= np.outer(factors, rows[r])
-        rows %= b
-        pivots.append(c)
-        r += 1
-    if r < m or rows[m:].any():
-        return None, []
-    return rows[:m], pivots
+        pivot = stack[every, row]
+        pivot = pivot * inverse[pivot[:, c]][:, None] % b  # zero where none is live
+        stack -= stack[:, :, c, None] * pivot[:, None, :]
+        stack %= b
+        stack[every[found], row[found]] = pivot[found]
+        used[every, row] |= found
+        where[found, c] = row[found]
+    return where
 
 
 def _span(rows: np.ndarray, b: int, dtype: type) -> np.ndarray:
@@ -261,39 +274,25 @@ def _span(rows: np.ndarray, b: int, dtype: type) -> np.ndarray:
     return span.astype(dtype)
 
 
-def _ranks(columns: np.ndarray, b: int, depths: np.ndarray, sums: np.ndarray) -> np.ndarray:
+def _ranks(basis: np.ndarray, b: int, depths: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Rank over F_b of each shape's basis columns, for a chunk of shapes
     given as a (shapes, s) array of depths and their sums.
 
-    Shape d takes columns i*m + l, l < d_i, of the m x (s*m) basis, which
-    are the rows of ``columns``. The chunk packs them as the rows of a
-    (shapes, sum d, m) stack and eliminates over F_b all at once: each step
-    takes, per shape, a row not yet used with a nonzero entry in the step's
-    position, scales it to 1 there and clears that position in every row.
-    The rank is the count of steps that found a row.
+    Shape d takes columns i*m + l, l < d_i, of the m x (s*m) basis. The
+    chunk packs them as the rows of a (shapes, sum d, m) stack and
+    eliminates it.
     """
     k, s = depths.shape
-    m = columns.shape[1]
+    m = basis.shape[0]
     width = int(sums.max())
     if width == 0:  # only the empty shape, which takes no column
         return np.zeros(k, dtype=np.int64)
     taken = (np.arange(m) < depths[:, :, None]).reshape(k, s * m)
     # the taken columns first, in order; rows past sum d zeroed
     order = np.argsort(~taken, axis=1, kind="stable")[:, :width]
-    stack = columns[order]
+    stack = basis.T[order]
     stack[np.arange(width) >= sums[:, None]] = 0
-    inverse = np.array([0] + [pow(x, -1, b) for x in range(1, b)], dtype=np.int64)
-    used = np.zeros(stack.shape[:2], dtype=bool)
-    every = np.arange(k)
-    for c in range(m):
-        live = (stack[:, :, c] != 0) & ~used
-        row = live.argmax(axis=1)
-        pivot = stack[every, row]
-        pivot = pivot * inverse[pivot[:, c]][:, None] % b  # zero where none is live
-        stack -= stack[:, :, c, None] * pivot[:, None, :]
-        stack %= b
-        used[every, row] |= live[every, row]
-    return used.sum(axis=1)
+    return (_eliminate(stack, b) >= 0).sum(axis=1)
 
 
 def _cells(vectors: np.ndarray, b: int, depths: np.ndarray) -> np.ndarray:
@@ -346,12 +345,11 @@ def _ranked_failure(points: PointSet, shapes: Sequence[Shape], space: Space,
     basis, vectors, weights = space
     b = points.base
     n, s, m = points.digits.shape
-    columns = basis.T.astype(np.int64)  # row i*m + l: basis column i*m + l
     # the rank stack and a few int64 arrays of the correction's cells per shape
     for chunk in row_chunks(len(shapes), m * max(m, s) + 4 * len(weights)):
         depths = np.array(shapes[chunk], dtype=np.int64).reshape(-1, s)
         sums = depths.sum(axis=1)
-        ranks = _ranks(columns, b, depths, sums)
+        ranks = _ranks(basis, b, depths, sums)
         lowest, excess, at_zero = _net_weights(_cells(vectors, b, depths), weights, n)
         for k in np.flatnonzero((ranks < sums) | (lowest >= 0)):
             shape, expected = shapes[chunk.start + k], b ** (m - int(sums[k]))
@@ -382,13 +380,17 @@ def _decide(points: PointSet, u: int, e: EVector, shapes: Sequence[Shape],
     return count(shapes) if space is None else _ranked_failure(points, shapes, space, count)
 
 
+def _space_if_pays(points: PointSet, shapes: int) -> Space | None:
+    """``_row_space`` when counting ``shapes`` shapes would pay for it, else None."""
+    return _row_space(points) if _rank_pays(points, shapes) else None
+
+
 def first_failure(points: PointSet, u: int, e: EVector,
                   shapes: Sequence[Shape]) -> Failure | None:
     """The first of the quality-u ``shapes`` with a box not holding b**(m - sum d)
     points, as (shape, box index rank, observed, expected), or None: by ranks
     when counting would pay for the recovery, else by counting."""
-    space = _row_space(points) if _rank_pays(points, len(shapes)) else None
-    return _decide(points, u, e, shapes, space)
+    return _decide(points, u, e, shapes, _space_if_pays(points, len(shapes)))
 
 
 def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
@@ -400,10 +402,7 @@ def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
     enumeration order; no later shape is examined.
     """
     e = _check_net(points, e, variant)
-    m = points.precision
-    if not 0 <= u <= m:
-        raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
-    failure = first_failure(points, u, e, check_shapes(m, u, e, variant))
+    failure = first_failure(points, u, e, check_shapes(points.precision, u, e, variant))
     if failure is None:
         return Verdict(True)
     shape, cell, observed, expected = failure
@@ -424,8 +423,7 @@ def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "nar
     """
     e = _check_net(points, e, variant)
     m = points.precision
-    pays = m > 0 and _rank_pays(points, len(check_shapes(m, 0, e)))
-    space = _row_space(points) if pays else None
+    space = _space_if_pays(points, len(check_shapes(m, 0, e)))
     lo, hi = 0, m
     while lo < hi:
         mid = (lo + hi) // 2 if variant == "narrow" else lo
@@ -464,19 +462,6 @@ def verify_sequence_prefix(prefix: PointSet, u: int, e: EVector | Sequence[int],
             if not v:
                 return Verdict(False, {"g": g, "m": m, "net_witness": dict(v.witness)})
     return Verdict(True)
-
-
-def project(points: PointSet, coords: Iterable[int]) -> PointSet:
-    """Restrict every point to the selected coordinates (0-based, distinct)."""
-    sel = tuple(int(i) for i in coords)
-    if not sel:
-        raise ParamError("projection needs at least one coordinate")
-    if len(set(sel)) != len(sel):
-        raise ParamError(f"projection coordinates must be distinct, got {sel}")
-    for i in sel:
-        if not 0 <= i < points.dim:
-            raise ParamError(f"coordinate {i} outside [0, {points.dim})")
-    return PointSet(points.base, points.digits[:, sel, :])
 
 
 def rebase_compress(points: PointSet, r: int) -> PointSet:

@@ -8,6 +8,8 @@ deliberately different route:
 * digital-net witnesses via per-shape Gaussian elimination on the generating
   matrices a net was built from, instead of a basis recovered from its points
   and eliminated for many shapes at once;
+* reduced row echelon forms read off an enumerated row space instead of
+  eliminated;
 * the witness of any point set via dictionary tallies of box index vectors
   read digit by digit, instead of prefix tables, or ranks plus a correction;
 * array uniformity via dictionary tallies over itertools enumeration instead
@@ -135,6 +137,21 @@ def rank_mod_p(rows, p: int) -> int:
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def brute_rref(rows, p: int) -> list:
+    """Reduced row echelon form over F_p of a list of integer rows, read off
+    their row space: the space is enumerated by adding every multiple of one
+    row at a time, its pivot columns are the leading positions of its nonzero
+    members, and the row of a pivot is the one member that is 1 there and 0
+    at every other pivot."""
+    span = {tuple(0 for _ in rows[0])} if rows else set()
+    for row in rows:
+        span = {tuple((x + c * int(y)) % p for x, y in zip(v, row))
+                for v in span for c in range(p)}
+    pivots = sorted({next(i for i, x in enumerate(v) if x) for v in span if any(v)})
+    return [next(list(v) for v in span if all(v[q] == (q == c) for q in pivots))
+            for c in pivots]
 
 
 def digital_witness(b: int, matrices, u: int, e, variant: str = "narrow"):

@@ -302,8 +302,8 @@ class TestInputReader:
 
 class TestVerifySeq:
     def test_pass_and_fail(self, capsys, tmp_path):
-        from evnets import PointSet, project
-        vdc = PointSet(2, project(corpus.hammersley(2, 4), [0]).digits)
+        from evnets import PointSet
+        vdc = PointSet(2, corpus.hammersley(2, 4).digits[:, [0]])
         good = tmp_path / "seq.net"
         good.write_text(serialize_net(vdc, 0, EVector((1,))))
         code, out, _ = run(capsys, "verify-seq", str(good), "--m-max", "4")

@@ -1,12 +1,15 @@
 """Reference constructions, perturbations, and the existence search."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from evnets import PointSet, project, u_star, verify_net
+from evnets import PointSet, u_star, verify_net
 from evnets.cli import EXIT_INCONCLUSIVE, EXIT_PASS, main
 from evnets.corpus import (
     digital_net, faure, flip_digit, grid_1d, hammersley, random_pointset,
@@ -43,12 +46,12 @@ class TestGenerators:
     def test_digital_identity_is_the_grid(self):
         eye = np.eye(3, dtype=np.int64)
         p = digital_net(2, [eye])
-        assert p == project(hammersley(2, 3), [1])
+        assert p == PointSet(2, hammersley(2, 3).digits[:, [1]])
 
     def test_digital_antidiagonal_reverses_digits(self):
         anti = np.eye(3, dtype=np.int64)[::-1]
         p = digital_net(2, [anti])
-        assert p == project(hammersley(2, 3), [0])
+        assert p == PointSet(2, hammersley(2, 3).digits[:, [0]])
 
     def test_digital_validation(self):
         eye = np.eye(2, dtype=np.int64)
@@ -70,7 +73,7 @@ class TestGenerators:
 
     def test_pascal_first_coordinate_is_the_grid(self):
         p = faure(3, 2, 3)
-        assert project(p, [0]) == grid_1d(3, 2)
+        assert PointSet(3, p.digits[:, [0]]) == grid_1d(3, 2)
 
     def test_pascal_validation(self):
         with pytest.raises(ParamError):
@@ -251,6 +254,25 @@ class TestSearchNet:
                 assert res.net is None
             else:
                 assert np.array_equal(res.net.digits, digits)
+
+    @pytest.mark.parametrize("args", [(2, 2, (1, 1), 2, 2), (2, 2, (1, 1), 2, 0)],
+                             ids=["u=m", "search"])
+    def test_found_net_is_reverified_under_optimisation(self, args):
+        # python -O strips assert statements; the re-verification must stay
+        import evnets
+        src = os.path.dirname(os.path.dirname(os.path.abspath(evnets.__file__)))
+        script = f"""from evnets import Verdict, corpus
+corpus.verify_net = lambda *args: Verdict(False, {{"shape": [0, 0]}})
+try:
+    corpus.search_net(*{args!r})
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("raised: search found a set that is not a net: "
+                               "{'shape': [0, 0]}\n")
 
     def test_node_limit_gives_inconclusive(self):
         res = search_net(2, 2, (1, 1, 1, 1), 4, 0, node_limit=1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from evnets import (
     EVector, PointSet, Verdict,
-    check_shapes, count_box, enumerate_profiles, net_to_mooa, project,
+    check_shapes, count_box, enumerate_profiles, net_to_mooa,
     rebase_compress, rebase_expand, u_star, verify_mooa, verify_net,
     verify_sequence_prefix,
 )
@@ -332,6 +332,41 @@ def _module_set(b, m, s, seed):
     a = _util.digit_matrix(range(b ** m), m, b).astype(np.int64)
     mats = [np.eye(m, dtype=np.int64)] + [rng.integers(0, b, (m, m)) for _ in range(s - 1)]
     return PointSet(b, np.stack([a @ c.T % b for c in mats], axis=1))
+
+
+class TestEliminate:
+    @pytest.mark.parametrize("b", [2, 3, 5, 7])
+    def test_ranks_match_the_oracle(self, b):
+        rng = np.random.default_rng(b)
+        ranks = set()
+        for rows, cols in [(1, 1), (1, 4), (3, 5), (4, 4), (5, 3), (6, 8)]:
+            stack = rng.integers(0, b, (16, rows, cols))
+            stack[0] = 0
+            stack[1, -1] = 0  # a zero row
+            stack[2, -1] = stack[2, 0]  # a repeated row
+            stack[3, -1] = (stack[3, 0] + (b - 1) * stack[3, rows // 2]) % b  # a combination
+            stack[4] = np.eye(rows, cols, dtype=np.int64)  # full rank
+            stack[5, :, 0] = 0  # a column without a pivot
+            want = [oracles.rank_mod_p(matrix.tolist(), b) for matrix in stack]
+            where = netverify._eliminate(stack, b)
+            assert (where >= 0).sum(axis=1).tolist() == want
+            ranks |= {(r == min(rows, cols)) for r in want}
+        assert ranks == {True, False}  # full and deficient ranks both occur
+
+    @pytest.mark.parametrize("b", [2, 3, 5, 7])
+    def test_pivot_rows_of_one_matrix_are_its_reduced_form(self, b):
+        rng = np.random.default_rng(10 + b)
+        for rows, cols in [(1, 3), (3, 6), (5, 4), (4, 7)]:
+            for trial in range(6):
+                matrix = rng.integers(0, b, (rows, cols))
+                if trial % 2:  # rank deficient
+                    matrix[-1] = (2 * matrix[0] + matrix[rows // 2]) % b
+                if trial == 4:
+                    matrix[:] = 0
+                stack = matrix[None].copy()
+                where = netverify._eliminate(stack, b)[0]
+                assert stack[0, where[where >= 0]].tolist() == \
+                    oracles.brute_rref(matrix.tolist(), b)
 
 
 class TestRankRoute:
@@ -728,8 +763,28 @@ class TestUStar:
 
 def _vdc_prefix(m_digits, n_points):
     """First points of the base-2 digit-reversal sequence, m_digits carried."""
-    return PointSet(2, project(corpus.hammersley(2, m_digits), [0])
-                    .digits[:n_points])
+    return PointSet(2, corpus.hammersley(2, m_digits).digits[:n_points, [0]])
+
+
+def _faure_prefix(b, m, s):
+    """The first b**m points of the (s - 1)-dimensional Faure sequence in
+    base b, m digits carried: faure(b, m, s) less its first coordinate, which
+    is n / b**m rather than a sequence coordinate."""
+    return PointSet(b, corpus.faure(b, m, s).digits[:, 1:])
+
+
+def _brute_prefix_witness(prefix, u, e, m_max):
+    """``verify_sequence_prefix``'s witness, None on a pass: every complete
+    block in (m, g) order, each truncated to m digits and checked by
+    ``oracles.brute_net_witness``."""
+    b = prefix.base
+    for m in range(u + 1, m_max + 1):
+        for g in range(prefix.count // b ** m):
+            block = PointSet(b, prefix.digits[g * b ** m:(g + 1) * b ** m, :, :m])
+            witness = oracles.brute_net_witness(block, u, e)
+            if witness is not None:
+                return {"g": g, "m": m, "net_witness": witness}
+    return None
 
 
 class TestSequencePrefix:
@@ -762,6 +817,24 @@ class TestSequencePrefix:
         assert not v
         assert (v.witness["g"], v.witness["m"]) == (4, 1)
 
+    @pytest.mark.parametrize("b,m,s", [(3, 4, 3), (5, 3, 5)])
+    def test_faure_prefixes_agree_with_the_oracle(self, b, m, s):
+        failed = 0
+        for flip in (None, (40, 0, 1), (b ** m - 1, s - 2, 0), (b + 1, s - 2, m - 1)):
+            full = _faure_prefix(b, m, s)
+            if flip is not None:
+                full = corpus.flip_digit(full, *flip)
+            for n_points in (b ** m, 2 * b ** (m - 1) + 1):
+                prefix = PointSet(b, full.digits[:n_points])
+                for e in ((1,) * (s - 1), (2,) + (1,) * (s - 2)):
+                    for u in (0, 1):
+                        want = _brute_prefix_witness(prefix, u, e, m)
+                        v = verify_sequence_prefix(prefix, u, e, m)
+                        assert _as_tuple(v) == (want is None, want), (flip, n_points, e, u)
+                        assert want is None or flip is not None  # the sequence passes
+                        failed += want is not None
+        assert failed > 4  # and flipped digits are seen
+
     def test_m_max_beyond_precision(self):
         p = _vdc_prefix(3, 8)
         with pytest.raises(PrecisionError):
@@ -783,22 +856,11 @@ class TestSequencePrefix:
 
 class TestProjectAndRebase:
     def test_projection_keeps_the_property(self, ham23, faure333):
-        assert verify_net(project(ham23, [0]), 0, (1,))
-        assert verify_net(project(ham23, [1]), 0, (1,))
+        # a projection keeps each point's digits at the selected coordinates
+        assert verify_net(PointSet(2, ham23.digits[:, [0]]), 0, (1,))
+        assert verify_net(PointSet(2, ham23.digits[:, [1]]), 0, (1,))
         for coords in ([0, 1], [1, 2], [0, 2], [2, 0]):
-            assert verify_net(project(faure333, coords), 0, (1, 1))
-
-    def test_projection_reorders_coordinates(self, ham23):
-        swapped = project(ham23, [1, 0])
-        assert np.array_equal(swapped.digits[:, 0], ham23.digits[:, 1])
-
-    def test_projection_validation(self, ham23):
-        with pytest.raises(ParamError):
-            project(ham23, [])
-        with pytest.raises(ParamError):
-            project(ham23, [0, 0])
-        with pytest.raises(ParamError):
-            project(ham23, [2])
+            assert verify_net(PointSet(3, faure333.digits[:, coords]), 0, (1, 1))
 
     def test_rebase_round_trip(self, ham23):
         p4 = rebase_compress(corpus.hammersley(2, 4), 2)
