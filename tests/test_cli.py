@@ -780,18 +780,25 @@ class TestReport:
             f"{'PASS' if want['pass'] else 'FAIL'}"])
 
 
-# Runs main on the arguments, then writes the loaded evnets and numpy
-# modules as the last line of stderr.
-_FRESH_MAIN = """import sys
+# Runs main on the arguments, then writes the process's state as JSON on the
+# last line of stderr: the loaded evnets and numpy modules, the value of
+# OPENBLAS_NUM_THREADS and the number of threads (None without /proc).
+_FRESH_MAIN = """import json, os, sys
 from evnets.cli import main
 try:
     code = main(sys.argv[1:])
 finally:
     sys.stdout.flush()
-    sys.stderr.write("\\n" + " ".join(m for m in sys.modules
-                                     if m == "numpy" or m.startswith("evnets")))
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    sys.stderr.write("\\n" + json.dumps({
+        "modules": [m for m in sys.modules if m == "numpy" or m.startswith("evnets")],
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": tasks}))
 sys.exit(code)
 """
+
+# the subcommands whose handlers load numpy
+_NUMPY_COMMANDS = ["gen", "verify-net", "verify-seq", "to-moa", "verify-moa", "to-mooa",
+                   "from-mooa", "verify-mooa", "dual-cert", "report"]
 
 
 class TestReadmeSynopsis:
@@ -817,24 +824,29 @@ class TestReadmeSynopsis:
                 assert flag in options, (words[1], flag)
 
     @staticmethod
-    def _fresh(argv, cwd):
-        """Exit code, stdout bytes and loaded modules of ``main(argv)`` in a
-        new interpreter, which imports only what the subcommand uses."""
+    def _fresh(argv, cwd, blas_threads=None):
+        """Exit code, stdout bytes and final state (see ``_FRESH_MAIN``) of
+        ``main(argv)`` in a new interpreter, which imports only what the
+        subcommand uses. The child's OPENBLAS_NUM_THREADS is ``blas_threads``
+        (unset for None), whatever an in-process ``main`` left in this one."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(evnets.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
         proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=env, cwd=cwd,
                               capture_output=True, timeout=60)
-        return proc.returncode, proc.stdout, set(proc.stderr.decode().split("\n")[-1].split())
+        return proc.returncode, proc.stdout, json.loads(proc.stderr.decode().split("\n")[-1])
 
-    def test_every_subcommand_prints_the_same_in_a_fresh_process(self, capsys, tmp_path,
-                                                                 monkeypatch):
-        # here the whole package is loaded; there only what each handler imports
+    @staticmethod
+    def _examples(cwd):
+        """Arguments for every subcommand, on the files this writes to ``cwd``."""
         net = corpus.hammersley(2, 3)
-        (tmp_path / "h.net").write_text(serialize_net(net, 0, EVector((1, 1))))
-        (tmp_path / "h.moa").write_text(evnets.serialize_moa(evnets.net_to_moa(net, (1, 1))))
-        (tmp_path / "h.mooa").write_text(evnets.serialize_mooa(evnets.net_to_mooa(net, 0, (1, 1))))
-        examples = {
+        (cwd / "h.net").write_text(serialize_net(net, 0, EVector((1, 1))))
+        (cwd / "h.moa").write_text(evnets.serialize_moa(evnets.net_to_moa(net, (1, 1))))
+        (cwd / "h.mooa").write_text(evnets.serialize_mooa(evnets.net_to_mooa(net, 0, (1, 1))))
+        return {
             "gen": ["hammersley", "--base", "2", "--m", "3"],
             "verify-net": ["h.net"], "verify-seq": ["h.net", "--json"],
             "to-moa": ["h.net"], "verify-moa": ["h.moa", "--t", "2"],
@@ -843,6 +855,11 @@ class TestReadmeSynopsis:
             "feasible": ["--base", "2", "--m", "20", "--e", "1x8", "--target", "sequence"],
             "dual-cert": ["h.mooa", "--kappa", "1,2"], "report": ["h.net"],
         }
+
+    def test_every_subcommand_prints_the_same_in_a_fresh_process(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # here the whole package is loaded; there only what each handler imports
+        examples = self._examples(tmp_path)
         assert sorted(examples) == sorted(words[1] for words in self._synopsis())
         monkeypatch.chdir(tmp_path)
         for command, args in examples.items():
@@ -857,13 +874,26 @@ class TestReadmeSynopsis:
         ["feasible", "--base", "2", "--m", "20", "--e", "1x8", "--target", "sequence"],
         ["--help"], ["dual-cert", "--help"]])
     def test_bounds_and_help_run_without_numpy(self, capsys, tmp_path, argv):
-        code, out, modules = self._fresh(argv, tmp_path)
-        assert "evnets.cli" in modules and "numpy" not in modules
+        code, out, state = self._fresh(argv, tmp_path)
+        assert "evnets.cli" in state["modules"] and "numpy" not in state["modules"]
         if argv[-1] == "--help":
             assert code == EXIT_PASS and out.startswith(b"usage: evnets")
         else:
             want_code, want_out, _ = run(capsys, *argv)
             assert (code, out) == (want_code, want_out.encode())
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    @pytest.mark.parametrize("command", _NUMPY_COMMANDS)
+    def test_numpy_starts_with_one_blas_thread_unless_preset(self, tmp_path, command, preset):
+        # BLAS never gets work here, so its pool should not outnumber the
+        # main thread; a value the caller set is theirs
+        code, _, state = self._fresh([command, *self._examples(tmp_path)[command]], tmp_path,
+                                     blas_threads=preset)
+        # verify-seq fails: a Hammersley net is no sequence prefix
+        assert code in (EXIT_PASS, EXIT_FAIL) and "numpy" in state["modules"]
+        assert state["blas_threads"] == (preset or "1")
+        if preset is None and sys.platform.startswith("linux"):
+            assert state["tasks"] == 1
 
     def test_every_flag_is_in_the_synopsis(self):
         # gen's line elides its generator-specific flags with "..."
