@@ -25,10 +25,10 @@ i are independent, S fills every cell of shape d evenly, so the failing cells
 are those where the correction's weights do not cancel. Where their rank r
 falls short of sum d, the zero cell holds the b**(m - r) points of the kernel
 plus the correction there, and is the first cell counting would report; only
-when that sum is the expected count after all is the shape counted. The rank
-route is taken only where counting would touch more digits than recovering
-the basis from the points does, and only while placing the correction costs
-less than counting.
+when that sum is the expected count after all is the shape counted.
+``_row_space`` alone picks the route: ranks need a prime base, more than
+2**17 point-shapes to count (n times the number of shapes), a sample of rank
+m, and a correction that costs less to place than counting.
 """
 
 from __future__ import annotations
@@ -130,15 +130,8 @@ def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str) -> EV
 # m; either way counting decides the input.
 _SAMPLE_EXTRA = 32
 
-# Fixed cost of recovering a basis, in digits counting could scan meanwhile.
+# Fixed cost of recovering a basis, in point-shapes counting decides meanwhile.
 _RANK_OVERHEAD = 1 << 17
-
-
-def _rank_pays(points: PointSet, shapes: int) -> bool:
-    """Whether counting ``shapes`` shapes over every point touches more digits
-    than recovering a basis: one pass over the digits, plus a fixed cost."""
-    n, s, m = points.digits.shape
-    return n * shapes > n * s * m + _RANK_OVERHEAD
 
 
 def _correction_pays(points: PointSet, size: int) -> bool:
@@ -160,22 +153,24 @@ Space = tuple[np.ndarray, np.ndarray, np.ndarray]
 Failure = tuple[Shape, int, int, int]
 
 
-def _row_space(points: PointSet) -> Space | None:
+def _row_space(points: PointSet, shapes: int) -> Space | None:
     """An F_b-subspace S that the point set P equals up to a sparse
-    correction: (basis, vectors, weights), or None when there is none.
+    correction, for deciding ``shapes`` shapes by ranks: (basis, vectors,
+    weights), or None when counting them is to decide instead.
 
     The basis is a reduced m x (s*m) one whose row space is S. The correction
     P - S lists distinct digit vectors with nonzero weights: its multiplicity
     in P for a vector off S, and multiplicity - 1 for each member of S that P
     misses or repeats; it is empty exactly when P is S. None when b is not
-    prime, when a fixed sample of rows has rank other than m, or when the
-    correction grows too large to pay (``_correction_pays``). A point is a
-    member when ``V == (V[:, pivots] @ B) % b``, checked a chunk of points
-    at a time.
+    prime, when counting n * shapes point-shapes costs no more than the
+    recovery's fixed cost (``_RANK_OVERHEAD``), when a fixed sample of rows
+    has rank other than m, or when the correction grows too large to pay
+    (``_correction_pays``). A point is a member when
+    ``V == (V[:, pivots] @ B) % b``, checked a chunk of points at a time.
     """
     b = points.base
     n, s, m = points.digits.shape
-    if not is_prime(b):
+    if not is_prime(b) or n * shapes <= _RANK_OVERHEAD:
         return None
     flat = points.digits.reshape(n, s * m)
     sample = flat[_sample_rows(n, m)][None].astype(np.int64)
@@ -364,33 +359,28 @@ def _ranked_failure(points: PointSet, shapes: Sequence[Shape], space: Space,
     return None
 
 
-def _decide(points: PointSet, u: int, e: EVector, shapes: Sequence[Shape],
+def _decide(points: PointSet, e: EVector, shapes: Sequence[Shape],
             space: Space | None) -> Failure | None:
-    """The first failure among the quality-u ``shapes``: by ranks of a
-    subspace and its correction when ``space`` gives them, else by counting
-    every point's box."""
+    """The first failure among ``shapes``: by ranks of a subspace and its
+    correction when ``space`` gives them, else by counting every point's box
+    in a table as deep as the deepest coordinate of any of them."""
     table = None
 
     def count(some: Sequence[Shape]) -> Failure | None:
         nonlocal table
         if table is None:
-            table = PrefixTable.of_digits(points.digits, points.base, e, points.precision - u)
+            depth = max(map(max, shapes), default=0)
+            table = PrefixTable.of_digits(points.digits, points.base, e, depth)
         return table.first_failure(some)
 
     return count(shapes) if space is None else _ranked_failure(points, shapes, space, count)
 
 
-def _space_if_pays(points: PointSet, shapes: int) -> Space | None:
-    """``_row_space`` when counting ``shapes`` shapes would pay for it, else None."""
-    return _row_space(points) if _rank_pays(points, shapes) else None
-
-
-def first_failure(points: PointSet, u: int, e: EVector,
-                  shapes: Sequence[Shape]) -> Failure | None:
-    """The first of the quality-u ``shapes`` with a box not holding b**(m - sum d)
-    points, as (shape, box index rank, observed, expected), or None: by ranks
-    when counting would pay for the recovery, else by counting."""
-    return _decide(points, u, e, shapes, _space_if_pays(points, len(shapes)))
+def first_failure(points: PointSet, e: EVector, shapes: Sequence[Shape]) -> Failure | None:
+    """The first of ``shapes`` with a box not holding b**(m - sum d) points,
+    as (shape, box index rank, observed, expected), or None: by ranks where
+    ``_row_space`` recovers a subspace for them, else by counting."""
+    return _decide(points, e, shapes, _row_space(points, len(shapes)))
 
 
 def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
@@ -402,7 +392,7 @@ def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
     enumeration order; no later shape is examined.
     """
     e = _check_net(points, e, variant)
-    failure = first_failure(points, u, e, check_shapes(points.precision, u, e, variant))
+    failure = first_failure(points, e, check_shapes(points.precision, u, e, variant))
     if failure is None:
         return Verdict(True)
     shape, cell, observed, expected = failure
@@ -418,16 +408,17 @@ def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "nar
     shapes, so passing at u implies passing at every v >= u. The tezuka
     reading replaces the shape set rather than shrinking it, so it tries
     u = 0, 1, ... in turn and stops at the first pass. A subspace and its
-    correction are recovered once for the rank route, when counting the
-    u = 0 shapes would pay for it.
+    correction are recovered once, for every u, by ``_row_space`` on the
+    u = 0 shapes: it needs a prime base, n times that many shapes above
+    2**17, a sample of rank m and a correction that pays.
     """
     e = _check_net(points, e, variant)
     m = points.precision
-    space = _space_if_pays(points, len(check_shapes(m, 0, e)))
+    space = _row_space(points, len(check_shapes(m, 0, e)))
     lo, hi = 0, m
     while lo < hi:
         mid = (lo + hi) // 2 if variant == "narrow" else lo
-        if _decide(points, mid, e, check_shapes(m, mid, e, variant), space) is None:
+        if _decide(points, e, check_shapes(m, mid, e, variant), space) is None:
             hi = mid
         else:
             lo = mid + 1

@@ -138,8 +138,8 @@ def _decide(array: MixedOOA) -> tuple[PointSet, Verdict]:
 
     points, e = _points(array), array.e
     profiles = enumerate_profiles(array.m, array.u, e, array.beta)
-    failure = first_failure(points, array.u, e,
-                            [tuple(k * ei for k, ei in zip(kappa, e)) for kappa in profiles])
+    failure = first_failure(points, e, [tuple(k * ei for k, ei in zip(kappa, e))
+                                        for kappa in profiles])
     if failure is None:
         return points, Verdict(True)
     shape, cell, observed, expected = failure

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import evnets
-from evnets import EVector, corpus, dualcert, serialize_net
+from evnets import EVector, corpus, dualcert, netverify, serialize_net
 from evnets.cli import EXIT_FAIL, EXIT_FORMAT, EXIT_INCONCLUSIVE, EXIT_PASS, \
     EXIT_USAGE, build_parser, evector_arg, int_list_arg, main
 
@@ -746,6 +746,20 @@ class TestReport:
         assert data["moa"] == {"alphabets": [2, 2], "max_strength": 2}
         assert data["mooa_at_u_star"] == {"pass": True, "beta": [3, 3]}
         assert data["feasibility"]["feasible"] is True
+
+    def test_narrow_report_recovers_the_basis_once(self, capsys, monkeypatch, tmp_path):
+        # u_star passes at the claimed u, so the claimed u's line needs no
+        # decision of its own
+        path = tmp_path / "faure575.net"
+        path.write_text(serialize_net(corpus.faure(5, 7, 5), 0, EVector((1,) * 5)))
+        recoveries = []
+        real = netverify._row_space
+        monkeypatch.setattr(netverify, "_row_space",
+                            lambda *args: recoveries.append(args) or real(*args))
+        code, out, _ = run(capsys, "report", str(path))
+        assert code == EXIT_PASS
+        assert "  verify-net(narrow) at claimed u: PASS" in out.splitlines()
+        assert len(recoveries) == 1
 
     @pytest.mark.parametrize("variant", ["narrow", "tezuka"])
     @pytest.mark.parametrize("name, points, e", [

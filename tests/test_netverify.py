@@ -294,13 +294,22 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
+def _count_eliminations(monkeypatch):
+    """The shape of every stack ``netverify._eliminate`` reduces, in order."""
+    calls = []
+    real = netverify._eliminate
+    monkeypatch.setattr(netverify, "_eliminate",
+                        lambda stack, b: calls.append(stack.shape) or real(stack, b))
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # the rank route for F_b-subspaces
 
-def _decided(p, u, e, shapes, space):
+def _decided(p, e, shapes, space):
     """``netverify._decide``'s first failure as the verdict ``verify_net``
     reports: the box unranked one coordinate at a time."""
-    failure = netverify._decide(p, u, e, shapes, space)
+    failure = netverify._decide(p, e, shapes, space)
     if failure is None:
         return Verdict(True)
     shape, cell, observed, expected = failure
@@ -309,14 +318,22 @@ def _decided(p, u, e, shapes, space):
                            "observed": observed, "expected": expected})
 
 
+def _recover(p):
+    """``netverify._row_space`` with its size gate open: the subspace and
+    correction recovered from the input's structure alone, or None."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netverify, "_RANK_OVERHEAD", -1)
+        return netverify._row_space(p, 0)
+
+
 def _both_routes(p, u, e, variant):
     """(counting verdict, rank verdict or None when no basis is recovered),
     each forced whatever the size gate says."""
     e = EVector.coerce(e)
     shapes = check_shapes(p.precision, u, e, variant)
-    basis = netverify._row_space(p)
-    counted = _decided(p, u, e, shapes, None)
-    ranked = None if basis is None else _decided(p, u, e, shapes, basis)
+    basis = _recover(p)
+    counted = _decided(p, e, shapes, None)
+    ranked = None if basis is None else _decided(p, e, shapes, basis)
     return counted, ranked
 
 
@@ -443,8 +460,8 @@ class TestRankRoute:
         e = (1,) * 5
         tezuka_star = next(u for u in range(6) if _both_routes(p, u, e, "tezuka")[0])
         counted, _ = _both_routes(bad, 0, (1,) * 4, "narrow")
-        assert netverify._rank_pays(p, len(check_shapes(5, 0, e)))
-        assert netverify._rank_pays(bad, len(check_shapes(8, 0, (1,) * 4)))
+        assert netverify._row_space(p, len(check_shapes(5, 0, e))) is not None
+        assert netverify._row_space(bad, len(check_shapes(8, 0, (1,) * 4))) is not None
         calls = _count_kernel_calls(monkeypatch)
         assert verify_net(p, 0, e)
         assert u_star(p, e) == 0
@@ -458,7 +475,7 @@ class TestRankRoute:
         recoveries = []
         real = netverify._row_space
         monkeypatch.setattr(netverify, "_row_space",
-                            lambda p: recoveries.append(p) or real(p))
+                            lambda p, shapes: recoveries.append(p) or real(p, shapes))
         steps = TestUStar._count_calls(monkeypatch)
         p = corpus.faure(5, 5, 5)
         for variant in ("narrow", "tezuka"):
@@ -479,8 +496,8 @@ class TestRankRoute:
         e = (1,) * p.dim
         shapes = check_shapes(p.precision, 0, e)
         # large enough for ranks, so only the input's structure keeps it off them
-        assert netverify._rank_pays(p, len(shapes))
-        assert netverify._row_space(p) is None
+        assert p.count * len(shapes) > netverify._RANK_OVERHEAD
+        assert netverify._row_space(p, len(shapes)) is None
         calls = _count_kernel_calls(monkeypatch)
         v = verify_net(p, 0, e)
         stop = len(shapes) if v else shapes.index(tuple(v.witness["shape"])) + 1
@@ -497,15 +514,37 @@ class TestRankRoute:
     def test_small_inputs_take_counting(self, monkeypatch, p):
         e = (1,) * p.dim
         shapes = check_shapes(p.precision, 0, e)
-        assert netverify._row_space(p) is not None
-        assert not netverify._rank_pays(p, len(shapes))
+        assert _recover(p) is not None
+        eliminations = _count_eliminations(monkeypatch)
+        assert netverify._row_space(p, len(shapes)) is None
+        assert eliminations == []  # refused before any sample is drawn
         calls = _count_kernel_calls(monkeypatch)
         assert verify_net(p, 0, e)
         assert len(calls) == len(shapes)
 
+    def test_large_two_dimensional_net_takes_ranks(self, monkeypatch):
+        # 2**17 points and 18 shapes: counting them measured more than twice
+        # the time of the recovery and decision together
+        p = corpus.hammersley(2, 17)
+        calls = _count_kernel_calls(monkeypatch)
+        assert verify_net(p, 0, (1, 1))
+        assert calls == []  # no point was counted
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_route_turns_at_the_fixed_cost(self, monkeypatch, above):
+        p = corpus.faure(5, 5, 5)
+        e = (1,) * 5
+        shapes = check_shapes(5, 0, e)
+        work = p.count * len(shapes)
+        monkeypatch.setattr(netverify, "_RANK_OVERHEAD", work - 1 if above else work)
+        assert (netverify._row_space(p, len(shapes)) is not None) == above
+        calls = _count_kernel_calls(monkeypatch)
+        assert verify_net(p, 0, e)
+        assert len(calls) == (0 if above else len(shapes))
+
     def test_recovered_basis_spans_the_points(self):
         p = corpus.faure(3, 4, 3)
-        basis, vectors, weights = netverify._row_space(p)
+        basis, vectors, weights = _recover(p)
         assert basis.shape == (4, 12)
         assert vectors.shape == (0, 12) and weights.shape == (0,)  # no correction
         n, s, m = p.digits.shape
@@ -529,12 +568,12 @@ class TestRankRoute:
         scanned = []
         monkeypatch.setattr(netverify, "rank_rows",
                             lambda *args: scanned.append(1) or _util.rank_rows(*args))
-        assert netverify._row_space(p) is None
+        assert _recover(p) is None
         assert len(scanned) == 1
 
     @pytest.mark.parametrize("b", [4, 6, 9])
     def test_composite_bases_have_no_basis(self, b):
-        assert netverify._row_space(_module_set(b, 2, 2, 0)) is None
+        assert _recover(_module_set(b, 2, 2, 0)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +638,11 @@ class TestCorrectedRankRoute:
         p = corpus.flip_digit(net, 1234, 2, 3)
         e = EVector.coerce((1,) * 5)
         shapes = check_shapes(5, 0, e)
-        assert netverify._rank_pays(p, len(shapes))
-        space = netverify._row_space(p)
+        space = netverify._row_space(p, len(shapes))
         assert _recovered(space) == {tuple(p.digits[1234].reshape(-1).tolist()): 1,
                                      tuple(net.digits[1234].reshape(-1).tolist()): -1}
-        counted = _decided(p, 0, e, shapes, None)
-        star = next(u for u in range(6) if _decided(p, u, e, check_shapes(5, u, e), None))
+        counted = _decided(p, e, shapes, None)
+        star = next(u for u in range(6) if _decided(p, e, check_shapes(5, u, e), None))
         calls = _count_kernel_calls(monkeypatch)
         # a (0,5,5)-net: every shape has full rank, so no fallback counts anything
         assert _as_tuple(verify_net(p, 0, e)) == _as_tuple(counted)
@@ -631,13 +669,13 @@ class TestCorrectedRankRoute:
         p = PointSet(b, digits)
         e = EVector.coerce((1, 1))
         shapes = check_shapes(m, 0, e)
-        space = netverify._row_space(p)
+        space = _recover(p)
         assert _recovered(space) == _correction(p, net) and len(_recovered(space)) == 2
         want = {"shape": [3, 3], "box": [0, 1], "observed": 0, "expected": 1}
         assert oracles.brute_net_witness(p, 0, e) == want
-        assert _as_tuple(_decided(p, 0, e, shapes, None)) == (False, want)
+        assert _as_tuple(_decided(p, e, shapes, None)) == (False, want)
         calls = _count_kernel_calls(monkeypatch)
-        assert _as_tuple(_decided(p, 0, e, shapes, space)) == (False, want)
+        assert _as_tuple(_decided(p, e, shapes, space)) == (False, want)
         assert calls == [b ** 6]  # that one shape, and nothing else
 
     def test_a_sampled_point_off_the_subspace_takes_counting(self, monkeypatch):
@@ -646,8 +684,8 @@ class TestCorrectedRankRoute:
         p = corpus.flip_digit(net, row, 2, 3)
         e = (1,) * 5
         shapes = check_shapes(5, 0, e)
-        assert netverify._rank_pays(p, len(shapes))
-        assert netverify._row_space(p) is None
+        assert p.count * len(shapes) > netverify._RANK_OVERHEAD
+        assert netverify._row_space(p, len(shapes)) is None
         calls = _count_kernel_calls(monkeypatch)
         v = verify_net(p, 0, e)
         assert len(calls) == shapes.index(tuple(v.witness["shape"])) + 1
@@ -659,12 +697,12 @@ class TestCorrectedRankRoute:
         flips = max(k for k in range(net.count) if netverify._correction_pays(net, 2 * k))
         e = (1,) * 5
         shapes = check_shapes(5, 0, e)
+        assert net.count * len(shapes) > netverify._RANK_OVERHEAD
         for k in (flips, flips + 1):
             p = net
             for row in free[:k]:
                 p = corpus.flip_digit(p, row, row % 5, row % 3)
-            assert netverify._rank_pays(p, len(shapes))
-            space = netverify._row_space(p)
+            space = netverify._row_space(p, len(shapes))
             calls = _count_kernel_calls(monkeypatch)
             v = verify_net(p, 0, e)
             if k == flips:
@@ -686,18 +724,18 @@ class TestCorrectedRankRoute:
         variant = data.draw(st.sampled_from(["narrow", "tezuka"]), label="variant")
         want = oracles.brute_net_witness(p, u, e, variant)
         shapes = check_shapes(m, u, e, variant)
-        assert _as_tuple(_decided(p, u, e, shapes, None)) == (want is None, want)
+        assert _as_tuple(_decided(p, e, shapes, None)) == (want is None, want)
         correction = _correction(p, net)
-        space = netverify._row_space(p)
+        space = _recover(p)
         # the sample holds no altered row, so only the size limit refuses
         assert (space is None) == (not netverify._correction_pays(p, len(correction)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(netverify, "_correction_pays", lambda points, size: True)
-            space = netverify._row_space(p)
+            space = _recover(p)
             assert _recovered(space) == correction
-            assert _as_tuple(_decided(p, u, e, shapes, space)) == (want is None, want)
+            assert _as_tuple(_decided(p, e, shapes, space)) == (want is None, want)
             # and through the public entries, with the rank route forced
-            mp.setattr(netverify, "_rank_pays", lambda points, shapes: True)
+            mp.setattr(netverify, "_RANK_OVERHEAD", -1)
             assert _as_tuple(verify_net(p, u, e, variant)) == (want is None, want)
             assert u_star(p, e, variant) == next(
                 v for v in range(m + 1) if oracles.brute_net_witness(p, v, e, variant) is None)
@@ -727,13 +765,13 @@ class TestUStar:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        """The u of every decision u_star takes, one per bisection step."""
+        """The shapes of every decision u_star takes, one per bisection step."""
         calls = []
         real = netverify._decide
 
-        def counting(points, u, *args):
-            calls.append(u)
-            return real(points, u, *args)
+        def counting(points, e, shapes, space):
+            calls.append(list(shapes))
+            return real(points, e, shapes, space)
 
         monkeypatch.setattr(netverify, "_decide", counting)
         return calls
@@ -752,10 +790,10 @@ class TestUStar:
         calls = self._count_calls(monkeypatch)
         p = PointSet(2, np.zeros((8, 1, 3), dtype=np.int64))
         assert u_star(p, (2,), variant="tezuka") == 0  # despite failing at u=1
-        assert calls == [0]
+        assert calls == [check_shapes(3, 0, (2,), "tezuka")]
         calls.clear()
         assert u_star(_flip012(corpus.hammersley(2, 3)), (1, 1), variant="tezuka") == 1
-        assert calls == [0, 1]
+        assert calls == [check_shapes(3, u, (1, 1), "tezuka") for u in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +872,15 @@ class TestSequencePrefix:
                         assert want is None or flip is not None  # the sequence passes
                         failed += want is not None
         assert failed > 4  # and flipped digits are seen
+
+    def test_small_blocks_are_counted_without_a_sample(self, monkeypatch):
+        # the largest block holds 3**8 points and has 9 shapes: 59049
+        # point-shapes, below the recovery's fixed cost, so no block pays for
+        # a sample elimination
+        eliminations = _count_eliminations(monkeypatch)
+        assert verify_sequence_prefix(_faure_prefix(3, 8, 3), 0, (1, 1), 8)
+        assert 3 ** 8 * len(check_shapes(8, 0, (1, 1))) <= netverify._RANK_OVERHEAD
+        assert eliminations == []
 
     def test_m_max_beyond_precision(self):
         p = _vdc_prefix(3, 8)

@@ -297,9 +297,11 @@ class TestDecidedOnItsPoints:
                                               tuple(arr.e), arr.beta)
             assert (want is None) == oracles.brute_verify_mooa(
                 arr.rows, arr.base, arr.m, arr.u, tuple(arr.e), arr.beta, "all")
-            mp.setattr(netverify, "_rank_pays", lambda points, shapes: False)
+            real = netverify._row_space
+            mp.setattr(netverify, "_row_space", lambda points, shapes: None)
             assert _as_tuple(verify_mooa(arr)) == (want is None, want)
-            mp.setattr(netverify, "_rank_pays", lambda points, shapes: True)
+            mp.setattr(netverify, "_row_space", real)
+            mp.setattr(netverify, "_RANK_OVERHEAD", -1)
             mp.setattr(netverify, "_correction_pays", lambda points, size: True)
             assert _as_tuple(verify_mooa(arr)) == (want is None, want)
             if arr.beta == canonical_beta(arr.m, arr.u, arr.e):
@@ -318,7 +320,7 @@ class TestDecidedOnItsPoints:
         arr = net_to_mooa(net, 0, e)
         free = sorted(set(range(net.count)) - set(netverify._sample_rows(net.count, 5)))
         bad = net_to_mooa(corpus.flip_digit(net, free[0], 3, 1), 0, e)
-        monkeypatch.setattr(netverify, "_rank_pays", lambda points, shapes: False)
+        monkeypatch.setattr(netverify, "_row_space", lambda points, shapes: None)
         counted = _as_tuple(verify_mooa(bad))
         monkeypatch.undo()
         calls = []
@@ -366,7 +368,7 @@ print(bool(ooa.verify_mooa(arr)), loaded())
         assert _as_tuple(verify_mooa(arr)) == (False, want)
         assert verify_net(p, 0, (1, 2)).witness == {"shape": [1, 4], "box": [0, 5],
                                                     "observed": 0, "expected": 1}
-        monkeypatch.setattr(netverify, "_rank_pays", lambda points, shapes: True)
+        monkeypatch.setattr(netverify, "_RANK_OVERHEAD", -1)
         monkeypatch.setattr(netverify, "_correction_pays", lambda points, size: True)
         assert _as_tuple(verify_mooa(arr)) == (False, want)
 
