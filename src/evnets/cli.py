@@ -64,13 +64,16 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _write_output(args, text: str) -> None:
+def _write_output(args, chunks) -> None:
+    """Write byte chunks to --out or, after any text printed, to standard
+    output. A call that raises before its chunks exist opens no file."""
     out = getattr(args, "out", "-") or "-"
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.writelines(chunks)
 
 
 def _emit_json(obj) -> None:
@@ -142,7 +145,7 @@ def cmd_gen(args) -> int:
         points, u, e = result.net, args.u, args.e
     else:  # pragma: no cover - argparse restricts choices
         raise ParamError(f"unknown generator {kind!r}")
-    _write_output(args, formats.serialize_net(points, u, e))
+    _write_output(args, formats.net_chunks(points, u, e))
     return EXIT_PASS
 
 
@@ -189,8 +192,8 @@ def cmd_to_moa(args) -> int:
     net = formats.parse_net(_read_input(args.file))
     e = EVector.coerce(args.e) if args.e is not None else net.e
     array = oa.net_to_moa(net.points, e)
-    _write_output(args, formats.serialize_moa(MixedOA(array.alphabets, array.rows,
-                                                      strength=oa.max_strength(array))))
+    _write_output(args, formats.moa_chunks(MixedOA(array.alphabets, array.rows,
+                                                   strength=oa.max_strength(array))))
     return EXIT_PASS
 
 
@@ -209,7 +212,7 @@ def cmd_to_mooa(args) -> int:
 
     points, u, e = _load_net(args)
     array = ooa.net_to_mooa(points, u, e, args.beta)
-    _write_output(args, formats.serialize_mooa(array))
+    _write_output(args, formats.mooa_chunks(array))
     return EXIT_PASS
 
 
@@ -229,7 +232,7 @@ def cmd_from_mooa(args) -> int:
 
     array = formats.parse_mooa(_read_input(args.file))
     points = ooa.mooa_to_net(array)
-    _write_output(args, formats.serialize_net(points, array.u, array.e))
+    _write_output(args, formats.net_chunks(points, array.u, array.e))
     return EXIT_PASS
 
 

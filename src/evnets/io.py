@@ -43,6 +43,10 @@ spaces, a final LF), and integer lines of 2k bytes, every entry one digit.
 Any other chunk is tokenised by the grammar above, with the same values.
 The first rejected line is explained by its number and the same message a
 line-by-line reading would give.
+
+Bodies are written in such chunks too: ``net_chunks``, ``moa_chunks`` and
+``mooa_chunks`` yield the header and then the body's chunks, as bytes, so a
+writer holds one chunk of text and not the file.
 """
 
 from __future__ import annotations
@@ -50,18 +54,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
-from ._util import digit_dtype, row_chunks
+from ._util import digit_dtype
 from .core import EVector, MixedOA, MixedOOA, PointSet
 from .errors import FormatError, ParamError
 
 __all__ = [
     "DIGIT_CHARS", "NetFile",
-    "parse_net", "serialize_net",
-    "parse_moa", "serialize_moa",
-    "parse_mooa", "serialize_mooa",
+    "parse_net", "serialize_net", "net_chunks",
+    "parse_moa", "serialize_moa", "moa_chunks",
+    "parse_mooa", "serialize_mooa", "mooa_chunks",
     "parse_function_tuples",
 ]
 
@@ -366,8 +371,9 @@ def parse_net(data: str | bytes) -> NetFile:
     return NetFile(PointSet(b, digits), u, EVector(tuple(evals)))
 
 
-def serialize_net(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> str:
-    """Serialize a point set with its claimed (u, e) to canonical NET v1 text."""
+def net_chunks(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> Iterator[bytes]:
+    """Canonical NET v1 bytes of a point set with its claimed (u, e), in
+    chunks; the claims are checked before the iterator is returned."""
     e = EVector.coerce(e)
     b, m, s = points.base, points.precision, points.dim
     if b > 36:
@@ -376,52 +382,53 @@ def serialize_net(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> str
         raise ParamError(f"e-vector has {e.s} entries, point set has {s} coordinates")
     if not 0 <= u <= m:
         raise ParamError(f"claimed u={u} outside [0, {m}]")
-    header = f"NET v1\nbase {b} m {m} s {s} u {u}\ne {' '.join(str(v) for v in e)}\n"
-    out = np.empty(len(header) + points.count * s * (m + 1), dtype=np.uint8)
-    out[: len(header)] = np.frombuffer(header.encode("ascii"), dtype=np.uint8)
-    # Each coordinate's m digit characters plus its separator: a space, or
-    # the LF ending the point. Characters are looked up a chunk of points at
-    # a time, since the lookup widens its indices to intp.
-    text = out[len(header):].reshape(points.count, s, m + 1)
-    text[:, :, m] = ord(" ")
-    text[:, -1, m] = ord("\n")
-    for rows in row_chunks(points.count, s * m):
-        text[rows, :, :m] = _DIGIT_CODES[points.digits[rows]]
-    return str(out, "ascii")
+    return _digit_lines(f"NET v1\nbase {b} m {m} s {s} u {u}\n"
+                        f"e {' '.join(str(v) for v in e)}\n", points.digits)
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    """Canonical body of an integer array: decimal entries, single spaces, LF.
+def _digit_lines(header: str, digits: np.ndarray) -> Iterator[bytes]:
+    """The header, then one line per point: each coordinate's m digit
+    characters plus its separator, a space or the LF ending the point. The
+    character lookup widens its indices to intp, one chunk at a time."""
+    yield header.encode("ascii")
+    n, s, m = digits.shape
+    step = max(1, _CHUNK_BYTES // (s * (m + 1)))
+    for r in range(0, n, step):
+        block = digits[r : r + step]
+        text = np.empty(block.shape[:2] + (m + 1,), dtype=np.uint8)
+        text[:, :, :m] = _DIGIT_CODES[block]
+        text[:, :, m] = ord(" ")
+        text[:, -1, m] = ord("\n")
+        yield text.tobytes()
 
-    When every entry is one character, each takes two bytes: its digit and
-    a space (an LF ending its row). Otherwise every entry gets a slot as
-    wide as the largest entry, and the leading zeros are dropped, a chunk of
-    rows at a time; uint8 rows are split into digits in uint8.
-    """
+
+def serialize_net(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> str:
+    """Serialize a point set with its claimed (u, e) to canonical NET v1 text."""
+    return b"".join(net_chunks(points, u, e)).decode("ascii")
+
+
+def _int_lines(header: str, rows: np.ndarray) -> Iterator[bytes]:
+    """The header, then an integer array's rows: decimal entries, single
+    spaces, LF. Every entry gets a slot as wide as the largest entry, and
+    the leading zeros are dropped, a chunk of rows at a time; uint8 rows are
+    split into digits in uint8, and one-digit slots are the text itself."""
+    yield header.encode("ascii")
     n, k = rows.shape
-    if k == 0:
-        return "\n" * n
-    width = len(str(int(rows.max())))
-    if width == 1:
-        out = np.empty((n, k, 2), dtype=np.uint8)
-        out[:, :, 0] = rows
-        out[:, :, 0] += ord("0")
-        out[:, :, 1] = ord(" ")
-        out[:, -1, 1] = ord("\n")
-        return str(out, "ascii")
+    width = len(str(int(rows.max()))) if rows.size else 1
     powers = (10 ** np.arange(width - 1, -1, -1, dtype=np.int64)).astype(rows.dtype)
-    step = max(1, _CHUNK_BYTES // (k * (width + 1)))
-    parts = []
+    step = max(1, _CHUNK_BYTES // (k * (width + 1) or 1))
     for r in range(0, n, step):
         block = rows[r : r + step, :, None]
+        if not k:
+            yield b"\n" * len(block)
+            continue
         slots = np.empty(block.shape[:2] + (width + 1,), dtype=np.uint8)
-        slots[:, :, :width] = block // powers % 10
+        slots[:, :, :width] = block // powers % 10 if width > 1 else block
         slots[:, :, :width] += ord("0")
         slots[:, :, :width - 1][block < powers[:-1]] = 0  # leading zeros
         slots[:, :, width] = ord(" ")
         slots[:, -1, width] = ord("\n")
-        parts.append(slots[slots != 0].tobytes())
-    return b"".join(parts).decode("ascii")
+        yield (slots[slots != 0] if width > 1 else slots).tobytes()
 
 
 def parse_moa(data: str | bytes) -> MixedOA:
@@ -442,10 +449,15 @@ def parse_moa(data: str | bytes) -> MixedOA:
     return MixedOA(tuple(alphabets), rows, strength=t)
 
 
+def moa_chunks(array: MixedOA) -> Iterator[bytes]:
+    """Canonical MOA v1 bytes of a mixed array, in chunks."""
+    return _int_lines(f"MOA v1\nN {array.runs} k {array.k} t {array.strength}\n"
+                      f"l {' '.join(str(l) for l in array.alphabets)}\n", array.rows)
+
+
 def serialize_moa(array: MixedOA) -> str:
     """Serialize a mixed array to canonical MOA v1 text."""
-    return (f"MOA v1\nN {array.runs} k {array.k} t {array.strength}\n"
-            f"l {' '.join(str(l) for l in array.alphabets)}\n" + _format_rows(array.rows))
+    return b"".join(moa_chunks(array)).decode("ascii")
 
 
 def parse_mooa(data: str | bytes) -> MixedOOA:
@@ -476,11 +488,16 @@ def parse_mooa(data: str | bytes) -> MixedOOA:
     return MixedOOA(b, m, u, EVector(tuple(evals)), tuple(beta), rows)
 
 
+def mooa_chunks(array: MixedOOA) -> Iterator[bytes]:
+    """Canonical MOOA v1 bytes of an ordered mixed array, in chunks."""
+    return _int_lines(f"MOOA v1\nbase {array.base} m {array.m} s {array.dim} u {array.u}\n"
+                      f"e {' '.join(str(v) for v in array.e)}\n"
+                      f"beta {' '.join(str(v) for v in array.beta)}\n", array.rows)
+
+
 def serialize_mooa(array: MixedOOA) -> str:
     """Serialize an ordered mixed array to canonical MOOA v1 text."""
-    return (f"MOOA v1\nbase {array.base} m {array.m} s {array.dim} u {array.u}\n"
-            f"e {' '.join(str(v) for v in array.e)}\n"
-            f"beta {' '.join(str(v) for v in array.beta)}\n" + _format_rows(array.rows))
+    return b"".join(mooa_chunks(array)).decode("ascii")
 
 
 def parse_function_tuples(data: str | bytes, array: MixedOOA) -> list:

@@ -71,6 +71,8 @@ def net_to_mooa(points: PointSet, u: int, e: EVector | Sequence[int],
     for i, (bi, cap) in enumerate(zip(beta, caps)):
         if not 1 <= bi <= cap:
             raise ParamError(f"beta[{i}]={bi} outside [1, {cap}]")
+    if sum(beta) == e.s * m:  # every beta_i = m, so e_i = 1: the rows are the digits
+        return MixedOOA(b, m, u, e, beta, points.digits.reshape(points.count, e.s * m))
     rows = np.empty((points.count, sum(beta)), dtype=digit_dtype(b ** max(e)))
     windows = [(i, rho * ei, ei) for i, (ei, bi) in enumerate(zip(e, beta)) for rho in range(bi)]
     for col, (i, start, ei) in enumerate(windows):

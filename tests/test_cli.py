@@ -156,6 +156,32 @@ class TestGen:
         assert code == EXIT_USAGE and out == ""
         assert err == "error: base 37 exceeds 36, not representable with digit characters\n"
 
+    def test_base_above_36_leaves_the_out_file_alone(self, capsys, tmp_path):
+        target = tmp_path / "F"
+        target.write_bytes(b"kept text\n")
+        code, out, err = run(capsys, "gen", "grid", "--base", "37", "--m", "1",
+                             "--out", str(target))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: base 37 exceeds 36, not representable with digit characters\n"
+        assert target.read_bytes() == b"kept text\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "faure", "--base", "3", "--m", "4", "--s", "3"),
+        ("to-moa", "NET", "--e", "2,1"),
+        ("to-mooa", "NET", "--e", "1,2"),
+        ("from-mooa", "MOOA"),
+    ])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        net = corpus.hammersley(2, 6)
+        (tmp_path / "NET").write_text(serialize_net(net, 0, (1, 1)))
+        (tmp_path / "MOOA").write_text(evnets.serialize_mooa(evnets.net_to_mooa(net, 0, (2, 1))))
+        argv = [str(tmp_path / a) if a in ("NET", "MOOA") else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_PASS and out.count("\n") > 60
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(target)) == (EXIT_PASS, "", "")
+        assert target.read_bytes() == out.encode()
+
     def test_search_inconclusive(self, capsys):
         code, _, err = run(capsys, "gen", "search", "--base", "2", "--m", "2",
                            "--s", "4", "--e", "1x4", "--u", "0",

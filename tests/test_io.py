@@ -621,6 +621,48 @@ class TestSerializersMatchLineOracle:
         assert err.value.line == 201
 
 
+def _chunk_cases():
+    """(name, chunk iterator, bytes per body line) per case."""
+    rng = np.random.default_rng(20)
+    cases = [(f"net-b{p.base}", lambda p=p: io.net_chunks(p, 0, (1,) * p.dim),
+              p.dim * (p.precision + 1))
+             for p in (corpus.hammersley(2, 5), corpus.faure(7, 2, 3),
+                       PointSet(36, rng.integers(0, 36, size=(20, 2, 3))))]
+    arr = net_to_mooa(corpus.hammersley(2, 8), 0, (4, 4))  # entries 0-15, two digits
+    cases.append(("mooa-e4", lambda: io.mooa_chunks(arr), 4 * 3))
+    # multi-digit entries: uint8 rows split in uint8, and int64 rows
+    for alphabets in ((2, 11, 256), (2, 11, 256, 1000)):
+        moa = MixedOA(alphabets, rng.integers(0, alphabets, (23, len(alphabets))), 1)
+        assert moa.rows.dtype == (np.int64 if 1000 in alphabets else np.uint8)
+        cases.append((f"moa-{moa.rows.dtype}", lambda moa=moa: io.moa_chunks(moa),
+                      4 * len(alphabets)))
+    return cases
+
+
+CHUNK_CASES = _chunk_cases()
+
+
+class TestChunkBoundaries:
+    """Bodies are written a run of whole lines at a time; where the runs
+    end changes no byte."""
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("case", CHUNK_CASES, ids=[c[0] for c in CHUNK_CASES])
+    def test_chunk_size_changes_no_byte(self, case, rows):
+        _, chunks, line_bytes = case
+        whole = list(chunks())
+        assert len(whole) == 2  # the header and one body chunk
+        with mock.patch.object(io, "_CHUNK_BYTES", rows * line_bytes):
+            parts = list(chunks())
+        lines = b"".join(whole).count(b"\n") - len(whole[0].splitlines())
+        assert len(parts) == 1 + -(-lines // rows)
+        assert b"".join(parts) == b"".join(whole)
+
+    def test_bad_claims_raise_before_any_chunk(self, ham23):
+        with pytest.raises(ParamError, match="claimed u=4 outside"):
+            io.net_chunks(ham23, 4, (1, 1))
+
+
 class TestUndecodableBytes:
     """A byte that is not UTF-8 reaches the parsers as the lone surrogate
     that ``surrogateescape`` decoding makes of it; messages name the byte."""
