@@ -31,10 +31,10 @@ _SOURCES = {
                  "gram_certificate", "height", "profile"),
     "errors": ("FormatError", "ParamError", "PrecisionError", "VerificationError"),
     "evector": ("EVector",),
-    "io": ("NetFile", "parse_function_tuples", "parse_moa", "parse_mooa", "parse_net",
-           "serialize_moa", "serialize_mooa", "serialize_net"),
-    "netverify": ("check_shapes", "count_box", "rebase_compress", "rebase_expand",
-                  "u_star", "verify_net", "verify_sequence_prefix"),
+    "io": ("NetFile", "moa_chunks", "mooa_chunks", "net_chunks", "parse_function_tuples",
+           "parse_moa", "parse_mooa", "parse_net"),
+    "netverify": ("check_shapes", "rebase_compress", "rebase_expand", "u_star", "verify_net",
+                  "verify_sequence_prefix"),
     "oa": ("max_strength", "net_to_moa", "verify_moa"),
     "ooa": ("canonical_beta", "enumerate_profiles", "mooa_to_net", "net_to_mooa",
             "verify_mooa"),

@@ -263,6 +263,8 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
     nodes = 0
     c = 0  # canonical origin; every box has room for at least one point
     while True:
+        if node_limit is not None and nodes >= node_limit:
+            return SearchResult("inconclusive", None, nodes)
         nodes += 1
         rest = high = free >> c  # the candidates from c on
         for k, bits in zip(box_key[c].tolist(), members):
@@ -286,7 +288,5 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
             if not cursors:
                 return SearchResult("nonexistent", None, nodes)
             rest = free >> cursors[-1]
-        if node_limit is not None and nodes >= node_limit:
-            return SearchResult("inconclusive", None, nodes)
         c = cursors[-1] + (rest & -rest).bit_length() - 1
         cursors[-1] = c + 1

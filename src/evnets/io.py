@@ -1,7 +1,8 @@
 """Canonical text formats for point sets and mixed (ordered) arrays.
 
-All three formats are line-oriented, UTF-8, LF-terminated. Parsing then
-serializing normalizes whitespace; serializing then parsing is the identity.
+All three formats are line-oriented, UTF-8, LF-terminated, and are read
+and written as bytes. Parsing then writing normalizes whitespace; writing
+then parsing is the identity.
 
 NET v1 ::
 
@@ -34,7 +35,9 @@ m characters from 0-9A-Z, each below the base. A MOA/MOOA entry is 1 to 19
 ASCII digits 0-9 (leading zeros allowed) below its column's alphabet, and
 MOA alphabets are below 2**63. Signs, underscores, non-ASCII digits and
 non-ASCII whitespace are errors in a body. Header lines are split on any
-whitespace and their integers read by ``int``.
+whitespace and their integers read by ``int``. A byte that is not UTF-8
+is decoded as the lone surrogate ``surrogateescape`` makes of it, and an
+error message names it as the byte ``\\xNN``.
 
 Bodies are parsed as whole numpy arrays, in chunks of whole lines of about
 ``_CHUNK_BYTES``. A chunk in the layout the serialisers write is read by
@@ -64,9 +67,9 @@ from .errors import FormatError, ParamError
 
 __all__ = [
     "DIGIT_CHARS", "NetFile",
-    "parse_net", "serialize_net", "net_chunks",
-    "parse_moa", "serialize_moa", "moa_chunks",
-    "parse_mooa", "serialize_mooa", "mooa_chunks",
+    "parse_net", "net_chunks",
+    "parse_moa", "moa_chunks",
+    "parse_mooa", "mooa_chunks",
     "parse_function_tuples",
 ]
 
@@ -105,28 +108,18 @@ def _quote(text: str) -> str:
     return _SURROGATE_ESCAPE.sub(lambda mt: "\\x" + mt[1] if mt[1] else mt[0], repr(text))
 
 
-def _split(data: str | bytes, header_lines: int) -> tuple[list[str], bytes, int, str]:
-    """The first ``header_lines`` lines of ``data`` (fewer if it has fewer),
-    the input as LF-terminated UTF-8 bytes, the offset of the body in them,
-    and the error handler that decodes a line of those bytes back to text.
-
-    Bytes are used as they are, and a byte that is not UTF-8 decodes to the
-    lone surrogate ``surrogateescape`` makes of it. Text is encoded with its
-    lone surrogates, so that they decode to themselves.
-    """
-    if isinstance(data, str):
-        raw, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
-    else:
-        raw, errors = data, "surrogateescape"
+def _split(raw: bytes, header_lines: int) -> tuple[list[str], bytes, int]:
+    """The first ``header_lines`` lines of ``raw`` (fewer if it has fewer)
+    as text, the input LF-terminated, and the offset of the body in it."""
     if raw and not raw.endswith(b"\n"):
         raw += b"\n"
     lines: list[str] = []
     pos = 0
     while len(lines) < header_lines and pos < len(raw):
         end = raw.find(b"\n", pos)
-        lines.append(raw[pos:end].decode("utf-8", errors))
+        lines.append(raw[pos:end].decode("utf-8", "surrogateescape"))
         pos = end + 1
-    return lines, raw, pos, errors
+    return lines, raw, pos
 
 
 def _need_line(lines: list[str], idx: int, what: str) -> str:
@@ -172,7 +165,6 @@ class _Chunk:
     ends: np.ndarray      # token end offsets (exclusive)
     newlines: np.ndarray  # LF offsets, one per line
     counts: np.ndarray    # tokens per line
-    errors: str           # decoding error handler of the input's bytes
 
     def first_bad_line(self, lines: np.ndarray, tokens: np.ndarray,
                        bytes_: np.ndarray) -> int | None:
@@ -185,7 +177,7 @@ class _Chunk:
 
     def text(self, i: int) -> str:
         lo = int(self.newlines[i - 1]) + 1 if i else 0
-        return self.buf[lo : self.newlines[i]].tobytes().decode("utf-8", self.errors)
+        return self.buf[lo : self.newlines[i]].tobytes().decode("utf-8", "surrogateescape")
 
 
 def _chunks(raw: bytes, start: int):
@@ -197,14 +189,14 @@ def _chunks(raw: bytes, start: int):
         start = stop
 
 
-def _tokenise(buf: np.ndarray, errors: str) -> _Chunk:
+def _tokenise(buf: np.ndarray) -> _Chunk:
     """The tokens and lines of a run of whole lines."""
     in_token = _IN_TOKEN[buf]
     edges = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
     starts, ends = edges[0::2], edges[1::2]
     newlines = np.flatnonzero(buf == 10)
     counts = np.diff(np.searchsorted(starts, newlines), prepend=0)
-    return _Chunk(buf, in_token, starts, ends, newlines, counts, errors)
+    return _Chunk(buf, in_token, starts, ends, newlines, counts)
 
 
 def _fixed_fields(buf: np.ndarray, count: int, width: int) -> np.ndarray | None:
@@ -247,8 +239,7 @@ def _canonical_digits(buf: np.ndarray, b: int, m: int, s: int) -> np.ndarray | N
     return values if (values < b).all() else None
 
 
-def _parse_digit_body(raw: bytes, start: int, errors: str, b: int, m: int,
-                      s: int) -> np.ndarray:
+def _parse_digit_body(raw: bytes, start: int, b: int, m: int, s: int) -> np.ndarray:
     """(N, s, m) digits of the NET body ``raw[start:]``, one point per line."""
     n = raw.count(b"\n", start)
     k = s if m else 0  # points of m = 0 are blank lines
@@ -261,7 +252,7 @@ def _parse_digit_body(raw: bytes, start: int, errors: str, b: int, m: int,
     for buf in _chunks(raw, start):
         points = _canonical_digits(buf, b, m, s)
         if points is None:
-            c = _tokenise(buf, errors)
+            c = _tokenise(buf)
             values = _DIGIT_OF_BYTE[c.buf]
             bad = c.first_bad_line(c.counts != k, c.ends - c.starts != m,
                                    c.in_token & (values >= b))
@@ -311,7 +302,7 @@ def _canonical_entries(buf: np.ndarray, limits: np.ndarray) -> np.ndarray | None
     return values if (values < limits).all() else None
 
 
-def _parse_int_body(raw: bytes, start: int, errors: str, widths: list[int], first_lineno: int,
+def _parse_int_body(raw: bytes, start: int, widths: list[int], first_lineno: int,
                     n_rows: int | None = None, noun: str = "entry",
                     nouns: str = "entries") -> np.ndarray:
     """(rows, len(widths)) entries of the integer body ``raw[start:]``, exactly
@@ -331,7 +322,7 @@ def _parse_int_body(raw: bytes, start: int, errors: str, widths: list[int], firs
     for buf in _chunks(raw, start):
         values = _canonical_entries(buf, digit_limits)
         if values is None:
-            c = _tokenise(buf, errors)
+            c = _tokenise(buf)
             lengths = c.ends - c.starts
             bad = c.first_bad_line(c.counts != k, lengths > _ENTRY_DIGITS, _IS_OTHER[c.buf])
             good = c.newlines.size if bad is None else bad  # lines of k well-formed tokens
@@ -349,10 +340,10 @@ def _parse_int_body(raw: bytes, start: int, errors: str, widths: list[int], firs
     return rows
 
 
-def parse_net(data: str | bytes) -> NetFile:
-    """Parse a NET v1 file, given as text or as its bytes. The number of
-    points is the number of body lines."""
-    lines, raw, start, errors = _split(data, 3)
+def parse_net(data: bytes) -> NetFile:
+    """Parse the bytes of a NET v1 file. The number of points is the number
+    of body lines."""
+    lines, raw, start = _split(data, 3)
     if _need_line(lines, 0, "NET v1 magic line") != "NET v1":
         raise FormatError(f"expected 'NET v1', got {_quote(lines[0])}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
@@ -367,7 +358,7 @@ def parse_net(data: str | bytes) -> NetFile:
     evals = _vector_line(_need_line(lines, 2, "e-vector line"), "e", s, 3)
     if any(v < 1 for v in evals):
         raise FormatError(f"e-vector entries must be >= 1, got {evals}", line=3)
-    digits = _parse_digit_body(raw, start, errors, b, m, s)
+    digits = _parse_digit_body(raw, start, b, m, s)
     return NetFile(PointSet(b, digits), u, EVector(tuple(evals)))
 
 
@@ -402,11 +393,6 @@ def _digit_lines(header: str, digits: np.ndarray) -> Iterator[bytes]:
         yield text.tobytes()
 
 
-def serialize_net(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> str:
-    """Serialize a point set with its claimed (u, e) to canonical NET v1 text."""
-    return b"".join(net_chunks(points, u, e)).decode("ascii")
-
-
 def _int_lines(header: str, rows: np.ndarray) -> Iterator[bytes]:
     """The header, then an integer array's rows: decimal entries, single
     spaces, LF. Every entry gets a slot as wide as the largest entry, and
@@ -431,10 +417,10 @@ def _int_lines(header: str, rows: np.ndarray) -> Iterator[bytes]:
         yield (slots[slots != 0] if width > 1 else slots).tobytes()
 
 
-def parse_moa(data: str | bytes) -> MixedOA:
-    """Parse a MOA v1 file, given as text or as its bytes; the header's t
-    becomes the claimed strength."""
-    lines, raw, start, errors = _split(data, 3)
+def parse_moa(data: bytes) -> MixedOA:
+    """Parse the bytes of a MOA v1 file; the header's t becomes the claimed
+    strength."""
+    lines, raw, start = _split(data, 3)
     if _need_line(lines, 0, "MOA v1 magic line") != "MOA v1":
         raise FormatError(f"expected 'MOA v1', got {_quote(lines[0])}", line=1)
     n, k, t = _keyword_header(_need_line(lines, 1, "parameter header"), ("N", "k", "t"), 2)
@@ -445,7 +431,7 @@ def parse_moa(data: str | bytes) -> MixedOA:
         raise FormatError(f"alphabet sizes must be >= 2, got {alphabets}", line=3)
     if any(l >= 2 ** 63 for l in alphabets):
         raise FormatError(f"alphabet sizes must be below 2**63, got {alphabets}", line=3)
-    rows = _parse_int_body(raw, start, errors, alphabets, 4, n)
+    rows = _parse_int_body(raw, start, alphabets, 4, n)
     return MixedOA(tuple(alphabets), rows, strength=t)
 
 
@@ -455,15 +441,9 @@ def moa_chunks(array: MixedOA) -> Iterator[bytes]:
                       f"l {' '.join(str(l) for l in array.alphabets)}\n", array.rows)
 
 
-def serialize_moa(array: MixedOA) -> str:
-    """Serialize a mixed array to canonical MOA v1 text."""
-    return b"".join(moa_chunks(array)).decode("ascii")
-
-
-def parse_mooa(data: str | bytes) -> MixedOOA:
-    """Parse a MOOA v1 file, given as text or as its bytes (exactly base**m
-    body rows)."""
-    lines, raw, start, errors = _split(data, 4)
+def parse_mooa(data: bytes) -> MixedOOA:
+    """Parse the bytes of a MOOA v1 file (exactly base**m body rows)."""
+    lines, raw, start = _split(data, 4)
     if _need_line(lines, 0, "MOOA v1 magic line") != "MOOA v1":
         raise FormatError(f"expected 'MOOA v1', got {_quote(lines[0])}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
@@ -484,7 +464,7 @@ def parse_mooa(data: str | bytes) -> MixedOOA:
         raise FormatError(f"expected {b}**{m} array rows, got {n}", line=5 + n)
     # Matching b**m rows bounds every width b**e_i (e_i <= m) below 2**63.
     widths = [b ** ei for bi, ei in zip(beta, evals) for _ in range(bi)]
-    rows = _parse_int_body(raw, start, errors, widths, 5, b ** m)
+    rows = _parse_int_body(raw, start, widths, 5, b ** m)
     return MixedOOA(b, m, u, EVector(tuple(evals)), tuple(beta), rows)
 
 
@@ -495,14 +475,9 @@ def mooa_chunks(array: MixedOOA) -> Iterator[bytes]:
                       f"beta {' '.join(str(v) for v in array.beta)}\n", array.rows)
 
 
-def serialize_mooa(array: MixedOOA) -> str:
-    """Serialize an ordered mixed array to canonical MOOA v1 text."""
-    return b"".join(mooa_chunks(array)).decode("ascii")
-
-
-def parse_function_tuples(data: str | bytes, array: MixedOOA) -> list:
-    """Parse residue-function tuples, one per line, in stored column order,
-    given as text or as its bytes.
+def parse_function_tuples(data: bytes, array: MixedOOA) -> list:
+    """Parse the bytes of residue-function tuples, one per line, in stored
+    column order.
 
     Each line holds sum(beta) integers; entry (i, rho) must lie in
     [0, base**e_i). Returns :class:`~evnets.dualcert.FunctionTuple` objects
@@ -511,8 +486,8 @@ def parse_function_tuples(data: str | bytes, array: MixedOOA) -> list:
     from .dualcert import FunctionTuple
 
     widths = [array.base ** ei for bi, ei in zip(array.beta, array.e) for _ in range(bi)]
-    _, raw, _, errors = _split(data, 0)
-    rows = _parse_int_body(raw, 0, errors, widths, 1, None, "residue", "residues").tolist()
+    _, raw, _ = _split(data, 0)
+    rows = _parse_int_body(raw, 0, widths, 1, None, "residue", "residues").tolist()
     bounds = list(accumulate(array.beta, initial=0))
     return [FunctionTuple(array.base, array.e,
                           tuple(tuple(row[lo:hi]) for lo, hi in zip(bounds, bounds[1:])))

@@ -40,15 +40,14 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from ._util import (PrefixTable, digit_matrix, digit_window, is_prime, rank_rows,
-                    row_chunks, unrank)
+from ._util import PrefixTable, digit_matrix, is_prime, rank_rows, row_chunks, unrank
 from .core import EVector, PointSet, Verdict
 from .errors import ParamError, PrecisionError
 from .ooa import canonical_beta, enumerate_profiles
 
 __all__ = [
     "Shape",
-    "check_shapes", "count_box", "verify_net", "u_star",
+    "check_shapes", "verify_net", "u_star",
     "verify_sequence_prefix", "rebase_compress", "rebase_expand",
 ]
 
@@ -60,31 +59,6 @@ Variant = Literal["narrow", "tezuka"]
 def _check_variant(variant: str) -> None:
     if variant not in ("narrow", "tezuka"):
         raise ParamError(f"variant must be 'narrow' or 'tezuka', got {variant!r}")
-
-
-def count_box(points: PointSet, shape: Sequence[int], index: Sequence[int]) -> int:
-    """Number of points in the elementary box of the given shape and index."""
-    shape = tuple(int(d) for d in shape)
-    index = tuple(int(a) for a in index)
-    if len(shape) != points.dim or len(index) != points.dim:
-        raise ParamError(f"shape and index must have {points.dim} entries")
-    if any(d < 0 for d in shape):
-        raise ParamError(f"shape depths must be >= 0, got {shape}")
-    depth = max(shape, default=0)
-    if depth > points.precision:
-        raise PrecisionError(f"shape {shape} needs more digits than the "
-                             f"{points.precision} carried")
-    b = points.base
-    if b ** depth >= 2 ** 63:
-        raise ParamError(f"shape {shape} needs digit windows wider than 64-bit integers hold")
-    for d, a in zip(shape, index):
-        if not 0 <= a < b ** d:
-            raise ParamError(f"box index {a} outside [0, {b ** d}) for depth {d}")
-    inside = np.ones(points.count, dtype=bool)
-    window = np.empty(points.count, np.int64)
-    for i, (d, a) in enumerate(zip(shape, index)):
-        inside &= digit_window(points.digits, i, 0, d, b, window) == a
-    return int(np.count_nonzero(inside))
 
 
 def check_shapes(m: int, u: int, e: EVector | Sequence[int],

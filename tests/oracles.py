@@ -297,7 +297,7 @@ def brute_search_net(b: int, m: int, e, s: int, u: int, node_limit=None):
     keeps a snapshot of the candidates whose boxes all had room when it
     opened, gathered over every remaining candidate and every budget-maximal
     shape; the node count includes the origin and the node limit is checked
-    before each later placement.
+    before each placement, the origin's too.
     """
     n_points = b ** m
     if u == m:
@@ -329,10 +329,10 @@ def brute_search_net(b: int, m: int, e, s: int, u: int, node_limit=None):
         mask = (counts[box_key[start:]] < caps).all(axis=1)
         return iter((np.nonzero(mask)[0] + start).tolist())
 
+    if node_limit == 0:
+        return "inconclusive", 0, None
     place(0)
     nodes = 1
-    if node_limit is not None and nodes > node_limit:
-        return "inconclusive", nodes, None
     stack = [viable_from(0)]
     while stack:
         c = next(stack[-1], None)

@@ -16,8 +16,7 @@ from evnets import (
     EVector, PointSet,
     build_block_family, enumerate_profiles, feasibility_report,
     gram_certificate, max_strength, mooa_to_net, net_to_moa, net_to_mooa,
-    rao_rhs, u_star, verify_moa, verify_mooa, verify_net,
-    serialize_net,
+    net_chunks, rao_rhs, u_star, verify_moa, verify_mooa, verify_net,
 )
 from evnets import corpus
 from evnets.cli import main as cli_main
@@ -216,7 +215,7 @@ def test_criterion_9_cli_pipelines(capsys, tmp_path, monkeypatch):
         # corrupted input: exit 1 with a witness
         bad = corpus.flip_digit(corpus.hammersley(2, 4), 1, 1, 3)
         bad_path = tmp_path / "bad.net"
-        bad_path.write_text(serialize_net(bad, 0, EVector((1, 1))))
+        bad_path.write_bytes(b"".join(net_chunks(bad, 0, EVector((1, 1)))))
         code, out_fail, _ = run("verify-net", str(bad_path), "--json")
         assert code == 1 and '"witness"' in out_fail
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import evnets
-from evnets import EVector, corpus, dualcert, netverify, serialize_net
+from evnets import EVector, corpus, dualcert, net_chunks, netverify
 from evnets.cli import EXIT_FAIL, EXIT_FORMAT, EXIT_INCONCLUSIVE, EXIT_PASS, \
     EXIT_USAGE, build_parser, evector_arg, int_list_arg, main
 
@@ -20,6 +20,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _net_bytes(points, u, e) -> bytes:
+    return b"".join(net_chunks(points, u, e))
 
 
 def feed_stdin(monkeypatch, data):
@@ -32,7 +36,7 @@ def feed_stdin(monkeypatch, data):
 @pytest.fixture()
 def ham_net(tmp_path):
     path = tmp_path / "h.net"
-    path.write_text(serialize_net(corpus.hammersley(2, 3), 0, EVector((1, 1))))
+    path.write_bytes(_net_bytes(corpus.hammersley(2, 3), 0, EVector((1, 1))))
     return str(path)
 
 
@@ -40,7 +44,7 @@ def ham_net(tmp_path):
 def bad_net(tmp_path):
     bad = corpus.flip_digit(corpus.hammersley(2, 3), 0, 1, 2)
     path = tmp_path / "bad.net"
-    path.write_text(serialize_net(bad, 0, EVector((1, 1))))
+    path.write_bytes(_net_bytes(bad, 0, EVector((1, 1))))
     return str(path)
 
 
@@ -97,7 +101,7 @@ class TestGen:
     def test_hammersley_to_stdout(self, capsys):
         code, out, _ = run(capsys, "gen", "hammersley", "--base", "2", "--m", "3")
         assert code == EXIT_PASS
-        assert out == serialize_net(corpus.hammersley(2, 3), 0, EVector((1, 1)))
+        assert out.encode() == _net_bytes(corpus.hammersley(2, 3), 0, EVector((1, 1)))
 
     def test_grid_header_claims(self, capsys):
         code, out, _ = run(capsys, "gen", "grid", "--base", "3", "--m", "2")
@@ -173,8 +177,9 @@ class TestGen:
     ])
     def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
         net = corpus.hammersley(2, 6)
-        (tmp_path / "NET").write_text(serialize_net(net, 0, (1, 1)))
-        (tmp_path / "MOOA").write_text(evnets.serialize_mooa(evnets.net_to_mooa(net, 0, (2, 1))))
+        (tmp_path / "NET").write_bytes(_net_bytes(net, 0, (1, 1)))
+        mooa = evnets.net_to_mooa(net, 0, (2, 1))
+        (tmp_path / "MOOA").write_bytes(b"".join(evnets.mooa_chunks(mooa)))
         argv = [str(tmp_path / a) if a in ("NET", "MOOA") else a for a in argv]
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_PASS and out.count("\n") > 60
@@ -228,7 +233,7 @@ class TestVerifyNet:
         assert code == EXIT_PASS
 
     def test_stdin_input(self, capsys, monkeypatch):
-        text = serialize_net(corpus.hammersley(2, 2), 0, EVector((1, 1)))
+        text = _net_bytes(corpus.hammersley(2, 2), 0, EVector((1, 1)))
         feed_stdin(monkeypatch, text)
         code, out, _ = run(capsys, "verify-net", "-")
         assert code == EXIT_PASS and "PASS" in out
@@ -265,7 +270,7 @@ class TestInputReader:
 
     @staticmethod
     def _net_lines():
-        return serialize_net(corpus.hammersley(2, 3), 0, EVector((1, 1))).encode().split(b"\n")
+        return _net_bytes(corpus.hammersley(2, 3), 0, EVector((1, 1))).split(b"\n")
 
     @pytest.mark.parametrize("source", ["path", "stdin"])
     def test_lone_cr_is_body_whitespace(self, capsys, monkeypatch, tmp_path, source):
@@ -331,7 +336,7 @@ class TestVerifySeq:
         from evnets import PointSet
         vdc = PointSet(2, corpus.hammersley(2, 4).digits[:, [0]])
         good = tmp_path / "seq.net"
-        good.write_text(serialize_net(vdc, 0, EVector((1,))))
+        good.write_bytes(_net_bytes(vdc, 0, EVector((1,))))
         code, out, _ = run(capsys, "verify-seq", str(good), "--m-max", "4")
         assert code == EXIT_PASS
         assert out == "verify-seq: PASS (u=0, m_max=4, points=16)\n"
@@ -339,7 +344,7 @@ class TestVerifySeq:
         digits = vdc.digits.copy()
         digits[[4, 8]] = digits[[8, 4]]
         badp = tmp_path / "swapped.net"
-        badp.write_text(serialize_net(PointSet(2, digits), 0, EVector((1,))))
+        badp.write_bytes(_net_bytes(PointSet(2, digits), 0, EVector((1,))))
         code, out, _ = run(capsys, "verify-seq", str(badp), "--m-max", "4")
         assert code == EXIT_FAIL
         assert out == ("verify-seq: FAIL g=0 m=3 net_witness={shape=(3) box=(0) "
@@ -777,7 +782,7 @@ class TestReport:
         # u_star passes at the claimed u, so the claimed u's line needs no
         # decision of its own
         path = tmp_path / "faure575.net"
-        path.write_text(serialize_net(corpus.faure(5, 7, 5), 0, EVector((1,) * 5)))
+        path.write_bytes(_net_bytes(corpus.faure(5, 7, 5), 0, EVector((1,) * 5)))
         recoveries = []
         real = netverify._row_space
         monkeypatch.setattr(netverify, "_row_space",
@@ -802,7 +807,7 @@ class TestReport:
         # the line is decided on the net; the canonical array's own check
         # at u_star is the reference
         path = tmp_path / f"{name}.net"
-        path.write_text(serialize_net(points, 0, EVector(e)))
+        path.write_bytes(_net_bytes(points, 0, EVector(e)))
         code, out, _ = run(capsys, "report", str(path), "--variant", variant, "--json")
         data = json.loads(out)
         star = data["u_star"]
@@ -883,9 +888,10 @@ class TestReadmeSynopsis:
     def _examples(cwd):
         """Arguments for every subcommand, on the files this writes to ``cwd``."""
         net = corpus.hammersley(2, 3)
-        (cwd / "h.net").write_text(serialize_net(net, 0, EVector((1, 1))))
-        (cwd / "h.moa").write_text(evnets.serialize_moa(evnets.net_to_moa(net, (1, 1))))
-        (cwd / "h.mooa").write_text(evnets.serialize_mooa(evnets.net_to_mooa(net, 0, (1, 1))))
+        (cwd / "h.net").write_bytes(_net_bytes(net, 0, EVector((1, 1))))
+        moa, mooa = evnets.net_to_moa(net, (1, 1)), evnets.net_to_mooa(net, 0, (1, 1))
+        (cwd / "h.moa").write_bytes(b"".join(evnets.moa_chunks(moa)))
+        (cwd / "h.mooa").write_bytes(b"".join(evnets.mooa_chunks(mooa)))
         return {
             "gen": ["hammersley", "--base", "2", "--m", "3"],
             "verify-net": ["h.net"], "verify-seq": ["h.net", "--json"],

@@ -236,3 +236,15 @@ class TestPublicNames:
             module = importlib.import_module(f"evnets.{evnets._MODULE_OF[name]}")
             assert name in module.__all__, name
             assert getattr(evnets, name) is getattr(module, name), name
+
+    def test_every_module_export_is_a_package_name(self):
+        import importlib
+
+        import evnets
+
+        # a type alias and a constant, used through their modules
+        not_reexported = {"DIGIT_CHARS", "Shape", "Profile"}
+        for module_name in evnets._SOURCES:
+            module = importlib.import_module(f"evnets.{module_name}")
+            for name in set(module.__all__) - not_reexported:
+                assert getattr(evnets, name) is getattr(module, name), name

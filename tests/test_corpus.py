@@ -196,12 +196,13 @@ class TestSearchNet:
         res = search_net(b, m, (1,) * s, s, u, limit)
         assert (res.status, res.nodes) == (status, nodes)
 
-    def test_cli_search_at_its_node_limit(self, capsys):
+    @pytest.mark.parametrize("limit", [0, 40000])
+    def test_cli_search_at_its_node_limit(self, capsys, limit):
         code = main(["gen", "search", "--base", "2", "--m", "3", "--s", "4",
-                     "--e", "1x4", "--u", "1", "--node-limit", "40000"])
+                     "--e", "1x4", "--u", "1", "--node-limit", str(limit)])
         out, err = capsys.readouterr()
         assert (code, out, err) == (EXIT_INCONCLUSIVE, "",
-                                    "search: INCONCLUSIVE after 40000 nodes\n")
+                                    f"search: INCONCLUSIVE after {limit} nodes\n")
 
     def test_deep_search_memory_does_not_grow_with_depth(self):
         # 8192 placements deep; a snapshot of the free candidates per frame
@@ -274,9 +275,11 @@ except AssertionError as exc:
         assert proc.stdout == ("raised: search found a set that is not a net: "
                                "{'shape': [0, 0]}\n")
 
-    def test_node_limit_gives_inconclusive(self):
-        res = search_net(2, 2, (1, 1, 1, 1), 4, 0, node_limit=1)
+    @pytest.mark.parametrize("limit", [0, 1])
+    def test_node_limit_gives_inconclusive(self, limit):
+        res = search_net(2, 2, (1, 1, 1, 1), 4, 0, node_limit=limit)
         assert res.status == "inconclusive" and res.net is None
+        assert res.nodes == limit
         assert not res
 
     def test_node_limit_larger_than_tree_still_concludes(self):

@@ -11,8 +11,7 @@ from storage import storage
 
 from evnets import (
     EVector, MixedOA, MixedOOA, PointSet,
-    parse_moa, parse_mooa, parse_net,
-    serialize_moa, serialize_mooa, serialize_net,
+    moa_chunks, mooa_chunks, net_chunks, parse_moa, parse_mooa, parse_net,
 )
 from evnets.dualcert import FunctionTuple
 from evnets.errors import FormatError, ParamError
@@ -21,23 +20,27 @@ from evnets import corpus, io, net_to_mooa
 
 
 HAM_23_TEXT = (
-    "NET v1\n"
-    "base 2 m 3 s 2 u 0\n"
-    "e 1 1\n"
-    "000 000\n"
-    "100 001\n"
-    "010 010\n"
-    "110 011\n"
-    "001 100\n"
-    "101 101\n"
-    "011 110\n"
-    "111 111\n"
+    b"NET v1\n"
+    b"base 2 m 3 s 2 u 0\n"
+    b"e 1 1\n"
+    b"000 000\n"
+    b"100 001\n"
+    b"010 010\n"
+    b"110 011\n"
+    b"001 100\n"
+    b"101 101\n"
+    b"011 110\n"
+    b"111 111\n"
 )
+
+
+def _net_bytes(points, u, e) -> bytes:
+    return b"".join(net_chunks(points, u, e))
 
 
 class TestNetFormat:
     def test_serialize_matches_frozen_text(self, ham23):
-        assert serialize_net(ham23, 0, EVector((1, 1))) == HAM_23_TEXT
+        assert _net_bytes(ham23, 0, EVector((1, 1))) == HAM_23_TEXT
 
     def test_parse_recovers_points_and_parameters(self, ham23):
         nf = parse_net(HAM_23_TEXT)
@@ -45,49 +48,49 @@ class TestNetFormat:
         assert nf.u == 0 and nf.e.e == (1, 1)
 
     def test_parse_then_serialize_is_identity_on_canonical_text(self):
-        assert serialize_net(*_unpack(parse_net(HAM_23_TEXT))) == HAM_23_TEXT
+        assert _net_bytes(*_unpack(parse_net(HAM_23_TEXT))) == HAM_23_TEXT
 
     def test_whitespace_is_normalized(self):
-        messy = HAM_23_TEXT.replace("base 2", "base   2").replace("000 000", "  000\t000")
-        assert serialize_net(*_unpack(parse_net(messy))) == HAM_23_TEXT
+        messy = HAM_23_TEXT.replace(b"base 2", b"base   2").replace(b"000 000", b"  000\t000")
+        assert _net_bytes(*_unpack(parse_net(messy))) == HAM_23_TEXT
 
     def test_final_newline_optional(self):
-        assert parse_net(HAM_23_TEXT.rstrip("\n")).points == parse_net(HAM_23_TEXT).points
+        assert parse_net(HAM_23_TEXT.rstrip(b"\n")).points == parse_net(HAM_23_TEXT).points
 
     def test_point_count_is_body_line_count(self):
-        nf = parse_net(HAM_23_TEXT.replace("111 111\n", ""))
+        nf = parse_net(HAM_23_TEXT.replace(b"111 111\n", b""))
         assert nf.points.count == 7
 
     def test_m_zero_round_trip(self):
         p = PointSet(2, np.zeros((2, 1, 0), dtype=np.int64))
-        text = serialize_net(p, 0, EVector((1,)))
-        assert text == "NET v1\nbase 2 m 0 s 1 u 0\ne 1\n\n\n"
+        text = _net_bytes(p, 0, EVector((1,)))
+        assert text == b"NET v1\nbase 2 m 0 s 1 u 0\ne 1\n\n\n"
         nf = parse_net(text)
         assert nf.points == p
 
     def test_digit_characters_above_nine(self):
         p = PointSet(12, np.array([[[10, 11]]], dtype=np.int64))
-        text = serialize_net(p, 0, EVector((1,)))
-        assert "AB" in text
+        text = _net_bytes(p, 0, EVector((1,)))
+        assert b"AB" in text
         assert parse_net(text).points == p
 
     def test_base_36_limit(self):
         p36 = PointSet(36, np.array([[[35]]], dtype=np.int64))
         assert DIGIT_CHARS[35] == "Z"
-        assert parse_net(serialize_net(p36, 0, EVector((1,)))).points == p36
+        assert parse_net(_net_bytes(p36, 0, EVector((1,)))).points == p36
         p37 = PointSet(37, np.array([[[36]]], dtype=np.int64))
         with pytest.raises(ParamError, match="base 37 exceeds 36"):
-            serialize_net(p37, 0, EVector((1,)))
+            net_chunks(p37, 0, EVector((1,)))
 
     @pytest.mark.parametrize("mutate, lineno", [
-        (lambda t: t.replace("NET v1", "NET v2"), 1),
-        (lambda t: t.replace("base 2 m 3 s 2 u 0", "base 2 m 3 s 2"), 2),
-        (lambda t: t.replace("base 2 m 3 s 2 u 0", "base 2 m 3 s 2 u 9"), 2),
-        (lambda t: t.replace("e 1 1", "e 1"), 3),
-        (lambda t: t.replace("e 1 1", "e 0 1"), 3),
-        (lambda t: t.replace("100 001", "100 01"), 5),
-        (lambda t: t.replace("100 001", "100 002"), 5),
-        (lambda t: t.replace("100 001", "100"), 5),
+        (lambda t: t.replace(b"NET v1", b"NET v2"), 1),
+        (lambda t: t.replace(b"base 2 m 3 s 2 u 0", b"base 2 m 3 s 2"), 2),
+        (lambda t: t.replace(b"base 2 m 3 s 2 u 0", b"base 2 m 3 s 2 u 9"), 2),
+        (lambda t: t.replace(b"e 1 1", b"e 1"), 3),
+        (lambda t: t.replace(b"e 1 1", b"e 0 1"), 3),
+        (lambda t: t.replace(b"100 001", b"100 01"), 5),
+        (lambda t: t.replace(b"100 001", b"100 002"), 5),
+        (lambda t: t.replace(b"100 001", b"100"), 5),
     ])
     def test_error_carries_line_number(self, mutate, lineno):
         with pytest.raises(FormatError) as err:
@@ -97,14 +100,14 @@ class TestNetFormat:
 
     def test_truncated_header_reports_missing_line(self):
         with pytest.raises(FormatError) as err:
-            parse_net("NET v1\n")
+            parse_net(b"NET v1\n")
         assert err.value.line == 2
 
     def test_serialize_validates_claims(self, ham23):
         with pytest.raises(ParamError, match="claimed u=4 outside"):
-            serialize_net(ham23, 4, EVector((1, 1)))
+            net_chunks(ham23, 4, EVector((1, 1)))
         with pytest.raises(ParamError, match="e-vector has 3 entries"):
-            serialize_net(ham23, 0, EVector((1, 1, 1)))
+            net_chunks(ham23, 0, EVector((1, 1, 1)))
 
     @given(st.integers(2, 5), st.integers(0, 3), st.integers(1, 3),
            st.integers(1, 6), st.data())
@@ -115,10 +118,10 @@ class TestNetFormat:
             p = PointSet(b, np.array(flat, dtype=np.int64).reshape(n, s, m))
             u = data.draw(st.integers(0, m))
             e = EVector(tuple(data.draw(st.integers(1, 3)) for _ in range(s)))
-            text = serialize_net(p, u, e)
+            text = _net_bytes(p, u, e)
             nf = parse_net(text)
             assert nf.points == p and nf.u == u and nf.e == e
-            assert serialize_net(nf.points, nf.u, nf.e) == text
+            assert _net_bytes(nf.points, nf.u, nf.e) == text
 
 
 def _unpack(nf):
@@ -126,13 +129,13 @@ def _unpack(nf):
 
 
 MOA_TEXT = (
-    "MOA v1\n"
-    "N 4 k 2 t 1\n"
-    "l 2 4\n"
-    "0 0\n"
-    "1 1\n"
-    "0 2\n"
-    "1 3\n"
+    b"MOA v1\n"
+    b"N 4 k 2 t 1\n"
+    b"l 2 4\n"
+    b"0 0\n"
+    b"1 1\n"
+    b"0 2\n"
+    b"1 3\n"
 )
 
 
@@ -140,24 +143,24 @@ class TestMoaFormat:
     def test_round_trip(self):
         a = parse_moa(MOA_TEXT)
         assert a.alphabets == (2, 4) and a.runs == 4 and a.strength == 1
-        assert serialize_moa(a) == MOA_TEXT
+        assert b"".join(moa_chunks(a)) == MOA_TEXT
 
     def test_row_count_enforced(self):
         with pytest.raises(FormatError) as err:
-            parse_moa(MOA_TEXT + "0 0\n")
+            parse_moa(MOA_TEXT + b"0 0\n")
         assert err.value.line == 8  # first extra row
         with pytest.raises(FormatError):
-            parse_moa(MOA_TEXT.replace("1 3\n", ""))
+            parse_moa(MOA_TEXT.replace(b"1 3\n", b""))
 
     def test_entry_range_enforced(self):
         with pytest.raises(FormatError) as err:
-            parse_moa(MOA_TEXT.replace("0 2", "2 2"))
+            parse_moa(MOA_TEXT.replace(b"0 2", b"2 2"))
         assert err.value.line == 6
 
     @pytest.mark.parametrize("mutate, lineno", [
-        (lambda t: t.replace("MOA v1", "MOAv1"), 1),
-        (lambda t: t.replace("N 4 k 2 t 1", "N 4 k 2 t 3"), 2),
-        (lambda t: t.replace("l 2 4", "l 1 4"), 3),
+        (lambda t: t.replace(b"MOA v1", b"MOAv1"), 1),
+        (lambda t: t.replace(b"N 4 k 2 t 1", b"N 4 k 2 t 3"), 2),
+        (lambda t: t.replace(b"l 2 4", b"l 1 4"), 3),
     ])
     def test_header_errors(self, mutate, lineno):
         with pytest.raises(FormatError) as err:
@@ -168,46 +171,45 @@ class TestMoaFormat:
 class TestMooaFormat:
     def test_round_trip_from_construction(self, ham23):
         arr = net_to_mooa(ham23, 0, EVector((1, 2)))
-        text = serialize_mooa(arr)
-        assert text.startswith("MOOA v1\nbase 2 m 3 s 2 u 0\ne 1 2\nbeta 3 1\n")
+        text = b"".join(mooa_chunks(arr))
+        assert text.startswith(b"MOOA v1\nbase 2 m 3 s 2 u 0\ne 1 2\nbeta 3 1\n")
         back = parse_mooa(text)
         assert back == arr
-        assert serialize_mooa(back) == text
+        assert b"".join(mooa_chunks(back)) == text
 
     def test_beta_cap_enforced(self):
-        bad = ("MOOA v1\nbase 2 m 2 s 1 u 1\ne 1\nbeta 2\n" + "0 0\n" * 4)
+        bad = (b"MOOA v1\nbase 2 m 2 s 1 u 1\ne 1\nbeta 2\n" + b"0 0\n" * 4)
         with pytest.raises(FormatError) as err:
             parse_mooa(bad)
         assert err.value.line == 4
 
     def test_zero_column_rows_are_blank(self):
-        text = "MOOA v1\nbase 2 m 1 s 1 u 1\ne 1\nbeta 0\n\n\n"
+        text = b"MOOA v1\nbase 2 m 1 s 1 u 1\ne 1\nbeta 0\n\n\n"
         arr = parse_mooa(text)
         assert arr.runs == 2 and arr.rows.shape == (2, 0)
-        assert serialize_mooa(arr) == text
+        assert b"".join(mooa_chunks(arr)) == text
         with pytest.raises(FormatError) as err:
-            parse_mooa(text.replace("\n\n\n", "\n0\n\n"))
+            parse_mooa(text.replace(b"\n\n\n", b"\n0\n\n"))
         assert err.value.line == 5
 
     def test_row_count_is_base_power(self):
-        text = "MOOA v1\nbase 2 m 2 s 1 u 0\ne 1\nbeta 2\n" + "0 0\n" * 3
+        text = b"MOOA v1\nbase 2 m 2 s 1 u 0\ne 1\nbeta 2\n" + b"0 0\n" * 3
         with pytest.raises(FormatError):
             parse_mooa(text)
 
     def test_entry_range_uses_block_alphabet(self, ham23):
         arr = net_to_mooa(ham23, 0, EVector((1, 2)))
-        text = serialize_mooa(arr)
-        lines = text.split("\n")
-        lines[4] = lines[4].rsplit(" ", 1)[0] + " 4"  # block-1 alphabet is 4
+        lines = b"".join(mooa_chunks(arr)).split(b"\n")
+        lines[4] = lines[4].rsplit(b" ", 1)[0] + b" 4"  # block-1 alphabet is 4
         with pytest.raises(FormatError) as err:
-            parse_mooa("\n".join(lines))
+            parse_mooa(b"\n".join(lines))
         assert err.value.line == 5
 
 
 class TestFunctionTupleParsing:
     def test_parse_binds_frame(self, ham23):
         arr = net_to_mooa(ham23, 0, EVector((1, 2)))  # beta (3, 1), widths 2,2,2,4
-        tuples = parse_function_tuples("1 0 1 3\n0 0 0 0\n", arr)
+        tuples = parse_function_tuples(b"1 0 1 3\n0 0 0 0\n", arr)
         assert tuples == [
             FunctionTuple(2, EVector((1, 2)), ((1, 0, 1), (3,))),
             FunctionTuple(2, EVector((1, 2)), ((0, 0, 0), (0,))),
@@ -216,10 +218,10 @@ class TestFunctionTupleParsing:
     def test_residue_count_and_range_errors(self, ham23):
         arr = net_to_mooa(ham23, 0, EVector((1, 2)))
         with pytest.raises(FormatError) as err:
-            parse_function_tuples("1 0 1\n", arr)
+            parse_function_tuples(b"1 0 1\n", arr)
         assert err.value.line == 1
         with pytest.raises(FormatError) as err:
-            parse_function_tuples("1 0 1 3\n0 0 2 0\n", arr)
+            parse_function_tuples(b"1 0 1 3\n0 0 2 0\n", arr)
         assert err.value.line == 2
 
 
@@ -233,7 +235,7 @@ class TestBodyGrammar:
     @pytest.mark.parametrize("spelling", ["+0", "0_1", "-1", "\u0663", "1\u00b2", "0x1"])
     def test_entry_spelling_is_rejected(self, spelling):
         with pytest.raises(FormatError) as err:
-            parse_moa(MOA_TEXT.replace("0 2", f"0 {spelling}"))
+            parse_moa(MOA_TEXT.replace(b"0 2", f"0 {spelling}".encode()))
         assert err.value.line == MOA_ROW
         assert str(err.value) == (f"line {MOA_ROW}: entry must be 1 to 19 digits 0-9, "
                                   f"got {spelling!r}")
@@ -241,35 +243,35 @@ class TestBodyGrammar:
     @pytest.mark.parametrize("space", ["\xa0", "\u2003", "\u3000", "\x85"])
     def test_non_ascii_whitespace_does_not_separate_entries(self, space):
         with pytest.raises(FormatError) as err:
-            parse_moa(MOA_TEXT.replace("0 2", f"0{space}2"))
+            parse_moa(MOA_TEXT.replace(b"0 2", f"0{space}2".encode()))
         assert err.value.line == MOA_ROW
         assert "expected 2 entries, got 1" in str(err.value)
 
     @pytest.mark.parametrize("space", ["\xa0", "\u2003"])
     def test_non_ascii_whitespace_does_not_separate_digit_strings(self, space):
         with pytest.raises(FormatError) as err:
-            parse_net(HAM_23_TEXT.replace("100 001", f"100{space}001"))
+            parse_net(HAM_23_TEXT.replace(b"100 001", f"100{space}001".encode()))
         assert err.value.line == 5
         assert "expected 2 digit strings, got 1" in str(err.value)
 
-    @pytest.mark.parametrize("space", ["\t", "\v", "\f", "\r", "\x1c", "\x1f", "  "])
+    @pytest.mark.parametrize("space", [b"\t", b"\v", b"\f", b"\r", b"\x1c", b"\x1f", b"  "])
     def test_ascii_whitespace_separates(self, space):
-        assert parse_moa(MOA_TEXT.replace("0 2", f"0{space}2")) == parse_moa(MOA_TEXT)
-        assert parse_net(HAM_23_TEXT.replace("100 001", f"100{space}001")).points == \
+        assert parse_moa(MOA_TEXT.replace(b"0 2", b"0" + space + b"2")) == parse_moa(MOA_TEXT)
+        assert parse_net(HAM_23_TEXT.replace(b"100 001", b"100" + space + b"001")).points == \
             parse_net(HAM_23_TEXT).points
 
     def test_leading_zeros_are_accepted(self):
-        assert parse_moa(MOA_TEXT.replace("0 2", "000 0002")) == parse_moa(MOA_TEXT)
+        assert parse_moa(MOA_TEXT.replace(b"0 2", b"000 0002")) == parse_moa(MOA_TEXT)
 
     def test_entry_of_twenty_digits_is_rejected_even_when_small(self):
         with pytest.raises(FormatError) as err:
-            parse_moa(MOA_TEXT.replace("0 2", "0 " + "0" * 19 + "2"))
+            parse_moa(MOA_TEXT.replace(b"0 2", b"0 " + b"0" * 19 + b"2"))
         assert err.value.line == MOA_ROW
 
     def test_residue_spelling_is_rejected(self, ham23):
         arr = net_to_mooa(ham23, 0, EVector((1, 2)))
         with pytest.raises(FormatError) as err:
-            parse_function_tuples("1 0 1 3\n0 0 +0 0\n", arr)
+            parse_function_tuples(b"1 0 1 3\n0 0 +0 0\n", arr)
         assert err.value.line == 2
         assert str(err.value) == "line 2: residue must be 1 to 19 digits 0-9, got '+0'"
 
@@ -285,16 +287,16 @@ class TestFirstBadLine:
     def test_moa(self, rows, lineno):
         text = "MOA v1\nN 4 k 2 t 1\nl 2 4\n" + "\n".join(rows) + "\n"
         with pytest.raises(FormatError) as err:
-            parse_moa(text)
+            parse_moa(text.encode())
         assert err.value.line == lineno
         with pytest.raises(oracles.OracleFormatError) as oracle_err:
             oracles.oracle_parse_moa(text)
         assert str(err.value) == str(oracle_err.value)
 
     @pytest.mark.parametrize("old, new, lineno", [
-        (("100 001", "110 011"), ("100 002", "11 011"), 5),
-        (("100 001", "110 011"), ("10 001", "110 012"), 5),
-        (("010 010", "110 011"), ("010 01A", "110 0110"), 6),
+        ((b"100 001", b"110 011"), (b"100 002", b"11 011"), 5),
+        ((b"100 001", b"110 011"), (b"10 001", b"110 012"), 5),
+        ((b"010 010", b"110 011"), (b"010 01A", b"110 0110"), 6),
     ])
     def test_net(self, old, new, lineno):
         text = HAM_23_TEXT.replace(old[0], new[0]).replace(old[1], new[1])
@@ -305,34 +307,34 @@ class TestFirstBadLine:
 
 class TestIntegerRange:
     def test_alphabet_beyond_int64_is_a_format_error(self):
-        text = "MOA v1\nN 1 k 1 t 0\nl 100000000000000000000000\n99999999999999999999\n"
+        text = b"MOA v1\nN 1 k 1 t 0\nl 100000000000000000000000\n99999999999999999999\n"
         with pytest.raises(FormatError) as err:
             parse_moa(text)
         assert err.value.line == 3
 
     def test_largest_alphabet_round_trips(self):
         top = 2 ** 63 - 1
-        text = f"MOA v1\nN 2 k 2 t 0\nl 2 {top}\n0 {top - 1}\n1 9999999999999999999\n"
+        text = f"MOA v1\nN 2 k 2 t 0\nl 2 {top}\n0 {top - 1}\n1 9999999999999999999\n".encode()
         with pytest.raises(FormatError) as err:  # 19 digits, above the alphabet
             parse_moa(text)
         assert err.value.line == 5
         assert "entry 9999999999999999999 outside" in str(err.value)
-        good = text.replace("9999999999999999999", "0")
+        good = text.replace(b"9999999999999999999", b"0")
         arr = parse_moa(good)
         assert int(arr.rows[0, 1]) == top - 1
-        assert serialize_moa(arr) == good
+        assert b"".join(moa_chunks(arr)) == good
 
     @pytest.mark.parametrize("b, m, want", [
         (3, 100000, "3**100000"), (10 ** 30, 3, f"{10 ** 30}**3"), (2, 63, str(2 ** 63))])
     def test_huge_mooa_row_count_is_named_not_computed(self, b, m, want):
-        text = f"MOOA v1\nbase {b} m {m} s 1 u {m}\ne 1\nbeta 0\n\n"
+        text = f"MOOA v1\nbase {b} m {m} s 1 u {m}\ne 1\nbeta 0\n\n".encode()
         with pytest.raises(FormatError) as err:
             parse_mooa(text)
         assert str(err.value) == f"line 6: expected {want} array rows, got 1"
 
     def test_header_claiming_huge_m_allocates_nothing(self):
         import tracemalloc
-        text = "NET v1\nbase 2 m 1000000000 s 2 u 0\ne 1 1\n0 0\n1 1\n"
+        text = b"NET v1\nbase 2 m 1000000000 s 2 u 0\ne 1 1\n0 0\n1 1\n"
         tracemalloc.start()
         try:
             with pytest.raises(FormatError) as err:
@@ -364,10 +366,10 @@ def _mutate(text: str, data) -> str:
     return text
 
 
-def _outcome(parse, text):
+def _outcome(parse, data):
     """(True, result) for a parse, (False, (line, str(error))) for a rejection."""
     try:
-        return True, parse(text)
+        return True, parse(data)
     except (FormatError, oracles.OracleFormatError) as err:
         return False, (err.line, str(err))
 
@@ -378,8 +380,8 @@ def _valid_net(data) -> str:
     n = data.draw(st.integers(0, 5))
     digits = np.array(data.draw(st.lists(st.integers(0, b - 1), min_size=n * s * m,
                                          max_size=n * s * m)), dtype=np.int64)
-    return serialize_net(PointSet(b, digits.reshape(n, s, m)), data.draw(st.integers(0, m)),
-                         EVector(tuple(data.draw(st.integers(1, 3)) for _ in range(s))))
+    return _net_bytes(PointSet(b, digits.reshape(n, s, m)), data.draw(st.integers(0, m)),
+                      EVector(tuple(data.draw(st.integers(1, 3)) for _ in range(s)))).decode()
 
 
 def _valid_moa(data) -> str:
@@ -387,8 +389,8 @@ def _valid_moa(data) -> str:
     alphabets = [data.draw(st.sampled_from([2, 3, 10, 11, 1000, 2 ** 63 - 1]))
                  for _ in range(k)]
     rows = [[data.draw(st.integers(0, l - 1)) for l in alphabets] for _ in range(n)]
-    return serialize_moa(MixedOA(tuple(alphabets), np.array(rows, dtype=np.int64),
-                                 data.draw(st.integers(0, k))))
+    return b"".join(moa_chunks(MixedOA(tuple(alphabets), np.array(rows, dtype=np.int64),
+                                       data.draw(st.integers(0, k))))).decode()
 
 
 def _valid_mooa(data):
@@ -400,11 +402,11 @@ def _valid_mooa(data):
     widths = [b ** ei for bi, ei in zip(beta, e) for _ in range(bi)]
     rows = np.array([[data.draw(st.integers(0, w - 1)) for w in widths]
                      for _ in range(b ** m)], dtype=np.int64).reshape(b ** m, len(widths))
-    return serialize_mooa(MixedOOA(b, m, u, EVector(e), beta, rows))
+    return b"".join(mooa_chunks(MixedOOA(b, m, u, EVector(e), beta, rows))).decode()
 
 
 def _agree(parse, oracle, same, text):
-    ok, got = _outcome(parse, text)
+    ok, got = _outcome(parse, text.encode())
     oracle_ok, want = _outcome(oracle, text)
     assert ok == oracle_ok, (text, got, want)
     if ok:
@@ -472,23 +474,23 @@ class TestParsersAgreeWithLineOracle:
 
 
 def _canonical_cases():
-    """(name, canonical text, header lines, parse, oracle, same) per case."""
+    """(name, canonical bytes, header lines, parse, oracle, same) per case."""
     rng = np.random.default_rng(14)
     tuples_frame = net_to_mooa(corpus.hammersley(2, 3), 0, EVector((1, 2)))  # widths 2, 2, 2, 4
     cases = []
     for b in (2, 10, 11, 36):
         points = PointSet(b, rng.integers(0, b, size=(9, 2, 3)))
-        cases.append((f"net-b{b}", serialize_net(points, 0, (1, 1)), 3, parse_net,
+        cases.append((f"net-b{b}", _net_bytes(points, 0, (1, 1)), 3, parse_net,
                       oracles.oracle_parse_net, _same_net))
     # single-digit entries in columns of alphabets 2, 11, 256 and 1000
     rows = rng.integers(0, [2, 10, 10, 10], size=(9, 4))
-    cases.append(("moa", serialize_moa(MixedOA((2, 11, 256, 1000), rows, 1)), 3, parse_moa,
-                  oracles.oracle_parse_moa, _same_moa))
+    cases.append(("moa", b"".join(moa_chunks(MixedOA((2, 11, 256, 1000), rows, 1))), 3,
+                  parse_moa, oracles.oracle_parse_moa, _same_moa))
     for b, m, e in ((2, 4, (1, 2)), (3, 2, (1, 1))):
         arr = net_to_mooa(corpus.hammersley(b, m), 0, EVector(e))
-        cases.append((f"mooa-b{b}", serialize_mooa(arr), 4, parse_mooa,
+        cases.append((f"mooa-b{b}", b"".join(mooa_chunks(arr)), 4, parse_mooa,
                       oracles.oracle_parse_mooa, _same_mooa))
-    cases.append(("tuples", "1 0 1 3\n0 0 0 0\n1 1 0 2\n", 0,
+    cases.append(("tuples", b"1 0 1 3\n0 0 0 0\n1 1 0 2\n", 0,
                   lambda t: [f.values for f in parse_function_tuples(t, tuples_frame)],
                   lambda t: oracles.oracle_parse_function_tuples(t, 2, (1, 2), (3, 1)),
                   lambda got, want: got == want))
@@ -512,9 +514,9 @@ class TestCanonicalLayout:
 
     @pytest.mark.parametrize("case", CANONICAL_CASES, ids=[c[0] for c in CANONICAL_CASES])
     def test_canonical_bodies_are_never_tokenised(self, case):
-        _, text, _, parse, oracle, same = case
+        _, raw, _, parse, oracle, same = case
         with mock.patch.object(io, "_tokenise", wraps=io._tokenise) as tokenise:
-            assert same(parse(text.encode()), oracle(text))
+            assert same(parse(raw), oracle(raw.decode()))
         assert tokenise.call_count == 0
 
     @settings(deadline=None, max_examples=400)
@@ -523,8 +525,7 @@ class TestCanonicalLayout:
                             b"/", b":", b"\xff"]),
            st.sampled_from([1, 5, 16, 1 << 18]))
     def test_one_replaced_byte(self, case, pos, byte, chunk):
-        _, text, header, parse, oracle, same = case
-        raw = text.encode()
+        _, raw, header, parse, oracle, same = case
         body = len(b"".join(raw.splitlines(keepends=True)[:header]))
         pos = body + pos % (len(raw) - body)
         raw = raw[:pos] + byte + raw[pos + 1:]
@@ -542,33 +543,34 @@ class TestCanonicalLayout:
     ])
     def test_a_byte_that_wraps_into_the_alphabet_is_no_entry(self, alphabet, byte):
         # the byte less '0' wraps to 217, 255, 208, 10, 10 and 221 in uint8
-        text = serialize_moa(MixedOA((2, alphabet), np.array([[0, 1], [1, 5]]), 1))
-        bad = text.replace("1 5\n", f"1 {byte}\n")
+        text = b"".join(moa_chunks(MixedOA((2, alphabet), np.array([[0, 1], [1, 5]]), 1)))
+        bad = text.replace(b"1 5\n", f"1 {byte}\n".encode())
         with pytest.raises(FormatError) as err:
             parse_moa(bad)
-        assert (err.value.line, str(err.value)) == _oracle_error(oracles.oracle_parse_moa, bad)
+        assert (err.value.line, str(err.value)) == _oracle_error(oracles.oracle_parse_moa,
+                                                                 bad.decode())
 
     def test_only_the_respaced_chunk_is_tokenised(self):
         arr = net_to_mooa(corpus.hammersley(2, 8), 0, EVector((1, 1)))  # 32-byte lines
-        lines = serialize_mooa(arr).split("\n")
-        lines[203] = lines[203].replace(" ", "\t", 1)  # body line 200
+        lines = b"".join(mooa_chunks(arr)).split(b"\n")
+        lines[203] = lines[203].replace(b" ", b"\t", 1)  # body line 200
         with mock.patch.object(io, "_CHUNK_BYTES", 100), \
                 mock.patch.object(io, "_tokenise", wraps=io._tokenise) as tokenise:
-            assert parse_mooa("\n".join(lines)) == arr
+            assert parse_mooa(b"\n".join(lines)) == arr
             assert tokenise.call_count == 1  # of 64 chunks of 4 lines
-            lines[203] = lines[203][:-1] + "2"
+            lines[203] = lines[203][:-1] + b"2"
             with pytest.raises(FormatError) as err:
-                parse_mooa("\n".join(lines))
+                parse_mooa(b"\n".join(lines))
         assert err.value.line == 204
         assert str(err.value) == "line 204: entry 2 outside [0, 2) in column 15"
 
     def test_canonical_and_respaced_files_read_the_same(self):
         points = corpus.hammersley(2, 6)
-        net = serialize_net(points, 0, (1, 1))
-        mooa = serialize_mooa(net_to_mooa(points, 0, EVector((1, 1))))
+        net = _net_bytes(points, 0, (1, 1))
+        mooa = b"".join(mooa_chunks(net_to_mooa(points, 0, EVector((1, 1)))))
         for text, header, parse in ((net, 3, parse_net), (mooa, 4, parse_mooa)):
-            head, body = text.split("\n", header)[:header], text.split("\n", header)[header]
-            respaced = "\n".join(head) + "\n" + body.replace(" ", "\t")
+            head, body = text.split(b"\n", header)[:header], text.split(b"\n", header)[header]
+            respaced = b"\n".join(head) + b"\n" + body.replace(b" ", b"\t")
             with mock.patch.object(io, "_tokenise", wraps=io._tokenise) as tokenise:
                 canonical = parse(text)
                 assert tokenise.call_count == 0
@@ -586,8 +588,8 @@ class TestSerializersMatchLineOracle:
         digits = np.array(flat, dtype=np.int64).reshape(n, s, m)
         e = (1,) * s
         with mock.patch.object(io, "_CHUNK_BYTES", chunk):
-            text = serialize_net(PointSet(b, digits), 0, e)
-        assert text == oracles.oracle_net_text(b, 0, e, digits)
+            text = _net_bytes(PointSet(b, digits), 0, e)
+        assert text == oracles.oracle_net_text(b, 0, e, digits).encode()
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.sampled_from([2, 9, 10, 11, 101, 10 ** 6, 2 ** 63 - 1]),
@@ -598,26 +600,25 @@ class TestSerializersMatchLineOracle:
                          for _ in range(n)], dtype=np.int64)
         arr = MixedOA(tuple(alphabets), rows, 0)
         with mock.patch.object(io, "_CHUNK_BYTES", chunk):
-            text = serialize_moa(arr)
+            text = b"".join(moa_chunks(arr))
         header = ["MOA v1", f"N {n} k {len(alphabets)} t 0",
                   "l " + " ".join(map(str, alphabets))]
-        assert text == oracles.oracle_rows_text(header, rows)
+        assert text == oracles.oracle_rows_text(header, rows).encode()
 
     @pytest.mark.parametrize("chunk", [1, 64, 1 << 18])
     def test_mooa_corpus(self, faure333, chunk):
         arr = net_to_mooa(faure333, 0, EVector((1, 2, 1)))
         with mock.patch.object(io, "_CHUNK_BYTES", chunk):
-            text = serialize_mooa(arr)
+            text = b"".join(mooa_chunks(arr))
         header = ["MOOA v1", "base 3 m 3 s 3 u 0", "e 1 2 1", "beta 3 1 3"]
-        assert text == oracles.oracle_rows_text(header, arr.rows)
+        assert text == oracles.oracle_rows_text(header, arr.rows).encode()
 
     def test_error_line_in_a_later_chunk(self):
-        text = serialize_net(corpus.hammersley(2, 8), 0, EVector((1, 1)))
-        lines = text.split("\n")
-        lines[200] = lines[200][:-1] + "2"
+        lines = _net_bytes(corpus.hammersley(2, 8), 0, EVector((1, 1))).split(b"\n")
+        lines[200] = lines[200][:-1] + b"2"
         with mock.patch.object(io, "_CHUNK_BYTES", 100):
             with pytest.raises(FormatError) as err:
-                parse_net("\n".join(lines))
+                parse_net(b"\n".join(lines))
         assert err.value.line == 201
 
 
@@ -664,84 +665,62 @@ class TestChunkBoundaries:
 
 
 class TestUndecodableBytes:
-    """A byte that is not UTF-8 reaches the parsers as the lone surrogate
-    that ``surrogateescape`` decoding makes of it; messages name the byte."""
+    """A byte that is not UTF-8 is decoded as the lone surrogate that
+    ``surrogateescape`` makes of it; messages name the byte."""
 
     @staticmethod
-    def _message(parse, text):
+    def _message(parse, raw):
         with pytest.raises(FormatError) as err:
-            parse(text)
+            parse(raw)
         return str(err.value)
 
     def test_net_body_and_header(self):
-        text = HAM_23_TEXT.replace("100 001\n", "100 001\udcff\n")
-        assert self._message(parse_net, text) == (
+        raw = HAM_23_TEXT.replace(b"100 001\n", b"100 001\xff\n")
+        assert self._message(parse_net, raw) == (
             "line 5: digit string '001\\xff' has length 4, expected 3")
-        text = HAM_23_TEXT.replace("100 001\n", "100 0\udc8f1\n")
-        assert self._message(parse_net, text) == (
+        raw = HAM_23_TEXT.replace(b"100 001\n", b"100 0\x8f1\n")
+        assert self._message(parse_net, raw) == (
             "line 5: character '\\x8f' is not a base-2 digit")
-        assert self._message(parse_net, "NET v1\udcff\n") == (
+        assert self._message(parse_net, b"NET v1\xff\n") == (
             "line 1: expected 'NET v1', got 'NET v1\\xff'")
-        assert self._message(parse_net, "NET v1\nbase 2 m \udcc3 s 1 u 0\n") == (
+        assert self._message(parse_net, b"NET v1\nbase 2 m \xc3 s 1 u 0\n") == (
             "line 2: m must be an integer, got '\\xc3'")
 
     def test_integer_bodies(self, ham23):
-        text = serialize_moa(MixedOA((2, 2), np.array([[0, 1], [1, 0]]), 1))
-        assert self._message(parse_moa, text.replace("1 0\n", "1 0\udcff\n")) == (
+        raw = b"".join(moa_chunks(MixedOA((2, 2), np.array([[0, 1], [1, 0]]), 1)))
+        assert self._message(parse_moa, raw.replace(b"1 0\n", b"1 0\xff\n")) == (
             "line 5: entry must be 1 to 19 digits 0-9, got '0\\xff'")
         arr = net_to_mooa(ham23, 0, EVector((1, 2)))
-        assert self._message(lambda t: parse_function_tuples(t, arr), "1 0 1 \udcff\n") == (
+        assert self._message(lambda t: parse_function_tuples(t, arr), b"1 0 1 \xff\n") == (
             "line 1: residue must be 1 to 19 digits 0-9, got '\\xff'")
 
     @pytest.mark.parametrize("token, shown", [
-        ("0\u00e9", "'0\u00e9'"),              # valid UTF-8: repr, unchanged
-        ("0\\udcff", "'0\\\\udcff'"),          # a backslash the file holds
-        ("0\\\udcff0", "'0\\\\\\xff0'"),       # a backslash, then the byte
-        ("0\ud800", "'0\\ud800'"),             # a surrogate no byte decodes to
-        ("'\udcff", "\"'\\xff\""),             # repr's choice of quotes is kept
+        ("0\u00e9".encode(), "'0\u00e9'"),     # valid UTF-8: repr, unchanged
+        (b"0\\udcff", "'0\\\\udcff'"),          # a backslash the file holds
+        (b"0\\\xff0", "'0\\\\\\xff0'"),         # a backslash, then the byte
+        (b"0\xed\xa0\x80", "'0\\xed\\xa0\\x80'"),  # UTF-8 has no surrogates
+        (b"'\xff", "\"'\\xff\""),               # repr's choice of quotes is kept
     ])
     def test_only_escaped_bytes_are_respelled(self, token, shown):
-        text = HAM_23_TEXT.replace("100 001\n", f"100 {token}\n")
-        assert self._message(parse_net, text).startswith(f"line 5: digit string {shown} ")
-
-    @staticmethod
-    def _case(ham23, kind):
-        """A good input of one format, its parser, and a serializer of what it
-        parses to."""
-        arr = net_to_mooa(ham23, 0, EVector((1, 2)))
-        return {
-            "net": (HAM_23_TEXT, parse_net, lambda nf: serialize_net(nf.points, nf.u, nf.e)),
-            "moa": (serialize_moa(MixedOA((2, 2), np.array([[0, 1], [1, 0]]), 1)), parse_moa,
-                    serialize_moa),
-            "mooa": (serialize_mooa(arr), parse_mooa, serialize_mooa),
-            "tuples": ("1 0 1 3\n0 0 0 0\n", lambda t: parse_function_tuples(t, arr), repr),
-        }[kind]
-
-    @settings(deadline=None, max_examples=100)
-    @given(st.sampled_from(["net", "moa", "mooa", "tuples"]), st.integers(0, 200),
-           st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1,
-                   max_size=3))
-    def test_no_unicode_error_for_any_lone_surrogate(self, ham23, kind, pos, junk):
-        text, parse, _ = self._case(ham23, kind)
-        pos %= len(text) + 1
-        with pytest.raises(FormatError):
-            parse(text[:pos] + junk + text[pos:])
+        raw = HAM_23_TEXT.replace(b"100 001\n", b"100 " + token + b"\n")
+        assert self._message(parse_net, raw).startswith(f"line 5: digit string {shown} ")
 
     @settings(deadline=None, max_examples=150)
     @given(st.sampled_from(["net", "moa", "mooa", "tuples"]), st.integers(0, 200),
-           st.binary(max_size=4), st.booleans())
-    def test_bytes_parse_as_their_surrogateescape_text(self, ham23, kind, pos, junk, cut):
-        text, parse, write = self._case(ham23, kind)
-        raw = text.encode()
+           st.binary(min_size=1, max_size=4), st.booleans())
+    def test_inserted_bytes_parse_or_are_a_format_error(self, ham23, kind, pos, junk, cut):
+        arr = net_to_mooa(ham23, 0, EVector((1, 2)))
+        raw, parse = {
+            "net": (HAM_23_TEXT, parse_net),
+            "moa": (MOA_TEXT, parse_moa),
+            "mooa": (b"".join(mooa_chunks(arr)), parse_mooa),
+            "tuples": (b"1 0 1 3\n0 0 0 0\n", lambda t: parse_function_tuples(t, arr)),
+        }[kind]
         pos %= len(raw) + 1
         raw = raw[:pos] + junk + raw[pos:]
         if cut:  # no LF at the end
             raw = raw.rstrip(b"\n")
-
-        def outcome(data):
-            try:
-                return "ok", write(parse(data))
-            except FormatError as exc:
-                return "error", str(exc)
-
-        assert outcome(raw) == outcome(raw.decode("utf-8", "surrogateescape"))
+        try:
+            parse(raw)
+        except FormatError:
+            pass

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from evnets import (
     EVector, PointSet, Verdict,
-    check_shapes, count_box, enumerate_profiles, net_to_mooa,
+    check_shapes, enumerate_profiles, net_to_mooa,
     rebase_compress, rebase_expand, u_star, verify_mooa, verify_net,
     verify_sequence_prefix,
 )
@@ -107,46 +107,6 @@ class TestNoModeKnob:
 
 
 # ---------------------------------------------------------------------------
-# box counting
-
-class TestCountBox:
-    def test_frozen_value(self, ham23):
-        assert count_box(ham23, (1, 1), (0, 0)) == 2
-
-    def test_matches_rational_membership(self, ham23):
-        for shape in [(0, 0), (1, 1), (2, 1), (0, 3), (3, 0), (1, 2)]:
-            for index in np.ndindex(*(2 ** d for d in shape)):
-                assert count_box(ham23, shape, index) == \
-                    oracles.brute_count_box(ham23, shape, index)
-
-    def test_base_three(self, ham32):
-        for shape in [(1, 1), (2, 0), (0, 2)]:
-            for index in np.ndindex(*(3 ** d for d in shape)):
-                assert count_box(ham32, shape, index) == \
-                    oracles.brute_count_box(ham32, shape, index)
-
-    def test_errors(self, ham23):
-        with pytest.raises(PrecisionError):
-            count_box(ham23, (4, 0), (0, 0))
-        with pytest.raises(ParamError):
-            count_box(ham23, (1, 1), (2, 0))
-        with pytest.raises(ParamError):
-            count_box(ham23, (1,), (0,))
-        with pytest.raises(ParamError):
-            count_box(ham23, (-1, 0), (0, 0))
-
-    def test_only_a_window_beyond_int64_is_rejected(self):
-        # 2**80 boxes need no 80-bit rank: each 40-digit window fits int64
-        p = PointSet(2, np.zeros((1, 2, 40), dtype=np.int64))
-        assert count_box(p, (40, 40), (0, 0)) == 1
-        assert count_box(p, (40, 40), (0, 1)) == 0
-        deep = PointSet(2, np.zeros((1, 1, 63), dtype=np.int64))
-        assert count_box(deep, (62,), (0,)) == 1
-        with pytest.raises(ParamError, match="wider than 64-bit integers"):
-            count_box(deep, (63,), (0,))
-
-
-# ---------------------------------------------------------------------------
 # net verification
 
 def _flip012(ham):
@@ -181,7 +141,7 @@ class TestVerifyNet:
         shapes = check_shapes(3, 0, (1, 1))
         first_failing = next(
             d for d in shapes
-            if not all(count_box(bad, d, ix) == 8 // 2 ** sum(d)
+            if not all(oracles.brute_count_box(bad, d, ix) == 8 // 2 ** sum(d)
                        for ix in np.ndindex(*(2 ** di for di in d))))
         assert tuple(verify_net(bad, 0, (1, 1)).witness["shape"]) == first_failing
 

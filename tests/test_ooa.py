@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from evnets import (
     EVector, MixedOOA, PointSet,
-    canonical_beta, enumerate_profiles, mooa_to_net, net_to_mooa, serialize_mooa,
-    verify_mooa, verify_net,
+    canonical_beta, enumerate_profiles, mooa_chunks, mooa_to_net, net_to_mooa, verify_mooa,
+    verify_net,
 )
 from evnets import _util, corpus, netverify
 from evnets.errors import ParamError, VerificationError
@@ -104,7 +104,7 @@ class TestNetToMooa:
         assert arr.beta == (3, 3, 3) and np.shares_memory(arr.rows, points.digits)
         header = ["MOOA v1", "base 3 m 3 s 3 u 0", "e 1 1 1", "beta 3 3 3"]
         rows = [[points.digits[n, i, l] for i in range(3) for l in range(3)] for n in range(27)]
-        assert serialize_mooa(arr) == oracles.oracle_rows_text(header, rows)
+        assert b"".join(mooa_chunks(arr)) == oracles.oracle_rows_text(header, rows).encode()
         assert not np.shares_memory(net_to_mooa(points, 1, (1, 1, 1)).rows, points.digits)
 
     def test_peak_memory_is_about_the_rows(self):
