@@ -705,17 +705,34 @@ class TestUndecodableBytes:
         raw = HAM_23_TEXT.replace(b"100 001\n", b"100 " + token + b"\n")
         assert self._message(parse_net, raw).startswith(f"line 5: digit string {shown} ")
 
-    @settings(deadline=None, max_examples=150)
-    @given(st.sampled_from(["net", "moa", "mooa", "tuples"]), st.integers(0, 200),
-           st.binary(min_size=1, max_size=4), st.booleans())
-    def test_inserted_bytes_parse_or_are_a_format_error(self, ham23, kind, pos, junk, cut):
+    @staticmethod
+    def _case(ham23, kind):
+        """A good input of one format and its parser."""
         arr = net_to_mooa(ham23, 0, EVector((1, 2)))
-        raw, parse = {
+        return {
             "net": (HAM_23_TEXT, parse_net),
             "moa": (MOA_TEXT, parse_moa),
             "mooa": (b"".join(mooa_chunks(arr)), parse_mooa),
             "tuples": (b"1 0 1 3\n0 0 0 0\n", lambda t: parse_function_tuples(t, arr)),
         }[kind]
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from(["net", "moa", "mooa", "tuples"]), st.integers(0, 200),
+           st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1,
+                   max_size=3))
+    def test_no_unicode_error_for_any_lone_surrogate(self, ham23, kind, pos, junk):
+        # UTF-8 has no surrogates: the three bytes that would spell one are
+        # undecodable, so each is escaped and the input is a format error
+        raw, parse = self._case(ham23, kind)
+        pos %= len(raw) + 1
+        with pytest.raises(FormatError):
+            parse(raw[:pos] + junk.encode("utf-8", "surrogatepass") + raw[pos:])
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(["net", "moa", "mooa", "tuples"]), st.integers(0, 200),
+           st.binary(min_size=1, max_size=4), st.booleans())
+    def test_inserted_bytes_parse_or_are_a_format_error(self, ham23, kind, pos, junk, cut):
+        raw, parse = self._case(ham23, kind)
         pos %= len(raw) + 1
         raw = raw[:pos] + junk + raw[pos:]
         if cut:  # no LF at the end

@@ -107,6 +107,38 @@ class TestNoModeKnob:
 
 
 # ---------------------------------------------------------------------------
+# box counting
+
+def _box_counts(points, shape):
+    """Points in each elementary box of ``shape``, indexed by box index,
+    counted from the prefix keys that verify_net ranks boxes by."""
+    dims = tuple(points.base ** d for d in shape)
+    table = _util.PrefixTable.of_digits(points.digits, points.base, (1,) * points.dim,
+                                        max(shape, default=0))
+    return np.bincount(table.keys(shape), minlength=math.prod(dims)).reshape(dims)
+
+
+class TestBoxCounts:
+    def test_frozen_value(self, ham23):
+        assert _box_counts(ham23, (1, 1))[0, 0] == 2
+
+    @staticmethod
+    def _check(points, shapes):
+        # the net fills its boxes evenly; moving point 0 in coordinate 1 does not
+        for p in (points, corpus.flip_digit(points, 0, 1, 0)):
+            for shape in shapes:
+                counts = _box_counts(p, shape)
+                for index in np.ndindex(*counts.shape):
+                    assert counts[index] == oracles.brute_count_box(p, shape, index)
+
+    def test_matches_rational_membership(self, ham23):
+        self._check(ham23, [(0, 0), (1, 1), (2, 1), (0, 3), (3, 0), (1, 2)])
+
+    def test_base_three(self, ham32):
+        self._check(ham32, [(1, 1), (2, 0), (0, 2)])
+
+
+# ---------------------------------------------------------------------------
 # net verification
 
 def _flip012(ham):

@@ -100,6 +100,22 @@ class TestWrapEdges:
         p = grid_1d(256, 2)
         assert p.coordinate_value(256 ** 2 - 1, 0) == Fraction(256 ** 2 - 1, 256 ** 2)
 
+    def test_box_counts_agree_with_oracle_at_base_256(self):
+        p = flip_digit(hammersley(256, 1), 255, 0, 0)  # point 255 moves to (0, 255)
+        table = _util.PrefixTable.of_digits(p.digits, 256, (1, 1), 1)
+        for shape, index in [((1, 0), (0, 0)), ((1, 0), (255, 0)), ((0, 1), (0, 255)),
+                             ((1, 1), (255, 255)), ((1, 1), (0, 255)), ((1, 1), (0, 0))]:
+            key = np.ravel_multi_index(index, [256 ** d for d in shape])
+            assert np.count_nonzero(table.keys(shape) == key) == \
+                oracles.brute_count_box(p, shape, index)
+
+    def test_box_count_of_a_window_above_255(self):
+        p = grid_1d(16, 3)  # windows of two base-16 digits reach 255
+        keys = _util.PrefixTable.of_digits(p.digits, 16, (2,), 2).keys((2,))
+        for index in (0, 254, 255):
+            assert np.count_nonzero(keys == index) == \
+                oracles.brute_count_box(p, (2,), (index,)) == 16
+
     @pytest.mark.parametrize("b", [256, 257])
     def test_verify_net_agrees_with_oracle(self, b):
         good = grid_1d(b, 1)

@@ -187,3 +187,9 @@ class TestDigits:
         assert list(window(digits, 0, 0, 2, 2)) == [2, 1]
         assert list(window(digits, 0, 2, 2, 2)) == [3, 2]
         assert list(window(digits, 0, 0, 0, 2)) == [0, 0]
+
+    def test_digit_window_fills_int64(self):
+        # 63 binary digits of uint8 storage reach 2**63 - 1, the int64 maximum
+        ones = np.ones((1, 1, 63), dtype=np.uint8)
+        assert window(ones, 0, 0, 63, 2).tolist() == [2 ** 63 - 1]
+        assert window(ones, 0, 1, 62, 2).tolist() == [2 ** 62 - 1]
