@@ -27,8 +27,7 @@ _SOURCES = {
     "core": ("MixedOA", "MixedOOA", "PointSet", "Verdict"),
     "corpus": ("SearchResult", "digital_net", "faure", "flip_digit", "grid_1d",
                "hammersley", "random_pointset", "search_net"),
-    "dualcert": ("FunctionTuple", "build_block_family", "char_exponents", "diff",
-                 "gram_certificate", "height", "profile"),
+    "dualcert": ("build_block_family", "char_exponents", "gram_certificate"),
     "errors": ("FormatError", "ParamError", "PrecisionError", "VerificationError"),
     "evector": ("EVector",),
     "io": ("NetFile", "moa_chunks", "mooa_chunks", "net_chunks", "parse_function_tuples",

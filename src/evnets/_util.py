@@ -81,8 +81,9 @@ def rank_rows(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
     return keys
 
 
-def unrank(rank: int, radices: Sequence[int]) -> list[int]:
-    """Inverse of :func:`rank_rows` for a single rank value."""
+def unrank(rank: int | np.ndarray, radices: Sequence[int]) -> list:
+    """Inverse of :func:`rank_rows`: the digits of a rank, first most
+    significant; of an array of ranks, one array per radix (by ``divmod``)."""
     out = [0] * len(radices)
     for j in range(len(radices) - 1, -1, -1):
         rank, out[j] = divmod(rank, int(radices[j]))

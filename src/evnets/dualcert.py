@@ -1,7 +1,8 @@
 """Character-sum certificates for ordered mixed arrays, decided exactly.
 
 A residue-function tuple D assigns to every stored column (i, rho) a residue
-D_i(rho) modulo the block alphabet b**e_i. Its character on array row n is
+D_i(rho) modulo the block alphabet b**e_i, and is stored as the row of those
+residues; a family is a matrix of rows. Its character on array row n is
 
     chi_D(n) = prod_{i, rho} omega_i ** (z_{i,rho}(n) * D_i(rho)),
 
@@ -27,21 +28,16 @@ t < s, Phi_r(y) divides sum_j c_{t + j*s} y**j.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._util import _BYTES_CAP, _CHUNK_BYTES, rank_rows
-from .core import EVector, MixedOOA, Verdict
+from ._util import _BYTES_CAP, _CHUNK_BYTES, rank_rows, unrank
+from .core import MixedOOA, Verdict
 from .errors import ParamError
 
-__all__ = [
-    "FunctionTuple", "profile", "height", "diff",
-    "char_exponents", "gram_certificate", "build_block_family",
-]
+__all__ = ["char_exponents", "gram_certificate", "build_block_family"]
 
 # Bytes the byte cap charges per member beyond its residues (its rank, and its
 # entry in one row's list of ranks), and per distinct difference beyond its
@@ -51,99 +47,51 @@ _MEMBER_BYTES = 64
 _DIFFERENCE_BYTES = 128
 
 
-@dataclass(frozen=True)
-class FunctionTuple:
-    """Residues assigned to block columns: values[i][rho] modulo base**e_i."""
-
-    base: int
-    e: EVector
-    values: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if int(self.base) < 2:
-            raise ParamError(f"base must be >= 2, got {self.base}")
-        object.__setattr__(self, "base", int(self.base))
-        e = EVector.coerce(self.e)
-        object.__setattr__(self, "e", e)
-        vals = tuple(tuple(int(v) for v in block) for block in self.values)
-        if len(vals) != e.s:
-            raise ParamError(f"{len(vals)} blocks given, e-vector has {e.s}")
-        for i, block in enumerate(vals):
-            alph = self.base ** e[i]
-            for v in block:
-                if not 0 <= v < alph:
-                    raise ParamError(f"residue {v} outside [0, {alph}) in block {i}")
-        object.__setattr__(self, "values", vals)
-
-
-def _check_same_frame(a: FunctionTuple, b: FunctionTuple) -> None:
-    if a.base != b.base or a.e != b.e or tuple(map(len, a.values)) != tuple(
-            map(len, b.values)):
-        raise ParamError("function tuples live on different column layouts")
-
-
-def profile(d: FunctionTuple) -> tuple[int, ...]:
-    """Per-block depth: the number of leading columns through the last nonzero
-    residue (0 for an all-zero block)."""
-    out = []
-    for block in d.values:
-        depth = 0
-        for rho, v in enumerate(block):
-            if v:
-                depth = rho + 1
-        out.append(depth)
-    return tuple(out)
-
-
-def height(d: FunctionTuple) -> int:
-    """Digit weight of the profile: sum of depth_i * e_i."""
-    return sum(k * ei for k, ei in zip(profile(d), d.e))
-
-
-def diff(d1: FunctionTuple, d2: FunctionTuple) -> FunctionTuple:
-    """Columnwise difference modulo each block alphabet."""
-    _check_same_frame(d1, d2)
-    vals = tuple(
-        tuple((a - b) % (d1.base ** ei) for a, b in zip(b1, b2))
-        for b1, b2, ei in zip(d1.values, d2.values, d1.e))
-    return FunctionTuple(d1.base, d1.e, vals)
-
-
-def _check_array_frame(array: MixedOOA, d: FunctionTuple) -> None:
-    if d.base != array.base or d.e != array.e:
-        raise ParamError("function tuple and array disagree on base or e-vector")
-    if tuple(map(len, d.values)) != array.beta:
-        raise ParamError(f"function tuple has block sizes {tuple(map(len, d.values))}, "
-                         f"array has beta {array.beta}")
-
-
 def _order(array: MixedOOA) -> int:
     """q = b**max(e_i) over the blocks that carry columns (1 if none do)."""
     return array.base ** max((ei for ei, bi in zip(array.e, array.beta) if bi), default=0)
 
 
-def _stack(array: MixedOOA, family: Sequence[FunctionTuple]) -> np.ndarray:
-    """A family's residues as an (F, sum(beta)) matrix in column order."""
-    return np.array([[v for block in d.values for v in block] for d in family],
-                    dtype=np.int64).reshape(len(family), sum(array.beta))
+def _widths(array: MixedOOA) -> np.ndarray:
+    """Per stored column (i, rho), its alphabet b**e_i; q // b**e_i is the
+    power of zeta_q that is omega_i."""
+    return np.array([array.base ** ei for ei, bi in zip(array.e, array.beta)
+                     for _ in range(bi)], dtype=np.int64)
 
 
-def _scale(array: MixedOOA, q: int) -> np.ndarray:
-    """Per stored column (i, rho), q // b**e_i: the power of zeta_q that is
-    omega_i."""
-    return np.repeat([q // array.base ** ei for ei in array.e], array.beta)
+def _residue_rows(array: MixedOOA, rows) -> np.ndarray:
+    """``rows`` as an (F, sum(beta)) int64 matrix, checked once: one row per
+    tuple, in stored column order, of an integer dtype, with entry (i, rho)
+    in [0, b**e_i). ``[]`` is the empty family."""
+    try:
+        rows = np.asarray(rows)
+    except ValueError:  # numpy refuses rows of unequal lengths
+        raise ParamError("residue rows have unequal lengths") from None
+    if rows.shape == (0,):
+        return np.zeros((0, sum(array.beta)), dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != sum(array.beta):
+        raise ParamError(f"residue rows must be a matrix of {sum(array.beta)} columns "
+                         f"(sum of beta), got shape {rows.shape}")
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ParamError(f"residues must be integers, got dtype {rows.dtype}")
+    residues, widths = rows.astype(np.int64, copy=False), _widths(array)
+    bad = np.argwhere((residues < 0) | (residues >= widths))  # uint64 wraps below 0
+    if len(bad):
+        r, j = bad[0]
+        raise ParamError(f"residue {rows[r, j]} outside [0, {widths[j]}) in column {j}")
+    return residues
 
 
-def char_exponents(array: MixedOOA, d: FunctionTuple) -> np.ndarray:
-    """Exponent of zeta_q in the character of ``d`` on each array row.
+def char_exponents(array: MixedOOA, residues) -> np.ndarray:
+    """Exponent of zeta_q in the character of one residue row (sum(beta)
+    residues in stored column order) on each array row.
 
     Block i adds z_{i,rho} * D_i(rho) * (q // b**e_i); the sum is reduced
     mod q = b**max(e_i) over the blocks that carry columns, so the result is
     an int64 vector with entries in [0, q).
     """
-    _check_array_frame(array, d)
     q = _order(array)
-    return (_stack(array, [d])[0] * _scale(array, q)) @ array.rows.T % q
+    return (_residue_rows(array, [residues])[0] * (q // _widths(array))) @ array.rows.T % q
 
 
 def _radical(n: int) -> int:
@@ -298,8 +246,12 @@ def _check_route_size(array: MixedOOA, members: int, touched: int, differences: 
                          f"above the cap of {_BYTES_CAP} bytes")
 
 
-def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdict:
+def gram_certificate(array: MixedOOA, family) -> Verdict:
     """Decide pairwise orthogonality of a family's characters exactly.
+
+    ``family`` is an (F, sum(beta)) integer matrix of residue rows, or a
+    list of rows. Another width, a dtype that is not an integer one, or a
+    residue outside its column's [0, b**e_i) is a ``ParamError``.
 
     Precondition (checked): the difference of every pair of tuples must have
     height at most m - u; the first violating pair, in
@@ -324,16 +276,12 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     pair. Equal members fail at their first pair, through the zero
     difference (all b**m rows at exponent 0). A family whose route would
     pass the package's byte cap (see :func:`_route_bytes`) is refused with
-    ``ParamError`` before the walk; its residues take less memory than the
-    tuples already hold.
+    ``ParamError`` before the walk.
     """
-    family = list(family)
-    for d in family:
-        _check_array_frame(array, d)
-    members = len(family)
-    residues = _stack(array, family)
+    residues = _residue_rows(array, family)
+    members = len(residues)
     cols = np.flatnonzero(residues.any(axis=0))
-    widths = np.repeat([array.base ** ei for ei in array.e], array.beta)[cols]
+    widths = _widths(array)[cols]
     group = math.prod(widths.tolist())
     differences = min(group - 1, members * (members - 1) // 2)
     _check_route_size(array, members, len(cols), differences)
@@ -361,7 +309,7 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
         firsts = firsts[:np.searchsorted(firsts, dup[0] * members + dup[1])]
     if len(firsts):
         steps = np.concatenate(deltas)[:len(firsts)]
-        steps *= _scale(array, q)[cols]
+        steps *= q // widths
         bad = _first_nonvanishing(
             steps, np.ascontiguousarray(array.rows[:, cols].T, dtype=np.int64), q)
         if bad is not None:
@@ -376,14 +324,17 @@ def gram_certificate(array: MixedOOA, family: Sequence[FunctionTuple]) -> Verdic
     return Verdict(True)
 
 
-def build_block_family(array: MixedOOA, kappa: Sequence[int]) -> list[FunctionTuple]:
-    """All function tuples supported on a profile's leading columns.
+def build_block_family(array: MixedOOA, kappa: Sequence[int]) -> np.ndarray:
+    """All residue rows supported on a profile's leading columns, as an
+    (F, sum(beta)) int64 matrix.
 
     ``kappa`` must be an admissible depth profile (kappa_i <= beta_i and
     sum kappa_i * e_i <= m - u). The family has exactly
-    b**(sum kappa_i * e_i) members and is enumerated with the last selected
-    column varying fastest. A family :func:`gram_certificate` would refuse
-    for its size is refused with ``ParamError`` before it is built.
+    F = b**(sum kappa_i * e_i) members: member r is the mixed-radix digits of
+    r on the first kappa_i columns of each block i, so the last selected
+    column varies fastest, and zero elsewhere. A family
+    :func:`gram_certificate` would refuse for its size is refused with
+    ``ParamError`` before it is built.
     """
     kappa = tuple(int(v) for v in kappa)
     if len(kappa) != array.dim:
@@ -395,15 +346,11 @@ def build_block_family(array: MixedOOA, kappa: Sequence[int]) -> list[FunctionTu
         depth += ki * ei
     if depth > array.m - array.u:
         raise ParamError(f"profile depth {depth} exceeds the budget {array.m - array.u}")
-    _check_route_size(array, array.base ** depth, sum(kappa), array.base ** depth - 1)
-    ranges = [range(array.base ** ei) for ki, ei in zip(kappa, array.e)
-              for _ in range(ki)]
-    out = []
-    for combo in itertools.product(*ranges):
-        blocks = []
-        pos = 0
-        for i, (ki, bi) in enumerate(zip(kappa, array.beta)):
-            blocks.append(tuple(combo[pos : pos + ki]) + (0,) * (bi - ki))
-            pos += ki
-        out.append(FunctionTuple(array.base, array.e, tuple(blocks)))
+    members = array.base ** depth
+    _check_route_size(array, members, sum(kappa), members - 1)
+    cols = np.flatnonzero(np.concatenate([np.arange(bi) < ki
+                                          for ki, bi in zip(kappa, array.beta)]))
+    out = np.zeros((members, sum(array.beta)), dtype=np.int64)
+    for col, digits in zip(cols, unrank(np.arange(members), _widths(array)[cols])):
+        out[:, col] = digits
     return out

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -108,11 +107,14 @@ def _quote(text: str) -> str:
     return _SURROGATE_ESCAPE.sub(lambda mt: "\\x" + mt[1] if mt[1] else mt[0], repr(text))
 
 
-def _split(raw: bytes, header_lines: int) -> tuple[list[str], bytes, int]:
+def _split(raw: bytes, header_lines: int, reader: str) -> tuple[list[str], bytes, int]:
     """The first ``header_lines`` lines of ``raw`` (fewer if it has fewer)
-    as text, the input LF-terminated, and the offset of the body in it."""
+    as text, the input LF-terminated, and the offset of the body in it.
+    ``reader`` names the parser in the error for input that is not bytes."""
+    if not isinstance(raw, (bytes, bytearray)):
+        raise TypeError(f"{reader} reads bytes, got {type(raw).__name__}")
     if raw and not raw.endswith(b"\n"):
-        raw += b"\n"
+        raw = raw + b"\n"  # not +=, which extends a caller's bytearray
     lines: list[str] = []
     pos = 0
     while len(lines) < header_lines and pos < len(raw):
@@ -343,7 +345,7 @@ def _parse_int_body(raw: bytes, start: int, widths: list[int], first_lineno: int
 def parse_net(data: bytes) -> NetFile:
     """Parse the bytes of a NET v1 file. The number of points is the number
     of body lines."""
-    lines, raw, start = _split(data, 3)
+    lines, raw, start = _split(data, 3, "parse_net")
     if _need_line(lines, 0, "NET v1 magic line") != "NET v1":
         raise FormatError(f"expected 'NET v1', got {_quote(lines[0])}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
@@ -420,7 +422,7 @@ def _int_lines(header: str, rows: np.ndarray) -> Iterator[bytes]:
 def parse_moa(data: bytes) -> MixedOA:
     """Parse the bytes of a MOA v1 file; the header's t becomes the claimed
     strength."""
-    lines, raw, start = _split(data, 3)
+    lines, raw, start = _split(data, 3, "parse_moa")
     if _need_line(lines, 0, "MOA v1 magic line") != "MOA v1":
         raise FormatError(f"expected 'MOA v1', got {_quote(lines[0])}", line=1)
     n, k, t = _keyword_header(_need_line(lines, 1, "parameter header"), ("N", "k", "t"), 2)
@@ -443,7 +445,7 @@ def moa_chunks(array: MixedOA) -> Iterator[bytes]:
 
 def parse_mooa(data: bytes) -> MixedOOA:
     """Parse the bytes of a MOOA v1 file (exactly base**m body rows)."""
-    lines, raw, start = _split(data, 4)
+    lines, raw, start = _split(data, 4, "parse_mooa")
     if _need_line(lines, 0, "MOOA v1 magic line") != "MOOA v1":
         raise FormatError(f"expected 'MOOA v1', got {_quote(lines[0])}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
@@ -475,20 +477,14 @@ def mooa_chunks(array: MixedOOA) -> Iterator[bytes]:
                       f"beta {' '.join(str(v) for v in array.beta)}\n", array.rows)
 
 
-def parse_function_tuples(data: bytes, array: MixedOOA) -> list:
+def parse_function_tuples(data: bytes, array: MixedOOA) -> np.ndarray:
     """Parse the bytes of residue-function tuples, one per line, in stored
     column order.
 
     Each line holds sum(beta) integers; entry (i, rho) must lie in
-    [0, base**e_i). Returns :class:`~evnets.dualcert.FunctionTuple` objects
-    bound to ``array``'s base and e-vector.
+    [0, base**e_i). Returns the (lines, sum(beta)) matrix of residues, in
+    the dtype an array body of those widths is read in.
     """
-    from .dualcert import FunctionTuple
-
     widths = [array.base ** ei for bi, ei in zip(array.beta, array.e) for _ in range(bi)]
-    _, raw, _ = _split(data, 0)
-    rows = _parse_int_body(raw, 0, widths, 1, None, "residue", "residues").tolist()
-    bounds = list(accumulate(array.beta, initial=0))
-    return [FunctionTuple(array.base, array.e,
-                          tuple(tuple(row[lo:hi]) for lo, hi in zip(bounds, bounds[1:])))
-            for row in rows]
+    _, raw, _ = _split(data, 0, "parse_function_tuples")
+    return _parse_int_body(raw, 0, widths, 1, None, "residue", "residues")

@@ -26,9 +26,7 @@ are those where the correction's weights do not cancel. Where their rank r
 falls short of sum d, the zero cell holds the b**(m - r) points of the kernel
 plus the correction there, and is the first cell counting would report; only
 when that sum is the expected count after all is the shape counted.
-``_row_space`` alone picks the route: ranks need a prime base, more than
-2**17 point-shapes to count (n times the number of shapes), a sample of rank
-m, and a correction that costs less to place than counting.
+``_row_space`` alone picks the route.
 """
 
 from __future__ import annotations
@@ -383,8 +381,7 @@ def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "nar
     reading replaces the shape set rather than shrinking it, so it tries
     u = 0, 1, ... in turn and stops at the first pass. A subspace and its
     correction are recovered once, for every u, by ``_row_space`` on the
-    u = 0 shapes: it needs a prime base, n times that many shapes above
-    2**17, a sample of rank m and a correction that pays.
+    u = 0 shapes, which picks the route.
     """
     e = _check_net(points, e, variant)
     m = points.precision

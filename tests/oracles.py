@@ -19,7 +19,9 @@ deliberately different route:
   combinations by size;
 * character sums via scalar cmath loops, and their exact vanishing via
   cyclotomic polynomials built from the Moebius product formula and plain long
-  division, instead of integer exponent matrices folded by rad(q);
+  division, instead of integer exponent matrices folded by rad(q); the height
+  of a difference of residue rows column by column, instead of by masked
+  reductions over the blocks;
 * text formats read and written line by line with str methods instead of
   whole-body numpy arrays;
 * the existence search by a rescan of every candidate's box counts at every
@@ -419,8 +421,9 @@ def brute_budgets(b: int, e):
 # ---------------------------------------------------------------------------
 # character sums (scalar cmath loops)
 
-def brute_char_vector(rows, base: int, e, beta, d_values):
-    """exp(2*pi*i/b**e_i) characters multiplied out one digit at a time."""
+def brute_char_vector(rows, base: int, e, beta, residues):
+    """exp(2*pi*i/b**e_i) characters of one residue row (stored column
+    order) multiplied out one digit at a time."""
     out = []
     for row in rows:
         z = complex(1.0, 0.0)
@@ -429,11 +432,26 @@ def brute_char_vector(rows, base: int, e, beta, d_values):
             modulus = base ** ei
             expo = 0
             for rho in range(bi):
-                expo += int(row[col + rho]) * int(d_values[i][rho])
+                expo += int(row[col + rho]) * int(residues[col + rho])
             z *= cmath.exp(2j * cmath.pi * (expo % modulus) / modulus)
             col += bi
         out.append(z)
     return out
+
+
+def brute_difference_height(a, b, base: int, e, beta) -> int:
+    """Height of the columnwise difference a - b of two residue rows, mod
+    each block alphabet: per block, e_i times the depth through its last
+    nonzero residue (0 for an all-zero block), summed."""
+    total, col = 0, 0
+    for ei, bi in zip(e, beta):
+        depth = 0
+        for rho in range(bi):
+            if (int(a[col + rho]) - int(b[col + rho])) % base ** ei:
+                depth = rho + 1
+        total += depth * ei
+        col += bi
+    return total
 
 
 def brute_gram(vectors):
@@ -496,26 +514,26 @@ def oracle_vanishes(counts, q: int) -> bool:
     return not any(rem)
 
 
-def brute_char_exponents(rows, base: int, e, beta, d_values):
-    """Characters as exponents of exp(2*pi*i/L), L = lcm of every b**e_i,
-    accumulated one digit at a time."""
+def brute_char_exponents(rows, base: int, e, beta, residues):
+    """Characters of one residue row as exponents of exp(2*pi*i/L), L = lcm
+    of every b**e_i, accumulated one digit at a time."""
     big = math.lcm(*(base ** ei for ei in e))
     out = []
     for row in rows:
         expo, col = 0, 0
         for i, (ei, bi) in enumerate(zip(e, beta)):
             for rho in range(bi):
-                expo += int(row[col + rho]) * int(d_values[i][rho]) * (big // base ** ei)
+                expo += int(row[col + rho]) * int(residues[col + rho]) * (big // base ** ei)
             col += bi
         out.append(expo % big)
     return out, big
 
 
-def brute_first_gram_failure(rows, base: int, e, beta, family_values):
-    """First pair j < k (combinations order) whose Gram entry is not exactly 0,
-    or None: rows are tallied by exponent difference mod L and the tally
-    tested with :func:`oracle_vanishes`."""
-    exps = [brute_char_exponents(rows, base, e, beta, d) for d in family_values]
+def brute_first_gram_failure(rows, base: int, e, beta, family):
+    """First pair j < k (combinations order) of residue rows whose Gram entry
+    is not exactly 0, or None: rows are tallied by exponent difference mod L
+    and the tally tested with :func:`oracle_vanishes`."""
+    exps = [brute_char_exponents(rows, base, e, beta, d) for d in family]
     seen = {}
     for j, k in itertools.combinations(range(len(exps)), 2):
         (ej, big), (ek, _) = exps[j], exps[k]
@@ -711,16 +729,9 @@ def oracle_parse_mooa(text: str) -> dict:
 
 
 def oracle_parse_function_tuples(text: str, base: int, e, beta) -> list:
-    """Residue rows read line by line, split into per-block tuples."""
+    """Residue rows read line by line."""
     widths = [base ** ei for bi, ei in zip(beta, e) for _ in range(bi)]
-    out = []
-    for row in _int_rows(_text_lines(text), widths, 1, None, "residue", "residues"):
-        blocks, pos = [], 0
-        for bi in beta:
-            blocks.append(tuple(row[pos : pos + bi]))
-            pos += bi
-        out.append(tuple(blocks))
-    return out
+    return _int_rows(_text_lines(text), widths, 1, None, "residue", "residues")
 
 
 def oracle_net_text(base: int, u: int, e, digits) -> str:

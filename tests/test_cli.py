@@ -668,10 +668,10 @@ class TestDualCert:
                                                                    tmp_path, monkeypatch):
         mooa = self._mooa(capsys, ham_net, tmp_path)
 
-        def no_tuples(*args):
-            raise AssertionError("family member built")
+        def no_members(*args):
+            raise AssertionError("family members built")
 
-        monkeypatch.setattr(dualcert, "FunctionTuple", no_tuples)
+        monkeypatch.setattr(dualcert, "unrank", no_members)
         need = dualcert._route_bytes(8, 4, 3, 8, 7)
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
@@ -732,9 +732,8 @@ class TestDualCert:
         mooa = self._mooa(capsys, request.getfixturevalue(net), tmp_path, e="1,1")
         array = evnets.parse_mooa(Path(mooa).read_bytes())
         tuples = tmp_path / "fam.txt"
-        tuples.write_text("".join(
-            " ".join(str(v) for block in d.values for v in block) + "\n"
-            for d in dualcert.build_block_family(array, (0, 3))))
+        tuples.write_text("".join(" ".join(map(str, d)) + "\n"
+                                  for d in dualcert.build_block_family(array, (0, 3)).tolist()))
         by_kappa = run(capsys, "dual-cert", mooa, "--kappa", "0,3", "--json")
         by_tuples = run(capsys, "dual-cert", mooa, "--tuples", str(tuples), "--json")
         assert by_kappa == by_tuples

@@ -2,14 +2,14 @@
 
 import cmath
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from evnets import (
-    EVector, FunctionTuple, MixedOOA,
-    build_block_family, char_exponents, diff, enumerate_profiles,
-    gram_certificate, height, net_to_mooa, profile,
+    EVector, MixedOOA,
+    build_block_family, char_exponents, enumerate_profiles, gram_certificate, net_to_mooa,
 )
 from evnets import corpus, dualcert
 from evnets.dualcert import _vanishes
@@ -28,33 +28,72 @@ def arr11():
     return net_to_mooa(corpus.hammersley(2, 3), 0, (1, 1))  # beta (3, 3)
 
 
-class TestFunctionTuple:
-    def test_validation(self):
-        d = FunctionTuple(2, EVector((1, 2)), ((1, 0, 1), (3,)))
-        assert d.values == ((1, 0, 1), (3,))
-        with pytest.raises(ParamError):
-            FunctionTuple(2, EVector((1, 2)), ((1, 0, 2), (3,)))  # block-0 mod 2
-        with pytest.raises(ParamError):
-            FunctionTuple(2, EVector((1, 2)), ((1, 0, 1),))       # block count
+class TestResidueRows:
+    """A family is a matrix of residue rows, checked once: sum(beta) columns
+    in stored column order, an integer dtype, entry (i, rho) in [0, b**e_i)."""
 
-    def test_profile_and_height(self):
-        e = EVector((1, 2))
-        assert profile(FunctionTuple(2, e, ((1, 0, 1), (0,)))) == (3, 0)
-        assert profile(FunctionTuple(2, e, ((0, 1, 0), (2,)))) == (2, 1)
-        assert profile(FunctionTuple(2, e, ((0, 0, 0), (0,)))) == (0, 0)
-        # height weights block depth by e_i
-        assert height(FunctionTuple(2, e, ((0, 1, 0), (2,)))) == 2 * 1 + 1 * 2
-        assert height(FunctionTuple(2, e, ((0, 0, 0), (0,)))) == 0
+    def test_out_of_range_residue_names_its_column(self, arr12):
+        # arr12 has widths 2, 2, 2, 4
+        for row, message in (([1, 0, 2, 3], "residue 2 outside [0, 2) in column 2"),
+                             ([0, 0, 0, 4], "residue 4 outside [0, 4) in column 3"),
+                             ([-1, 0, 0, 0], "residue -1 outside [0, 2) in column 0")):
+            for family in ([[0, 0, 0, 0], row], np.array([row] * 3)):
+                with pytest.raises(ParamError, match=rf"^{re.escape(message)}$"):
+                    gram_certificate(arr12, family)
+            with pytest.raises(ParamError, match=rf"^{re.escape(message)}$"):
+                char_exponents(arr12, row)
+        # a uint64 residue past int64 is named as given, not as its int64 wrap
+        with pytest.raises(ParamError, match="residue 18446744073709551615 outside "
+                                             r"\[0, 2\) in column 1"):
+            gram_certificate(arr12, np.array([[0, 2 ** 64 - 1, 0, 0]], dtype=np.uint64))
 
-    def test_diff_is_mod_alphabet(self):
-        e = EVector((1, 2))
-        a = FunctionTuple(2, e, ((1, 0, 0), (1,)))
-        b = FunctionTuple(2, e, ((0, 1, 0), (3,)))
-        d = diff(a, b)
-        assert d.values == ((1, 1, 0), (2,))  # (1-3) mod 4 = 2
-        assert diff(a, a).values == ((0, 0, 0), (0,))
-        with pytest.raises(ParamError):
-            diff(a, FunctionTuple(2, EVector((1, 1)), ((1,), (0,))))
+    def test_row_width_and_shape_are_not_reshaped(self, arr12):
+        for family in ([[1, 0, 1]], [[1, 0, 1, 3, 0]], np.zeros((2, 5), dtype=np.int64),
+                       np.zeros((0, 3), dtype=np.int64), np.zeros(4, dtype=np.int64),
+                       np.zeros((2, 2, 2), dtype=np.int64), 7):
+            with pytest.raises(ParamError, match="matrix of 4 columns"):
+                gram_certificate(arr12, family)
+        with pytest.raises(ParamError, match="unequal lengths"):
+            gram_certificate(arr12, [[1, 0, 1, 3], [1, 0]])
+        for row in ([1, 1], [1, 0, 1, 3, 0], [[1, 0, 1, 3]]):
+            with pytest.raises(ParamError, match="matrix of 4 columns"):
+                char_exponents(arr12, row)
+
+    def test_dtype_must_be_integer(self, arr12):
+        for family in (np.zeros((2, 4)), np.zeros((2, 4), dtype=bool), [[0, 0, 0, 2 ** 70]],
+                       [["0", "0", "0", "0"]]):
+            with pytest.raises(ParamError, match="residues must be integers"):
+                gram_certificate(arr12, family)
+        with pytest.raises(ParamError, match="residues must be integers"):
+            char_exponents(arr12, [0.0, 0.0, 0.0, 1.0])
+
+    def test_every_integer_dtype_gives_one_verdict(self, arr12):
+        fam = build_block_family(arr12, (1, 1))
+        assert fam.dtype == np.int64 and fam.shape == (8, 4)
+        want = gram_certificate(arr12, fam)
+        for dtype in (np.uint8, np.int16, np.uint64):
+            assert gram_certificate(arr12, fam.astype(dtype)) == want
+        assert gram_certificate(arr12, fam.tolist()) == want
+        assert char_exponents(arr12, fam[5].astype(np.uint8)).tolist() == \
+            char_exponents(arr12, fam[5].tolist()).tolist()
+
+    def test_height_counts_each_blocks_last_nonzero_column(self, arr12):
+        # budget 3; block 0 weighs its depth by e_0 = 1, block 1 by e_1 = 2,
+        # and a difference is taken mod each block alphabet
+        zero = [0, 0, 0, 0]
+        for row, height in (([1, 0, 1, 0], 3), ([0, 1, 0, 2], 4), ([0, 0, 1, 1], 5),
+                            ([1, 0, 0, 1], 3), ([0, 0, 0, 3], 2), (zero, 0)):
+            assert oracles.brute_difference_height(row, zero, 2, (1, 2), (3, 1)) == height
+            v = gram_certificate(arr12, [zero, row])
+            if height <= 3:
+                assert v.witness is None or v.witness["kind"] == "gram", row
+            else:
+                assert v.witness == {"kind": "height-precondition", "pair": [0, 1],
+                                     "height": height, "budget": 3}, row
+        # (0,1,0,3) - (1,0,0,1) is (1,1,0,2) mod (2,2,2,4): height 2 + 2
+        v = gram_certificate(arr12, [[1, 0, 0, 1], [0, 1, 0, 3]])
+        assert v.witness["height"] == 4 == oracles.brute_difference_height(
+            [0, 1, 0, 3], [1, 0, 0, 1], 2, (1, 2), (3, 1))
 
 
 class TestCharVector:
@@ -62,16 +101,13 @@ class TestCharVector:
 
     def test_zero_tuple_is_all_ones(self, arr12):
         # exponent 0 on every row: every character value is 1
-        d = FunctionTuple(2, EVector((1, 2)), ((0, 0, 0), (0,)))
-        got = char_exponents(arr12, d)
+        got = char_exponents(arr12, [0, 0, 0, 0])
         assert got.dtype == np.int64 and not got.any()
 
     def test_matches_scalar_oracle(self, arr12):
-        cases = [((1, 0, 0), (0,)), ((0, 1, 1), (2,)), ((1, 1, 1), (3,)),
-                 ((0, 0, 0), (1,))]
+        cases = [[1, 0, 0, 0], [0, 1, 1, 2], [1, 1, 1, 3], [0, 0, 0, 1]]
         for values in cases:
-            d = FunctionTuple(2, EVector((1, 2)), values)
-            got = char_exponents(arr12, d)
+            got = char_exponents(arr12, np.array(values))
             want, big = oracles.brute_char_exponents(
                 arr12.rows, 2, (1, 2), (3, 1), values)
             assert big == 4 and got.tolist() == want, values
@@ -81,38 +117,34 @@ class TestCharVector:
 
     def test_base3_matches_oracle(self):
         arr = net_to_mooa(corpus.hammersley(3, 2), 0, (1, 1))
-        d = FunctionTuple(3, EVector((1, 1)), ((1, 2), (2, 0)))
-        want, big = oracles.brute_char_exponents(arr.rows, 3, (1, 1), (2, 2),
-                                                 ((1, 2), (2, 0)))
-        assert big == 3 and char_exponents(arr, d).tolist() == want
+        want, big = oracles.brute_char_exponents(arr.rows, 3, (1, 1), (2, 2), [1, 2, 2, 0])
+        assert big == 3 and char_exponents(arr, [1, 2, 2, 0]).tolist() == want
 
     def test_entries_have_unit_magnitude(self, arr11):
         # every entry is zeta_q**t for an integer t in [0, q)
-        d = FunctionTuple(2, EVector((1, 1)), ((1, 0, 1), (1, 1, 0)))
-        got = char_exponents(arr11, d)
+        got = char_exponents(arr11, [1, 0, 1, 1, 1, 0])
         assert got.dtype == np.int64 and got.min() >= 0 and got.max() < 2
         assert set(got.tolist()) == {0, 1}
 
     def test_order_ignores_blocks_without_columns(self):
         # u = m leaves no columns: the exponents live mod 1, not mod 2**40
         arr = MixedOOA(2, 2, 2, (1, 40), (0, 0), np.zeros((4, 0), dtype=np.int64))
-        d = FunctionTuple(2, EVector((1, 40)), ((), ()))
+        d = np.zeros(0, dtype=np.int64)
         assert char_exponents(arr, d).tolist() == [0, 0, 0, 0]
         assert not gram_certificate(arr, [d, d])
         assert gram_certificate(arr, [d])
+        assert not gram_certificate(arr, [[], []])
 
     def test_frame_mismatch_rejected(self, arr12):
         with pytest.raises(ParamError):
-            char_exponents(arr12, FunctionTuple(2, EVector((1, 1)), ((1,), (1,))))
+            char_exponents(arr12, [1, 1])            # the columns of e = (1, 1), beta (1, 1)
         with pytest.raises(ParamError):
-            char_exponents(arr12, FunctionTuple(3, EVector((1, 2)), ((1, 0, 0), (0,))))
+            char_exponents(arr12, [2, 0, 0, 0])      # a residue mod 3, not mod 2
 
     def test_character_sum_vanishes_on_strength_profiles(self, arr12):
         # a nonzero tuple whose height fits the budget sums to zero over rows
-        for values in [((1, 0, 0), (0,)), ((1, 1, 1), (0,)), ((1, 0, 0), (2,)),
-                       ((0, 0, 0), (3,))]:
-            d = FunctionTuple(2, EVector((1, 2)), values)
-            if 0 < height(d) <= arr12.m - arr12.u:
+        for d in ([1, 0, 0, 0], [1, 1, 1, 0], [1, 0, 0, 2], [0, 0, 0, 3]):
+            if 0 < oracles.brute_difference_height(d, [0] * 4, 2, (1, 2), (3, 1)) <= 3:
                 counts = np.bincount(char_exponents(arr12, d), minlength=4)
                 assert _vanishes(counts[None, :], 4)[0], values
 
@@ -165,15 +197,14 @@ class TestGramCertificate:
 
     def test_gram_matches_scalar_oracle(self, arr12):
         fam = build_block_family(arr12, (1, 1))
-        vectors = [oracles.brute_char_vector(arr12.rows, 2, (1, 2), (3, 1), d.values)
-                   for d in fam]
+        vectors = [oracles.brute_char_vector(arr12.rows, 2, (1, 2), (3, 1), d) for d in fam]
         gram = oracles.brute_gram(vectors)
         for a in range(len(fam)):
             for c in range(len(fam)):
                 want = 8.0 if a == c else 0.0
                 assert abs(gram[a][c] - want) < 1e-9
         assert oracles.brute_first_gram_failure(
-            arr12.rows, 2, (1, 2), (3, 1), [d.values for d in fam]) is None
+            arr12.rows, 2, (1, 2), (3, 1), fam) is None
         assert gram_certificate(arr12, fam)
 
     def test_every_maximal_profile_certifies(self, arr12, arr11):
@@ -187,9 +218,7 @@ class TestGramCertificate:
     def test_height_precondition_witness(self, arr12):
         # the full-depth tuple on block 0 plus a block-1 tuple: difference
         # height 3 + 2 exceeds the budget 3
-        a = FunctionTuple(2, EVector((1, 2)), ((1, 1, 1), (0,)))
-        b = FunctionTuple(2, EVector((1, 2)), ((0, 0, 0), (1,)))
-        v = gram_certificate(arr12, [a, b])
+        v = gram_certificate(arr12, [[1, 1, 1, 0], [0, 0, 0, 1]])
         assert not v
         assert v.witness["kind"] == "height-precondition"
         assert v.witness["pair"] == [0, 1]
@@ -205,12 +234,13 @@ class TestGramCertificate:
         # leaves 3 rows at exponent 0 and 5 at exponent 1, and 3 - 5 != 0
         assert v.witness == {"kind": "gram", "pair": [0, 1], "order": 2,
                              "counts": [3, 5]}
-        vectors = [oracles.brute_char_vector(bad.rows, 2, (1, 1), (3, 3), fam[k].values)
+        vectors = [oracles.brute_char_vector(bad.rows, 2, (1, 1), (3, 3), fam[k])
                    for k in (0, 1)]
         assert abs(oracles.brute_gram(vectors)[0][1] - (3 - 5)) < 1e-9
 
     def test_empty_family_passes(self, arr12):
         assert gram_certificate(arr12, [])
+        assert gram_certificate(arr12, np.zeros((0, 4), dtype=np.int64))
 
     def test_route_above_the_cap_is_refused(self, arr12, monkeypatch):
         # F = 8 tuples touching 3 of the 4 columns, N = 8 rows, 7 distinct
@@ -230,8 +260,7 @@ class TestGramCertificate:
             gram_certificate(arr12, fam)
         # two tuples touching all 4 columns have one difference; refused
         # before the height precondition could fail the family
-        tall = [FunctionTuple(2, EVector((1, 2)), ((1, 1, 1), (0,))),
-                FunctionTuple(2, EVector((1, 2)), ((0, 0, 0), (1,)))]
+        tall = [[1, 1, 1, 0], [0, 0, 0, 1]]
         need = dualcert._route_bytes(2, 4, 4, 8, 1)
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert gram_certificate(arr12, tall).witness["kind"] == "height-precondition"
@@ -245,10 +274,7 @@ class TestGramCertificate:
         calls = []
         monkeypatch.setattr(dualcert, "_route_bytes",
                             lambda *args: calls.append(args) or 0)
-        e = EVector((1, 2))
-        gram_certificate(arr12, [FunctionTuple(2, e, ((1, 0, 0), (0,))),
-                                 FunctionTuple(2, e, ((0, 1, 0), (0,))),
-                                 FunctionTuple(2, e, ((0, 0, 0), (3,)))])
+        gram_certificate(arr12, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 3]])
         gram_certificate(arr12, build_block_family(arr12, (1, 1)))
         assert calls == [(3, 4, 3, 8, 3), (8, 4, 2, 8, 7), (8, 4, 2, 8, 7)]
 
@@ -270,8 +296,7 @@ class TestGramCertificate:
 
     def test_family_members_must_match_frame(self, arr12):
         with pytest.raises(ParamError):
-            gram_certificate(arr12, [FunctionTuple(2, EVector((1, 1)),
-                                                   ((1,), (1,)))])
+            gram_certificate(arr12, [[1, 1]])
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
     def test_unusable_tolerance_is_rejected(self, tol):
@@ -310,11 +335,11 @@ class TestExactCertificateCrossCheck:
         for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
             fam = build_block_family(arr, kappa)
             if len(fam) > 16:  # a random ordered subfamily keeps the oracle fast
-                fam = [fam[k] for k in rng.choice(len(fam), size=16, replace=False)]
+                fam = fam[rng.choice(len(fam), size=16, replace=False)]
             for order in (fam, fam[::-1]):
                 v = gram_certificate(arr, order)
                 want = oracles.brute_first_gram_failure(
-                    arr.rows, arr.base, arr.e, arr.beta, [d.values for d in order])
+                    arr.rows, arr.base, arr.e, arr.beta, order)
                 assert bool(v) == (want is None), (label, kappa)
                 if want is not None:
                     assert v.witness["kind"] == "gram"
@@ -328,29 +353,41 @@ class TestExactCertificateCrossCheck:
         maximal = enumerate_profiles(arr.m, arr.u, arr.e, arr.beta)
         budget = arr.m - arr.u
         for a, b in zip(maximal, maximal[1:]):
-            fam = build_block_family(arr, a)[:6] + build_block_family(arr, b)[:6]
+            fam = np.concatenate([build_block_family(arr, a)[:6],
+                                  build_block_family(arr, b)[:6]])
             for order in (fam, fam[::-1]):
-                want = next((j, k) for j, k in itertools.combinations(range(len(order)), 2)
-                            if height(diff(order[j], order[k])) > budget)
+                want = _first_tall_pair(arr, order)
+                assert want is not None
                 v = gram_certificate(arr, order)
-                assert v.witness == {
-                    "kind": "height-precondition", "pair": list(want),
-                    "height": height(diff(order[want[0]], order[want[1]])),
-                    "budget": budget}, (label, a, b)
+                assert v.witness == want, (label, a, b)
+
+
+def _first_tall_pair(arr, family):
+    """The height-precondition witness of the first pair, in combinations
+    order, whose difference is taller than the budget, or None."""
+    budget = arr.m - arr.u
+    for j, k in itertools.combinations(range(len(family)), 2):
+        h = oracles.brute_difference_height(family[k], family[j], arr.base, arr.e, arr.beta)
+        if h > budget:
+            return {"kind": "height-precondition", "pair": [j, k], "height": h,
+                    "budget": budget}
+    return None
 
 
 def _oracle_verdict(arr, family):
     """The witness :func:`gram_certificate` must give, from the scalar
-    oracles: None for a pass, else the first failing pair with its tally of
-    exponent differences mod q (the oracle's exponents live mod the largest
-    b**e_i, a multiple of q)."""
-    values = [d.values for d in family]
-    want = oracles.brute_first_gram_failure(arr.rows, arr.base, arr.e, arr.beta, values)
+    oracles: None for a pass, else the first pair taller than the budget,
+    else the first failing pair with its tally of exponent differences mod q
+    (the oracle's exponents live mod the largest b**e_i, a multiple of q)."""
+    tall = _first_tall_pair(arr, family)
+    if tall is not None:
+        return tall
+    want = oracles.brute_first_gram_failure(arr.rows, arr.base, arr.e, arr.beta, family)
     if want is None:
         return None
     j, k = want
     (ej, big), (ek, _) = (oracles.brute_char_exponents(arr.rows, arr.base, arr.e, arr.beta,
-                                                       values[i]) for i in want)
+                                                       family[i]) for i in want)
     q = arr.base ** max((ei for ei, bi in zip(arr.e, arr.beta) if bi), default=0)
     counts = [0] * q
     for a, c in zip(ej, ek):
@@ -378,22 +415,51 @@ class TestDistinctDifferenceRoute:
             fam = build_block_family(arr, kappa)
             if len(fam) > 64:  # keeps the pairwise oracle fast
                 continue
-            _assert_matches_oracle(arr, [fam[k] for k in rng.permutation(len(fam))],
-                                   (label, kappa))
+            _assert_matches_oracle(arr, fam[rng.permutation(len(fam))], (label, kappa))
 
+    @pytest.mark.parametrize("label,arr", CROSS_CHECK, ids=[c[0] for c in CROSS_CHECK])
+    def test_random_residue_matrices(self, label, arr):
+        # 1 to 12 random rows, most on the leading columns of a random
+        # admissible profile (so the sums are reached), some with a repeated
+        # row, some with a row on any columns (often over the budget)
+        rng = np.random.default_rng(len(label) + 3)
+        widths = np.repeat([arr.base ** ei for ei in arr.e], arr.beta)
+        starts = np.cumsum((0,) + arr.beta[:-1])
+        profiles = enumerate_profiles(arr.m, arr.u, arr.e, arr.beta)
+        seen = set()
+        for trial in range(24):
+            kappa = profiles[rng.integers(len(profiles))]
+            kappa = [int(rng.integers(k + 1)) for k in kappa]
+            support = np.zeros(len(widths), dtype=bool)
+            for lo, k in zip(starts, kappa):
+                support[lo:lo + k] = True
+            family = rng.integers(0, widths, size=(int(rng.integers(1, 13)), len(widths)))
+            family *= support
+            if trial % 3 == 1:  # a repeat of an earlier row
+                j = int(rng.integers(len(family)))
+                family[rng.integers(j, len(family))] = family[j]
+            if trial % 4 == 3:  # a row on any columns
+                family[rng.integers(len(family))] = rng.integers(0, widths)
+            v = gram_certificate(arr, family)
+            want = _oracle_verdict(arr, family)
+            assert v.witness == want, (label, trial)
+            seen.add(None if want is None else want["kind"])
+        # every outcome the route has shows up on some array; none is skipped
+        assert seen & {None, "gram"}, label
     @pytest.mark.parametrize("label,arr", CROSS_CHECK[::3], ids=[c[0] for c in CROSS_CHECK[::3]])
     def test_families_with_repeated_members(self, label, arr):
         rng = np.random.default_rng(len(label) + 2)
         for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
             fam = build_block_family(arr, kappa)
-            picked = [fam[k] for k in rng.choice(len(fam), size=10, replace=True)]
+            picked = fam[rng.choice(len(fam), size=10, replace=True)]
             _assert_matches_oracle(arr, picked, (label, kappa))
             # the whole group, then a repeat: the walk has stopped by then
-            _assert_matches_oracle(arr, fam + [fam[len(fam) // 2]], (label, kappa, "tail"))
+            _assert_matches_oracle(arr, np.vstack([fam, fam[len(fam) // 2]]),
+                                   (label, kappa, "tail"))
 
     def test_duplicate_is_the_zero_difference(self, arr12):
         fam = build_block_family(arr12, (1, 1))
-        for family, pair in (([fam[3], fam[3]], [0, 1]), (fam + [fam[5]], [5, 8])):
+        for family, pair in (([fam[3], fam[3]], [0, 1]), (np.vstack([fam, fam[5]]), [5, 8])):
             v = gram_certificate(arr12, family)
             assert v.witness == {"kind": "gram", "pair": pair, "order": 4,
                                  "counts": [8, 0, 0, 0]}
@@ -403,10 +469,7 @@ class TestDistinctDifferenceRoute:
         # both members pass against the zero tuple, but not against each
         # other: their difference is new in row 1
         arr = dict(CROSS_CHECK)["random b=2 e=(1, 1)"]
-        e = EVector((1, 1))
-        zero = FunctionTuple(2, e, ((0, 0), (0, 0)))
-        a = FunctionTuple(2, e, ((0, 0), (1, 0)))
-        b = FunctionTuple(2, e, ((1, 0), (0, 0)))
+        zero, a, b = [0, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]
         assert gram_certificate(arr, [zero, a]) and gram_certificate(arr, [zero, b])
         v = gram_certificate(arr, [zero, a, b])
         assert v.witness["pair"] == [1, 2]
@@ -417,17 +480,14 @@ class TestDistinctDifferenceRoute:
                           0, (1, 1))
         fam = build_block_family(bad, (0, 3))
         assert not gram_certificate(bad, fam[:2])  # pair (0, 1) fails
-        tall = FunctionTuple(2, EVector((1, 1)), ((1, 1, 1), (1, 0, 0)))
-        for family in (fam[:2] + [tall], fam[:1] * 2 + [tall]):
+        tall = [1, 1, 1, 1, 0, 0]
+        for family in ([fam[0], fam[1], tall], [fam[0], fam[0], tall]):
             v = gram_certificate(bad, family)
             assert v.witness == {"kind": "height-precondition", "pair": [0, 2],
                                  "height": 4, "budget": 3}
         # row 0 meets the zero difference and both short elements of the
         # group spanned, but the tall one, (1, 1), only in row 2
-        e = EVector((1, 1))
-        zero = FunctionTuple(2, e, ((0, 0, 0), (0, 0, 0)))
-        a = FunctionTuple(2, e, ((0, 0, 1), (0, 0, 0)))
-        b = FunctionTuple(2, e, ((0, 0, 0), (1, 0, 0)))
+        zero, a, b = [0] * 6, [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]
         assert gram_certificate(bad, [zero, zero, a, b]).witness == {
             "kind": "height-precondition", "pair": [2, 3], "height": 4, "budget": 3}
 
@@ -444,7 +504,7 @@ class TestDistinctDifferenceRoute:
         rank = dualcert.rank_rows
         monkeypatch.setattr(dualcert, "rank_rows",
                             lambda *args: walked.append(len(args[0])) or rank(*args))
-        for family in (fam, [fam[k] for k in rng.permutation(len(fam))]):
+        for family in (fam, fam[rng.permutation(len(fam))]):
             sums.clear()
             walked.clear()
             assert gram_certificate(arr, family)
@@ -460,12 +520,9 @@ class TestDistinctDifferenceRoute:
         s = 40
         e = EVector((2,) * s)
         arr = MixedOOA(2, 4, 0, e, (1,) * s, rng.integers(0, 4, size=(16, s)))
-        family = [FunctionTuple(2, e, ((0,),) * s)]
-        for i in range(s):
-            values = [(0,)] * s
-            values[i] = (int(rng.integers(1, 4)),)
-            family.append(FunctionTuple(2, e, tuple(values)))
-        for order in (family, family[::-1], family + [family[7]], family[1:2] + family[:1]):
+        family = np.zeros((s + 1, s), dtype=np.int64)
+        family[np.arange(1, s + 1), np.arange(s)] = rng.integers(1, 4, size=s)
+        for order in (family, family[::-1], np.vstack([family, family[7]]), family[1::-1]):
             _assert_matches_oracle(arr, order, "object keys")
         assert dualcert.rank_rows(np.array([[3] * s]), [4] * s)[0] == 4 ** s - 1
 
@@ -473,12 +530,11 @@ class TestDistinctDifferenceRoute:
 class TestBuildBlockFamily:
     def test_enumeration_order_and_padding(self, arr12):
         fam = build_block_family(arr12, (1, 1))
-        assert len(fam) == 8  # 2 * 4 residue choices
-        assert fam[0].values == ((0, 0, 0), (0,))
-        assert fam[1].values == ((0, 0, 0), (1,))   # last column fastest
-        assert fam[4].values == ((1, 0, 0), (0,))
-        # unused columns stay zero
-        assert all(d.values[0][1:] == (0, 0) for d in fam)
+        assert fam.shape == (8, 4) and fam.dtype == np.int64  # 2 * 4 residue choices
+        assert fam[0].tolist() == [0, 0, 0, 0]
+        assert fam[1].tolist() == [0, 0, 0, 1]   # last column fastest
+        assert fam[4].tolist() == [1, 0, 0, 0]
+        assert not fam[:, 1:3].any()             # unused columns stay zero
 
     def test_profile_validation(self, arr12):
         with pytest.raises(ParamError):
@@ -495,10 +551,10 @@ class TestBuildBlockFamily:
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert len(build_block_family(arr12, (1, 1))) == 8
 
-        def no_tuples(*args):
-            raise AssertionError("family member built")
+        def no_members(*args):
+            raise AssertionError("family members built")
 
-        monkeypatch.setattr(dualcert, "FunctionTuple", no_tuples)
+        monkeypatch.setattr(dualcert, "unrank", no_members)
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         with pytest.raises(ParamError, match=f"a family of 8 tuples on 8 rows needs {need} "
                                              "bytes of residues, exponent rows and "
@@ -509,4 +565,4 @@ class TestBuildBlockFamily:
 
     def test_zero_profile_gives_singleton(self, arr12):
         fam = build_block_family(arr12, (0, 0))
-        assert fam == [FunctionTuple(2, EVector((1, 2)), ((0, 0, 0), (0,)))]
+        assert fam.dtype == np.int64 and fam.tolist() == [[0, 0, 0, 0]]

@@ -13,7 +13,6 @@ from evnets import (
     EVector, MixedOA, MixedOOA, PointSet,
     moa_chunks, mooa_chunks, net_chunks, parse_moa, parse_mooa, parse_net,
 )
-from evnets.dualcert import FunctionTuple
 from evnets.errors import FormatError, ParamError
 from evnets.io import DIGIT_CHARS, parse_function_tuples
 from evnets import corpus, io, net_to_mooa
@@ -207,13 +206,12 @@ class TestMooaFormat:
 
 
 class TestFunctionTupleParsing:
-    def test_parse_binds_frame(self, ham23):
+    def test_parse_returns_the_residue_matrix(self, ham23):
         arr = net_to_mooa(ham23, 0, EVector((1, 2)))  # beta (3, 1), widths 2,2,2,4
         tuples = parse_function_tuples(b"1 0 1 3\n0 0 0 0\n", arr)
-        assert tuples == [
-            FunctionTuple(2, EVector((1, 2)), ((1, 0, 1), (3,))),
-            FunctionTuple(2, EVector((1, 2)), ((0, 0, 0), (0,))),
-        ]
+        assert isinstance(tuples, np.ndarray) and tuples.shape == (2, 4)
+        assert tuples.tolist() == [[1, 0, 1, 3], [0, 0, 0, 0]]
+        assert parse_function_tuples(b"", arr).shape == (0, 4)
 
     def test_residue_count_and_range_errors(self, ham23):
         arr = net_to_mooa(ham23, 0, EVector((1, 2)))
@@ -468,7 +466,7 @@ class TestParsersAgreeWithLineOracle:
                                   max_size=4))
         text = _mutate("".join(" ".join(map(str, r)) + "\n" for r in rows), data)
         with mock.patch.object(io, "_CHUNK_BYTES", chunk):
-            _agree(lambda t: [f.values for f in parse_function_tuples(t, arr)],
+            _agree(lambda t: parse_function_tuples(t, arr).tolist(),
                    lambda t: oracles.oracle_parse_function_tuples(t, 2, (1, 2), (3, 1)),
                    lambda got, want: got == want, text)
 
@@ -491,7 +489,7 @@ def _canonical_cases():
         cases.append((f"mooa-b{b}", b"".join(mooa_chunks(arr)), 4, parse_mooa,
                       oracles.oracle_parse_mooa, _same_mooa))
     cases.append(("tuples", b"1 0 1 3\n0 0 0 0\n1 1 0 2\n", 0,
-                  lambda t: [f.values for f in parse_function_tuples(t, tuples_frame)],
+                  lambda t: parse_function_tuples(t, tuples_frame).tolist(),
                   lambda t: oracles.oracle_parse_function_tuples(t, 2, (1, 2), (3, 1)),
                   lambda got, want: got == want))
     return cases
@@ -715,6 +713,21 @@ class TestUndecodableBytes:
             "mooa": (b"".join(mooa_chunks(arr)), parse_mooa),
             "tuples": (b"1 0 1 3\n0 0 0 0\n", lambda t: parse_function_tuples(t, arr)),
         }[kind]
+
+    @pytest.mark.parametrize("kind, name", [
+        ("net", "parse_net"), ("moa", "parse_moa"), ("mooa", "parse_mooa"),
+        ("tuples", "parse_function_tuples")])
+    def test_str_is_refused_naming_the_bytes_contract(self, ham23, kind, name):
+        raw, parse = self._case(ham23, kind)
+        for text in ("", raw.decode().splitlines()[0] + "\n"):
+            with pytest.raises(TypeError, match=f"^{name} reads bytes, got str$"):
+                parse(text)
+        # bytearray is bytes too, and is not extended by the LF a parse adds
+        held = bytearray(raw.rstrip(b"\n"))
+        got = parse(held)
+        assert held == raw.rstrip(b"\n")
+        want = parse(raw)
+        assert (got.tolist() == want.tolist()) if kind == "tuples" else got == want
 
     @settings(deadline=None, max_examples=100)
     @given(st.sampled_from(["net", "moa", "mooa", "tuples"]), st.integers(0, 200),
