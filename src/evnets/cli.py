@@ -54,14 +54,20 @@ def int_list_arg(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _read_input(path: str) -> bytes:
-    """The bytes of a file ('-': standard input), line ends untranslated.
-    The parsers read them as UTF-8 whatever the locale, and reject a byte that
-    is not UTF-8 as a format error naming the byte."""
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+def _parse(parse, path: str, *args):
+    """``parse(stream, *args)`` on the binary stream of a file ('-': standard
+    input), line ends untranslated: the parsers read UTF-8 whatever the
+    locale, and name a byte that is not UTF-8 in a format error. Standard
+    input is read to its end even then, so a stage piping into it finishes."""
+    if path != "-":
+        with open(path, "rb") as fh:
+            return parse(fh, *args)
+    try:
+        return parse(sys.stdin.buffer, *args)
+    except FormatError:
+        while sys.stdin.buffer.read(1 << 16):
+            pass
+        raise
 
 
 def _write_output(args, chunks) -> None:
@@ -154,7 +160,7 @@ def cmd_gen(args) -> int:
 def _load_net(args) -> tuple:
     from . import io as formats
 
-    net = formats.parse_net(_read_input(args.file))
+    net = _parse(formats.parse_net, args.file)
     u = args.u if args.u is not None else net.u
     e = EVector.coerce(args.e) if args.e is not None else net.e
     return net.points, u, e
@@ -189,7 +195,7 @@ def cmd_to_moa(args) -> int:
     from . import io as formats, oa
     from .core import MixedOA
 
-    net = formats.parse_net(_read_input(args.file))
+    net = _parse(formats.parse_net, args.file)
     e = EVector.coerce(args.e) if args.e is not None else net.e
     array = oa.net_to_moa(net.points, e)
     _write_output(args, formats.moa_chunks(MixedOA(array.alphabets, array.rows,
@@ -200,7 +206,7 @@ def cmd_to_moa(args) -> int:
 def cmd_verify_moa(args) -> int:
     from . import io as formats, oa
 
-    array = formats.parse_moa(_read_input(args.file))
+    array = _parse(formats.parse_moa, args.file)
     t = args.t if args.t is not None else array.strength
     verdict = oa.verify_moa(array, t)
     return _verdict(args, "verify-moa", verdict, {"t": t},
@@ -219,7 +225,7 @@ def cmd_to_mooa(args) -> int:
 def cmd_verify_mooa(args) -> int:
     from . import io as formats, ooa
 
-    array = formats.parse_mooa(_read_input(args.file))
+    array = _parse(formats.parse_mooa, args.file)
     verdict = ooa.verify_mooa(array)
     n_profiles = len(ooa.enumerate_profiles(array.m, array.u, array.e, array.beta))
     return _verdict(args, "verify-mooa", verdict,
@@ -230,7 +236,7 @@ def cmd_verify_mooa(args) -> int:
 def cmd_from_mooa(args) -> int:
     from . import io as formats, ooa
 
-    array = formats.parse_mooa(_read_input(args.file))
+    array = _parse(formats.parse_mooa, args.file)
     points = ooa.mooa_to_net(array)
     _write_output(args, formats.net_chunks(points, array.u, array.e))
     return EXIT_PASS
@@ -285,12 +291,12 @@ def cmd_dual_cert(args) -> int:
                          "from standard input")
     from . import dualcert, io as formats
 
-    array = formats.parse_mooa(_read_input(args.file))
+    array = _parse(formats.parse_mooa, args.file)
     if args.kappa is not None:
         family = dualcert.build_block_family(array, args.kappa)
         source = f"kappa={_fmt_value(args.kappa)}"
     else:
-        family = formats.parse_function_tuples(_read_input(args.tuples), array)
+        family = _parse(formats.parse_function_tuples, args.tuples, array)
         source = f"tuples={len(family)}"
     verdict = dualcert.gram_certificate(array, family)
     bound = array.base ** array.m
@@ -304,7 +310,7 @@ def cmd_report(args) -> int:
     from . import bounds, io as formats, netverify, oa, ooa
     from .core import Verdict
 
-    net = formats.parse_net(_read_input(args.file))
+    net = _parse(formats.parse_net, args.file)
     points, u, e = net.points, net.u, net.e
     b, m, s = points.base, points.precision, points.dim
     star = netverify.u_star(points, e, args.variant)

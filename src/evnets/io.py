@@ -39,13 +39,14 @@ whitespace and their integers read by ``int``. A byte that is not UTF-8
 is decoded as the lone surrogate ``surrogateescape`` makes of it, and an
 error message names it as the byte ``\\xNN``.
 
-Bodies are parsed as whole numpy arrays, in chunks of whole lines of about
-``_CHUNK_BYTES``. A chunk in the layout the serialisers write is read by
-reshaping its bytes: NET lines of s*(m+1) bytes (m-digit strings, single
-spaces, a final LF), and integer lines of 2k bytes, every entry one digit.
-Any other chunk is tokenised by the grammar above, with the same values.
-The first rejected line is explained by its number and the same message a
-line-by-line reading would give.
+The parsers read a binary stream (or bytes, as ``BytesIO``) a chunk of
+whole lines of about ``_CHUNK_BYTES`` at a time, never the whole file. A
+chunk in the layout the serialisers write is read by reshaping its bytes:
+NET lines of s*(m+1) bytes (m-digit strings, single spaces, a final LF),
+and integer lines of 2k bytes, every entry one digit. Any other chunk is
+tokenised by the grammar above, with the same values. A wrong row count,
+then the first rejected line, is explained by its number and the same
+message a line-by-line reading would give.
 
 Bodies are written in such chunks too: ``net_chunks``, ``moa_chunks`` and
 ``mooa_chunks`` yield the header and then the body's chunks, as bytes, so a
@@ -56,7 +57,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from io import BytesIO, TextIOBase
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -107,21 +109,16 @@ def _quote(text: str) -> str:
     return _SURROGATE_ESCAPE.sub(lambda mt: "\\x" + mt[1] if mt[1] else mt[0], repr(text))
 
 
-def _split(raw: bytes, header_lines: int, reader: str) -> tuple[list[str], bytes, int]:
-    """The first ``header_lines`` lines of ``raw`` (fewer if it has fewer)
-    as text, the input LF-terminated, and the offset of the body in it.
-    ``reader`` names the parser in the error for input that is not bytes."""
-    if not isinstance(raw, (bytes, bytearray)):
-        raise TypeError(f"{reader} reads bytes, got {type(raw).__name__}")
-    if raw and not raw.endswith(b"\n"):
-        raw = raw + b"\n"  # not +=, which extends a caller's bytearray
-    lines: list[str] = []
-    pos = 0
-    while len(lines) < header_lines and pos < len(raw):
-        end = raw.find(b"\n", pos)
-        lines.append(raw[pos:end].decode("utf-8", "surrogateescape"))
-        pos = end + 1
-    return lines, raw, pos
+def _head(data: bytes | BinaryIO, count: int, reader: str) -> tuple[list[str], BinaryIO]:
+    """The first ``count`` lines of a binary stream or of bytes (fewer if it
+    has fewer) as text, and the stream at the body. ``reader`` names the
+    parser in the error for input that is neither."""
+    if isinstance(data, (bytes, bytearray)):
+        data = BytesIO(data)
+    elif isinstance(data, (str, TextIOBase)) or not hasattr(data, "readline"):
+        raise TypeError(f"{reader} reads bytes, got {type(data).__name__}")
+    lines = [data.readline() for _ in range(count)]  # b"" once past the end
+    return [l.removesuffix(b"\n").decode("utf-8", "surrogateescape") for l in lines if l], data
 
 
 def _need_line(lines: list[str], idx: int, what: str) -> str:
@@ -182,13 +179,23 @@ class _Chunk:
         return self.buf[lo : self.newlines[i]].tobytes().decode("utf-8", "surrogateescape")
 
 
-def _chunks(raw: bytes, start: int):
-    """Runs of whole lines of ``raw[start:]`` as uint8 arrays, about
-    ``_CHUNK_BYTES`` each."""
-    while start < len(raw):
-        stop = raw.find(b"\n", min(start + _CHUNK_BYTES, len(raw)) - 1) + 1
-        yield np.frombuffer(raw, np.uint8, stop - start, start)
-        start = stop
+def _body(stream: BinaryIO) -> Iterator[bytes]:
+    """The rest of ``stream`` in runs of whole lines: ``_CHUNK_BYTES`` bytes
+    and the rest of the line they end in. A last line without an LF gets one."""
+    while block := stream.read(_CHUNK_BYTES):
+        if not block.endswith(b"\n"):
+            block += stream.readline()
+        yield block if block.endswith(b"\n") else block + b"\n"
+
+
+def _store(out: np.ndarray, at: int, values: np.ndarray, cap: int | float) -> None:
+    """Write ``values`` to rows ``at:`` of ``out``, first doubling its rows in
+    place as they need, to no more than ``cap`` rows while ``cap`` holds them."""
+    need = at + len(values)
+    if need > len(out):
+        rows = max(need, 2 * len(out))
+        out.resize((rows if need > cap else min(rows, cap),) + out.shape[1:], refcheck=False)
+    out[at:need] = values
 
 
 def _tokenise(buf: np.ndarray) -> _Chunk:
@@ -241,17 +248,15 @@ def _canonical_digits(buf: np.ndarray, b: int, m: int, s: int) -> np.ndarray | N
     return values if (values < b).all() else None
 
 
-def _parse_digit_body(raw: bytes, start: int, b: int, m: int, s: int) -> np.ndarray:
-    """(N, s, m) digits of the NET body ``raw[start:]``, one point per line."""
-    n = raw.count(b"\n", start)
+def _parse_digit_body(stream: BinaryIO, b: int, m: int, s: int) -> np.ndarray:
+    """(N, s, m) digits of a NET body, one point per line."""
     k = s if m else 0  # points of m = 0 are blank lines
-    # A good line has k tokens of m digits, k - 1 separators and an LF; a
-    # shorter body holds a bad line, so it is only checked, and nothing of
-    # size n*s*m is allocated.
-    fits = len(raw) - start >= n * (k * (m + 1) or 1)
-    digits = np.empty((n, s, m), dtype=np.uint8) if fits else None  # base <= 36
-    line = 0
-    for buf in _chunks(raw, start):
+    cap = b ** min(m, 64)  # b**m points, or more than any body holds
+    # The first good chunk shapes the array: no line of an m too large for
+    # np.empty((0, s, m)) is good.
+    digits, line = None, 0
+    for block in _body(stream):
+        buf = np.frombuffer(block, np.uint8)
         points = _canonical_digits(buf, b, m, s)
         if points is None:
             c = _tokenise(buf)
@@ -261,9 +266,14 @@ def _parse_digit_body(raw: bytes, start: int, b: int, m: int, s: int) -> np.ndar
             if bad is not None:
                 raise FormatError(_net_line_error(c.text(bad), b, m, s), line=4 + line + bad)
             points = values[c.in_token].reshape(c.newlines.size, s, m)
-        if digits is not None:
-            digits[line : line + len(points)] = points
+        if digits is None:
+            digits = points.copy()  # owned, so it can grow in place
+        else:
+            _store(digits, line, points, cap)
         line += len(points)
+    if digits is None:
+        return np.empty((0, s, m), dtype=np.uint8)  # base <= 36
+    digits.resize((line, s, m), refcheck=False)
     return digits
 
 
@@ -304,48 +314,53 @@ def _canonical_entries(buf: np.ndarray, limits: np.ndarray) -> np.ndarray | None
     return values if (values < limits).all() else None
 
 
-def _parse_int_body(raw: bytes, start: int, widths: list[int], first_lineno: int,
+def _parse_int_body(stream: BinaryIO, widths: list[int], first_lineno: int,
                     n_rows: int | None = None, noun: str = "entry",
                     nouns: str = "entries") -> np.ndarray:
-    """(rows, len(widths)) entries of the integer body ``raw[start:]``, exactly
-    ``n_rows`` rows unless None; column j lies in [0, widths[j]), each width
-    below 2**63."""
-    n, k = raw.count(b"\n", start), len(widths)
-    if n_rows is not None and n != n_rows:
-        raise FormatError(f"expected {n_rows} array rows, got {n}",
-                          line=first_lineno + min(n, n_rows))
-    # A good line has k tokens of at least one digit, k - 1 separators and an
-    # LF; a shorter body holds a bad line, so it is only checked.
-    fits = len(raw) - start >= n * (2 * k or 1)
-    rows = np.empty((n, k), dtype=digit_dtype(max(widths, default=0))) if fits else None
-    limits = np.array(widths, dtype=np.uint64)
+    """(rows, len(widths)) entries of an integer body, exactly ``n_rows`` rows
+    unless None; column j lies in [0, widths[j]). A wrong row count comes
+    before any bad line: after the first, the rest is only counted."""
+    k = len(widths)
+    rows = np.empty((0, k), dtype=digit_dtype(max(widths, default=0)))
+    # no entry reaches 10**19, so a wider column is as good as unbounded
+    limits = np.array([min(w, 10 ** _ENTRY_DIGITS) for w in widths], dtype=np.uint64)
     digit_limits = np.array([min(w, 10) for w in widths], dtype=np.uint8)
-    line = 0
-    for buf in _chunks(raw, start):
-        values = _canonical_entries(buf, digit_limits)
-        if values is None:
-            c = _tokenise(buf)
-            lengths = c.ends - c.starts
-            bad = c.first_bad_line(c.counts != k, lengths > _ENTRY_DIGITS, _IS_OTHER[c.buf])
-            good = c.newlines.size if bad is None else bad  # lines of k well-formed tokens
-            values = _decimal_values(c.buf, c.ends[: good * k], lengths[: good * k])
-            values = values.reshape(good, k)
-            over = values >= limits
-            if over.any():
-                bad = int(np.flatnonzero(over.any(axis=1))[0])
-            if bad is not None:
-                raise FormatError(_int_line_error(c.text(bad), widths, noun, nouns),
-                                  line=first_lineno + line + bad)
-        if rows is not None:
-            rows[line : line + len(values)] = values
-        line += len(values)
+    cap = float("inf") if n_rows is None else n_rows
+    line, error = 0, None
+    for block in _body(stream):
+        lines = block.count(b"\n")
+        if error is None and line + lines <= cap:
+            buf = np.frombuffer(block, np.uint8)
+            values = _canonical_entries(buf, digit_limits)
+            if values is None:
+                c = _tokenise(buf)
+                lengths = c.ends - c.starts
+                bad = c.first_bad_line(c.counts != k, lengths > _ENTRY_DIGITS, _IS_OTHER[c.buf])
+                good = lines if bad is None else bad  # lines of k well-formed tokens
+                values = _decimal_values(c.buf, c.ends[: good * k], lengths[: good * k])
+                values = values.reshape(good, k)
+                over = values >= limits
+                if over.any():
+                    bad = int(np.flatnonzero(over.any(axis=1))[0])
+                if bad is not None:
+                    error = FormatError(_int_line_error(c.text(bad), widths, noun, nouns),
+                                        line=first_lineno + line + bad)
+            if error is None:
+                _store(rows, line, values, cap)
+        line += lines
+    if n_rows is not None and line != n_rows:
+        raise FormatError(f"expected {n_rows} array rows, got {line}",
+                          line=first_lineno + min(line, n_rows))
+    if error is not None:
+        raise error
+    rows.resize((line, k), refcheck=False)
     return rows
 
 
-def parse_net(data: bytes) -> NetFile:
-    """Parse the bytes of a NET v1 file. The number of points is the number
-    of body lines."""
-    lines, raw, start = _split(data, 3, "parse_net")
+def parse_net(data: bytes | BinaryIO) -> NetFile:
+    """Parse a NET v1 file, as a binary stream or bytes. The number of points
+    is the number of body lines."""
+    lines, stream = _head(data, 3, "parse_net")
     if _need_line(lines, 0, "NET v1 magic line") != "NET v1":
         raise FormatError(f"expected 'NET v1', got {_quote(lines[0])}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
@@ -360,7 +375,7 @@ def parse_net(data: bytes) -> NetFile:
     evals = _vector_line(_need_line(lines, 2, "e-vector line"), "e", s, 3)
     if any(v < 1 for v in evals):
         raise FormatError(f"e-vector entries must be >= 1, got {evals}", line=3)
-    digits = _parse_digit_body(raw, start, b, m, s)
+    digits = _parse_digit_body(stream, b, m, s)
     return NetFile(PointSet(b, digits), u, EVector(tuple(evals)))
 
 
@@ -419,10 +434,10 @@ def _int_lines(header: str, rows: np.ndarray) -> Iterator[bytes]:
         yield (slots[slots != 0] if width > 1 else slots).tobytes()
 
 
-def parse_moa(data: bytes) -> MixedOA:
-    """Parse the bytes of a MOA v1 file; the header's t becomes the claimed
-    strength."""
-    lines, raw, start = _split(data, 3, "parse_moa")
+def parse_moa(data: bytes | BinaryIO) -> MixedOA:
+    """Parse a MOA v1 file, as a binary stream or bytes; the header's t
+    becomes the claimed strength."""
+    lines, stream = _head(data, 3, "parse_moa")
     if _need_line(lines, 0, "MOA v1 magic line") != "MOA v1":
         raise FormatError(f"expected 'MOA v1', got {_quote(lines[0])}", line=1)
     n, k, t = _keyword_header(_need_line(lines, 1, "parameter header"), ("N", "k", "t"), 2)
@@ -433,7 +448,7 @@ def parse_moa(data: bytes) -> MixedOA:
         raise FormatError(f"alphabet sizes must be >= 2, got {alphabets}", line=3)
     if any(l >= 2 ** 63 for l in alphabets):
         raise FormatError(f"alphabet sizes must be below 2**63, got {alphabets}", line=3)
-    rows = _parse_int_body(raw, start, alphabets, 4, n)
+    rows = _parse_int_body(stream, alphabets, 4, n)
     return MixedOA(tuple(alphabets), rows, strength=t)
 
 
@@ -443,9 +458,9 @@ def moa_chunks(array: MixedOA) -> Iterator[bytes]:
                       f"l {' '.join(str(l) for l in array.alphabets)}\n", array.rows)
 
 
-def parse_mooa(data: bytes) -> MixedOOA:
-    """Parse the bytes of a MOOA v1 file (exactly base**m body rows)."""
-    lines, raw, start = _split(data, 4, "parse_mooa")
+def parse_mooa(data: bytes | BinaryIO) -> MixedOOA:
+    """Parse a MOOA v1 file, as a binary stream or bytes (base**m body rows)."""
+    lines, stream = _head(data, 4, "parse_mooa")
     if _need_line(lines, 0, "MOOA v1 magic line") != "MOOA v1":
         raise FormatError(f"expected 'MOOA v1', got {_quote(lines[0])}", line=1)
     b, m, s, u = _keyword_header(_need_line(lines, 1, "parameter header"),
@@ -462,11 +477,11 @@ def parse_mooa(data: bytes) -> MixedOOA:
             raise FormatError(f"beta[{i}]={bi} outside [0, {cap}] allowed by (m-u)/e_i",
                               line=4)
     if m * (b.bit_length() - 1) >= 64:  # b**m >= 2**64: no body holds that many rows
-        n = raw.count(b"\n", start)
+        n = sum(block.count(b"\n") for block in _body(stream))
         raise FormatError(f"expected {b}**{m} array rows, got {n}", line=5 + n)
-    # Matching b**m rows bounds every width b**e_i (e_i <= m) below 2**63.
+    # b**m rows bound every width b**e_i (e_i <= m) below 2**63.
     widths = [b ** ei for bi, ei in zip(beta, evals) for _ in range(bi)]
-    rows = _parse_int_body(raw, start, widths, 5, b ** m)
+    rows = _parse_int_body(stream, widths, 5, b ** m)
     return MixedOOA(b, m, u, EVector(tuple(evals)), tuple(beta), rows)
 
 
@@ -477,14 +492,14 @@ def mooa_chunks(array: MixedOOA) -> Iterator[bytes]:
                       f"beta {' '.join(str(v) for v in array.beta)}\n", array.rows)
 
 
-def parse_function_tuples(data: bytes, array: MixedOOA) -> np.ndarray:
-    """Parse the bytes of residue-function tuples, one per line, in stored
-    column order.
+def parse_function_tuples(data: bytes | BinaryIO, array: MixedOOA) -> np.ndarray:
+    """Parse residue-function tuples, one per line, in stored column order,
+    as a binary stream or bytes.
 
     Each line holds sum(beta) integers; entry (i, rho) must lie in
     [0, base**e_i). Returns the (lines, sum(beta)) matrix of residues, in
     the dtype an array body of those widths is read in.
     """
     widths = [array.base ** ei for bi, ei in zip(array.beta, array.e) for _ in range(bi)]
-    _, raw, _ = _split(data, 0, "parse_function_tuples")
-    return _parse_int_body(raw, 0, widths, 1, None, "residue", "residues")
+    _, stream = _head(data, 0, "parse_function_tuples")
+    return _parse_int_body(stream, widths, 1, None, "residue", "residues")

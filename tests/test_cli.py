@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -31,6 +32,16 @@ def feed_stdin(monkeypatch, data):
     if isinstance(data, str):
         data = data.encode("utf-8")
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+def run_on(capsys, monkeypatch, tmp_path, source, data, *argv):
+    """Run a command on ``data`` given as a FILE argument or on stdin."""
+    if source == "stdin":
+        feed_stdin(monkeypatch, data)
+        return run(capsys, *argv, "-")
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    return run(capsys, *argv, str(path))
 
 
 @pytest.fixture()
@@ -261,12 +272,7 @@ class TestInputReader:
 
     @staticmethod
     def _verify(capsys, monkeypatch, tmp_path, source, data):
-        if source == "stdin":
-            feed_stdin(monkeypatch, data)
-            return run(capsys, "verify-net", "-")
-        path = tmp_path / "in.net"
-        path.write_bytes(data)
-        return run(capsys, "verify-net", str(path))
+        return run_on(capsys, monkeypatch, tmp_path, source, data, "verify-net")
 
     @staticmethod
     def _net_lines():
@@ -299,6 +305,58 @@ class TestInputReader:
         # the message names the byte the file holds, not its surrogate escape
         assert err == "error: line 5: digit string '001\\xff' has length 4, expected 3\n"
 
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_a_body_spans_many_reads(self, capsys, monkeypatch, tmp_path, source):
+        points = corpus.hammersley(2, 6)
+        net = _net_bytes(points, 0, EVector((1, 1)))  # 64 lines of 14 bytes
+        mooa = b"".join(evnets.mooa_chunks(evnets.net_to_mooa(points, 0, EVector((1, 1)))))
+        monkeypatch.setattr(evnets.io, "_CHUNK_BYTES", 3 * 14)  # 3 NET lines, 1.75 MOOA rows
+        chunks = mock.Mock(wraps=evnets.io._canonical_digits)  # called once per chunk
+        monkeypatch.setattr(evnets.io, "_canonical_digits", chunks)
+        code, out, err = self._verify(capsys, monkeypatch, tmp_path, source, net)
+        assert (code, out, err) == (
+            EXIT_PASS, "verify-net: PASS (variant=narrow, mode=maximal, u=0, shapes=7)\n", "")
+        assert chunks.call_count == 22
+        code, out, err = run_on(capsys, monkeypatch, tmp_path, source, mooa, "from-mooa")
+        assert (code, out, err) == (EXIT_PASS, net.decode(), "")
+        # a bad row in the first read, a missing row in the last: the count
+        # is reported, as it is for a body read whole
+        lines = mooa.split(b"\n")
+        lines[4] = b"x"
+        del lines[-2]
+        code, out, err = run_on(capsys, monkeypatch, tmp_path, source, b"\n".join(lines),
+                                "from-mooa")
+        assert (code, out, err) == (EXIT_FORMAT, "", "error: line 68: expected 64 array rows, "
+                                                     "got 63\n")
+
+    @pytest.mark.parametrize("command", ["verify-net", "verify-mooa", "verify-moa"])
+    def test_a_format_error_still_reads_stdin_to_its_end(self, capsys, monkeypatch, command):
+        # a writer piping into this stage is not cut off by a closed pipe
+        monkeypatch.setattr(evnets.io, "_CHUNK_BYTES", 14)
+        lines = self._net_lines()
+        lines[3] = b"x"
+        feed_stdin(monkeypatch, b"\n".join(lines))
+        code, _, _ = run(capsys, command, "-")
+        assert code == EXIT_FORMAT and sys.stdin.buffer.read() == b""
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    @pytest.mark.parametrize("chunk", [1, 20, 1 << 18])
+    def test_bad_last_line_without_lf(self, capsys, monkeypatch, tmp_path, source, chunk):
+        monkeypatch.setattr(evnets.io, "_CHUNK_BYTES", chunk)
+        net = b"\n".join(self._net_lines()).rstrip(b"\n")
+        assert net.endswith(b"\n111 111")
+        code, out, err = self._verify(capsys, monkeypatch, tmp_path, source,
+                                      net[:-1] + b"Z")
+        assert (code, out) == (EXIT_FORMAT, "")
+        assert err == "error: line 11: character 'Z' is not a base-2 digit\n"
+        arr = evnets.net_to_mooa(corpus.hammersley(2, 3), 0, EVector((1, 1)))
+        mooa = b"".join(evnets.mooa_chunks(arr)).rstrip(b"\n")
+        assert mooa.endswith(b"\n1 1 1 1 1 1")
+        code, out, err = run_on(capsys, monkeypatch, tmp_path, source, mooa[:-1] + b"x",
+                                "verify-mooa")
+        assert (code, out) == (EXIT_FORMAT, "")
+        assert err == "error: line 12: entry must be 1 to 19 digits 0-9, got 'x'\n"
+
     @pytest.fixture()
     def mooa(self, capsys, ham_net, tmp_path):
         _, text, _ = run(capsys, "to-mooa", ham_net)
@@ -325,7 +383,7 @@ class TestInputReader:
         assert code == EXIT_PASS and "tuples=2" in out
 
     def test_stdin_is_read_once(self, capsys, monkeypatch, mooa):
-        feed_stdin(monkeypatch, open(mooa, "rb").read())
+        feed_stdin(monkeypatch, Path(mooa).read_bytes())
         code, out, err = run(capsys, "dual-cert", "-", "--tuples", "-")
         assert (code, out) == (EXIT_USAGE, "")
         assert "standard input" in err
@@ -435,6 +493,27 @@ class TestFormatErrorsExitThree:
         assert code == EXIT_FORMAT
         assert err == ("error: line 4: entry must be 1 to 19 digits 0-9, "
                        "got '99999999999999999999'\n")
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    @pytest.mark.parametrize("command, text, message", [
+        # 7**23 is above 2**64, yet m*(bit_length-1) = 46 passes the cheap guard
+        ("verify-mooa", b"MOOA v1\nbase 7 m 23 s 1 u 0\ne 23\nbeta 1\n0\n",
+         "line 6: expected 27368747340080916343 array rows, got 1"),
+        ("verify-moa", b"MOA v1\nN 99999999999999999999 k 1 t 0\nl 2\n0\n1\n",
+         "line 6: expected 99999999999999999999 array rows, got 2"),
+        # the wrong count is named before the bad line 6
+        ("from-mooa", b"MOOA v1\nbase 2 m 2 s 1 u 0\ne 1\nbeta 2\n0 0\n0 x\n1 1\n",
+         "line 8: expected 4 array rows, got 3"),
+        # no (0, s, m) array exists for these m, and no line of theirs is good
+        ("verify-net", b"NET v1\nbase 2 m 99999999999999999999 s 1 u 0\ne 1\n0\n",
+         "line 4: digit string '0' has length 1, expected 99999999999999999999"),
+        ("to-mooa", b"NET v1\nbase 2 m 4611686018427387904 s 3 u 0\ne 1 1 1\n0 0 0\n",
+         "line 4: digit string '0' has length 1, expected 4611686018427387904"),
+    ])
+    def test_lying_headers_and_count_first(self, capsys, monkeypatch, tmp_path, source,
+                                            command, text, message):
+        code, out, err = run_on(capsys, monkeypatch, tmp_path, source, text, command)
+        assert (code, out, err) == (EXIT_FORMAT, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("spelling", ["+0", "0_1", "\u0663", "0\xa01"])
     def test_entry_spellings_int_accepted(self, capsys, monkeypatch, spelling):

@@ -1,5 +1,6 @@
 """Text-format contracts: round trips, canonicalization, line-numbered errors."""
 
+import io as stdio
 from unittest import mock
 
 import numpy as np
@@ -722,6 +723,14 @@ class TestUndecodableBytes:
         for text in ("", raw.decode().splitlines()[0] + "\n"):
             with pytest.raises(TypeError, match=f"^{name} reads bytes, got str$"):
                 parse(text)
+        with pytest.raises(TypeError, match=f"^{name} reads bytes, got TextIOWrapper$"):
+            parse(stdio.TextIOWrapper(stdio.BytesIO(raw)))
+        # a readable binary stream is read to its end, as its bytes are
+        stream = stdio.BytesIO(raw.rstrip(b"\n"))
+        got = parse(stream)
+        assert stream.read() == b""
+        want = parse(raw)
+        assert (got.tolist() == want.tolist()) if kind == "tuples" else got == want
         # bytearray is bytes too, and is not extended by the LF a parse adds
         held = bytearray(raw.rstrip(b"\n"))
         got = parse(held)
