@@ -14,8 +14,8 @@ import numpy as np
 # byte per digit, so its cap admits 8 times the points of an int64 one.
 _BYTES_CAP = 1 << 30
 
-# int64 work one chunk of rows may take, in bytes: kernels that widen compact
-# digits do it a chunk at a time, so no int64 copy of a whole tensor exists.
+# Work one chunk of rows may take, in bytes: kernels that widen compact digits
+# or sum them do it a chunk at a time, so no wide copy of a whole tensor exists.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -37,6 +37,12 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def is_power(n: int, b: int, m: int) -> bool:
+    """Whether n == b**m; b**m >= 2**(m * (b.bit_length() - 1)), so b**m is
+    built only when it may equal n, and a huge m costs nothing."""
+    return m * (b.bit_length() - 1) < n.bit_length() and n == b ** m
 
 
 def row_chunks(n: int, row_items: int) -> list[slice]:
@@ -90,32 +96,62 @@ def unrank(rank: int | np.ndarray, radices: Sequence[int]) -> list:
     return out
 
 
-def digit_matrix(values: np.ndarray | range | Sequence[int], width: int,
-                 base: int) -> np.ndarray:
+def digit_matrix(values: np.ndarray | Sequence[int], width: int, base: int) -> np.ndarray:
     """Base-``base`` digits (most significant first) of each value, of shape
     ``values.shape + (width,)``, in ``digit_dtype(base)``.
 
     uint8 values are divided in uint8 when the base fits in uint8; other
     values are widened to int64, a chunk of rows at a time.
     """
-    if not isinstance(values, (range, np.ndarray)):
+    if not isinstance(values, np.ndarray):
         values = np.array(values, dtype=np.int64)
-    shape = (len(values),) if isinstance(values, range) else values.shape
-    out = np.empty(shape + (width,), dtype=digit_dtype(base))
+    out = np.empty(values.shape + (width,), dtype=digit_dtype(base))
     # uint8 arithmetic takes the base as a uint8, so at most 255; quotient * base
     # never exceeds the value, so nothing wraps under either promotion rule
-    narrow = isinstance(values, np.ndarray) and values.dtype == np.uint8 and base <= 255
+    narrow = values.dtype == np.uint8 and base <= 255
     dtype, radix = (np.uint8, np.uint8(base)) if narrow else (np.int64, base)
-    for rows in row_chunks(shape[0], math.prod(shape[1:]) * width):
-        chunk = values[rows]
-        if isinstance(chunk, range):
-            vals = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
-        else:  # a copy: a strided column divides several times slower
-            vals = np.array(chunk, dtype=dtype)
+    for rows in row_chunks(values.shape[0], math.prod(values.shape[1:]) * width):
+        # a copy: a strided column divides several times slower
+        vals = np.array(values[rows], dtype=dtype)
         for j in range(width - 1, -1, -1):
             quotient = vals // radix  # much faster than %
             out[rows, ..., j] = vals - quotient * radix
             vals = quotient
+    return out
+
+
+def span(rows: np.ndarray, b: int) -> np.ndarray:
+    """All b**k combinations over Z_b of the k rows of ``rows``, in
+    ``digit_dtype(b)``: row n of the result has the base-b digits of n as
+    coefficients, row 0's most significant.
+
+    Filled in place, least significant coefficient first: rows a*b**j to
+    (a+1)*b**j are the first b**j rows plus a times the next row, mod b. A
+    sum is taken in the narrowest unsigned type holding 2b - 1 (for b <= 128
+    the output's own uint8), where x mod b is min(x, x - b), as x - b wraps
+    above x when x < b. Temporaries stay within ``_CHUNK_BYTES``.
+    """
+    k, width = rows.shape
+    work = np.min_scalar_type(2 * b - 1)
+    out = np.empty((b ** k, width), dtype=digit_dtype(b))
+    out[0] = 0
+    temporaries = 1 if work == out.dtype else 2  # x - b, and x unless in the output
+    step = max(1, _CHUNK_BYTES // max(1, width * work.itemsize * temporaries))  # rows a chunk
+    size = 1
+    for row in np.asarray(rows, dtype=np.int64)[::-1]:
+        per = max(1, step // size)  # coefficients a chunk
+        for a in range(1, b, per):
+            coeffs = np.arange(a, min(a + per, b))
+            multiples = (coeffs[:, None, None] * row % b).astype(work)
+            block = out[a * size : (a + len(coeffs)) * size].reshape(len(coeffs), size, width)
+            for lo in range(0, size, step):
+                dst = block[:, lo : lo + step]
+                total = dst if dst.dtype == work else np.empty(dst.shape, work)
+                np.add(out[lo : lo + dst.shape[1]], multiples, out=total, casting="unsafe")
+                np.minimum(total, total - work.type(b), out=total)
+                if total is not dst:
+                    dst[...] = total
+        size *= b
     return out
 
 

@@ -8,10 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import _BYTES_CAP, PrefixTable, digit_dtype, digit_matrix, is_prime, row_chunks
+from ._util import _BYTES_CAP, PrefixTable, digit_dtype, is_prime, row_chunks, span
 from .core import EVector, PointSet
 from .errors import ParamError
-from .netverify import check_shapes, verify_net
 
 __all__ = [
     "grid_1d", "hammersley", "faure", "digital_net",
@@ -40,37 +39,24 @@ def _check_bm(b: int, m: int, s: int) -> None:
                      f"above the cap of {_BYTES_CAP} bytes")
 
 
-def _points(b: int, m: int, s: int, fill) -> PointSet:
-    """b**m points of s coordinates. ``fill(n, out)`` writes the digits of the
-    points in the range n into ``out``, a (len(n), s, m) slice of the compact
-    tensor; it is called a chunk of points at a time, so that its int64 work
-    (at most two values per digit) stays near ``_CHUNK_BYTES``."""
-    n = b ** m
-    digits = np.empty((n, s, m), dtype=digit_dtype(b))
-    for rows in row_chunks(n, 2 * s * m):
-        fill(range(rows.start, rows.stop), digits[rows])
-    return PointSet(b, digits)
+def _digital(b: int, matrices: Sequence[np.ndarray]) -> PointSet:
+    """The b**m points whose coordinate i has the digits C_i @ (digits of n)
+    mod b: the span of the rows of [C_1^T | ... | C_s^T], in the order of n."""
+    rows = np.concatenate([c.T for c in matrices], axis=1)  # m of them
+    return PointSet(b, span(rows, b).reshape(b ** len(rows), len(matrices), len(rows)))
 
 
 def grid_1d(b: int, m: int) -> PointSet:
     """The one-dimensional grid n / b**m for n = 0, ..., b**m - 1."""
     _check_bm(b, m, 1)
-
-    def fill(n, out):
-        out[:, 0] = digit_matrix(n, m, b)
-
-    return _points(b, m, 1, fill)
+    return _digital(b, [np.eye(m, dtype=np.int64)])
 
 
 def hammersley(b: int, m: int) -> PointSet:
     """Two dimensions: digit-reversed n paired with n / b**m."""
     _check_bm(b, m, 2)
-
-    def fill(n, out):
-        out[:, 1] = digit_matrix(n, m, b)
-        out[:, 0] = out[:, 1, ::-1]
-
-    return _points(b, m, 2, fill)
+    identity = np.eye(m, dtype=np.int64)
+    return _digital(b, [identity[::-1], identity])
 
 
 def digital_net(b: int, matrices: Sequence[np.ndarray]) -> PointSet:
@@ -93,15 +79,7 @@ def digital_net(b: int, matrices: Sequence[np.ndarray]) -> PointSet:
         if c.size and (c.min() < 0 or c.max() >= b):
             raise ParamError(f"matrix {i} entries must lie in [0, {b})")
     _check_bm(b, m, len(mats))
-
-    def fill(n, out):
-        nd = digit_matrix(n, m, b).astype(np.int64)
-        for i, c in enumerate(mats):
-            coord = nd @ c.T
-            coord %= b
-            out[:, i] = coord
-
-    return _points(b, m, len(mats), fill)
+    return _digital(b, mats)
 
 
 def faure(b: int, m: int, s: int) -> PointSet:
@@ -115,15 +93,10 @@ def faure(b: int, m: int, s: int) -> PointSet:
         raise ParamError(f"Pascal construction needs a prime base, got {b}")
     if not 1 <= s <= b:
         raise ParamError(f"need 1 <= s <= base, got s={s}, base={b}")
-    pascal = np.zeros((m, m), dtype=np.int64)
-    for r in range(m):
-        for c in range(r, m):
-            pascal[r, c] = comb(c, r) % b
-    mats = []
-    acc = np.eye(m, dtype=np.int64)
-    for _ in range(s):
-        mats.append(acc)
-        acc = (acc @ pascal) % b
+    pascal = np.array([[comb(c, r) % b for c in range(m)] for r in range(m)], dtype=np.int64)
+    mats = [np.eye(m, dtype=np.int64)]
+    while len(mats) < s:
+        mats.append(mats[-1] @ pascal.reshape(m, m) % b)
     return digital_net(b, mats)
 
 
@@ -136,13 +109,12 @@ def random_pointset(b: int, m: int, s: int, seed: int) -> PointSet:
     if seed < 0:
         raise ParamError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-
-    def fill(n, out):
-        # int64 draws, chunk after chunk, continue one stream: every seed
-        # gives the digits one (b**m, s, m) draw gave
-        out[...] = rng.integers(0, b, size=out.shape, dtype=np.int64)
-
-    return _points(b, m, s, fill)
+    digits = np.empty((b ** m, s, m), dtype=digit_dtype(b))
+    # int64 draws, chunk after chunk, continue one stream: every seed gives
+    # the digits one (b**m, s, m) draw gave
+    for rows in row_chunks(b ** m, s * m):
+        digits[rows] = rng.integers(0, b, size=digits[rows].shape, dtype=np.int64)
+    return PointSet(b, digits)
 
 
 def flip_digit(points: PointSet, n: int, i: int, l: int) -> PointSet:
@@ -171,14 +143,10 @@ class SearchResult:
         return self.status == "found"
 
 
-def _lex_grid_points(b: int, m: int, s: int) -> PointSet:
-    """First b**m points of the full digit grid in lexicographic order."""
-    return PointSet(b, digit_matrix(range(b ** m), m * s, b).reshape(b ** m, s, m))
-
-
 def _verified(found: PointSet, u: int, e: EVector) -> PointSet:
     """``found``, re-verified as a quality-u net; raised rather than asserted,
     so that ``python -O`` keeps the check."""
+    from .netverify import verify_net  # only a search verifies: gen loads no verifier
     verdict = verify_net(found, u, e)
     if not verdict:
         raise AssertionError(f"search found a set that is not a net: {verdict.witness}")
@@ -216,17 +184,18 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
     _check_bm(b, m, s)
     if node_limit is not None and node_limit < 0:
         raise ParamError(f"node limit must be >= 0, got {node_limit}")
-    if u == m:
-        return SearchResult("found", _verified(_lex_grid_points(b, m, s), u, e), 0)
+    if u == m:  # the first b**m candidates, the span of the last m unit vectors
+        grid = span(np.eye(m * s, dtype=np.int64)[m * s - m :], b).reshape(b ** m, s, m)
+        return SearchResult("found", _verified(PointSet(b, grid), u, e), 0)
 
     n_candidates = b ** (m * s)
     if n_candidates > _SEARCH_CANDIDATE_CAP:
         raise ParamError(f"search space of {n_candidates} candidate points exceeds "
                          f"the desk-scale cap of {_SEARCH_CANDIDATE_CAP}")
     n_points = b ** m
+    from .netverify import check_shapes
     shapes = check_shapes(m, u, e)
-    cand_digits = digit_matrix(range(n_candidates), m * s, b).reshape(
-        n_candidates, s, m)
+    cand_digits = span(np.eye(m * s, dtype=np.int64), b).reshape(n_candidates, s, m)
 
     # box_key[c, j]: flattened box index of candidate c under shape j, with
     # per-shape offsets so one room list serves all shapes.

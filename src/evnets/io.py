@@ -271,7 +271,9 @@ def _parse_digit_body(stream: BinaryIO, b: int, m: int, s: int) -> np.ndarray:
         else:
             _store(digits, line, points, cap)
         line += len(points)
-    if digits is None:
+    if digits is None:  # no point: the array is (0, s, m), if numpy can shape it
+        if s * m > np.iinfo(np.intp).max:
+            raise FormatError(f"s*m = {s * m} digits a point, more than an array holds", line=2)
         return np.empty((0, s, m), dtype=np.uint8)  # base <= 36
     digits.resize((line, s, m), refcheck=False)
     return digits
@@ -396,15 +398,16 @@ def net_chunks(points: PointSet, u: int, e: EVector | tuple[int, ...]) -> Iterat
 
 def _digit_lines(header: str, digits: np.ndarray) -> Iterator[bytes]:
     """The header, then one line per point: each coordinate's m digit
-    characters plus its separator, a space or the LF ending the point. The
-    character lookup widens its indices to intp, one chunk at a time."""
+    characters plus its separator, a space or the LF ending the point. Only a
+    chunk holding a letter digit is looked up (widening to intp); others add '0'."""
     yield header.encode("ascii")
     n, s, m = digits.shape
     step = max(1, _CHUNK_BYTES // (s * (m + 1)))
     for r in range(0, n, step):
         block = digits[r : r + step]
         text = np.empty(block.shape[:2] + (m + 1,), dtype=np.uint8)
-        text[:, :, :m] = _DIGIT_CODES[block]
+        letters = block.max(initial=0) >= 10
+        text[:, :, :m] = _DIGIT_CODES[block] if letters else block + np.uint8(ord("0"))
         text[:, :, m] = ord(" ")
         text[:, -1, m] = ord("\n")
         yield text.tobytes()

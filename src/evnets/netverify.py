@@ -38,7 +38,8 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from ._util import PrefixTable, digit_matrix, is_prime, rank_rows, row_chunks, unrank
+from ._util import (PrefixTable, digit_matrix, is_power, is_prime, rank_rows, row_chunks, span,
+                    unrank)
 from .core import EVector, PointSet, Verdict
 from .errors import ParamError, PrecisionError
 from .ooa import canonical_beta, enumerate_profiles
@@ -90,8 +91,8 @@ def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str) -> EV
     _check_variant(variant)
     if e.s != points.dim:
         raise ParamError(f"e-vector has {e.s} entries, point set has {points.dim}")
-    if points.count != points.base ** points.precision:
-        raise ParamError(f"net candidates need base**m = {points.base ** points.precision} "
+    if not is_power(points.count, points.base, points.precision):
+        raise ParamError(f"net candidates need base**m = {points.base}**{points.precision} "
                          f"points, got {points.count}")
     return e
 
@@ -157,7 +158,7 @@ def _row_space(points: PointSet, shapes: int) -> Space | None:
     # whose entries sum to the combination
     h = m // 2
     dtype = np.min_scalar_type(2 * b - 1)  # unsigned; a sum of two entries fits
-    high, low = _span(basis[:h], b, dtype), _span(basis[h:], b, dtype)
+    high, low = (span(part, b).astype(dtype, copy=False) for part in (basis[:h], basis[h:]))
     low_cells = b ** (m - h)
 
     def combination(key: np.ndarray) -> np.ndarray:
@@ -228,17 +229,6 @@ def _eliminate(stack: np.ndarray, b: int) -> np.ndarray:
         used[every, row] |= found
         where[found, c] = row[found]
     return where
-
-
-def _span(rows: np.ndarray, b: int, dtype: type) -> np.ndarray:
-    """Every combination of ``rows`` over F_b, the first row's coefficient
-    most significant: entry k holds the combination whose coefficients are
-    the base-b digits of k."""
-    span = np.zeros((1, rows.shape[1]), dtype=np.int64)
-    for row in rows:
-        span = (span[:, None, :] + np.arange(b)[None, :, None] * row) % b
-        span = span.reshape(-1, rows.shape[1])
-    return span.astype(dtype)
 
 
 def _ranks(basis: np.ndarray, b: int, depths: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -418,6 +408,8 @@ def verify_sequence_prefix(prefix: PointSet, u: int, e: EVector | Sequence[int],
     b = prefix.base
     for m in range(u + 1, m_max + 1):
         block_len = b ** m
+        if block_len > prefix.count:  # no block is complete at this m or a larger one
+            break
         for g in range(prefix.count // block_len):
             block = PointSet(b, prefix.digits[g * block_len : (g + 1) * block_len, :, :m])
             v = verify_net(block, u, e, "narrow")

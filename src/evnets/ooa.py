@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import digit_dtype, digit_matrix, digit_window, unrank
+from ._util import digit_dtype, digit_matrix, digit_window, is_power, unrank
 from .core import EVector, MixedOOA, PointSet, Verdict
 from .errors import ParamError, VerificationError
 
@@ -60,8 +60,8 @@ def net_to_mooa(points: PointSet, u: int, e: EVector | Sequence[int],
     if e.s != points.dim:
         raise ParamError(f"e-vector has {e.s} entries, point set has {points.dim}")
     b, m = points.base, points.precision
-    if points.count != b ** m:
-        raise ParamError(f"need base**m = {b ** m} points, got {points.count}")
+    if not is_power(points.count, b, m):
+        raise ParamError(f"need base**m = {b}**{m} points, got {points.count}")
     caps = canonical_beta(m, u, e)  # checks 0 <= u <= m
     if m < u + max(e):
         raise ParamError(f"need m >= u + max(e) = {u + max(e)}, got m={m}")

@@ -156,6 +156,20 @@ def brute_rref(rows, p: int) -> list:
             for c in pivots]
 
 
+def brute_digital_points(b: int, matrices) -> list:
+    """Digits of every point n < b**m of the digital net with these m x m
+    generating matrices, as nested lists [n][i][j]: the base-b digits of n
+    (most significant first) times each C_i, mod b, in Python ints."""
+    mats = [[[int(x) for x in row] for row in c] for c in matrices]
+    m = len(mats[0])
+    points = []
+    for n in range(b ** m):
+        a = [n // b ** (m - 1 - l) % b for l in range(m)]
+        points.append([[sum(c[j][l] * a[l] for l in range(m)) % b for j in range(m)]
+                       for c in mats])
+    return points
+
+
 def digital_witness(b: int, matrices, u: int, e, variant: str = "narrow"):
     """The verify_net witness of the digital net with these generating
     matrices, from their ranks alone: None on a pass.

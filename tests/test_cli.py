@@ -419,6 +419,15 @@ class TestVerifySeq:
         assert out == json.dumps({"pass": True, "u": 0, "m_max": 4, "points": 16,
                                   "witness": None}, indent=2) + "\n"
 
+    def test_no_block_past_the_points_is_visited(self, capsys, tmp_path):
+        # a block of 2**m points cannot fit once 2**m passes the count, so a
+        # header of m = 10**12 over no points passes without trying each m
+        path = tmp_path / "empty.net"
+        path.write_bytes(b"NET v1\nbase 2 m 1000000000000 s 1 u 0\ne 1\n")
+        code, out, _ = run(capsys, "verify-seq", str(path))
+        assert code == EXIT_PASS
+        assert out == "verify-seq: PASS (u=0, m_max=1000000000000, points=0)\n"
+
     @pytest.mark.parametrize("m_max", ["-1", "-3"])
     def test_negative_m_max_is_usage_error(self, capsys, ham_net, m_max):
         code, out, err = run(capsys, "verify-seq", ham_net, "--m-max", m_max)
@@ -514,6 +523,25 @@ class TestFormatErrorsExitThree:
                                             command, text, message):
         code, out, err = run_on(capsys, monkeypatch, tmp_path, source, text, command)
         assert (code, out, err) == (EXIT_FORMAT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    @pytest.mark.parametrize("command, prefix", [
+        ("verify-net", "net candidates need"), ("to-mooa", "need"),
+        ("report", "net candidates need"),
+    ])
+    @pytest.mark.parametrize("m, code, message", [
+        # numpy shapes no (0, 1, m) array for this m, so the header is the error
+        ("99999999999999999999", EXIT_FORMAT,
+         "line 2: s*m = 99999999999999999999 digits a point, more than an array holds"),
+        # 2**m is named, never built: it would take 125 GB
+        ("1000000000000", EXIT_USAGE, "{prefix} base**m = 2**1000000000000 points, got 0"),
+        ("300", EXIT_USAGE, "{prefix} base**m = 2**300 points, got 0"),
+    ])
+    def test_huge_m_over_an_empty_body(self, capsys, monkeypatch, tmp_path, source, command,
+                                       prefix, m, code, message):
+        text = f"NET v1\nbase 2 m {m} s 1 u 0\ne 1\n".encode()
+        got = run_on(capsys, monkeypatch, tmp_path, source, text, command)
+        assert got == (code, "", f"error: {message.format(prefix=prefix)}\n")
 
     @pytest.mark.parametrize("spelling", ["+0", "0_1", "\u0663", "0\xa01"])
     def test_entry_spellings_int_accepted(self, capsys, monkeypatch, spelling):

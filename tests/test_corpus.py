@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from evnets import PointSet, u_star, verify_net
+from evnets import PointSet, _util, u_star, verify_net
 from evnets.cli import EXIT_INCONCLUSIVE, EXIT_PASS, main
 from evnets.corpus import (
     digital_net, faure, flip_digit, grid_1d, hammersley, random_pointset,
@@ -125,6 +127,50 @@ class TestGenerators:
     def test_random_pointset_negative_seed_is_param_error(self):
         with pytest.raises(ParamError, match="seed must be >= 0, got -1"):
             random_pointset(2, 3, 2, -1)
+
+
+def _brute_equal(make, b, matrices):
+    want = oracles.brute_digital_points(b, matrices)
+    # a seam between almost every pair of rows, a few dozen rows a chunk
+    # (which crosses seams in every level at bases past 100), and none
+    for chunk in ([1, 7] if b < 100 else [256]) + [1 << 20]:
+        with mock.patch.object(_util, "_CHUNK_BYTES", chunk):
+            points = make()
+        assert points.digits.dtype == (np.uint8 if b <= 256 else np.int64)
+        assert points.digits.tolist() == want, chunk
+
+
+class TestAgainstBruteDigitalPoints:
+    """Every digital generator against Python-int digits of n times each C_i."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(b=st.sampled_from([2, 3, 5, 7]), m=st.integers(0, 4), s=st.integers(1, 3),
+           data=st.data())
+    def test_digital_net(self, b, m, s, data):
+        assume(b ** m <= 2401)
+        entries = st.lists(st.integers(0, b - 1), min_size=m * m, max_size=m * m)
+        mats = [np.array(data.draw(entries), dtype=np.int64).reshape(m, m) for _ in range(s)]
+        _brute_equal(lambda: digital_net(b, mats), b, mats)
+
+    @pytest.mark.parametrize("b", [131, 257])
+    def test_digital_net_whose_sums_pass_a_byte(self, b):
+        rng = np.random.default_rng(b)
+        mats = [rng.integers(0, b, (2, 2)) for _ in range(3)]
+        _brute_equal(lambda: digital_net(b, mats), b, mats)
+
+    @pytest.mark.parametrize("b, m, s", [(2, 0, 2), (2, 6, 2), (3, 4, 3), (5, 3, 5), (7, 2, 7)])
+    def test_faure(self, b, m, s):
+        pascal = np.array([[comb(c, r) % b for c in range(m)] for r in range(m)],
+                          dtype=np.int64).reshape(m, m)
+        mats = [np.linalg.matrix_power(pascal, i) % b for i in range(s)]
+        _brute_equal(lambda: faure(b, m, s), b, mats)
+
+    @pytest.mark.parametrize("b, m", [(2, 0), (2, 5), (4, 3), (6, 3), (10, 2), (131, 0),
+                                      (131, 2), (256, 2), (257, 0), (257, 2)])
+    def test_hammersley_and_grid(self, b, m):
+        identity = np.eye(m, dtype=np.int64)
+        _brute_equal(lambda: hammersley(b, m), b, [identity[::-1], identity])
+        _brute_equal(lambda: grid_1d(b, m), b, [identity])
 
 
 class TestFlipDigit:
@@ -262,8 +308,8 @@ class TestSearchNet:
         # python -O strips assert statements; the re-verification must stay
         import evnets
         src = os.path.dirname(os.path.dirname(os.path.abspath(evnets.__file__)))
-        script = f"""from evnets import Verdict, corpus
-corpus.verify_net = lambda *args: Verdict(False, {{"shape": [0, 0]}})
+        script = f"""from evnets import Verdict, corpus, netverify
+netverify.verify_net = lambda *args: Verdict(False, {{"shape": [0, 0]}})
 try:
     corpus.search_net(*{args!r})
 except AssertionError as exc:
@@ -274,6 +320,19 @@ except AssertionError as exc:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ("raised: search found a set that is not a net: "
                                "{'shape': [0, 0]}\n")
+
+    def test_gen_loads_no_verifier(self):
+        # corpus imports netverify (and with it ooa) only where a search uses it
+        import evnets
+        src = os.path.dirname(os.path.dirname(os.path.abspath(evnets.__file__)))
+        script = """import sys
+from evnets.cli import main
+main(["gen", "faure", "--base", "3", "--m", "2", "--s", "2", "--out", sys.argv[1]])
+print(sorted(m for m in sys.modules if m in ("evnets.netverify", "evnets.ooa")))
+"""
+        proc = subprocess.run([sys.executable, "-c", script, os.devnull], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     @pytest.mark.parametrize("limit", [0, 1])
     def test_node_limit_gives_inconclusive(self, limit):

@@ -590,6 +590,20 @@ class TestSerializersMatchLineOracle:
             text = _net_bytes(PointSet(b, digits), 0, e)
         assert text == oracles.oracle_net_text(b, 0, e, digits).encode()
 
+    @pytest.mark.parametrize("b", [2, 10, 11, 36])
+    @pytest.mark.parametrize("m, n", [(3, 40), (0, 4), (3, 0)])
+    @pytest.mark.parametrize("chunk", [1, 8 * 3, 1 << 18])
+    def test_net_digits_and_letters(self, b, m, n, chunk):
+        # the first half of the points is decimal, the rest spells every
+        # digit of the base: past base 10, a chunk of 3 points (24 bytes)
+        # meets chunks of either kind and one that mixes them
+        count = n * 2 * m
+        flat = np.arange(count) % np.where(np.arange(count) < count // 2, min(b, 10), b)
+        digits = flat.reshape(n, 2, m)
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk):
+            text = _net_bytes(PointSet(b, digits), 0, (1, 1))
+        assert text == oracles.oracle_net_text(b, 0, (1, 1), digits).encode()
+
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.sampled_from([2, 9, 10, 11, 101, 10 ** 6, 2 ** 63 - 1]),
                     min_size=1, max_size=5),

@@ -338,7 +338,7 @@ def _module_set(b, m, s, seed):
     vector a of every n < b**m, C_0 the identity and the others random: a
     Z_b-module for any b, and an F_b-subspace only for a prime b."""
     rng = np.random.default_rng(seed)
-    a = _util.digit_matrix(range(b ** m), m, b).astype(np.int64)
+    a = _util.digit_matrix(np.arange(b ** m), m, b).astype(np.int64)
     mats = [np.eye(m, dtype=np.int64)] + [rng.integers(0, b, (m, m)) for _ in range(s - 1)]
     return PointSet(b, np.stack([a @ c.T % b for c in mats], axis=1))
 
@@ -540,7 +540,7 @@ class TestRankRoute:
         assert basis.shape == (4, 12)
         assert vectors.shape == (0, 12) and weights.shape == (0,)  # no correction
         n, s, m = p.digits.shape
-        coeffs = _util.digit_matrix(range(3 ** 4), 4, 3).astype(np.int64)
+        coeffs = _util.digit_matrix(np.arange(3 ** 4), 4, 3).astype(np.int64)
         span = {tuple(row) for row in coeffs @ basis % 3}
         assert span == {tuple(row) for row in p.digits.reshape(n, s * m).tolist()}
 

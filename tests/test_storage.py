@@ -157,21 +157,24 @@ def _peak(make):
 
 
 class TestPeakMemory:
-    """Generators keep only the compact tensor plus a chunk of int64 work;
+    """Generators keep only the compact tensor plus a chunk of work;
     parsing holds the text's bytes and the tensor plus one tokenised chunk."""
 
     @pytest.mark.parametrize("make", [
         lambda: faure(3, 10, 3),
         lambda: faure(7, 5, 7),
         lambda: hammersley(2, 17),
+        lambda: hammersley(131, 3),  # sums widened to uint16
         lambda: grid_1d(2, 18),
         lambda: digital_net(2, [np.eye(16, dtype=np.int64)] * 3),
         lambda: random_pointset(2, 16, 3, 0),
     ])
     def test_generator_peak_is_about_the_tensor(self, make):
+        make()  # what a first call imports is not the generator's
         points, peak = _peak(make)
         assert points.digits.dtype == np.uint8
-        assert peak <= 2 * points.digits.nbytes + _util._CHUNK_BYTES
+        # the generating matrices, and a chunk of sums or draws
+        assert peak <= points.digits.nbytes + _util._CHUNK_BYTES + (1 << 16)
 
     @pytest.mark.parametrize("points", [hammersley(2, 17), faure(3, 10, 3)])
     def test_parse_net_peak_is_about_the_tensor(self, points):
@@ -205,6 +208,6 @@ class TestRandomStream:
     ])
     def test_gen_random_text_is_pinned(self, b, m, s, seed, digest):
         points = random_pointset(b, m, s, seed)
-        assert len(_util.row_chunks(points.count, 2 * s * m)) > 1  # drawn in chunks
+        assert len(_util.row_chunks(points.count, s * m)) > 1  # drawn in chunks
         text = b"".join(net_chunks(points, m, (1,) * s))
         assert hashlib.sha256(text).hexdigest() == digest

@@ -146,21 +146,21 @@ class TestDigits:
         assert list(mat @ powers) == values
         assert mat.min() >= 0 and mat.max() < base
 
-    def test_digit_matrix_takes_ranges_and_array_columns(self):
+    def test_digit_matrix_takes_arrays_and_array_columns(self):
         want = digit_matrix(list(range(3, 50, 4)), 4, 3)
-        assert np.array_equal(digit_matrix(range(3, 50, 4), 4, 3), want)
+        assert np.array_equal(digit_matrix(np.arange(3, 50, 4), 4, 3), want)
         table = np.array(list(range(3, 50, 4)) * 2, dtype=np.int64).reshape(2, -1).T
         column = table[:, 1]  # a strided view
         assert np.array_equal(digit_matrix(column, 4, 3), want)
         assert np.array_equal(table[:, 1], list(range(3, 50, 4)))  # input untouched
 
     def test_digit_matrix_chunks_join_seamlessly(self, monkeypatch):
-        values = range(5, 2000, 3)
-        want = [[v // 7 ** (3 - j) % 7 for j in range(4)] for v in values]
+        values = np.arange(5, 2000, 3)
+        want = [[v // 7 ** (3 - j) % 7 for j in range(4)] for v in values.tolist()]
         monkeypatch.setattr(_util, "_CHUNK_BYTES", 8 * 4 * 5)  # five rows per chunk
         got = digit_matrix(values, 4, 7)
         assert got.dtype == np.uint8 and got.tolist() == want
-        assert digit_matrix(np.array(values), 4, 7).tolist() == want
+        assert digit_matrix(values.tolist(), 4, 7).tolist() == want
 
     def test_uint8_values_split_as_int64_values(self):
         # uint8 values divide in uint8 for bases up to 255: the same digits
