@@ -112,6 +112,13 @@ def _first_unwritable_exponent(b: int, limit: int) -> int:
     return k
 
 
+def _power_unwritable(b: int, k: int, limit: int) -> bool:
+    """Whether b**k has more than ``limit`` decimal digits (never for limit 0),
+    decided from k alone: below 2**(3 * limit) it has at most ``limit``."""
+    return (bool(limit) and k * b.bit_length() > 3 * limit
+            and k >= _first_unwritable_exponent(b, limit))
+
+
 def _too_long(name: str, what: str, limit: int) -> ParamError:
     return ParamError(f"{name}: {what} has more than {limit} decimal digits, "
                       f"too many to write")
@@ -188,13 +195,21 @@ def _net_rao_conditions(b: int, m: int, e: EVector, strengths: Sequence[int]
     (``e`` sorted ascending)."""
     if not strengths:
         return []
+    names = [f"rao-{'odd' if t % 2 else 'even'}-g{t // 2}" for t in strengths]
+    # A power too long to write is refused unbuilt, naming what to_json names
+    # first: the first LHS, at least every b**e_i - 1, if it too is; else RHS.
+    limit = _digit_limit()
+    if _power_unwritable(b, max(e) - 1, limit):
+        raise _too_long(names[0], "LHS", limit)
     # lumped equal sizes, so _esym runs once per distinct size, not per coordinate
     sums = _rao_sums(sorted(Counter(b ** ei for ei in e).items()), max(strengths))
+    if _power_unwritable(b, m - 1, limit):
+        lhs_too_long = _unwritable(sums[strengths[0]] - 1, limit)
+        raise _too_long(names[0], "LHS" if lhs_too_long else "RHS", limit)
     rhs = b ** m - 1
     thresholds = [sum(e.e[e.s - t :]) for t in strengths]
-    return [Condition(f"rao-{'odd' if t % 2 else 'even'}-g{t // 2}", m >= threshold,
-                      sums[t] - 1, rhs, {"m_threshold": threshold})
-            for t, threshold in zip(strengths, thresholds)]
+    return [Condition(name, m >= threshold, sums[t] - 1, rhs, {"m_threshold": threshold})
+            for name, t, threshold in zip(names, strengths, thresholds)]
 
 
 def seq_budget_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
@@ -222,9 +237,7 @@ def seq_budget_check(b: int, e: EVector | Sequence[int]) -> list[Condition]:
             else:
                 name = "lcm-{" + ",".join(str(r) for r in sub) + "}"
                 detail = {"values": list(sub), "lcm": big_l}
-            # b**L < 2**(L * bit_length(b)): only a long power needs the exact test
-            if (limit and big_l * b.bit_length() > 3 * limit
-                    and big_l >= _first_unwritable_exponent(b, limit)):
+            if _power_unwritable(b, big_l, limit):
                 raise _too_long(name, "RHS", limit)
             if len(out) == _BUDGET_CAP:
                 raise ParamError(f"{len(values)} distinct e-values give {2 ** len(values) - 1} "

@@ -4,7 +4,8 @@ Exit codes: 0 pass/success, 1 verification failed (witness printed),
 2 usage error, 3 file format error, 4 search inconclusive.
 
 Each subcommand imports the modules it uses when it runs, so a process loads
-only those: ``rao``, ``feasible`` and ``--help`` never load numpy.
+only those: ``rao``, ``feasible`` and ``--help`` never load numpy, and a run
+without ``--json`` never loads ``json``.
 
 ``main`` pins OpenBLAS to one thread (``OPENBLAS_NUM_THREADS=1``) unless the
 variable is already set. Every matrix product here is on integer arrays,
@@ -16,7 +17,6 @@ keeps its own BLAS settings.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -32,22 +32,29 @@ EXIT_FORMAT = 3
 EXIT_INCONCLUSIVE = 4
 
 
+# The most entries an --e argument expands to. The bound calculators' work
+# grows about as s**3: ``feasible`` takes 1.4 s at s = 4096 on a 2-vCPU host.
+_E_ENTRIES = 1 << 12
+
+
+class _Refused(Exception):
+    """A usage error that ``main`` prints as one line: argparse would reword a
+    ValueError from an argument's type as its usage message."""
+
+
 def evector_arg(text: str) -> tuple[int, ...]:
     """Parse an e-vector argument: '1,1,2' or the shorthand '1x2,2' (value x
-    repeat)."""
-    out: list[int] = []
+    repeat), of at most ``_E_ENTRIES`` entries, counted before any is built."""
+    parts: list[tuple[int, int]] = []
     for part in text.split(","):
-        part = part.strip()
-        if "x" in part:
-            value, _, repeat = part.partition("x")
-            if int(repeat) < 1:
-                raise ValueError(f"repeat count must be >= 1, got {repeat!r}")
-            out.extend([int(value)] * int(repeat))
-        else:
-            out.append(int(part))
-    if not out:
-        raise ValueError("empty e-vector")
-    return tuple(out)
+        value, x, repeat = part.strip().partition("x")
+        count = int(repeat) if x else 1
+        if count < 1:
+            raise ValueError(f"repeat count must be >= 1, got {repeat!r}")
+        parts.append((int(value), count))
+    if sum(count for _, count in parts) > _E_ENTRIES:
+        raise _Refused(f"argument --e: expands to more than {_E_ENTRIES} entries")
+    return tuple(value for value, count in parts for _ in range(count))
 
 
 def int_list_arg(text: str) -> tuple[int, ...]:
@@ -83,6 +90,7 @@ def _write_output(args, chunks) -> None:
 
 
 def _emit_json(obj) -> None:
+    import json  # here, so a run without --json never loads it
     print(json.dumps(obj, indent=2))
 
 
@@ -473,8 +481,8 @@ def main(argv=None) -> int:
     # early enough because numpy reads it on import and no subcommand has
     # imported numpy yet.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -482,10 +490,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ParamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ParamError, _Refused, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

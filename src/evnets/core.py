@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._util import digit_dtype
+from ._util import digit_dtype, is_power
 from .errors import ParamError, PrecisionError
 from .evector import EVector
 
@@ -214,8 +214,8 @@ class MixedOOA:
                     f"beta[{i}]={bi} outside [0, {cap}] allowed by (m-u)/e_i")
         object.__setattr__(self, "beta", beta)
         arr = _int_array(self.rows, "rows", 2)
-        if arr.shape[0] != self.base ** self.m:
-            raise ParamError(f"expected base**m = {self.base ** self.m} rows, "
+        if not is_power(arr.shape[0], self.base, self.m):
+            raise ParamError(f"expected base**m = {self.base}**{self.m} rows, "
                              f"got {arr.shape[0]}")
         if arr.shape[1] != sum(beta):
             raise ParamError(f"expected sum(beta) = {sum(beta)} columns, got {arr.shape[1]}")

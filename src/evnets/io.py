@@ -41,10 +41,10 @@ error message names it as the byte ``\\xNN``.
 
 The parsers read a binary stream (or bytes, as ``BytesIO``) a chunk of
 whole lines of about ``_CHUNK_BYTES`` at a time, never the whole file. A
-chunk in the layout the serialisers write is read by reshaping its bytes:
-NET lines of s*(m+1) bytes (m-digit strings, single spaces, a final LF),
-and integer lines of 2k bytes, every entry one digit. Any other chunk is
-tokenised by the grammar above, with the same values. A wrong row count,
+chunk in the layout the serialisers write is read by reshaping its bytes
+(``_canonical``): NET lines of s*(m+1) bytes (m-digit strings, single
+spaces, a final LF), and integer lines of 2k bytes, every entry one digit.
+Any other chunk is tokenised by the grammar above, with the same values. A wrong row count,
 then the first rejected line, is explained by its number and the same
 message a line-by-line reading would give.
 
@@ -208,17 +208,24 @@ def _tokenise(buf: np.ndarray) -> _Chunk:
     return _Chunk(buf, in_token, starts, ends, newlines, counts)
 
 
-def _fixed_fields(buf: np.ndarray, count: int, width: int) -> np.ndarray | None:
-    """The (lines, count, width) fields of a run of whole lines in the fixed
-    layout the serialisers write, or None if it is not in it: every line is
-    ``count`` fields of ``width`` bytes, each followed by one space, the last
-    by the LF. The field bytes are not checked."""
+def _canonical(buf: np.ndarray, count: int, width: int,
+               limits: int | np.ndarray) -> np.ndarray | None:
+    """The (lines, count, width) values of a run of whole lines in the
+    canonical layout the serialisers write, or None if any line is not in it:
+    every line is ``count`` fields of ``width`` digit bytes, each followed by
+    one space, the last by the LF, and every digit is below ``limits``, which
+    broadcasts against the fields (a NET base, or an integer body's per-column
+    limits of at most 10)."""
     if not count or not width or buf.size % (count * (width + 1)):
         return None
     lines = buf.reshape(-1, count, width + 1)
-    separators = np.full(count, ord(" "), dtype=np.uint8)
-    separators[-1] = ord("\n")
-    return lines[:, :, :width] if (lines[:, :, width] == separators).all() else None
+    gaps = lines[:, :, width]  # a space after each field, an LF after the last
+    if (gaps[:, :-1] != ord(" ")).any() or (gaps[:, -1] != ord("\n")).any():
+        return None
+    fields = lines[:, :, :width]
+    # a byte below '0' wraps high, so it is no digit below a limit <= 10 either
+    values = fields - np.uint8(ord("0")) if np.max(limits) <= 10 else _DIGIT_OF_BYTE[fields]
+    return values if (values < limits).all() else None
 
 
 def _net_line_error(line: str, b: int, m: int, s: int) -> str:
@@ -237,17 +244,6 @@ def _net_line_error(line: str, b: int, m: int, s: int) -> str:
     raise AssertionError(f"NET line {line!r} has no error")
 
 
-def _canonical_digits(buf: np.ndarray, b: int, m: int, s: int) -> np.ndarray | None:
-    """(lines, s, m) digits of a run of NET lines in the canonical layout, or
-    None if any line is not in it."""
-    fields = _fixed_fields(buf, s, m)
-    if fields is None:
-        return None
-    # a byte below '0' wraps high, so it is no digit below b <= 10 either
-    values = fields - np.uint8(ord("0")) if b <= 10 else _DIGIT_OF_BYTE[fields]
-    return values if (values < b).all() else None
-
-
 def _parse_digit_body(stream: BinaryIO, b: int, m: int, s: int) -> np.ndarray:
     """(N, s, m) digits of a NET body, one point per line."""
     k = s if m else 0  # points of m = 0 are blank lines
@@ -257,7 +253,7 @@ def _parse_digit_body(stream: BinaryIO, b: int, m: int, s: int) -> np.ndarray:
     digits, line = None, 0
     for block in _body(stream):
         buf = np.frombuffer(block, np.uint8)
-        points = _canonical_digits(buf, b, m, s)
+        points = _canonical(buf, s, m, b)
         if points is None:
             c = _tokenise(buf)
             values = _DIGIT_OF_BYTE[c.buf]
@@ -304,18 +300,6 @@ def _int_line_error(line: str, widths: list[int], noun: str, nouns: str) -> str:
     raise AssertionError(f"integer line {line!r} has no error")
 
 
-def _canonical_entries(buf: np.ndarray, limits: np.ndarray) -> np.ndarray | None:
-    """(lines, k) entries of a run of integer lines in the canonical layout,
-    or None if any line is not in it; column j's one-digit entries lie below
-    ``limits[j]`` <= 10."""
-    fields = _fixed_fields(buf, limits.size, 1)
-    if fields is None:
-        return None
-    # a byte below '0' wraps high, so it is no digit below a limit <= 10 either
-    values = fields[:, :, 0] - np.uint8(ord("0"))
-    return values if (values < limits).all() else None
-
-
 def _parse_int_body(stream: BinaryIO, widths: list[int], first_lineno: int,
                     n_rows: int | None = None, noun: str = "entry",
                     nouns: str = "entries") -> np.ndarray:
@@ -326,14 +310,14 @@ def _parse_int_body(stream: BinaryIO, widths: list[int], first_lineno: int,
     rows = np.empty((0, k), dtype=digit_dtype(max(widths, default=0)))
     # no entry reaches 10**19, so a wider column is as good as unbounded
     limits = np.array([min(w, 10 ** _ENTRY_DIGITS) for w in widths], dtype=np.uint64)
-    digit_limits = np.array([min(w, 10) for w in widths], dtype=np.uint8)
+    digit_limits = np.array([min(w, 10) for w in widths], dtype=np.uint8).reshape(k, 1)
     cap = float("inf") if n_rows is None else n_rows
     line, error = 0, None
     for block in _body(stream):
         lines = block.count(b"\n")
         if error is None and line + lines <= cap:
             buf = np.frombuffer(block, np.uint8)
-            values = _canonical_entries(buf, digit_limits)
+            values = _canonical(buf, k, 1, digit_limits)
             if values is None:
                 c = _tokenise(buf)
                 lengths = c.ends - c.starts
@@ -347,8 +331,8 @@ def _parse_int_body(stream: BinaryIO, widths: list[int], first_lineno: int,
                 if bad is not None:
                     error = FormatError(_int_line_error(c.text(bad), widths, noun, nouns),
                                         line=first_lineno + line + bad)
-            if error is None:
-                _store(rows, line, values, cap)
+            if error is None:  # canonical values are (lines, k, 1)
+                _store(rows, line, values.reshape(len(values), k), cap)
         line += lines
     if n_rows is not None and line != n_rows:
         raise FormatError(f"expected {n_rows} array rows, got {line}",

@@ -16,17 +16,17 @@ every admissible shape lives in ``tests/oracles.py`` as the reference.
 
 Two routes decide the same shapes with the same verdict and witness, for a
 point set and, through ``first_failure``, for the ordered array that encodes
-one (``ooa``). Counting bincounts every point's box for each shape through
-``_util.PrefixTable``. A point set P that equals an F_b-subspace S up to a
-sparse correction P - S (a digital net over a prime base, in any order,
-perhaps with a few wrong, missing or repeated points) is decided by ranks
-instead. Where the basis columns of the first d_i digits of every coordinate
-i are independent, S fills every cell of shape d evenly, so the failing cells
-are those where the correction's weights do not cancel. Where their rank r
-falls short of sum d, the zero cell holds the b**(m - r) points of the kernel
-plus the correction there, and is the first cell counting would report; only
-when that sum is the expected count after all is the shape counted.
-``_row_space`` alone picks the route.
+one (``ooa``). Counting, whose one entry is ``_count``, bincounts every
+point's box for each shape through ``_util.PrefixTable``. A point set P that
+equals an F_b-subspace S up to a sparse correction P - S (a digital net over
+a prime base, in any order, perhaps with a few wrong, missing or repeated
+points) is decided by ranks instead. Where the basis columns of the first d_i
+digits of every coordinate i are independent, S fills every cell of shape d
+evenly, so the failing cells are those where the correction's weights do not
+cancel. Where their rank r falls short of sum d, the zero cell holds the
+b**(m - r) points of the kernel plus the correction there, and is the first
+cell counting would report; only when that sum is the expected count after
+all is that one shape counted. ``_row_space`` alone picks the route.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 import random
 from functools import lru_cache
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -288,8 +288,15 @@ def _net_weights(cells: np.ndarray, weights: np.ndarray, bound: int
     return lowest, excess, at_zero
 
 
-def _ranked_failure(points: PointSet, shapes: Sequence[Shape], space: Space,
-                    count: Callable[[Sequence[Shape]], Failure | None]) -> Failure | None:
+def _count(points: PointSet, e: EVector, shapes: Sequence[Shape]) -> Failure | None:
+    """The first failure among ``shapes``, by counting every point's box in a
+    table as deep as the deepest coordinate of any of them."""
+    depth = max(map(max, shapes), default=0)
+    return PrefixTable.of_digits(points.digits, points.base, e, depth).first_failure(shapes)
+
+
+def _ranked_failure(points: PointSet, e: EVector, shapes: Sequence[Shape],
+                    space: Space) -> Failure | None:
     """The first failing shape, decided by ranks of the recovered subspace S
     and its correction; None on a pass.
 
@@ -297,7 +304,7 @@ def _ranked_failure(points: PointSet, shapes: Sequence[Shape], space: Space,
     every cell, so the failing cells are those where the correction's net
     weight is nonzero. Where the rank r falls short of sum d, S puts b**(m -
     r) points in cell 0, the first cell; when the correction there makes
-    that ``expected`` after all, ``count`` decides the shape.
+    that ``expected`` after all, ``_count`` decides the shape.
     """
     basis, vectors, weights = space
     b = points.base
@@ -315,7 +322,7 @@ def _ranked_failure(points: PointSet, shapes: Sequence[Shape], space: Space,
             observed = b ** (m - int(ranks[k])) + int(at_zero[k])
             if observed != expected:
                 return shape, 0, observed, expected
-            failure = count([shape])
+            failure = _count(points, e, [shape])
             if failure is not None:
                 return failure
     return None
@@ -324,18 +331,9 @@ def _ranked_failure(points: PointSet, shapes: Sequence[Shape], space: Space,
 def _decide(points: PointSet, e: EVector, shapes: Sequence[Shape],
             space: Space | None) -> Failure | None:
     """The first failure among ``shapes``: by ranks of a subspace and its
-    correction when ``space`` gives them, else by counting every point's box
-    in a table as deep as the deepest coordinate of any of them."""
-    table = None
-
-    def count(some: Sequence[Shape]) -> Failure | None:
-        nonlocal table
-        if table is None:
-            depth = max(map(max, shapes), default=0)
-            table = PrefixTable.of_digits(points.digits, points.base, e, depth)
-        return table.first_failure(some)
-
-    return count(shapes) if space is None else _ranked_failure(points, shapes, space, count)
+    correction when ``space`` gives them, else by counting."""
+    return (_count(points, e, shapes) if space is None
+            else _ranked_failure(points, e, shapes, space))
 
 
 def first_failure(points: PointSet, e: EVector, shapes: Sequence[Shape]) -> Failure | None:

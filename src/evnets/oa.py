@@ -65,12 +65,10 @@ def verify_moa(array: MixedOA, t: int) -> Verdict:
     Column subsets are visited in lexicographic order; the witness names the
     first subset whose tuple counts are not uniform (or whose alphabet product
     does not divide the number of rows, making uniformity impossible).
-    Strength 0 is vacuously true.
+    Strength 0 is vacuously true, by its one column subset, the empty one.
     """
     if not 0 <= t <= array.k:
         raise ParamError(f"strength must lie in [0, {array.k}], got {t}")
-    if t == 0:
-        return Verdict(True)
     for columns in itertools.combinations(range(array.k), t):
         witness = _subset_witness(array, columns)
         if witness is not None:

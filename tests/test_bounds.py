@@ -255,6 +255,32 @@ class TestSequenceConditions:
         assert seq_budget_check(2, (15015,))[0].rhs == 2 ** 15015
 
 
+def _refusal(make):
+    """The ParamError's message when ``make()``'s conditions are made and
+    written in order, or None."""
+    try:
+        for c in make():
+            c.to_json()
+    except ParamError as exc:
+        return str(exc)
+    return None
+
+
+def _unbounded_refusal(make, limit):
+    """The same, found by making every condition with no digit limit and
+    then looking for the first integer of more than ``limit`` digits."""
+    sys.set_int_max_str_digits(0)
+    try:
+        for c in make():
+            for side, n in (("LHS", c.lhs), ("RHS", c.rhs)):
+                if len(str(n)) > limit:
+                    return (f"{c.name}: {side} has more than {limit} decimal digits, "
+                            f"too many to write")
+        return None
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestFeasibilityReport:
     def test_net_target_runs_all_g(self):
         rep = feasibility_report(2, 6, (1, 1, 2, 2), "net")
@@ -350,6 +376,33 @@ class TestFeasibilityReport:
             feasibility_report(2, 20000, range(1, 13), "sequence")
         with pytest.raises(ParamError, match=r"^lcm-\{7,11,13,15\}: RHS"):
             feasibility_report(2, 3, range(1, 17), "sequence")
+
+    @pytest.mark.parametrize("b", [2, 3, 10, 100])
+    def test_powers_past_the_limit_are_refused_as_to_json_would(self, digit_limit, b):
+        # around the least k with b**k unwritable, the report refuses what
+        # writing it would refuse first, in report order, LHS before RHS
+        k = bounds._first_unwritable_exponent(b, digit_limit)
+        for m in (3, k - 1, k, k + 1, k + 2):
+            for e in ((1, 1), (1, 1, 2), (2, 3, 4, 5), (1, k - 1), (1, k), (1, k + 1),
+                      (k, k), (k - 1, k, k + 1), (k + 1, k + 1)):
+                for make in [lambda: feasibility_report(b, m, e).conditions,
+                             *(lambda t=t: [net_rao_check(b, m, e, t)]  # as rao --t
+                               for t in range(2, len(e) + 1))]:
+                    assert _refusal(make) == _unbounded_refusal(make, digit_limit), (m, e)
+
+    def test_powers_past_the_limit_are_never_built(self, digit_limit):
+        # each of these powers has about 3 * 10**11 digits
+        with pytest.raises(ParamError, match=r"^rao-even-g1: RHS has more than 4300 "):
+            feasibility_report(2, 10 ** 12, (1, 1))
+        with pytest.raises(ParamError, match=r"^rao-odd-g1: RHS has more than 4300 "):
+            net_rao_check(2, 10 ** 12, (1, 1, 1), 3)
+        with pytest.raises(ParamError, match=r"^rao-even-g1: LHS has more than 4300 "):
+            feasibility_report(2, 3, (1, 10 ** 12), "sequence")
+        # a report too long to write is refused as it is made, not when written
+        with pytest.raises(ParamError, match=r"^rao-even-g1: RHS has more than 4300 "):
+            feasibility_report(2, 20000, (1, 1))
+        sys.set_int_max_str_digits(0)  # no limit: the powers are built
+        assert feasibility_report(2, 20000, (1, 1)).conditions[0].rhs == 2 ** 20000 - 1
 
     @pytest.mark.parametrize("target", ["net", "sequence"])
     @pytest.mark.parametrize("e", [(1,), (1, 1, 2)])

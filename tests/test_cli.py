@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 import evnets
-from evnets import EVector, corpus, dualcert, net_chunks, netverify
+from evnets import EVector, cli, corpus, dualcert, net_chunks, netverify
 from evnets.cli import EXIT_FAIL, EXIT_FORMAT, EXIT_INCONCLUSIVE, EXIT_PASS, \
     EXIT_USAGE, build_parser, evector_arg, int_list_arg, main
 
@@ -85,6 +85,26 @@ class TestArgParsing:
         assert err.value.code == EXIT_USAGE
         out, err_text = capsys.readouterr()
         assert out == "" and "unrecognized arguments: --mode" in err_text
+
+    @pytest.mark.parametrize("repeat", ["10000000000000000000", "1000000000000"])
+    @pytest.mark.parametrize("argv", [
+        ["feasible", "--base", "2", "--m", "3"],
+        ["verify-net", "-"],
+        ["gen", "search", "--base", "2", "--m", "3", "--s", "2", "--u", "0"],
+    ], ids=["feasible", "verify-net", "gen-search"])
+    def test_a_huge_evector_repeat_is_one_usage_line(self, capsys, argv, repeat):
+        # the first overflows an index, the second would be an 8 TB list:
+        # both are refused from the count before an entry is built
+        code, out, err = run(capsys, *argv, "--e", f"1x{repeat}")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: argument --e: expands to more than {cli._E_ENTRIES} entries\n"
+
+    def test_evector_length_limit(self):
+        assert evector_arg(f"2x{cli._E_ENTRIES}") == (2,) * cli._E_ENTRIES
+        assert len(evector_arg(f"1x{cli._E_ENTRIES - 2},1,3")) == cli._E_ENTRIES
+        for text in (f"1x{cli._E_ENTRIES},1", f"1x{cli._E_ENTRIES + 1}", f"1x2,3x{10 ** 400}"):
+            with pytest.raises(cli._Refused):
+                evector_arg(text)
 
     def test_int_list(self):
         assert int_list_arg("3,1") == (3, 1)
@@ -311,8 +331,8 @@ class TestInputReader:
         net = _net_bytes(points, 0, EVector((1, 1)))  # 64 lines of 14 bytes
         mooa = b"".join(evnets.mooa_chunks(evnets.net_to_mooa(points, 0, EVector((1, 1)))))
         monkeypatch.setattr(evnets.io, "_CHUNK_BYTES", 3 * 14)  # 3 NET lines, 1.75 MOOA rows
-        chunks = mock.Mock(wraps=evnets.io._canonical_digits)  # called once per chunk
-        monkeypatch.setattr(evnets.io, "_canonical_digits", chunks)
+        chunks = mock.Mock(wraps=evnets.io._canonical)  # called once per chunk
+        monkeypatch.setattr(evnets.io, "_canonical", chunks)
         code, out, err = self._verify(capsys, monkeypatch, tmp_path, source, net)
         assert (code, out, err) == (
             EXIT_PASS, "verify-net: PASS (variant=narrow, mode=maximal, u=0, shapes=7)\n", "")
@@ -701,17 +721,40 @@ class TestBoundsCommands:
         # only g1 has enough digit budget to apply at m=2
         assert [c["applicable"] for c in data["conditions"]] == [True, False, False]
 
-    @pytest.mark.parametrize("argv", [
-        ("feasible", "--base", "2", "--m", "20000", "--e", "1,1"),
-        ("feasible", "--base", "2", "--m", "20000", "--e", "1,1", "--json"),
-        ("feasible", "--base", "10", "--m", "4301", "--e", "1,1", "--target", "sequence"),
-        ("rao", "--base", "2", "--m", "20000", "--e", "1,1", "--t", "2"),
-        ("rao", "--base", "2", "--m", "20000", "--e", "1,1", "--t", "2", "--json"),
+    @pytest.mark.parametrize("argv, side", [
+        (("feasible", "--base", "2", "--m", "20000", "--e", "1,1"), "RHS"),
+        (("feasible", "--base", "2", "--m", "20000", "--e", "1,1", "--json"), "RHS"),
+        (("feasible", "--base", "10", "--m", "4301", "--e", "1,1", "--target", "sequence"),
+         "RHS"),
+        (("rao", "--base", "2", "--m", "20000", "--e", "1,1", "--t", "2"), "RHS"),
+        (("rao", "--base", "2", "--m", "20000", "--e", "1,1", "--t", "2", "--json"), "RHS"),
+        # powers that would not finish building: refused from their exponents
+        (("feasible", "--base", "2", "--m", "1000000000000", "--e", "1,1"), "RHS"),
+        (("rao", "--base", "2", "--m", "1000000000000", "--e", "1,1", "--t", "2"), "RHS"),
+        (("feasible", "--base", "2", "--m", "3", "--e", "1,1000000000000"), "LHS"),
+        (("rao", "--base", "2", "--m", "1000000000000", "--e", "1,1000000000000", "--t", "2",
+          "--json"), "LHS"),
+        # the LHS 2 * (10**4300 - 1) is one digit too long too, and is named first
+        (("feasible", "--base", "10", "--m", "1000000000000", "--e", "4300,4300"), "LHS"),
     ])
-    def test_integer_too_long_to_write_is_usage_error(self, capsys, argv):
+    def test_integer_too_long_to_write_is_usage_error(self, capsys, argv, side):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
-        assert err == ("error: rao-even-g1: RHS has more than 4300 decimal digits, "
+        assert err == (f"error: rao-even-g1: {side} has more than 4300 decimal digits, "
+                       "too many to write\n")
+
+    @pytest.mark.parametrize("e", ["20000", "1000000000000"])
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_report_refuses_an_evector_power_too_long_to_write(self, capsys, tmp_path, e,
+                                                                json_flag):
+        # the report's row-count condition holds b**e_2 - 1 in its LHS: refused
+        # from the exponent, also where text output would not write it
+        path = tmp_path / "e.net"
+        path.write_bytes(f"NET v1\nbase 2 m 2 s 2 u 0\ne 1 {e}\n".encode()
+                         + b"".join(b"%d%d 00\n" % (i >> 1, i & 1) for i in range(4)))
+        code, out, err = run(capsys, "report", str(path), *json_flag)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("error: rao-even-g1: LHS has more than 4300 decimal digits, "
                        "too many to write\n")
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
@@ -932,17 +975,21 @@ class TestReport:
 
 
 # Runs main on the arguments, then writes the process's state as JSON on the
-# last line of stderr: the loaded evnets and numpy modules, the value of
-# OPENBLAS_NUM_THREADS and the number of threads (None without /proc).
-_FRESH_MAIN = """import json, os, sys
+# last line of stderr: the loaded evnets and numpy modules, whether main
+# loaded json, the value of OPENBLAS_NUM_THREADS and the number of threads
+# (None without /proc).
+_FRESH_MAIN = """import os, sys
 from evnets.cli import main
 try:
     code = main(sys.argv[1:])
 finally:
     sys.stdout.flush()
+    json_loaded = "json" in sys.modules
+    import json
     tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
     sys.stderr.write("\\n" + json.dumps({
         "modules": [m for m in sys.modules if m == "numpy" or m.startswith("evnets")],
+        "json": json_loaded,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": tasks}))
 sys.exit(code)
 """
@@ -1022,12 +1069,14 @@ class TestReadmeSynopsis:
 
     @pytest.mark.parametrize("argv", [
         ["rao", "--base", "2", "--m", "10", "--e", "1x5", "--t", "4"],
+        ["rao", "--base", "2", "--m", "10", "--e", "1x5", "--t", "4", "--json"],
         ["feasible", "--base", "3", "--m", "12", "--e", "1x10,2x5"],
         ["feasible", "--base", "2", "--m", "20", "--e", "1x8", "--target", "sequence"],
         ["--help"], ["dual-cert", "--help"]])
     def test_bounds_and_help_run_without_numpy(self, capsys, tmp_path, argv):
         code, out, state = self._fresh(argv, tmp_path)
         assert "evnets.cli" in state["modules"] and "numpy" not in state["modules"]
+        assert state["json"] == ("--json" in argv)  # only a JSON report loads json
         if argv[-1] == "--help":
             assert code == EXIT_PASS and out.startswith(b"usage: evnets")
         else:

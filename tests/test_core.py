@@ -173,8 +173,12 @@ class TestMixedOOA:
         assert a.runs == 2 and sum(a.beta) == 0
 
     def test_row_count_must_match_base_power(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ParamError, match=r"^expected base\*\*m = 2\*\*2 rows, got 3$"):
             MixedOOA(2, 2, 0, EVector((1,)), (2,), np.zeros((3, 2), dtype=np.int64))
+        # a power that cannot equal the row count is never built
+        with pytest.raises(ParamError, match=r"^expected base\*\*m = 2\*\*1000000000000 rows, "
+                                             r"got 1$"):
+            MixedOOA(2, 10 ** 12, 0, EVector((1,)), (0,), np.zeros((1, 0), dtype=np.int64))
 
     def test_column_value_range_uses_block_alphabet(self):
         rows = np.array([[0, 3], [0, 0], [1, 1], [1, 2]], dtype=np.int64)

@@ -499,6 +499,19 @@ def _canonical_cases():
 CANONICAL_CASES = _canonical_cases()
 
 
+def _same_read_cases():
+    """The canonical cases, and a NET and a MOOA of 64 lines each."""
+    points = corpus.hammersley(2, 6)
+    mooa = b"".join(mooa_chunks(net_to_mooa(points, 0, EVector((1, 1)))))
+    return CANONICAL_CASES + [
+        ("net-h6", _net_bytes(points, 0, (1, 1)), 3, parse_net, oracles.oracle_parse_net,
+         _same_net),
+        ("mooa-h6", mooa, 4, parse_mooa, oracles.oracle_parse_mooa, _same_mooa)]
+
+
+SAME_READ_CASES = _same_read_cases()
+
+
 def _oracle_error(oracle, text):
     with pytest.raises(oracles.OracleFormatError) as err:
         oracle(text)
@@ -563,18 +576,24 @@ class TestCanonicalLayout:
         assert err.value.line == 204
         assert str(err.value) == "line 204: entry 2 outside [0, 2) in column 15"
 
-    def test_canonical_and_respaced_files_read_the_same(self):
-        points = corpus.hammersley(2, 6)
-        net = _net_bytes(points, 0, (1, 1))
-        mooa = b"".join(mooa_chunks(net_to_mooa(points, 0, EVector((1, 1)))))
-        for text, header, parse in ((net, 3, parse_net), (mooa, 4, parse_mooa)):
-            head, body = text.split(b"\n", header)[:header], text.split(b"\n", header)[header]
-            respaced = b"\n".join(head) + b"\n" + body.replace(b" ", b"\t")
-            with mock.patch.object(io, "_tokenise", wraps=io._tokenise) as tokenise:
-                canonical = parse(text)
-                assert tokenise.call_count == 0
-                assert parse(respaced) == canonical
-                assert tokenise.call_count == 1
+    @pytest.mark.parametrize("case", SAME_READ_CASES, ids=[c[0] for c in SAME_READ_CASES])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000, io._CHUNK_BYTES])
+    def test_canonical_and_respaced_files_read_the_same(self, case, chunk):
+        # every chunk is offered to the canonical reader once, and a respaced
+        # one is then tokenised to the same values
+        _, raw, header, parse, oracle, same = case
+        lines = raw.split(b"\n")
+        respaced = b"\n".join(lines[:header] + [line.replace(b" ", b"\t")
+                                                for line in lines[header:]])
+        want = oracle(raw.decode())
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(io, "_canonical", wraps=io._canonical) as canonical, \
+                mock.patch.object(io, "_tokenise", wraps=io._tokenise) as tokenise:
+            assert same(parse(raw), want)
+            assert canonical.call_count > 0 and tokenise.call_count == 0
+            chunks = canonical.call_count
+            assert same(parse(respaced), want)
+            assert canonical.call_count == 2 * chunks and tokenise.call_count == chunks
 
 
 class TestSerializersMatchLineOracle:

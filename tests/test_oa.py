@@ -45,8 +45,12 @@ class TestVerifyMoa:
         assert len(pairs) == 8
 
     def test_strength_zero_is_vacuous(self):
-        a = MixedOA((2,), np.zeros((3, 1), dtype=np.int64))
-        assert verify_moa(a, 0)
+        # its one column subset, the empty one, holds every row in one cell,
+        # whatever the rows, alphabets and storage
+        for a in (MixedOA((2,), np.zeros((3, 1), dtype=np.int64)),
+                  MixedOA((2, 3), np.array([[0, 0], [0, 1], [0, 2]])),
+                  MixedOA((300,), np.array([[299]]))):
+            assert verify_moa(a, 0)
 
     def test_non_integer_index_witness(self):
         rows = np.array([[0, 0], [1, 1], [0, 2], [1, 0]], dtype=np.int64)
