@@ -13,8 +13,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import comb, lcm, log10
-from typing import Literal, Sequence
+from math import lcm, log10
+from typing import Iterator, Literal, Sequence
 
 from .evector import EVector
 from .errors import ParamError
@@ -41,29 +41,25 @@ def _as_pairs(pairs: Pairs) -> list[tuple[int, int]]:
     return pairs
 
 
-def _esym(pairs: Pairs, g: int) -> list[int]:
-    """Elementary symmetric sums e_0, ..., e_g of the multiset holding k copies
-    of l - 1 for each (l, k): the coefficients of prod (1 + (l-1)X)**k up to
-    X**g."""
-    coeffs = [1] + [0] * g
-    for l, k in pairs:
-        factor = [comb(k, r) * (l - 1) ** r for r in range(g + 1)]
-        coeffs = [sum(coeffs[i] * factor[j - i] for i in range(j + 1)) for j in range(g + 1)]
-    return coeffs
+def _rao_sums(pairs: Pairs) -> Iterator[tuple[int, int]]:
+    """:func:`rao_rhs` at strengths 2g and 2g + 1, as (even, odd), for
+    g = 0, 1, ....
 
-
-def _rao_sums(pairs: Pairs, t_max: int) -> list[int]:
-    """:func:`rao_rhs` at strengths 0, ..., t_max, from one product. The odd
-    term of 2g + 1 is coefficient g of the product divided exactly by
-    1 + (l-1)X for the largest size l: rest_j = e_j - (l-1) * rest_{j-1}."""
-    coeffs = _esym(pairs, t_max // 2)
-    l = pairs[-1][0] if pairs else 1
-    out, even, rest = [], 0, 0
-    for c in coeffs:
-        even += c
-        rest = c - (l - 1) * rest
-        out += [even, even + (l - 1) * rest]
-    return out[:t_max + 1]
+    With y = l - 1 for each (l, k), e_j is coefficient j of P = prod (1 + yX)**k
+    and r_j that of the exact quotient P / (1 + yX): r_j = e_j - y * r_{j-1}.
+    Since P'/P = sum k * y / (1 + yX), j * e_j = sum k * y * r_{j-1}, exactly.
+    The even sum is e_0 + ... + e_g; the odd one adds y * r_g for the last,
+    largest, size. Each coefficient costs one step per pair.
+    """
+    ys = [l - 1 for l, _ in pairs]
+    weights = [k * y for y, (_, k) in zip(ys, pairs)]
+    rests = [0] * len(pairs)
+    even, coeff = 0, 1
+    for j in itertools.count(1):
+        even += coeff
+        rests = [coeff - y * r for y, r in zip(ys, rests)]
+        yield even, even + (ys[-1] * rests[-1] if pairs else 0)
+        coeff = sum(w * r for w, r in zip(weights, rests)) // j
 
 
 def rao_rhs(pairs: Pairs, t: int) -> int:
@@ -83,7 +79,7 @@ def rao_rhs(pairs: Pairs, t: int) -> int:
         raise ParamError(f"strength must be >= 0, got {t}")
     if t % 2 and not pairs:
         raise ParamError("odd strength needs at least one column")
-    return _rao_sums(pairs, t)[t]
+    return next(itertools.islice(_rao_sums(pairs), t // 2, None))[t % 2]
 
 
 def _digit_limit() -> int:
@@ -192,21 +188,28 @@ def net_rao_check(b: int, m: int, e: EVector | Sequence[int], t: int) -> Conditi
 def _net_rao_conditions(b: int, m: int, e: EVector, strengths: Sequence[int]
                         ) -> list[Condition]:
     """:func:`net_rao_check` at each strength in turn, from one product
-    (``e`` sorted ascending)."""
+    (``e`` sorted ascending). A number too long to write is refused where it
+    is made, naming what to_json names first, so every condition returned is
+    writable."""
     if not strengths:
         return []
     names = [f"rao-{'odd' if t % 2 else 'even'}-g{t // 2}" for t in strengths]
-    # A power too long to write is refused unbuilt, naming what to_json names
-    # first: the first LHS, at least every b**e_i - 1, if it too is; else RHS.
     limit = _digit_limit()
+    # the first LHS holds every b**e_i - 1: a power too long to write is refused unbuilt
     if _power_unwritable(b, max(e) - 1, limit):
         raise _too_long(names[0], "LHS", limit)
-    # lumped equal sizes, so _esym runs once per distinct size, not per coordinate
-    sums = _rao_sums(sorted(Counter(b ** ei for ei in e).items()), max(strengths))
-    if _power_unwritable(b, m - 1, limit):
-        lhs_too_long = _unwritable(sums[strengths[0]] - 1, limit)
-        raise _too_long(names[0], "LHS" if lhs_too_long else "RHS", limit)
-    rhs = b ** m - 1
+    # lumped equal sizes: each coefficient costs one step per distinct size
+    pairs, sums = sorted(Counter(b ** ei for ei in e).items()), []
+    for even, odd in itertools.islice(_rao_sums(pairs), max(strengths) // 2 + 1):
+        if _unwritable(even - 1, limit):  # so is every sum past it: they never decrease
+            break
+        sums += [even, odd]
+    too_long = [t >= len(sums) or _unwritable(sums[t] - 1, limit) for t in strengths]
+    if not too_long[0] and (_power_unwritable(b, m - 1, limit)
+                            or _unwritable(rhs := b ** m - 1, limit)):
+        raise _too_long(names[0], "RHS", limit)
+    if any(too_long):  # the first LHS, else one after the RHS every condition shares
+        raise _too_long(names[too_long.index(True)], "LHS", limit)
     thresholds = [sum(e.e[e.s - t :]) for t in strengths]
     return [Condition(name, m >= threshold, sums[t] - 1, rhs, {"m_threshold": threshold})
             for name, t, threshold in zip(names, strengths, thresholds)]
@@ -300,10 +303,5 @@ def feasibility_report(b: int, m: int, e: EVector | Sequence[int],
     conditions = _net_rao_conditions(b, m, e_sorted,
                                      [*range(2, s + 1, 2), *range(3, s + 1, 2)])
     if target == "sequence":
-        try:
-            conditions.extend(seq_budget_check(b, e_sorted))
-        except ParamError:
-            for c in conditions:  # a row-count number too long to write is named first
-                c.to_json()
-            raise
+        conditions.extend(seq_budget_check(b, e_sorted))
     return FeasibilityReport(b, m, tuple(e_sorted.e), target, tuple(conditions))

@@ -19,13 +19,15 @@ import oracles
 
 
 @pytest.fixture
-def digit_limit():
-    """Pin Python's decimal-digit limit for writing ints at its default, 4300."""
+def digit_limit(request):
+    """Pin Python's decimal-digit limit for writing ints at its default, 4300,
+    or at the value an indirect parametrization gives."""
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python writes ints of any length")
+    limit = getattr(request, "param", 4300)
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
+    sys.set_int_max_str_digits(limit)
+    yield limit
     sys.set_int_max_str_digits(saved)
 
 
@@ -74,9 +76,9 @@ class TestRaoRhs:
         assert rao_rhs([(2, 1), (2, 1), (4, 1)], 2) == rao_rhs([(2, 2), (4, 1)], 2)
 
     @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.tuples(st.integers(2, 6), st.integers(1, 4)),
-                    min_size=1, max_size=4),
-           st.integers(0, 6))
+    @given(st.lists(st.tuples(st.integers(2, 200), st.integers(1, 40)),
+                    min_size=1, max_size=8),
+           st.integers(0, 60))
     def test_matches_polynomial_oracle(self, raw, t):
         pairs = sorted(raw)
         assert rao_rhs(pairs, t) == oracles.poly_rao_rhs(pairs, t)
@@ -389,6 +391,38 @@ class TestFeasibilityReport:
                              *(lambda t=t: [net_rao_check(b, m, e, t)]  # as rao --t
                                for t in range(2, len(e) + 1))]:
                     assert _refusal(make) == _unbounded_refusal(make, digit_limit), (m, e)
+
+    @pytest.mark.parametrize("digit_limit", [640], indirect=True)
+    @pytest.mark.parametrize("b", [2, 7])
+    @pytest.mark.parametrize("e", [range(1, 13), range(1, 61), range(1, 82),
+                                   *((1,) * k + (2,) * k + (3,) * k for k in (10, 61, 250))])
+    def test_long_sums_are_refused_as_to_json_would(self, digit_limit, b, e):
+        # many distinct sizes and long repeated blocks: the first sum too long
+        # to write ends the walk, and is the one writing the report would name
+        k = bounds._first_unwritable_exponent(b, digit_limit)
+        s = len(e)
+        for m in (3, k - 1, k, k + 1):
+            net = lambda: feasibility_report(b, m, e).conditions
+            want = _unbounded_refusal(net, digit_limit)
+            assert _refusal(net) == want, (m, e)
+            # a sequence report names its net conditions' numbers before its budgets'
+            want = want or _refusal(lambda: seq_budget_check(b, e))
+            assert _refusal(lambda: feasibility_report(b, m, e, "sequence").conditions) == want
+            for t in {*range(2, min(s, 200) + 1), s}:  # as rao --t, each parity
+                make = lambda: [net_rao_check(b, m, e, t)]
+                assert _refusal(make) == _unbounded_refusal(make, digit_limit), (m, e, t)
+
+    def test_no_sum_is_drawn_past_the_first_too_long_to_write(self, digit_limit, monkeypatch):
+        drawn, sums = [], bounds._rao_sums
+
+        def counted(pairs):
+            for pair in sums(pairs):
+                drawn.append(pair)
+                yield pair
+        monkeypatch.setattr(bounds, "_rao_sums", counted)
+        with pytest.raises(ParamError, match=r"^rao-even-g15: LHS has more than 4300 "):
+            feasibility_report(2, 3, range(1, 1001))
+        assert len(drawn) <= 16
 
     def test_powers_past_the_limit_are_never_built(self, digit_limit):
         # each of these powers has about 3 * 10**11 digits

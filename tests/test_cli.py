@@ -743,12 +743,14 @@ class TestBoundsCommands:
         assert err == (f"error: rao-even-g1: {side} has more than 4300 decimal digits, "
                        "too many to write\n")
 
-    @pytest.mark.parametrize("e", ["20000", "1000000000000"])
+    @pytest.mark.parametrize("e", ["14285", "20000", "1000000000000"])
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     def test_report_refuses_an_evector_power_too_long_to_write(self, capsys, tmp_path, e,
                                                                 json_flag):
-        # the report's row-count condition holds b**e_2 - 1 in its LHS: refused
-        # from the exponent, also where text output would not write it
+        # the report's row-count condition holds b**e_2 - 1 in its LHS: refused,
+        # also where text output would not write it. 2**14284 has 4300 digits,
+        # so that LHS, 2**14285, is refused as it is made; larger powers are
+        # refused from their exponents
         path = tmp_path / "e.net"
         path.write_bytes(f"NET v1\nbase 2 m 2 s 2 u 0\ne 1 {e}\n".encode()
                          + b"".join(b"%d%d 00\n" % (i >> 1, i & 1) for i in range(4)))
