@@ -1,13 +1,17 @@
-"""Small internal helpers: mixed-radix ranking, digit windows, and the one
+"""Small internal helpers: mixed-radix ranking, digit windows, the one walk
+that lists every checked shape and profile (``maximal_depths``), and the one
 uniformity kernel every verifier shares."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .errors import ParamError
 
 # Largest array of order b**m (a digit tensor, an exponent matrix) the
 # package will allocate, in bytes; a digit tensor of a base <= 256 takes one
@@ -153,6 +157,33 @@ def span(rows: np.ndarray, b: int) -> np.ndarray:
                     dst[...] = total
         size *= b
     return out
+
+
+@lru_cache(maxsize=32)
+def maximal_depths(budget: int, e: tuple[int, ...], caps: tuple[int, ...]) -> np.ndarray:
+    """The k with k_i <= caps_i and sum k_i * e_i <= budget where no k_i under its cap
+    fits another e_i, as a read-only array's rows in lexicographic order (int64 below
+    2**62), walked a coordinate at a time keeping each prefix's parent and depth."""
+    rest = np.array([budget], np.int64 if max(budget, *e) < 2 ** 62 else object)  # per prefix
+    least, levels, listed = rest + 1, [], 0.0  # listed: prefixes so far, a float never wraps
+    for i, (ei, cap) in enumerate(zip(e, caps)):
+        children = np.minimum(rest // ei, min(cap, budget // ei)) + 1
+        listed += (count := children.sum(dtype=np.float64))
+        if 48 * listed + 8 * len(e) * count > _BYTES_CAP:  # 6 int64 a prefix; these as rows
+            raise ParamError(f"listing depths within budget {budget} takes {int(listed)} "
+                             f"prefixes by coordinate {i + 1}, above {_BYTES_CAP} bytes")
+        parent = np.repeat(np.arange(len(rest)), children.astype(np.int64))
+        depth = np.arange(len(parent)) - (np.cumsum(children) - children)[parent]
+        rest = rest[parent] - np.multiply(depth, ei, dtype=rest.dtype)  # the budget left
+        least = least[parent]  # the least e_i under its cap
+        np.minimum(least, ei, out=least, where=depth < cap)
+        levels.append((parent, depth))
+    leaf = np.flatnonzero(rest < least)  # maximal: no e_i under its cap fits
+    rows = np.empty((len(leaf), len(e)), dtype=rest.dtype)
+    for i, (parent, depth) in reversed(list(enumerate(levels))):
+        rows[:, i], leaf = depth[leaf], parent[leaf]
+    rows.flags.writeable = False
+    return rows
 
 
 def _first_nonuniform(keys: np.ndarray, cells: int, expected: int) -> tuple[int, int] | None:

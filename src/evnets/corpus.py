@@ -188,10 +188,12 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
         grid = span(np.eye(m * s, dtype=np.int64)[m * s - m :], b).reshape(b ** m, s, m)
         return SearchResult("found", _verified(PointSet(b, grid), u, e), 0)
 
-    n_candidates = b ** (m * s)
-    if n_candidates > _SEARCH_CANDIDATE_CAP:
-        raise ParamError(f"search space of {n_candidates} candidate points exceeds "
+    # b**(m*s) >= 2**(m*s*(bit length - 1)), so a huge space is refused unbuilt
+    if (m * s * (b.bit_length() - 1) >= _SEARCH_CANDIDATE_CAP.bit_length()
+            or b ** (m * s) > _SEARCH_CANDIDATE_CAP):
+        raise ParamError(f"search space of {b}**{m * s} candidate points exceeds "
                          f"the desk-scale cap of {_SEARCH_CANDIDATE_CAP}")
+    n_candidates = b ** (m * s)
     n_points = b ** m
     from .netverify import check_shapes
     shapes = check_shapes(m, u, e)

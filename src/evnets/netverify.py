@@ -33,16 +33,15 @@ from __future__ import annotations
 
 import bisect
 import random
-from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
 
-from ._util import (PrefixTable, digit_matrix, is_power, is_prime, rank_rows, row_chunks, span,
-                    unrank)
+from ._util import (PrefixTable, digit_matrix, is_power, is_prime, maximal_depths, rank_rows,
+                    row_chunks, span, unrank)
 from .core import EVector, PointSet, Verdict
 from .errors import ParamError, PrecisionError
-from .ooa import canonical_beta, enumerate_profiles
+from .ooa import canonical_beta
 
 __all__ = [
     "Shape",
@@ -71,18 +70,11 @@ def check_shapes(m: int, u: int, e: EVector | Sequence[int],
     reading checks the maximal shapes whose depths sum to exactly m - u.
     """
     _check_variant(variant)
-    return list(_shapes(m, u, EVector.coerce(e).e, variant))
-
-
-@lru_cache(maxsize=32)
-def _shapes(m: int, u: int, e: tuple[int, ...], variant: Variant) -> tuple[Shape, ...]:
-    """The checked shapes, computed once per parameter set: a verification
-    and its report both ask for them."""
-    shapes = [tuple(k * ei for k, ei in zip(kappa, e))
-              for kappa in enumerate_profiles(m, u, e, canonical_beta(m, u, e))]
-    if variant == "narrow":
-        return tuple(shapes)
-    return tuple(d for d in shapes if sum(d) == m - u)
+    e = EVector.coerce(e)
+    depths = maximal_depths(m - u, e.e, canonical_beta(m, u, e))
+    shapes = depths * np.array(e.e, dtype=depths.dtype)  # exact: object past 2**62
+    shapes = shapes[shapes.sum(axis=1) == m - u] if variant == "tezuka" else shapes
+    return list(map(tuple, shapes.tolist()))
 
 
 def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str) -> EVector:

@@ -23,12 +23,11 @@ boxes of shape kappa * e, ranked alike; only the witness reads differently.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from ._util import digit_dtype, digit_matrix, digit_window, is_power, unrank
+from ._util import digit_dtype, digit_matrix, digit_window, is_power, maximal_depths, unrank
 from .core import EVector, MixedOOA, PointSet, Verdict
 from .errors import ParamError, VerificationError
 
@@ -89,33 +88,13 @@ def enumerate_profiles(m: int, u: int, e: EVector | Sequence[int],
     column within the budget. Only maximal profiles are returned.
     """
     e = EVector.coerce(e)
-    if not 0 <= u <= m:
-        raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
+    canonical_beta(m, u, e)  # checks 0 <= u <= m
     beta = tuple(int(v) for v in beta)
     if len(beta) != e.s:
         raise ParamError(f"beta has {len(beta)} entries, e-vector has {e.s}")
     if any(v < 0 for v in beta):
         raise ParamError(f"beta entries must be >= 0, got {beta}")
-    return list(_maximal_profiles(m - u, e.e, beta))
-
-
-@lru_cache(maxsize=32)
-def _maximal_profiles(budget: int, e: tuple[int, ...],
-                      beta: tuple[int, ...]) -> tuple[Profile, ...]:
-    """The maximal profiles within ``budget``, enumerated once per parameter
-    set: a verification and its report both ask for them."""
-    out: list[Profile] = []
-
-    def rec(i: int, remaining: int, prefix: Profile) -> None:
-        if i == len(e):
-            if all(prefix[j] == beta[j] or e[j] > remaining for j in range(len(e))):
-                out.append(prefix)
-            return
-        for k in range(0, min(beta[i], remaining // e[i]) + 1):
-            rec(i + 1, remaining - k * e[i], prefix + (k,))
-
-    rec(0, budget, ())
-    return tuple(out)
+    return list(map(tuple, maximal_depths(m - u, e.e, beta).tolist()))
 
 
 def _points(array: MixedOOA) -> PointSet:
@@ -138,15 +117,14 @@ def _decide(array: MixedOOA) -> tuple[PointSet, Verdict]:
     profiles decided on them; the witness's cell is read column by column."""
     from .netverify import first_failure  # here, so to-mooa never loads netverify
 
-    points, e = _points(array), array.e
-    profiles = enumerate_profiles(array.m, array.u, e, array.beta)
-    failure = first_failure(points, e, [tuple(k * ei for k, ei in zip(kappa, e))
-                                        for kappa in profiles])
+    points, depths = _points(array), maximal_depths(array.m - array.u, array.e.e, array.beta)
+    shapes = depths * np.array(array.e.e, dtype=depths.dtype)  # exact: object past 2**62
+    failure = first_failure(points, array.e, list(map(tuple, shapes.tolist())))
     if failure is None:
         return points, Verdict(True)
     shape, cell, observed, expected = failure
-    kappa = [d // ei for d, ei in zip(shape, e)]
-    radices = [array.base ** ei for k, ei in zip(kappa, e) for _ in range(k)]
+    kappa = [d // ei for d, ei in zip(shape, array.e)]
+    radices = [array.base ** ei for k, ei in zip(kappa, array.e) for _ in range(k)]
     return points, Verdict(False, {"profile": kappa, "tuple": unrank(cell, radices),
                                    "observed": observed, "expected": expected})
 

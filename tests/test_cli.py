@@ -233,10 +233,10 @@ class TestVerifyNet:
         assert out == "verify-net: PASS (variant=narrow, mode=maximal, u=0, shapes=4)\n"
 
     def test_shapes_are_enumerated_once(self, capsys, ham_net):
-        from evnets import netverify
-        netverify._shapes.cache_clear()
+        from evnets import _util
+        _util.maximal_depths.cache_clear()
         run(capsys, "verify-net", ham_net)
-        info = netverify._shapes.cache_info()
+        info = _util.maximal_depths.cache_info()
         assert (info.misses, info.hits) == (1, 1)  # the verdict, then shapes=4
 
     def test_pass_json(self, capsys, ham_net):
@@ -593,13 +593,13 @@ class TestMooaCommands:
         assert out == "verify-mooa: PASS (mode=maximal, profiles=4, strength=3)\n"
 
     def test_verify_mooa_enumerates_profiles_once(self, capsys, ham_net, tmp_path):
-        from evnets import ooa
+        from evnets import _util
         _, mooa_text, _ = run(capsys, "to-mooa", ham_net)
         mooa = tmp_path / "a.mooa"
         mooa.write_text(mooa_text)
-        ooa._maximal_profiles.cache_clear()
+        _util.maximal_depths.cache_clear()
         run(capsys, "verify-mooa", str(mooa))
-        info = ooa._maximal_profiles.cache_info()
+        info = _util.maximal_depths.cache_info()
         assert (info.misses, info.hits) == (1, 1)  # the verdict, then profiles=4
 
     def test_verify_mooa_failure_forms(self, capsys, bad_net, tmp_path):
@@ -999,6 +999,57 @@ sys.exit(code)
 # the subcommands whose handlers load numpy
 _NUMPY_COMMANDS = ["gen", "verify-net", "verify-seq", "to-moa", "verify-moa", "to-mooa",
                    "from-mooa", "verify-mooa", "dual-cert", "report"]
+
+
+@pytest.fixture(scope="module")
+def wide_inputs(tmp_path_factory):
+    """Inputs whose shape and profile lists span many coordinates: a random
+    net of 2 points in 2200 coordinates, the ordered array at u = 1 of one of
+    4 points in 1200, and a random set of 4096 points in 30 coordinates."""
+    root = tmp_path_factory.mktemp("wide")
+    paths = {"w.net": root / "w.net", "r1200.mooa": root / "r1200.mooa",
+             "r30.net": root / "r30.net"}
+    paths["w.net"].write_bytes(_net_bytes(corpus.random_pointset(2, 1, 2200, 1), 1,
+                                          EVector((1,) * 2200)))
+    array = evnets.net_to_mooa(corpus.random_pointset(2, 2, 1200, 3), 1, (1,) * 1200)
+    paths["r1200.mooa"].write_bytes(b"".join(evnets.mooa_chunks(array)))
+    paths["r30.net"].write_bytes(_net_bytes(corpus.random_pointset(2, 12, 30, 1), 12,
+                                            EVector((1,) * 30)))
+    return {name: str(path) for name, path in paths.items()}
+
+
+class TestManyCoordinates:
+    """One walk lists the shapes and profiles of any number of coordinates,
+    and a list too large to build is refused with exit 2 and one line."""
+
+    def test_verify_net_on_2200_coordinates(self, capsys, wide_inputs):
+        code, out, err = run(capsys, "verify-net", wide_inputs["w.net"])
+        assert code == EXIT_PASS and err == ""
+        assert out == "verify-net: PASS (variant=narrow, mode=maximal, u=1, shapes=1)\n"
+
+    def test_report_on_2200_coordinates(self, capsys, wide_inputs):
+        code, out, err = run(capsys, "report", wide_inputs["w.net"])
+        assert code == EXIT_PASS and err == ""
+        assert "  u_star(narrow): 1\n" in out
+
+    def test_verify_mooa_on_1200_blocks_names_its_witness(self, capsys, wide_inputs):
+        code, out, err = run(capsys, "verify-mooa", wide_inputs["r1200.mooa"])
+        assert code == EXIT_FAIL and err == ""
+        assert out.startswith("verify-mooa: FAIL profile=(0, 0,")
+        assert out.endswith(" tuple=(0) observed=0 expected=2 (mode=maximal)\n")
+
+    def test_from_mooa_on_1200_blocks_fails_in_one_line(self, capsys, wide_inputs):
+        code, out, err = run(capsys, "from-mooa", wide_inputs["r1200.mooa"])
+        assert code == EXIT_FAIL and out == ""
+        assert err.startswith("error: array fails its strength contract: {'profile': [0,")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("verify-net", "--u", "0"), ("report",)])
+    def test_a_list_too_large_to_build_is_refused(self, capsys, wide_inputs, argv):
+        code, out, err = run(capsys, argv[0], wide_inputs["r30.net"], *argv[1:])
+        assert code == EXIT_USAGE and out == ""
+        assert re.fullmatch(r"error: listing depths within budget 12 takes \d+ prefixes by "
+                            r"coordinate \d+, above 1073741824 bytes\n", err)
 
 
 class TestReadmeSynopsis:

@@ -353,6 +353,11 @@ print(sorted(m for m in sys.modules if m in ("evnets.netverify", "evnets.ooa")))
     def test_desk_scale_cap(self):
         with pytest.raises(ParamError):
             search_net(2, 9, (1,) * 2, 2, 0)   # 2**18 candidate points
+        # refused from the exponent, so a space too long to write is named by it
+        with pytest.raises(ParamError, match=r"search space of 2\*\*32768 candidate points"):
+            search_net(2, 8, (1,) * 4096, 4096, 0)
+        with pytest.raises(ParamError, match=r"search space of 3\*\*8192 candidate points"):
+            search_net(3, 2, (1,) * 4096, 4096, 1)
 
     def test_found_at_higher_quality_budget(self):
         res = search_net(2, 3, (1, 1), 2, 1)

@@ -56,6 +56,15 @@ class TestShapes:
             assert check_shapes(m, u, e, "tezuka") == \
                 oracles.brute_shapes(m, u, e, "tezuka", "all")
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_matches_brute_enumeration_on_draws(self, data):
+        m = data.draw(st.integers(0, 7), label="m")
+        u = data.draw(st.integers(0, m), label="u")
+        e = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="e"))
+        assert check_shapes(m, u, e) == oracles.brute_shapes(m, u, e, "narrow", "maximal")
+        assert check_shapes(m, u, e, "tezuka") == oracles.brute_shapes(m, u, e, "tezuka", "all")
+
     def test_maximal_shapes_cannot_be_extended(self):
         for shape in check_shapes(5, 1, (1, 2, 3)):
             rem = 4 - sum(shape)

@@ -54,6 +54,17 @@ class TestEnumerateProfiles:
         assert enumerate_profiles(m, u, e, beta) == \
             oracles.brute_profiles(m, u, e, beta, "maximal")
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_matches_brute_enumeration_on_draws(self, data):
+        m = data.draw(st.integers(0, 7), label="m")
+        u = data.draw(st.integers(0, m), label="u")
+        e = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="e"))
+        beta = tuple(data.draw(st.integers(0, (m - u) // ei), label=f"beta_{i}")
+                     for i, ei in enumerate(e))
+        assert enumerate_profiles(m, u, e, beta) == \
+            oracles.brute_profiles(m, u, e, beta, "maximal")
+
     def test_every_profile_refines_to_a_maximal_one(self):
         m, u, e, beta = 5, 1, (1, 2), (3, 2)
         maximal = enumerate_profiles(m, u, e, beta)
@@ -61,13 +72,12 @@ class TestEnumerateProfiles:
             assert any(all(km >= k for k, km in zip(kappa, mx)) for mx in maximal)
 
     def test_each_call_gets_its_own_list_of_one_enumeration(self):
-        from evnets import ooa
-        ooa._maximal_profiles.cache_clear()
+        _util.maximal_depths.cache_clear()
         first = enumerate_profiles(5, 1, (1, 2), (3, 2))
         first.clear()
         again = enumerate_profiles(6, 2, EVector((1, 2)), [3, 2])  # the same budget
         assert again == oracles.brute_profiles(5, 1, (1, 2), (3, 2), "maximal")
-        assert ooa._maximal_profiles.cache_info().misses == 1
+        assert _util.maximal_depths.cache_info().misses == 1
 
 
 class TestNetToMooa:

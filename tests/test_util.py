@@ -3,9 +3,11 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from evnets import _util
+from evnets.errors import ParamError
 from evnets._util import (PrefixTable, _first_nonuniform, digit_matrix, digit_window,
                           rank_rows, unrank)
 
@@ -25,6 +27,34 @@ class TestFirstNonuniform:
 
     def test_cells_no_key_reaches_are_counted_empty(self):
         assert _first_nonuniform(np.array([0, 1]), 3, 1) == (2, 0)
+
+
+class TestMaximalDepths:
+    def test_rows_in_lexicographic_order_and_read_only(self):
+        rows = _util.maximal_depths(3, (1, 2), (3, 1))
+        assert rows.dtype == np.int64 and rows.tolist() == [[1, 1], [3, 0]]
+        with pytest.raises(ValueError):
+            rows[0, 0] = 2
+
+    def test_thousands_of_coordinates_need_no_recursion(self):
+        rows = _util.maximal_depths(1, (1,) * 3000, (1,) * 3000)
+        assert np.array_equal(rows, np.eye(3000, dtype=np.int64)[::-1])  # lexicographic
+
+    def test_budget_or_step_past_int64_stays_exact(self):
+        # Python ints past 2**62: a step past the budget never fits, and a
+        # huge budget leaves what no cap can spend
+        assert _util.maximal_depths(3, (1, 2 ** 63), (3, 0)).tolist() == [[3, 0]]
+        assert _util.maximal_depths(2 ** 70, (2 ** 69, 2 ** 68), (1, 1)).tolist() == [[1, 1]]
+        assert _util.maximal_depths(2 ** 70, (1, 1), (0, 0)).tolist() == [[0, 0]]
+
+    def test_a_list_past_the_byte_cap_is_refused_before_it_is_built(self):
+        # the first level alone would hold 2**40 + 1 prefixes
+        with pytest.raises(ParamError, match=r"within budget 1099511627776 takes \d+ prefixes "
+                                             r"by coordinate 1, above 1073741824 bytes"):
+            _util.maximal_depths(2 ** 40, (1, 1), (2 ** 40, 2 ** 40))
+        # 2**20 rows of 2**10 depths pass the cap though each level's prefixes do not
+        with pytest.raises(ParamError, match="by coordinate 1024,"):
+            _util.maximal_depths(2 ** 20, (1,) * 1024, (0,) * 1023 + (2 ** 20,))
 
 
 class TestPrefixTable:
