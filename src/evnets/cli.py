@@ -125,7 +125,7 @@ def _verdict(args, name: str, verdict, fields: dict, context: str, extra: str) -
 # ---------------------------------------------------------------- generators
 
 def cmd_gen(args) -> int:
-    from . import corpus, io as formats
+    from . import corpus
 
     kind = args.kind
     if kind == "grid":
@@ -159,6 +159,8 @@ def cmd_gen(args) -> int:
         points, u, e = result.net, args.u, args.e
     else:  # pragma: no cover - argparse restricts choices
         raise ParamError(f"unknown generator {kind!r}")
+    from . import io as formats  # here, so a search that writes nothing loads no writer
+
     _write_output(args, formats.net_chunks(points, u, e))
     return EXIT_PASS
 

@@ -16,7 +16,6 @@ arithmetic with a Python int wraps silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -104,6 +103,8 @@ class PointSet:
         if not (0 <= n < self.count and 0 <= i < self.dim):
             raise IndexError(f"point {n}, coordinate {i} out of range "
                              f"({self.count} points, {self.dim} coordinates)")
+        from fractions import Fraction  # here, so a process that never asks loads no fractions
+
         num = 0
         for d in self.digits[n, i, :]:
             num = num * self.base + int(d)

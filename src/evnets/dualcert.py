@@ -23,6 +23,13 @@ Phi_q divides c(x), so the identity is decided over the integers, with no
 tolerance. With r = rad(q) (the product of its distinct primes) and
 s = q // r, Phi_q(x) = Phi_r(x**s); hence c(zeta) = 0 exactly when, for every
 t < s, Phi_r(y) divides sum_j c_{t + j*s} y**j.
+
+The counts c depend only on the difference of the two tuples, an element of
+the group G = prod_j Z_{w_j} spanned by the columns the family touches (w_j
+the alphabet of column j). One exact transform over G, in integers, gives
+the counts of every element at once (:func:`_group_tallies`); a family of
+few members over a group far larger than they are counts each difference
+over the rows instead (see :func:`gram_certificate`).
 """
 
 from __future__ import annotations
@@ -168,23 +175,24 @@ def _heights(delta: np.ndarray, weight: np.ndarray, starts: np.ndarray) -> np.nd
 
 def _new_differences(residues: np.ndarray, widths: np.ndarray, group: int):
     """Walk the pairs j < k of the residue rows in combinations order and
-    yield, per row j that has any, ``(j, ks, delta)``: the members k whose
-    difference d_k - d_j is nonzero and new to the walk, in order, and
-    those differences (mod ``widths``). Each difference is keyed by its
-    mixed-radix rank; the walk stops once all ``group - 1`` nonzero elements
-    of the group the columns span have been seen."""
+    yield, per row j that has any, ``(j, ks, delta, keys)``: the members k
+    whose difference d_k - d_j is nonzero and new to the walk, in order,
+    those differences (mod ``widths``) and their mixed-radix ranks. The walk
+    stops once all ``group - 1`` nonzero elements of the group the columns
+    span have been seen."""
     seen: set = set()
     for j in range(len(residues) - 1):
         if len(seen) == group - 1:
             return
         delta = (residues[j + 1:] - residues[j]) % widths
+        ranks = rank_rows(delta, widths)
         fresh = []
-        for k, key in enumerate(rank_rows(delta, widths).tolist()):
+        for k, key in enumerate(ranks.tolist()):
             if key and key not in seen:
                 seen.add(key)
                 fresh.append(k)
         if fresh:
-            yield j, [j + 1 + k for k in fresh], delta[fresh]
+            yield j, [j + 1 + k for k in fresh], delta[fresh], ranks[fresh]
 
 
 def _first_duplicate(keys: np.ndarray) -> tuple[int, int] | None:
@@ -198,22 +206,62 @@ def _first_duplicate(keys: np.ndarray) -> tuple[int, int] | None:
     return int(j), int(dup[earlier[dup] == j][0])
 
 
-def _first_nonvanishing(steps: np.ndarray, rows: np.ndarray, q: int
-                        ) -> tuple[int, list[int]] | None:
-    """First difference whose character sum does not vanish, with its tally
-    of exponents mod q, or None. ``steps`` holds each difference's residues
-    times the column scales (D, C) and ``rows`` the array's columns (C, N)
-    in int64; one block of exponent rows, about ``_CHUNK_BYTES``, is formed
-    and tallied by one ``bincount`` at a time."""
-    step = _block_rows(rows.shape[1], len(steps))
-    for lo in range(0, len(steps), step):
-        exps = steps[lo:lo + step] @ rows
+def _group_tallies(rows: np.ndarray, widths: np.ndarray, q: int) -> np.ndarray:
+    """Tally of exponents mod q of every element delta of the group G the
+    columns span, as a (|G|, q) int64 array indexed by delta's mixed-radix
+    rank: entry (delta, t) counts the rows on which sum_j delta_j * g_j *
+    (q // w_j) is t mod q, g_j being the row's value in column j.
+
+    The rows are counted once by their rank over G, every count at t = 0.
+    Then one column at a time, of alphabet w, value g gives way to character
+    index d: the counts of the rows with value g, rolled by d * g * (q // w)
+    along t, are added up for each d, in place. Two (|G|, q) arrays are held,
+    the tallies before and after the column.
+    """
+    group = math.prod(widths.tolist())
+    tallies = np.zeros((group, q), dtype=np.int64)
+    tallies[:, 0] = np.bincount(rank_rows(rows, widths), minlength=group)
+    lead = 1
+    for w in widths.tolist():
+        view = tallies.reshape(lead, w, -1, q)
+        out = np.zeros_like(view)
+        for d in range(w):
+            for g in range(w):
+                k = d * g * (q // w) % q
+                out[:, d, :, k:] += view[:, g, :, :q - k]
+                out[:, d, :, :k] += view[:, g, :, q - k:]
+        tallies, lead = out.reshape(group, q), lead * w
+    return tallies
+
+
+def _exponent_tallies(deltas: np.ndarray, rows: np.ndarray, widths: np.ndarray, q: int):
+    """Yield the tallies of exponents mod q of the differences ``deltas``,
+    one (D', q) block at a time: each block's exponent rows, about
+    ``_CHUNK_BYTES`` of int64, are formed by a matmul over the rows and
+    counted by one ``bincount``."""
+    scales = q // widths
+    cols = np.ascontiguousarray(rows.T, dtype=np.int64)
+    block = _block_rows(len(rows), len(deltas))
+    for lo in range(0, len(deltas), block):
+        exps = (deltas[lo:lo + block] * scales) @ cols
         exps %= q
         exps += np.arange(0, len(exps) * q, q)[:, None]
-        counts = np.bincount(exps.ravel(), minlength=len(exps) * q).reshape(-1, q)
+        yield np.bincount(exps.ravel(), minlength=len(exps) * q).reshape(-1, q)
+
+
+def _first_nonvanishing(kept: np.ndarray, rows: np.ndarray, widths: np.ndarray, q: int,
+                        transform: bool) -> tuple[int, list[int]] | None:
+    """First kept difference whose character sum does not vanish, with its
+    tally of exponents mod q, or None. ``kept`` holds the differences' ranks
+    when the group transform runs, else their residue rows."""
+    blocks = ([_group_tallies(rows, widths, q)[kept]] if transform
+              else _exponent_tallies(kept, rows, widths, q))
+    lo = 0
+    for counts in blocks:
         bad = np.flatnonzero(~_vanishes(counts, q))
         if bad.size:
             return lo + int(bad[0]), counts[bad[0]].tolist()
+        lo += len(counts)
     return None
 
 
@@ -222,28 +270,54 @@ def _block_rows(runs: int, differences: int) -> int:
     return min(differences, max(1, _CHUNK_BYTES // (8 * runs)))
 
 
+def _takes_transform(group: int, q: int, widths: Sequence[int], differences: int,
+                     runs: int) -> bool:
+    """Whether the group transform does no more work than the per-difference
+    tally: |G| * q * sum(w_j) tally additions, against one exponent row of N
+    entries, each a sum over the touched columns, per difference."""
+    return group * q * sum(widths) <= differences * runs * len(widths)
+
+
 def _route_bytes(members: int, columns: int, touched: int, runs: int,
-                 differences: int) -> int:
-    """Bytes the distinct-difference route allocates, at most, for a family
-    of ``members`` tuples whose ``differences`` distinct nonzero differences
-    live on ``touched`` of the array's ``columns``: the stacked residues,
-    their touched columns and one row's differences, with a rank per member;
-    the touched columns of the rows in int64, one block of exponent rows and
-    its tally; and each difference seen, with its first pair and its entry
-    in the set of differences."""
+                 differences: int, tallies: int) -> int:
+    """Bytes a certificate allocates, at most, for a family of ``members``
+    tuples whose ``differences`` distinct nonzero differences live on
+    ``touched`` of the array's ``columns``; ``tallies`` is |G| * q when the
+    group transform runs and 0 when the per-difference tally does.
+
+    Both routes hold the stacked residues, their touched columns and one
+    row's differences, with a rank per member, and each difference seen
+    with its first pair and its entry in the set of differences. The
+    transform adds the rows' touched columns and ranks, and at most five
+    (|G|, q) int64 arrays at once: the tallies before and after a column
+    with the row counts and numpy's buffers for the rolled adds, or the
+    tallies, the kept differences' tallies and the copy the vanishing test
+    multiplies. The per-difference tally adds each difference's residues,
+    the touched columns of the rows in int64, and one block of exponent rows
+    with its tally and that copy."""
+    size = (8 * members * (columns + 2 * touched) + members * _MEMBER_BYTES
+            + differences * _DIFFERENCE_BYTES)
+    if tallies:
+        return size + 8 * runs * (touched + 1) + 40 * tallies
     block = _block_rows(runs, differences)
-    return (8 * members * (columns + 2 * touched) + members * _MEMBER_BYTES
-            + 8 * runs * (touched + 2 * block)
-            + differences * (16 * touched + _DIFFERENCE_BYTES))
+    return size + 16 * differences * touched + 8 * runs * (touched + 3 * block)
 
 
-def _check_route_size(array: MixedOOA, members: int, touched: int, differences: int) -> None:
-    """Refuse a family whose route would pass the package's byte cap."""
-    size = _route_bytes(members, sum(array.beta), touched, array.runs, differences)
+def _route(array: MixedOOA, members: int, widths: np.ndarray, differences: int) -> bool:
+    """Whether the group transform decides a family of ``members`` tuples on
+    touched columns of alphabets ``widths`` (else the per-difference tally
+    does); a family whose route would pass the package's byte cap is
+    refused."""
+    widths = widths.tolist()
+    group, q = math.prod(widths), _order(array)
+    transform = _takes_transform(group, q, widths, differences, array.runs)
+    size = _route_bytes(members, sum(array.beta), len(widths), array.runs, differences,
+                        group * q if transform else 0)
     if size > _BYTES_CAP:
         raise ParamError(f"a family of {members} tuples on {array.runs} rows needs "
-                         f"{size} bytes of residues, exponent rows and differences, "
+                         f"{size} bytes of residues, differences and tallies, "
                          f"above the cap of {_BYTES_CAP} bytes")
+    return transform
 
 
 def gram_certificate(array: MixedOOA, family) -> Verdict:
@@ -268,15 +342,25 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
     d_k - d_j. Pairs are walked in combinations order, each difference keyed
     by its mixed-radix rank over the columns some member touches, and the
     height is taken only of a difference not seen before. The walk stops
-    once every nonzero element of the group those columns span has been
+    once every nonzero element of the group G those columns span has been
     seen: a family closed under subtraction (any ``build_block_family``,
     in any order) stops after its first member, with F - 1 differences.
-    Then one character sum is tallied per distinct difference, in the order
-    first seen, so the first failing difference names the first failing
-    pair. Equal members fail at their first pair, through the zero
-    difference (all b**m rows at exponent 0). A family whose route would
-    pass the package's byte cap (see :func:`_route_bytes`) is refused with
-    ``ParamError`` before the walk.
+    Then each distinct difference's tally is decided, in the order first
+    seen, so the first failing difference names the first failing pair.
+    Equal members fail at their first pair, through the zero difference
+    (all b**m rows at exponent 0).
+
+    The tallies come from one of two exact routes, chosen from the input by
+    the work each does (:func:`_takes_transform`). The group transform
+    (:func:`_group_tallies`) tallies every element of G at once, in
+    O(|G| * q * sum(w_j)), and looks each difference up by its rank. The
+    per-difference tally forms each difference's exponent row over the N
+    rows, in O(D * N * columns). A ``build_block_family`` family has
+    |G| = F <= b**m, so it takes the transform unless q * w_j comes near N;
+    a family of few members over a group far larger than they are takes
+    the per-difference tally. A family whose route would pass the package's
+    byte cap (see :func:`_route_bytes`) is refused with ``ParamError``
+    before the walk.
     """
     residues = _residue_rows(array, family)
     members = len(residues)
@@ -284,7 +368,7 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
     widths = _widths(array)[cols]
     group = math.prod(widths.tolist())
     differences = min(group - 1, members * (members - 1) // 2)
-    _check_route_size(array, members, len(cols), differences)
+    transform = _route(array, members, widths, differences)
     residues = residues[:, cols]
     weight = np.concatenate([np.arange(1, bi + 1) * ei
                              for ei, bi in zip(array.e, array.beta)])[cols]
@@ -292,8 +376,8 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
                                     prepend=-1))
     budget = array.m - array.u
     firsts = []  # each new difference's first pair (j, k), ranked j * F + k
-    deltas = []
-    for j, ks, delta in _new_differences(residues, widths, group):
+    kept = []  # and its rank for the transform, its residues for the other route
+    for j, ks, delta, keys in _new_differences(residues, widths, group):
         heights = _heights(delta, weight, starts)
         tall = np.flatnonzero(heights > budget)
         if tall.size:
@@ -301,17 +385,15 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
                 "kind": "height-precondition", "pair": [j, ks[tall[0]]],
                 "height": int(heights[tall[0]]), "budget": budget})
         firsts.append(j * members + np.asarray(ks, dtype=np.int64))
-        deltas.append(delta)
+        kept.append(keys if transform else delta)
     q = _order(array)
     dup = _first_duplicate(rank_rows(residues, widths))
     firsts = np.concatenate(firsts) if firsts else np.zeros(0, dtype=np.int64)
     if dup is not None:  # only differences first seen before the equal pair matter
         firsts = firsts[:np.searchsorted(firsts, dup[0] * members + dup[1])]
     if len(firsts):
-        steps = np.concatenate(deltas)[:len(firsts)]
-        steps *= q // widths
-        bad = _first_nonvanishing(
-            steps, np.ascontiguousarray(array.rows[:, cols].T, dtype=np.int64), q)
+        kept = np.concatenate(kept)[:len(firsts)]
+        bad = _first_nonvanishing(kept, array.rows[:, cols], widths, q, transform)
         if bad is not None:
             pair = divmod(int(firsts[bad[0]]), members)
             return Verdict(False, {"kind": "gram", "pair": list(pair), "order": q,
@@ -347,10 +429,11 @@ def build_block_family(array: MixedOOA, kappa: Sequence[int]) -> np.ndarray:
     if depth > array.m - array.u:
         raise ParamError(f"profile depth {depth} exceeds the budget {array.m - array.u}")
     members = array.base ** depth
-    _check_route_size(array, members, sum(kappa), members - 1)
     cols = np.flatnonzero(np.concatenate([np.arange(bi) < ki
                                           for ki, bi in zip(kappa, array.beta)]))
+    widths = _widths(array)[cols]
+    _route(array, members, widths, members - 1)
     out = np.zeros((members, sum(array.beta)), dtype=np.int64)
-    for col, digits in zip(cols, unrank(np.arange(members), _widths(array)[cols])):
+    for col, digits in zip(cols, unrank(np.arange(members), widths)):
         out[:, col] = digits
     return out

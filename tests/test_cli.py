@@ -824,12 +824,13 @@ class TestDualCert:
             raise AssertionError("family members built")
 
         monkeypatch.setattr(dualcert, "unrank", no_members)
-        need = dualcert._route_bytes(8, 4, 3, 8, 7)
+        need = dualcert._route_bytes(8, 4, 3, 8, 7, 0)
+        assert need == 3920
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
         assert code == EXIT_USAGE and out == ""
         assert err == (f"error: a family of 8 tuples on 8 rows needs {need} bytes of "
-                       f"residues, exponent rows and differences, above the cap of "
+                       f"residues, differences and tallies, above the cap of "
                        f"{need - 1} bytes\n")
         # a bad profile is still named first
         code, _, err = run(capsys, "dual-cert", mooa, "--kappa", "4,0")
@@ -870,12 +871,13 @@ class TestDualCert:
         # the real cap is 1 GiB, which hammersley(2,14) at kappa (7,7) fits
         # in about 14 MB; a lowered cap refuses this family of 8
         mooa = self._mooa(capsys, ham_net, tmp_path)
-        need = dualcert._route_bytes(8, 4, 3, 8, 7)
+        need = dualcert._route_bytes(8, 4, 3, 8, 7, 0)
+        assert need == 3920
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
         assert code == EXIT_USAGE and out == ""
         assert err == (f"error: a family of 8 tuples on 8 rows needs {need} bytes of "
-                       f"residues, exponent rows and differences, above the cap of "
+                       f"residues, differences and tallies, above the cap of "
                        f"{need - 1} bytes\n")
 
     @pytest.mark.parametrize("net", ["ham_net", "bad_net"])
@@ -977,7 +979,7 @@ class TestReport:
 
 
 # Runs main on the arguments, then writes the process's state as JSON on the
-# last line of stderr: the loaded evnets and numpy modules, whether main
+# last line of stderr: the loaded evnets, numpy and fractions modules, whether main
 # loaded json, the value of OPENBLAS_NUM_THREADS and the number of threads
 # (None without /proc).
 _FRESH_MAIN = """import os, sys
@@ -990,7 +992,8 @@ finally:
     import json
     tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
     sys.stderr.write("\\n" + json.dumps({
-        "modules": [m for m in sys.modules if m == "numpy" or m.startswith("evnets")],
+        "modules": [m for m in sys.modules
+                    if m in ("numpy", "fractions") or m.startswith("evnets")],
         "json": json_loaded,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": tasks}))
 sys.exit(code)
@@ -1145,9 +1148,20 @@ class TestReadmeSynopsis:
                                      blas_threads=preset)
         # verify-seq fails: a Hammersley net is no sequence prefix
         assert code in (EXIT_PASS, EXIT_FAIL) and "numpy" in state["modules"]
+        # only PointSet.coordinate_value uses fractions, and no subcommand calls it
+        assert "fractions" not in state["modules"]
         assert state["blas_threads"] == (preset or "1")
         if preset is None and sys.platform.startswith("linux"):
             assert state["tasks"] == 1
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--m", "2", "--s", "4", "--e", "1x4", "--u", "0"], EXIT_FAIL),
+        (["--m", "3", "--s", "4", "--e", "1x4", "--u", "1", "--node-limit", "100"],
+         EXIT_INCONCLUSIVE)])
+    def test_a_search_that_writes_nothing_loads_no_writer(self, tmp_path, argv, want):
+        code, out, state = self._fresh(["gen", "search", "--base", "2", *argv], tmp_path)
+        assert (code, out) == (want, b"")
+        assert "evnets.corpus" in state["modules"] and "evnets.io" not in state["modules"]
 
     def test_every_flag_is_in_the_synopsis(self):
         # gen's line elides its generator-specific flags with "..."

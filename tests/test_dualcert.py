@@ -244,29 +244,47 @@ class TestGramCertificate:
 
     def test_route_above_the_cap_is_refused(self, arr12, monkeypatch):
         # F = 8 tuples touching 3 of the 4 columns, N = 8 rows, 7 distinct
-        # differences: residues, their touched columns and one row's
-        # differences 8*8*(4 + 2*3), member ranks 8*64, the touched rows and
-        # one block of 7 exponent rows with its tally 8*8*(3 + 2*7), and per
-        # difference its residues twice, its pair and its set entry 16*3 + 128
-        need = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 8 * 8 * (3 + 2 * 7) + 7 * (16 * 3 + 128)
-        assert dualcert._route_bytes(8, 4, 3, 8, 7) == need == 3472
+        # differences; their group of 8 at q = 4 costs more than 7 exponent
+        # rows, so the per-difference tally runs: residues, their touched
+        # columns and one row's differences 8*8*(4 + 2*3), member ranks 8*64,
+        # per difference its pair and set entry 7*128 and its residues twice
+        # 16*7*3, the touched rows and one block of 7 exponent rows with its
+        # tally and the vanishing test's copy 8*8*(3 + 3*7)
+        need = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 16 * 7 * 3 + 8 * 8 * (3 + 3 * 7)
+        assert not dualcert._takes_transform(8, 4, [2, 2, 2], 7, 8)
+        assert dualcert._route_bytes(8, 4, 3, 8, 7, 0) == need == 3920
         fam = build_block_family(arr12, (3, 0))
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert gram_certificate(arr12, fam)
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
-        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3472 "
-                                             "bytes of residues, exponent rows and "
-                                             "differences, above the cap of 3471"):
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3920 "
+                                             "bytes of residues, differences and "
+                                             "tallies, above the cap of 3919"):
             gram_certificate(arr12, fam)
         # two tuples touching all 4 columns have one difference; refused
         # before the height precondition could fail the family
         tall = [[1, 1, 1, 0], [0, 0, 0, 1]]
-        need = dualcert._route_bytes(2, 4, 4, 8, 1)
+        need = dualcert._route_bytes(2, 4, 4, 8, 1, 0)
+        assert need == 960
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert gram_certificate(arr12, tall).witness["kind"] == "height-precondition"
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         with pytest.raises(ParamError, match="above the cap"):
             gram_certificate(arr12, tall)
+
+    def test_transform_route_above_the_cap_is_refused(self, arr11, monkeypatch):
+        # the same family at q = 2 takes the group transform: the walk's
+        # 8*8*(6 + 2*3) + 8*64 + 7*128, the rows' touched columns and ranks
+        # 8*8*(3 + 1), and five arrays of |G| * q = 16 tallies 40*16
+        need = 8 * 8 * (6 + 2 * 3) + 8 * 64 + 7 * 128 + 8 * 8 * (3 + 1) + 40 * 16
+        assert dualcert._takes_transform(8, 2, [2, 2, 2], 7, 8)
+        assert dualcert._route_bytes(8, 6, 3, 8, 7, 16) == need == 3072
+        fam = build_block_family(arr11, (3, 0))
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
+        assert gram_certificate(arr11, fam)
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3072 "):
+            gram_certificate(arr11, fam)
 
     def test_differences_counted_are_bounded_by_pairs_and_group(self, arr12, monkeypatch):
         # a family of 3 tuples has at most 3 differences however many columns
@@ -276,23 +294,27 @@ class TestGramCertificate:
                             lambda *args: calls.append(args) or 0)
         gram_certificate(arr12, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 3]])
         gram_certificate(arr12, build_block_family(arr12, (1, 1)))
-        assert calls == [(3, 4, 3, 8, 3), (8, 4, 2, 8, 7), (8, 4, 2, 8, 7)]
+        assert calls == [(3, 4, 3, 8, 3, 0), (8, 4, 2, 8, 7, 0), (8, 4, 2, 8, 7, 0)]
 
-    def test_peak_memory_is_within_what_the_cap_counts(self):
-        # no (F, N) array is formed: the peak stays within the route's count,
-        # a third of one (F, N) int64 exponent matrix here
+    def test_peak_memory_is_within_what_the_cap_counts(self, monkeypatch):
+        # no (F, N) array is formed: on either route the peak stays within
+        # the route's count, well under one (F, N) int64 exponent matrix
         import tracemalloc
         arr = net_to_mooa(corpus.hammersley(2, 10), 0, (1, 1))
         fam = build_block_family(arr, (5, 5))  # F = N = 1024, an 8 MB matrix
-        counted = dualcert._route_bytes(len(fam), 20, 10, arr.runs, len(fam) - 1)
-        assert counted <= len(fam) * arr.runs * 8 / 2.9
-        tracemalloc.start()
-        try:
-            assert gram_certificate(arr, fam)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= counted
+        assert dualcert._takes_transform(len(fam), 2, [2] * 10, len(fam) - 1, arr.runs)
+        for route, tallies, want, share in (("transform", 2 * len(fam), 696192, 12),
+                                            ("per-difference", 0, 3915488, 2)):
+            _force_route(monkeypatch, route)
+            counted = dualcert._route_bytes(len(fam), 20, 10, arr.runs, len(fam) - 1, tallies)
+            assert counted == want and counted <= len(fam) * arr.runs * 8 / share
+            tracemalloc.start()
+            try:
+                assert gram_certificate(arr, fam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= counted, route
 
     def test_family_members_must_match_frame(self, arr12):
         with pytest.raises(ParamError):
@@ -325,28 +347,71 @@ def _cross_check_arrays():
 CROSS_CHECK = list(_cross_check_arrays())
 
 
+ROUTES = ["transform", "per-difference"]
+
+
+def _force_route(monkeypatch, route):
+    """Make every certificate take ``route``, whatever its cost."""
+    monkeypatch.setattr(dualcert, "_takes_transform", lambda *args: route == "transform")
+
+
 class TestExactCertificateCrossCheck:
     """Verdicts and first failing pairs against the Moebius/long-division
-    oracle over bases 2, 3, 4, 5, 6, 10 and 12 with e in (1,1), (1,2), (2,1)."""
+    oracle over bases 2, 3, 4, 5, 6, 10 and 12 with e in (1,1), (1,2), (2,1),
+    on each route."""
 
     @pytest.mark.parametrize("label,arr", CROSS_CHECK, ids=[c[0] for c in CROSS_CHECK])
-    def test_matches_oracle(self, label, arr):
-        rng = np.random.default_rng(len(label))
-        for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
-            fam = build_block_family(arr, kappa)
-            if len(fam) > 16:  # a random ordered subfamily keeps the oracle fast
-                fam = fam[rng.choice(len(fam), size=16, replace=False)]
-            for order in (fam, fam[::-1]):
-                v = gram_certificate(arr, order)
-                want = oracles.brute_first_gram_failure(
-                    arr.rows, arr.base, arr.e, arr.beta, order)
-                assert bool(v) == (want is None), (label, kappa)
-                if want is not None:
-                    assert v.witness["kind"] == "gram"
-                    assert tuple(v.witness["pair"]) == want, (label, kappa)
-                    counts = v.witness["counts"]
-                    assert len(counts) == v.witness["order"] == arr.base ** max(arr.e)
-                    assert not oracles.oracle_vanishes(counts, v.witness["order"])
+    def test_matches_oracle(self, label, arr, monkeypatch):
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            rng = np.random.default_rng(len(label))
+            for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
+                fam = build_block_family(arr, kappa)
+                if len(fam) > 16:  # a random ordered subfamily keeps the oracle fast
+                    fam = fam[rng.choice(len(fam), size=16, replace=False)]
+                for order in (fam, fam[::-1]):
+                    v = gram_certificate(arr, order)
+                    want = oracles.brute_first_gram_failure(
+                        arr.rows, arr.base, arr.e, arr.beta, order)
+                    assert bool(v) == (want is None), (label, kappa, route)
+                    if want is not None:
+                        assert v.witness["kind"] == "gram"
+                        assert tuple(v.witness["pair"]) == want, (label, kappa, route)
+                        counts = v.witness["counts"]
+                        assert len(counts) == v.witness["order"] == arr.base ** max(arr.e)
+                        assert not oracles.oracle_vanishes(counts, v.witness["order"])
+
+    @pytest.mark.parametrize("label,arr", CROSS_CHECK, ids=[c[0] for c in CROSS_CHECK])
+    def test_group_tallies_match_char_exponents(self, label, arr):
+        # every delta's row of the transform is the bincount of its exponents
+        rng = np.random.default_rng(len(label) + 4)
+        widths = dualcert._widths(arr)
+        cols = np.arange(len(widths))[np.cumprod(widths) <= 512]
+        q = dualcert._order(arr)
+        tallies = dualcert._group_tallies(arr.rows[:, cols], widths[cols], q)
+        assert tallies.shape == (np.prod(widths[cols]), q)
+        for key in rng.choice(len(tallies), size=min(24, len(tallies)), replace=False):
+            delta = np.zeros(len(widths), dtype=np.int64)
+            delta[cols] = dualcert.unrank(int(key), widths[cols])
+            want = np.bincount(char_exponents(arr, delta), minlength=q)
+            assert tallies[key].tolist() == want.tolist(), (label, delta)
+
+    def test_large_failing_family_gives_one_witness_on_both_routes(self, monkeypatch):
+        # one flipped digit of hammersley(2,12): the kappa (6,6) family of
+        # 4096 tuples first fails at pair (0, 2048), in the 64th block of 32
+        # exponent rows of the per-difference tally
+        arr = net_to_mooa(corpus.flip_digit(corpus.hammersley(2, 12), 0, 0, 0), 0, (1, 1))
+        fam = build_block_family(arr, (6, 6))
+        assert dualcert._takes_transform(4096, 2, [2] * 12, 4095, 4096)
+        witnesses = []
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            witnesses.append(gram_certificate(arr, fam).witness)
+        assert witnesses[0] == witnesses[1] == {"kind": "gram", "pair": [0, 2048],
+                                                "order": 2, "counts": [2047, 2049]}
+        j, k = witnesses[0]["pair"]
+        diff = (char_exponents(arr, fam[k]) - char_exponents(arr, fam[j])) % 2
+        assert np.bincount(diff, minlength=2).tolist() == [2047, 2049]
 
     @pytest.mark.parametrize("label,arr", CROSS_CHECK[::4], ids=[c[0] for c in CROSS_CHECK[::4]])
     def test_height_witness_matches_scalar_route(self, label, arr):
@@ -418,34 +483,38 @@ class TestDistinctDifferenceRoute:
             _assert_matches_oracle(arr, fam[rng.permutation(len(fam))], (label, kappa))
 
     @pytest.mark.parametrize("label,arr", CROSS_CHECK, ids=[c[0] for c in CROSS_CHECK])
-    def test_random_residue_matrices(self, label, arr):
+    def test_random_residue_matrices(self, label, arr, monkeypatch):
         # 1 to 12 random rows, most on the leading columns of a random
         # admissible profile (so the sums are reached), some with a repeated
-        # row, some with a row on any columns (often over the budget)
-        rng = np.random.default_rng(len(label) + 3)
+        # row, some with a row on any columns (often over the budget), on
+        # each route
         widths = np.repeat([arr.base ** ei for ei in arr.e], arr.beta)
         starts = np.cumsum((0,) + arr.beta[:-1])
         profiles = enumerate_profiles(arr.m, arr.u, arr.e, arr.beta)
-        seen = set()
-        for trial in range(24):
-            kappa = profiles[rng.integers(len(profiles))]
-            kappa = [int(rng.integers(k + 1)) for k in kappa]
-            support = np.zeros(len(widths), dtype=bool)
-            for lo, k in zip(starts, kappa):
-                support[lo:lo + k] = True
-            family = rng.integers(0, widths, size=(int(rng.integers(1, 13)), len(widths)))
-            family *= support
-            if trial % 3 == 1:  # a repeat of an earlier row
-                j = int(rng.integers(len(family)))
-                family[rng.integers(j, len(family))] = family[j]
-            if trial % 4 == 3:  # a row on any columns
-                family[rng.integers(len(family))] = rng.integers(0, widths)
-            v = gram_certificate(arr, family)
-            want = _oracle_verdict(arr, family)
-            assert v.witness == want, (label, trial)
-            seen.add(None if want is None else want["kind"])
-        # every outcome the route has shows up on some array; none is skipped
-        assert seen & {None, "gram"}, label
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            rng = np.random.default_rng(len(label) + 3)
+            seen = set()
+            for trial in range(24):
+                kappa = profiles[rng.integers(len(profiles))]
+                kappa = [int(rng.integers(k + 1)) for k in kappa]
+                support = np.zeros(len(widths), dtype=bool)
+                for lo, k in zip(starts, kappa):
+                    support[lo:lo + k] = True
+                family = rng.integers(0, widths, size=(int(rng.integers(1, 13)), len(widths)))
+                family *= support
+                if trial % 3 == 1:  # a repeat of an earlier row
+                    j = int(rng.integers(len(family)))
+                    family[rng.integers(j, len(family))] = family[j]
+                if trial % 4 == 3:  # a row on any columns
+                    family[rng.integers(len(family))] = rng.integers(0, widths)
+                v = gram_certificate(arr, family)
+                want = _oracle_verdict(arr, family)
+                assert v.witness == want, (label, trial, route)
+                seen.add(None if want is None else want["kind"])
+            # every outcome the route has shows up on some array; none is skipped
+            assert seen & {None, "gram"}, (label, route)
+
     @pytest.mark.parametrize("label,arr", CROSS_CHECK[::3], ids=[c[0] for c in CROSS_CHECK[::3]])
     def test_families_with_repeated_members(self, label, arr):
         rng = np.random.default_rng(len(label) + 2)
@@ -509,8 +578,9 @@ class TestDistinctDifferenceRoute:
             walked.clear()
             assert gram_certificate(arr, family)
             assert sum(sums) == len(fam) - 1
-            # row 0's differences, then the members for the duplicate check
-            assert walked == [len(fam) - 1, len(fam)]
+            # row 0's differences, the members for the duplicate check, then
+            # the array's rows, counted once over the group
+            assert walked == [len(fam) - 1, len(fam), arr.runs]
 
     def test_keys_past_int64_match_oracle(self):
         # 40 blocks of one base-4 column span a group of 4**40 = 2**80
@@ -547,7 +617,8 @@ class TestBuildBlockFamily:
     def test_oversized_family_is_refused_before_it_is_built(self, arr12, monkeypatch):
         # the cap gram_certificate applies, counted from b**depth members on
         # sum(kappa) touched columns with b**depth - 1 differences
-        need = dualcert._route_bytes(8, 4, 2, 8, 7)
+        need = dualcert._route_bytes(8, 4, 2, 8, 7, 0)
+        assert need == 3616
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert len(build_block_family(arr12, (1, 1))) == 8
 
@@ -557,8 +628,8 @@ class TestBuildBlockFamily:
         monkeypatch.setattr(dualcert, "unrank", no_members)
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         with pytest.raises(ParamError, match=f"a family of 8 tuples on 8 rows needs {need} "
-                                             "bytes of residues, exponent rows and "
-                                             "differences"):
+                                             "bytes of residues, differences and "
+                                             "tallies"):
             build_block_family(arr12, (1, 1))
         with pytest.raises(ParamError, match="profile depth 5 exceeds the budget 3"):
             build_block_family(arr12, (3, 1))
