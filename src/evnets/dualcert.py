@@ -249,13 +249,10 @@ def _exponent_tallies(deltas: np.ndarray, rows: np.ndarray, widths: np.ndarray, 
         yield np.bincount(exps.ravel(), minlength=len(exps) * q).reshape(-1, q)
 
 
-def _first_nonvanishing(kept: np.ndarray, rows: np.ndarray, widths: np.ndarray, q: int,
-                        transform: bool) -> tuple[int, list[int]] | None:
-    """First kept difference whose character sum does not vanish, with its
-    tally of exponents mod q, or None. ``kept`` holds the differences' ranks
-    when the group transform runs, else their residue rows."""
-    blocks = ([_group_tallies(rows, widths, q)[kept]] if transform
-              else _exponent_tallies(kept, rows, widths, q))
+def _first_nonvanishing(blocks, q: int) -> tuple[int, list[int]] | None:
+    """First difference whose character sum does not vanish, with its tally
+    of exponents mod q, or None. ``blocks`` yields the differences' tallies,
+    in order, as (D', q) arrays."""
     lo = 0
     for counts in blocks:
         bad = np.flatnonzero(~_vanishes(counts, q))
@@ -306,18 +303,21 @@ def _route_bytes(members: int, columns: int, touched: int, runs: int,
 def _route(array: MixedOOA, members: int, widths: np.ndarray, differences: int) -> bool:
     """Whether the group transform decides a family of ``members`` tuples on
     touched columns of alphabets ``widths`` (else the per-difference tally
-    does); a family whose route would pass the package's byte cap is
-    refused."""
+    does): the route that does less work (:func:`_takes_transform`) if its
+    bytes fit the package's byte cap, else the other one. A family that
+    neither route fits is refused, with the smaller of the two counts."""
     widths = widths.tolist()
     group, q = math.prod(widths), _order(array)
-    transform = _takes_transform(group, q, widths, differences, array.runs)
-    size = _route_bytes(members, sum(array.beta), len(widths), array.runs, differences,
-                        group * q if transform else 0)
-    if size > _BYTES_CAP:
-        raise ParamError(f"a family of {members} tuples on {array.runs} rows needs "
-                         f"{size} bytes of residues, differences and tallies, "
-                         f"above the cap of {_BYTES_CAP} bytes")
-    return transform
+    prefer = _takes_transform(group, q, widths, differences, array.runs)
+    sizes = {}
+    for transform in (prefer, not prefer):
+        sizes[transform] = _route_bytes(members, sum(array.beta), len(widths), array.runs,
+                                        differences, group * q if transform else 0)
+        if sizes[transform] <= _BYTES_CAP:
+            return transform
+    raise ParamError(f"a family of {members} tuples on {array.runs} rows needs "
+                     f"{min(sizes.values())} bytes of residues, differences and tallies, "
+                     f"above the cap of {_BYTES_CAP} bytes")
 
 
 def gram_certificate(array: MixedOOA, family) -> Verdict:
@@ -350,16 +350,17 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
     Equal members fail at their first pair, through the zero difference
     (all b**m rows at exponent 0).
 
-    The tallies come from one of two exact routes, chosen from the input by
-    the work each does (:func:`_takes_transform`). The group transform
-    (:func:`_group_tallies`) tallies every element of G at once, in
-    O(|G| * q * sum(w_j)), and looks each difference up by its rank. The
+    The tallies come from one of two exact routes, chosen from the input
+    (:func:`_route`). The group transform (:func:`_group_tallies`) tallies
+    every element of G at once, in O(|G| * q * sum(w_j)) work and |G| * q
+    int64 tallies, and looks each difference up by its rank. The
     per-difference tally forms each difference's exponent row over the N
-    rows, in O(D * N * columns). A ``build_block_family`` family has
-    |G| = F <= b**m, so it takes the transform unless q * w_j comes near N;
-    a family of few members over a group far larger than they are takes
-    the per-difference tally. A family whose route would pass the package's
-    byte cap (see :func:`_route_bytes`) is refused with ``ParamError``
+    rows, in O(D * N * columns). The route that does less work runs if its
+    bytes fit the package's byte cap (see :func:`_route_bytes`), else the
+    other one. A ``build_block_family`` family has |G| = F <= b**m, so it
+    takes the transform unless q * w_j comes near N; a family of few
+    members over a group far larger than they are takes the per-difference
+    tally. A family that neither route fits is refused with ``ParamError``
     before the walk.
     """
     residues = _residue_rows(array, family)
@@ -392,8 +393,9 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
     if dup is not None:  # only differences first seen before the equal pair matter
         firsts = firsts[:np.searchsorted(firsts, dup[0] * members + dup[1])]
     if len(firsts):
-        kept = np.concatenate(kept)[:len(firsts)]
-        bad = _first_nonvanishing(kept, array.rows[:, cols], widths, q, transform)
+        kept, rows = np.concatenate(kept)[:len(firsts)], array.rows[:, cols]
+        bad = _first_nonvanishing([_group_tallies(rows, widths, q)[kept]] if transform
+                                  else _exponent_tallies(kept, rows, widths, q), q)
         if bad is not None:
             pair = divmod(int(firsts[bad[0]]), members)
             return Verdict(False, {"kind": "gram", "pair": list(pair), "order": q,

@@ -824,8 +824,8 @@ class TestDualCert:
             raise AssertionError("family members built")
 
         monkeypatch.setattr(dualcert, "unrank", no_members)
-        need = dualcert._route_bytes(8, 4, 3, 8, 7, 0)
-        assert need == 3920
+        need = dualcert._route_bytes(8, 4, 3, 8, 7, 32)  # the transform's, the smaller
+        assert need == 3584 < dualcert._route_bytes(8, 4, 3, 8, 7, 0) == 3920
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
         assert code == EXIT_USAGE and out == ""
@@ -871,8 +871,8 @@ class TestDualCert:
         # the real cap is 1 GiB, which hammersley(2,14) at kappa (7,7) fits
         # in about 14 MB; a lowered cap refuses this family of 8
         mooa = self._mooa(capsys, ham_net, tmp_path)
-        need = dualcert._route_bytes(8, 4, 3, 8, 7, 0)
-        assert need == 3920
+        need = dualcert._route_bytes(8, 4, 3, 8, 7, 32)  # the transform's, the smaller
+        assert need == 3584 < dualcert._route_bytes(8, 4, 3, 8, 7, 0) == 3920
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
         assert code == EXIT_USAGE and out == ""

@@ -253,13 +253,26 @@ class TestGramCertificate:
         need = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 16 * 7 * 3 + 8 * 8 * (3 + 3 * 7)
         assert not dualcert._takes_transform(8, 4, [2, 2, 2], 7, 8)
         assert dualcert._route_bytes(8, 4, 3, 8, 7, 0) == need == 3920
+        # below that the transform runs if it fits: the walk's bytes, the
+        # rows' touched columns and ranks 8*8*(3 + 1), and five arrays of
+        # |G| * q = 32 tallies 40*32
+        other = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 8 * 8 * (3 + 1) + 40 * 32
+        assert dualcert._route_bytes(8, 4, 3, 8, 7, 32) == other == 3584
         fam = build_block_family(arr12, (3, 0))
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
-        assert gram_certificate(arr12, fam)
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
-        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3920 "
+        transforms = []
+        group_tallies = dualcert._group_tallies
+        monkeypatch.setattr(dualcert, "_group_tallies",
+                            lambda *args: transforms.append(1) or group_tallies(*args))
+        for cap, runs in ((need, 0), (need - 1, 1), (other, 1)):
+            monkeypatch.setattr(dualcert, "_BYTES_CAP", cap)
+            transforms.clear()
+            assert gram_certificate(arr12, fam)
+            assert len(transforms) == runs, cap
+        # a family neither route fits is refused with the smaller count
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", other - 1)
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3584 "
                                              "bytes of residues, differences and "
-                                             "tallies, above the cap of 3919"):
+                                             "tallies, above the cap of 3583"):
             gram_certificate(arr12, fam)
         # two tuples touching all 4 columns have one difference; refused
         # before the height precondition could fail the family
@@ -285,6 +298,29 @@ class TestGramCertificate:
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3072 "):
             gram_certificate(arr11, fam)
+
+    def test_a_transform_past_the_cap_falls_back_to_the_per_difference_tally(
+            self, monkeypatch):
+        # 100 tuples share a base on 24 of hammersley(2,14)'s 28 columns and
+        # differ on block 0's first 7. For up to 4950 differences the
+        # transform over |G| = 2**24 does less work, but its 40 * 2**25
+        # bytes of tallies pass the cap, so the per-difference tally runs
+        assert dualcert._takes_transform(2 ** 24, 2, [2] * 24, 4950, 2 ** 14)
+        assert dualcert._route_bytes(100, 28, 24, 2 ** 14, 4950, 2 ** 25) > dualcert._BYTES_CAP
+        base = np.zeros(28, dtype=np.int64)
+        base[list(range(12)) + list(range(14, 26))] = 1
+        fam = np.tile(base, (100, 1))
+        fam[:, :7] ^= (np.arange(100)[:, None] >> np.arange(6, -1, -1)) & 1
+
+        def no_transform(*args):
+            raise AssertionError("group transform run")
+
+        monkeypatch.setattr(dualcert, "_group_tallies", no_transform)
+        ham = corpus.hammersley(2, 14)
+        assert gram_certificate(net_to_mooa(ham, 0, (1, 1)), fam)
+        bad = net_to_mooa(corpus.flip_digit(ham, 0, 0, 0), 0, (1, 1))
+        assert gram_certificate(bad, fam).witness == {
+            "kind": "gram", "pair": [0, 64], "order": 2, "counts": [8191, 8193]}
 
     def test_differences_counted_are_bounded_by_pairs_and_group(self, arr12, monkeypatch):
         # a family of 3 tuples has at most 3 differences however many columns
@@ -616,9 +652,10 @@ class TestBuildBlockFamily:
 
     def test_oversized_family_is_refused_before_it_is_built(self, arr12, monkeypatch):
         # the cap gram_certificate applies, counted from b**depth members on
-        # sum(kappa) touched columns with b**depth - 1 differences
-        need = dualcert._route_bytes(8, 4, 2, 8, 7, 0)
-        assert need == 3616
+        # sum(kappa) touched columns with b**depth - 1 differences: refused
+        # once neither route fits, the transform's 32 tallies being smaller
+        need = dualcert._route_bytes(8, 4, 2, 8, 7, 32)
+        assert need == 3392 < dualcert._route_bytes(8, 4, 2, 8, 7, 0) == 3616
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert len(build_block_family(arr12, (1, 1))) == 8
 
