@@ -24,9 +24,9 @@ print("base", arr.base, "m", arr.m, "beta", arr.beta)
 # Families are indexed by depth profiles kappa (blocks used per
 # coordinate).  The maximal profiles exhaust the budget.
 profiles = enumerate_profiles(arr.m, arr.u, arr.e, arr.beta)
-print("maximal profiles:", profiles)
+print("maximal profiles:", profiles.tolist())
 
-for kappa in profiles:
+for kappa in profiles.tolist():
     family = build_block_family(arr, kappa)
     cert = gram_certificate(arr, family)
     print("kappa", kappa, "family size", len(family),

@@ -1,17 +1,18 @@
 """Small internal helpers: mixed-radix ranking, digit windows, the one walk
-that lists every checked shape and profile (``maximal_depths``), and the one
-uniformity kernel every verifier shares."""
+whose cached array is every checked shape list (``maximal_depths``), and the
+one uniformity kernel every verifier shares."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParamError
+from .evector import EVector
 
 # Largest array of order b**m (a digit tensor, an exponent matrix) the
 # package will allocate, in bytes; a digit tensor of a base <= 256 takes one
@@ -159,11 +160,19 @@ def span(rows: np.ndarray, b: int) -> np.ndarray:
     return out
 
 
+def canonical_beta(m: int, u: int, e: EVector | Sequence[int]) -> tuple[int, ...]:
+    """Largest usable column count per block: floor((m - u) / e_i)."""
+    e = EVector.coerce(e)
+    if not 0 <= u <= m:
+        raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
+    return tuple((m - u) // ei for ei in e)
+
+
 @lru_cache(maxsize=32)
 def maximal_depths(budget: int, e: tuple[int, ...], caps: tuple[int, ...]) -> np.ndarray:
-    """The k with k_i <= caps_i and sum k_i * e_i <= budget where no k_i under its cap
-    fits another e_i, as a read-only array's rows in lexicographic order (int64 below
-    2**62), walked a coordinate at a time keeping each prefix's parent and depth."""
+    """Depths d_i = k_i * e_i, k_i <= caps_i, sum d_i <= budget, where no k_i under its cap
+    fits another e_i: the read-only rows every check reads, in lexicographic order (int64
+    below 2**62), walked a coordinate at a time keeping each prefix's parent and depth."""
     rest = np.array([budget], np.int64 if max(budget, *e) < 2 ** 62 else object)  # per prefix
     least, levels, listed = rest + 1, [], 0.0  # listed: prefixes so far, a float never wraps
     for i, (ei, cap) in enumerate(zip(e, caps)):
@@ -173,11 +182,11 @@ def maximal_depths(budget: int, e: tuple[int, ...], caps: tuple[int, ...]) -> np
             raise ParamError(f"listing depths within budget {budget} takes {int(listed)} "
                              f"prefixes by coordinate {i + 1}, above {_BYTES_CAP} bytes")
         parent = np.repeat(np.arange(len(rest)), children.astype(np.int64))
-        depth = np.arange(len(parent)) - (np.cumsum(children) - children)[parent]
-        rest = rest[parent] - np.multiply(depth, ei, dtype=rest.dtype)  # the budget left
+        k = np.arange(len(parent)) - (np.cumsum(children) - children)[parent]
+        levels.append((parent, np.multiply(k, ei, dtype=rest.dtype)))  # depth k * e_i
+        rest = rest[parent] - levels[-1][1]  # the budget left
         least = least[parent]  # the least e_i under its cap
-        np.minimum(least, ei, out=least, where=depth < cap)
-        levels.append((parent, depth))
+        np.minimum(least, ei, out=least, where=k < cap)
     leaf = np.flatnonzero(rest < least)  # maximal: no e_i under its cap fits
     rows = np.empty((len(leaf), len(e)), dtype=rest.dtype)
     for i, (parent, depth) in reversed(list(enumerate(levels))):
@@ -245,15 +254,15 @@ class PrefixTable:
                 keys += level[d // ei - 1]
         return keys
 
-    def first_failure(self, shapes: Iterable[Sequence[int]]
-                      ) -> tuple[Sequence[int], int, int, int] | None:
-        """First shape, in the given order, whose boxes are not uniformly
-        filled: (shape, box index, observed, expected), or None if all are.
+    def first_failure(self, shapes: np.ndarray) -> tuple[tuple[int, ...], int, int, int] | None:
+        """First row of a (k, s) shape array whose boxes are not uniformly filled:
+        (shape in Python ints, box index, observed, expected), or None if all are.
 
         Expected counts assume the row count is a multiple of every shape's
         cell count, as it is for b**m rows and cells b**depth with depth <= m.
         """
-        for shape in shapes:
+        for row in shapes:
+            shape = tuple(row.tolist())  # Python ints: base ** depth must not wrap
             cells = self.base ** sum(shape)
             expected = self.n // cells
             hit = _first_nonuniform(self.keys(shape), cells, expected)

@@ -234,10 +234,11 @@ def cmd_to_mooa(args) -> int:
 
 def cmd_verify_mooa(args) -> int:
     from . import io as formats, ooa
+    from ._util import maximal_depths
 
     array = _parse(formats.parse_mooa, args.file)
     verdict = ooa.verify_mooa(array)
-    n_profiles = len(ooa.enumerate_profiles(array.m, array.u, array.e, array.beta))
+    n_profiles = len(maximal_depths(array.m - array.u, array.e.e, array.beta))
     return _verdict(args, "verify-mooa", verdict,
                     {"mode": "maximal", "checked_profiles": n_profiles},
                     "mode=maximal", f"profiles={n_profiles}, strength={array.m - array.u}")

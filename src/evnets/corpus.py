@@ -203,14 +203,14 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
     # per-shape offsets so one room list serves all shapes.
     offsets = []
     room: list[int] = []  # per box, how many more points it takes
-    for d in shapes:
+    for depth in shapes.sum(axis=1).tolist():  # Python ints: b ** depth must not wrap
         offsets.append(len(room))
-        room += [b ** (m - sum(d))] * b ** sum(d)
+        room += [b ** (m - depth)] * b ** depth
     table = PrefixTable.of_digits(cand_digits, b, e, m - u)
     # the narrowest unsigned dtype that holds every box index
     box_key = np.zeros((n_candidates, len(shapes)), dtype=np.min_scalar_type(len(room) - 1))
     for j, d in enumerate(shapes):
-        box_key[:, j] = table.keys(d)
+        box_key[:, j] = table.keys(d.tolist())
         box_key[:, j] += offsets[j]  # below len(room), so it fits
     # A box of shape j fixes the same leading digits as the origin's box,
     # which holds the candidates with those digits zero; adding a box's

@@ -37,19 +37,15 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._util import (PrefixTable, digit_matrix, is_power, is_prime, maximal_depths, rank_rows,
-                    row_chunks, span, unrank)
+from ._util import (PrefixTable, canonical_beta, digit_matrix, is_power, is_prime,
+                    maximal_depths, rank_rows, row_chunks, span, unrank)
 from .core import EVector, PointSet, Verdict
 from .errors import ParamError, PrecisionError
-from .ooa import canonical_beta
 
 __all__ = [
-    "Shape",
     "check_shapes", "verify_net", "u_star",
     "verify_sequence_prefix", "rebase_compress", "rebase_expand",
 ]
-
-Shape = tuple[int, ...]
 
 Variant = Literal["narrow", "tezuka"]
 
@@ -60,21 +56,23 @@ def _check_variant(variant: str) -> None:
 
 
 def check_shapes(m: int, u: int, e: EVector | Sequence[int],
-                 variant: Variant = "narrow") -> list[Shape]:
-    """The shapes a verification run examines, in lexicographic order.
+                 variant: Variant = "narrow") -> np.ndarray:
+    """The shapes a verification run examines: the rows of a read-only (k, s)
+    integer array in lexicographic order.
 
     A shape assigns each coordinate a depth d_i in {0, e_i, 2*e_i, ...}. The
-    narrow reading checks the budget-maximal shapes: sum d_i <= m - u and no
-    coordinate can take another e_i step within the budget. These are the
-    depth profiles of the canonical ordered array, scaled by e. The tezuka
-    reading checks the maximal shapes whose depths sum to exactly m - u.
+    narrow reading checks the budget-maximal shapes, the walk's cached array:
+    sum d_i <= m - u and no coordinate can take another e_i step within the
+    budget, the depth profiles of the canonical ordered array scaled by e. The
+    tezuka reading checks its rows whose depths sum to exactly m - u.
     """
     _check_variant(variant)
     e = EVector.coerce(e)
-    depths = maximal_depths(m - u, e.e, canonical_beta(m, u, e))
-    shapes = depths * np.array(e.e, dtype=depths.dtype)  # exact: object past 2**62
-    shapes = shapes[shapes.sum(axis=1) == m - u] if variant == "tezuka" else shapes
-    return list(map(tuple, shapes.tolist()))
+    shapes = maximal_depths(m - u, e.e, canonical_beta(m, u, e))
+    if variant == "tezuka":
+        shapes = shapes[shapes.sum(axis=1) == m - u]
+        shapes.flags.writeable = False
+    return shapes
 
 
 def _check_net(points: PointSet, e: EVector | Sequence[int], variant: str) -> EVector:
@@ -115,7 +113,7 @@ def _sample_rows(n: int, m: int) -> list[int]:
 Space = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # (shape, cell, observed, expected): the first non-uniform cell of a shape
-Failure = tuple[Shape, int, int, int]
+Failure = tuple[tuple[int, ...], int, int, int]
 
 
 def _row_space(points: PointSet, shapes: int) -> Space | None:
@@ -280,14 +278,14 @@ def _net_weights(cells: np.ndarray, weights: np.ndarray, bound: int
     return lowest, excess, at_zero
 
 
-def _count(points: PointSet, e: EVector, shapes: Sequence[Shape]) -> Failure | None:
+def _count(points: PointSet, e: EVector, shapes: np.ndarray) -> Failure | None:
     """The first failure among ``shapes``, by counting every point's box in a
     table as deep as the deepest coordinate of any of them."""
-    depth = max(map(max, shapes), default=0)
+    depth = int(shapes.max(initial=0))
     return PrefixTable.of_digits(points.digits, points.base, e, depth).first_failure(shapes)
 
 
-def _ranked_failure(points: PointSet, e: EVector, shapes: Sequence[Shape],
+def _ranked_failure(points: PointSet, e: EVector, shapes: np.ndarray,
                     space: Space) -> Failure | None:
     """The first failing shape, decided by ranks of the recovered subspace S
     and its correction; None on a pass.
@@ -303,24 +301,24 @@ def _ranked_failure(points: PointSet, e: EVector, shapes: Sequence[Shape],
     n, s, m = points.digits.shape
     # the rank stack and a few int64 arrays of the correction's cells per shape
     for chunk in row_chunks(len(shapes), m * max(m, s) + 4 * len(weights)):
-        depths = np.array(shapes[chunk], dtype=np.int64).reshape(-1, s)
+        depths = shapes[chunk].astype(np.int64, copy=False)  # each d_i <= m
         sums = depths.sum(axis=1)
         ranks = _ranks(basis, b, depths, sums)
         lowest, excess, at_zero = _net_weights(_cells(vectors, b, depths), weights, n)
         for k in np.flatnonzero((ranks < sums) | (lowest >= 0)):
-            shape, expected = shapes[chunk.start + k], b ** (m - int(sums[k]))
+            shape, expected = tuple(depths[k].tolist()), b ** (m - int(sums[k]))
             if ranks[k] == sums[k]:
                 return shape, int(lowest[k]), expected + int(excess[k]), expected
             observed = b ** (m - int(ranks[k])) + int(at_zero[k])
             if observed != expected:
                 return shape, 0, observed, expected
-            failure = _count(points, e, [shape])
+            failure = _count(points, e, depths[k : k + 1])
             if failure is not None:
                 return failure
     return None
 
 
-def _decide(points: PointSet, e: EVector, shapes: Sequence[Shape],
+def _decide(points: PointSet, e: EVector, shapes: np.ndarray,
             space: Space | None) -> Failure | None:
     """The first failure among ``shapes``: by ranks of a subspace and its
     correction when ``space`` gives them, else by counting."""
@@ -328,10 +326,10 @@ def _decide(points: PointSet, e: EVector, shapes: Sequence[Shape],
             else _ranked_failure(points, e, shapes, space))
 
 
-def first_failure(points: PointSet, e: EVector, shapes: Sequence[Shape]) -> Failure | None:
-    """The first of ``shapes`` with a box not holding b**(m - sum d) points,
-    as (shape, box index rank, observed, expected), or None: by ranks where
-    ``_row_space`` recovers a subspace for them, else by counting."""
+def first_failure(points: PointSet, e: EVector, shapes: np.ndarray) -> Failure | None:
+    """The first row of a (k, s) shape array with a box not holding b**(m - sum d)
+    points, as (shape in Python ints, box index rank, observed, expected), or None:
+    by ranks where ``_row_space`` recovers a subspace for them, else by counting."""
     return _decide(points, e, shapes, _row_space(points, len(shapes)))
 
 
@@ -361,11 +359,12 @@ def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "nar
     reading replaces the shape set rather than shrinking it, so it tries
     u = 0, 1, ... in turn and stops at the first pass. A subspace and its
     correction are recovered once, for every u, by ``_row_space`` on the
-    u = 0 shapes, which picks the route.
+    first list it checks, which picks the route.
     """
     e = _check_net(points, e, variant)
     m = points.precision
-    space = _row_space(points, len(check_shapes(m, 0, e)))
+    first = check_shapes(m, m // 2 if variant == "narrow" else 0, e, variant)
+    space = _row_space(points, len(first))
     lo, hi = 0, m
     while lo < hi:
         mid = (lo + hi) // 2 if variant == "narrow" else lo

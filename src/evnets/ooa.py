@@ -27,24 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import digit_dtype, digit_matrix, digit_window, is_power, maximal_depths, unrank
+from ._util import (canonical_beta, digit_dtype, digit_matrix, digit_window, is_power,
+                    maximal_depths, unrank)
 from .core import EVector, MixedOOA, PointSet, Verdict
 from .errors import ParamError, VerificationError
 
-__all__ = [
-    "Profile", "canonical_beta", "net_to_mooa", "enumerate_profiles",
-    "verify_mooa", "mooa_to_net",
-]
-
-Profile = tuple[int, ...]
-
-
-def canonical_beta(m: int, u: int, e: EVector | Sequence[int]) -> tuple[int, ...]:
-    """Largest usable column count per block: floor((m - u) / e_i)."""
-    e = EVector.coerce(e)
-    if not 0 <= u <= m:
-        raise ParamError(f"need 0 <= u <= m, got u={u}, m={m}")
-    return tuple((m - u) // ei for ei in e)
+__all__ = ["canonical_beta", "net_to_mooa", "enumerate_profiles", "verify_mooa", "mooa_to_net"]
 
 
 def net_to_mooa(points: PointSet, u: int, e: EVector | Sequence[int],
@@ -80,12 +68,12 @@ def net_to_mooa(points: PointSet, u: int, e: EVector | Sequence[int],
 
 
 def enumerate_profiles(m: int, u: int, e: EVector | Sequence[int],
-                       beta: Sequence[int]) -> list[Profile]:
-    """Budget-maximal depth profiles in lexicographic order.
+                       beta: Sequence[int]) -> np.ndarray:
+    """Budget-maximal depth profiles: a read-only (k, s) array's rows, in lexicographic order.
 
-    A profile kappa is admissible if 0 <= kappa_i <= beta_i and
-    sum kappa_i * e_i <= m - u, and maximal if no block can take another
-    column within the budget. Only maximal profiles are returned.
+    A profile kappa is admissible if 0 <= kappa_i <= beta_i and sum kappa_i * e_i <= m - u,
+    and maximal if no block can take another column within the budget. Only maximal
+    profiles are returned: the cached shapes kappa * e, divided by e.
     """
     e = EVector.coerce(e)
     canonical_beta(m, u, e)  # checks 0 <= u <= m
@@ -94,7 +82,10 @@ def enumerate_profiles(m: int, u: int, e: EVector | Sequence[int],
         raise ParamError(f"beta has {len(beta)} entries, e-vector has {e.s}")
     if any(v < 0 for v in beta):
         raise ParamError(f"beta entries must be >= 0, got {beta}")
-    return list(map(tuple, maximal_depths(m - u, e.e, beta).tolist()))
+    shapes = maximal_depths(m - u, e.e, beta)
+    profiles = shapes // np.array(e.e, dtype=shapes.dtype)  # exact: object past 2**62
+    profiles.flags.writeable = False
+    return profiles
 
 
 def _points(array: MixedOOA) -> PointSet:
@@ -117,9 +108,8 @@ def _decide(array: MixedOOA) -> tuple[PointSet, Verdict]:
     profiles decided on them; the witness's cell is read column by column."""
     from .netverify import first_failure  # here, so to-mooa never loads netverify
 
-    points, depths = _points(array), maximal_depths(array.m - array.u, array.e.e, array.beta)
-    shapes = depths * np.array(array.e.e, dtype=depths.dtype)  # exact: object past 2**62
-    failure = first_failure(points, array.e, list(map(tuple, shapes.tolist())))
+    points, shapes = _points(array), maximal_depths(array.m - array.u, array.e.e, array.beta)
+    failure = first_failure(points, array.e, shapes)
     if failure is None:
         return points, Verdict(True)
     shape, cell, observed, expected = failure

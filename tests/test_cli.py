@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 import evnets
-from evnets import EVector, cli, corpus, dualcert, net_chunks, netverify
+from evnets import EVector, _util, cli, corpus, dualcert, net_chunks, netverify
 from evnets.cli import EXIT_FAIL, EXIT_FORMAT, EXIT_INCONCLUSIVE, EXIT_PASS, \
     EXIT_USAGE, build_parser, evector_arg, int_list_arg, main
 
@@ -922,7 +922,7 @@ class TestReport:
         assert code == EXIT_PASS  # a report is produced either way
         assert "FAIL" in out and "u_star(narrow): 1" in out
 
-    def test_json_report(self, capsys, ham_net):
+    def test_json_report(self, capsys, ham_net, bad_net):
         code, out, _ = run(capsys, "report", ham_net, "--json")
         data = json.loads(out)
         assert data["verify_at_claimed_u"] is True
@@ -930,6 +930,12 @@ class TestReport:
         assert data["moa"] == {"alphabets": [2, 2], "max_strength": 2}
         assert data["mooa_at_u_star"] == {"pass": True, "beta": [3, 3]}
         assert data["feasibility"]["feasible"] is True
+        # a witness's shape is written as plain ints, which json can encode
+        code, out, _ = run(capsys, "report", bad_net, "--json")
+        data = json.loads(out)
+        assert code == EXIT_PASS and data["verify_at_claimed_u"] is False
+        assert data["witness"] == {"shape": [0, 3], "box": [0, 0], "observed": 0, "expected": 1}
+        assert data["u_star"] == 1 and data["mooa_at_u_star"] == {"pass": True, "beta": [2, 2]}
 
     def test_narrow_report_recovers_the_basis_once(self, capsys, monkeypatch, tmp_path):
         # u_star passes at the claimed u, so the claimed u's line needs no
@@ -1047,12 +1053,20 @@ class TestManyCoordinates:
         assert err.startswith("error: array fails its strength contract: {'profile': [0,")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [("verify-net", "--u", "0"), ("report",)])
-    def test_a_list_too_large_to_build_is_refused(self, capsys, wide_inputs, argv):
-        code, out, err = run(capsys, argv[0], wide_inputs["r30.net"], *argv[1:])
+    def test_a_list_too_large_to_build_is_refused(self, capsys, wide_inputs):
+        code, out, err = run(capsys, "verify-net", wide_inputs["r30.net"], "--u", "0")
         assert code == EXIT_USAGE and out == ""
         assert re.fullmatch(r"error: listing depths within budget 12 takes \d+ prefixes by "
                             r"coordinate \d+, above 1073741824 bytes\n", err)
+
+    def test_report_lists_only_the_shapes_its_bisection_checks(self, capsys, wide_inputs):
+        # the u = 0 list is too large to build; the bisection first lists u = 6
+        try:
+            code, out, err = run(capsys, "report", wide_inputs["r30.net"])
+        finally:
+            _util.maximal_depths.cache_clear()  # u = 6 alone holds 1623160 cached shapes
+        assert code == EXIT_PASS and err == ""
+        assert "  u_star(narrow): 12\n" in out
 
 
 class TestReadmeSynopsis:
@@ -1162,6 +1176,15 @@ class TestReadmeSynopsis:
         code, out, state = self._fresh(["gen", "search", "--base", "2", *argv], tmp_path)
         assert (code, out) == (want, b"")
         assert "evnets.corpus" in state["modules"] and "evnets.io" not in state["modules"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-net", "h.net"],
+        ["gen", "search", "--base", "2", "--m", "2", "--s", "2", "--e", "1x2", "--u", "0"]])
+    def test_net_checks_load_no_ordered_arrays(self, tmp_path, argv):
+        self._examples(tmp_path)
+        code, _, state = self._fresh(argv, tmp_path)
+        assert code == EXIT_PASS and "evnets.netverify" in state["modules"]
+        assert "evnets.ooa" not in state["modules"]
 
     def test_every_flag_is_in_the_synopsis(self):
         # gen's line elides its generator-specific flags with "..."

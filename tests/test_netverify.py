@@ -21,6 +21,11 @@ from storage import storage
 first_nonuniform = _util._first_nonuniform
 
 
+def _rows(shapes):
+    """The rows of a shape or profile array as tuples of Python ints."""
+    return [tuple(row) for row in shapes.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # shape enumeration
 
@@ -28,22 +33,22 @@ class TestShapes:
     def test_frozen_example_maximal(self):
         # m=3, u=0, e=(1,2): depth menus {0,1,2,3} x {0,2}, total <= 3; of
         # (0,0) (0,2) (1,0) (1,2) (2,0) (3,0) only two take no further step
-        assert check_shapes(3, 0, (1, 2)) == [(1, 2), (3, 0)]
+        assert _rows(check_shapes(3, 0, (1, 2))) == [(1, 2), (3, 0)]
 
     def test_budget_zero_has_only_zero_shape(self):
-        assert check_shapes(2, 2, (1, 1)) == [(0, 0)]
-        assert check_shapes(2, 2, (1, 1), "tezuka") == [(0, 0)]
+        assert _rows(check_shapes(2, 2, (1, 1))) == [(0, 0)]
+        assert _rows(check_shapes(2, 2, (1, 1), "tezuka")) == [(0, 0)]
 
     def test_tezuka_set_is_exact_budget_slice(self):
-        tez = check_shapes(4, 1, (1, 2), "tezuka")
+        tez = _rows(check_shapes(4, 1, (1, 2), "tezuka"))
         every = oracles.brute_shapes(4, 1, (1, 2), "narrow", "all")
         assert tez == [d for d in every if sum(d) == 3]
         # every exact-budget shape is maximal, so it is also a slice of those
-        assert tez == [d for d in check_shapes(4, 1, (1, 2)) if sum(d) == 3]
+        assert tez == [d for d in _rows(check_shapes(4, 1, (1, 2))) if sum(d) == 3]
 
     def test_tezuka_can_be_empty(self):
         # no multiple of 2 sums to 3
-        assert check_shapes(3, 0, (2,), "tezuka") == []
+        assert _rows(check_shapes(3, 0, (2,), "tezuka")) == []
 
     @pytest.mark.parametrize("m", range(5))
     @pytest.mark.parametrize("e", [(1,), (2,), (1, 1), (1, 2), (2, 3), (1, 2, 2)])
@@ -51,9 +56,9 @@ class TestShapes:
         # the oracle lists shapes sorted, i.e. in the lexicographic order the
         # verifier must visit them in
         for u in range(m + 1):
-            assert check_shapes(m, u, e) == \
+            assert _rows(check_shapes(m, u, e)) == \
                 oracles.brute_shapes(m, u, e, "narrow", "maximal")
-            assert check_shapes(m, u, e, "tezuka") == \
+            assert _rows(check_shapes(m, u, e, "tezuka")) == \
                 oracles.brute_shapes(m, u, e, "tezuka", "all")
 
     @settings(deadline=None, max_examples=200)
@@ -62,21 +67,30 @@ class TestShapes:
         m = data.draw(st.integers(0, 7), label="m")
         u = data.draw(st.integers(0, m), label="u")
         e = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="e"))
-        assert check_shapes(m, u, e) == oracles.brute_shapes(m, u, e, "narrow", "maximal")
-        assert check_shapes(m, u, e, "tezuka") == oracles.brute_shapes(m, u, e, "tezuka", "all")
+        assert _rows(check_shapes(m, u, e)) == oracles.brute_shapes(m, u, e, "narrow", "maximal")
+        assert _rows(check_shapes(m, u, e, "tezuka")) == \
+            oracles.brute_shapes(m, u, e, "tezuka", "all")
 
     def test_maximal_shapes_cannot_be_extended(self):
-        for shape in check_shapes(5, 1, (1, 2, 3)):
+        for shape in _rows(check_shapes(5, 1, (1, 2, 3))):
             rem = 4 - sum(shape)
             assert all(rem < ei for ei in (1, 2, 3))
 
     def test_every_shape_refines_to_a_maximal_one(self):
         m, u, e = 5, 1, (1, 2, 3)
-        maximal = check_shapes(m, u, e)
+        maximal = _rows(check_shapes(m, u, e))
         for shape in oracles.brute_shapes(m, u, e, "narrow", "all"):
             assert any(all(dm >= d and (dm - d) % ei == 0
                            for d, dm, ei in zip(shape, mx, e))
                        for mx in maximal)
+
+    def test_narrow_shapes_are_the_cached_read_only_walk(self):
+        shapes = check_shapes(5, 1, (1, 2, 3))
+        assert check_shapes(5, 1, (1, 2, 3)) is shapes
+        assert _util.maximal_depths(4, (1, 2, 3), (4, 2, 1)) is shapes
+        for rows in (shapes, check_shapes(5, 1, (1, 2, 3), "tezuka")):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1
 
     def test_parameter_validation(self):
         with pytest.raises(ParamError):
@@ -179,7 +193,7 @@ class TestVerifyNet:
 
     def test_witness_is_lexicographically_first(self, ham23):
         bad = _flip012(ham23)
-        shapes = check_shapes(3, 0, (1, 1))
+        shapes = _rows(check_shapes(3, 0, (1, 1)))
         first_failing = next(
             d for d in shapes
             if not all(oracles.brute_count_box(bad, d, ix) == 8 // 2 ** sum(d)
@@ -252,7 +266,7 @@ class TestVerifyNet:
         v = verify_net(bad, 0, (1, 1))
         shapes = check_shapes(3, 0, (1, 1))
         # one kernel call per shape up to and including the witness
-        assert len(calls) == shapes.index(tuple(v.witness["shape"])) + 1
+        assert len(calls) == _rows(shapes).index(tuple(v.witness["shape"])) + 1
         assert len(calls) < len(shapes)
         calls.clear()
         # a shifted net passes without being a subspace: counting, every shape
@@ -460,13 +474,17 @@ class TestRankRoute:
                                          for _ in range(4)])
         e = (1,) * 5
         tezuka_star = next(u for u in range(6) if _both_routes(p, u, e, "tezuka")[0])
+        bad_star = next(u for u in range(9) if _both_routes(bad, u, (1,) * 4, "narrow")[0])
         counted, _ = _both_routes(bad, 0, (1,) * 4, "narrow")
         assert netverify._row_space(p, len(check_shapes(5, 0, e))) is not None
         assert netverify._row_space(bad, len(check_shapes(8, 0, (1,) * 4))) is not None
+        # the narrow search on p first checks u = 2, too few shapes to pay for ranks
+        assert netverify._row_space(p, len(check_shapes(5, 2, e))) is None
+        assert u_star(p, e) == 0
         calls = _count_kernel_calls(monkeypatch)
         assert verify_net(p, 0, e)
-        assert u_star(p, e) == 0
         assert u_star(p, e, "tezuka") == tezuka_star
+        assert u_star(bad, (1,) * 4) == bad_star
         v = verify_net(bad, 0, (1,) * 4)
         assert calls == []  # no point was counted
         assert not v
@@ -476,13 +494,15 @@ class TestRankRoute:
         recoveries = []
         real = netverify._row_space
         monkeypatch.setattr(netverify, "_row_space",
-                            lambda p, shapes: recoveries.append(p) or real(p, shapes))
+                            lambda p, shapes: recoveries.append(shapes) or real(p, shapes))
         steps = TestUStar._count_calls(monkeypatch)
         p = corpus.faure(5, 5, 5)
         for variant in ("narrow", "tezuka"):
             recoveries.clear()
+            first = len(steps)
             u_star(p, (1,) * 5, variant)
-            assert len(recoveries) == 1
+            # once, gated on the first list the search checks
+            assert recoveries == [len(steps[first])]
         assert len(steps) > 2
 
     @pytest.mark.parametrize("p", [
@@ -501,7 +521,7 @@ class TestRankRoute:
         assert netverify._row_space(p, len(shapes)) is None
         calls = _count_kernel_calls(monkeypatch)
         v = verify_net(p, 0, e)
-        stop = len(shapes) if v else shapes.index(tuple(v.witness["shape"])) + 1
+        stop = len(shapes) if v else _rows(shapes).index(tuple(v.witness["shape"])) + 1
         assert len(calls) == stop
 
     def test_shifted_net_keeps_its_verdicts(self):
@@ -643,12 +663,16 @@ class TestCorrectedRankRoute:
         assert _recovered(space) == {tuple(p.digits[1234].reshape(-1).tolist()): 1,
                                      tuple(net.digits[1234].reshape(-1).tolist()): -1}
         counted = _decided(p, e, shapes, None)
-        star = next(u for u in range(6) if _decided(p, e, check_shapes(5, u, e), None))
+        star, tezuka_star = (next(u for u in range(6)
+                                  if _decided(p, e, check_shapes(5, u, e, variant), None))
+                             for variant in ("narrow", "tezuka"))
+        # counted: the narrow search first checks u = 2, too few shapes to pay for ranks
+        assert u_star(p, e) == star
         calls = _count_kernel_calls(monkeypatch)
         # a (0,5,5)-net: every shape has full rank, so no fallback counts anything
         assert _as_tuple(verify_net(p, 0, e)) == _as_tuple(counted)
         assert not counted
-        assert u_star(p, e) == star
+        assert u_star(p, e, "tezuka") == tezuka_star
         assert calls == []
 
     def test_cancelling_cell_zero_counts_that_shape(self, monkeypatch):
@@ -689,7 +713,7 @@ class TestCorrectedRankRoute:
         assert netverify._row_space(p, len(shapes)) is None
         calls = _count_kernel_calls(monkeypatch)
         v = verify_net(p, 0, e)
-        assert len(calls) == shapes.index(tuple(v.witness["shape"])) + 1
+        assert len(calls) == _rows(shapes).index(tuple(v.witness["shape"])) + 1
 
     def test_a_correction_past_the_limit_takes_counting(self, monkeypatch):
         net = corpus.faure(5, 5, 5)
@@ -712,7 +736,7 @@ class TestCorrectedRankRoute:
                 assert calls == []
             else:
                 assert space is None
-                assert len(calls) == shapes.index(tuple(v.witness["shape"])) + 1
+                assert len(calls) == _rows(shapes).index(tuple(v.witness["shape"])) + 1
             monkeypatch.undo()
 
     @settings(deadline=None, max_examples=60)
@@ -771,7 +795,7 @@ class TestUStar:
         real = netverify._decide
 
         def counting(points, e, shapes, space):
-            calls.append(list(shapes))
+            calls.append(_rows(shapes))
             return real(points, e, shapes, space)
 
         monkeypatch.setattr(netverify, "_decide", counting)
@@ -791,10 +815,10 @@ class TestUStar:
         calls = self._count_calls(monkeypatch)
         p = PointSet(2, np.zeros((8, 1, 3), dtype=np.int64))
         assert u_star(p, (2,), variant="tezuka") == 0  # despite failing at u=1
-        assert calls == [check_shapes(3, 0, (2,), "tezuka")]
+        assert calls == [_rows(check_shapes(3, 0, (2,), "tezuka"))]
         calls.clear()
         assert u_star(_flip012(corpus.hammersley(2, 3)), (1, 1), variant="tezuka") == 1
-        assert calls == [check_shapes(3, u, (1, 1), "tezuka") for u in (0, 1)]
+        assert calls == [_rows(check_shapes(3, u, (1, 1), "tezuka")) for u in (0, 1)]
 
 
 # ---------------------------------------------------------------------------

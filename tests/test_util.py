@@ -31,8 +31,9 @@ class TestFirstNonuniform:
 
 class TestMaximalDepths:
     def test_rows_in_lexicographic_order_and_read_only(self):
+        # digit depths k_i * e_i: the shapes themselves, not the profiles k
         rows = _util.maximal_depths(3, (1, 2), (3, 1))
-        assert rows.dtype == np.int64 and rows.tolist() == [[1, 1], [3, 0]]
+        assert rows.dtype == np.int64 and rows.tolist() == [[1, 2], [3, 0]]
         with pytest.raises(ValueError):
             rows[0, 0] = 2
 
@@ -44,7 +45,8 @@ class TestMaximalDepths:
         # Python ints past 2**62: a step past the budget never fits, and a
         # huge budget leaves what no cap can spend
         assert _util.maximal_depths(3, (1, 2 ** 63), (3, 0)).tolist() == [[3, 0]]
-        assert _util.maximal_depths(2 ** 70, (2 ** 69, 2 ** 68), (1, 1)).tolist() == [[1, 1]]
+        assert _util.maximal_depths(2 ** 70, (2 ** 69, 2 ** 68), (1, 1)).tolist() == \
+            [[2 ** 69, 2 ** 68]]
         assert _util.maximal_depths(2 ** 70, (1, 1), (0, 0)).tolist() == [[0, 0]]
 
     def test_a_list_past_the_byte_cap_is_refused_before_it_is_built(self):
@@ -111,8 +113,9 @@ class TestPrefixTable:
         # second digit repeats the first, so at depth 2 box 0 holds two points
         digits = np.array([[[0, 0]], [[1, 1]], [[0, 0]], [[1, 1]]], dtype=np.uint8)
         table = PrefixTable.of_digits(digits, 2, (1,), 2)
-        assert table.first_failure([(1,)]) is None
-        assert table.first_failure([(0,), (1,), (2,)]) == ((2,), 0, 2, 1)
+        assert table.first_failure(np.array([[1]])) is None
+        failure = table.first_failure(np.array([[0], [1], [2]]))
+        assert failure == ((2,), 0, 2, 1) and type(failure[0][0]) is int
 
 
 def horner(row, radices):
