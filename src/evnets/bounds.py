@@ -12,8 +12,7 @@ import itertools
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
-from math import lcm, log10
+from math import lcm
 from typing import Iterator, Literal, Sequence
 
 from .evector import EVector
@@ -96,23 +95,14 @@ def _unwritable(n: int, limit: int) -> bool:
     return bool(limit) and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
 
 
-@cache
-def _first_unwritable_exponent(b: int, limit: int) -> int:
-    """The least k for which b**k has more than ``limit`` > 0 digits, found
-    by applying the rule to powers of about ``limit`` digits only."""
-    k = int(limit / log10(b))  # within one or two of the answer
-    while k and _unwritable(b ** (k - 1), limit):
-        k -= 1
-    while not _unwritable(b ** k, limit):
-        k += 1
-    return k
-
-
 def _power_unwritable(b: int, k: int, limit: int) -> bool:
-    """Whether b**k has more than ``limit`` decimal digits (never for limit 0),
-    decided from k alone: below 2**(3 * limit) it has at most ``limit``."""
-    return (bool(limit) and k * b.bit_length() > 3 * limit
-            and k >= _first_unwritable_exponent(b, limit))
+    """Whether b**k has more than ``limit`` decimal digits (never for limit 0
+    or k <= 0), decided exactly. Since b >= 2**(n - 1) with n the bit length
+    of b, k * (n - 1) >= 4 * limit gives b**k >= 16**limit, refused unbuilt;
+    otherwise b**k has fewer than 8 * limit bits and is built."""
+    if not limit or k <= 0:
+        return False
+    return k * (b.bit_length() - 1) >= 4 * limit or _unwritable(b ** k, limit)
 
 
 def _too_long(name: str, what: str, limit: int) -> ParamError:

@@ -29,7 +29,8 @@ the group G = prod_j Z_{w_j} spanned by the columns the family touches (w_j
 the alphabet of column j). One exact transform over G, in integers, gives
 the counts of every element at once (:func:`_group_tallies`); a family of
 few members over a group far larger than they are counts each difference
-over the rows instead (see :func:`gram_certificate`).
+over the rows instead: of the routes whose bytes fit the cap, the one the
+table :func:`_routes` gives less work.
 """
 
 from __future__ import annotations
@@ -267,57 +268,45 @@ def _block_rows(runs: int, differences: int) -> int:
     return min(differences, max(1, _CHUNK_BYTES // (8 * runs)))
 
 
-def _takes_transform(group: int, q: int, widths: Sequence[int], differences: int,
-                     runs: int) -> bool:
-    """Whether the group transform does no more work than the per-difference
-    tally: |G| * q * sum(w_j) tally additions, against one exponent row of N
-    entries, each a sum over the touched columns, per difference."""
-    return group * q * sum(widths) <= differences * runs * len(widths)
+def _routes(array: MixedOOA, members: int, widths: list[int], differences: int
+            ) -> dict[str, tuple[int, int]]:
+    """Each route's (work, bytes) for a family of ``members`` tuples whose
+    ``differences`` distinct nonzero differences live on touched columns of
+    alphabets ``widths``, the group transform first. Its work is |G| * q *
+    sum(w_j) tally additions; the per-difference tally's is one exponent row
+    of N entries, each a sum over the touched columns, per difference.
 
-
-def _route_bytes(members: int, columns: int, touched: int, runs: int,
-                 differences: int, tallies: int) -> int:
-    """Bytes a certificate allocates, at most, for a family of ``members``
-    tuples whose ``differences`` distinct nonzero differences live on
-    ``touched`` of the array's ``columns``; ``tallies`` is |G| * q when the
-    group transform runs and 0 when the per-difference tally does.
-
-    Both routes hold the stacked residues, their touched columns and one
-    row's differences, with a rank per member, and each difference seen
-    with its first pair and its entry in the set of differences. The
-    transform adds the rows' touched columns and ranks, and at most five
-    (|G|, q) int64 arrays at once: the tallies before and after a column
-    with the row counts and numpy's buffers for the rolled adds, or the
-    tallies, the kept differences' tallies and the copy the vanishing test
-    multiplies. The per-difference tally adds each difference's residues,
-    the touched columns of the rows in int64, and one block of exponent rows
-    with its tally and that copy."""
-    size = (8 * members * (columns + 2 * touched) + members * _MEMBER_BYTES
+    Bytes, at most: both routes hold the stacked residues, their touched
+    columns and one row's differences, with a rank per member, and each
+    difference seen with its first pair and its entry in the set of
+    differences. The transform adds the rows' touched columns and ranks, and
+    at most five (|G|, q) int64 arrays at once: the tallies before and after
+    a column with the row counts and numpy's buffers for the rolled adds, or
+    the tallies, the kept differences' tallies and the copy the vanishing
+    test multiplies. The per-difference tally adds each difference's
+    residues, the touched columns of the rows in int64, and one block of
+    exponent rows with its tally and that copy."""
+    group, q, touched, runs = math.prod(widths), _order(array), len(widths), array.runs
+    walk = (8 * members * (sum(array.beta) + 2 * touched) + members * _MEMBER_BYTES
             + differences * _DIFFERENCE_BYTES)
-    if tallies:
-        return size + 8 * runs * (touched + 1) + 40 * tallies
     block = _block_rows(runs, differences)
-    return size + 16 * differences * touched + 8 * runs * (touched + 3 * block)
+    return {"transform": (group * q * sum(widths),
+                          walk + 8 * runs * (touched + 1) + 40 * group * q),
+            "per-difference": (differences * runs * touched, walk + 16 * differences * touched
+                               + 8 * runs * (touched + 3 * block))}
 
 
-def _route(array: MixedOOA, members: int, widths: np.ndarray, differences: int) -> bool:
-    """Whether the group transform decides a family of ``members`` tuples on
-    touched columns of alphabets ``widths`` (else the per-difference tally
-    does): the route that does less work (:func:`_takes_transform`) if its
-    bytes fit the package's byte cap, else the other one. A family that
-    neither route fits is refused, with the smaller of the two counts."""
-    widths = widths.tolist()
-    group, q = math.prod(widths), _order(array)
-    prefer = _takes_transform(group, q, widths, differences, array.runs)
-    sizes = {}
-    for transform in (prefer, not prefer):
-        sizes[transform] = _route_bytes(members, sum(array.beta), len(widths), array.runs,
-                                        differences, group * q if transform else 0)
-        if sizes[transform] <= _BYTES_CAP:
-            return transform
-    raise ParamError(f"a family of {members} tuples on {array.runs} rows needs "
-                     f"{min(sizes.values())} bytes of residues, differences and tallies, "
-                     f"above the cap of {_BYTES_CAP} bytes")
+def _route(array: MixedOOA, members: int, widths: np.ndarray, differences: int) -> str:
+    """Of the :func:`_routes` whose bytes fit the package's byte cap, the one
+    that does less work, the transform on a tie. A family that neither route
+    fits is refused, with the smaller of the two byte counts."""
+    routes = _routes(array, members, widths.tolist(), differences)
+    fits = [name for name, (_, size) in routes.items() if size <= _BYTES_CAP]
+    if not fits:
+        raise ParamError(f"a family of {members} tuples on {array.runs} rows needs "
+                         f"{min(size for _, size in routes.values())} bytes of residues, "
+                         f"differences and tallies, above the cap of {_BYTES_CAP} bytes")
+    return min(fits, key=lambda name: routes[name][0])  # the first listed on a tie
 
 
 def gram_certificate(array: MixedOOA, family) -> Verdict:
@@ -351,17 +340,17 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
     (all b**m rows at exponent 0).
 
     The tallies come from one of two exact routes, chosen from the input
-    (:func:`_route`). The group transform (:func:`_group_tallies`) tallies
-    every element of G at once, in O(|G| * q * sum(w_j)) work and |G| * q
-    int64 tallies, and looks each difference up by its rank. The
-    per-difference tally forms each difference's exponent row over the N
-    rows, in O(D * N * columns). The route that does less work runs if its
-    bytes fit the package's byte cap (see :func:`_route_bytes`), else the
-    other one. A ``build_block_family`` family has |G| = F <= b**m, so it
-    takes the transform unless q * w_j comes near N; a family of few
-    members over a group far larger than they are takes the per-difference
-    tally. A family that neither route fits is refused with ``ParamError``
-    before the walk.
+    by one table (:func:`_routes`). The group transform
+    (:func:`_group_tallies`) tallies every element of G at once, in
+    O(|G| * q * sum(w_j)) work and |G| * q int64 tallies, and looks each
+    difference up by its rank. The per-difference tally forms each
+    difference's exponent row over the N rows, in O(D * N * columns). Of
+    the routes whose bytes fit the package's byte cap, the one that does
+    less work runs, the transform on a tie. A ``build_block_family`` family
+    has |G| = F <= b**m, so it takes the transform unless q * w_j comes near
+    N; a family of few members over a group far larger than they are takes
+    the per-difference tally. A family that neither route fits is refused
+    with ``ParamError`` before the walk.
     """
     residues = _residue_rows(array, family)
     members = len(residues)
@@ -369,7 +358,7 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
     widths = _widths(array)[cols]
     group = math.prod(widths.tolist())
     differences = min(group - 1, members * (members - 1) // 2)
-    transform = _route(array, members, widths, differences)
+    transform = _route(array, members, widths, differences) == "transform"
     residues = residues[:, cols]
     weight = np.concatenate([np.arange(1, bi + 1) * ei
                              for ei, bi in zip(array.e, array.beta)])[cols]

@@ -1,6 +1,7 @@
 """Row-count bounds and coordinate-budget conditions, exact-integer oracles."""
 
 import math
+import re
 import sys
 from collections import Counter
 
@@ -61,15 +62,16 @@ class TestRaoRhs:
         values = [rao_rhs(pairs, t) for t in range(0, 6)]
         assert values == sorted(values)
 
-    def test_input_validation(self):
-        with pytest.raises(ParamError):
-            rao_rhs([(4, 1), (2, 1)], 2)   # decreasing sizes
-        with pytest.raises(ParamError):
-            rao_rhs([(2, 1)], -1)
-        with pytest.raises(ParamError):
-            rao_rhs([(1, 2)], 2)
-        with pytest.raises(ParamError):
-            rao_rhs([(2, 0)], 2)
+    @pytest.mark.parametrize("pairs, t, message", [
+        ([(4, 1), (2, 1)], 2, "sizes must be nondecreasing, got [(4, 1), (2, 1)]"),
+        ([(2, 1)], -1, "strength must be >= 0, got -1"),
+        ([(1, 2)], 2, "need sizes >= 2 and multiplicities >= 1, got [(1, 2)]"),
+        ([(2, 0)], 2, "need sizes >= 2 and multiplicities >= 1, got [(2, 0)]"),
+        ([], 1, "odd strength needs at least one column"),
+    ])
+    def test_input_validation(self, pairs, t, message):
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+            rao_rhs(pairs, t)
 
     def test_nondecreasing_duplicates_allowed(self):
         # unlumped input with repeated sizes is legal and equals the lumped form
@@ -256,6 +258,25 @@ class TestSequenceConditions:
         sys.set_int_max_str_digits(0)  # no limit: the budget is built
         assert seq_budget_check(2, (15015,))[0].rhs == 2 ** 15015
 
+    @pytest.mark.parametrize("b", [2, 3, 10, 100, 1023, 1024, 1025])
+    def test_power_writability_is_exact(self, digit_limit, b):
+        # either side of the least unwritable exponent and of the least k the
+        # bit-length test refuses unbuilt, k * (bit length - 1) >= 4 * limit
+        k = _first_unwritable_exponent(b, digit_limit)
+        cut = -(-4 * digit_limit // (b.bit_length() - 1))
+        for j in (-1, 0, 1, k - 1, k, k + 1, cut - 1, cut):
+            assert bounds._power_unwritable(b, j, digit_limit) == (j >= k), j
+        assert not bounds._power_unwritable(b, 10 ** 6, 0)  # no limit
+
+
+def _first_unwritable_exponent(b, limit):
+    """The least k with b**k >= 10**limit, that is of more than ``limit``
+    decimal digits, found by multiplying up."""
+    k, power, bound = 0, 1, 10 ** limit
+    while power < bound:
+        k, power = k + 1, power * b
+    return k
+
 
 def _refusal(make):
     """The ParamError's message when ``make()``'s conditions are made and
@@ -382,9 +403,10 @@ class TestFeasibilityReport:
     @pytest.mark.parametrize("b", [2, 3, 10, 100])
     def test_powers_past_the_limit_are_refused_as_to_json_would(self, digit_limit, b):
         # around the least k with b**k unwritable, the report refuses what
-        # writing it would refuse first, in report order, LHS before RHS
-        k = bounds._first_unwritable_exponent(b, digit_limit)
-        for m in (3, k - 1, k, k + 1, k + 2):
+        # writing it would refuse first, in report order, LHS before RHS; at
+        # m = 0 the RHS b**m - 1 is checked as the power b**-1
+        k = _first_unwritable_exponent(b, digit_limit)
+        for m in (0, 3, k - 1, k, k + 1, k + 2):
             for e in ((1, 1), (1, 1, 2), (2, 3, 4, 5), (1, k - 1), (1, k), (1, k + 1),
                       (k, k), (k - 1, k, k + 1), (k + 1, k + 1)):
                 for make in [lambda: feasibility_report(b, m, e).conditions,
@@ -399,7 +421,7 @@ class TestFeasibilityReport:
     def test_long_sums_are_refused_as_to_json_would(self, digit_limit, b, e):
         # many distinct sizes and long repeated blocks: the first sum too long
         # to write ends the walk, and is the one writing the report would name
-        k = bounds._first_unwritable_exponent(b, digit_limit)
+        k = _first_unwritable_exponent(b, digit_limit)
         s = len(e)
         for m in (3, k - 1, k, k + 1):
             net = lambda: feasibility_report(b, m, e).conditions
@@ -438,11 +460,17 @@ class TestFeasibilityReport:
         sys.set_int_max_str_digits(0)  # no limit: the powers are built
         assert feasibility_report(2, 20000, (1, 1)).conditions[0].rhs == 2 ** 20000 - 1
 
-    @pytest.mark.parametrize("target", ["net", "sequence"])
+    @pytest.mark.parametrize("check", ["net", "sequence", "rao", "budgets"])
     @pytest.mark.parametrize("e", [(1,), (1, 1, 2)])
-    def test_base_and_m_validated_for_every_s(self, target, e):
-        # with s = 1 no row-count check runs, so these are checked up front
-        with pytest.raises(ParamError, match="base must be >= 2, got 1"):
-            feasibility_report(1, 3, e, target)
-        with pytest.raises(ParamError, match="m must be >= 0, got -5"):
-            feasibility_report(2, -5, e, target)
+    def test_base_and_m_validated_for_every_s(self, check, e):
+        # with s = 1 no row-count check runs, so these are checked up front;
+        # rao --t checks them before its strength, and the budgets take no m
+        make = {"net": lambda b, m: feasibility_report(b, m, e),
+                "sequence": lambda b, m: feasibility_report(b, m, e, "sequence"),
+                "rao": lambda b, m: net_rao_check(b, m, e, 2),
+                "budgets": lambda b, m: seq_budget_check(b, e)}[check]
+        with pytest.raises(ParamError, match="^base must be >= 2, got 1$"):
+            make(1, 3)
+        if check != "budgets":
+            with pytest.raises(ParamError, match="^m must be >= 0, got -5$"):
+                make(2, -5)

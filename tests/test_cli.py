@@ -15,6 +15,7 @@ import evnets
 from evnets import EVector, _util, cli, corpus, dualcert, net_chunks, netverify
 from evnets.cli import EXIT_FAIL, EXIT_FORMAT, EXIT_INCONCLUSIVE, EXIT_PASS, \
     EXIT_USAGE, build_parser, evector_arg, int_list_arg, main
+from evnets.io import parse_mooa
 
 
 def run(capsys, *argv):
@@ -139,9 +140,18 @@ class TestGen:
         assert code == EXIT_PASS
         assert out.splitlines()[1] == "base 3 m 2 s 1 u 0"
 
-    def test_faure_needs_s(self, capsys):
-        code, _, err = run(capsys, "gen", "faure", "--base", "3", "--m", "2")
-        assert code == EXIT_USAGE and "needs --s" in err
+    @pytest.mark.parametrize("argv, message", [
+        (("faure",), "gen faure needs --s"),
+        (("random",), "gen random needs --s"),
+        (("search", "--e", "1x2", "--u", "0"), "gen search needs --s, --e and --u"),
+        (("search", "--s", "2", "--u", "0"), "gen search needs --s, --e and --u"),
+        (("search", "--s", "2", "--e", "1x2"), "gen search needs --s, --e and --u"),
+    ])
+    def test_generator_needs_its_flags(self, capsys, argv, message):
+        code, out, err = run(capsys, "gen", *argv, "--base", "3", "--m", "2")
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_faure_with_s(self, capsys):
         code, out, _ = run(capsys, "gen", "faure", "--base", "3", "--m", "2",
                            "--s", "3")
         assert code == EXIT_PASS and out.splitlines()[2] == "e 1 1 1"
@@ -775,6 +785,15 @@ class TestDualCert:
         p.write_text(text)
         return str(p)
 
+    @staticmethod
+    def _kappa_30_bytes(mooa):
+        """The smaller of the two routes' byte counts, the transform's, for
+        the kappa (3,0) family: 8 tuples, 7 differences on 3 columns of
+        alphabet 2."""
+        routes = dualcert._routes(parse_mooa(Path(mooa).read_bytes()), 8, [2, 2, 2], 7)
+        assert routes["transform"][1] == 3584 < routes["per-difference"][1] == 3920
+        return routes["transform"][1]
+
     def test_kappa_family_passes(self, capsys, ham_net, tmp_path):
         mooa = self._mooa(capsys, ham_net, tmp_path)
         code, out, _ = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
@@ -824,8 +843,7 @@ class TestDualCert:
             raise AssertionError("family members built")
 
         monkeypatch.setattr(dualcert, "unrank", no_members)
-        need = dualcert._route_bytes(8, 4, 3, 8, 7, 32)  # the transform's, the smaller
-        assert need == 3584 < dualcert._route_bytes(8, 4, 3, 8, 7, 0) == 3920
+        need = self._kappa_30_bytes(mooa)
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
         assert code == EXIT_USAGE and out == ""
@@ -871,8 +889,7 @@ class TestDualCert:
         # the real cap is 1 GiB, which hammersley(2,14) at kappa (7,7) fits
         # in about 14 MB; a lowered cap refuses this family of 8
         mooa = self._mooa(capsys, ham_net, tmp_path)
-        need = dualcert._route_bytes(8, 4, 3, 8, 7, 32)  # the transform's, the smaller
-        assert need == 3584 < dualcert._route_bytes(8, 4, 3, 8, 7, 0) == 3920
+        need = self._kappa_30_bytes(mooa)
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
         code, out, err = run(capsys, "dual-cert", mooa, "--kappa", "3,0")
         assert code == EXIT_USAGE and out == ""

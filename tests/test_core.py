@@ -1,5 +1,7 @@
 """Data-model invariants: validation, exact values, immutability, equality."""
 
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -66,11 +68,16 @@ class TestPointSet:
         with pytest.raises(ParamError):
             _ps(2, [[[0, -1]]])
 
-    def test_rejects_bad_base_and_rank(self):
-        with pytest.raises(ParamError):
-            _ps(1, [[[0]]])
-        with pytest.raises(ParamError):
-            PointSet(2, np.zeros((2, 3), dtype=np.int64))
+    @pytest.mark.parametrize("make, message", [
+        (lambda: _ps(1, [[[0]]]), "base must be >= 2, got 1"),
+        (lambda: PointSet(2, np.zeros((2, 3), dtype=np.int64)),
+         "digits must be 3-dimensional, got shape (2, 3)"),
+        (lambda: PointSet(2, np.zeros((2, 0, 3), dtype=np.int64)),
+         "point sets need at least one coordinate"),
+    ])
+    def test_rejects_bad_base_and_rank(self, make, message):
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_digits_are_read_only(self):
         p = _ps(2, [[[0, 1]]])
@@ -128,19 +135,25 @@ class TestPointSet:
 # ---------------------------------------------------------------------------
 # MixedOA
 
+_OA_ROWS = np.array([[0, 2], [1, 0]], dtype=np.int64)
+
+
 class TestMixedOA:
-    def test_validation(self):
-        rows = np.array([[0, 2], [1, 0]], dtype=np.int64)
-        a = MixedOA((2, 3), rows)
+    def test_counts(self):
+        a = MixedOA((2, 3), _OA_ROWS)
         assert a.runs == 2 and a.k == 2 and a.strength == 0
-        with pytest.raises(ParamError):
-            MixedOA((2, 2), rows)        # column 1 holds a 2
-        with pytest.raises(ParamError):
-            MixedOA((2,), rows)          # column count mismatch
-        with pytest.raises(ParamError):
-            MixedOA((2, 3), rows, strength=3)
-        with pytest.raises(ParamError):
-            MixedOA((1, 3), rows)
+
+    @pytest.mark.parametrize("alphabets, rows, strength, message", [
+        ((2, 2), _OA_ROWS, 0, "column 1 must lie in [0, 2)"),
+        ((2,), _OA_ROWS, 0, "rows have 2 columns, expected 1"),
+        ((2, 3), _OA_ROWS, 3, "claimed strength must lie in [0, 2], got 3"),
+        ((1, 3), _OA_ROWS, 0, "alphabet sizes must be >= 2, got (1, 3)"),
+        ((), np.zeros((2, 0), dtype=np.int64), 0, "mixed arrays need at least one column"),
+        ((2,), np.zeros((0, 1), dtype=np.int64), 0, "mixed arrays need at least one row"),
+    ])
+    def test_validation(self, alphabets, rows, strength, message):
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+            MixedOA(alphabets, rows, strength=strength)
 
     def test_equality_includes_strength(self):
         rows = np.zeros((2, 1), dtype=np.int64)
@@ -161,12 +174,19 @@ class TestMixedOOA:
         with pytest.raises(IndexError):
             a.column(1, 1)
 
-    def test_beta_capped_by_budget(self):
-        rows = np.zeros((4, 3), dtype=np.int64)
-        with pytest.raises(ParamError):
-            MixedOOA(2, 2, 1, EVector((1, 2)), (2, 1), rows)  # cap is (1, 0)
-        with pytest.raises(ParamError):
-            MixedOOA(2, 2, 0, EVector((1,)), (3,), np.zeros((4, 3), dtype=np.int64))
+    @pytest.mark.parametrize("base, m, u, e, beta, columns, message", [
+        (2, 2, 1, (1, 2), (2, 1), 3, "beta[0]=2 outside [0, 1] allowed by (m-u)/e_i"),
+        (2, 2, 0, (1,), (3,), 3, "beta[0]=3 outside [0, 2] allowed by (m-u)/e_i"),
+        (1, 2, 0, (1,), (2,), 2, "base must be >= 2, got 1"),
+        (2, 2, 3, (1,), (2,), 2, "need 0 <= u <= m, got u=3, m=2"),
+        (2, -1, 0, (1,), (2,), 2, "need 0 <= u <= m, got u=0, m=-1"),
+        (2, 2, 0, (1,), (2, 0), 2, "beta has 2 entries, e-vector has 1"),
+        (2, 2, 0, (1,), (2,), 3, "expected sum(beta) = 2 columns, got 3"),
+    ])
+    def test_parameters_are_validated(self, base, m, u, e, beta, columns, message):
+        rows = np.zeros((4, columns), dtype=np.int64)
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+            MixedOOA(base, m, u, EVector(e), beta, rows)
 
     def test_zero_beta_blocks_allowed(self):
         a = MixedOOA(2, 1, 1, EVector((1, 1)), (0, 0), np.zeros((2, 0), dtype=np.int64))

@@ -124,9 +124,19 @@ class TestGenerators:
         assert a == b and a != c
         assert a.count == 8 and a.digits.max() <= 1
 
-    def test_random_pointset_negative_seed_is_param_error(self):
-        with pytest.raises(ParamError, match="seed must be >= 0, got -1"):
-            random_pointset(2, 3, 2, -1)
+    @pytest.mark.parametrize("make, message", [
+        (lambda: random_pointset(2, 3, 2, -1), "seed must be >= 0, got -1"),
+        (lambda: random_pointset(2, 3, 0, 1), "need at least one coordinate, got s=0"),
+        (lambda: hammersley(1, 3), "base must be >= 2, got 1"),
+        (lambda: grid_1d(2, -1), "m must be >= 0, got -1"),
+        (lambda: search_net(2, 2, (1, 1), 3, 0), "e-vector has 2 entries, expected s=3"),
+        (lambda: search_net(2, 2, (1, 1), 2, 3), "need 0 <= u <= m, got u=3, m=2"),
+        (lambda: search_net(2, 2, (1, 1), 2, 0, node_limit=-1),
+         "node limit must be >= 0, got -1"),
+    ])
+    def test_nonsense_parameters_are_param_errors(self, make, message):
+        with pytest.raises(ParamError, match=f"^{message}$"):
+            make()
 
 
 def _brute_equal(make, b, matrices):

@@ -251,13 +251,15 @@ class TestGramCertificate:
         # 16*7*3, the touched rows and one block of 7 exponent rows with its
         # tally and the vanishing test's copy 8*8*(3 + 3*7)
         need = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 16 * 7 * 3 + 8 * 8 * (3 + 3 * 7)
-        assert not dualcert._takes_transform(8, 4, [2, 2, 2], 7, 8)
-        assert dualcert._route_bytes(8, 4, 3, 8, 7, 0) == need == 3920
         # below that the transform runs if it fits: the walk's bytes, the
         # rows' touched columns and ranks 8*8*(3 + 1), and five arrays of
         # |G| * q = 32 tallies 40*32
         other = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 8 * 8 * (3 + 1) + 40 * 32
-        assert dualcert._route_bytes(8, 4, 3, 8, 7, 32) == other == 3584
+        # work: |G| * q * sum(w_j) = 8*4*6 additions against 7 exponent rows of
+        # 8 entries on 3 columns
+        assert dualcert._routes(arr12, 8, [2, 2, 2], 7) == {
+            "transform": (8 * 4 * 6, other), "per-difference": (7 * 8 * 3, need)}
+        assert (need, other) == (3920, 3584)
         fam = build_block_family(arr12, (3, 0))
         transforms = []
         group_tallies = dualcert._group_tallies
@@ -277,7 +279,7 @@ class TestGramCertificate:
         # two tuples touching all 4 columns have one difference; refused
         # before the height precondition could fail the family
         tall = [[1, 1, 1, 0], [0, 0, 0, 1]]
-        need = dualcert._route_bytes(2, 4, 4, 8, 1, 0)
+        need = dualcert._routes(arr12, 2, [2, 2, 2, 4], 1)["per-difference"][1]
         assert need == 960
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert gram_certificate(arr12, tall).witness["kind"] == "height-precondition"
@@ -290,8 +292,9 @@ class TestGramCertificate:
         # 8*8*(6 + 2*3) + 8*64 + 7*128, the rows' touched columns and ranks
         # 8*8*(3 + 1), and five arrays of |G| * q = 16 tallies 40*16
         need = 8 * 8 * (6 + 2 * 3) + 8 * 64 + 7 * 128 + 8 * 8 * (3 + 1) + 40 * 16
-        assert dualcert._takes_transform(8, 2, [2, 2, 2], 7, 8)
-        assert dualcert._route_bytes(8, 6, 3, 8, 7, 16) == need == 3072
+        routes = dualcert._routes(arr11, 8, [2, 2, 2], 7)
+        assert routes["transform"] == (8 * 2 * 6, need) and need == 3072
+        assert routes["transform"][0] < routes["per-difference"][0] == 7 * 8 * 3
         fam = build_block_family(arr11, (3, 0))
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert gram_certificate(arr11, fam)
@@ -299,14 +302,27 @@ class TestGramCertificate:
         with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3072 "):
             gram_certificate(arr11, fam)
 
+    def test_a_tie_in_work_takes_the_transform(self, arr11, monkeypatch):
+        # two tuples apart on one column of alphabet 2 at q = 2: |G| * q * w =
+        # 2*2*2 additions, and one exponent row of 8 entries on 1 column
+        routes = dualcert._routes(arr11, 2, [2], 1)
+        assert routes["transform"][0] == routes["per-difference"][0] == 8
+        transforms, group_tallies = [], dualcert._group_tallies
+        monkeypatch.setattr(dualcert, "_group_tallies",
+                            lambda *args: transforms.append(1) or group_tallies(*args))
+        assert gram_certificate(arr11, [[0] * 6, [1] + [0] * 5])
+        assert transforms == [1]
+
     def test_a_transform_past_the_cap_falls_back_to_the_per_difference_tally(
             self, monkeypatch):
         # 100 tuples share a base on 24 of hammersley(2,14)'s 28 columns and
         # differ on block 0's first 7. For up to 4950 differences the
         # transform over |G| = 2**24 does less work, but its 40 * 2**25
         # bytes of tallies pass the cap, so the per-difference tally runs
-        assert dualcert._takes_transform(2 ** 24, 2, [2] * 24, 4950, 2 ** 14)
-        assert dualcert._route_bytes(100, 28, 24, 2 ** 14, 4950, 2 ** 25) > dualcert._BYTES_CAP
+        ham = corpus.hammersley(2, 14)
+        routes = dualcert._routes(net_to_mooa(ham, 0, (1, 1)), 100, [2] * 24, 4950)
+        assert routes["transform"][0] == 2 ** 25 * 48 < routes["per-difference"][0]
+        assert routes["per-difference"][1] <= dualcert._BYTES_CAP < routes["transform"][1]
         base = np.zeros(28, dtype=np.int64)
         base[list(range(12)) + list(range(14, 26))] = 1
         fam = np.tile(base, (100, 1))
@@ -316,7 +332,6 @@ class TestGramCertificate:
             raise AssertionError("group transform run")
 
         monkeypatch.setattr(dualcert, "_group_tallies", no_transform)
-        ham = corpus.hammersley(2, 14)
         assert gram_certificate(net_to_mooa(ham, 0, (1, 1)), fam)
         bad = net_to_mooa(corpus.flip_digit(ham, 0, 0, 0), 0, (1, 1))
         assert gram_certificate(bad, fam).witness == {
@@ -325,12 +340,12 @@ class TestGramCertificate:
     def test_differences_counted_are_bounded_by_pairs_and_group(self, arr12, monkeypatch):
         # a family of 3 tuples has at most 3 differences however many columns
         # it touches; a block family of 8 has exactly its 7 nonzero members
-        calls = []
-        monkeypatch.setattr(dualcert, "_route_bytes",
-                            lambda *args: calls.append(args) or 0)
+        calls, routes = [], dualcert._routes
+        monkeypatch.setattr(dualcert, "_routes",
+                            lambda *args: calls.append(args[1:]) or routes(*args))
         gram_certificate(arr12, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 3]])
         gram_certificate(arr12, build_block_family(arr12, (1, 1)))
-        assert calls == [(3, 4, 3, 8, 3, 0), (8, 4, 2, 8, 7, 0), (8, 4, 2, 8, 7, 0)]
+        assert calls == [(3, [2, 2, 4], 3), (8, [2, 4], 7), (8, [2, 4], 7)]
 
     def test_peak_memory_is_within_what_the_cap_counts(self, monkeypatch):
         # no (F, N) array is formed: on either route the peak stays within
@@ -338,11 +353,12 @@ class TestGramCertificate:
         import tracemalloc
         arr = net_to_mooa(corpus.hammersley(2, 10), 0, (1, 1))
         fam = build_block_family(arr, (5, 5))  # F = N = 1024, an 8 MB matrix
-        assert dualcert._takes_transform(len(fam), 2, [2] * 10, len(fam) - 1, arr.runs)
-        for route, tallies, want, share in (("transform", 2 * len(fam), 696192, 12),
-                                            ("per-difference", 0, 3915488, 2)):
+        routes = dualcert._routes(arr, len(fam), [2] * 10, len(fam) - 1)
+        assert routes["transform"][0] < routes["per-difference"][0]
+        for route, want, share in (("transform", 696192, 12),
+                                   ("per-difference", 3915488, 2)):
             _force_route(monkeypatch, route)
-            counted = dualcert._route_bytes(len(fam), 20, 10, arr.runs, len(fam) - 1, tallies)
+            counted = routes[route][1]
             assert counted == want and counted <= len(fam) * arr.runs * 8 / share
             tracemalloc.start()
             try:
@@ -387,8 +403,11 @@ ROUTES = ["transform", "per-difference"]
 
 
 def _force_route(monkeypatch, route):
-    """Make every certificate take ``route``, whatever its cost."""
-    monkeypatch.setattr(dualcert, "_takes_transform", lambda *args: route == "transform")
+    """Make every certificate take ``route`` whenever its bytes fit the cap:
+    the route table gives it the least work and keeps every byte count."""
+    routes = dualcert._routes
+    monkeypatch.setattr(dualcert, "_routes", lambda *args: {
+        name: (int(name != route), size) for name, (_, size) in routes(*args).items()})
 
 
 class TestExactCertificateCrossCheck:
@@ -438,7 +457,8 @@ class TestExactCertificateCrossCheck:
         # exponent rows of the per-difference tally
         arr = net_to_mooa(corpus.flip_digit(corpus.hammersley(2, 12), 0, 0, 0), 0, (1, 1))
         fam = build_block_family(arr, (6, 6))
-        assert dualcert._takes_transform(4096, 2, [2] * 12, 4095, 4096)
+        routes = dualcert._routes(arr, 4096, [2] * 12, 4095)
+        assert routes["transform"][0] < routes["per-difference"][0]
         witnesses = []
         for route in ROUTES:
             _force_route(monkeypatch, route)
@@ -654,8 +674,9 @@ class TestBuildBlockFamily:
         # the cap gram_certificate applies, counted from b**depth members on
         # sum(kappa) touched columns with b**depth - 1 differences: refused
         # once neither route fits, the transform's 32 tallies being smaller
-        need = dualcert._route_bytes(8, 4, 2, 8, 7, 32)
-        assert need == 3392 < dualcert._route_bytes(8, 4, 2, 8, 7, 0) == 3616
+        routes = dualcert._routes(arr12, 8, [2, 4], 7)
+        need = routes["transform"][1]
+        assert need == 3392 < routes["per-difference"][1] == 3616
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert len(build_block_family(arr12, (1, 1))) == 8
 

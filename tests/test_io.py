@@ -82,21 +82,28 @@ class TestNetFormat:
         with pytest.raises(ParamError, match="base 37 exceeds 36"):
             net_chunks(p37, 0, EVector((1,)))
 
-    @pytest.mark.parametrize("mutate, lineno", [
-        (lambda t: t.replace(b"NET v1", b"NET v2"), 1),
-        (lambda t: t.replace(b"base 2 m 3 s 2 u 0", b"base 2 m 3 s 2"), 2),
-        (lambda t: t.replace(b"base 2 m 3 s 2 u 0", b"base 2 m 3 s 2 u 9"), 2),
-        (lambda t: t.replace(b"e 1 1", b"e 1"), 3),
-        (lambda t: t.replace(b"e 1 1", b"e 0 1"), 3),
-        (lambda t: t.replace(b"100 001", b"100 01"), 5),
-        (lambda t: t.replace(b"100 001", b"100 002"), 5),
-        (lambda t: t.replace(b"100 001", b"100"), 5),
+    @pytest.mark.parametrize("mutate, lineno, message", [
+        (lambda t: t.replace(b"NET v1", b"NET v2"), 1, "expected 'NET v1', got 'NET v2'"),
+        (lambda t: t.replace(b"base 2 m 3 s 2 u 0", b"base 2 m 3 s 2"), 2,
+         "expected header 'base <base> m <m> s <s> u <u>', got 'base 2 m 3 s 2'"),
+        (lambda t: t.replace(b"base 2 m 3 s 2 u 0", b"base 2 m 3 s 2 u 9"), 2,
+         "invalid parameters base=2 m=3 s=2 u=9"),
+        (lambda t: t.replace(b"base 2", b"base 37"), 2,
+         "base 37 exceeds 36, not representable with digit characters"),
+        (lambda t: t.replace(b"e 1 1", b"e 1"), 3, "expected 2 values after 'e', got 1"),
+        (lambda t: t.replace(b"e 1 1", b"e 0 1"), 3, "e-vector entries must be >= 1, got [0, 1]"),
+        (lambda t: t.replace(b"100 001", b"100 01"), 5,
+         "digit string '01' has length 2, expected 3"),
+        (lambda t: t.replace(b"100 001", b"100 002"), 5, "character '2' is not a base-2 digit"),
+        (lambda t: t.replace(b"100 001", b"100"), 5, "expected 2 digit strings, got 1"),
+        (lambda t: b"NET v1\nbase 2 m 0 s 1 u 0\ne 1\n\n0\n", 5,
+         "expected blank point line for m=0, got '0'"),
     ])
-    def test_error_carries_line_number(self, mutate, lineno):
+    def test_error_carries_line_number(self, mutate, lineno, message):
         with pytest.raises(FormatError) as err:
             parse_net(mutate(HAM_23_TEXT))
         assert err.value.line == lineno
-        assert str(err.value).startswith(f"line {lineno}:")
+        assert str(err.value) == f"line {lineno}: {message}"
 
     def test_truncated_header_reports_missing_line(self):
         with pytest.raises(FormatError) as err:
@@ -177,11 +184,16 @@ class TestMooaFormat:
         assert back == arr
         assert b"".join(mooa_chunks(back)) == text
 
-    def test_beta_cap_enforced(self):
-        bad = (b"MOOA v1\nbase 2 m 2 s 1 u 1\ne 1\nbeta 2\n" + b"0 0\n" * 4)
+    @pytest.mark.parametrize("e, lineno, message", [
+        (b"1", 4, "beta[0]=2 outside [0, 1] allowed by (m-u)/e_i"),
+        (b"0", 3, "e-vector entries must be >= 1, got [0]"),
+    ])
+    def test_header_vectors_enforced(self, e, lineno, message):
+        bad = (b"MOOA v1\nbase 2 m 2 s 1 u 1\ne " + e + b"\nbeta 2\n" + b"0 0\n" * 4)
         with pytest.raises(FormatError) as err:
             parse_mooa(bad)
-        assert err.value.line == 4
+        assert err.value.line == lineno
+        assert str(err.value) == f"line {lineno}: {message}"
 
     def test_zero_column_rows_are_blank(self):
         text = b"MOOA v1\nbase 2 m 1 s 1 u 1\ne 1\nbeta 0\n\n\n"

@@ -917,10 +917,14 @@ class TestSequencePrefix:
         with pytest.raises(ParamError, match="e-vector has 2 entries, point set has 1"):
             verify_sequence_prefix(_vdc_prefix(3, 8), u, (1, 1), m_max)
 
-    @pytest.mark.parametrize("m_max", [-1, -3])
-    def test_negative_m_max_is_rejected(self, m_max):
-        with pytest.raises(ParamError, match=f"m_max must be >= 0, got {m_max}"):
-            verify_sequence_prefix(_vdc_prefix(3, 8), 0, (1,), m_max)
+    @pytest.mark.parametrize("u, m_max, message", [
+        (0, -1, "m_max must be >= 0, got -1"),
+        (0, -3, "m_max must be >= 0, got -3"),
+        (-1, 3, "u must be >= 0, got -1"),
+    ])
+    def test_negative_u_or_m_max_is_rejected(self, u, m_max, message):
+        with pytest.raises(ParamError, match=f"^{message}$"):
+            verify_sequence_prefix(_vdc_prefix(3, 8), u, (1,), m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -952,13 +956,16 @@ class TestProjectAndRebase:
         q = rebase_compress(corpus.hammersley(2, 4), 2)
         assert verify_net(q, 0, (1, 1))
 
-    def test_rebase_validation(self, ham23):
-        with pytest.raises(ParamError):
-            rebase_compress(ham23, 2)  # 3 digits not divisible by 2
-        with pytest.raises(ParamError):
-            rebase_expand(ham23, 2)    # base 2 is not a square
-        assert rebase_compress(ham23, 1) is ham23
-        assert rebase_expand(ham23, 1) is ham23
+    @pytest.mark.parametrize("rebase, r, message", [
+        (rebase_compress, 2, "precision 3 is not a multiple of 2"),
+        (rebase_expand, 2, "base 2 is not a perfect 2-th power"),
+        (rebase_compress, 0, "group size must be >= 1, got 0"),
+        (rebase_expand, -1, "group size must be >= 1, got -1"),
+    ])
+    def test_rebase_validation(self, ham23, rebase, r, message):
+        with pytest.raises(ParamError, match=f"^{message}$"):
+            rebase(ham23, r)
+        assert rebase(ham23, 1) is ham23
 
     def test_rebase_expand_refuses_huge_group_at_once(self):
         import time

@@ -1,5 +1,7 @@
 """Ordered-array bridge: profiles, strength contract, exact reconstruction."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,15 +104,21 @@ class TestNetToMooa:
         arr = net_to_mooa(ham23, 0, (1, 2), beta=(2, 1))
         assert arr.beta == (2, 1) and arr.rows.shape == (8, 3)
 
-    def test_validation(self, ham23):
-        with pytest.raises(ParamError):
-            net_to_mooa(ham23, 2, (1, 2))      # m < u + max(e)
-        with pytest.raises(ParamError):
-            net_to_mooa(ham23, 0, (1, 2), beta=(4, 1))
-        with pytest.raises(ParamError):
-            net_to_mooa(ham23, 0, (1, 2), beta=(0, 1))
-        with pytest.raises(ParamError):
-            net_to_mooa(PointSet(2, ham23.digits[:4]), 0, (1, 1))
+    @pytest.mark.parametrize("make, message", [
+        (lambda p: net_to_mooa(p, 2, (1, 2)), "need m >= u + max(e) = 4, got m=3"),
+        (lambda p: net_to_mooa(p, 0, (1, 2), beta=(4, 1)), "beta[0]=4 outside [1, 3]"),
+        (lambda p: net_to_mooa(p, 0, (1, 2), beta=(0, 1)), "beta[0]=0 outside [1, 3]"),
+        (lambda p: net_to_mooa(PointSet(2, p.digits[:4]), 0, (1, 1)),
+         "need base**m = 2**3 points, got 4"),
+        (lambda p: net_to_mooa(p, 0, (1, 1, 1)), "e-vector has 3 entries, point set has 2"),
+        (lambda p: net_to_mooa(p, 0, (1, 2), beta=(3,)), "beta has 1 entries, e-vector has 2"),
+        (lambda p: enumerate_profiles(3, 0, (1, 2), (3,)), "beta has 1 entries, e-vector has 2"),
+        (lambda p: enumerate_profiles(3, 0, (1, 2), (3, -1)),
+         "beta entries must be >= 0, got (3, -1)"),
+    ])
+    def test_validation(self, ham23, make, message):
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+            make(ham23)
 
     @pytest.mark.parametrize("int64", [False, True])
     def test_unit_e_at_u0_views_the_digits(self, int64):
