@@ -97,10 +97,10 @@ def _unwritable(n: int, limit: int) -> bool:
 
 def _power_unwritable(b: int, k: int, limit: int) -> bool:
     """Whether b**k has more than ``limit`` decimal digits (never for limit 0
-    or k <= 0), decided exactly. Since b >= 2**(n - 1) with n the bit length
-    of b, k * (n - 1) >= 4 * limit gives b**k >= 16**limit, refused unbuilt;
-    otherwise b**k has fewer than 8 * limit bits and is built."""
-    if not limit or k <= 0:
+    or k <= 0), decided exactly. As b < 2**n for n its bit length, k * n <= 3 * limit
+    gives b**k < 8**limit, writable unbuilt; k * (n - 1) >= 4 * limit gives b**k
+    >= 16**limit, refused unbuilt; between the two b**k is built (< 8 * limit bits)."""
+    if not limit or k * b.bit_length() <= 3 * limit:
         return False
     return k * (b.bit_length() - 1) >= 4 * limit or _unwritable(b ** k, limit)
 

@@ -260,12 +260,23 @@ class TestSequenceConditions:
 
     @pytest.mark.parametrize("b", [2, 3, 10, 100, 1023, 1024, 1025])
     def test_power_writability_is_exact(self, digit_limit, b):
-        # either side of the least unwritable exponent and of the least k the
-        # bit-length test refuses unbuilt, k * (bit length - 1) >= 4 * limit
+        # either side of the least unwritable exponent and of the two k the
+        # bit-length tests settle unbuilt: the most with k * n <= 3 * limit
+        # and the least with k * (n - 1) >= 4 * limit, for n the bit length
+        built = []
+
+        class Base(int):
+            def __pow__(self, j):
+                built.append(j)
+                return int(self) ** j
+
         k = _first_unwritable_exponent(b, digit_limit)
+        low = 3 * digit_limit // b.bit_length()
         cut = -(-4 * digit_limit // (b.bit_length() - 1))
-        for j in (-1, 0, 1, k - 1, k, k + 1, cut - 1, cut):
-            assert bounds._power_unwritable(b, j, digit_limit) == (j >= k), j
+        for j in (-1, 0, 1, low, low + 1, k - 1, k, k + 1, cut - 1, cut):
+            built.clear()
+            assert bounds._power_unwritable(Base(b), j, digit_limit) == (j >= k), j
+            assert built == ([j] if low < j < cut else []), j
         assert not bounds._power_unwritable(b, 10 ** 6, 0)  # no limit
 
 
