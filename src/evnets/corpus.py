@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import _BYTES_CAP, PrefixTable, digit_dtype, is_prime, row_chunks, span
+from ._util import (_BYTES_CAP, PrefixTable, canonical_beta, digit_dtype, is_prime,
+                    maximal_depths, row_chunks, span)
 from .core import EVector, PointSet
 from .errors import ParamError
 
@@ -146,7 +147,7 @@ class SearchResult:
 def _verified(found: PointSet, u: int, e: EVector) -> PointSet:
     """``found``, re-verified as a quality-u net; raised rather than asserted,
     so that ``python -O`` keeps the check."""
-    from .netverify import verify_net  # only a search verifies: gen loads no verifier
+    from .netverify import verify_net  # only a found net loads the verifier
     verdict = verify_net(found, u, e)
     if not verdict:
         raise AssertionError(f"search found a set that is not a net: {verdict.witness}")
@@ -195,8 +196,7 @@ def search_net(b: int, m: int, e: EVector | Sequence[int], s: int, u: int,
                          f"the desk-scale cap of {_SEARCH_CANDIDATE_CAP}")
     n_candidates = b ** (m * s)
     n_points = b ** m
-    from .netverify import check_shapes
-    shapes = check_shapes(m, u, e)
+    shapes = maximal_depths(m - u, e.e, canonical_beta(m, u, e))  # check_shapes's list
     cand_digits = span(np.eye(m * s, dtype=np.int64), b).reshape(n_candidates, s, m)
 
     # box_key[c, j]: flattened box index of candidate c under shape j, with

@@ -430,11 +430,11 @@ def rebase_expand(points: PointSet, r: int) -> PointSet:
     # once r reaches the bit length of base, 2**r > base and no c >= 2 is a
     # root; checking that first keeps every power c**r tried below small
     if r >= points.base.bit_length():
-        raise ParamError(f"base {points.base} is not a perfect {r}-th power")
+        raise ParamError(f"base {points.base} is not an integer raised to the power {r}")
     roots = range(2, points.base + 1)
     i = bisect.bisect_left(roots, points.base, key=lambda c: c ** r)
     if roots[i] ** r != points.base:
-        raise ParamError(f"base {points.base} is not a perfect {r}-th power")
+        raise ParamError(f"base {points.base} is not an integer raised to the power {r}")
     base = roots[i]
     n, s, m = points.digits.shape
     flat = points.digits.reshape(n * s * m) if m else points.digits.reshape(0)

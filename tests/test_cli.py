@@ -129,6 +129,14 @@ class TestModuleEntry:
         assert proc.stdout == want_out and want_out.startswith("rao: ")
 
 
+# each generator with every flag it reads besides --base, --m and --out, and a
+# value for every such flag
+_GEN_READS = {"grid": [], "hammersley": [], "faure": ["--s", "2"],
+              "random": ["--s", "2", "--seed", "1"],
+              "search": ["--s", "2", "--e", "1x2", "--u", "0", "--node-limit", "5"]}
+_GEN_FLAGS = {"--s": "2", "--seed": "1", "--e": "1,1", "--u": "1", "--node-limit": "5"}
+
+
 class TestGen:
     def test_hammersley_to_stdout(self, capsys):
         code, out, _ = run(capsys, "gen", "hammersley", "--base", "2", "--m", "3")
@@ -234,6 +242,16 @@ class TestGen:
                            "--node-limit", "1")
         assert code == EXIT_INCONCLUSIVE
         assert "INCONCLUSIVE" in err
+
+    @pytest.mark.parametrize("kind, flag", [(kind, flag) for kind, reads in _GEN_READS.items()
+                                            for flag in _GEN_FLAGS if flag not in reads])
+    def test_a_flag_the_generator_does_not_read_is_refused(self, capsys, kind, flag):
+        # not dropped: hammersley with --u 1 would write a net claiming u=0
+        code, out, err = run(capsys, "gen", kind, "--base", "2", "--m", "2",
+                             *_GEN_READS[kind], flag, _GEN_FLAGS[flag])
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: gen {kind} does not take {flag}\n")
+        assert run(capsys, "gen", kind, "--base", "2", "--m", "2", *_GEN_READS[kind])[0] \
+            in (EXIT_PASS, EXIT_INCONCLUSIVE)
 
 
 class TestVerifyNet:
@@ -1002,10 +1020,17 @@ class TestReport:
 
 
 # Runs main on the arguments, then writes the process's state as JSON on the
-# last line of stderr: the loaded evnets, numpy and fractions modules, whether main
-# loaded json, the value of OPENBLAS_NUM_THREADS and the number of threads
-# (None without /proc).
+# last line of stderr: the loaded evnets, numpy and fractions modules in the
+# order their imports began (sys.modules moves a module to its end when its
+# import ends), whether main loaded json, the value of OPENBLAS_NUM_THREADS and
+# the number of threads (None without /proc).
 _FRESH_MAIN = """import os, sys
+started = []
+class StartLog:  # a finder that finds nothing, first on the path: it sees every import begin
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        started.append(name)
+sys.meta_path.insert(0, StartLog)
 from evnets.cli import main
 try:
     code = main(sys.argv[1:])
@@ -1015,8 +1040,8 @@ finally:
     import json
     tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
     sys.stderr.write("\\n" + json.dumps({
-        "modules": [m for m in sys.modules
-                    if m in ("numpy", "fractions") or m.startswith("evnets")],
+        "modules": [m for m in dict.fromkeys(started) if m in sys.modules
+                    and (m in ("numpy", "fractions") or m.startswith("evnets"))],
         "json": json_loaded,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": tasks}))
 sys.exit(code)
@@ -1193,6 +1218,16 @@ class TestReadmeSynopsis:
         code, out, state = self._fresh(["gen", "search", "--base", "2", *argv], tmp_path)
         assert (code, out) == (want, b"")
         assert "evnets.corpus" in state["modules"] and "evnets.io" not in state["modules"]
+        # nor the verifier, which only a found net needs
+        assert "evnets.netverify" not in state["modules"]
+
+    @pytest.mark.parametrize("command", _NUMPY_COMMANDS)
+    def test_io_compiles_before_numpy_loads(self, tmp_path, command):
+        # with no cached bytecode, a module compiled after numpy leaves its
+        # compile's heap resident under numpy's allocations
+        _, _, state = self._fresh([command, *self._examples(tmp_path)[command]], tmp_path)
+        modules = state["modules"]
+        assert modules.index("evnets.io") < modules.index("numpy")
 
     @pytest.mark.parametrize("argv", [
         ["verify-net", "h.net"],
