@@ -168,7 +168,7 @@ def canonical_beta(m: int, u: int, e: EVector | Sequence[int]) -> tuple[int, ...
     return tuple((m - u) // ei for ei in e)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def maximal_depths(budget: int, e: tuple[int, ...], caps: tuple[int, ...]) -> np.ndarray:
     """Depths d_i = k_i * e_i, k_i <= caps_i, sum d_i <= budget, where no k_i under its cap
     fits another e_i: the read-only rows every check reads, in lexicographic order (int64

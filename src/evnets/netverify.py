@@ -26,7 +26,7 @@ evenly, so the failing cells are those where the correction's weights do not
 cancel. Where their rank r falls short of sum d, the zero cell holds the
 b**(m - r) points of the kernel plus the correction there, and is the first
 cell counting would report; only when that sum is the expected count after
-all is that one shape counted. ``_row_space`` alone picks the route.
+all is that one shape counted. ``first_failure`` alone gates ranks by size.
 """
 
 from __future__ import annotations
@@ -116,24 +116,23 @@ Space = tuple[np.ndarray, np.ndarray, np.ndarray]
 Failure = tuple[tuple[int, ...], int, int, int]
 
 
-def _row_space(points: PointSet, shapes: int) -> Space | None:
+def _row_space(points: PointSet) -> Space | None:
     """An F_b-subspace S that the point set P equals up to a sparse
-    correction, for deciding ``shapes`` shapes by ranks: (basis, vectors,
-    weights), or None when counting them is to decide instead.
+    correction: (basis, vectors, weights), or None when counting is to
+    decide instead.
 
     The basis is a reduced m x (s*m) one whose row space is S. The correction
     P - S lists distinct digit vectors with nonzero weights: its multiplicity
     in P for a vector off S, and multiplicity - 1 for each member of S that P
     misses or repeats; it is empty exactly when P is S. None when b is not
-    prime, when counting n * shapes point-shapes costs no more than the
-    recovery's fixed cost (``_RANK_OVERHEAD``), when a fixed sample of rows
-    has rank other than m, or when the correction grows too large to pay
-    (``_correction_pays``). A point is a member when
-    ``V == (V[:, pivots] @ B) % b``, checked a chunk of points at a time.
+    prime, when a fixed sample of rows has rank other than m, or when the
+    correction grows too large to pay (``_correction_pays``). A point is a
+    member when ``V == (V[:, pivots] @ B) % b``, checked a chunk of points at
+    a time.
     """
     b = points.base
     n, s, m = points.digits.shape
-    if not is_prime(b) or n * shapes <= _RANK_OVERHEAD:
+    if not is_prime(b):
         return None
     flat = points.digits.reshape(n, s * m)
     sample = flat[_sample_rows(n, m)][None].astype(np.int64)
@@ -329,8 +328,10 @@ def _decide(points: PointSet, e: EVector, shapes: np.ndarray,
 def first_failure(points: PointSet, e: EVector, shapes: np.ndarray) -> Failure | None:
     """The first row of a (k, s) shape array with a box not holding b**(m - sum d)
     points, as (shape in Python ints, box index rank, observed, expected), or None:
-    by ranks where ``_row_space`` recovers a subspace for them, else by counting."""
-    return _decide(points, e, shapes, _row_space(points, len(shapes)))
+    by ranks where n * k point-shapes cost more to count than a recovery
+    (``_RANK_OVERHEAD``) and ``_row_space`` recovers a subspace, else by counting."""
+    gate = points.count * len(shapes) > _RANK_OVERHEAD
+    return _decide(points, e, shapes, _row_space(points) if gate else None)
 
 
 def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
@@ -354,24 +355,23 @@ def verify_net(points: PointSet, u: int, e: EVector | Sequence[int],
 def u_star(points: PointSet, e: EVector | Sequence[int], variant: Variant = "narrow") -> int:
     """Smallest u at which the point set verifies; u = m always passes.
 
-    The narrow reading is bisected: raising u only shrinks the set of checked
-    shapes, so passing at u implies passing at every v >= u. The tezuka
-    reading replaces the shape set rather than shrinking it, so it tries
-    u = 0, 1, ... in turn and stops at the first pass. A subspace and its
-    correction are recovered once, for every u, by ``_row_space`` on the
-    first list it checks, which picks the route.
+    Raising u only drops narrow shapes, so a narrow pass at u holds at every
+    v >= u. The narrow search reads the cheapest lists first: it tries
+    u = m - 1, m - 3, m - 7, ..., each pass doubling the m - u + 1 values it
+    settles, until a list fails or u = 0 passes, then bisects. The tezuka
+    reading replaces its shapes as u grows, so it tries u = 0, 1, ... in
+    turn. ``_row_space`` recovers a subspace once, before the first list.
     """
     e = _check_net(points, e, variant)
     m = points.precision
-    first = check_shapes(m, m // 2 if variant == "narrow" else 0, e, variant)
-    space = _row_space(points, len(first))
-    lo, hi = 0, m
-    while lo < hi:
-        mid = (lo + hi) // 2 if variant == "narrow" else lo
-        if _decide(points, e, check_shapes(m, mid, e, variant), space) is None:
-            hi = mid
+    space = _row_space(points)
+    lo, hi = 0, m  # the least pass lies in [lo, hi]; lo > 0 once a list failed
+    while lo < hi:  # until then each narrow pass doubles the m - hi + 1 values settled
+        u = lo if variant == "tezuka" else (lo + hi) // 2 if lo else max(0, 2 * hi - m - 1)
+        if _decide(points, e, check_shapes(m, u, e, variant), space) is None:
+            hi = u
         else:
-            lo = mid + 1
+            lo = u + 1
     return lo
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 import evnets
-from evnets import EVector, _util, cli, corpus, dualcert, net_chunks, netverify
+from evnets import EVector, cli, corpus, dualcert, net_chunks, netverify
 from evnets.cli import EXIT_FAIL, EXIT_FORMAT, EXIT_INCONCLUSIVE, EXIT_PASS, \
     EXIT_USAGE, build_parser, evector_arg, int_list_arg, main
 from evnets.io import parse_mooa
@@ -1101,14 +1101,20 @@ class TestManyCoordinates:
         assert re.fullmatch(r"error: listing depths within budget 12 takes \d+ prefixes by "
                             r"coordinate \d+, above 1073741824 bytes\n", err)
 
-    def test_report_lists_only_the_shapes_its_bisection_checks(self, capsys, wide_inputs):
-        # the u = 0 list is too large to build; the bisection first lists u = 6
-        try:
-            code, out, err = run(capsys, "report", wide_inputs["r30.net"])
-        finally:
-            _util.maximal_depths.cache_clear()  # u = 6 alone holds 1623160 cached shapes
+    def test_report_lists_only_its_cheapest_shapes(self, capsys, monkeypatch, wide_inputs):
+        # u = 11 fails at its 30 shapes, so no larger list is built: u = 6 has 1623160
+        built = []
+        real = netverify.maximal_depths
+
+        def listing(*args):
+            built.append(len(rows := real(*args)))
+            return rows
+
+        monkeypatch.setattr(netverify, "maximal_depths", listing)
+        code, out, err = run(capsys, "report", wide_inputs["r30.net"])
         assert code == EXIT_PASS and err == ""
         assert "  u_star(narrow): 12\n" in out
+        assert max(built) == 30
 
 
 class TestReadmeSynopsis:

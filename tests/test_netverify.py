@@ -334,11 +334,9 @@ def _decided(p, e, shapes, space):
 
 
 def _recover(p):
-    """``netverify._row_space`` with its size gate open: the subspace and
-    correction recovered from the input's structure alone, or None."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(netverify, "_RANK_OVERHEAD", -1)
-        return netverify._row_space(p, 0)
+    """``netverify._row_space``: the subspace and correction recovered from
+    the input's structure alone, or None."""
+    return netverify._row_space(p)
 
 
 def _both_routes(p, u, e, variant):
@@ -476,13 +474,12 @@ class TestRankRoute:
         tezuka_star = next(u for u in range(6) if _both_routes(p, u, e, "tezuka")[0])
         bad_star = next(u for u in range(9) if _both_routes(bad, u, (1,) * 4, "narrow")[0])
         counted, _ = _both_routes(bad, 0, (1,) * 4, "narrow")
-        assert netverify._row_space(p, len(check_shapes(5, 0, e))) is not None
-        assert netverify._row_space(bad, len(check_shapes(8, 0, (1,) * 4))) is not None
-        # the narrow search on p first checks u = 2, too few shapes to pay for ranks
-        assert netverify._row_space(p, len(check_shapes(5, 2, e))) is None
-        assert u_star(p, e) == 0
+        for q, shapes in ((p, check_shapes(5, 0, e)), (bad, check_shapes(8, 0, (1,) * 4))):
+            assert q.count * len(shapes) > netverify._RANK_OVERHEAD
+            assert _recover(q) is not None
         calls = _count_kernel_calls(monkeypatch)
         assert verify_net(p, 0, e)
+        assert u_star(p, e) == 0
         assert u_star(p, e, "tezuka") == tezuka_star
         assert u_star(bad, (1,) * 4) == bad_star
         v = verify_net(bad, 0, (1,) * 4)
@@ -490,20 +487,23 @@ class TestRankRoute:
         assert not v
         assert _as_tuple(v) == _as_tuple(counted)
 
-    def test_u_star_recovers_the_basis_once(self, monkeypatch):
+    @pytest.mark.parametrize("p, under_gate", [(corpus.faure(5, 5, 5), False),
+                                               (corpus.faure(3, 3, 3), True)],
+                             ids=["faure555", "faure333"])
+    def test_u_star_recovers_the_basis_once(self, monkeypatch, p, under_gate):
         recoveries = []
         real = netverify._row_space
-        monkeypatch.setattr(netverify, "_row_space",
-                            lambda p, shapes: recoveries.append(shapes) or real(p, shapes))
         steps = TestUStar._count_calls(monkeypatch)
-        p = corpus.faure(5, 5, 5)
+        monkeypatch.setattr(netverify, "_row_space",
+                            lambda q: recoveries.append(len(steps)) or real(q))
         for variant in ("narrow", "tezuka"):
             recoveries.clear()
             first = len(steps)
-            u_star(p, (1,) * 5, variant)
-            # once, gated on the first list the search checks
-            assert recoveries == [len(steps[first])]
+            u_star(p, (1,) * p.dim, variant)
+            # once, before the first list, however small the lists it decides
+            assert recoveries == [first]
         assert len(steps) > 2
+        assert all(p.count * len(s) <= netverify._RANK_OVERHEAD for s in steps) == under_gate
 
     @pytest.mark.parametrize("p", [
         pytest.param(_shifted(corpus.faure(5, 5, 5)), id="shifted"),
@@ -518,7 +518,7 @@ class TestRankRoute:
         shapes = check_shapes(p.precision, 0, e)
         # large enough for ranks, so only the input's structure keeps it off them
         assert p.count * len(shapes) > netverify._RANK_OVERHEAD
-        assert netverify._row_space(p, len(shapes)) is None
+        assert netverify._row_space(p) is None
         calls = _count_kernel_calls(monkeypatch)
         v = verify_net(p, 0, e)
         stop = len(shapes) if v else _rows(shapes).index(tuple(v.witness["shape"])) + 1
@@ -536,11 +536,11 @@ class TestRankRoute:
         e = (1,) * p.dim
         shapes = check_shapes(p.precision, 0, e)
         assert _recover(p) is not None
+        assert p.count * len(shapes) <= netverify._RANK_OVERHEAD
         eliminations = _count_eliminations(monkeypatch)
-        assert netverify._row_space(p, len(shapes)) is None
-        assert eliminations == []  # refused before any sample is drawn
         calls = _count_kernel_calls(monkeypatch)
         assert verify_net(p, 0, e)
+        assert eliminations == []  # refused before any sample is drawn
         assert len(calls) == len(shapes)
 
     def test_large_two_dimensional_net_takes_ranks(self, monkeypatch):
@@ -558,9 +558,10 @@ class TestRankRoute:
         shapes = check_shapes(5, 0, e)
         work = p.count * len(shapes)
         monkeypatch.setattr(netverify, "_RANK_OVERHEAD", work - 1 if above else work)
-        assert (netverify._row_space(p, len(shapes)) is not None) == above
+        eliminations = _count_eliminations(monkeypatch)
         calls = _count_kernel_calls(monkeypatch)
         assert verify_net(p, 0, e)
+        assert bool(eliminations) == above
         assert len(calls) == (0 if above else len(shapes))
 
     def test_recovered_basis_spans_the_points(self):
@@ -659,19 +660,18 @@ class TestCorrectedRankRoute:
         p = corpus.flip_digit(net, 1234, 2, 3)
         e = EVector.coerce((1,) * 5)
         shapes = check_shapes(5, 0, e)
-        space = netverify._row_space(p, len(shapes))
+        space = netverify._row_space(p)
         assert _recovered(space) == {tuple(p.digits[1234].reshape(-1).tolist()): 1,
                                      tuple(net.digits[1234].reshape(-1).tolist()): -1}
         counted = _decided(p, e, shapes, None)
         star, tezuka_star = (next(u for u in range(6)
                                   if _decided(p, e, check_shapes(5, u, e, variant), None))
                              for variant in ("narrow", "tezuka"))
-        # counted: the narrow search first checks u = 2, too few shapes to pay for ranks
-        assert u_star(p, e) == star
         calls = _count_kernel_calls(monkeypatch)
         # a (0,5,5)-net: every shape has full rank, so no fallback counts anything
         assert _as_tuple(verify_net(p, 0, e)) == _as_tuple(counted)
         assert not counted
+        assert u_star(p, e) == star
         assert u_star(p, e, "tezuka") == tezuka_star
         assert calls == []
 
@@ -710,7 +710,7 @@ class TestCorrectedRankRoute:
         e = (1,) * 5
         shapes = check_shapes(5, 0, e)
         assert p.count * len(shapes) > netverify._RANK_OVERHEAD
-        assert netverify._row_space(p, len(shapes)) is None
+        assert netverify._row_space(p) is None
         calls = _count_kernel_calls(monkeypatch)
         v = verify_net(p, 0, e)
         assert len(calls) == _rows(shapes).index(tuple(v.witness["shape"])) + 1
@@ -727,7 +727,7 @@ class TestCorrectedRankRoute:
             p = net
             for row in free[:k]:
                 p = corpus.flip_digit(p, row, row % 5, row % 3)
-            space = netverify._row_space(p, len(shapes))
+            space = netverify._row_space(p)
             calls = _count_kernel_calls(monkeypatch)
             v = verify_net(p, 0, e)
             if k == flips:
@@ -790,7 +790,7 @@ class TestUStar:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        """The shapes of every decision u_star takes, one per bisection step."""
+        """The shapes of every decision u_star takes, one per search step."""
         calls = []
         real = netverify._decide
 
@@ -802,12 +802,13 @@ class TestUStar:
         return calls
 
     @pytest.mark.parametrize("m", range(0, 9))
-    def test_narrow_bisects(self, monkeypatch, m):
+    def test_narrow_reads_the_cheapest_list_first(self, monkeypatch, m):
         calls = self._count_calls(monkeypatch)
         for p in (corpus.random_pointset(2, m, 2, m), corpus.hammersley(2, m)):
             calls.clear()
             star = u_star(p, (1, 1))
             assert len(calls) <= math.ceil(math.log2(m + 1))
+            assert calls[:1] == ([_rows(check_shapes(m, m - 1, (1, 1)))] if m else [])
             assert verify_net(p, star, (1, 1))
             assert star == 0 or not verify_net(p, star - 1, (1, 1))
 

@@ -333,7 +333,7 @@ class TestDecidedOnItsPoints:
             assert (want is None) == oracles.brute_verify_mooa(
                 arr.rows, arr.base, arr.m, arr.u, tuple(arr.e), arr.beta, "all")
             real = netverify._row_space
-            mp.setattr(netverify, "_row_space", lambda points, shapes: None)
+            mp.setattr(netverify, "_row_space", lambda points: None)
             assert _as_tuple(verify_mooa(arr)) == (want is None, want)
             mp.setattr(netverify, "_row_space", real)
             mp.setattr(netverify, "_RANK_OVERHEAD", -1)
@@ -355,7 +355,7 @@ class TestDecidedOnItsPoints:
         arr = net_to_mooa(net, 0, e)
         free = sorted(set(range(net.count)) - set(netverify._sample_rows(net.count, 5)))
         bad = net_to_mooa(corpus.flip_digit(net, free[0], 3, 1), 0, e)
-        monkeypatch.setattr(netverify, "_row_space", lambda points, shapes: None)
+        monkeypatch.setattr(netverify, "_row_space", lambda points: None)
         counted = _as_tuple(verify_mooa(bad))
         monkeypatch.undo()
         calls = []

@@ -37,6 +37,13 @@ class TestMaximalDepths:
         with pytest.raises(ValueError):
             rows[0, 0] = 2
 
+    def test_a_second_list_evicts_the_first(self):
+        first = _util.maximal_depths(3, (1, 2), (3, 1))
+        assert _util.maximal_depths(3, (1, 2), (3, 1)) is first
+        _util.maximal_depths(4, (1, 2), (4, 2))
+        assert _util.maximal_depths.cache_info().currsize == 1
+        assert _util.maximal_depths(3, (1, 2), (3, 1)) is not first
+
     def test_thousands_of_coordinates_need_no_recursion(self):
         rows = _util.maximal_depths(1, (1,) * 3000, (1,) * 3000)
         assert np.array_equal(rows, np.eye(3000, dtype=np.int64)[::-1])  # lexicographic
