@@ -176,8 +176,6 @@ def cmd_gen(args) -> int:
                   file=sys.stderr)
             return EXIT_FAIL
         points, u, e = result.net, args.u, args.e
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParamError(f"unknown generator {kind!r}")
     from . import io as formats
 
     _write_output(args, formats.net_chunks(points, u, e))
@@ -337,7 +335,8 @@ def cmd_dual_cert(args) -> int:
 # -------------------------------------------------------------------- report
 
 def cmd_report(args) -> int:
-    from . import bounds, io as formats, netverify, oa, ooa
+    from . import bounds, io as formats, netverify, oa
+    from ._util import canonical_beta
     from .core import Verdict
 
     net = _parse(formats.parse_net, args.file)
@@ -353,7 +352,7 @@ def cmd_report(args) -> int:
     if m >= star + max(e):
         # verify-mooa's verdict on the canonical array: the narrow check at
         # u_star, which a narrow u_star passes by definition
-        beta = ooa.canonical_beta(m, star, e)
+        beta = canonical_beta(m, star, e)
         mooa_ok = args.variant == "narrow" or bool(netverify.verify_net(points, star, e))
     feas = bounds.feasibility_report(b, m, e, "net")
     if args.json:

@@ -98,7 +98,7 @@ def faure(b: int, m: int, s: int) -> PointSet:
     mats = [np.eye(m, dtype=np.int64)]
     while len(mats) < s:
         mats.append(mats[-1] @ pascal.reshape(m, m) % b)
-    return digital_net(b, mats)
+    return _digital(b, mats)
 
 
 def random_pointset(b: int, m: int, s: int, seed: int) -> PointSet:

@@ -25,12 +25,12 @@ s = q // r, Phi_q(x) = Phi_r(x**s); hence c(zeta) = 0 exactly when, for every
 t < s, Phi_r(y) divides sum_j c_{t + j*s} y**j.
 
 The counts c depend only on the difference of the two tuples, an element of
-the group G = prod_j Z_{w_j} spanned by the columns the family touches (w_j
-the alphabet of column j). One exact transform over G, in integers, gives
-the counts of every element at once (:func:`_group_tallies`); a family of
-few members over a group far larger than they are counts each difference
-over the rows instead: of the routes whose bytes fit the cap, the one the
-table :func:`_routes` gives less work.
+the group G = prod_j Z_{w_j} spanned by the columns where the members differ
+(w_j the alphabet of column j), so a family and its translates get one
+certificate. One exact transform over G, in integers, gives the counts of
+every element at once (:func:`_group_tallies`); a family of few members over
+a group far larger than they are counts each difference over the rows
+instead, whichever of the two :func:`_routes` fits the cap with less work.
 """
 
 from __future__ import annotations
@@ -271,21 +271,21 @@ def _block_rows(runs: int, differences: int) -> int:
 def _routes(array: MixedOOA, members: int, widths: list[int], differences: int
             ) -> dict[str, tuple[int, int]]:
     """Each route's (work, bytes) for a family of ``members`` tuples whose
-    ``differences`` distinct nonzero differences live on touched columns of
-    alphabets ``widths``, the group transform first. Its work is |G| * q *
-    sum(w_j) tally additions; the per-difference tally's is one exponent row
-    of N entries, each a sum over the touched columns, per difference.
+    ``differences`` distinct nonzero differences span columns of alphabets
+    ``widths``, the group transform first. Its work is |G| * q * sum(w_j)
+    tally additions; the per-difference tally's is one exponent row of N
+    entries, each a sum over those columns, per difference.
 
-    Bytes, at most: both routes hold the stacked residues, their touched
-    columns and one row's differences, with a rank per member, and each
+    Bytes, at most: both routes hold the stacked residues, their columns in
+    G and one row's differences, with a rank per member, and each
     difference seen with its first pair and its entry in the set of
-    differences. The transform adds the rows' touched columns and ranks, and
-    at most five (|G|, q) int64 arrays at once: the tallies before and after
-    a column with the row counts and numpy's buffers for the rolled adds, or
+    differences. The transform adds the rows' columns in G and ranks, and at
+    most five (|G|, q) int64 arrays at once: the tallies before and after a
+    column with the row counts and numpy's buffers for the rolled adds, or
     the tallies, the kept differences' tallies and the copy the vanishing
     test multiplies. The per-difference tally adds each difference's
-    residues, the touched columns of the rows in int64, and one block of
-    exponent rows with its tally and that copy."""
+    residues, the rows' columns in G in int64, and one block of exponent
+    rows with its tally and that copy."""
     group, q, touched, runs = math.prod(widths), _order(array), len(widths), array.runs
     walk = (8 * members * (sum(array.beta) + 2 * touched) + members * _MEMBER_BYTES
             + differences * _DIFFERENCE_BYTES)
@@ -329,8 +329,8 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
 
     E_D is additive mod q, so entry (j, k) depends only on the difference
     d_k - d_j. Pairs are walked in combinations order, each difference keyed
-    by its mixed-radix rank over the columns some member touches, and the
-    height is taken only of a difference not seen before. The walk stops
+    by its mixed-radix rank over the columns where the members differ, and
+    the height is taken only of a difference not seen before. The walk stops
     once every nonzero element of the group G those columns span has been
     seen: a family closed under subtraction (any ``build_block_family``,
     in any order) stops after its first member, with F - 1 differences.
@@ -354,7 +354,7 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
     """
     residues = _residue_rows(array, family)
     members = len(residues)
-    cols = np.flatnonzero(residues.any(axis=0))
+    cols = np.flatnonzero((residues != residues[:1]).any(axis=0))
     widths = _widths(array)[cols]
     group = math.prod(widths.tolist())
     differences = min(group - 1, members * (members - 1) // 2)

@@ -1236,7 +1236,7 @@ class TestReadmeSynopsis:
         assert modules.index("evnets.io") < modules.index("numpy")
 
     @pytest.mark.parametrize("argv", [
-        ["verify-net", "h.net"],
+        ["verify-net", "h.net"], ["report", "h.net"],
         ["gen", "search", "--base", "2", "--m", "2", "--s", "2", "--e", "1x2", "--u", "0"]])
     def test_net_checks_load_no_ordered_arrays(self, tmp_path, argv):
         self._examples(tmp_path)

@@ -189,6 +189,10 @@ class TestVanishes:
             assert not _vanishes(lone, q)[0]
 
 
+def _no_transform(*args):
+    raise AssertionError("group transform run")
+
+
 class TestGramCertificate:
     def test_reference_block_family_passes(self, arr12):
         fam = build_block_family(arr12, (3, 0))
@@ -313,29 +317,71 @@ class TestGramCertificate:
         assert gram_certificate(arr11, [[0] * 6, [1] + [0] * 5])
         assert transforms == [1]
 
-    def test_a_transform_past_the_cap_falls_back_to_the_per_difference_tally(
+    def test_a_family_on_a_base_row_takes_the_transform_over_its_differences(
             self, monkeypatch):
         # 100 tuples share a base on 24 of hammersley(2,14)'s 28 columns and
-        # differ on block 0's first 7. For up to 4950 differences the
-        # transform over |G| = 2**24 does less work, but its 40 * 2**25
-        # bytes of tallies pass the cap, so the per-difference tally runs
+        # differ from member 0 on block 0's first 7 only: their differences
+        # span a group of 2**7, which one transform tallies
         ham = corpus.hammersley(2, 14)
-        routes = dualcert._routes(net_to_mooa(ham, 0, (1, 1)), 100, [2] * 24, 4950)
-        assert routes["transform"][0] == 2 ** 25 * 48 < routes["per-difference"][0]
-        assert routes["per-difference"][1] <= dualcert._BYTES_CAP < routes["transform"][1]
         base = np.zeros(28, dtype=np.int64)
         base[list(range(12)) + list(range(14, 26))] = 1
         fam = np.tile(base, (100, 1))
         fam[:, :7] ^= (np.arange(100)[:, None] >> np.arange(6, -1, -1)) & 1
-
-        def no_transform(*args):
-            raise AssertionError("group transform run")
-
-        monkeypatch.setattr(dualcert, "_group_tallies", no_transform)
+        calls, routes = [], dualcert._routes
+        monkeypatch.setattr(dualcert, "_routes",
+                            lambda *args: calls.append(args[1:]) or routes(*args))
+        transforms, group_tallies = [], dualcert._group_tallies
+        monkeypatch.setattr(dualcert, "_group_tallies",
+                            lambda *args: transforms.append(1) or group_tallies(*args))
         assert gram_certificate(net_to_mooa(ham, 0, (1, 1)), fam)
         bad = net_to_mooa(corpus.flip_digit(ham, 0, 0, 0), 0, (1, 1))
         assert gram_certificate(bad, fam).witness == {
             "kind": "gram", "pair": [0, 64], "order": 2, "counts": [8191, 8193]}
+        assert calls == [(100, [2] * 7, 127)] * 2 and transforms == [1, 1]
+
+    def test_few_differences_over_a_large_group_take_the_per_difference_tally(
+            self, monkeypatch):
+        # 3 tuples apart on 14 of hammersley(2,14)'s columns: 3 exponent rows
+        # of 16384 entries cost less than a transform over |G| = 2**14
+        arr = net_to_mooa(corpus.hammersley(2, 14), 0, (1, 1))
+        fam = np.array([[0] * 7 + [1] * 7 + [0] * 7 + [1] * 7,
+                        [1] + [0] * 6 + [1] * 7 + [0] * 6 + [1] * 8,
+                        [1] * 28])
+        routes = dualcert._routes(arr, 3, [2] * 14, 3)
+        assert routes["per-difference"][0] == 3 * 2 ** 14 * 14 < routes["transform"][0]
+        monkeypatch.setattr(dualcert, "_group_tallies", _no_transform)
+        assert gram_certificate(arr, fam)
+
+    def test_a_transform_past_the_cap_falls_back_to_the_per_difference_tally(
+            self, monkeypatch):
+        # one binary column per coordinate of a 24-dimensional digital net,
+        # column c reading digit c mod 14 of n. The 128 tuples are a base row
+        # plus the codewords of a [24, 7] code: bit c of codeword x is the
+        # parity of x & h_c, with 7 columns on x's top 3 bits, 15 on its low
+        # 4 and 2 on both, so every difference has height (weight) at most
+        # 4 + 8 + 2 = m - u. The differences span all 24 columns: for up to
+        # 8128 of them the transform over |G| = 2**24 does less work, but its
+        # 40 * 2**25 bytes of tallies pass the cap, so the per-difference
+        # tally runs
+        net = corpus.digital_net(2, [np.roll(np.eye(14, dtype=np.int64), c, axis=1)
+                                     for c in range(24)])
+        arr = net_to_mooa(net, 0, (1,) * 24, (1,) * 24)
+        h = [a << 4 for a in range(1, 8)] + list(range(1, 16)) + [0x11, 0x22]
+        code = np.array([[bin(x & hc).count("1") % 2 for hc in h] for x in range(128)])
+        assert code.sum(axis=1).max() == 14 and code.any(axis=0).all()
+        fam = code ^ np.arange(24) % 2
+        routes = dualcert._routes(arr, 128, [2] * 24, 8127)
+        assert routes["transform"][0] == 2 ** 25 * 48 < routes["per-difference"][0]
+        assert routes["per-difference"][1] <= dualcert._BYTES_CAP < routes["transform"][1]
+        monkeypatch.setattr(dualcert, "_group_tallies", _no_transform)
+        assert gram_certificate(arr, fam)
+        # a flipped first digit of coordinate 7 (h_7 = 1) fails the first
+        # member whose bit 0 is set; no pair before (0, 1) involves a later one
+        bad = net_to_mooa(corpus.flip_digit(net, 0, 7, 0), 0, (1,) * 24, (1,) * 24)
+        v = gram_certificate(bad, fam)
+        assert v.witness == {"kind": "gram", "pair": [0, 1], "order": 2,
+                             "counts": [8191, 8193]}
+        assert oracles.brute_first_gram_failure(bad.rows, 2, bad.e, bad.beta, fam[:2]) == (0, 1)
 
     def test_differences_counted_are_bounded_by_pairs_and_group(self, arr12, monkeypatch):
         # a family of 3 tuples has at most 3 differences however many columns
@@ -523,6 +569,29 @@ def _assert_matches_oracle(arr, family, label):
     assert v.witness == want, label
 
 
+def _random_family(arr, rng, trial):
+    """1 to 12 random residue rows, most on the leading columns of a random
+    admissible profile (so the sums are reached); every third trial repeats
+    an earlier row, every fourth puts a row on any columns (often over the
+    budget)."""
+    widths = dualcert._widths(arr)
+    starts = np.cumsum((0,) + arr.beta[:-1])
+    profiles = enumerate_profiles(arr.m, arr.u, arr.e, arr.beta)
+    kappa = profiles[rng.integers(len(profiles))]
+    kappa = [int(rng.integers(k + 1)) for k in kappa]
+    support = np.zeros(len(widths), dtype=bool)
+    for lo, k in zip(starts, kappa):
+        support[lo:lo + k] = True
+    family = rng.integers(0, widths, size=(int(rng.integers(1, 13)), len(widths)))
+    family *= support
+    if trial % 3 == 1:  # a repeat of an earlier row
+        j = int(rng.integers(len(family)))
+        family[rng.integers(j, len(family))] = family[j]
+    if trial % 4 == 3:  # a row on any columns
+        family[rng.integers(len(family))] = rng.integers(0, widths)
+    return family
+
+
 class TestDistinctDifferenceRoute:
     """The route keys pairs by difference and stops once the touched group is
     seen; these families exercise each way that could go wrong."""
@@ -540,30 +609,13 @@ class TestDistinctDifferenceRoute:
 
     @pytest.mark.parametrize("label,arr", CROSS_CHECK, ids=[c[0] for c in CROSS_CHECK])
     def test_random_residue_matrices(self, label, arr, monkeypatch):
-        # 1 to 12 random rows, most on the leading columns of a random
-        # admissible profile (so the sums are reached), some with a repeated
-        # row, some with a row on any columns (often over the budget), on
-        # each route
-        widths = np.repeat([arr.base ** ei for ei in arr.e], arr.beta)
-        starts = np.cumsum((0,) + arr.beta[:-1])
-        profiles = enumerate_profiles(arr.m, arr.u, arr.e, arr.beta)
+        # the families of _random_family, on each route
         for route in ROUTES:
             _force_route(monkeypatch, route)
             rng = np.random.default_rng(len(label) + 3)
             seen = set()
             for trial in range(24):
-                kappa = profiles[rng.integers(len(profiles))]
-                kappa = [int(rng.integers(k + 1)) for k in kappa]
-                support = np.zeros(len(widths), dtype=bool)
-                for lo, k in zip(starts, kappa):
-                    support[lo:lo + k] = True
-                family = rng.integers(0, widths, size=(int(rng.integers(1, 13)), len(widths)))
-                family *= support
-                if trial % 3 == 1:  # a repeat of an earlier row
-                    j = int(rng.integers(len(family)))
-                    family[rng.integers(j, len(family))] = family[j]
-                if trial % 4 == 3:  # a row on any columns
-                    family[rng.integers(len(family))] = rng.integers(0, widths)
+                family = _random_family(arr, rng, trial)
                 v = gram_certificate(arr, family)
                 want = _oracle_verdict(arr, family)
                 assert v.witness == want, (label, trial, route)
@@ -651,6 +703,66 @@ class TestDistinctDifferenceRoute:
         for order in (family, family[::-1], np.vstack([family, family[7]]), family[1::-1]):
             _assert_matches_oracle(arr, order, "object keys")
         assert dualcert.rank_rows(np.array([[3] * s]), [4] * s)[0] == 4 ** s - 1
+
+
+def _assert_translate_agrees(monkeypatch, arr, family, shift):
+    """``family`` and its translate by the residue row ``shift`` (reduced mod
+    each column's alphabet) get one verdict and witness, and call the route
+    table with the same members, widths and differences. The translate's
+    verdict is returned."""
+    calls, routes = [], dualcert._routes
+    with monkeypatch.context() as patch:
+        patch.setattr(dualcert, "_routes",
+                      lambda *args: calls.append(args[1:]) or routes(*args))
+        want = gram_certificate(arr, family)
+        got = gram_certificate(arr, (family + shift) % dualcert._widths(arr))
+    assert got == want and calls[0] == calls[1]
+    return got
+
+
+class TestTranslates:
+    """A certificate reads its family only through the differences of its
+    members, so a family shifted by one constant residue row has the same
+    group, route, verdict and witness."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("label,arr", CROSS_CHECK, ids=[c[0] for c in CROSS_CHECK])
+    def test_oracle_families(self, label, arr, route, monkeypatch):
+        # an ordered subfamily, the shuffled whole and a sample with repeats
+        # of each maximal block family, and random residue matrices
+        _force_route(monkeypatch, route)
+        rng = np.random.default_rng(len(label) + 6)
+        widths = dualcert._widths(arr)
+        families = []
+        for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
+            fam = build_block_family(arr, kappa)
+            families += [fam[rng.choice(len(fam), size=min(16, len(fam)), replace=False)],
+                         fam[rng.permutation(len(fam))],
+                         fam[rng.choice(len(fam), size=10, replace=True)]]
+        families += [_random_family(arr, rng, trial) for trial in range(12)]
+        for family in families:
+            _assert_translate_agrees(monkeypatch, arr, family, rng.integers(0, widths))
+
+    def test_block_families(self, arr12, arr11, monkeypatch):
+        rng = np.random.default_rng(11)
+        for arr in (arr12, arr11):
+            for kappa in enumerate_profiles(arr.m, arr.u, arr.e, arr.beta):
+                assert _assert_translate_agrees(monkeypatch, arr, build_block_family(arr, kappa),
+                                                rng.integers(0, dualcert._widths(arr)))
+
+    @pytest.mark.parametrize("m, flip, witness", [
+        (10, False, None), (12, False, None),
+        (12, True, {"kind": "gram", "pair": [0, 2048], "order": 2, "counts": [2047, 2049]})])
+    def test_hammersley_block_families(self, m, flip, witness, monkeypatch):
+        # an all-ones translate is nonzero on all 2m columns, but its members
+        # differ on m of them: one transform over 2**m decides it
+        ham = corpus.hammersley(2, m)
+        arr = net_to_mooa(corpus.flip_digit(ham, 0, 0, 0) if flip else ham, 0, (1, 1))
+        fam = build_block_family(arr, (m // 2, m // 2))
+        rng = np.random.default_rng(m)
+        for shift in (rng.integers(0, 2, size=2 * m), np.ones(2 * m, dtype=np.int64)):
+            v = _assert_translate_agrees(monkeypatch, arr, fam, shift)
+            assert v.witness == witness
 
 
 class TestBuildBlockFamily:

@@ -17,6 +17,7 @@ from evnets import (
 from evnets.errors import FormatError, ParamError
 from evnets.io import DIGIT_CHARS, parse_function_tuples
 from evnets import corpus, io, net_to_mooa
+from evnets.cli import EXIT_FORMAT, main
 
 
 HAM_23_TEXT = (
@@ -36,6 +37,18 @@ HAM_23_TEXT = (
 
 def _net_bytes(points, u, e) -> bytes:
     return b"".join(net_chunks(points, u, e))
+
+
+def _assert_cli_and_oracle_agree(tmp_path, capsys, command, data, oracle, message):
+    """A command reading ``data`` exits 3 with ``message``, and the line-by-line
+    oracle parser refuses it with the same message."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert main([command, str(path)]) == EXIT_FORMAT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(oracles.OracleFormatError) as err:
+        oracle(data.decode())
+    assert str(err.value) == message
 
 
 class TestNetFormat:
@@ -88,6 +101,7 @@ class TestNetFormat:
          "expected header 'base <base> m <m> s <s> u <u>', got 'base 2 m 3 s 2'"),
         (lambda t: t.replace(b"base 2 m 3 s 2 u 0", b"base 2 m 3 s 2 u 9"), 2,
          "invalid parameters base=2 m=3 s=2 u=9"),
+        (lambda t: t.replace(b"base 2", b"base 1"), 2, "base must be >= 2, got 1"),
         (lambda t: t.replace(b"base 2", b"base 37"), 2,
          "base 37 exceeds 36, not representable with digit characters"),
         (lambda t: t.replace(b"e 1 1", b"e 1"), 3, "expected 2 values after 'e', got 1"),
@@ -99,11 +113,13 @@ class TestNetFormat:
         (lambda t: b"NET v1\nbase 2 m 0 s 1 u 0\ne 1\n\n0\n", 5,
          "expected blank point line for m=0, got '0'"),
     ])
-    def test_error_carries_line_number(self, mutate, lineno, message):
+    def test_error_carries_line_number(self, mutate, lineno, message, tmp_path, capsys):
         with pytest.raises(FormatError) as err:
             parse_net(mutate(HAM_23_TEXT))
         assert err.value.line == lineno
         assert str(err.value) == f"line {lineno}: {message}"
+        _assert_cli_and_oracle_agree(tmp_path, capsys, "verify-net", mutate(HAM_23_TEXT),
+                                     oracles.oracle_parse_net, str(err.value))
 
     def test_truncated_header_reports_missing_line(self):
         with pytest.raises(FormatError) as err:
@@ -184,16 +200,20 @@ class TestMooaFormat:
         assert back == arr
         assert b"".join(mooa_chunks(back)) == text
 
-    @pytest.mark.parametrize("e, lineno, message", [
-        (b"1", 4, "beta[0]=2 outside [0, 1] allowed by (m-u)/e_i"),
-        (b"0", 3, "e-vector entries must be >= 1, got [0]"),
+    @pytest.mark.parametrize("u, e, lineno, message", [
+        (b"1", b"1", 4, "beta[0]=2 outside [0, 1] allowed by (m-u)/e_i"),
+        (b"1", b"0", 3, "e-vector entries must be >= 1, got [0]"),
+        (b"3", b"1", 2, "invalid parameters base=2 m=2 s=1 u=3"),
     ])
-    def test_header_vectors_enforced(self, e, lineno, message):
-        bad = (b"MOOA v1\nbase 2 m 2 s 1 u 1\ne " + e + b"\nbeta 2\n" + b"0 0\n" * 4)
+    def test_header_vectors_enforced(self, u, e, lineno, message, tmp_path, capsys):
+        bad = (b"MOOA v1\nbase 2 m 2 s 1 u " + u + b"\ne " + e + b"\nbeta 2\n"
+               + b"0 0\n" * 4)
         with pytest.raises(FormatError) as err:
             parse_mooa(bad)
         assert err.value.line == lineno
         assert str(err.value) == f"line {lineno}: {message}"
+        _assert_cli_and_oracle_agree(tmp_path, capsys, "verify-mooa", bad,
+                                     oracles.oracle_parse_mooa, str(err.value))
 
     def test_zero_column_rows_are_blank(self):
         text = b"MOOA v1\nbase 2 m 1 s 1 u 1\ne 1\nbeta 0\n\n\n"
