@@ -127,25 +127,19 @@ class Condition:
         inapplicable condition (its hypothesis fails) constrains nothing."""
         return not self.applicable or self.lhs <= self.rhs
 
-    def _decimal(self, what: str, n: int) -> str:
-        limit = _digit_limit()
-        if _unwritable(n, limit):
-            raise _too_long(self.name, what, limit)
-        return str(n)
-
     def to_json(self) -> dict:
-        """The condition with its integers as decimal strings; ParamError when
-        one is too long for Python to write. Text output reads these strings
-        too."""
+        """The condition with its integers as decimal strings, each writable:
+        the functions that make a condition refuse a number too long to write
+        where they make it. Text output reads these strings too."""
         out = {
             "condition": self.name,
             "applicable": self.applicable,
             "satisfied": self.satisfied,
-            "lhs": self._decimal("LHS", self.lhs),
-            "rhs": self._decimal("RHS", self.rhs),
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
         }
         if self.detail is not None:
-            out["detail"] = {key: self._decimal(key, v) if isinstance(v, int) else v
+            out["detail"] = {key: str(v) if isinstance(v, int) else v
                              for key, v in self.detail.items()}
         return out
 
@@ -179,8 +173,8 @@ def _net_rao_conditions(b: int, m: int, e: EVector, strengths: Sequence[int]
                         ) -> list[Condition]:
     """:func:`net_rao_check` at each strength in turn, from one product
     (``e`` sorted ascending). A number too long to write is refused where it
-    is made, naming what to_json names first, so every condition returned is
-    writable."""
+    is made, naming the first that to_json would write, so every condition
+    returned is writable."""
     if not strengths:
         return []
     names = [f"rao-{'odd' if t % 2 else 'even'}-g{t // 2}" for t in strengths]

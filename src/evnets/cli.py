@@ -294,7 +294,7 @@ def cmd_feasible(args) -> int:
     from . import bounds
 
     report = bounds.feasibility_report(args.base, args.m, args.e, args.target)
-    out = report.to_json()  # before any output: it refuses integers too long to write
+    out = report.to_json()  # writable: bounds refuses a longer integer where it makes it
     if args.json:
         _emit_json(out)
     else:

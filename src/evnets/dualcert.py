@@ -28,9 +28,9 @@ The counts c depend only on the difference of the two tuples, an element of
 the group G = prod_j Z_{w_j} spanned by the columns where the members differ
 (w_j the alphabet of column j), so a family and its translates get one
 certificate. One exact transform over G, in integers, gives the counts of
-every element at once (:func:`_group_tallies`); a family of few members over
-a group far larger than they are counts each difference over the rows
-instead, whichever of the two :func:`_routes` fits the cap with less work.
+every element at once (:func:`_group_tallies`); few distinct differences over
+a group far larger than they are can each be counted over the rows instead,
+whichever of the two :func:`_routes` fits the cap with less work.
 """
 
 from __future__ import annotations
@@ -176,11 +176,10 @@ def _heights(delta: np.ndarray, weight: np.ndarray, starts: np.ndarray) -> np.nd
 
 def _new_differences(residues: np.ndarray, widths: np.ndarray, group: int):
     """Walk the pairs j < k of the residue rows in combinations order and
-    yield, per row j that has any, ``(j, ks, delta, keys)``: the members k
-    whose difference d_k - d_j is nonzero and new to the walk, in order,
-    those differences (mod ``widths``) and their mixed-radix ranks. The walk
-    stops once all ``group - 1`` nonzero elements of the group the columns
-    span have been seen."""
+    yield, per row j that has any, ``(j, ks, delta)``: the members k whose
+    difference d_k - d_j is nonzero and new to the walk, in order, and those
+    differences (mod ``widths``). The walk stops once all ``group - 1``
+    nonzero elements of the group the columns span have been seen."""
     seen: set = set()
     for j in range(len(residues) - 1):
         if len(seen) == group - 1:
@@ -193,7 +192,7 @@ def _new_differences(residues: np.ndarray, widths: np.ndarray, group: int):
                 seen.add(key)
                 fresh.append(k)
         if fresh:
-            yield j, [j + 1 + k for k in fresh], delta[fresh], ranks[fresh]
+            yield j, [j + 1 + k for k in fresh], delta[fresh]
 
 
 def _first_duplicate(keys: np.ndarray) -> tuple[int, int] | None:
@@ -278,28 +277,30 @@ def _routes(array: MixedOOA, members: int, widths: list[int], differences: int
 
     Bytes, at most: both routes hold the stacked residues, their columns in
     G and one row's differences, with a rank per member, and each
-    difference seen with its first pair and its entry in the set of
-    differences. The transform adds the rows' columns in G and ranks, and at
-    most five (|G|, q) int64 arrays at once: the tallies before and after a
-    column with the row counts and numpy's buffers for the rolled adds, or
-    the tallies, the kept differences' tallies and the copy the vanishing
-    test multiplies. The per-difference tally adds each difference's
-    residues, the rows' columns in G in int64, and one block of exponent
-    rows with its tally and that copy."""
+    difference seen with its first pair, its entry in the set of
+    differences and its residues, kept and stacked. The transform adds the
+    rows' columns in G and ranks, and at most five (|G|, q) int64 arrays at
+    once: the tallies before and after a column with the row counts and
+    numpy's buffers for the rolled adds, or the tallies, the kept
+    differences' tallies and the copy the vanishing test multiplies. The
+    per-difference tally adds the rows' columns in G in int64, and one
+    block of exponent rows with its tally and that copy."""
     group, q, touched, runs = math.prod(widths), _order(array), len(widths), array.runs
     walk = (8 * members * (sum(array.beta) + 2 * touched) + members * _MEMBER_BYTES
-            + differences * _DIFFERENCE_BYTES)
+            + differences * (_DIFFERENCE_BYTES + 16 * touched))
     block = _block_rows(runs, differences)
     return {"transform": (group * q * sum(widths),
                           walk + 8 * runs * (touched + 1) + 40 * group * q),
-            "per-difference": (differences * runs * touched, walk + 16 * differences * touched
-                               + 8 * runs * (touched + 3 * block))}
+            "per-difference": (differences * runs * touched,
+                               walk + 8 * runs * (touched + 3 * block))}
 
 
 def _route(array: MixedOOA, members: int, widths: np.ndarray, differences: int) -> str:
     """Of the :func:`_routes` whose bytes fit the package's byte cap, the one
     that does less work, the transform on a tie. A family that neither route
-    fits is refused, with the smaller of the two byte counts."""
+    fits is refused, with the smaller of the two byte counts. Before the
+    walk it is read only to refuse, at the bound on the differences; after
+    it, to choose, at the count the walk kept."""
     routes = _routes(array, members, widths.tolist(), differences)
     fits = [name for name, (_, size) in routes.items() if size <= _BYTES_CAP]
     if not fits:
@@ -339,26 +340,25 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
     Equal members fail at their first pair, through the zero difference
     (all b**m rows at exponent 0).
 
-    The tallies come from one of two exact routes, chosen from the input
-    by one table (:func:`_routes`). The group transform
-    (:func:`_group_tallies`) tallies every element of G at once, in
-    O(|G| * q * sum(w_j)) work and |G| * q int64 tallies, and looks each
-    difference up by its rank. The per-difference tally forms each
+    The tallies come from one of two exact routes, chosen by one table
+    (:func:`_routes`) from the D distinct differences the walk kept. The
+    group transform (:func:`_group_tallies`) tallies every element of G at
+    once, in O(|G| * q * sum(w_j)) work and |G| * q int64 tallies, and looks
+    each difference up by its rank. The per-difference tally forms each
     difference's exponent row over the N rows, in O(D * N * columns). Of
     the routes whose bytes fit the package's byte cap, the one that does
     less work runs, the transform on a tie. A ``build_block_family`` family
     has |G| = F <= b**m, so it takes the transform unless q * w_j comes near
-    N; a family of few members over a group far larger than they are takes
-    the per-difference tally. A family that neither route fits is refused
-    with ``ParamError`` before the walk.
+    N; few distinct differences over a group far larger than they are take
+    the per-difference tally. A family that neither route fits at the bound
+    min(pairs, |G| - 1) on D is refused with ``ParamError`` before the walk.
     """
     residues = _residue_rows(array, family)
     members = len(residues)
     cols = np.flatnonzero((residues != residues[:1]).any(axis=0))
     widths = _widths(array)[cols]
     group = math.prod(widths.tolist())
-    differences = min(group - 1, members * (members - 1) // 2)
-    transform = _route(array, members, widths, differences) == "transform"
+    _route(array, members, widths, min(group - 1, members * (members - 1) // 2))
     residues = residues[:, cols]
     weight = np.concatenate([np.arange(1, bi + 1) * ei
                              for ei, bi in zip(array.e, array.beta)])[cols]
@@ -366,8 +366,8 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
                                     prepend=-1))
     budget = array.m - array.u
     firsts = []  # each new difference's first pair (j, k), ranked j * F + k
-    kept = []  # and its rank for the transform, its residues for the other route
-    for j, ks, delta, keys in _new_differences(residues, widths, group):
+    kept = []  # and its residues
+    for j, ks, delta in _new_differences(residues, widths, group):
         heights = _heights(delta, weight, starts)
         tall = np.flatnonzero(heights > budget)
         if tall.size:
@@ -375,7 +375,7 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
                 "kind": "height-precondition", "pair": [j, ks[tall[0]]],
                 "height": int(heights[tall[0]]), "budget": budget})
         firsts.append(j * members + np.asarray(ks, dtype=np.int64))
-        kept.append(keys if transform else delta)
+        kept.append(delta)
     q = _order(array)
     dup = _first_duplicate(rank_rows(residues, widths))
     firsts = np.concatenate(firsts) if firsts else np.zeros(0, dtype=np.int64)
@@ -383,8 +383,9 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
         firsts = firsts[:np.searchsorted(firsts, dup[0] * members + dup[1])]
     if len(firsts):
         kept, rows = np.concatenate(kept)[:len(firsts)], array.rows[:, cols]
-        bad = _first_nonvanishing([_group_tallies(rows, widths, q)[kept]] if transform
-                                  else _exponent_tallies(kept, rows, widths, q), q)
+        transform = _route(array, members, widths, len(kept)) == "transform"
+        bad = _first_nonvanishing([_group_tallies(rows, widths, q)[rank_rows(kept, widths)]]
+                                  if transform else _exponent_tallies(kept, rows, widths, q), q)
         if bad is not None:
             pair = divmod(int(firsts[bad[0]]), members)
             return Verdict(False, {"kind": "gram", "pair": list(pair), "order": q,

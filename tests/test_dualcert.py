@@ -255,31 +255,48 @@ class TestGramCertificate:
         # 16*7*3, the touched rows and one block of 7 exponent rows with its
         # tally and the vanishing test's copy 8*8*(3 + 3*7)
         need = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 16 * 7 * 3 + 8 * 8 * (3 + 3 * 7)
-        # below that the transform runs if it fits: the walk's bytes, the
-        # rows' touched columns and ranks 8*8*(3 + 1), and five arrays of
-        # |G| * q = 32 tallies 40*32
-        other = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 8 * 8 * (3 + 1) + 40 * 32
+        # the transform holds the same walk, the rows' touched columns and
+        # ranks 8*8*(3 + 1), and five arrays of |G| * q = 32 tallies 40*32
+        other = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 16 * 7 * 3 + 8 * 8 * (3 + 1) + 40 * 32
         # work: |G| * q * sum(w_j) = 8*4*6 additions against 7 exponent rows of
         # 8 entries on 3 columns
         assert dualcert._routes(arr12, 8, [2, 2, 2], 7) == {
             "transform": (8 * 4 * 6, other), "per-difference": (7 * 8 * 3, need)}
-        assert (need, other) == (3920, 3584)
+        assert need == other == 3920
         fam = build_block_family(arr12, (3, 0))
         transforms = []
         group_tallies = dualcert._group_tallies
         monkeypatch.setattr(dualcert, "_group_tallies",
                             lambda *args: transforms.append(1) or group_tallies(*args))
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
+        assert gram_certificate(arr12, fam) and not transforms
+        monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3920 "
+                                             "bytes of residues, differences and "
+                                             "tallies, above the cap of 3919"):
+            gram_certificate(arr12, fam)
+        # 4 tuples on one column of alphabet 4 of hammersley(2,4) at e = (1, 2):
+        # 3 exponent rows of 16 entries on 1 column cost less than 4*4*4
+        # additions, but a block of them holds more than 40*16 tallies, so
+        # below the per-difference count the transform runs if it fits
+        arr = net_to_mooa(corpus.hammersley(2, 4), 0, (1, 2))
+        walk = 4 * 8 * (6 + 2 * 1) + 4 * 64 + 3 * (128 + 16 * 1)
+        need, other = walk + 16 * 8 * (1 + 3 * 3), walk + 16 * 8 * (1 + 1) + 40 * 16
+        assert dualcert._routes(arr, 4, [4], 3) == {
+            "transform": (4 * 4 * 4, other), "per-difference": (3 * 16 * 1, need)}
+        assert (need, other) == (2224, 1840)
+        fam = build_block_family(arr, (0, 1))
         for cap, runs in ((need, 0), (need - 1, 1), (other, 1)):
             monkeypatch.setattr(dualcert, "_BYTES_CAP", cap)
             transforms.clear()
-            assert gram_certificate(arr12, fam)
+            assert gram_certificate(arr, fam)
             assert len(transforms) == runs, cap
         # a family neither route fits is refused with the smaller count
         monkeypatch.setattr(dualcert, "_BYTES_CAP", other - 1)
-        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3584 "
+        with pytest.raises(ParamError, match="a family of 4 tuples on 16 rows needs 1840 "
                                              "bytes of residues, differences and "
-                                             "tallies, above the cap of 3583"):
-            gram_certificate(arr12, fam)
+                                             "tallies, above the cap of 1839"):
+            gram_certificate(arr, fam)
         # two tuples touching all 4 columns have one difference; refused
         # before the height precondition could fail the family
         tall = [[1, 1, 1, 0], [0, 0, 0, 1]]
@@ -293,17 +310,17 @@ class TestGramCertificate:
 
     def test_transform_route_above_the_cap_is_refused(self, arr11, monkeypatch):
         # the same family at q = 2 takes the group transform: the walk's
-        # 8*8*(6 + 2*3) + 8*64 + 7*128, the rows' touched columns and ranks
-        # 8*8*(3 + 1), and five arrays of |G| * q = 16 tallies 40*16
-        need = 8 * 8 * (6 + 2 * 3) + 8 * 64 + 7 * 128 + 8 * 8 * (3 + 1) + 40 * 16
+        # 8*8*(6 + 2*3) + 8*64 + 7*128 + 16*7*3, the rows' touched columns and
+        # ranks 8*8*(3 + 1), and five arrays of |G| * q = 16 tallies 40*16
+        need = 8 * 8 * (6 + 2 * 3) + 8 * 64 + 7 * 128 + 16 * 7 * 3 + 8 * 8 * (3 + 1) + 40 * 16
         routes = dualcert._routes(arr11, 8, [2, 2, 2], 7)
-        assert routes["transform"] == (8 * 2 * 6, need) and need == 3072
+        assert routes["transform"] == (8 * 2 * 6, need) and need == 3408
         assert routes["transform"][0] < routes["per-difference"][0] == 7 * 8 * 3
         fam = build_block_family(arr11, (3, 0))
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert gram_certificate(arr11, fam)
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
-        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3072 "):
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3408 "):
             gram_certificate(arr11, fam)
 
     def test_a_tie_in_work_takes_the_transform(self, arr11, monkeypatch):
@@ -321,7 +338,8 @@ class TestGramCertificate:
             self, monkeypatch):
         # 100 tuples share a base on 24 of hammersley(2,14)'s 28 columns and
         # differ from member 0 on block 0's first 7 only: their differences
-        # span a group of 2**7, which one transform tallies
+        # span a group of 2**7, which one transform tallies. Each certificate
+        # reads the table with the bound and with the count kept, both 127
         ham = corpus.hammersley(2, 14)
         base = np.zeros(28, dtype=np.int64)
         base[list(range(12)) + list(range(14, 26))] = 1
@@ -337,7 +355,7 @@ class TestGramCertificate:
         bad = net_to_mooa(corpus.flip_digit(ham, 0, 0, 0), 0, (1, 1))
         assert gram_certificate(bad, fam).witness == {
             "kind": "gram", "pair": [0, 64], "order": 2, "counts": [8191, 8193]}
-        assert calls == [(100, [2] * 7, 127)] * 2 and transforms == [1, 1]
+        assert calls == [(100, [2] * 7, 127)] * 4 and transforms == [1, 1]
 
     def test_few_differences_over_a_large_group_take_the_per_difference_tally(
             self, monkeypatch):
@@ -352,46 +370,61 @@ class TestGramCertificate:
         monkeypatch.setattr(dualcert, "_group_tallies", _no_transform)
         assert gram_certificate(arr, fam)
 
+    @pytest.mark.parametrize("h", [
+        [a << 4 for a in range(1, 8)] + list(range(1, 16)) + [0x11, 0x22],
+        [a << 4 for a in range(1, 8)] + list(range(1, 16))], ids=["s=24", "s=22"])
     def test_a_transform_past_the_cap_falls_back_to_the_per_difference_tally(
-            self, monkeypatch):
-        # one binary column per coordinate of a 24-dimensional digital net,
+            self, h, monkeypatch):
+        # one binary column per coordinate of an s-dimensional digital net,
         # column c reading digit c mod 14 of n. The 128 tuples are a base row
-        # plus the codewords of a [24, 7] code: bit c of codeword x is the
+        # plus the codewords of an [s, 7] code: bit c of codeword x is the
         # parity of x & h_c, with 7 columns on x's top 3 bits, 15 on its low
-        # 4 and 2 on both, so every difference has height (weight) at most
-        # 4 + 8 + 2 = m - u. The differences span all 24 columns: for up to
-        # 8128 of them the transform over |G| = 2**24 does less work, but its
-        # 40 * 2**25 bytes of tallies pass the cap, so the per-difference
-        # tally runs
+        # 4 and, at s = 24, 2 on both, so every difference has height
+        # (weight) at most 4 + 8 + 2 = m - u. The differences span all s
+        # columns: at the bound of 8128 of them the transform over |G| = 2**s
+        # does less work (at s = 24 its 40 * 2**25 bytes of tallies pass the
+        # cap), but the walk keeps the 127 nonzero codewords, and their
+        # exponent rows take the per-difference tally
+        s = len(h)
         net = corpus.digital_net(2, [np.roll(np.eye(14, dtype=np.int64), c, axis=1)
-                                     for c in range(24)])
-        arr = net_to_mooa(net, 0, (1,) * 24, (1,) * 24)
-        h = [a << 4 for a in range(1, 8)] + list(range(1, 16)) + [0x11, 0x22]
+                                     for c in range(s)])
+        arr = net_to_mooa(net, 0, (1,) * s, (1,) * s)
         code = np.array([[bin(x & hc).count("1") % 2 for hc in h] for x in range(128)])
-        assert code.sum(axis=1).max() == 14 and code.any(axis=0).all()
-        fam = code ^ np.arange(24) % 2
-        routes = dualcert._routes(arr, 128, [2] * 24, 8127)
-        assert routes["transform"][0] == 2 ** 25 * 48 < routes["per-difference"][0]
-        assert routes["per-difference"][1] <= dualcert._BYTES_CAP < routes["transform"][1]
-        monkeypatch.setattr(dualcert, "_group_tallies", _no_transform)
-        assert gram_certificate(arr, fam)
+        assert code.sum(axis=1).max() <= 14 and code.any(axis=0).all()
+        fam = code ^ np.arange(s) % 2
+        bound = dualcert._routes(arr, 128, [2] * s, 8128)
+        assert bound["transform"][0] == 2 ** (s + 1) * 2 * s < bound["per-difference"][0]
+        assert (bound["transform"][1] > dualcert._BYTES_CAP) == (s == 24)
+        kept = dualcert._routes(arr, 128, [2] * s, 127)
+        assert kept["per-difference"][0] == 127 * 2 ** 14 * s < kept["transform"][0]
         # a flipped first digit of coordinate 7 (h_7 = 1) fails the first
         # member whose bit 0 is set; no pair before (0, 1) involves a later one
-        bad = net_to_mooa(corpus.flip_digit(net, 0, 7, 0), 0, (1,) * 24, (1,) * 24)
-        v = gram_certificate(bad, fam)
+        bad = net_to_mooa(corpus.flip_digit(net, 0, 7, 0), 0, (1,) * s, (1,) * s)
+        with monkeypatch.context() as patch:
+            patch.setattr(dualcert, "_group_tallies", _no_transform)
+            assert gram_certificate(arr, fam)
+            v = gram_certificate(bad, fam)
         assert v.witness == {"kind": "gram", "pair": [0, 1], "order": 2,
                              "counts": [8191, 8193]}
         assert oracles.brute_first_gram_failure(bad.rows, 2, bad.e, bad.beta, fam[:2]) == (0, 1)
+        if s == 22:  # the transform fits the cap, and forced it gives the same witness
+            _force_route(monkeypatch, "transform")
+            assert gram_certificate(bad, fam) == v
 
     def test_differences_counted_are_bounded_by_pairs_and_group(self, arr12, monkeypatch):
-        # a family of 3 tuples has at most 3 differences however many columns
-        # it touches; a block family of 8 has exactly its 7 nonzero members
+        # before the walk the table reads the bound: a family of 3 tuples has
+        # at most 3 differences however many columns it touches (this one is
+        # too tall, so no count follows). After it, the count kept: 4 tuples
+        # have 6 pairs but 3 differences, and a block family of 8 (read once
+        # more to build it) exactly its 7 nonzero members
         calls, routes = [], dualcert._routes
         monkeypatch.setattr(dualcert, "_routes",
                             lambda *args: calls.append(args[1:]) or routes(*args))
-        gram_certificate(arr12, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 3]])
-        gram_certificate(arr12, build_block_family(arr12, (1, 1)))
-        assert calls == [(3, [2, 2, 4], 3), (8, [2, 4], 7), (8, [2, 4], 7)]
+        assert not gram_certificate(arr12, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 3]])
+        assert gram_certificate(arr12, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1],
+                                        [1, 0, 0, 1]])
+        assert gram_certificate(arr12, build_block_family(arr12, (1, 1)))
+        assert calls == [(3, [2, 2, 4], 3), (4, [2, 4], 6), (4, [2, 4], 3)] + [(8, [2, 4], 7)] * 3
 
     def test_peak_memory_is_within_what_the_cap_counts(self, monkeypatch):
         # no (F, N) array is formed: on either route the peak stays within
@@ -401,7 +434,7 @@ class TestGramCertificate:
         fam = build_block_family(arr, (5, 5))  # F = N = 1024, an 8 MB matrix
         routes = dualcert._routes(arr, len(fam), [2] * 10, len(fam) - 1)
         assert routes["transform"][0] < routes["per-difference"][0]
-        for route, want, share in (("transform", 696192, 12),
+        for route, want, share in (("transform", 859872, 9),
                                    ("per-difference", 3915488, 2)):
             _force_route(monkeypatch, route)
             counted = routes[route][1]
@@ -686,9 +719,10 @@ class TestDistinctDifferenceRoute:
             walked.clear()
             assert gram_certificate(arr, family)
             assert sum(sums) == len(fam) - 1
-            # row 0's differences, the members for the duplicate check, then
-            # the array's rows, counted once over the group
-            assert walked == [len(fam) - 1, len(fam), arr.runs]
+            # row 0's differences, the members for the duplicate check, the
+            # array's rows, counted once over the group, then the differences
+            # kept, to look up their tallies
+            assert walked == [len(fam) - 1, len(fam), arr.runs, len(fam) - 1]
 
     def test_keys_past_int64_match_oracle(self):
         # 40 blocks of one base-4 column span a group of 4**40 = 2**80
@@ -708,15 +742,16 @@ class TestDistinctDifferenceRoute:
 def _assert_translate_agrees(monkeypatch, arr, family, shift):
     """``family`` and its translate by the residue row ``shift`` (reduced mod
     each column's alphabet) get one verdict and witness, and call the route
-    table with the same members, widths and differences. The translate's
-    verdict is returned."""
+    table with the same members, widths and differences, before the walk and
+    after it. The translate's verdict is returned."""
     calls, routes = [], dualcert._routes
     with monkeypatch.context() as patch:
         patch.setattr(dualcert, "_routes",
                       lambda *args: calls.append(args[1:]) or routes(*args))
         want = gram_certificate(arr, family)
+        half = len(calls)
         got = gram_certificate(arr, (family + shift) % dualcert._widths(arr))
-    assert got == want and calls[0] == calls[1]
+    assert got == want and calls[:half] == calls[half:]
     return got
 
 
@@ -785,10 +820,10 @@ class TestBuildBlockFamily:
     def test_oversized_family_is_refused_before_it_is_built(self, arr12, monkeypatch):
         # the cap gram_certificate applies, counted from b**depth members on
         # sum(kappa) touched columns with b**depth - 1 differences: refused
-        # once neither route fits, the transform's 32 tallies being smaller
+        # once neither route fits, here at one count for both
         routes = dualcert._routes(arr12, 8, [2, 4], 7)
         need = routes["transform"][1]
-        assert need == 3392 < routes["per-difference"][1] == 3616
+        assert need == routes["per-difference"][1] == 3616
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert len(build_block_family(arr12, (1, 1))) == 8
 
