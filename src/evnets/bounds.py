@@ -128,9 +128,10 @@ class Condition:
         return not self.applicable or self.lhs <= self.rhs
 
     def to_json(self) -> dict:
-        """The condition with its integers as decimal strings, each writable:
-        the functions that make a condition refuse a number too long to write
-        where they make it. Text output reads these strings too."""
+        """The condition with its integers as decimal strings; text output
+        reads these strings too. This module refuses, with ParamError, each
+        integer too long to write where it makes it; a condition made
+        elsewhere with such an integer raises Python's ValueError."""
         out = {
             "condition": self.name,
             "applicable": self.applicable,

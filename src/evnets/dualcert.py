@@ -48,9 +48,9 @@ from .errors import ParamError
 __all__ = ["char_exponents", "gram_certificate", "build_block_family"]
 
 # Bytes the byte cap charges per member beyond its residues (its rank, and its
-# entry in one row's list of ranks), and per distinct difference beyond its
-# residues (its first pair, and its entry in the set of differences seen: a
-# hash-table slot and a Python int, about 74 bytes).
+# entry in one row's list of ranks), and per distinct difference (its rank and
+# first pair, kept and stacked, and its entry in the set of differences seen:
+# a hash-table slot and a Python int, about 74 bytes).
 _MEMBER_BYTES = 64
 _DIFFERENCE_BYTES = 128
 
@@ -176,10 +176,11 @@ def _heights(delta: np.ndarray, weight: np.ndarray, starts: np.ndarray) -> np.nd
 
 def _new_differences(residues: np.ndarray, widths: np.ndarray, group: int):
     """Walk the pairs j < k of the residue rows in combinations order and
-    yield, per row j that has any, ``(j, ks, delta)``: the members k whose
-    difference d_k - d_j is nonzero and new to the walk, in order, and those
-    differences (mod ``widths``). The walk stops once all ``group - 1``
-    nonzero elements of the group the columns span have been seen."""
+    yield, per row j that has any, ``(j, ks, delta, keys)``: the members k
+    whose difference d_k - d_j is nonzero and new to the walk, in order,
+    those differences (mod ``widths``) and their mixed-radix ranks. The walk
+    stops once all ``group - 1`` nonzero elements of the group the columns
+    span have been seen."""
     seen: set = set()
     for j in range(len(residues) - 1):
         if len(seen) == group - 1:
@@ -192,7 +193,7 @@ def _new_differences(residues: np.ndarray, widths: np.ndarray, group: int):
                 seen.add(key)
                 fresh.append(k)
         if fresh:
-            yield j, [j + 1 + k for k in fresh], delta[fresh]
+            yield j, [j + 1 + k for k in fresh], delta[fresh], ranks[fresh]
 
 
 def _first_duplicate(keys: np.ndarray) -> tuple[int, int] | None:
@@ -234,16 +235,19 @@ def _group_tallies(rows: np.ndarray, widths: np.ndarray, q: int) -> np.ndarray:
     return tallies
 
 
-def _exponent_tallies(deltas: np.ndarray, rows: np.ndarray, widths: np.ndarray, q: int):
-    """Yield the tallies of exponents mod q of the differences ``deltas``,
-    one (D', q) block at a time: each block's exponent rows, about
-    ``_CHUNK_BYTES`` of int64, are formed by a matmul over the rows and
-    counted by one ``bincount``."""
+def _exponent_tallies(keys: np.ndarray, rows: np.ndarray, widths: np.ndarray, q: int):
+    """Yield the tallies of exponents mod q of the differences ranked ``keys``
+    (int64, or Python ints past it), one (D', q) block at a time: each block
+    is unranked key by key, and its exponent rows, about ``_CHUNK_BYTES`` of
+    int64, are formed by a matmul over the rows and counted by one ``bincount``."""
     scales = q // widths
     cols = np.ascontiguousarray(rows.T, dtype=np.int64)
-    block = _block_rows(len(rows), len(deltas))
-    for lo in range(0, len(deltas), block):
-        exps = (deltas[lo:lo + block] * scales) @ cols
+    block = _block_rows(len(rows), len(keys))
+    for lo in range(0, len(keys), block):
+        part = keys[lo:lo + block]
+        deltas = np.fromiter((d for key in part for d in unrank(key, widths)), np.int64,
+                             len(part) * len(widths)).reshape(len(part), -1)
+        exps = (deltas * scales) @ cols
         exps %= q
         exps += np.arange(0, len(exps) * q, q)[:, None]
         yield np.bincount(exps.ravel(), minlength=len(exps) * q).reshape(-1, q)
@@ -277,30 +281,28 @@ def _routes(array: MixedOOA, members: int, widths: list[int], differences: int
 
     Bytes, at most: both routes hold the stacked residues, their columns in
     G and one row's differences, with a rank per member, and each
-    difference seen with its first pair, its entry in the set of
-    differences and its residues, kept and stacked. The transform adds the
-    rows' columns in G and ranks, and at most five (|G|, q) int64 arrays at
-    once: the tallies before and after a column with the row counts and
-    numpy's buffers for the rolled adds, or the tallies, the kept
-    differences' tallies and the copy the vanishing test multiplies. The
-    per-difference tally adds the rows' columns in G in int64, and one
-    block of exponent rows with its tally and that copy."""
+    difference seen with its rank, its first pair and its entry in the set
+    of differences. The transform adds the rows' columns in G and ranks,
+    and at most five (|G|, q) int64 arrays at once: the tallies before and
+    after a column with the row counts and numpy's buffers for the rolled
+    adds, or the tallies, the kept differences' tallies and the copy the
+    vanishing test multiplies. The per-difference tally adds the rows'
+    columns in G in int64, and one block of differences unranked and scaled
+    with its exponent rows, their tally and that copy."""
     group, q, touched, runs = math.prod(widths), _order(array), len(widths), array.runs
     walk = (8 * members * (sum(array.beta) + 2 * touched) + members * _MEMBER_BYTES
-            + differences * (_DIFFERENCE_BYTES + 16 * touched))
+            + differences * _DIFFERENCE_BYTES)
     block = _block_rows(runs, differences)
     return {"transform": (group * q * sum(widths),
                           walk + 8 * runs * (touched + 1) + 40 * group * q),
-            "per-difference": (differences * runs * touched,
-                               walk + 8 * runs * (touched + 3 * block))}
+            "per-difference": (differences * runs * touched, walk + 16 * block * touched
+                               + 8 * runs * (touched + 3 * block))}
 
 
 def _route(array: MixedOOA, members: int, widths: np.ndarray, differences: int) -> str:
     """Of the :func:`_routes` whose bytes fit the package's byte cap, the one
-    that does less work, the transform on a tie. A family that neither route
-    fits is refused, with the smaller of the two byte counts. Before the
-    walk it is read only to refuse, at the bound on the differences; after
-    it, to choose, at the count the walk kept."""
+    that does less work, the transform on a tie; a family neither route fits
+    is refused with the smaller byte count (before the walk, at the bound)."""
     routes = _routes(array, members, widths.tolist(), differences)
     fits = [name for name, (_, size) in routes.items() if size <= _BYTES_CAP]
     if not fits:
@@ -366,8 +368,8 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
                                     prepend=-1))
     budget = array.m - array.u
     firsts = []  # each new difference's first pair (j, k), ranked j * F + k
-    kept = []  # and its residues
-    for j, ks, delta in _new_differences(residues, widths, group):
+    kept = []  # and its rank
+    for j, ks, delta, keys in _new_differences(residues, widths, group):
         heights = _heights(delta, weight, starts)
         tall = np.flatnonzero(heights > budget)
         if tall.size:
@@ -375,7 +377,7 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
                 "kind": "height-precondition", "pair": [j, ks[tall[0]]],
                 "height": int(heights[tall[0]]), "budget": budget})
         firsts.append(j * members + np.asarray(ks, dtype=np.int64))
-        kept.append(delta)
+        kept.append(keys)
     q = _order(array)
     dup = _first_duplicate(rank_rows(residues, widths))
     firsts = np.concatenate(firsts) if firsts else np.zeros(0, dtype=np.int64)
@@ -384,8 +386,8 @@ def gram_certificate(array: MixedOOA, family) -> Verdict:
     if len(firsts):
         kept, rows = np.concatenate(kept)[:len(firsts)], array.rows[:, cols]
         transform = _route(array, members, widths, len(kept)) == "transform"
-        bad = _first_nonvanishing([_group_tallies(rows, widths, q)[rank_rows(kept, widths)]]
-                                  if transform else _exponent_tallies(kept, rows, widths, q), q)
+        bad = _first_nonvanishing([_group_tallies(rows, widths, q)[kept]] if transform
+                                  else _exponent_tallies(kept, rows, widths, q), q)
         if bad is not None:
             pair = divmod(int(firsts[bad[0]]), members)
             return Verdict(False, {"kind": "gram", "pair": list(pair), "order": q,

@@ -258,6 +258,12 @@ class TestSequenceConditions:
         sys.set_int_max_str_digits(0)  # no limit: the budget is built
         assert seq_budget_check(2, (15015,))[0].rhs == 2 ** 15015
 
+    def test_a_condition_made_elsewhere_too_long_to_write_is_a_value_error(self, digit_limit):
+        # bounds refuses an unwritable number where it makes it; to_json only writes
+        with pytest.raises(ValueError, match="4300") as err:
+            bounds.Condition("made-elsewhere", True, 10 ** 4300, 0).to_json()
+        assert not isinstance(err.value, ParamError)
+
     @pytest.mark.parametrize("b", [2, 3, 10, 100, 1023, 1024, 1025])
     def test_power_writability_is_exact(self, digit_limit, b):
         # either side of the least unwritable exponent and of the two k the

@@ -805,11 +805,11 @@ class TestDualCert:
 
     @staticmethod
     def _kappa_30_bytes(mooa):
-        """The smaller of the two routes' byte counts, here one count for
-        both, for the kappa (3,0) family: 8 tuples, 7 differences on 3
-        columns of alphabet 2."""
+        """The smaller of the two routes' byte counts, the transform's, for
+        the kappa (3,0) family: 8 tuples, 7 differences on 3 columns of
+        alphabet 2."""
         routes = dualcert._routes(parse_mooa(Path(mooa).read_bytes()), 8, [2, 2, 2], 7)
-        assert routes["transform"][1] == routes["per-difference"][1] == 3920
+        assert routes["transform"][1] == 3584 < routes["per-difference"][1] == 3920
         return routes["transform"][1]
 
     def test_kappa_family_passes(self, capsys, ham_net, tmp_path):
@@ -905,7 +905,7 @@ class TestDualCert:
     def test_route_above_the_cap_is_usage_error(self, capsys, ham_net, tmp_path,
                                                  monkeypatch):
         # the real cap is 1 GiB, which hammersley(2,14) at kappa (7,7) fits
-        # in about 17 MB; a lowered cap refuses this family of 8
+        # in about 14 MB; a lowered cap refuses this family of 8
         mooa = self._mooa(capsys, ham_net, tmp_path)
         need = self._kappa_30_bytes(mooa)
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)

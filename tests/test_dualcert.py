@@ -255,48 +255,31 @@ class TestGramCertificate:
         # 16*7*3, the touched rows and one block of 7 exponent rows with its
         # tally and the vanishing test's copy 8*8*(3 + 3*7)
         need = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 16 * 7 * 3 + 8 * 8 * (3 + 3 * 7)
-        # the transform holds the same walk, the rows' touched columns and
-        # ranks 8*8*(3 + 1), and five arrays of |G| * q = 32 tallies 40*32
-        other = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 16 * 7 * 3 + 8 * 8 * (3 + 1) + 40 * 32
+        # below that the transform runs if it fits: the walk's bytes, the
+        # rows' touched columns and ranks 8*8*(3 + 1), and five arrays of
+        # |G| * q = 32 tallies 40*32
+        other = 8 * 8 * (4 + 2 * 3) + 8 * 64 + 7 * 128 + 8 * 8 * (3 + 1) + 40 * 32
         # work: |G| * q * sum(w_j) = 8*4*6 additions against 7 exponent rows of
         # 8 entries on 3 columns
         assert dualcert._routes(arr12, 8, [2, 2, 2], 7) == {
             "transform": (8 * 4 * 6, other), "per-difference": (7 * 8 * 3, need)}
-        assert need == other == 3920
+        assert (need, other) == (3920, 3584)
         fam = build_block_family(arr12, (3, 0))
         transforms = []
         group_tallies = dualcert._group_tallies
         monkeypatch.setattr(dualcert, "_group_tallies",
                             lambda *args: transforms.append(1) or group_tallies(*args))
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
-        assert gram_certificate(arr12, fam) and not transforms
-        monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
-        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3920 "
-                                             "bytes of residues, differences and "
-                                             "tallies, above the cap of 3919"):
-            gram_certificate(arr12, fam)
-        # 4 tuples on one column of alphabet 4 of hammersley(2,4) at e = (1, 2):
-        # 3 exponent rows of 16 entries on 1 column cost less than 4*4*4
-        # additions, but a block of them holds more than 40*16 tallies, so
-        # below the per-difference count the transform runs if it fits
-        arr = net_to_mooa(corpus.hammersley(2, 4), 0, (1, 2))
-        walk = 4 * 8 * (6 + 2 * 1) + 4 * 64 + 3 * (128 + 16 * 1)
-        need, other = walk + 16 * 8 * (1 + 3 * 3), walk + 16 * 8 * (1 + 1) + 40 * 16
-        assert dualcert._routes(arr, 4, [4], 3) == {
-            "transform": (4 * 4 * 4, other), "per-difference": (3 * 16 * 1, need)}
-        assert (need, other) == (2224, 1840)
-        fam = build_block_family(arr, (0, 1))
         for cap, runs in ((need, 0), (need - 1, 1), (other, 1)):
             monkeypatch.setattr(dualcert, "_BYTES_CAP", cap)
             transforms.clear()
-            assert gram_certificate(arr, fam)
+            assert gram_certificate(arr12, fam)
             assert len(transforms) == runs, cap
         # a family neither route fits is refused with the smaller count
         monkeypatch.setattr(dualcert, "_BYTES_CAP", other - 1)
-        with pytest.raises(ParamError, match="a family of 4 tuples on 16 rows needs 1840 "
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3584 "
                                              "bytes of residues, differences and "
-                                             "tallies, above the cap of 1839"):
-            gram_certificate(arr, fam)
+                                             "tallies, above the cap of 3583"):
+            gram_certificate(arr12, fam)
         # two tuples touching all 4 columns have one difference; refused
         # before the height precondition could fail the family
         tall = [[1, 1, 1, 0], [0, 0, 0, 1]]
@@ -310,17 +293,17 @@ class TestGramCertificate:
 
     def test_transform_route_above_the_cap_is_refused(self, arr11, monkeypatch):
         # the same family at q = 2 takes the group transform: the walk's
-        # 8*8*(6 + 2*3) + 8*64 + 7*128 + 16*7*3, the rows' touched columns and
-        # ranks 8*8*(3 + 1), and five arrays of |G| * q = 16 tallies 40*16
-        need = 8 * 8 * (6 + 2 * 3) + 8 * 64 + 7 * 128 + 16 * 7 * 3 + 8 * 8 * (3 + 1) + 40 * 16
+        # 8*8*(6 + 2*3) + 8*64 + 7*128, the rows' touched columns and ranks
+        # 8*8*(3 + 1), and five arrays of |G| * q = 16 tallies 40*16
+        need = 8 * 8 * (6 + 2 * 3) + 8 * 64 + 7 * 128 + 8 * 8 * (3 + 1) + 40 * 16
         routes = dualcert._routes(arr11, 8, [2, 2, 2], 7)
-        assert routes["transform"] == (8 * 2 * 6, need) and need == 3408
+        assert routes["transform"] == (8 * 2 * 6, need) and need == 3072
         assert routes["transform"][0] < routes["per-difference"][0] == 7 * 8 * 3
         fam = build_block_family(arr11, (3, 0))
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert gram_certificate(arr11, fam)
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need - 1)
-        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3408 "):
+        with pytest.raises(ParamError, match="a family of 8 tuples on 8 rows needs 3072 "):
             gram_certificate(arr11, fam)
 
     def test_a_tie_in_work_takes_the_transform(self, arr11, monkeypatch):
@@ -373,7 +356,7 @@ class TestGramCertificate:
     @pytest.mark.parametrize("h", [
         [a << 4 for a in range(1, 8)] + list(range(1, 16)) + [0x11, 0x22],
         [a << 4 for a in range(1, 8)] + list(range(1, 16))], ids=["s=24", "s=22"])
-    def test_a_transform_past_the_cap_falls_back_to_the_per_difference_tally(
+    def test_codewords_take_the_route_of_the_differences_the_walk_keeps(
             self, h, monkeypatch):
         # one binary column per coordinate of an s-dimensional digital net,
         # column c reading digit c mod 14 of n. The 128 tuples are a base row
@@ -382,9 +365,8 @@ class TestGramCertificate:
         # 4 and, at s = 24, 2 on both, so every difference has height
         # (weight) at most 4 + 8 + 2 = m - u. The differences span all s
         # columns: at the bound of 8128 of them the transform over |G| = 2**s
-        # does less work (at s = 24 its 40 * 2**25 bytes of tallies pass the
-        # cap), but the walk keeps the 127 nonzero codewords, and their
-        # exponent rows take the per-difference tally
+        # does less work, but the walk keeps the 127 nonzero codewords, and
+        # their exponent rows take the per-difference tally
         s = len(h)
         net = corpus.digital_net(2, [np.roll(np.eye(14, dtype=np.int64), c, axis=1)
                                      for c in range(s)])
@@ -394,7 +376,6 @@ class TestGramCertificate:
         fam = code ^ np.arange(s) % 2
         bound = dualcert._routes(arr, 128, [2] * s, 8128)
         assert bound["transform"][0] == 2 ** (s + 1) * 2 * s < bound["per-difference"][0]
-        assert (bound["transform"][1] > dualcert._BYTES_CAP) == (s == 24)
         kept = dualcert._routes(arr, 128, [2] * s, 127)
         assert kept["per-difference"][0] == 127 * 2 ** 14 * s < kept["transform"][0]
         # a flipped first digit of coordinate 7 (h_7 = 1) fails the first
@@ -410,6 +391,51 @@ class TestGramCertificate:
         if s == 22:  # the transform fits the cap, and forced it gives the same witness
             _force_route(monkeypatch, "transform")
             assert gram_certificate(bad, fam) == v
+
+    def test_a_transform_past_the_cap_falls_back_to_the_per_difference_tally(
+            self, monkeypatch):
+        # one binary column per coordinate of a 16-dimensional digital net,
+        # column c reading digit c mod 10 of n. The 32 tuples are words of
+        # weight at most 5, so every difference has height (weight) at most
+        # m - u = 10: taken in the order of x * 0x9E3779B1 mod 2**16, each is
+        # kept if the digits it reads, summed mod 2, are new. Then every
+        # difference reads a nonzero sum and its character sum vanishes. Not
+        # closed under subtraction, the family has 478 distinct differences
+        # over all 16 columns, whose exponent rows are more work than a
+        # transform over |G| = 2**16; under a cap of 4 MiB the transform's
+        # 40 * 2**17 bytes of tallies do not fit, and the per-difference
+        # tally runs
+        net = corpus.digital_net(2, [np.roll(np.eye(10, dtype=np.int64), c, axis=1)
+                                     for c in range(16)])
+        arr = net_to_mooa(net, 0, (1,) * 16, (1,) * 16)
+        words, sums, x = [], set(), 0
+        while len(words) < 32:
+            x += 1
+            w = x * 0x9E3779B1 % 2 ** 16
+            if bin(w).count("1") <= 5 and (w ^ w >> 10) % 2 ** 10 not in sums:
+                sums.add((w ^ w >> 10) % 2 ** 10)
+                words.append(w)
+        fam = np.array([[w >> c & 1 for c in range(16)] for w in words])
+        kept = dualcert._routes(arr, 32, [2] * 16, 478)
+        assert kept["transform"][0] == 2 ** 17 * 32 < kept["per-difference"][0]
+        assert kept["per-difference"][1] <= 2 ** 22 < kept["transform"][1]
+        # a flipped first digit of coordinate 1 fails the first pair whose
+        # difference reads digit 1 an odd number of times
+        bad = net_to_mooa(corpus.flip_digit(net, 0, 1, 0), 0, (1,) * 16, (1,) * 16)
+        calls, routes = [], dualcert._routes
+        with monkeypatch.context() as patch:
+            patch.setattr(dualcert, "_BYTES_CAP", 2 ** 22)
+            patch.setattr(dualcert, "_group_tallies", _no_transform)
+            patch.setattr(dualcert, "_routes",
+                          lambda *args: calls.append(args[3]) or routes(*args))
+            assert gram_certificate(arr, fam)
+            v = gram_certificate(bad, fam)
+        assert calls == [496, 478] * 2
+        assert v.witness == {"kind": "gram", "pair": [0, 1], "order": 2,
+                             "counts": [511, 513]}
+        assert oracles.brute_first_gram_failure(bad.rows, 2, bad.e, bad.beta, fam[:2]) == (0, 1)
+        # at the real cap the transform runs, with the same witness
+        assert gram_certificate(bad, fam) == v
 
     def test_differences_counted_are_bounded_by_pairs_and_group(self, arr12, monkeypatch):
         # before the walk the table reads the bound: a family of 3 tuples has
@@ -434,8 +460,8 @@ class TestGramCertificate:
         fam = build_block_family(arr, (5, 5))  # F = N = 1024, an 8 MB matrix
         routes = dualcert._routes(arr, len(fam), [2] * 10, len(fam) - 1)
         assert routes["transform"][0] < routes["per-difference"][0]
-        for route, want, share in (("transform", 859872, 9),
-                                   ("per-difference", 3915488, 2)):
+        for route, want, share in (("transform", 696192, 12),
+                                   ("per-difference", 3772288, 2)):
             _force_route(monkeypatch, route)
             counted = routes[route][1]
             assert counted == want and counted <= len(fam) * arr.runs * 8 / share
@@ -719,10 +745,9 @@ class TestDistinctDifferenceRoute:
             walked.clear()
             assert gram_certificate(arr, family)
             assert sum(sums) == len(fam) - 1
-            # row 0's differences, the members for the duplicate check, the
-            # array's rows, counted once over the group, then the differences
-            # kept, to look up their tallies
-            assert walked == [len(fam) - 1, len(fam), arr.runs, len(fam) - 1]
+            # row 0's differences, the members for the duplicate check, then
+            # the array's rows, counted once over the group
+            assert walked == [len(fam) - 1, len(fam), arr.runs]
 
     def test_keys_past_int64_match_oracle(self):
         # 40 blocks of one base-4 column span a group of 4**40 = 2**80
@@ -820,10 +845,10 @@ class TestBuildBlockFamily:
     def test_oversized_family_is_refused_before_it_is_built(self, arr12, monkeypatch):
         # the cap gram_certificate applies, counted from b**depth members on
         # sum(kappa) touched columns with b**depth - 1 differences: refused
-        # once neither route fits, here at one count for both
+        # once neither route fits, the transform's 32 tallies being smaller
         routes = dualcert._routes(arr12, 8, [2, 4], 7)
         need = routes["transform"][1]
-        assert need == routes["per-difference"][1] == 3616
+        assert need == 3392 < routes["per-difference"][1] == 3616
         monkeypatch.setattr(dualcert, "_BYTES_CAP", need)
         assert len(build_block_family(arr12, (1, 1))) == 8
 
